@@ -153,8 +153,8 @@ void ComputeDistancesFor(const Matrix& corpus, std::span<const int> rows,
                          const CorpusNorms* norms, std::span<double> out);
 
 /// Row indices [0, dists.size()) sorted ascending by (distance, index),
-/// via the packed-key sort described above. Appends into *order (cleared
-/// first). Exactly reproduces the reference comparator order.
+/// via the packed-key radix sort described above. Fills *order (resized
+/// to n). Exactly reproduces the reference comparator order.
 void ArgsortDistances(std::span<const double> dists, std::vector<int>* order);
 
 /// The k smallest entries by (distance, id), ascending. `ids` maps

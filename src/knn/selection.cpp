@@ -89,16 +89,53 @@ uint32_t SortableBits(double value) {
 // Full argsort (the sort path and the parity oracle)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// LSD digits of the float half of a packed key: bits 32-42, 43-53, 54-63.
+constexpr int kRadixPasses = 3;
+constexpr int kRadixShift[kRadixPasses] = {32, 43, 54};
+constexpr size_t kRadixBuckets = size_t{1} << 11;
+
+inline size_t RadixDigit(uint64_t key, int pass) {
+  return static_cast<size_t>(key >> kRadixShift[pass]) & (kRadixBuckets - 1);
+}
+
+}  // namespace
+
 void ArgsortDistances(std::span<const double> dists, std::vector<int>* order) {
   const size_t n = dists.size();
   KNNSHAP_CHECK(n < (size_t{1} << 31), "corpus too large for packed argsort");
   static thread_local std::vector<uint64_t> keys;
+  static thread_local std::vector<uint64_t> spare;
   ResizeScratch(&keys, n);
+  ResizeScratch(&spare, n);
+  uint32_t counts[kRadixPasses][kRadixBuckets] = {};
   for (size_t i = 0; i < n; ++i) {
-    keys[i] = (static_cast<uint64_t>(internal::SortableBits(dists[i])) << 32) |
-              static_cast<uint32_t>(i);
+    const uint64_t key =
+        (static_cast<uint64_t>(internal::SortableBits(dists[i])) << 32) |
+        static_cast<uint32_t>(i);
+    keys[i] = key;
+    for (int pass = 0; pass < kRadixPasses; ++pass) {
+      ++counts[pass][RadixDigit(key, pass)];
+    }
   }
-  std::sort(keys.begin(), keys.end());
+  // Stable LSD radix sort on the float bits alone: the keys were built in
+  // ascending index order, so stability yields the full 64-bit key order.
+  for (int pass = 0; pass < kRadixPasses && n > 0; ++pass) {
+    uint32_t* count = counts[pass];
+    // A digit every key shares would only copy the buffer.
+    if (count[RadixDigit(keys[0], pass)] == n) continue;
+    uint32_t offset = 0;
+    for (size_t b = 0; b < kRadixBuckets; ++b) {
+      const uint32_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      spare[count[RadixDigit(keys[i], pass)]++] = keys[i];
+    }
+    keys.swap(spare);
+  }
   order->resize(n);
   for (size_t i = 0; i < n; ++i) {
     (*order)[i] = static_cast<int>(keys[i] & 0xffffffffu);

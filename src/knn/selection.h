@@ -9,8 +9,9 @@
 // this header provides them without sorting the tail.
 //
 // Ordering contract. ArgsortDistances orders by packed 64-bit keys
-// (float-rounded distance bits << 32 | index) and then re-sorts runs of
-// equal float keys by the exact (double distance, index) pair. Float
+// (float-rounded distance bits << 32 | index; a stable radix sort on the
+// float bits, since the keys are built in index order) and then re-sorts
+// runs of equal float keys by the exact (double distance, index) pair. Float
 // rounding is monotone, so that composite order *is* the ascending
 // (double distance, index) order — and because the low word makes every
 // packed key unique, the r smallest packed keys are set-equal to the

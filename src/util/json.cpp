@@ -3,15 +3,31 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace knnshap {
 
 namespace {
 
 const JsonValue kNullValue;
+
+// Parses the whole of [begin, end) as a double with strtod's grammar and
+// value. from_chars covers the common token; anything it rejects or stops
+// short on (a leading '+', overflow to +-inf, underflow, malformed text)
+// goes to strtod on a NUL-terminated copy, so both the accepted set and
+// the values stay exactly strtod's.
+bool ParseDouble(const char* begin, const char* end, double* out) {
+  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  if (ec == std::errc() && ptr == end) return true;
+  const std::string text(begin, end);
+  char* parse_end = nullptr;
+  *out = std::strtod(text.c_str(), &parse_end);
+  return parse_end == text.c_str() + text.size();
+}
 
 // Recursive-descent parser over a bounded character range.
 class Parser {
@@ -61,9 +77,16 @@ class Parser {
     }
     switch (*p_) {
       case '{':
-        return ParseObject(error);
-      case '[':
-        return ParseArray(error);
+      case '[': {
+        if (depth_ == kJsonMaxNestingDepth) {
+          *error = "nesting deeper than " + std::to_string(kJsonMaxNestingDepth);
+          return JsonValue();
+        }
+        ++depth_;
+        JsonValue container = *p_ == '{' ? ParseObject(error) : ParseArray(error);
+        --depth_;
+        return container;
+      }
       case '"':
         return ParseString(error);
       case 't':
@@ -188,10 +211,8 @@ class Parser {
       *error = "invalid number";
       return JsonValue();
     }
-    std::string text(start, p_);
-    char* parse_end = nullptr;
-    double value = std::strtod(text.c_str(), &parse_end);
-    if (parse_end != text.c_str() + text.size()) {
+    double value = 0.0;
+    if (!ParseDouble(start, p_, &value)) {
       *error = "invalid number";
       return JsonValue();
     }
@@ -200,6 +221,7 @@ class Parser {
 
   const char* p_;
   const char* end_;
+  int depth_ = 0;
 };
 
 void EscapeInto(const std::string& s, std::string* out) {
@@ -238,17 +260,17 @@ void DumpInto(const JsonValue& v, std::string* out) {
         *out += "null";  // JSON has no Inf/NaN.
         break;
       }
-      char buf[40];
-      // %.17g round-trips doubles exactly; trim to %g when lossless-short.
-      std::snprintf(buf, sizeof buf, "%.17g", n);
-      double back = std::strtod(buf, nullptr);
-      char shorter[40];
-      std::snprintf(shorter, sizeof shorter, "%g", n);
-      if (std::strtod(shorter, nullptr) == back) {
-        *out += shorter;
-      } else {
-        *out += buf;
+      // %g when it reads back losslessly, else %.17g (exact for every
+      // double). to_chars with an explicit precision prints printf's bytes.
+      char buf[32];
+      char* end = std::to_chars(buf, buf + sizeof buf, n,
+                                std::chars_format::general, 6).ptr;
+      double back = 0.0;
+      if (!ParseDouble(buf, end, &back) || back != n) {
+        end = std::to_chars(buf, buf + sizeof buf, n,
+                            std::chars_format::general, 17).ptr;
       }
+      out->append(buf, end);
       break;
     }
     case JsonValue::Type::kString:

@@ -95,8 +95,13 @@ struct JsonParseResult {
   bool ok() const { return error.empty(); }
 };
 
+/// Arrays and objects nest at most this deep; deeper input is a parse
+/// error rather than unbounded recursion. The serve protocol nests ~5 deep.
+inline constexpr int kJsonMaxNestingDepth = 256;
+
 /// Parses one JSON document from `text`. Trailing non-whitespace is an
-/// error (JSONL framing: exactly one document per line).
+/// error (JSONL framing: exactly one document per line). Numbers take
+/// strtod's grammar and values, a leading '+' included.
 JsonParseResult ParseJson(const std::string& text);
 
 }  // namespace knnshap

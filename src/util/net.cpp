@@ -199,6 +199,14 @@ int AcceptTcp(int listen_fd) {
 
 FdInBuf::int_type FdInBuf::underflow() {
   if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+  if (wake_fd_ >= 0) {
+    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    int rc;
+    do {
+      rc = poll(fds, 2, -1);
+    } while (rc < 0 && errno == EINTR);
+    if (rc < 0 || fds[1].revents != 0) return traits_type::eof();
+  }
   ssize_t n;
   do {
     n = read(fd_, buf_, kSize);

@@ -57,10 +57,17 @@ int BoundPort(int listen_fd);
 int AcceptTcp(int listen_fd);
 
 /// Read-side streambuf over an fd (blocking reads; a socket's SO_RCVTIMEO
-/// surfaces as EOF, which the serve loop treats as a disconnect).
+/// surfaces as EOF, which the serve loop treats as a disconnect). Reads
+/// interrupted by a signal are retried. With a `wake_fd`, each refill
+/// first polls both fds and the stream ends once `wake_fd` is readable: a
+/// signal handler that writes a byte to that pipe ends a blocked read
+/// whichever thread the signal lands on, and whether or not the reader
+/// had already entered read() when it arrived.
 class FdInBuf : public std::streambuf {
  public:
-  explicit FdInBuf(int fd) : fd_(fd) { setg(buf_, buf_, buf_); }
+  explicit FdInBuf(int fd, int wake_fd = -1) : fd_(fd), wake_fd_(wake_fd) {
+    setg(buf_, buf_, buf_);
+  }
 
  protected:
   int_type underflow() override;
@@ -68,6 +75,7 @@ class FdInBuf : public std::streambuf {
  private:
   static constexpr size_t kSize = 1 << 16;
   int fd_;
+  int wake_fd_;
   char buf_[kSize];
 };
 

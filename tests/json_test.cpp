@@ -4,7 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/json.h"
+#include "util/random.h"
 
 namespace knnshap {
 namespace {
@@ -88,6 +98,168 @@ TEST(JsonDumpTest, SetReplacesExistingKey) {
   obj.Set("a", JsonValue(2.0));
   EXPECT_EQ(obj.Fields().size(), 1u);
   EXPECT_DOUBLE_EQ(obj.Get("a").AsNumber(), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// Number codec oracle: the printf/strtod rule the serializer has always
+// followed, kept here as the reference the to_chars/from_chars codec must
+// reproduce byte for byte and bit for bit.
+// ---------------------------------------------------------------------------
+
+std::string OracleDump(double n) {
+  if (!std::isfinite(n)) return "null";
+  char full[40];
+  std::snprintf(full, sizeof full, "%.17g", n);
+  char shorter[40];
+  std::snprintf(shorter, sizeof shorter, "%g", n);
+  return std::strtod(shorter, nullptr) == std::strtod(full, nullptr) ? shorter
+                                                                      : full;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+// Seeded doubles in the shapes the serve protocol carries, plus the raw
+// bit patterns that stress the digit boundaries: random bits (every
+// exponent, subnormals included), floats widened to double (feature rows),
+// k/N rationals (Shapley values), integers, and random decimals.
+std::vector<double> CodecCorpus(size_t count) {
+  std::vector<double> out = {123456.0,
+                             1234567.0,
+                             1e-5,
+                             1e21,
+                             0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             1e308,
+                             -1e308,
+                             std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             static_cast<double>(0.1f),
+                             static_cast<double>(1.0f / 3.0f),
+                             static_cast<double>(-16777217.0f),
+                             0.1,
+                             1.0 / 3.0,
+                             999999.5,
+                             9.999995e-5};
+  Rng rng(20261016);
+  while (out.size() < count) {
+    const uint64_t r = rng.NextUint64();
+    double v = 0.0;
+    switch (r % 6) {
+      case 0:
+        v = FromBits(rng.NextUint64());
+        break;
+      case 1: {
+        uint32_t f = static_cast<uint32_t>(rng.NextUint64());
+        float x;
+        std::memcpy(&x, &f, sizeof x);
+        v = static_cast<double>(x);
+        break;
+      }
+      case 2:
+        v = static_cast<double>(rng.NextIndex(1000)) /
+            static_cast<double>(1 + rng.NextIndex(200000));
+        break;
+      case 3:
+        v = static_cast<double>(static_cast<int64_t>(rng.NextUint64() >> (r % 60)));
+        break;
+      case 4:
+        v = FromBits(rng.NextUint64() & 0x000fffffffffffffull);  // subnormal
+        break;
+      default:
+        v = rng.NextGaussian() * std::pow(10.0, static_cast<double>(r % 41) - 20.0);
+        break;
+    }
+    if (!std::isfinite(v)) continue;  // dumped as null on both sides
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(JsonNumberCodecTest, DumpMatchesPrintfRuleByteForByte) {
+  for (double v : CodecCorpus(1'000'000)) {
+    ASSERT_EQ(JsonValue(v).Dump(), OracleDump(v)) << std::hexfloat << v;
+  }
+  EXPECT_EQ(JsonValue(123456.0).Dump(), "123456");
+  EXPECT_EQ(JsonValue(1234567.0).Dump(), "1234567");
+  EXPECT_EQ(JsonValue(1e-5).Dump(), "1e-05");
+  EXPECT_EQ(JsonValue(1e21).Dump(), "1e+21");
+  EXPECT_EQ(JsonValue(-0.0).Dump(), "-0");
+  EXPECT_EQ(JsonValue(0.1).Dump(), "0.1");
+  EXPECT_EQ(JsonValue(1.0 / 3.0).Dump(), "0.33333333333333331");
+  EXPECT_EQ(JsonValue(std::numeric_limits<double>::infinity()).Dump(), "null");
+  EXPECT_EQ(JsonValue(std::nan("")).Dump(), "null");
+}
+
+TEST(JsonNumberCodecTest, ParseMatchesStrtodBitForBit) {
+  std::vector<std::string> texts;
+  for (double v : CodecCorpus(1'000'000)) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    texts.emplace_back(buf);
+    std::snprintf(buf, sizeof buf, "%g", v);
+    texts.emplace_back(buf);
+  }
+  for (const char* extra :
+       {"+1", "1e400", "-1e400", "1e-400", "-1e-400", ".5", "5.", "1e5",
+        "1E+05", "-.25e-3", "0.000", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "1.7976931348623158e308",
+        "1.7976931348623159e308", "00012", "-0"}) {
+    texts.emplace_back(extra);
+  }
+  for (const std::string& text : texts) {
+    const JsonParseResult parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.error;
+    ASSERT_EQ(Bits(parsed.value.AsNumber()), Bits(std::strtod(text.c_str(), nullptr)))
+        << text;
+  }
+  EXPECT_EQ(ParseJson("1e400").value.AsNumber(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ParseJson("+1").value.AsNumber(), 1.0);
+}
+
+TEST(JsonNumberCodecTest, MalformedNumbersStayErrors) {
+  for (const char* text : {"-", "+", "1e", "1e+", "+-1", "1.2.3", "1-2", "--3",
+                           ".", "e5", "[1e]", "{\"a\":1.2.3}"}) {
+    EXPECT_FALSE(ParseJson(text).ok()) << text;
+  }
+}
+
+TEST(JsonParseTest, NestingDepthIsBounded) {
+  auto nested = [](int depth, char open, char close) {
+    std::string inner = open == '{' ? "1" : "[]";
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open == '{' ? "{\"a\":" : "[";
+    text += inner;
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  // The cap counts containers: an empty array innermost is one more.
+  EXPECT_TRUE(ParseJson(nested(kJsonMaxNestingDepth - 1, '[', ']')).ok());
+  EXPECT_FALSE(ParseJson(nested(kJsonMaxNestingDepth, '[', ']')).ok());
+  EXPECT_TRUE(ParseJson(nested(kJsonMaxNestingDepth, '{', '}')).ok());
+  const JsonParseResult deep_object =
+      ParseJson(nested(kJsonMaxNestingDepth + 1, '{', '}'));
+  EXPECT_FALSE(deep_object.ok());
+  EXPECT_NE(deep_object.error.find("nesting"), std::string::npos)
+      << deep_object.error;
+
+  // 100 KB of '[' used to overflow the stack; now it is a plain error.
+  const JsonParseResult hostile = ParseJson(std::string(100'000, '['));
+  EXPECT_FALSE(hostile.ok());
+  EXPECT_NE(hostile.error.find("nesting"), std::string::npos) << hostile.error;
 }
 
 }  // namespace

@@ -408,5 +408,72 @@ TEST_F(SelectTest, MergeSortedCandidateRunsMatchesGlobalTopR) {
   }
 }
 
+// The radix argsort against the reference comparator std::sort on the
+// exact (double, index) pair, at sizes around the 11-bit digit boundaries
+// and on the inputs where the float key and the double disagree: distinct
+// doubles rounding to one float, signed zeros, heavy duplicates, all-equal.
+std::vector<int> ComparatorArgsort(const std::vector<double>& dists) {
+  std::vector<int> order(dists.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&dists](int a, int b) {
+    const double da = dists[static_cast<size_t>(a)];
+    const double db = dists[static_cast<size_t>(b)];
+    return da < db || (da == db && a < b);
+  });
+  return order;
+}
+
+std::vector<std::pair<std::string, std::vector<double>>> RadixParityInputs(
+    size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, std::vector<double>>> inputs;
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.NextGaussian() * 100.0;
+  inputs.emplace_back("gaussian", v);
+  for (auto& x : v) {
+    // Sub-half-ulp offsets: many distinct doubles per float key.
+    const float base = static_cast<float>(rng.NextIndex(97)) / 64.0f;
+    x = static_cast<double>(base) + static_cast<double>(rng.NextIndex(7)) * 1e-13;
+  }
+  inputs.emplace_back("float-collisions", v);
+  const double zeros[] = {0.0, -0.0, 1e-300, -1e-300, 1e-310, 0.5, -0.5};
+  for (auto& x : v) x = zeros[rng.NextIndex(7)];
+  inputs.emplace_back("signed-zeros", v);
+  for (auto& x : v) x = std::floor(rng.NextDouble() * 8.0) / 8.0;
+  inputs.emplace_back("heavy-duplicates", v);
+  std::fill(v.begin(), v.end(), 2.5);
+  inputs.emplace_back("all-equal", v);
+  return inputs;
+}
+
+TEST_F(SelectTest, RadixArgsortMatchesComparatorSort) {
+  for (const auto& dists : TieHeavyFixtures()) {
+    std::vector<int> got;
+    ArgsortDistances(dists, &got);
+    EXPECT_EQ(got, ComparatorArgsort(dists)) << "n=" << dists.size();
+  }
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{2047}, size_t{2048},
+                   size_t{2049}, size_t{65537}, size_t{200000}}) {
+    for (const auto& [name, dists] : RadixParityInputs(n, 1000 + n)) {
+      const std::vector<int> expected = ComparatorArgsort(dists);
+      std::vector<int> got;
+      ArgsortDistances(dists, &got);
+      ASSERT_EQ(got, expected) << name << " n=" << n;
+      // The streaming strategies answer against the same oracle.
+      for (SelectKind kind : AllStrategies()) {
+        SetSelectOverride(kind);
+        for (size_t r : {size_t{1}, n / 16 + 1, n / 2 + 1}) {
+          PartialArgsortDistances(dists, r, &got);
+          const size_t len = std::min(r, n);
+          ASSERT_EQ(got, std::vector<int>(expected.begin(),
+                                          expected.begin() + static_cast<long>(len)))
+              << name << " n=" << n << " r=" << r << " " << SelectName(kind);
+        }
+      }
+      SetSelectOverride(SelectKind::kAuto);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace knnshap

@@ -8,10 +8,14 @@
 // session/golden pair the CI smoke test pipes through the real binary).
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -112,14 +116,19 @@ TEST(ServeTest, OrderedPipelinedOutputIsByteIdenticalToSerial) {
   const std::string input = Join(MixedSession());
   ThreadPool pool(4);
 
+  // The session fits 17 fitted-valuator keys. Past the capacity the LRU
+  // victim is whichever key concurrent requests touched least recently,
+  // so `drop`'s fitted_evicted count would depend on thread timing; room
+  // for every key keeps the transcript a function of the input.
   PipelineOptions serial;
   serial.pipelined = false;
   serial.emit_timing = false;
+  serial.engine.fitted_capacity = 64;
   const std::string serial_out = RunSession(input, serial);
 
-  PipelineOptions pipelined;
+  PipelineOptions pipelined = serial;
+  pipelined.pipelined = true;
   pipelined.pool = &pool;
-  pipelined.emit_timing = false;
   const std::string pipelined_out = RunSession(input, pipelined);
 
   EXPECT_EQ(serial_out, pipelined_out);
@@ -513,11 +522,13 @@ TEST(ServeTest, TracedValuesAreByteIdenticalToUntraced) {
 TEST(ServeTest, TraceSpansSumToReportedSeconds) {
   // The accounting must balance: on a compute-heavy request the
   // non-overlapping engine phases cover the reported wall time within 5%.
+  // 20000 rows keep the engine phases well above the fixed per-request
+  // work outside them.
   PipelineOptions options;  // emit_timing on
   RequestPipeline pipeline(options);
   pipeline.HandleSync(
       ParseJson(R"({"op":"load","name":"big","rows":)" +
-                RowsJson(2500, 16, 2, 81) + R"(,"target":"label"})")
+                RowsJson(20000, 16, 2, 81) + R"(,"target":"label"})")
           .value);
   JsonValue response = pipeline.HandleSync(
       ParseJson(R"({"op":"value","train":"big","queries":)" +
@@ -712,6 +723,9 @@ TEST(ServeTest, DeadlineZeroIsDeterministicAcrossSerialAndPipelined) {
                   R"(,"target":"label"})");
   lines.push_back(R"({"op":"value","train":"a","queries":)" +
                   RowsJson(2, 3, 2, 62) + R"(,"method":"exact","k":3})");
+  // Without this barrier the twin below could probe the cache before the
+  // first value stored its result, and its cache_hit would race.
+  lines.push_back(R"({"op":"sync"})");
   lines.push_back(R"({"op":"value","train":"a","queries":)" +
                   RowsJson(2, 3, 2, 62) +
                   R"(,"method":"exact","k":3,"deadline_ms":0,"id":"dl"})");
@@ -736,14 +750,14 @@ TEST(ServeTest, DeadlineZeroIsDeterministicAcrossSerialAndPipelined) {
   while (std::getline(parse, line)) responses.push_back(ParseJson(line).value);
   ASSERT_EQ(responses.size(), lines.size());
   EXPECT_TRUE(responses[1].Get("ok").AsBool());
-  EXPECT_FALSE(responses[2].Get("ok").AsBool());
-  EXPECT_EQ(responses[2].Get("code").AsString(), "deadline_exceeded");
-  EXPECT_EQ(responses[2].Get("id").AsString(), "dl");
+  EXPECT_FALSE(responses[3].Get("ok").AsBool());
+  EXPECT_EQ(responses[3].Get("code").AsString(), "deadline_exceeded");
+  EXPECT_EQ(responses[3].Get("id").AsString(), "dl");
   // The expired request poisons nothing: its identical successor is fine
   // (and still a cache hit from the first run — the deadline check runs
   // before the probe, so nothing partial was ever cached).
-  EXPECT_TRUE(responses[3].Get("ok").AsBool());
-  EXPECT_TRUE(responses[3].Get("cache_hit").AsBool());
+  EXPECT_TRUE(responses[4].Get("ok").AsBool());
+  EXPECT_TRUE(responses[4].Get("cache_hit").AsBool());
 }
 
 TEST(ServeTest, DeadlineErrorEchoesThePartialTrace) {
@@ -772,7 +786,8 @@ TEST(ServeTest, TightDeadlineOnLargeCorpusAnswersPromptly) {
   // far longer must come back deadline_exceeded promptly (block-granular
   // polling bounds the overshoot), and a concurrent normal request on the
   // same pipeline completes untouched.
-  const std::string corpus = RowsJson(3000, 8, 2, 65);
+  // 20000 rows keep the uncancelled valuation (~50 ms) far above 1 ms.
+  const std::string corpus = RowsJson(20000, 8, 2, 65);
   const std::string queries = RowsJson(16, 8, 2, 66);
   PipelineOptions options;
   options.emit_timing = false;
@@ -799,7 +814,7 @@ TEST(ServeTest, TightDeadlineOnLargeCorpusAnswersPromptly) {
   EXPECT_FALSE(expired.Get("ok").AsBool()) << expired.Dump();
   EXPECT_EQ(expired.Get("code").AsString(), "deadline_exceeded");
   // Pinned latency bound: generous enough for a loaded CI box, far below
-  // the uncancelled runtime of a 3000x16 valuation on one thread.
+  // the uncancelled runtime of a 20000x16 valuation on one thread.
   EXPECT_LT(elapsed, 2.0);
 
   // The same request without a deadline still completes normally.
@@ -836,7 +851,7 @@ TEST(ServeTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   options.default_deadline_ms = 1;
   RequestPipeline pipeline(options);
   pipeline.HandleSync(ParseJson(R"({"op":"load","name":"big","rows":)" +
-                                RowsJson(3000, 8, 2, 68) +
+                                RowsJson(20000, 8, 2, 68) +
                                 R"(,"target":"label"})")
                           .value);
   JsonValue response = pipeline.HandleSync(
@@ -844,7 +859,7 @@ TEST(ServeTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
                 RowsJson(16, 8, 2, 69) + R"(,"method":"exact","k":5})")
           .value);
   // 1 ms covers neither the fit nor the first distance block of a
-  // 3000-row corpus: the server-wide default deadline fires.
+  // 20000-row corpus: the server-wide default deadline fires.
   EXPECT_FALSE(response.Get("ok").AsBool());
   EXPECT_EQ(response.Get("code").AsString(), "deadline_exceeded");
 }
@@ -1152,6 +1167,122 @@ TEST(ServeTest, GracefulShutdownFlagStopsTheLoopAndFlushes) {
   std::remove(snap_path.c_str());
 }
 
+#ifdef KNNSHAP_SERVE_BINARY
+// Forks the knnshap_serve binary with `args`, stdin and stdout on pipes.
+struct ServeProcess {
+  pid_t pid = -1;
+  int to_server = -1;
+  int from_server = -1;
+};
+
+ServeProcess SpawnServe(const std::string& binary,
+                        const std::vector<std::string>& args) {
+  int in_pipe[2];
+  int out_pipe[2];
+  if (pipe(in_pipe) != 0 || pipe(out_pipe) != 0) return {};
+  // argv is built before fork: the child may only make async-signal-safe
+  // calls until exec.
+  std::vector<char*> argv = {const_cast<char*>(binary.c_str())};
+  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  ServeProcess proc;
+  proc.pid = fork();
+  if (proc.pid == 0) {
+    dup2(in_pipe[0], STDIN_FILENO);
+    dup2(out_pipe[1], STDOUT_FILENO);
+    close(in_pipe[0]);
+    close(in_pipe[1]);
+    close(out_pipe[0]);
+    close(out_pipe[1]);
+    execv(binary.c_str(), argv.data());
+    _exit(127);
+  }
+  close(in_pipe[0]);
+  close(out_pipe[1]);
+  proc.to_server = in_pipe[1];
+  proc.from_server = out_pipe[0];
+  return proc;
+}
+
+// Reads one response line, or "" after `timeout_ms` without one.
+std::string ReadLine(int fd, int timeout_ms) {
+  std::string line;
+  char c;
+  pollfd pfd = {fd, POLLIN, 0};
+  while (poll(&pfd, 1, timeout_ms) == 1 && read(fd, &c, 1) == 1) {
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+  return "";
+}
+
+TEST(ServeTest, SigtermEndsABlockedStdinReadAndFlushesTheSnapshot) {
+  const std::string snap_path = "serve_test_sigterm.bin";
+  std::remove(snap_path.c_str());
+  ServeProcess server = SpawnServe(
+      KNNSHAP_SERVE_BINARY, {"--no-timing", "--snapshot=" + snap_path});
+  ASSERT_GT(server.pid, 0);
+  const std::string requests =
+      R"({"op":"load","name":"a","rows":)" + RowsJson(20, 3, 2, 81) +
+      R"(,"target":"label"})" "\n" R"({"op":"value","train":"a","queries":)" +
+      RowsJson(2, 3, 2, 82) + R"(,"method":"exact","k":3})" "\n";
+  ASSERT_EQ(write(server.to_server, requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  EXPECT_NE(ReadLine(server.from_server, 10000).find(R"("ok":true)"),
+            std::string::npos);
+  EXPECT_NE(ReadLine(server.from_server, 10000).find(R"("ok":true)"),
+            std::string::npos);
+
+  // Both replies are out and stdin stays open: the server is idle, blocked
+  // reading fd 0. SIGTERM must end that read, not wait for another line.
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(kill(server.pid, SIGTERM), 0);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(server.pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  if (done == 0) {
+    kill(server.pid, SIGKILL);
+    waitpid(server.pid, &status, 0);
+  }
+  close(server.to_server);
+  close(server.from_server);
+  ASSERT_EQ(done, server.pid) << "server still blocked on stdin after SIGTERM";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_LT(seconds, 5.0);
+
+  ResultCache restored(8);
+  StatusOr<CacheLoadResult> loaded = restored.LoadFrom(snap_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().entries, 1u);
+  std::remove(snap_path.c_str());
+}
+#endif  // KNNSHAP_SERVE_BINARY
+
+TEST(ServeTest, DeeplyNestedLineIsAParseErrorAndServingContinues) {
+  // 100 KB of '[' used to overflow the parser's stack and kill the server.
+  const std::string input = std::string(100'000, '[') + "\n" +
+                            R"({"op":"ping"})" "\n";
+  PipelineOptions options;
+  options.emit_timing = false;
+  std::istringstream parse(RunSession(input, options));
+  std::string line;
+  std::vector<JsonValue> responses;
+  while (std::getline(parse, line)) responses.push_back(ParseJson(line).value);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].Get("ok").AsBool());
+  EXPECT_EQ(responses[0].Get("code").AsString(), "invalid_argument");
+  EXPECT_NE(responses[0].Get("error").AsString().find("nesting"),
+            std::string::npos)
+      << responses[0].Dump();
+  EXPECT_TRUE(responses[1].Get("ok").AsBool());
+}
+
 TEST(ServeTest, StatsServerSectionReportsRobustnessCounters) {
   PipelineOptions options;
   RequestPipeline pipeline(options);  // timing ON: uptime present
@@ -1188,7 +1319,11 @@ TEST(ServeTest, GoldenTranscriptReproduces) {
   golden << golden_file.rdbuf();
 
   SetKernelOverride(KernelKind::kReference);
-  ThreadPool pool(4);
+  // One worker runs value jobs in dispatch order. The session expects a
+  // cache hit on a request that follows its twin with no sync barrier, so
+  // with more workers that hit is a race (a pipelined cache_hit may flip;
+  // OrderedPipelinedOutputIsByteIdenticalToSerial covers concurrency).
+  ThreadPool pool(1);
   PipelineOptions options;
   options.pool = &pool;
   options.emit_timing = false;

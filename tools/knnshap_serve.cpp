@@ -80,6 +80,7 @@
 // See README.md for the protocol and src/serve/README.md for the
 // ordering/concurrency contract and the observability surface.
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -108,14 +109,33 @@ using namespace knnshap;
 namespace {
 
 std::atomic<bool> g_shutdown{false};
+// Self-pipe: the handler writes a byte, and the stdin reader (an FdInBuf
+// polling the read end) sees EOF. EINTR alone is not enough: the kernel
+// may run the handler on a pool thread, or before the reader enters read().
+int g_wake_pipe[2] = {-1, -1};
 
-extern "C" void HandleShutdownSignal(int) { g_shutdown.store(true); }
+extern "C" void HandleShutdownSignal(int) {
+  g_shutdown.store(true);
+  if (g_wake_pipe[1] >= 0) {
+    const int saved_errno = errno;
+    [[maybe_unused]] const ssize_t written = write(g_wake_pipe[1], "x", 1);
+    errno = saved_errno;
+  }
+}
 
-// Install without SA_RESTART so a signal interrupts the blocking stdin
-// read (getline fails with EINTR) and the serve loop falls out into its
-// drain + snapshot-flush exit path instead of waiting for the next line.
+// Installed without SA_RESTART, so a signal that lands on the main thread
+// interrupts a blocking accept() in --shard-listen mode; the stdin reader
+// is woken through the self-pipe whichever thread takes the signal. Either
+// way the serve loop falls out into its drain + snapshot-flush exit path
+// instead of waiting for the next line.
 void InstallShutdownHandlers() {
 #if defined(__unix__) || defined(__APPLE__)
+  // On failure pipe() leaves both ends at -1 and stdin gets no wake-up.
+  if (pipe(g_wake_pipe) == 0) {
+    for (int fd : g_wake_pipe) fcntl(fd, F_SETFD, FD_CLOEXEC);
+    // A burst of signals must never block the handler on a full pipe.
+    fcntl(g_wake_pipe[1], F_SETFL, O_NONBLOCK);
+  }
   struct sigaction action = {};
   action.sa_handler = HandleShutdownSignal;
   sigemptyset(&action.sa_mask);
@@ -360,7 +380,11 @@ int main(int argc, char** argv) {
   }
 
   RequestPipeline pipeline(options);
-  pipeline.Run(std::cin, std::cout);
+  // Requests are read from fd 0 through a 64 KB buffer: std::cin, synced
+  // with stdio, makes one locked getc call per byte once threads exist.
+  FdInBuf stdin_buf(STDIN_FILENO, g_wake_pipe[0]);
+  std::istream in(&stdin_buf);
+  pipeline.Run(in, std::cout);
   if (!metrics_file.empty() && pipeline.Metrics() != nullptr) {
     std::ofstream out(metrics_file);
     if (!out) {
