@@ -26,17 +26,14 @@
 // (TopROrderByDistance, the approx_error path at R = K*(k, 1e-3)) — at
 // corpus sizes up to 10M rows, where the argsort dominates the query. A
 // third "sort" grid times the full argsort alone at N = 200k, 1M and 10M:
-// the radix ArgsortDistances against std::sort over the same packed keys
-// (the implementation it replaced) and the indirect comparator std::sort.
+// the radix ArgsortDistances against the indirect comparator std::sort.
 // In --smoke mode the selection and sort arms double as perf regression
 // gates: the process exits nonzero if the select path is slower than the
 // argsort path at N=100k, or the radix argsort is slower than the
 // comparator sort at N=200k.
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -86,60 +83,29 @@ double TimeScalar(const Matrix& corpus, const Matrix& queries, Metric metric,
   return timer.Millis() / static_cast<double>(queries.Rows());
 }
 
-bool ExactLess(const std::vector<double>& dists, int a, int b) {
-  const double da = dists[static_cast<size_t>(a)];
-  const double db = dists[static_cast<size_t>(b)];
-  if (da != db) return da < db;
-  return a < b;
-}
-
 // Old ordering: indirect comparator std::sort over row indices.
 double TimeComparatorArgsort(const std::vector<double>& dists, size_t repeats) {
   std::vector<int> order(dists.size());
   WallTimer timer;
   for (size_t r = 0; r < repeats; ++r) {
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&dists](int a, int b) { return ExactLess(dists, a, b); });
+    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+    std::sort(order.begin(), order.end(), [&dists](int a, int b) {
+      double da = dists[static_cast<size_t>(a)];
+      double db = dists[static_cast<size_t>(b)];
+      if (da != db) return da < db;
+      return a < b;
+    });
   }
   return timer.Millis() / static_cast<double>(repeats);
 }
 
-// The argsort ArgsortDistances replaced: std::sort over the full packed
-// (float bits, index) keys, then the same exact re-sort of equal-float runs.
-void PackedStdSortArgsort(const std::vector<double>& dists,
-                          std::vector<uint64_t>* keys, std::vector<int>* order) {
-  const size_t n = dists.size();
-  keys->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*keys)[i] = (static_cast<uint64_t>(internal::SortableBits(dists[i])) << 32) |
-                 static_cast<uint32_t>(i);
-  }
-  std::sort(keys->begin(), keys->end());
-  order->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*order)[i] = static_cast<int>((*keys)[i] & 0xffffffffu);
-  }
-  size_t run = 0;
-  for (size_t i = 1; i <= n; ++i) {
-    if (i == n || ((*keys)[i] >> 32) != ((*keys)[run] >> 32)) {
-      std::sort(order->begin() + static_cast<long>(run),
-                order->begin() + static_cast<long>(i),
-                [&dists](int a, int b) { return ExactLess(dists, a, b); });
-      run = i;
-    }
-  }
-}
-
 struct SortResult {
   double comparator_ms = 0.0;
-  double packed_std_sort_ms = 0.0;
   double radix_ms = 0.0;
-  bool identical = false;
 };
 
 // Full argsort of one query's squared-L2 distances to a 16-dim Gaussian
-// corpus (chi-square shaped, like the serve workloads), timed three ways.
+// corpus (chi-square shaped, like the serve workloads), timed both ways.
 SortResult TimeSorts(size_t n, size_t repeats) {
   Rng rng(41);
   std::vector<double> dists(n);
@@ -153,21 +119,10 @@ SortResult TimeSorts(size_t n, size_t repeats) {
   }
   SortResult result;
   result.comparator_ms = TimeComparatorArgsort(dists, repeats);
-  std::vector<uint64_t> keys;
-  std::vector<int> packed;
-  {
-    WallTimer timer;
-    for (size_t r = 0; r < repeats; ++r) PackedStdSortArgsort(dists, &keys, &packed);
-    result.packed_std_sort_ms = timer.Millis() / static_cast<double>(repeats);
-  }
-  std::vector<uint64_t>().swap(keys);
   std::vector<int> radix;
-  {
-    WallTimer timer;
-    for (size_t r = 0; r < repeats; ++r) ArgsortDistances(dists, &radix);
-    result.radix_ms = timer.Millis() / static_cast<double>(repeats);
-  }
-  result.identical = radix == packed;
+  WallTimer timer;
+  for (size_t r = 0; r < repeats; ++r) ArgsortDistances(dists, &radix);
+  result.radix_ms = timer.Millis() / static_cast<double>(repeats);
   return result;
 }
 
@@ -340,7 +295,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "\n  ],\n");
 
-  // Sort grid: the full argsort alone, radix against both std::sorts.
+  // Sort grid: the full argsort alone, radix against the comparator sort.
   std::vector<size_t> sort_grid = {200000};
   if (!smoke) sort_grid = {200000, 1000000, 10000000};
   std::fprintf(json, "  \"sort\": [\n");
@@ -349,23 +304,16 @@ int main(int argc, char** argv) {
   for (size_t n : sort_grid) {
     const size_t repeats = smoke ? 3 : (n >= 10000000 ? 1 : (n >= 1000000 ? 3 : 10));
     const SortResult r = TimeSorts(n, repeats);
-    const double vs_packed = r.radix_ms > 0.0 ? r.packed_std_sort_ms / r.radix_ms : 0.0;
-    const double vs_comparator = r.radix_ms > 0.0 ? r.comparator_ms / r.radix_ms : 0.0;
-    bench::Row(
-        "N=%-8zu cmp-sort %9.3f ms  packed std::sort %9.3f ms  radix %9.3f ms  "
-        "(%.2fx / %.2fx)%s\n",
-        n, r.comparator_ms, r.packed_std_sort_ms, r.radix_ms, vs_packed,
-        vs_comparator, r.identical ? "" : "  ORDER MISMATCH");
+    const double speedup = r.radix_ms > 0.0 ? r.comparator_ms / r.radix_ms : 0.0;
+    bench::Row("N=%-8zu cmp-sort %9.3f ms  radix %9.3f ms  (%.2fx)\n", n,
+               r.comparator_ms, r.radix_ms, speedup);
     if (!first) std::fprintf(json, ",\n");
     first = false;
     std::fprintf(json,
                  "    {\"n\": %zu, \"comparator_argsort_ms\": %.4f, "
-                 "\"packed_std_sort_ms\": %.4f, \"radix_argsort_ms\": %.4f, "
-                 "\"speedup_vs_packed_std_sort\": %.2f, "
-                 "\"speedup_vs_comparator\": %.2f}",
-                 n, r.comparator_ms, r.packed_std_sort_ms, r.radix_ms, vs_packed,
-                 vs_comparator);
-    if (!r.identical || (smoke && r.radix_ms > r.comparator_ms)) sort_ok = false;
+                 "\"radix_argsort_ms\": %.4f, \"speedup_vs_comparator\": %.2f}",
+                 n, r.comparator_ms, r.radix_ms, speedup);
+    if (smoke && r.radix_ms > r.comparator_ms) sort_ok = false;
   }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
@@ -377,8 +325,8 @@ int main(int argc, char** argv) {
   }
   if (!sort_ok) {
     std::fprintf(stderr,
-                 "FAIL: radix argsort differs from, or in the smoke gate is "
-                 "slower than, the std::sort reference\n");
+                 "FAIL: radix argsort slower than comparator sort in smoke "
+                 "gate\n");
     return 1;
   }
   return 0;

@@ -87,6 +87,29 @@ ValuationReport ValuationEngine::Value(const ValuationRequest& request) {
   return report;
 }
 
+uint64_t ValuationEngine::ParamsKey(const MethodSchema& schema,
+                                    const ValuatorParams& params) const {
+  // Method-scoped identity: only params the schema declares can perturb
+  // the key, so e.g. an "exact" entry survives a seed change. The
+  // whole-struct shim remains for before/after measurement.
+  return options_.method_scoped_fingerprints ? schema.ParamsFingerprint(params)
+                                             : params.Fingerprint();
+}
+
+std::optional<ResultCacheKey> ValuationEngine::CacheKeyOf(
+    const ValuationRequest& request) const {
+  if (!request.use_cache || request.train_fingerprint == 0 ||
+      request.test_fingerprint == 0) {
+    return std::nullopt;
+  }
+  std::shared_ptr<const MethodSchema> schema = registry_->Schema(request.method);
+  if (schema == nullptr) return std::nullopt;
+  ValuatorParams params = request.params;
+  if (!schema->Canonicalize(&params).ok()) return std::nullopt;
+  return ResultCacheKey{request.train_fingerprint, request.test_fingerprint,
+                        request.method, ParamsKey(*schema, params)};
+}
+
 ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
                                            RequestTrace* trace) {
   ValuationReport report;
@@ -179,12 +202,7 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
                                               : DatasetFingerprint(*request.train);
     test_fp = request.test_fingerprint != 0 ? request.test_fingerprint
                                             : DatasetFingerprint(*request.test);
-    // Method-scoped identity: only params the schema declares can perturb
-    // the key, so e.g. an "exact" entry survives a seed change. The
-    // whole-struct shim remains for before/after measurement.
-    params_fp = options_.method_scoped_fingerprints
-                    ? schema->ParamsFingerprint(params)
-                    : params.Fingerprint();
+    params_fp = ParamsKey(*schema, params);
   }
 
   // --- Result cache. ----------------------------------------------------
@@ -350,6 +368,7 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
   // come back around — one becomes the new owner — so one client's
   // deadline never costs another client its fit.
   const CancelToken* cancel = request.cancel.get();
+  const uint64_t order = request.order != 0 ? request.order : NextOrder();
   for (;;) {
     if (cancel != nullptr && cancel->Expired()) {
       *cancelled = true;
@@ -361,10 +380,11 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       std::lock_guard<std::mutex> lock(fitted_mutex_);
       auto it = fitted_index_.find(key);
       if (it != fitted_index_.end()) {
-        fitted_.splice(fitted_.begin(), fitted_, it->second);
+        std::shared_ptr<Valuator> valuator = it->second->valuator;
+        StampFittedLocked(key, valuator, order);
         ++fit_reuses_;
         *reused = true;
-        return it->second->second;
+        return valuator;
       }
       auto fit_it = fitting_.find(key);
       if (fit_it != fitting_.end()) {
@@ -382,6 +402,9 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       if (slot->cancelled) continue;  // owner gave up its deadline; retry
       if (slot->valuator == nullptr) return nullptr;  // owner's fit failed
       std::lock_guard<std::mutex> lock(fitted_mutex_);
+      // This use counts for recency too: run one after the other, it would
+      // have refreshed (or refitted) the key at its own order.
+      if (!slot->invalidated) StampFittedLocked(key, slot->valuator, order);
       ++fit_reuses_;
       *reused = true;  // someone else paid for the fit
       return slot->valuator;
@@ -453,12 +476,7 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       // valuator still answers the requests already waiting on it, but the
       // dead corpus's structure must not enter the resident set.
       if (valuator != nullptr && !slot->invalidated) {
-        fitted_.emplace_front(key, valuator);
-        fitted_index_[key] = fitted_.begin();
-        while (fitted_.size() > std::max<size_t>(options_.fitted_capacity, 1)) {
-          fitted_index_.erase(fitted_.back().first);
-          fitted_.pop_back();
-        }
+        StampFittedLocked(key, valuator, order);
       }
     }
     {
@@ -469,6 +487,29 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
     slot->done_cv.notify_all();
     *reused = false;
     return valuator;
+  }
+}
+
+void ValuationEngine::StampFittedLocked(const FittedKey& key,
+                                        std::shared_ptr<Valuator> valuator,
+                                        uint64_t order) {
+  FittedList::iterator entry;
+  if (auto it = fitted_index_.find(key); it != fitted_index_.end()) {
+    entry = it->second;
+    entry->order = std::max(entry->order, order);
+  } else {
+    fitted_.push_front({key, std::move(valuator), order});
+    entry = fitted_.begin();
+    fitted_index_[key] = entry;
+  }
+  // Ordering by stamp, not by touch time, makes the resident set after a
+  // burst of concurrent requests the same as if they had run one by one.
+  auto pos = fitted_.begin();
+  while (pos != fitted_.end() && (pos == entry || pos->order > entry->order)) ++pos;
+  fitted_.splice(pos, fitted_, entry);
+  while (fitted_.size() > std::max<size_t>(options_.fitted_capacity, 1)) {
+    fitted_index_.erase(fitted_.back().key);
+    fitted_.pop_back();
   }
 }
 
@@ -535,8 +576,8 @@ size_t ValuationEngine::FittedCount() const {
 std::unordered_map<uint64_t, size_t> ValuationEngine::FittedByTrain() const {
   std::lock_guard<std::mutex> lock(fitted_mutex_);
   std::unordered_map<uint64_t, size_t> counts;
-  for (const auto& [key, valuator] : fitted_) {
-    ++counts[key.train_fingerprint];
+  for (const FittedEntry& entry : fitted_) {
+    ++counts[entry.key.train_fingerprint];
   }
   return counts;
 }
@@ -565,8 +606,8 @@ ValuationEngine::InvalidationStats ValuationEngine::InvalidateTrain(
     if (key.train_fingerprint == train_fingerprint) slot->invalidated = true;
   }
   for (auto it = fitted_.begin(); it != fitted_.end();) {
-    if (it->first.train_fingerprint == train_fingerprint) {
-      fitted_index_.erase(it->first);
+    if (it->key.train_fingerprint == train_fingerprint) {
+      fitted_index_.erase(it->key);
       it = fitted_.erase(it);
       ++stats.fitted_evicted;
     } else {

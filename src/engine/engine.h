@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,6 +99,11 @@ struct ValuationRequest {
   /// answers a deadline_exceeded Status, partial work is discarded and
   /// nothing partial ever enters the result cache or the fitted registry.
   std::shared_ptr<const CancelToken> cancel;
+  /// Recency stamp for the fitted-valuator LRU, from
+  /// ValuationEngine::NextOrder (0 = stamp when the engine runs it). A
+  /// concurrent server stamps requests in arrival order, so which fitted
+  /// valuator is evicted does not depend on which request finished first.
+  uint64_t order = 0;
   /// Shard topology. Affects only HOW supported methods compute (the
   /// result-cache key is deliberately topology-free: values are
   /// bit-identical across topologies, so a cache written unsharded
@@ -143,6 +149,16 @@ class ValuationEngine {
   /// failures come back as report.status with a machine-readable code and
   /// the offending field.
   ValuationReport Value(const ValuationRequest& request);
+
+  /// A fresh fitted-set recency stamp (see ValuationRequest::order).
+  uint64_t NextOrder() { return next_order_.fetch_add(1, std::memory_order_relaxed); }
+
+  /// The result-cache key `request` will probe, derived without hashing
+  /// any rows: nullopt unless the request uses the cache and carries both
+  /// fingerprints, or when its params fail validation (it then errors
+  /// before any probe). The serve pipeline runs same-key requests in
+  /// dispatch order by it.
+  std::optional<ResultCacheKey> CacheKeyOf(const ValuationRequest& request) const;
 
   /// The registry this engine resolves methods against (the configured
   /// one, or the global default). The serve pipeline validates and
@@ -215,7 +231,13 @@ class ValuationEngine {
   struct FittedKeyHash {
     size_t operator()(const FittedKey& key) const;
   };
-  using FittedList = std::list<std::pair<FittedKey, std::shared_ptr<Valuator>>>;
+  struct FittedEntry {
+    FittedKey key;
+    std::shared_ptr<Valuator> valuator;
+    uint64_t order = 0;  ///< Latest ValuationRequest::order that used it.
+  };
+  /// Kept in descending `order`: the back is the LRU victim.
+  using FittedList = std::list<FittedEntry>;
 
   /// In-progress fit of one key. The map mutex is held only for
   /// bookkeeping; the fit itself runs outside it, so cold fits of
@@ -266,6 +288,15 @@ class ValuationEngine {
   /// (metrics wired) deadline metric and overshoot histogram.
   void RecordDeadlineExceeded(const CancelToken* cancel);
 
+  /// Installs or refreshes `key` at recency `order`, then evicts down to
+  /// capacity. Caller holds fitted_mutex_.
+  void StampFittedLocked(const FittedKey& key, std::shared_ptr<Valuator> valuator,
+                         uint64_t order);
+
+  /// Fingerprint of the canonicalized params that key the result cache
+  /// and the fitted set.
+  uint64_t ParamsKey(const MethodSchema& schema, const ValuatorParams& params) const;
+
   /// Value() minus trace/metrics bookkeeping; all spans recorded here.
   ValuationReport ValueImpl(const ValuationRequest& request,
                             RequestTrace* trace);
@@ -293,10 +324,11 @@ class ValuationEngine {
   std::map<std::string, MethodMetrics> method_metrics_;
 
   mutable std::mutex fitted_mutex_;
-  FittedList fitted_;  // MRU-first
+  FittedList fitted_;
   std::unordered_map<FittedKey, FittedList::iterator, FittedKeyHash> fitted_index_;
   std::unordered_map<FittedKey, std::shared_ptr<FitSlot>, FittedKeyHash> fitting_;
   uint64_t fit_reuses_ = 0;
+  std::atomic<uint64_t> next_order_{1};
 
   std::atomic<uint64_t> deadline_exceeded_{0};
   /// knnshap_deadline_exceeded_total / knnshap_cancel_overshoot_seconds

@@ -102,10 +102,11 @@ class ResultCache {
   /// Lifetime hit/miss/eviction counts.
   CacheCounters Counters() const;
 
- private:
   struct KeyHash {
     size_t operator()(const ResultCacheKey& key) const;
   };
+
+ private:
   // MRU-first list; the map indexes into it.
   using LruList =
       std::list<std::pair<ResultCacheKey, std::shared_ptr<const std::vector<double>>>>;

@@ -5,12 +5,16 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <iostream>
 #include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +22,7 @@
 
 #include "dataset/io.h"
 #include "engine/registry.h"
+#include "engine/result_cache.h"
 #include "engine/schema.h"
 #include "knn/selection.h"
 #include "market/valuation_report.h"
@@ -263,6 +268,45 @@ class InFlightWindow {
   size_t count_ = 0;
 };
 
+/// Runs value jobs that share a result-cache key one at a time, in
+/// dispatch order. Run concurrently, a twin would probe the cache before
+/// or after its predecessor stored the result depending on thread timing;
+/// queued behind it, the twin always probes after, so `cache_hit` is a
+/// function of the input and the work is not done twice. Jobs with
+/// different keys never wait on each other.
+class TwinQueue {
+ public:
+  /// True: no twin is in flight and the caller starts `job` now. False:
+  /// `job` was queued; the Finish of its predecessor hands it back.
+  bool Start(const ResultCacheKey& key, std::function<void()>* job) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [lane, idle] = lanes_.try_emplace(key);
+    if (!idle) lane->second.push_back(std::move(*job));
+    return idle;
+  }
+
+  /// Retires the running job of `key`. Returns the next queued twin, which
+  /// the caller starts, or an empty function.
+  std::function<void()> Finish(const ResultCacheKey& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto lane = lanes_.find(key);
+    if (lane->second.empty()) {
+      lanes_.erase(lane);
+      return {};
+    }
+    std::function<void()> next = std::move(lane->second.front());
+    lane->second.pop_front();
+    return next;
+  }
+
+ private:
+  std::mutex mutex_;
+  // One lane per key with a job running: the twins queued behind it.
+  std::unordered_map<ResultCacheKey, std::deque<std::function<void()>>,
+                     ResultCache::KeyHash>
+      lanes_;
+};
+
 }  // namespace
 
 /// A value request after parse/validation: the engine request with corpus
@@ -364,6 +408,7 @@ void RequestPipeline::SnapshotNow() {
 size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
   OrderedEmitter emitter(&out);
   InFlightWindow window;
+  TwinQueue twins;
   size_t served = 0;
   std::string line;
   // Periodic-snapshot cadence, ticked once per accepted value request on
@@ -486,16 +531,28 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
         prepared->dispatched = true;  // queue wait will be measured
         prepared->dispatch_time = std::chrono::steady_clock::now();
       }
-      pool_->Submit([this, prepared, ordered, slot, &emitter, &window] {
+      prepared->engine_request.order = engine_.NextOrder();
+      const std::optional<ResultCacheKey> twin_key =
+          engine_.CacheKeyOf(prepared->engine_request);
+      std::function<void()> job = [this, prepared, ordered, slot, twin_key,
+                                   &emitter, &window, &twins] {
         std::string response = RunValue(*prepared).Dump();
         if (ordered) {
           emitter.EmitAt(slot, std::move(response));
         } else {
           emitter.EmitNow(response);
         }
+        // The next twin holds its own window slot, so Drain still waits
+        // for it after this job releases.
+        if (twin_key) {
+          if (std::function<void()> next = twins.Finish(*twin_key)) {
+            pool_->Submit(std::move(next));
+          }
+        }
         if (in_flight_ != nullptr) in_flight_->Add(-1);
         window.Release();
-      });
+      };
+      if (!twin_key || twins.Start(*twin_key, &job)) pool_->Submit(std::move(job));
       value_snapshot_tick();
       continue;
     }
@@ -1386,6 +1443,13 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   }
 
   engine_request.use_cache = request.Get("cache").AsBool(true);
+  // Inline queries have no store fingerprint. Hashing them here, not on
+  // the worker, gives the request its cache key before dispatch, which
+  // is what queues it behind an in-flight twin.
+  if (options_.trust_store_fingerprints && engine_request.use_cache &&
+      engine_request.test_fingerprint == 0) {
+    engine_request.test_fingerprint = DatasetFingerprint(*engine_request.test);
+  }
   engine_request.parallel = request.Get("parallel").AsBool(true);
   // Deep tracing is on when the client asks ({"trace":true}), the server
   // forces it (--trace-all), or a slow-log threshold needs the breakdown

@@ -56,7 +56,7 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  std::atomic<size_t> remaining{num_blocks};
+  size_t remaining = num_blocks;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
   const size_t block = (count + num_blocks - 1) / num_blocks;
@@ -65,14 +65,15 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
     const size_t end = std::min(count, begin + block);
     Submit([&, begin, end] {
       for (size_t i = begin; i < end; ++i) fn(i);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      // Count down under the lock: the caller returns, destroying this
+      // frame's mutex, as soon as it sees zero, so the last block must not
+      // touch the mutex after its decrement is visible.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ThreadPool::ParallelForHelping(size_t count, std::function<void(size_t)> fn) {

@@ -354,6 +354,31 @@ TEST(EngineCacheTest, TestBatchChangeMissesButReusesFit) {
   EXPECT_EQ(engine.FittedCount(), 1u);
 }
 
+TEST(EngineCacheTest, FittedEvictionFollowsOrderStampsNotFinishTime) {
+  // Three corpora finish in the order of stamps 3, 1, 2, as concurrent
+  // requests may. The two latest stamps stay resident, exactly as if the
+  // requests had run one by one in stamp order.
+  EngineOptions options;
+  options.fitted_capacity = 2;
+  ValuationEngine engine(options);
+  auto test = Shared(RandomClassDataset(3, 2, 4, 131));
+  std::vector<std::shared_ptr<const Dataset>> trains;
+  for (uint64_t seed : {132, 133, 134}) {
+    trains.push_back(Shared(RandomClassDataset(20, 2, 4, seed)));
+  }
+  const uint64_t base = engine.NextOrder();
+  for (size_t i : {2, 0, 1}) {
+    ValuationRequest request = ClassificationRequest(trains[i], test, "exact", 3);
+    request.order = base + 1 + i;
+    ASSERT_TRUE(engine.Value(request).ok());
+  }
+  const auto resident = engine.FittedByTrain();
+  EXPECT_EQ(resident.size(), 2u);
+  EXPECT_EQ(resident.count(DatasetFingerprint(*trains[0])), 0u);
+  EXPECT_EQ(resident.count(DatasetFingerprint(*trains[1])), 1u);
+  EXPECT_EQ(resident.count(DatasetFingerprint(*trains[2])), 1u);
+}
+
 TEST(ResultCacheTest, LruEvictionAndCounters) {
   ResultCache cache(2);
   auto values = std::make_shared<const std::vector<double>>(std::vector<double>{1.0});

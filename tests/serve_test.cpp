@@ -116,19 +116,14 @@ TEST(ServeTest, OrderedPipelinedOutputIsByteIdenticalToSerial) {
   const std::string input = Join(MixedSession());
   ThreadPool pool(4);
 
-  // The session fits 17 fitted-valuator keys. Past the capacity the LRU
-  // victim is whichever key concurrent requests touched least recently,
-  // so `drop`'s fitted_evicted count would depend on thread timing; room
-  // for every key keeps the transcript a function of the input.
   PipelineOptions serial;
   serial.pipelined = false;
   serial.emit_timing = false;
-  serial.engine.fitted_capacity = 64;
   const std::string serial_out = RunSession(input, serial);
 
-  PipelineOptions pipelined = serial;
-  pipelined.pipelined = true;
+  PipelineOptions pipelined;
   pipelined.pool = &pool;
+  pipelined.emit_timing = false;
   const std::string pipelined_out = RunSession(input, pipelined);
 
   EXPECT_EQ(serial_out, pipelined_out);
@@ -723,9 +718,6 @@ TEST(ServeTest, DeadlineZeroIsDeterministicAcrossSerialAndPipelined) {
                   R"(,"target":"label"})");
   lines.push_back(R"({"op":"value","train":"a","queries":)" +
                   RowsJson(2, 3, 2, 62) + R"(,"method":"exact","k":3})");
-  // Without this barrier the twin below could probe the cache before the
-  // first value stored its result, and its cache_hit would race.
-  lines.push_back(R"({"op":"sync"})");
   lines.push_back(R"({"op":"value","train":"a","queries":)" +
                   RowsJson(2, 3, 2, 62) +
                   R"(,"method":"exact","k":3,"deadline_ms":0,"id":"dl"})");
@@ -750,14 +742,41 @@ TEST(ServeTest, DeadlineZeroIsDeterministicAcrossSerialAndPipelined) {
   while (std::getline(parse, line)) responses.push_back(ParseJson(line).value);
   ASSERT_EQ(responses.size(), lines.size());
   EXPECT_TRUE(responses[1].Get("ok").AsBool());
-  EXPECT_FALSE(responses[3].Get("ok").AsBool());
-  EXPECT_EQ(responses[3].Get("code").AsString(), "deadline_exceeded");
-  EXPECT_EQ(responses[3].Get("id").AsString(), "dl");
+  EXPECT_FALSE(responses[2].Get("ok").AsBool());
+  EXPECT_EQ(responses[2].Get("code").AsString(), "deadline_exceeded");
+  EXPECT_EQ(responses[2].Get("id").AsString(), "dl");
   // The expired request poisons nothing: its identical successor is fine
   // (and still a cache hit from the first run — the deadline check runs
   // before the probe, so nothing partial was ever cached).
-  EXPECT_TRUE(responses[4].Get("ok").AsBool());
-  EXPECT_TRUE(responses[4].Get("cache_hit").AsBool());
+  EXPECT_TRUE(responses[3].Get("ok").AsBool());
+  EXPECT_TRUE(responses[3].Get("cache_hit").AsBool());
+}
+
+TEST(ServeTest, PipelinedTwinsRunInOrderAndHitTheCache) {
+  // Identical value requests with no barrier between them: each twin
+  // waits for the one before it, so only the first computes and every
+  // later one is a cache hit, whatever the thread timing.
+  std::vector<std::string> lines;
+  lines.push_back(R"({"op":"load","name":"a","rows":)" + RowsJson(2000, 8, 2, 91) +
+                  R"(,"target":"label"})");
+  for (int i = 0; i < 8; ++i) {
+    lines.push_back(R"({"op":"value","train":"a","queries":)" +
+                    RowsJson(4, 8, 2, 92) + R"(,"method":"exact","k":3})");
+  }
+  ThreadPool pool(4);
+  PipelineOptions options;
+  options.pool = &pool;
+  options.emit_timing = false;
+  std::istringstream parse(RunSession(Join(lines), options));
+  std::string line;
+  std::vector<JsonValue> responses;
+  while (std::getline(parse, line)) responses.push_back(ParseJson(line).value);
+  ASSERT_EQ(responses.size(), lines.size());
+  EXPECT_FALSE(responses[1].Get("cache_hit").AsBool());
+  for (size_t i = 2; i < responses.size(); ++i) {
+    EXPECT_TRUE(responses[i].Get("ok").AsBool()) << i;
+    EXPECT_TRUE(responses[i].Get("cache_hit").AsBool()) << i;
+  }
 }
 
 TEST(ServeTest, DeadlineErrorEchoesThePartialTrace) {
@@ -1319,11 +1338,7 @@ TEST(ServeTest, GoldenTranscriptReproduces) {
   golden << golden_file.rdbuf();
 
   SetKernelOverride(KernelKind::kReference);
-  // One worker runs value jobs in dispatch order. The session expects a
-  // cache hit on a request that follows its twin with no sync barrier, so
-  // with more workers that hit is a race (a pipelined cache_hit may flip;
-  // OrderedPipelinedOutputIsByteIdenticalToSerial covers concurrency).
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   PipelineOptions options;
   options.pool = &pool;
   options.emit_timing = false;
