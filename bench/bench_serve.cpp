@@ -1,16 +1,13 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // bench_serve — throughput and latency of the serving subsystem. Drives a
-// scripted mixed-method JSONL workload through RequestPipeline in three
+// scripted mixed-method JSONL workload through RequestPipeline in two
 // configurations and checks they answer byte-identically:
 //
-//   serial_rehash   one request at a time, corpus rehashed per request —
-//                   the pre-serve-subsystem knnshap_serve behavior
-//   serial          one request at a time, CorpusStore fingerprints
-//                   (isolates the incremental-fingerprint lever)
-//   pipelined       concurrent dispatch + store fingerprints (the default
-//                   serve path; the concurrency lever needs real cores —
-//                   workers and hardware_concurrency are recorded)
+//   serial          one request at a time, inline on the reader
+//   pipelined       concurrent dispatch (the default serve path; the
+//                   concurrency lever needs real cores — workers and
+//                   hardware_concurrency are recorded)
 //
 // Then measures cache-serving latency: the same value workload replayed
 // against a warm engine (all hits), and against a *fresh* pipeline that
@@ -70,7 +67,7 @@ struct Workload {
   std::string values;  // the timed value traffic
   /// The same value traffic replayed by a client that re-seeds every
   /// request (a uniform client-side knob most methods never read): the
-  /// probe workload for method-scoped vs whole-struct cache fingerprints.
+  /// probe workload for method-scoped cache fingerprints.
   std::string reseeded_values;
 };
 
@@ -102,7 +99,7 @@ Workload MakeWorkload(size_t big_rows, size_t big_dim, size_t requests) {
   // requests with a per-request "seed" field, the way a client fleet that
   // threads a seed through every call replays traffic. Only mc *declares*
   // seed (1/16 of requests), so under method-scoped fingerprints 15/16 of
-  // the replay are cache hits; under whole-struct fingerprints all 16 miss.
+  // the replay are cache hits.
   std::ostringstream values, reseeded;
   auto emit = [&](std::ostringstream& out, const std::string& line, uint64_t seed,
                   bool reseed) {
@@ -203,8 +200,7 @@ PassResult RunPass(RequestPipeline* pipeline, const Workload& w, bool run_setup)
   return RunTraffic(pipeline, w, w.values, run_setup);
 }
 
-/// Outcome of a cold-pass + reseeded-replay round under one fingerprint
-/// policy.
+/// Outcome of a cold-pass + reseeded-replay round.
 struct ReplayResult {
   size_t hits = 0;
   size_t requests = 0;
@@ -213,16 +209,15 @@ struct ReplayResult {
   size_t false_hits = 0;
 };
 
-/// Cold pass then the reseeded replay on a fresh pipeline with the given
-/// fingerprint policy; verifies every replay *hit* returned the cold
-/// pass's exact summary (a hit with different bytes would be a false hit).
-ReplayResult RunReplay(const Workload& w, ThreadPool* pool, size_t cache_capacity,
-                       bool method_scoped) {
+/// Cold pass then the reseeded replay on a fresh pipeline; verifies every
+/// replay *hit* returned the cold pass's exact summary (a hit with
+/// different bytes would be a false hit).
+ReplayResult RunReplay(const Workload& w, ThreadPool* pool,
+                       size_t cache_capacity) {
   PipelineOptions options;
   options.pool = pool;
   options.emit_timing = false;
   options.engine.result_cache_capacity = cache_capacity;
-  options.engine.method_scoped_fingerprints = method_scoped;
   RequestPipeline pipeline(options);
   PassResult cold = RunTraffic(&pipeline, w, w.values, /*run_setup=*/true);
   PassResult replay =
@@ -261,47 +256,44 @@ int main(int argc, char** argv) {
       cli.GetInt("requests", smoke ? 64 : 192));
 
   bench::Banner("bench_serve — serial vs pipelined JSONL serving",
-                "pipelined serve >= 3x serial-with-rehash on a multi-core "
-                "mixed-method workload; ordered responses byte-identical");
+                "ordered pipelined responses byte-identical to serial on a "
+                "mixed-method workload; observability overhead < 1%");
   bench::Row("corpus %zux%zu, %zu requests, %zu workers (hw %u)\n\n", big_rows,
              big_dim, requests, workers, std::thread::hardware_concurrency());
 
   Workload workload = MakeWorkload(big_rows, big_dim, requests);
 
-  // --- Arm 1: the pre-subsystem loop — serial, full rehash per request.
-  // Cache capacity covers the whole workload so the warm-replay and
-  // save/load passes measure hits, not LRU churn.
-  PipelineOptions serial_rehash_options;
-  serial_rehash_options.pipelined = false;
-  serial_rehash_options.emit_timing = false;
-  serial_rehash_options.trust_store_fingerprints = false;
-  serial_rehash_options.engine.result_cache_capacity = requests + 8;
-  RequestPipeline serial_rehash_pipeline(serial_rehash_options);
-  PassResult serial_rehash = RunPass(&serial_rehash_pipeline, workload, true);
-  bench::Row("serial+rehash   %7.3f s   (%.1f req/s)\n", serial_rehash.seconds,
-             requests / serial_rehash.seconds);
-
-  // --- Arm 2: serial with store fingerprints (the fingerprint lever).
-  PipelineOptions serial_options = serial_rehash_options;
-  serial_options.trust_store_fingerprints = true;
+  // --- Arm 1: serial, one request at a time. Cache capacity covers the
+  // whole workload so the warm-replay and save/load passes measure hits,
+  // not LRU churn.
+  PipelineOptions serial_options;
+  serial_options.pipelined = false;
+  serial_options.emit_timing = false;
+  serial_options.engine.result_cache_capacity = requests + 8;
   RequestPipeline serial_pipeline(serial_options);
   PassResult serial = RunPass(&serial_pipeline, workload, true);
   bench::Row("serial          %7.3f s   (%.1f req/s)\n", serial.seconds,
              requests / serial.seconds);
 
-  // --- Arm 3: the serve path — pipelined + store fingerprints.
+  // --- Arm 2: the serve path — pipelined. The first concurrent pass in
+  // a process sometimes runs about 1 s slow (5 of 19 runs on a 4-core
+  // host, against 0.3-0.4 s otherwise), so an untimed pass on a
+  // throwaway pipeline goes first.
   ThreadPool pool(workers);
   PipelineOptions pipelined_options;
   pipelined_options.pool = &pool;
   pipelined_options.emit_timing = false;
   pipelined_options.engine.result_cache_capacity = requests + 8;
+  {
+    RequestPipeline warmup(pipelined_options);
+    RunPass(&warmup, workload, true);
+  }
   RequestPipeline pipelined_pipeline(pipelined_options);
   PassResult pipelined = RunPass(&pipelined_pipeline, workload, true);
   bench::Row("pipelined       %7.3f s   (%.1f req/s)\n", pipelined.seconds,
              requests / pipelined.seconds);
 
-  const bool identical = serial_rehash.output == serial.output &&
-                         serial.output == pipelined.output;
+  const bool identical = serial.output == pipelined.output;
   bench::Row("ordered responses identical across arms: %s\n",
              identical ? "yes" : "NO — BUG");
 
@@ -374,26 +366,17 @@ int main(int argc, char** argv) {
 
   // --- Mixed-method reseeded replay: the method-scoped fingerprint lever.
   // A client fleet that threads a fresh "seed" through every request
-  // replays the workload. Whole-struct fingerprints treat the seed as
-  // identity for every method and miss everything; method-scoped
-  // fingerprints hit for every method that does not declare seed (15/16
-  // of this traffic — only mc reads it). A hit must return the cold
-  // pass's exact summary: false_hits counts scoped-key aliasing and must
-  // be zero.
-  ReplayResult whole_struct =
-      RunReplay(workload, &pool, requests + 8, /*method_scoped=*/false);
-  ReplayResult scoped =
-      RunReplay(workload, &pool, requests + 8, /*method_scoped=*/true);
-  bench::Row("reseeded replay hit rate: whole-struct %zu/%zu, "
-             "method-scoped %zu/%zu (false hits: %zu)\n",
-             whole_struct.hits, whole_struct.requests, scoped.hits,
-             scoped.requests, scoped.false_hits + whole_struct.false_hits);
-  const bool replay_improved = scoped.hits > whole_struct.hits &&
-                               scoped.false_hits == 0 &&
-                               whole_struct.false_hits == 0;
-  if (!replay_improved) {
-    bench::Row("method-scoped fingerprints did NOT strictly improve the "
-               "replay hit rate — BUG\n");
+  // replays the workload. Method-scoped fingerprints hit for every method
+  // that does not declare seed (15/16 of this traffic — only mc reads
+  // it); a key that hashed the seed would miss everything. A hit must
+  // return the cold pass's exact summary: false_hits counts scoped-key
+  // aliasing and must be zero.
+  ReplayResult scoped = RunReplay(workload, &pool, requests + 8);
+  bench::Row("reseeded replay hit rate: %zu/%zu (false hits: %zu)\n",
+             scoped.hits, scoped.requests, scoped.false_hits);
+  const bool replay_ok = scoped.hits > 0 && scoped.false_hits == 0;
+  if (!replay_ok) {
+    bench::Row("the reseeded replay missed everything or hit falsely — BUG\n");
   }
 
   // --- Shard scaling: the shard router's single-query parallelism.
@@ -479,12 +462,8 @@ int main(int argc, char** argv) {
              shard_gate_enforced ? (shard_gate_ok ? "ok" : "FAILED")
                                  : "not enforced");
 
-  const double speedup_total = serial_rehash.seconds / pipelined.seconds;
-  const double speedup_fingerprint = serial_rehash.seconds / serial.seconds;
   const double speedup_concurrency = serial.seconds / pipelined.seconds;
-  bench::Row("speedup pipelined vs serial+rehash: %.2fx "
-             "(fingerprints %.2fx, concurrency %.2fx)\n",
-             speedup_total, speedup_fingerprint, speedup_concurrency);
+  bench::Row("speedup pipelined vs serial: %.2fx\n", speedup_concurrency);
 
   FILE* json = std::fopen(json_path.c_str(), "w");
   if (json == nullptr) {
@@ -503,13 +482,8 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"workers\": %zu,\n", workers);
   std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(json, "  \"serial_rehash_seconds\": %.4f,\n", serial_rehash.seconds);
   std::fprintf(json, "  \"serial_seconds\": %.4f,\n", serial.seconds);
   std::fprintf(json, "  \"pipelined_seconds\": %.4f,\n", pipelined.seconds);
-  std::fprintf(json, "  \"speedup_pipelined_vs_serial_rehash\": %.2f,\n",
-               speedup_total);
-  std::fprintf(json, "  \"speedup_from_incremental_fingerprints\": %.2f,\n",
-               speedup_fingerprint);
   std::fprintf(json, "  \"speedup_from_concurrent_dispatch\": %.2f,\n",
                speedup_concurrency);
   std::fprintf(json, "  \"ordered_responses_identical\": %s,\n",
@@ -549,20 +523,15 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"shard_gate_ok\": %s,\n",
                shard_gate_ok ? "true" : "false");
   std::fprintf(json, "  \"reseeded_replay_requests\": %zu,\n", scoped.requests);
-  std::fprintf(json, "  \"reseeded_replay_hits_whole_struct_fingerprints\": %zu,\n",
-               whole_struct.hits);
-  std::fprintf(json, "  \"reseeded_replay_hits_method_scoped_fingerprints\": %zu,\n",
-               scoped.hits);
-  std::fprintf(json, "  \"reseeded_replay_hit_rate_whole_struct\": %.4f,\n",
-               scoped.requests ? double(whole_struct.hits) / scoped.requests : 0.0);
-  std::fprintf(json, "  \"reseeded_replay_hit_rate_method_scoped\": %.4f,\n",
+  std::fprintf(json, "  \"reseeded_replay_hits\": %zu,\n", scoped.hits);
+  std::fprintf(json, "  \"reseeded_replay_hit_rate\": %.4f,\n",
                scoped.requests ? double(scoped.hits) / scoped.requests : 0.0);
   std::fprintf(json, "  \"reseeded_replay_false_hits\": %zu\n",
-               scoped.false_hits + whole_struct.false_hits);
+               scoped.false_hits);
   std::fprintf(json, "}\n");
   std::fclose(json);
   bench::Row("wrote %s\n", json_path.c_str());
-  return identical && replay_improved && overhead_ok && shard_identical &&
+  return identical && replay_ok && overhead_ok && shard_identical &&
                  shard_gate_ok
              ? 0
              : 2;

@@ -16,6 +16,15 @@
 
 namespace knnshap {
 
+namespace {
+
+bool RoutesThroughShards(const ValuationRequest& request) {
+  return request.shard != nullptr && request.shard->count > 1 &&
+         ShardedValuatorSupports(request.method);
+}
+
+}  // namespace
+
 size_t ValuationEngine::FittedKeyHash::operator()(const FittedKey& key) const {
   Fnv64 hash;
   hash.Add(key.train_fingerprint);
@@ -90,16 +99,13 @@ ValuationReport ValuationEngine::Value(const ValuationRequest& request) {
 uint64_t ValuationEngine::ParamsKey(const MethodSchema& schema,
                                     const ValuatorParams& params) const {
   // Method-scoped identity: only params the schema declares can perturb
-  // the key, so e.g. an "exact" entry survives a seed change. The
-  // whole-struct shim remains for before/after measurement.
-  return options_.method_scoped_fingerprints ? schema.ParamsFingerprint(params)
-                                             : params.Fingerprint();
+  // the key, so e.g. an "exact" entry survives a seed change.
+  return schema.ParamsFingerprint(params);
 }
 
 std::optional<ResultCacheKey> ValuationEngine::CacheKeyOf(
     const ValuationRequest& request) const {
-  if (!request.use_cache || request.train_fingerprint == 0 ||
-      request.test_fingerprint == 0) {
+  if (request.train_fingerprint == 0 || request.test_fingerprint == 0) {
     return std::nullopt;
   }
   std::shared_ptr<const MethodSchema> schema = registry_->Schema(request.method);
@@ -231,12 +237,12 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
   // unsharded valuator are different resident structures), but the result
   // cache above deliberately does not: sharded values are bit-identical to
   // unsharded ones, so cached results warm-start across topologies.
-  if (request.shard.count > 1 && ShardedValuatorSupports(request.method)) {
+  if (RoutesThroughShards(request)) {
     fitted_key.method +=
-        "#shards=" + std::to_string(request.shard.count) +
-        (!request.shard.remote_replicas.empty()
+        "#shards=" + std::to_string(request.shard->count) +
+        (!request.shard->remote_replicas.empty()
              ? "/remote"
-             : (request.shard.process ? "/proc" : "/thread"));
+             : (request.shard->worker_command.empty() ? "/thread" : "/proc"));
   }
   std::shared_ptr<Valuator> valuator;
   bool fit_cancelled = false;
@@ -437,19 +443,10 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       }
       // The token stays active during the fit so a Fit implementation may
       // poll it; expiry is also checked when the fit returns.
-      if (request.shard.count > 1 && ShardedValuatorSupports(request.method)) {
-        ShardedValuatorSpec spec;
-        spec.shard_count = request.shard.count;
-        spec.process = request.shard.process;
-        spec.worker_command = request.shard.worker_command;
-        spec.remote_replicas = request.shard.remote_replicas;
-        spec.connect_timeout_ms = request.shard.connect_timeout_ms;
-        spec.io_timeout_ms = request.shard.io_timeout_ms;
-        spec.connect_attempts = request.shard.connect_attempts;
-        spec.metrics = options_.metrics;
-        spec.train_digests = request.shard.train_digests;
-        spec.corpus_name = request.shard.corpus_name;
-        valuator = MakeShardedValuator(request.method, params, std::move(spec));
+      if (RoutesThroughShards(request)) {
+        valuator = MakeShardedValuator(request.method, params, request.shard,
+                                       request.train_digests, request.train_name,
+                                       options_.metrics);
       } else {
         valuator = registry_->Create(request.method, params);
       }

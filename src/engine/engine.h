@@ -40,35 +40,11 @@
 #include "market/valuation_report.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shard/topology.h"
 #include "util/cancel.h"
 #include "util/fingerprint.h"
 
 namespace knnshap {
-
-/// Sharded-topology request: count > 1 routes supported methods through the
-/// shard subsystem (src/shard) — per-shard candidate workers plus a
-/// bit-identical top-R merge. Unsupported methods ignore this and run
-/// unsharded.
-struct ShardSpec {
-  int count = 1;       ///< 1 = unsharded (the default topology).
-  bool process = false;  ///< true: process-per-shard over JSONL pipes.
-  /// argv of the worker binary (process mode only).
-  std::vector<std::string> worker_command;
-  /// Remote socket topology: one ordered replica endpoint list
-  /// ("host:port") per shard. Non-empty selects the TCP transport with
-  /// per-shard failover (shard/socket_worker.h); mutually exclusive with
-  /// `process`.
-  std::vector<std::vector<std::string>> remote_replicas;
-  /// Socket transport knobs (remote mode only).
-  int connect_timeout_ms = 2000;
-  int io_timeout_ms = 30000;
-  int connect_attempts = 3;
-  /// The corpus's maintained block digests; null makes the router hash the
-  /// corpus itself at fit.
-  std::shared_ptr<const CorpusDigests> train_digests;
-  /// Store name of the corpus, echoed to worker processes.
-  std::string corpus_name = "corpus";
-};
 
 /// One valuation request: value every row of `train` against the query
 /// batch `test` with the given method. Datasets are shared_ptr so the
@@ -104,25 +80,28 @@ struct ValuationRequest {
   /// concurrent server stamps requests in arrival order, so which fitted
   /// valuator is evicted does not depend on which request finished first.
   uint64_t order = 0;
-  /// Shard topology. Affects only HOW supported methods compute (the
-  /// result-cache key is deliberately topology-free: values are
-  /// bit-identical across topologies, so a cache written unsharded
-  /// warm-starts a sharded server and vice versa). The fitted-valuator key
-  /// DOES carry the topology — a router and an unsharded valuator are
-  /// different resident structures.
-  ShardSpec shard;
+  /// Shard topology (null or count <= 1 = unsharded); count > 1 routes
+  /// supported methods through the shard subsystem (src/shard) —
+  /// per-shard candidate workers plus a bit-identical top-R merge —
+  /// and unsupported methods ignore it. Affects only HOW supported
+  /// methods compute (the result-cache key is deliberately
+  /// topology-free: values are bit-identical across topologies, so a
+  /// cache written unsharded warm-starts a sharded server and vice
+  /// versa). The fitted-valuator key DOES carry the topology — a router
+  /// and an unsharded valuator are different resident structures.
+  std::shared_ptr<const ShardTopology> shard;
+  /// The train corpus's maintained block digests, which content-address
+  /// its shards (null: a sharded fit hashes the corpus itself).
+  std::shared_ptr<const CorpusDigests> train_digests;
+  /// Store name of the train corpus; socket shard workers hold it under
+  /// this name.
+  std::string train_name = "corpus";
 };
 
 /// Engine construction options.
 struct EngineOptions {
   size_t result_cache_capacity = 64;  ///< Entries; 0 disables caching.
   size_t fitted_capacity = 8;         ///< Fitted valuators kept resident.
-  /// Cache / fitted-valuator identity: true hashes only the params the
-  /// method's schema declares (an "exact" result survives a `seed` change;
-  /// mixed-method traffic hits more), false restores the legacy
-  /// whole-struct ValuatorParams::Fingerprint — the compatibility shim and
-  /// the bench baseline.
-  bool method_scoped_fingerprints = true;
   /// Per-query result vectors resident at once: memory is bounded by
   /// max_resident_queries * train_size doubles regardless of batch size.
   /// Accumulation stays in query order, so this never changes output bits.
@@ -153,11 +132,11 @@ class ValuationEngine {
   /// A fresh fitted-set recency stamp (see ValuationRequest::order).
   uint64_t NextOrder() { return next_order_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// The result-cache key `request` will probe, derived without hashing
-  /// any rows: nullopt unless the request uses the cache and carries both
-  /// fingerprints, or when its params fail validation (it then errors
-  /// before any probe). The serve pipeline runs same-key requests in
-  /// dispatch order by it.
+  /// The result-cache key of `request`, derived without hashing any rows,
+  /// whether or not the request uses the cache: nullopt unless it carries
+  /// both fingerprints, or when its params fail validation (it then
+  /// errors before any probe). The serve pipeline runs same-key requests
+  /// in dispatch order by it.
   std::optional<ResultCacheKey> CacheKeyOf(const ValuationRequest& request) const;
 
   /// The registry this engine resolves methods against (the configured

@@ -353,11 +353,10 @@ namespace {
 /// Validates a candidate against the spec and applies it when the method
 /// declares it — the one code path both surfaces reduce to.
 Status ValidateAndMaybeApply(const MethodSchema& schema, const ParamSpec& spec,
-                             double value, ValuatorParams* params,
-                             bool apply_undeclared = false) {
+                             double value, ValuatorParams* params) {
   Status status = spec.ValidateNumber(value);
   if (!status.ok()) return status;
-  if (apply_undeclared || schema.Declares(spec.name)) spec.set(params, value);
+  if (schema.Declares(spec.name)) spec.set(params, value);
   return Status::Ok();
 }
 
@@ -383,7 +382,7 @@ Status ApplyTask(const MethodSchema& schema, const std::string& task_name,
 }  // namespace
 
 Status ApplyJsonParams(const MethodSchema& schema, const JsonValue& request,
-                       ValuatorParams* params, bool apply_undeclared) {
+                       ValuatorParams* params) {
   params->task = schema.DefaultTask();
   if (request.Has("task")) {
     const JsonValue& task = request.Get("task");
@@ -409,8 +408,7 @@ Status ApplyJsonParams(const MethodSchema& schema, const JsonValue& request,
       if (!field.IsNumber()) return NotANumber(spec.name);
       value = field.AsNumber();
     }
-    Status status =
-        ValidateAndMaybeApply(schema, spec, value, params, apply_undeclared);
+    Status status = ValidateAndMaybeApply(schema, spec, value, params);
     if (!status.ok()) return status;
   }
   return schema.Canonicalize(params);

@@ -186,13 +186,9 @@ std::vector<const ParamSpec*> ResolveParams(
 /// undeclared vocabulary params are range-checked and ignored. Returns OK
 /// or invalid_argument with the offending field. Protocol fields
 /// (op/train/test/...) are skipped; reject unknown fields separately with
-/// CheckRequestFields. `apply_undeclared` = true restores the legacy
-/// behavior of applying every known param regardless of declaration — the
-/// serve pipeline uses it together with the whole-struct fingerprint shim
-/// so the bench's before/after arms reproduce the pre-schema pipeline
-/// exactly.
+/// CheckRequestFields.
 Status ApplyJsonParams(const MethodSchema& schema, const JsonValue& request,
-                       ValuatorParams* params, bool apply_undeclared = false);
+                       ValuatorParams* params);
 
 /// Rejects request fields that are neither in `allowed` (the protocol
 /// whitelist) nor in the parameter vocabulary nor "task" — catching typos

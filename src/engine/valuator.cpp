@@ -3,28 +3,8 @@
 #include "engine/valuator.h"
 
 #include "util/common.h"
-#include "util/fingerprint.h"
 
 namespace knnshap {
-
-uint64_t ValuatorParams::Fingerprint() const {
-  Fnv64 hash;
-  hash.Add(k);
-  hash.Add(epsilon);
-  hash.Add(delta);
-  hash.Add(static_cast<int>(task));
-  hash.Add(static_cast<int>(weights.kernel));
-  hash.Add(weights.epsilon);
-  hash.Add(weights.sigma);
-  hash.Add(static_cast<int>(metric));
-  hash.Add(seed);
-  hash.Add(contrast_sample);
-  hash.Add(utility_range);
-  hash.Add(max_permutations);
-  hash.Add(weight_bits);
-  hash.Add(approx_error);
-  return hash.Digest();
-}
 
 void Valuator::Fit(std::shared_ptr<const Dataset> train) {
   KNNSHAP_CHECK(train != nullptr && train->Size() > 0, "empty training set");

@@ -50,13 +50,6 @@ struct ValuatorParams {
   int64_t max_permutations = -1;  ///< MC cap; <0 = stopping rule only.
   int weight_bits = 3;            ///< weighted-fast discretization width.
   double approx_error = 0.0;      ///< weighted-fast truncation budget; 0 = exact.
-
-  /// Content hash over *every* field — the legacy whole-struct identity.
-  /// The engine's default keys are method-scoped (MethodSchema::
-  /// ParamsFingerprint over declared fields only); this remains as the
-  /// compatibility shim behind EngineOptions::method_scoped_fingerprints
-  /// = false and as the conservative identity for callers with no schema.
-  uint64_t Fingerprint() const;
 };
 
 /// A valuation method fitted to a training corpus.

@@ -28,6 +28,7 @@
 #include "market/valuation_report.h"
 #include "obs/trace.h"
 #include "shard/shard_planner.h"
+#include "shard/shard_worker.h"
 #include "shard/wire.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -61,13 +62,6 @@ JsonValue OkResponse() {
   JsonValue out = JsonValue::MakeObject();
   out.Set("ok", JsonValue(true));
   return out;
-}
-
-std::string FingerprintHex(uint64_t fingerprint) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buf;
 }
 
 JsonValue CountersJson(const CacheCounters& counters) {
@@ -269,11 +263,14 @@ class InFlightWindow {
 };
 
 /// Runs value jobs that share a result-cache key one at a time, in
-/// dispatch order. Run concurrently, a twin would probe the cache before
-/// or after its predecessor stored the result depending on thread timing;
-/// queued behind it, the twin always probes after, so `cache_hit` is a
-/// function of the input and the work is not done twice. Jobs with
-/// different keys never wait on each other.
+/// dispatch order, whether or not they use the cache. Run concurrently, a
+/// twin would probe the cache before or after its predecessor stored the
+/// result depending on thread timing; queued behind it, the twin always
+/// probes after, so `cache_hit` is a function of the input and the work
+/// is not done twice. Uncached twins queue too: a shard worker lost
+/// mid-request fails that request, and the twins behind it re-fit and
+/// respawn instead of racing onto the dead topology. Jobs with different
+/// keys never wait on each other.
 class TwinQueue {
  public:
   /// True: no twin is in flight and the caller starts `job` now. False:
@@ -358,6 +355,11 @@ RequestPipeline::RequestPipeline(const PipelineOptions& options)
                                                  : owned_metrics_.get())
                    : nullptr),
       engine_(EngineOptionsWith(options, metrics_)) {
+  if (options_.shards > 1) {
+    topology_ = std::make_shared<const ShardTopology>(ShardTopology{
+        options_.shards, options_.shard_worker_command, options_.shard_remote,
+        options_.shard_transport});
+  }
   if (metrics_ != nullptr) {
     parse_nanos_ = metrics_->GetCounter(
         std::string("knnshap_phase_nanos_total{phase=\"") +
@@ -611,7 +613,8 @@ void SetSnapshotFields(JsonValue* out, const std::string& name,
   out->Set("rows", JsonValue(static_cast<double>(snapshot.data->Size())));
   out->Set("dim", JsonValue(static_cast<double>(snapshot.data->Dim())));
   out->Set("version", JsonValue(static_cast<double>(snapshot.version)));
-  out->Set("fingerprint", JsonValue(FingerprintHex(snapshot.fingerprint)));
+  out->Set("fingerprint",
+           JsonValue(wire::FingerprintHex(snapshot.fingerprint)));
 }
 
 }  // namespace
@@ -933,7 +936,8 @@ JsonValue RequestPipeline::Stats() const {
     entry.Set("rows", JsonValue(static_cast<double>(corpus.rows)));
     entry.Set("dim", JsonValue(static_cast<double>(corpus.dim)));
     entry.Set("version", JsonValue(static_cast<double>(corpus.version)));
-    entry.Set("fingerprint", JsonValue(FingerprintHex(corpus.fingerprint)));
+    entry.Set("fingerprint",
+              JsonValue(wire::FingerprintHex(corpus.fingerprint)));
     const auto fitted = fitted_by_train.find(corpus.fingerprint);
     entry.Set("fitted",
               JsonValue(static_cast<double>(
@@ -971,19 +975,20 @@ JsonValue RequestPipeline::Stats() const {
   // response stays byte-identical to the pre-shard wire (golden
   // transcripts). Plans are pure functions of corpus digests — no timing,
   // no worker state — so this section is deterministic too.
-  if (options_.shards > 1) {
+  if (topology_ != nullptr) {
     JsonValue topology = JsonValue::MakeObject();
-    topology.Set("shards", JsonValue(static_cast<double>(options_.shards)));
-    const bool remote = !options_.shard_remote.empty();
-    topology.Set(
-        "workers",
-        JsonValue(remote ? "remote"
-                         : (options_.shard_process ? "process" : "thread")));
+    topology.Set("shards", JsonValue(static_cast<double>(topology_->count)));
+    const bool remote = !topology_->remote_replicas.empty();
+    topology.Set("workers",
+                 JsonValue(remote ? "remote"
+                                  : (topology_->worker_command.empty()
+                                         ? "thread"
+                                         : "process")));
     if (remote) {
       // The configured replica endpoints per shard — static topology facts
       // only (no liveness probes: stats stays deterministic and cheap).
       JsonValue replicas = JsonValue::MakeArray();
-      for (const auto& group : options_.shard_remote) {
+      for (const auto& group : topology_->remote_replicas) {
         JsonValue endpoints = JsonValue::MakeArray();
         for (const std::string& endpoint : group) {
           endpoints.Append(JsonValue(endpoint));
@@ -999,12 +1004,13 @@ JsonValue RequestPipeline::Stats() const {
       JsonValue ranges = JsonValue::MakeArray();
       for (const ShardRange& range :
            PlanShards(*snapshot->digests,
-                      static_cast<size_t>(options_.shards))) {
+                      static_cast<size_t>(topology_->count))) {
         JsonValue entry = JsonValue::MakeObject();
         entry.Set("row_begin",
                   JsonValue(static_cast<double>(range.row_begin)));
         entry.Set("row_end", JsonValue(static_cast<double>(range.row_end)));
-        entry.Set("fingerprint", JsonValue(FingerprintHex(range.fingerprint)));
+        entry.Set("fingerprint",
+                  JsonValue(wire::FingerprintHex(range.fingerprint)));
         ranges.Append(entry);
       }
       plans.Set(corpus.name, std::move(ranges));
@@ -1188,11 +1194,11 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
   // candidates the merge would silently mis-rank.
   const uint64_t expected =
       ShardFingerprint(*snapshot->digests, row_begin, row_end);
-  if (request.Get("fingerprint").AsString() != FingerprintHex(expected)) {
+  if (request.Get("fingerprint").AsString() != wire::FingerprintHex(expected)) {
     return ErrorResponse(Status::FailedPrecondition(
         "candidates: shard fingerprint mismatch for rows [" +
         std::to_string(row_begin) + ", " + std::to_string(row_end) +
-        ") (expected " + FingerprintHex(expected) + ", got '" +
+        ") (expected " + wire::FingerprintHex(expected) + ", got '" +
         request.Get("fingerprint").AsString() + "')"));
   }
   const JsonValue& query_json = request.Get("query");
@@ -1245,29 +1251,23 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
     norms = &norms_cache_.norms;
   }
 
-  const size_t rows = row_end - row_begin;
-  std::vector<double> dists(rows);
-  ComputeDistancesRange(snapshot->data->features, query, metric, norms,
-                        row_begin, row_end, dists);
-  if (CancelRequested()) {
-    return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
-  }
-  std::vector<int> local;
-  PartialArgsortDistances(dists, r, &local);
-  if (CancelRequested()) {
+  std::vector<double> dists(row_end - row_begin);
+  std::vector<int> run;
+  if (!ShardCandidates(snapshot->data->features, query, metric, norms,
+                       row_begin, row_end, r, dists, &run) ||
+      CancelRequested()) {
     return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
   }
 
   JsonValue out = OkResponse();
   JsonValue indices = JsonValue::MakeArray();
   JsonValue run_dists = JsonValue::MakeArray();
-  for (int i : local) {
-    indices.Append(
-        JsonValue(static_cast<double>(i + static_cast<int>(row_begin))));
+  for (int i : run) {
+    indices.Append(JsonValue(static_cast<double>(i)));
     // Raw doubles: %.17g round-trips them bit-exactly, so the router's
     // merged ranking — and weighted-fast's kernel weights — match the
     // unsharded computation to the last bit.
-    run_dists.Append(JsonValue(dists[static_cast<size_t>(i)]));
+    run_dists.Append(JsonValue(dists[static_cast<size_t>(i) - row_begin]));
   }
   out.Set("indices", std::move(indices));
   out.Set("dists", std::move(run_dists));
@@ -1296,10 +1296,12 @@ JsonValue RequestPipeline::Digests(const JsonValue& request) {
   out.Set("block_rows", JsonValue(static_cast<double>(digests.block_rows)));
   out.Set("target", JsonValue(wire::TargetMode(*snapshot->data)));
   out.Set("version", JsonValue(static_cast<double>(snapshot->version)));
-  out.Set("fingerprint", JsonValue(FingerprintHex(snapshot->fingerprint)));
+  out.Set("fingerprint",
+          JsonValue(wire::FingerprintHex(snapshot->fingerprint)));
   JsonValue blocks = JsonValue::MakeArray();
   for (size_t b = 0; b < digests.NumBlocks(); ++b) {
-    blocks.Append(JsonValue(FingerprintHex(wire::BlockDigest(digests, b))));
+    blocks.Append(
+        JsonValue(wire::FingerprintHex(wire::BlockDigest(digests, b))));
   }
   out.Set("blocks", std::move(blocks));
   return out;
@@ -1360,11 +1362,8 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   // Schema-derived parse/validate of task + hyperparameters. Declared
   // params are applied; known-but-undeclared ones are range-checked and
   // ignored (they cannot perturb this method's results or cache identity).
-  // Under the whole-struct fingerprint shim every known param is applied —
-  // the exact pre-schema pipeline, for the bench's before/after arms.
-  if (Status status = ApplyJsonParams(
-          *prepared->schema, request, &engine_request.params,
-          /*apply_undeclared=*/!options_.engine.method_scoped_fingerprints);
+  if (Status status = ApplyJsonParams(*prepared->schema, request,
+                                      &engine_request.params);
       !status.ok()) {
     return fail(status);
   }
@@ -1375,22 +1374,14 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
                                  request.Get("train").AsString() + "'"));
   }
   engine_request.train = train->data;
-  if (options_.trust_store_fingerprints) {
-    engine_request.train_fingerprint = train->fingerprint;
-  }
-  if (options_.shards > 1) {
+  engine_request.train_fingerprint = train->fingerprint;
+  if (topology_ != nullptr) {
     // The shard plan is content-addressed through the snapshot's block
     // digests, so this request values exactly the corpus version it
     // snapshotted even if a mutation lands while it is queued.
-    engine_request.shard.count = options_.shards;
-    engine_request.shard.process = options_.shard_process;
-    engine_request.shard.worker_command = options_.shard_worker_command;
-    engine_request.shard.remote_replicas = options_.shard_remote;
-    engine_request.shard.connect_timeout_ms = options_.shard_connect_timeout_ms;
-    engine_request.shard.io_timeout_ms = options_.shard_io_timeout_ms;
-    engine_request.shard.connect_attempts = options_.shard_connect_attempts;
-    engine_request.shard.train_digests = train->digests;
-    engine_request.shard.corpus_name = request.Get("train").AsString();
+    engine_request.shard = topology_;
+    engine_request.train_digests = train->digests;
+    engine_request.train_name = request.Get("train").AsString();
   }
 
   if (request.Has("test")) {
@@ -1400,9 +1391,7 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
                                    request.Get("test").AsString() + "'"));
     }
     engine_request.test = test->data;
-    if (options_.trust_store_fingerprints) {
-      engine_request.test_fingerprint = test->fingerprint;
-    }
+    engine_request.test_fingerprint = test->fingerprint;
   } else if (request.Has("queries")) {
     // Inline one-shot query batch; labeled/targeted per the effective task.
     CsvTarget target =
@@ -1446,8 +1435,7 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   // Inline queries have no store fingerprint. Hashing them here, not on
   // the worker, gives the request its cache key before dispatch, which
   // is what queues it behind an in-flight twin.
-  if (options_.trust_store_fingerprints && engine_request.use_cache &&
-      engine_request.test_fingerprint == 0) {
+  if (engine_request.use_cache && engine_request.test_fingerprint == 0) {
     engine_request.test_fingerprint = DatasetFingerprint(*engine_request.test);
   }
   engine_request.parallel = request.Get("parallel").AsBool(true);

@@ -44,6 +44,7 @@
 #include "knn/distance_kernel.h"
 #include "obs/metrics.h"
 #include "serve/corpus_store.h"
+#include "shard/topology.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -63,11 +64,6 @@ struct PipelineOptions {
   /// are byte-for-byte reproducible (golden tests, the bench's
   /// ordered-identity check).
   bool emit_timing = true;
-  /// Pass the CorpusStore's incrementally maintained fingerprints to the
-  /// engine (skips the per-request corpus rehash). false reproduces the
-  /// pre-store behavior of hashing every corpus per request — kept for the
-  /// bench's before/after attribution.
-  bool trust_store_fingerprints = true;
   /// Wire a MetricsRegistry through the engine and the serve loop:
   /// per-method request counts + latency histograms, per-phase time
   /// totals, queue-wait histogram and in-flight gauge, surfaced by the
@@ -121,19 +117,17 @@ struct PipelineOptions {
   /// stay byte-identical to the unsharded server (see src/shard/README.md).
   /// The `stats` op grows a "topology" section when sharding is on.
   int shards = 1;
-  /// true: process-per-shard workers speaking the JSONL protocol over
-  /// pipes (argv below); false: thread-per-shard in-process workers.
-  bool shard_process = false;
+  /// Non-empty: argv of a worker binary speaking the JSONL protocol on
+  /// stdin/stdout, spawned once per shard (knnshap_serve
+  /// --shard-workers=self|PATH); empty: in-process workers.
   std::vector<std::string> shard_worker_command;
   /// Remote socket topology: one ordered replica endpoint list
-  /// ("host:port") per shard (knnshap_serve --shard-remote). Non-empty
-  /// selects the TCP transport with per-shard failover and delta corpus
-  /// sync (docs/DEPLOYMENT.md); mutually exclusive with shard_process.
+  /// ("host:port") per shard (knnshap_serve --shard-remote), with
+  /// per-shard failover and delta corpus sync (docs/DEPLOYMENT.md);
+  /// mutually exclusive with shard_worker_command.
   std::vector<std::vector<std::string>> shard_remote;
-  /// Socket transport knobs (remote mode only).
-  int shard_connect_timeout_ms = 2000;
-  int shard_io_timeout_ms = 30000;
-  int shard_connect_attempts = 3;
+  /// Socket transport knobs for spawned and remote workers.
+  SocketWorkerOptions shard_transport;
   EngineOptions engine;
 };
 
@@ -222,6 +216,8 @@ class RequestPipeline {
   JsonValue ShedResponse(const JsonValue& request);
 
   PipelineOptions options_;
+  /// Built once from the shard options; null when unsharded.
+  std::shared_ptr<const ShardTopology> topology_;
   ThreadPool* pool_;
   size_t max_in_flight_;
   /// Declared before engine_: the engine's options embed the registry

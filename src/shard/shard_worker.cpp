@@ -2,234 +2,35 @@
 
 #include "shard/shard_worker.h"
 
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <stdexcept>
-#include <utility>
-
 #include "knn/selection.h"
-#include "shard/wire.h"
 #include "util/cancel.h"
-#include "util/common.h"
-#include "util/json.h"
 
 namespace knnshap {
 
-void IgnoreSigpipeForShardTransport() {
-  // A dead peer makes the next write raise SIGPIPE, which would kill the
-  // *router* process; with it ignored the write fails with EPIPE and the
-  // worker latches Unavailable instead. Installed once, process-wide
-  // (shared with the socket transport, socket_worker.cpp).
-  static std::once_flag sigpipe_once;
-  std::call_once(sigpipe_once, [] { std::signal(SIGPIPE, SIG_IGN); });
-}
-
-// ---------------------------------------------------------------------------
-// InProcessShardWorker
-// ---------------------------------------------------------------------------
-
-bool InProcessShardWorker::Candidates(std::span<const float> query, size_t r,
-                                      std::span<double> dists,
-                                      std::vector<int>* run) {
-  const size_t begin = range_.row_begin;
-  const size_t rows = range_.Rows();
-  // Compact-out contract: the slice written here is bit-identical to the
-  // matching slice of a whole-corpus ComputeDistances pass.
-  ComputeDistancesRange(corpus_->features, query, metric_, norms_, begin,
-                        range_.row_end, dists.subspan(begin, rows));
-  if (CancelRequested()) {
-    run->clear();
-    return true;  // the router re-checks the token and discards the query
-  }
-  // Local selection == restriction of the global order: the tie break by
-  // local index is monotone under the constant row offset.
+bool ShardCandidates(const Matrix& features, std::span<const float> query,
+                     Metric metric, const CorpusNorms* norms, size_t row_begin,
+                     size_t row_end, size_t r, std::span<double> dists,
+                     std::vector<int>* run) {
+  run->clear();
+  ComputeDistancesRange(features, query, metric, norms, row_begin, row_end,
+                        dists);
+  if (CancelRequested()) return false;
   thread_local std::vector<int> local;
-  PartialArgsortDistances(std::span<const double>(dists.data() + begin, rows), r,
-                          &local);
-  run->clear();
+  PartialArgsortDistances(dists, r, &local);
   run->reserve(local.size());
-  for (int i : local) run->push_back(i + static_cast<int>(begin));
+  for (int i : local) run->push_back(i + static_cast<int>(row_begin));
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// ProcessShardWorker
-// ---------------------------------------------------------------------------
-
-ProcessShardWorker::ProcessShardWorker(ShardRange range,
-                                       std::vector<std::string> command,
-                                       std::string corpus_name, Metric metric,
-                                       uint64_t expected_fingerprint)
-    : ShardWorker(range),
-      command_(std::move(command)),
-      corpus_name_(std::move(corpus_name)),
-      metric_(metric),
-      expected_fingerprint_(expected_fingerprint) {}
-
-ProcessShardWorker::~ProcessShardWorker() {
-  // Closing the child's stdin is the shutdown signal: its serve loop sees
-  // EOF, drains and exits; the wait reaps it so no zombie outlives a
-  // router re-fit.
-  if (write_stream_ != nullptr) std::fclose(write_stream_);
-  if (read_stream_ != nullptr) std::fclose(read_stream_);
-  if (child_pid_ > 0) {
-    int status = 0;
-    waitpid(child_pid_, &status, 0);
-  }
-}
-
-void ProcessShardWorker::Spawn(const Dataset& corpus) {
-  KNNSHAP_CHECK(child_pid_ == -1, "shard worker already spawned");
-  if (command_.empty()) {
-    throw std::runtime_error("shard worker: empty worker command");
-  }
-  if (corpus.HasLabels() && corpus.HasTargets()) {
-    // The inline load wire carries one trailing column; a two-channel
-    // corpus cannot round-trip content-identically.
-    throw std::runtime_error(
-        "shard worker: corpus with both labels and targets cannot be shipped");
-  }
-  IgnoreSigpipeForShardTransport();
-
-  int to_child[2] = {-1, -1};
-  int from_child[2] = {-1, -1};
-  if (pipe(to_child) != 0) {
-    throw std::runtime_error("shard worker: pipe() failed");
-  }
-  if (pipe(from_child) != 0) {
-    close(to_child[0]);
-    close(to_child[1]);
-    throw std::runtime_error("shard worker: pipe() failed");
-  }
-  // Close-on-exec on every end: a LATER sibling's fork+exec must not
-  // inherit this worker's pipe fds, or this child's stdin would never see
-  // EOF (shutdown would deadlock in waitpid — every child holding every
-  // other child's write end open). The child's dup2 onto stdin/stdout
-  // below clears the flag on the two copies it actually uses.
-  for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
-    fcntl(fd, F_SETFD, FD_CLOEXEC);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    throw std::runtime_error("shard worker: fork() failed");
-  }
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    std::vector<char*> argv;
-    argv.reserve(command_.size() + 1);
-    for (const std::string& arg : command_) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-  child_pid_ = pid;
-  write_stream_ = fdopen(to_child[1], "w");
-  read_stream_ = fdopen(from_child[0], "r");
-  if (write_stream_ == nullptr || read_stream_ == nullptr) {
-    throw std::runtime_error("shard worker: fdopen() failed");
-  }
-
-  // Ship the corpus once. Feature floats widen to double and print as
-  // %.17g, which round-trips bit-exactly back to the same float in the
-  // child — so the child's independently computed content fingerprint must
-  // equal the parent's, and any transport corruption is caught here.
-  std::string response;
-  if (!Exchange(wire::BuildInlineLoadRequest(corpus_name_, corpus).Dump(),
-                &response)) {
-    throw std::runtime_error("shard worker: load failed: " + Health().message());
-  }
-  JsonParseResult parsed = ParseJson(response);
-  if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
-    throw std::runtime_error("shard worker: load rejected: " + response);
-  }
-  uint64_t echoed = 0;
-  if (!wire::ParseHexFingerprint(parsed.value.Get("fingerprint").AsString(),
-                                 &echoed) ||
-      echoed != expected_fingerprint_) {
-    throw std::runtime_error(
-        "shard worker: corpus fingerprint mismatch after load (expected " +
-        wire::FingerprintHex(expected_fingerprint_) + ", got " +
-        parsed.value.Get("fingerprint").AsString() + ")");
-  }
-}
-
-void ProcessShardWorker::Latch(Status status) {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  if (health_.ok()) health_ = std::move(status);
-}
-
-Status ProcessShardWorker::Health() const {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  return health_;
-}
-
-bool ProcessShardWorker::Exchange(const std::string& line, std::string* response) {
-  if (write_stream_ == nullptr || read_stream_ == nullptr) {
-    Latch(Status::Unavailable("shard worker is not running"));
-    return false;
-  }
-  if (std::fputs(line.c_str(), write_stream_) < 0 ||
-      std::fputc('\n', write_stream_) == EOF ||
-      std::fflush(write_stream_) != 0) {
-    Latch(Status::Unavailable("shard worker pipe closed on write"));
-    return false;
-  }
-  char* buf = nullptr;
-  size_t cap = 0;
-  const ssize_t len = getline(&buf, &cap, read_stream_);
-  if (len < 0) {
-    std::free(buf);
-    Latch(Status::Unavailable("shard worker died (eof on response pipe)"));
-    return false;
-  }
-  response->assign(buf, static_cast<size_t>(len));
-  std::free(buf);
-  while (!response->empty() &&
-         (response->back() == '\n' || response->back() == '\r')) {
-    response->pop_back();
-  }
+bool LocalShardWorker::Candidates(std::span<const float> query, size_t r,
+                                  std::span<double> dists,
+                                  std::vector<int>* run) {
+  // A cancelled pass leaves *run empty and still answers true: the router
+  // re-checks the token and discards the whole query.
+  ShardCandidates(corpus_->features, query, metric_, norms_, range_.row_begin,
+                  range_.row_end, r,
+                  dists.subspan(range_.row_begin, range_.Rows()), run);
   return true;
-}
-
-bool ProcessShardWorker::Candidates(std::span<const float> query, size_t r,
-                                    std::span<double> dists,
-                                    std::vector<int>* run) {
-  run->clear();
-  if (!Health().ok()) return false;
-
-  std::string line;
-  if (!Exchange(
-          wire::BuildCandidatesRequest(range_, corpus_name_, metric_, query, r)
-              .Dump(),
-          &line)) {
-    return false;
-  }
-  Status status = wire::ParseCandidatesResponse(line, range_, dists, run);
-  if (status.ok()) return true;
-  // A propagated deadline leaves health OK (the router's own token is the
-  // authority and is re-checked after the fan-out); anything else latches.
-  if (status.code() != StatusCode::kDeadlineExceeded) Latch(std::move(status));
-  return false;
 }
 
 }  // namespace knnshap

@@ -8,50 +8,50 @@
 // global (distance, index) order to its contiguous rows, the merge is
 // bit-identical to the unsharded ranking.
 //
-// Two implementations:
+// Implementations:
 //
-//   * InProcessShardWorker — borrows the router's corpus/norms and computes
-//     on the calling thread (the router fans out across the shared pool).
-//     Zero copies, always healthy; the default topology.
+//   * LocalShardWorker (here) — borrows the router's corpus/norms and
+//     computes on the calling thread (the router fans out across the
+//     shared pool). Zero copies, always healthy; the default topology.
 //
-//   * ProcessShardWorker — fork/exec's a worker command speaking the
-//     existing JSONL serve protocol on stdin/stdout. The corpus is shipped
-//     once at spawn via an inline `load` op (float -> %.17g JSON -> float
-//     is lossless, so the child's content fingerprint must equal the
-//     parent's — verified at load); each query is one `candidates` op
-//     carrying the shard's content-addressed fingerprint, which the child
-//     recomputes from its own digests and rejects on mismatch. A dead or
-//     garbling child latches Health() non-OK; the router never merges a
-//     partial fan-out (engine/valuator.h's Health contract).
+//   * SocketShardWorker / ReplicaShardWorker (socket_worker.h) — one
+//     JSONL connection to a spawned child or a remote worker, which runs
+//     ShardCandidates below behind its `candidates` op.
 //
 // Failure semantics of Candidates(): `false` means "this fan-out produced
 // no usable run". A false WITH Health() still OK is a propagated deadline
-// (the child answered deadline_exceeded off the forwarded remaining-ms
+// (the worker answered deadline_exceeded off the forwarded remaining-ms
 // budget — the parent's own token is the authority and is re-checked by
 // the router); any other false latches a non-OK Health first.
 
 #ifndef KNNSHAP_SHARD_SHARD_WORKER_H_
 #define KNNSHAP_SHARD_SHARD_WORKER_H_
 
-#include <cstdio>
-#include <mutex>
 #include <span>
-#include <string>
-#include <sys/types.h>
 #include <vector>
 
 #include "dataset/dataset.h"
 #include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "shard/shard_planner.h"
+#include "util/matrix.h"
 #include "util/status.h"
 
 namespace knnshap {
 
-/// Installs the process-wide SIGPIPE ignore every shard transport needs
-/// (a dead peer must surface as an EPIPE write error, not a signal).
-/// Idempotent; called by the pipe and socket transports before first I/O.
-void IgnoreSigpipeForShardTransport();
+/// The candidates kernel every worker runs: distances from `query` to
+/// corpus rows [row_begin, row_end) into `dists` (one slot per row of the
+/// range, bit-identical to the matching slice of a whole-corpus
+/// ComputeDistances pass), then the range's exact top-min(r, rows) in
+/// (distance, index) order, as global row indices, into *run. Local
+/// selection equals the restriction of the global order: the index tie
+/// break is monotone under the constant row offset. Returns false, with
+/// *run cleared, when the active CancelToken expired during the distance
+/// pass.
+bool ShardCandidates(const Matrix& features, std::span<const float> query,
+                     Metric metric, const CorpusNorms* norms, size_t row_begin,
+                     size_t row_end, size_t r, std::span<double> dists,
+                     std::vector<int>* run);
 
 /// One shard's candidate server.
 class ShardWorker {
@@ -72,7 +72,7 @@ class ShardWorker {
   virtual bool Candidates(std::span<const float> query, size_t r,
                           std::span<double> dists, std::vector<int>* run) = 0;
 
-  /// Liveness. Latched non-OK by process workers on child death/garbage;
+  /// Liveness. Latched non-OK by socket workers on peer death/garbage;
   /// in-process workers are always OK.
   virtual Status Health() const { return Status::Ok(); }
 
@@ -85,10 +85,10 @@ class ShardWorker {
 /// Thread-per-shard worker: computes over a borrowed corpus slice on the
 /// calling thread. `corpus` and `norms` must outlive the worker (the
 /// router's fitted valuator owns both).
-class InProcessShardWorker : public ShardWorker {
+class LocalShardWorker : public ShardWorker {
  public:
-  InProcessShardWorker(ShardRange range, const Dataset* corpus,
-                       const CorpusNorms* norms, Metric metric)
+  LocalShardWorker(ShardRange range, const Dataset* corpus,
+                   const CorpusNorms* norms, Metric metric)
       : ShardWorker(range), corpus_(corpus), norms_(norms), metric_(metric) {}
 
   bool Candidates(std::span<const float> query, size_t r,
@@ -98,52 +98,6 @@ class InProcessShardWorker : public ShardWorker {
   const Dataset* corpus_;
   const CorpusNorms* norms_;
   Metric metric_;
-};
-
-/// Process-per-shard worker: a forked child running `command` (a knnshap
-/// serve binary) on a private stdin/stdout pipe pair. Spawn() ships the
-/// corpus and verifies the child's content fingerprint; Candidates()
-/// exchanges one JSONL request/response per query. Not internally
-/// synchronized — the router serializes fan-outs across its workers.
-class ProcessShardWorker : public ShardWorker {
- public:
-  /// `expected_fingerprint` is the parent corpus's combined content
-  /// fingerprint; the child must echo it after the inline load or Spawn
-  /// throws (std::runtime_error — the engine maps it to an internal-error
-  /// response).
-  ProcessShardWorker(ShardRange range, std::vector<std::string> command,
-                     std::string corpus_name, Metric metric,
-                     uint64_t expected_fingerprint);
-  ~ProcessShardWorker() override;
-
-  /// Forks the child and ships `corpus` via an inline load op. Must be
-  /// called exactly once before Candidates. Throws std::runtime_error on
-  /// spawn/load/fingerprint failure.
-  void Spawn(const Dataset& corpus);
-
-  bool Candidates(std::span<const float> query, size_t r,
-                  std::span<double> dists, std::vector<int>* run) override;
-
-  Status Health() const override;
-
- private:
-  /// Writes one request line and reads one response line; false (with
-  /// health latched) on a dead pipe. The JSONL protocol is strictly one
-  /// response per request, so framing is a single getline.
-  bool Exchange(const std::string& line, std::string* response);
-  void Latch(Status status);
-
-  std::vector<std::string> command_;
-  std::string corpus_name_;
-  Metric metric_;
-  uint64_t expected_fingerprint_;
-
-  pid_t child_pid_ = -1;
-  std::FILE* write_stream_ = nullptr;  ///< parent -> child stdin
-  std::FILE* read_stream_ = nullptr;   ///< child stdout -> parent
-
-  mutable std::mutex health_mutex_;
-  Status health_;
 };
 
 }  // namespace knnshap

@@ -27,11 +27,17 @@ bool ShardedValuatorSupports(const std::string& method) {
          method == "weighted-fast" || method == "truncated";
 }
 
-ShardedValuator::ShardedValuator(ValuatorParams params, std::string method,
-                                 ShardedValuatorSpec spec)
+ShardedValuator::ShardedValuator(
+    ValuatorParams params, std::string method,
+    std::shared_ptr<const ShardTopology> topology,
+    std::shared_ptr<const CorpusDigests> train_digests, std::string corpus_name,
+    MetricsRegistry* metrics)
     : Valuator(std::move(params)),
       method_(std::move(method)),
-      spec_(std::move(spec)) {
+      topology_(std::move(topology)),
+      corpus_name_(std::move(corpus_name)),
+      metrics_(metrics),
+      digests_(std::move(train_digests)) {
   if (method_ == "exact") {
     kind_ = Kind::kExact;
   } else if (method_ == "exact-corrected") {
@@ -48,7 +54,6 @@ ShardedValuator::ShardedValuator(ValuatorParams params, std::string method,
 void ShardedValuator::OnFit() {
   const Dataset& train = Train();
   KNNSHAP_CHECK(train.HasLabels(), method_ + ": labeled corpus required");
-  digests_ = spec_.train_digests;
   if (digests_ == nullptr) {
     // No maintained digests (engine used outside the serve layer): one
     // full hash here buys content-addressed shard identity all the same.
@@ -56,8 +61,8 @@ void ShardedValuator::OnFit() {
         std::make_shared<const CorpusDigests>(ComputeCorpusDigests(train));
   }
   const CorpusDigests& digests = *digests_;
-  plan_ = PlanShards(digests,
-                     static_cast<size_t>(std::max(spec_.shard_count, 1)));
+  const ShardTopology& topology = *topology_;
+  plan_ = PlanShards(digests, static_cast<size_t>(std::max(topology.count, 1)));
   norms_ = NormsForMetric(train.features, params_.metric);
   if (kind_ == Kind::kWeightedFast) {
     coalition_ = std::make_unique<WknnCoalitionWeights>(
@@ -65,47 +70,30 @@ void ShardedValuator::OnFit() {
   }
   workers_.clear();
   workers_.reserve(plan_.size());
-  if (!spec_.remote_replicas.empty()) {
+  const uint64_t fingerprint = digests.Combined();
+  const ShardTransportCounters counters =
+      ShardTransportCounters::From(metrics_);
+  if (!topology.remote_replicas.empty()) {
     // Remote sockets: one ReplicaShardWorker per planned shard, each with
     // its ordered replica list. Endpoint parse errors throw (bad flag —
     // the engine answers a structured internal error); dial failures do
     // NOT — the eager Connect below is best-effort, so an all-dead
     // topology surfaces as unavailable + retry_after_ms through the
     // normal fan-out health path instead of poisoning the fit.
-    if (spec_.remote_replicas.size() < plan_.size()) {
+    if (topology.remote_replicas.size() < plan_.size()) {
       throw std::runtime_error(
           "sharded fit: " + std::to_string(plan_.size()) +
           " planned shards but only " +
-          std::to_string(spec_.remote_replicas.size()) +
+          std::to_string(topology.remote_replicas.size()) +
           " remote replica group(s)");
     }
-    SocketWorkerOptions socket_options;
-    socket_options.connect_timeout_ms = spec_.connect_timeout_ms;
-    socket_options.io_timeout_ms = spec_.io_timeout_ms;
-    socket_options.connect_attempts = spec_.connect_attempts;
-    ShardTransportCounters counters;
-    if (spec_.metrics != nullptr) {
-      counters.connects =
-          spec_.metrics->GetCounter("knnshap_shard_connects_total");
-      counters.connect_failures =
-          spec_.metrics->GetCounter("knnshap_shard_connect_failures_total");
-      counters.failovers =
-          spec_.metrics->GetCounter("knnshap_shard_failovers_total");
-      counters.full_loads =
-          spec_.metrics->GetCounter("knnshap_shard_full_loads_total");
-      counters.delta_loads =
-          spec_.metrics->GetCounter("knnshap_shard_delta_loads_total");
-      counters.delta_blocks =
-          spec_.metrics->GetCounter("knnshap_shard_delta_blocks_total");
-    }
-    const uint64_t fingerprint = digests.Combined();
     for (size_t s = 0; s < plan_.size(); ++s) {
       std::vector<Endpoint> replicas;
-      replicas.reserve(spec_.remote_replicas[s].size());
-      for (const std::string& spec : spec_.remote_replicas[s]) {
+      replicas.reserve(topology.remote_replicas[s].size());
+      for (const std::string& spec : topology.remote_replicas[s]) {
         Endpoint endpoint;
         std::string error;
-        if (!ParseEndpoint(spec, &endpoint, &error, "127.0.0.1")) {
+        if (!ParseEndpoint(spec, &endpoint, &error)) {
           throw std::runtime_error("sharded fit: bad replica endpoint '" +
                                    spec + "': " + error);
         }
@@ -116,26 +104,31 @@ void ShardedValuator::OnFit() {
                                  " has no replica endpoints");
       }
       auto worker = std::make_unique<ReplicaShardWorker>(
-          plan_[s], std::move(replicas), spec_.corpus_name, params_.metric,
-          fingerprint, socket_options, counters, &train, digests_.get());
+          plan_[s], std::move(replicas), corpus_name_, params_.metric,
+          fingerprint, topology.transport, counters, &train, digests_.get());
       worker->Connect();
       workers_.push_back(std::move(worker));
     }
-  } else if (spec_.process) {
-    // Spawn failures (bad command, dead pipe, fingerprint mismatch after
-    // the inline load) throw — the engine turns that into a structured
-    // internal-error response and retires the fit slot.
-    const uint64_t fingerprint = digests.Combined();
+  } else if (!topology.worker_command.empty()) {
+    // One spawned child per shard over the same socket transport. Spawn
+    // and sync failures (bad command, dead child, fingerprint mismatch)
+    // throw — the engine turns that into a structured internal-error
+    // response and retires the fit slot.
     for (const ShardRange& range : plan_) {
-      auto worker = std::make_unique<ProcessShardWorker>(
-          range, spec_.worker_command, spec_.corpus_name, params_.metric,
-          fingerprint);
-      worker->Spawn(train);
+      auto worker = std::make_unique<SocketShardWorker>(
+          range, corpus_name_, params_.metric, fingerprint, topology.transport,
+          counters);
+      Status status = worker->Spawn(topology.worker_command);
+      if (status.ok()) status = worker->Sync(train, digests);
+      if (!status.ok()) {
+        throw std::runtime_error("shard worker spawn failed: " +
+                                 status.message());
+      }
       workers_.push_back(std::move(worker));
     }
   } else {
     for (const ShardRange& range : plan_) {
-      workers_.push_back(std::make_unique<InProcessShardWorker>(
+      workers_.push_back(std::make_unique<LocalShardWorker>(
           range, &train, &norms_, params_.metric));
     }
   }
@@ -150,7 +143,7 @@ bool ShardedValuator::FanOut(std::span<const float> query, size_t r,
                              std::span<double> dists,
                              std::vector<std::vector<int>>* runs) const {
   runs->resize(workers_.size());
-  if (!spec_.process && spec_.remote_replicas.empty()) {
+  if (topology_->worker_command.empty() && topology_->remote_replicas.empty()) {
     // Thread-per-shard: the caller helps drain shard indices alongside
     // pool workers (ParallelForHelping is safe from pool threads, which is
     // where the engine runs ValueOne). The active token is re-established
@@ -165,10 +158,10 @@ bool ShardedValuator::FanOut(std::span<const float> query, size_t r,
     });
     return !failed.load(std::memory_order_relaxed);
   }
-  // Process/remote mode: each worker's pipe pair / socket is a
-  // single-lane channel and queries arrive concurrently from the pool, so
-  // fan-outs serialize. (Serialization also keeps replica failover sane:
-  // at most one query is ever in flight when a replica dies.)
+  // Socket workers: each connection is a single-lane channel and queries
+  // arrive concurrently from the pool, so fan-outs serialize.
+  // (Serialization also keeps replica failover sane: at most one query is
+  // ever in flight when a replica dies.)
   std::lock_guard<std::mutex> lock(fan_out_mutex_);
   for (size_t s = 0; s < workers_.size(); ++s) {
     if (!workers_[s]->Candidates(query, r, dists, &(*runs)[s])) return false;
@@ -288,7 +281,7 @@ std::vector<double> ShardedValuator::ValueOne(const Dataset& test,
       options.weight_bits = params_.weight_bits;
       options.approx_error = params_.approx_error;
       // The raw double distances crossed the shard boundary losslessly
-      // (%.17g in process mode), so the kernel weights — functions of the
+      // (%.17g on the socket transport), so the kernel weights — functions of the
       // exact doubles — match the unsharded context bit for bit.
       WknnQueryContext context = MakeWknnQueryContextFromRanking(
           order, dists, train.labels, test_label, options);
@@ -298,11 +291,15 @@ std::vector<double> ShardedValuator::ValueOne(const Dataset& test,
   KNNSHAP_CHECK(false, "unreachable");
 }
 
-std::unique_ptr<Valuator> MakeShardedValuator(const std::string& method,
-                                              const ValuatorParams& params,
-                                              ShardedValuatorSpec spec) {
+std::unique_ptr<Valuator> MakeShardedValuator(
+    const std::string& method, const ValuatorParams& params,
+    std::shared_ptr<const ShardTopology> topology,
+    std::shared_ptr<const CorpusDigests> train_digests,
+    std::string corpus_name, MetricsRegistry* metrics) {
   if (!ShardedValuatorSupports(method)) return nullptr;
-  return std::make_unique<ShardedValuator>(params, method, std::move(spec));
+  return std::make_unique<ShardedValuator>(
+      params, method, std::move(topology), std::move(train_digests),
+      std::move(corpus_name), metrics);
 }
 
 }  // namespace knnshap

@@ -1,8 +1,8 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // ShardedValuator — the shard router. A Valuator that fans each query out
-// to per-shard workers (thread-per-shard, process-per-shard, or remote
-// socket replicas — see shard_worker.h and socket_worker.h), merges the
+// to per-shard workers (in-process, spawned children, or remote replica
+// groups — see topology.h, shard_worker.h and socket_worker.h), merges the
 // per-shard candidate runs into the global (distance, index) ranking, and
 // runs the method's recursion on it — bit-identical to the unsharded
 // valuator, because the recursions consume only the ranking and the merge
@@ -46,40 +46,10 @@
 #include "obs/metrics.h"
 #include "shard/shard_planner.h"
 #include "shard/shard_worker.h"
+#include "shard/topology.h"
 #include "util/fingerprint.h"
 
 namespace knnshap {
-
-/// Topology of a sharded fit, carried from the serve layer through the
-/// engine request.
-struct ShardedValuatorSpec {
-  /// Planned shard count (clamped to the corpus's fingerprint-block count).
-  int shard_count = 2;
-  /// false: thread-per-shard in-process workers fanned across the shared
-  /// pool. true: one forked worker process per shard.
-  bool process = false;
-  /// argv of the worker binary (process mode); must speak the JSONL serve
-  /// protocol on stdin/stdout.
-  std::vector<std::string> worker_command;
-  /// Remote socket topology: one ordered replica list ("host:port"
-  /// strings) per shard. Non-empty selects the TCP transport
-  /// (socket_worker.h) — `process` must be false, and there must be at
-  /// least as many replica groups as planned shards (the planner may
-  /// clamp the shard count below the flag on tiny corpora; trailing
-  /// groups then go unused).
-  std::vector<std::vector<std::string>> remote_replicas;
-  /// Socket transport knobs (remote mode only).
-  int connect_timeout_ms = 2000;
-  int io_timeout_ms = 30000;
-  int connect_attempts = 3;
-  /// Transport counter sink (remote mode; null = no counters).
-  MetricsRegistry* metrics = nullptr;
-  /// The corpus's incrementally maintained block digests (null: recomputed
-  /// at fit). Shard identity is content-addressed through these.
-  std::shared_ptr<const CorpusDigests> train_digests;
-  /// Store name of the corpus, echoed into worker processes.
-  std::string corpus_name = "corpus";
-};
 
 /// True when `method` has a sharded implementation; the engine consults
 /// this before rerouting a request, so unsupported methods silently fall
@@ -89,8 +59,15 @@ bool ShardedValuatorSupports(const std::string& method);
 /// The router valuator. Health() reflects the latched worker status.
 class ShardedValuator : public Valuator {
  public:
+  /// `train_digests` are the corpus's maintained block digests (null: the
+  /// fit hashes the corpus itself) — shard identity is content-addressed
+  /// through them. `corpus_name` is the store name socket workers hold
+  /// the corpus under. `metrics` (nullable) receives the transport
+  /// counters.
   ShardedValuator(ValuatorParams params, std::string method,
-                  ShardedValuatorSpec spec);
+                  std::shared_ptr<const ShardTopology> topology,
+                  std::shared_ptr<const CorpusDigests> train_digests,
+                  std::string corpus_name, MetricsRegistry* metrics);
 
   const char* Method() const override { return method_.c_str(); }
   std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
@@ -109,7 +86,9 @@ class ShardedValuator : public Valuator {
 
   std::string method_;
   Kind kind_;
-  ShardedValuatorSpec spec_;
+  std::shared_ptr<const ShardTopology> topology_;
+  std::string corpus_name_;
+  MetricsRegistry* metrics_;
 
   std::vector<ShardRange> plan_;
   CorpusNorms norms_;
@@ -119,20 +98,21 @@ class ShardedValuator : public Valuator {
   std::shared_ptr<const CorpusDigests> digests_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
 
-  /// Process- and remote-mode fan-outs are serialized: each worker's pipe
-  /// pair / socket is a single-lane channel, and queries arrive
-  /// concurrently from the pool.
+  /// Socket fan-outs are serialized: each worker's connection is a
+  /// single-lane channel, and queries arrive concurrently from the pool.
   mutable std::mutex fan_out_mutex_;
   mutable std::mutex health_mutex_;
   mutable Status health_;
 };
 
-/// Factory the engine calls when a request carries shard_count > 1: a
-/// router for supported methods, null otherwise (caller falls back to the
-/// registry's unsharded valuator).
-std::unique_ptr<Valuator> MakeShardedValuator(const std::string& method,
-                                              const ValuatorParams& params,
-                                              ShardedValuatorSpec spec);
+/// Factory the engine calls when a request carries a topology with
+/// count > 1: a router for supported methods, null otherwise (caller
+/// falls back to the registry's unsharded valuator).
+std::unique_ptr<Valuator> MakeShardedValuator(
+    const std::string& method, const ValuatorParams& params,
+    std::shared_ptr<const ShardTopology> topology,
+    std::shared_ptr<const CorpusDigests> train_digests,
+    std::string corpus_name, MetricsRegistry* metrics);
 
 }  // namespace knnshap
 

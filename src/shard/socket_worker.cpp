@@ -2,9 +2,14 @@
 
 #include "shard/socket_worker.h"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <thread>
 #include <utility>
@@ -18,30 +23,64 @@ namespace knnshap {
 
 namespace {
 
+/// Sleep before the first dial retry; doubles on each further retry.
+constexpr int kDialBackoffInitialMs = 50;
+
 inline void Bump(Counter* counter, uint64_t n = 1) {
   if (counter != nullptr) counter->Add(n);
 }
 
+void IgnoreSigpipe() {
+  // A dead peer makes the next write raise SIGPIPE, which would kill the
+  // *router* process; with it ignored the write fails with EPIPE and the
+  // worker latches Unavailable instead. Installed once, process-wide.
+  static std::once_flag sigpipe_once;
+  std::call_once(sigpipe_once, [] { std::signal(SIGPIPE, SIG_IGN); });
+}
+
 }  // namespace
+
+ShardTransportCounters ShardTransportCounters::From(MetricsRegistry* metrics) {
+  ShardTransportCounters counters;
+  if (metrics == nullptr) return counters;
+  counters.connects = metrics->GetCounter("knnshap_shard_connects_total");
+  counters.connect_failures =
+      metrics->GetCounter("knnshap_shard_connect_failures_total");
+  counters.failovers = metrics->GetCounter("knnshap_shard_failovers_total");
+  counters.full_loads = metrics->GetCounter("knnshap_shard_full_loads_total");
+  counters.delta_loads = metrics->GetCounter("knnshap_shard_delta_loads_total");
+  counters.delta_blocks =
+      metrics->GetCounter("knnshap_shard_delta_blocks_total");
+  return counters;
+}
 
 // ---------------------------------------------------------------------------
 // SocketShardWorker
 // ---------------------------------------------------------------------------
 
-SocketShardWorker::SocketShardWorker(ShardRange range, Endpoint endpoint,
-                                     std::string corpus_name, Metric metric,
+SocketShardWorker::SocketShardWorker(ShardRange range, std::string corpus_name,
+                                     Metric metric,
                                      uint64_t expected_fingerprint,
                                      SocketWorkerOptions options,
                                      ShardTransportCounters counters)
     : ShardWorker(range),
-      endpoint_(std::move(endpoint)),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
       expected_fingerprint_(expected_fingerprint),
       options_(options),
       counters_(counters) {}
 
-SocketShardWorker::~SocketShardWorker() { CloseStreams(); }
+SocketShardWorker::~SocketShardWorker() {
+  // Closing the connection is a spawned child's shutdown signal: its serve
+  // loop sees EOF, drains and exits; the wait reaps it so no zombie
+  // outlives a router re-fit.
+  CloseStreams();
+  if (child_pid_ > 0) {
+    int status = 0;
+    while (waitpid(child_pid_, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+}
 
 void SocketShardWorker::CloseStreams() {
   // write_stream_ owns a dup of the socket fd; read_stream_ owns the fd
@@ -52,9 +91,13 @@ void SocketShardWorker::CloseStreams() {
   read_stream_ = nullptr;
 }
 
-void SocketShardWorker::Latch(Status status) {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  if (health_.ok()) health_ = std::move(status);
+Status SocketShardWorker::Fail(Status status) {
+  {
+    std::lock_guard<std::mutex> lock(health_mutex_);
+    if (health_.ok()) health_ = status;
+  }
+  CloseStreams();
+  return status;
 }
 
 Status SocketShardWorker::Health() const {
@@ -62,19 +105,34 @@ Status SocketShardWorker::Health() const {
   return health_;
 }
 
-Status SocketShardWorker::Connect(const Dataset& corpus,
-                                  const CorpusDigests& digests) {
-  if (read_stream_ != nullptr) return Health();
-  IgnoreSigpipeForShardTransport();
-  ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
+Status SocketShardWorker::Open(int fd) {
+  // Close-on-exec on both fds: a LATER sibling's fork+exec must not
+  // inherit this connection, or a spawned child would never see EOF when
+  // the router closes it (shutdown would wait forever on the reap).
+  read_stream_ = fdopen(fd, "r");
+  const int write_fd =
+      read_stream_ != nullptr ? fcntl(fd, F_DUPFD_CLOEXEC, 0) : -1;
+  write_stream_ = write_fd >= 0 ? fdopen(write_fd, "w") : nullptr;
+  if (read_stream_ == nullptr || write_stream_ == nullptr) {
+    if (read_stream_ == nullptr) close(fd);
+    if (write_stream_ == nullptr && write_fd >= 0) close(write_fd);
+    return Fail(
+        Status::Unavailable("shard worker " + peer_ + ": fdopen() failed"));
+  }
+  return Status::Ok();
+}
 
+Status SocketShardWorker::Dial(const Endpoint& endpoint) {
+  IgnoreSigpipe();
+  ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
+  peer_ = endpoint.ToString();
   // Bounded dial attempts with doubling backoff: a worker that is
   // restarting (or not yet up in a deploy race) gets a short grace window;
   // one that is truly gone fails fast enough for the replica layer to move
   // on.
   int fd = -1;
   std::string error;
-  int backoff_ms = options_.backoff_initial_ms;
+  int backoff_ms = kDialBackoffInitialMs;
   const int attempts = options_.connect_attempts > 0 ? options_.connect_attempts : 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
@@ -86,46 +144,75 @@ Status SocketShardWorker::Connect(const Dataset& corpus,
       Bump(counters_.connect_failures);
       continue;
     }
-    fd = DialTcp(endpoint_, options_.connect_timeout_ms, options_.io_timeout_ms,
+    fd = DialTcp(endpoint, options_.connect_timeout_ms, options_.io_timeout_ms,
                  &error);
     if (fd >= 0) break;
     Bump(counters_.connect_failures);
   }
   if (fd < 0) {
-    Status status = Status::Unavailable("shard worker " + endpoint_.ToString() +
-                                        " unreachable: " + error);
-    Latch(status);
-    return status;
+    return Fail(
+        Status::Unavailable("shard worker " + peer_ + " unreachable: " + error));
   }
-  read_stream_ = fdopen(fd, "r");
-  const int write_fd = read_stream_ != nullptr ? dup(fd) : -1;
-  write_stream_ = write_fd >= 0 ? fdopen(write_fd, "w") : nullptr;
-  if (read_stream_ == nullptr || write_stream_ == nullptr) {
-    if (read_stream_ == nullptr) close(fd);
-    if (write_stream_ == nullptr && write_fd >= 0) close(write_fd);
-    CloseStreams();
-    Status status = Status::Unavailable("shard worker " + endpoint_.ToString() +
-                                        ": fdopen() failed");
-    Latch(status);
-    return status;
-  }
+  return Open(fd);
+}
 
+Status SocketShardWorker::Spawn(const std::vector<std::string>& command) {
+  if (command.empty()) {
+    return Fail(Status::InvalidArgument("shard worker: empty worker command"));
+  }
+  IgnoreSigpipe();
+  ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
+  int fds[2] = {-1, -1};
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return Fail(Status::Unavailable("shard worker: socketpair() failed"));
+  }
+  // argv is built before fork: the child may only make async-signal-safe
+  // calls until exec.
+  std::vector<char*> argv;
+  argv.reserve(command.size() + 1);
+  for (const std::string& arg : command) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return Fail(Status::Unavailable("shard worker: fork() failed"));
+  }
+  if (pid == 0) {
+    // dup2 clears close-on-exec on the two copies the child uses; both
+    // socketpair fds (and every other shard connection) close at exec.
+    dup2(fds[1], STDIN_FILENO);
+    dup2(fds[1], STDOUT_FILENO);
+    execv(argv[0], argv.data());
+    _exit(127);
+  }
+  close(fds[1]);
+  child_pid_ = pid;
+  peer_ = "pid " + std::to_string(pid);
+  // The I/O timeout goes on the router's end only: the child idles on its
+  // stdin between requests, and a read timeout there would end its loop.
+  SetSocketIoTimeout(fds[0], options_.io_timeout_ms);
+  return Open(fds[0]);
+}
+
+Status SocketShardWorker::Sync(const Dataset& corpus,
+                               const CorpusDigests& digests) {
+  ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
   // Corpus sync: ask what the worker holds, ship the difference. A worker
   // that kept the corpus across a router re-fit (the common warm case)
   // costs one digests round trip and zero rows; a mutated corpus costs
-  // only its changed blocks; everything else falls back to the full
-  // inline load.
+  // only its changed blocks; everything else — a fresh spawned child
+  // included — falls back to the full inline load.
   std::string line;
   if (!Exchange(wire::BuildDigestsRequest(corpus_name_).Dump(), &line)) {
     return Health();
   }
   JsonParseResult parsed = ParseJson(line);
   if (!parsed.ok()) {
-    Status status = Status::Unavailable("shard worker " + endpoint_.ToString() +
-                                        " sent an unparseable digests response");
-    Latch(status);
-    CloseStreams();
-    return status;
+    return Fail(Status::Unavailable("shard worker " + peer_ +
+                                    " sent an unparseable digests response"));
   }
   wire::CorpusSyncPlan plan = wire::PlanCorpusSync(corpus, digests, parsed.value);
   if (plan.mode == wire::CorpusSyncPlan::Mode::kDelta) {
@@ -153,12 +240,8 @@ Status SocketShardWorker::Connect(const Dataset& corpus,
     }
     parsed = ParseJson(line);
     if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
-      Status status = Status::Unavailable("shard worker " +
-                                          endpoint_.ToString() +
-                                          " rejected the corpus load: " + line);
-      Latch(status);
-      CloseStreams();
-      return status;
+      return Fail(Status::Unavailable("shard worker " + peer_ +
+                                      " rejected the corpus load: " + line));
     }
     Bump(counters_.full_loads);
   }
@@ -171,15 +254,12 @@ Status SocketShardWorker::Connect(const Dataset& corpus,
     if (!wire::ParseHexFingerprint(parsed.value.Get("fingerprint").AsString(),
                                    &echoed) ||
         echoed != expected_fingerprint_) {
-      Status status = Status::Error(
+      return Fail(Status::Error(
           StatusCode::kDataLoss,
-          "shard worker " + endpoint_.ToString() +
+          "shard worker " + peer_ +
               " corpus fingerprint mismatch after sync (expected " +
               wire::FingerprintHex(expected_fingerprint_) + ", got " +
-              parsed.value.Get("fingerprint").AsString() + ")");
-      Latch(status);
-      CloseStreams();
-      return status;
+              parsed.value.Get("fingerprint").AsString() + ")"));
     }
   }
   Bump(counters_.connects);
@@ -189,22 +269,18 @@ Status SocketShardWorker::Connect(const Dataset& corpus,
 bool SocketShardWorker::Exchange(const std::string& line,
                                  std::string* response) {
   if (write_stream_ == nullptr || read_stream_ == nullptr) {
-    Latch(Status::Unavailable("shard worker " + endpoint_.ToString() +
-                              " is not connected"));
+    Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
   }
   if (std::fputs(line.c_str(), write_stream_) < 0 ||
       std::fputc('\n', write_stream_) == EOF ||
       std::fflush(write_stream_) != 0) {
-    Latch(Status::Unavailable("shard worker " + endpoint_.ToString() +
-                              " closed the connection on write"));
-    CloseStreams();
+    Fail(Status::Unavailable("shard worker " + peer_ +
+                             " closed the connection on write"));
     return false;
   }
   if (FaultInjectionEnabled() && Fault("shard_read")) {
-    Latch(Status::Unavailable("injected shard_read fault (" +
-                              endpoint_.ToString() + ")"));
-    CloseStreams();
+    Fail(Status::Unavailable("injected shard_read fault (" + peer_ + ")"));
     return false;
   }
   char* buf = nullptr;
@@ -215,9 +291,8 @@ bool SocketShardWorker::Exchange(const std::string& line,
     // EOF or SO_RCVTIMEO expiry — either way this connection is done (a
     // timed-out response would desynchronize the one-line framing if we
     // kept reading).
-    Latch(Status::Unavailable("shard worker " + endpoint_.ToString() +
-                              " died or timed out on read"));
-    CloseStreams();
+    Fail(Status::Unavailable("shard worker " + peer_ +
+                             " died or timed out on read"));
     return false;
   }
   response->assign(buf, static_cast<size_t>(len));
@@ -243,10 +318,10 @@ bool SocketShardWorker::Candidates(std::span<const float> query, size_t r,
   }
   Status status = wire::ParseCandidatesResponse(line, range_, dists, run);
   if (status.ok()) return true;
-  // Same contract as the pipe transport: a propagated deadline leaves
-  // health OK (no failover — the router's token is the authority); any
-  // other failure latches this connection dead.
-  if (status.code() != StatusCode::kDeadlineExceeded) Latch(std::move(status));
+  // A propagated deadline leaves health OK (no failover — the router's
+  // token is the authority); any other failure latches this connection
+  // dead.
+  if (status.code() != StatusCode::kDeadlineExceeded) Fail(std::move(status));
   return false;
 }
 
@@ -274,11 +349,6 @@ Status ReplicaShardWorker::Health() const {
   return health_;
 }
 
-size_t ReplicaShardWorker::DeadReplicas() const {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  return dead_replicas_;
-}
-
 void ReplicaShardWorker::LatchAllDead(const Status& last_error) {
   std::lock_guard<std::mutex> lock(health_mutex_);
   if (health_.ok()) {
@@ -294,16 +364,13 @@ bool ReplicaShardWorker::EnsureActive() {
   while (active_ < replicas_.size()) {
     if (conn_ == nullptr) {
       conn_ = std::make_unique<SocketShardWorker>(
-          range_, replicas_[active_], corpus_name_, metric_,
-          expected_fingerprint_, options_, counters_);
-      const Status status = conn_->Connect(*corpus_, *digests_);
+          range_, corpus_name_, metric_, expected_fingerprint_, options_,
+          counters_);
+      Status status = conn_->Dial(replicas_[active_]);
+      if (status.ok()) status = conn_->Sync(*corpus_, *digests_);
       if (!status.ok()) {
         last_error = status;
         conn_.reset();
-        {
-          std::lock_guard<std::mutex> lock(health_mutex_);
-          ++dead_replicas_;
-        }
         ++active_;
         continue;
       }
@@ -341,10 +408,6 @@ bool ReplicaShardWorker::Candidates(std::span<const float> query, size_t r,
     // merged runs.)
     ScopedPhase span(ActiveTrace(), Phase::kShardFailover);
     conn_.reset();
-    {
-      std::lock_guard<std::mutex> lock(health_mutex_);
-      ++dead_replicas_;
-    }
     ++active_;
     Bump(counters_.failovers);
     if (FaultInjectionEnabled() && Fault("shard_failover")) {

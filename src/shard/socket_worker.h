@@ -1,39 +1,44 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// The remote shard transport: TCP socket workers and the per-shard
-// replica layer.
+// The socket shard transport: one JSONL connection per shard worker, and
+// the per-shard replica layer.
 //
-//   * SocketShardWorker — ONE connection to one remote `knnshap_serve
-//     --shard-listen` worker. Construction is cheap; Connect() dials with
-//     a bounded reconnect-with-backoff loop and a connect timeout, then
+//   * SocketShardWorker — ONE connection to one worker process. It gets
+//     its connected fd one of two ways: Dial() connects to a remote
+//     `knnshap_serve --shard-listen` worker with a bounded
+//     reconnect-with-backoff loop and a connect timeout; Spawn() forks a
+//     worker command onto one end of a socketpair (the child's stdin and
+//     stdout) and owns the child, reaping it on destruction — a child
+//     whose router goes away sees EOF and exits. Either way, Sync() then
 //     brings the worker's corpus up to date: it asks for the worker's
 //     per-block content digests (`digests` op) and ships either nothing
 //     (fingerprints match), a `load_delta` with exactly the changed
 //     blocks, or a full inline `load` (unknown/incompatible worker
-//     state). Every sync path ends with the worker echoing its
-//     independently recomputed corpus fingerprint, which must equal the
-//     router's — transport corruption and stale-worker states are caught
-//     before any candidates flow. Candidates() is the same one-line
-//     JSONL exchange as the pipe transport (shard/wire.h), under the
+//     state — always the case for a fresh child). Every sync path ends
+//     with the worker echoing its independently recomputed corpus
+//     fingerprint, which must equal the router's — transport corruption
+//     and stale-worker states are caught before any candidates flow.
+//     Candidates() is one JSONL line exchange (shard/wire.h) under the
 //     socket's SO_RCVTIMEO/SO_SNDTIMEO — a worker that stops answering
 //     surfaces as a read timeout, not a hang.
 //
 //     A SocketShardWorker is one connection's lifetime: any transport or
 //     protocol failure latches Health() non-OK and the object is
 //     discarded (the replica layer reconnects with a *fresh* one, which
-//     re-syncs — cheaply, via the delta path).
+//     re-syncs — cheaply, via the delta path; a spawned topology is
+//     re-fitted, respawning its children).
 //
-//   * ReplicaShardWorker — an ordered replica list for one shard. It
-//     lazily connects the first live replica and fails over *within a
-//     single Candidates() call*: a replica that dies mid-query is marked
-//     dead (health latching), the next replica is connected + synced, and
-//     the same query is retried there — the router's fan-out sees a
-//     usable run and the response stays byte-identical (the candidate
-//     run is a pure function of the corpus, which every replica verified
-//     by fingerprint). Only when EVERY replica is dead does Health()
-//     latch non-OK, and the router's existing never-merge-a-partial-
-//     fan-out invariant answers `unavailable` + retry_after_ms; the next
-//     request re-fits and re-dials every replica from scratch.
+//   * ReplicaShardWorker — an ordered list of remote replicas for one
+//     shard. It lazily connects the first live replica and fails over
+//     *within a single Candidates() call*: a replica that dies mid-query
+//     is marked dead (health latching), the next replica is connected +
+//     synced, and the same query is retried there — the router's fan-out
+//     sees a usable run and the response stays byte-identical (the
+//     candidate run is a pure function of the corpus, which every replica
+//     verified by fingerprint). Only when EVERY replica is dead does
+//     Health() latch non-OK, and the router's existing never-merge-a-
+//     partial-fan-out invariant answers `unavailable` + retry_after_ms;
+//     the next request re-fits and re-dials every replica from scratch.
 //
 //     A propagated deadline (worker answered deadline_exceeded off the
 //     forwarded budget) does NOT fail over: the router's own token is
@@ -48,6 +53,8 @@
 #ifndef KNNSHAP_SHARD_SOCKET_WORKER_H_
 #define KNNSHAP_SHARD_SOCKET_WORKER_H_
 
+#include <sys/types.h>
+
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -59,64 +66,69 @@
 #include "knn/metric.h"
 #include "obs/metrics.h"
 #include "shard/shard_worker.h"
+#include "shard/topology.h"
 #include "util/fingerprint.h"
 #include "util/net.h"
 #include "util/status.h"
 
 namespace knnshap {
 
-/// Transport knobs, carried from the serve flags through the engine.
-struct SocketWorkerOptions {
-  int connect_timeout_ms = 2000;  ///< Per dial attempt.
-  int io_timeout_ms = 30000;      ///< SO_RCVTIMEO/SO_SNDTIMEO; 0 = none.
-  int connect_attempts = 3;       ///< Bounded dial retries per Connect().
-  int backoff_initial_ms = 50;    ///< Sleep before retry; doubles each time.
-};
-
 /// Transport counters (obs registry; all nullable — obs-off servers pass
 /// nulls and pay nothing).
 struct ShardTransportCounters {
-  Counter* connects = nullptr;          ///< Successful dials + syncs.
+  Counter* connects = nullptr;          ///< Successful dials/spawns + syncs.
   Counter* connect_failures = nullptr;  ///< Failed dial attempts.
   Counter* failovers = nullptr;         ///< Mid-query replica switches.
   Counter* full_loads = nullptr;        ///< Corpus syncs that shipped everything.
   Counter* delta_loads = nullptr;       ///< Corpus syncs that shipped a delta.
   Counter* delta_blocks = nullptr;      ///< Blocks shipped across all deltas.
+
+  /// The knnshap_shard_* counters of `metrics` (all null when it is null).
+  static ShardTransportCounters From(MetricsRegistry* metrics);
 };
 
-/// One TCP connection to one remote shard worker.
+/// One JSONL connection to one shard worker process.
 class SocketShardWorker : public ShardWorker {
  public:
-  SocketShardWorker(ShardRange range, Endpoint endpoint,
-                    std::string corpus_name, Metric metric,
+  SocketShardWorker(ShardRange range, std::string corpus_name, Metric metric,
                     uint64_t expected_fingerprint, SocketWorkerOptions options,
                     ShardTransportCounters counters);
+  /// Closes the connection, then reaps a spawned child.
   ~SocketShardWorker() override;
 
-  /// Dial (bounded attempts + backoff) and sync the corpus (digests ->
-  /// none/delta/full, fingerprint-verified). Must succeed before
-  /// Candidates; a non-OK return leaves the worker dead (discard it).
-  Status Connect(const Dataset& corpus, const CorpusDigests& digests);
+  /// Connects to a remote worker (bounded attempts + backoff).
+  Status Dial(const Endpoint& endpoint);
+  /// Forks `command` (argv) with its stdin and stdout on one end of a
+  /// socketpair; this object owns the other end and the child.
+  Status Spawn(const std::vector<std::string>& command);
+
+  /// Brings the worker's corpus up to date (digests -> none/delta/full,
+  /// fingerprint-verified). Must follow a successful Dial or Spawn and
+  /// succeed before Candidates; a non-OK return leaves the worker dead
+  /// (discard it).
+  Status Sync(const Dataset& corpus, const CorpusDigests& digests);
 
   bool Candidates(std::span<const float> query, size_t r,
                   std::span<double> dists, std::vector<int>* run) override;
 
   Status Health() const override;
 
-  const Endpoint& RemoteEndpoint() const { return endpoint_; }
-
  private:
+  /// Adopts a connected fd as the line-framed stream pair.
+  Status Open(int fd);
   bool Exchange(const std::string& line, std::string* response);
-  void Latch(Status status);
+  /// Latches `status`, closes the connection and returns `status`.
+  Status Fail(Status status);
   void CloseStreams();
 
-  Endpoint endpoint_;
+  std::string peer_;  ///< "host:port" or "worker pid N", for messages.
   std::string corpus_name_;
   Metric metric_;
   uint64_t expected_fingerprint_;
   SocketWorkerOptions options_;
   ShardTransportCounters counters_;
 
+  pid_t child_pid_ = -1;  ///< Spawned child, or -1 for a dialed worker.
   std::FILE* write_stream_ = nullptr;
   std::FILE* read_stream_ = nullptr;
 
@@ -126,9 +138,8 @@ class SocketShardWorker : public ShardWorker {
 
 /// Ordered replica list for one shard, with health latching and
 /// mid-query failover. The data plane (Candidates/Connect) is NOT
-/// internally synchronized — the router serializes remote fan-outs, same
-/// as process mode; Health() alone is thread-safe (the engine reads it
-/// concurrently).
+/// internally synchronized — the router serializes socket fan-outs;
+/// Health() alone is thread-safe (the engine reads it concurrently).
 class ReplicaShardWorker : public ShardWorker {
  public:
   /// `corpus` and `digests` must outlive the worker (the router's fitted
@@ -149,9 +160,6 @@ class ReplicaShardWorker : public ShardWorker {
                   std::span<double> dists, std::vector<int>* run) override;
 
   Status Health() const override;
-
-  /// Replicas latched dead so far (stats/test introspection).
-  size_t DeadReplicas() const;
 
  private:
   /// Ensures conn_ points at a connected, synced replica; advances past
@@ -174,7 +182,6 @@ class ReplicaShardWorker : public ShardWorker {
 
   mutable std::mutex health_mutex_;
   Status health_;
-  size_t dead_replicas_ = 0;
 };
 
 }  // namespace knnshap

@@ -54,7 +54,9 @@ bool Resolve(const Endpoint& endpoint, bool passive, ResolvedAddr* out,
   return true;
 }
 
-void SetIoTimeout(int fd, int io_timeout_ms) {
+}  // namespace
+
+void SetSocketIoTimeout(int fd, int io_timeout_ms) {
   if (io_timeout_ms <= 0) return;
   timeval tv = {};
   tv.tv_sec = io_timeout_ms / 1000;
@@ -62,8 +64,6 @@ void SetIoTimeout(int fd, int io_timeout_ms) {
   setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
-
-}  // namespace
 
 bool ParseEndpoint(const std::string& spec, Endpoint* out, std::string* error,
                    const std::string& default_host, bool allow_port_zero) {
@@ -138,12 +138,12 @@ int DialTcp(const Endpoint& endpoint, int connect_timeout_ms, int io_timeout_ms,
     }
   }
   fcntl(fd, F_SETFL, flags);  // back to blocking for the line protocol
-  SetIoTimeout(fd, io_timeout_ms);
+  SetSocketIoTimeout(fd, io_timeout_ms);
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  // A shard connection must never outlive an exec (same hygiene as the
-  // pipe transport's FD_CLOEXEC: a forked sibling holding this fd open
-  // would keep the worker's peer alive past our close).
+  // A shard connection must never outlive an exec: a forked sibling
+  // holding this fd open would keep the worker's peer alive past our
+  // close.
   fcntl(fd, F_SETFD, FD_CLOEXEC);
   return fd;
 }

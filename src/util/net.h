@@ -28,11 +28,12 @@ struct Endpoint {
   std::string ToString() const { return host + ":" + std::to_string(port); }
 };
 
-/// Parses "host:port" (or bare "port", host defaulting to `default_host`).
-/// False with *error set on malformed input; port 0 is allowed for listen
+/// Parses "host:port" (or bare "port"/":port", host defaulting to
+/// `default_host` — loopback unless the caller names another). False with
+/// *error set on malformed input; port 0 is allowed for listen
 /// (ephemeral) but rejected when `allow_port_zero` is false.
 bool ParseEndpoint(const std::string& spec, Endpoint* out, std::string* error,
-                   const std::string& default_host = "0.0.0.0",
+                   const std::string& default_host = "127.0.0.1",
                    bool allow_port_zero = false);
 
 /// Connects to `endpoint` with a bounded connect timeout (non-blocking
@@ -42,6 +43,9 @@ bool ParseEndpoint(const std::string& spec, Endpoint* out, std::string* error,
 /// Returns the connected fd, or -1 with *error set.
 int DialTcp(const Endpoint& endpoint, int connect_timeout_ms, int io_timeout_ms,
             std::string* error);
+
+/// Sets SO_RCVTIMEO/SO_SNDTIMEO on a connected socket (0 = no timeout).
+void SetSocketIoTimeout(int fd, int io_timeout_ms);
 
 /// Binds + listens on `endpoint` (SO_REUSEADDR so a restarted worker can
 /// rebind its port immediately). Port 0 binds an ephemeral port — read it

@@ -414,36 +414,31 @@ TEST(ResultCacheTest, ZeroCapacityDisables) {
 TEST(EngineScopedFingerprintTest, ExactResultSurvivesUndeclaredParamChange) {
   // "exact" declares {k, metric}; seed/epsilon/delta cannot perturb its
   // results. Method-scoped keys make the repeat a cache hit (and reuse the
-  // fitted valuator); the whole-struct compatibility shim reproduces the
-  // legacy miss — the before/after the serve bench measures.
+  // fitted valuator).
   auto train = Shared(RandomClassDataset(40, 2, 4, 161));
   auto test = Shared(RandomClassDataset(5, 2, 4, 162));
-  for (bool scoped : {true, false}) {
-    EngineOptions options;
-    options.method_scoped_fingerprints = scoped;
-    ValuationEngine engine(options);
-    ValuationRequest request = ClassificationRequest(train, test, "exact", 3);
-    ValuationReport first = engine.Value(request);
-    ASSERT_TRUE(first.ok()) << first.status.ToString();
+  ValuationEngine engine;
+  ValuationRequest request = ClassificationRequest(train, test, "exact", 3);
+  ValuationReport first = engine.Value(request);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
 
-    request.params.seed += 17;
-    request.params.epsilon *= 2;
-    request.params.delta /= 2;
-    ValuationReport second = engine.Value(request);
-    ASSERT_TRUE(second.ok()) << second.status.ToString();
-    EXPECT_EQ(second.cache_hit, scoped);
-    EXPECT_EQ(second.values, first.values);  // bitwise either way
+  request.params.seed += 17;
+  request.params.epsilon *= 2;
+  request.params.delta /= 2;
+  ValuationReport second = engine.Value(request);
+  ASSERT_TRUE(second.ok()) << second.status.ToString();
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.values, first.values);
 
-    // With the cache bypassed and yet another undeclared perturbation,
-    // the fitted valuator tells the same story: scoped keys reuse the
-    // fitted structure, the whole-struct shim refits.
-    request.use_cache = false;
-    request.params.seed += 1;
-    ValuationReport third = engine.Value(request);
-    ASSERT_TRUE(third.ok());
-    EXPECT_EQ(third.fit_reused, scoped);
-    EXPECT_EQ(third.values, first.values);
-  }
+  // With the cache bypassed and yet another undeclared perturbation, the
+  // fitted valuator tells the same story: scoped keys reuse the fitted
+  // structure.
+  request.use_cache = false;
+  request.params.seed += 1;
+  ValuationReport third = engine.Value(request);
+  ASSERT_TRUE(third.ok());
+  EXPECT_TRUE(third.fit_reused);
+  EXPECT_EQ(third.values, first.values);
 }
 
 TEST(EngineScopedFingerprintTest, DeclaredParamChangeStillInvalidates) {
@@ -582,20 +577,6 @@ TEST(FingerprintTest, SensitiveToEveryComponent) {
   Dataset with_targets = data;
   with_targets.targets.assign(data.Size(), 0.0);
   EXPECT_NE(DatasetFingerprint(with_targets), base);
-}
-
-TEST(FingerprintTest, ParamsSensitivity) {
-  ValuatorParams params;
-  const uint64_t base = params.Fingerprint();
-  EXPECT_EQ(ValuatorParams{}.Fingerprint(), base);
-  params.k = 9;
-  EXPECT_NE(params.Fingerprint(), base);
-  params = ValuatorParams{};
-  params.epsilon = 0.42;
-  EXPECT_NE(params.Fingerprint(), base);
-  params = ValuatorParams{};
-  params.weights.kernel = WeightKernel::kGaussian;
-  EXPECT_NE(params.Fingerprint(), base);
 }
 
 // --- Request validation -----------------------------------------------------

@@ -160,9 +160,9 @@ std::unique_ptr<RequestPipeline> MakeRemoteRouter(
   options.shards = static_cast<int>(groups.size());
   options.shard_remote = std::move(groups);
   // Short dial budget: dead replicas fail fast in the chaos tests.
-  options.shard_connect_timeout_ms = 1000;
-  options.shard_connect_attempts = 2;
-  options.shard_io_timeout_ms = 10000;
+  options.shard_transport.connect_timeout_ms = 1000;
+  options.shard_transport.connect_attempts = 2;
+  options.shard_transport.io_timeout_ms = 10000;
   return std::make_unique<RequestPipeline>(options);
 }
 
@@ -420,6 +420,16 @@ TEST(NetTest, ParseEndpointForms) {
   ASSERT_TRUE(ParseEndpoint("7002", &endpoint, &error, "127.0.0.1"));
   EXPECT_EQ(endpoint.host, "127.0.0.1");
   EXPECT_EQ(endpoint.port, 7002);
+
+  // Without a caller default the host-less forms mean loopback, never
+  // all interfaces; an explicit host wins.
+  ASSERT_TRUE(ParseEndpoint("7003", &endpoint, &error));
+  EXPECT_EQ(endpoint.host, "127.0.0.1");
+  ASSERT_TRUE(ParseEndpoint(":7004", &endpoint, &error));
+  EXPECT_EQ(endpoint.host, "127.0.0.1");
+  EXPECT_EQ(endpoint.port, 7004);
+  ASSERT_TRUE(ParseEndpoint("0.0.0.0:7005", &endpoint, &error));
+  EXPECT_EQ(endpoint.host, "0.0.0.0");
 
   EXPECT_FALSE(ParseEndpoint("", &endpoint, &error));
   EXPECT_FALSE(ParseEndpoint("host:", &endpoint, &error));

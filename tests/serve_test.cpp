@@ -8,7 +8,6 @@
 // session/golden pair the CI smoke test pipes through the real binary).
 
 #include <gtest/gtest.h>
-#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,6 +28,7 @@
 #include "engine/valuators.h"
 #include "knn/distance_kernel.h"
 #include "serve/pipeline.h"
+#include "serve_process.h"
 #include "test_util.h"
 #include "util/fault.h"
 #include "util/json.h"
@@ -1187,53 +1187,9 @@ TEST(ServeTest, GracefulShutdownFlagStopsTheLoopAndFlushes) {
 }
 
 #ifdef KNNSHAP_SERVE_BINARY
-// Forks the knnshap_serve binary with `args`, stdin and stdout on pipes.
-struct ServeProcess {
-  pid_t pid = -1;
-  int to_server = -1;
-  int from_server = -1;
-};
-
-ServeProcess SpawnServe(const std::string& binary,
-                        const std::vector<std::string>& args) {
-  int in_pipe[2];
-  int out_pipe[2];
-  if (pipe(in_pipe) != 0 || pipe(out_pipe) != 0) return {};
-  // argv is built before fork: the child may only make async-signal-safe
-  // calls until exec.
-  std::vector<char*> argv = {const_cast<char*>(binary.c_str())};
-  for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-  argv.push_back(nullptr);
-  ServeProcess proc;
-  proc.pid = fork();
-  if (proc.pid == 0) {
-    dup2(in_pipe[0], STDIN_FILENO);
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(in_pipe[0]);
-    close(in_pipe[1]);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(in_pipe[0]);
-  close(out_pipe[1]);
-  proc.to_server = in_pipe[1];
-  proc.from_server = out_pipe[0];
-  return proc;
-}
-
-// Reads one response line, or "" after `timeout_ms` without one.
-std::string ReadLine(int fd, int timeout_ms) {
-  std::string line;
-  char c;
-  pollfd pfd = {fd, POLLIN, 0};
-  while (poll(&pfd, 1, timeout_ms) == 1 && read(fd, &c, 1) == 1) {
-    if (c == '\n') return line;
-    line.push_back(c);
-  }
-  return "";
-}
+using testing_util::ReadLine;
+using testing_util::ServeProcess;
+using testing_util::SpawnServe;
 
 TEST(ServeTest, SigtermEndsABlockedStdinReadAndFlushesTheSnapshot) {
   const std::string snap_path = "serve_test_sigterm.bin";

@@ -11,9 +11,14 @@
 // plane rejects stale fingerprints and misaligned ranges.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -27,6 +32,7 @@
 #include "serve/pipeline.h"
 #include "shard/shard_planner.h"
 #include "shard/shard_worker.h"
+#include "serve_process.h"
 #include "test_util.h"
 #include "util/fingerprint.h"
 #include "util/json.h"
@@ -144,7 +150,7 @@ TEST(ShardWorkerTest, InProcessRunsMergeToGlobalSelection) {
       std::vector<std::vector<int>> runs(plan.size());
       for (size_t r : {0u, 1u, 5u, 50u, 100u}) {
         for (size_t s = 0; s < plan.size(); ++s) {
-          InProcessShardWorker worker(plan[s], &data, &norms, metric);
+          LocalShardWorker worker(plan[s], &data, &norms, metric);
           ASSERT_TRUE(worker.Candidates(query.features.Row(0), r, dists,
                                         &runs[s]));
           // Each run is the shard's exact top-min(r, Rows()), global
@@ -375,7 +381,6 @@ TEST(ShardServeTest, UnspawnableWorkerCommandIsAStructuredError) {
   PipelineOptions options;
   options.emit_timing = false;
   options.shards = 2;
-  options.shard_process = true;
   // /bin/false exits without speaking the protocol: the spawn-time load
   // handshake fails and the engine answers internal, not a crash.
   options.shard_worker_command = {"/bin/false"};
@@ -521,6 +526,180 @@ TEST_F(CandidatesOpTest, RejectsOutOfRangeRows) {
   EXPECT_FALSE(response.Get("ok").AsBool(true));
   EXPECT_EQ(response.Get("code").AsString(), "invalid_argument");
 }
+
+#ifdef KNNSHAP_SERVE_BINARY
+// ---------------------------------------------------------------------------
+// Spawned workers through the real binary (--shard-workers=self): byte
+// equivalence, a killed child, and no child outliving its router.
+
+using testing_util::ChildPids;
+using testing_util::ProcessState;
+using testing_util::ReadLine;
+using testing_util::ServeProcess;
+using testing_util::SpawnServe;
+
+std::vector<std::string> DataLines(const std::string& file) {
+  std::ifstream in(std::string(KNNSHAP_TEST_DATA_DIR) + "/" + file);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+ServeProcess SpawnRouter(const std::string& workers) {
+  return SpawnServe(KNNSHAP_SERVE_BINARY,
+                    {"--no-timing", "--kernel=reference", "--shards=3",
+                     "--shard-workers=" + workers});
+}
+
+// Sends each line and waits for its reply before the next, so every
+// request runs against the state the previous one left.
+std::vector<std::string> Exchange(const ServeProcess& server,
+                                  const std::vector<std::string>& lines) {
+  std::vector<std::string> replies;
+  for (const std::string& line : lines) {
+    const std::string framed = line + "\n";
+    if (write(server.to_server, framed.data(), framed.size()) !=
+        static_cast<ssize_t>(framed.size())) {
+      break;
+    }
+    replies.push_back(ReadLine(server.from_server, 30000));
+  }
+  return replies;
+}
+
+// Polls `done` for up to ten seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return true;
+}
+
+// Closes the server's pipes and reaps it; true when it exited 0.
+bool Finish(const ServeProcess& server) {
+  close(server.to_server);
+  close(server.from_server);
+  int status = 0;
+  if (!WaitFor([&] { return waitpid(server.pid, &status, WNOHANG) != 0; })) {
+    kill(server.pid, SIGKILL);
+    waitpid(server.pid, &status, 0);
+    return false;
+  }
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+const char kUncachedValue[] =
+    R"({"op":"value","train":"train","test":"q","method":"exact","k":3,"cache":false})";
+
+TEST(ShardProcessTest, GoldenShardSessionReproducesThroughTheBinary) {
+  const std::vector<std::string> session =
+      DataLines("serve_shard_session.jsonl");
+  const std::vector<std::string> golden = DataLines("serve_shard_golden.jsonl");
+  ASSERT_EQ(session.size(), golden.size());
+  for (const std::string workers : {"self", "thread"}) {
+    ServeProcess server = SpawnRouter(workers);
+    ASSERT_GT(server.pid, 0);
+    EXPECT_EQ(Exchange(server, session), golden)
+        << "--shard-workers=" << workers;
+    EXPECT_TRUE(Finish(server)) << "--shard-workers=" << workers;
+  }
+  std::remove("serve_shard_golden.cache");  // the session's save_cache
+}
+
+TEST(ShardProcessTest, KilledWorkerAnswersUnavailableThenRespawns) {
+  const std::vector<std::string> session =
+      DataLines("serve_shard_session.jsonl");
+  const std::vector<std::string> golden = DataLines("serve_shard_golden.jsonl");
+  ASSERT_GE(golden.size(), 4u);
+  ServeProcess server = SpawnRouter("self");
+  ASSERT_GT(server.pid, 0);
+  // Three loads, then a value request whose fit spawns one child per
+  // shard. An uncached exact request answers the bytes of golden line 4.
+  const std::vector<std::string> replies =
+      Exchange(server, {session[0], session[1], session[2], kUncachedValue});
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[3], golden[3]);
+  const std::vector<pid_t> first = ChildPids(server.pid);
+  ASSERT_EQ(first.size(), 3u);
+
+  ASSERT_EQ(kill(first[0], SIGKILL), 0);
+  ASSERT_TRUE(WaitFor([&] {
+    const char state = ProcessState(first[0]);
+    return state == 'Z' || state == '\0';
+  }));
+  const JsonValue lost = ParseJson(Exchange(server, {kUncachedValue})[0]).value;
+  EXPECT_FALSE(lost.Get("ok").AsBool(true));
+  EXPECT_EQ(lost.Get("code").AsString(), "unavailable");
+  EXPECT_TRUE(lost.Has("retry_after_ms"));
+
+  // The next request re-fits, respawning every worker, and answers
+  // byte-identically; the evicted topology's children — the killed one
+  // included — are reaped rather than left as zombies.
+  EXPECT_EQ(Exchange(server, {kUncachedValue})[0], golden[3]);
+  for (pid_t pid : first) {
+    EXPECT_TRUE(WaitFor([&] { return ProcessState(pid) == '\0'; }))
+        << "old worker " << pid << " in state " << ProcessState(pid);
+  }
+  EXPECT_EQ(ChildPids(server.pid).size(), 3u);
+  Exchange(server, {R"({"op":"quit"})"});
+  EXPECT_TRUE(Finish(server));
+}
+
+TEST(ShardProcessTest, PipelinedTwinsMeetALostWorkerInDispatchOrder) {
+  // CI's shard chaos arm: every child _exit()s on its fourth candidates
+  // op, which is the second query of the second of three identical
+  // uncached requests sent back to back. Uncached twins run in dispatch
+  // order, so exactly that request fails and the third re-fits.
+  const std::vector<std::string> session =
+      DataLines("serve_shard_session.jsonl");
+  const std::vector<std::string> golden = DataLines("serve_shard_golden.jsonl");
+  setenv("KNNSHAP_FAULTS", "shard_candidates:after=3", 1);
+  ServeProcess server = SpawnRouter("self");
+  unsetenv("KNNSHAP_FAULTS");
+  ASSERT_GT(server.pid, 0);
+  std::string input;
+  for (const std::string& line :
+       {session[0], session[1], session[2], std::string(kUncachedValue),
+        std::string(kUncachedValue), std::string(kUncachedValue),
+        std::string(R"({"op":"quit"})")}) {
+    input += line + "\n";
+  }
+  ASSERT_EQ(write(server.to_server, input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  std::vector<std::string> replies;
+  for (int i = 0; i < 7; ++i) {
+    replies.push_back(ReadLine(server.from_server, 30000));
+  }
+  EXPECT_EQ(replies[3], golden[3]);
+  const JsonValue lost = ParseJson(replies[4]).value;
+  EXPECT_EQ(lost.Get("code").AsString(), "unavailable") << replies[4];
+  EXPECT_TRUE(lost.Has("retry_after_ms"));
+  EXPECT_EQ(replies[5], golden[3]);
+  EXPECT_TRUE(Finish(server));
+}
+
+TEST(ShardProcessTest, NoSpawnedWorkerOutlivesItsRouter) {
+  const std::vector<std::string> session =
+      DataLines("serve_shard_session.jsonl");
+  ServeProcess server = SpawnRouter("self");
+  ASSERT_GT(server.pid, 0);
+  Exchange(server, {session[0], session[1], session[2], kUncachedValue});
+  const std::vector<pid_t> children = ChildPids(server.pid);
+  ASSERT_EQ(children.size(), 3u);
+  EXPECT_EQ(Exchange(server, {R"({"op":"quit"})"}),
+            std::vector<std::string>{R"({"ok":true,"bye":true})"});
+  ASSERT_TRUE(Finish(server));
+  // The router reaps its children before it exits, so the moment it is
+  // gone none of them is left running or as a zombie.
+  for (pid_t pid : children) {
+    EXPECT_EQ(ProcessState(pid), '\0') << "worker " << pid;
+  }
+}
+#endif  // KNNSHAP_SERVE_BINARY
 
 }  // namespace
 }  // namespace knnshap

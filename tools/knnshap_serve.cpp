@@ -30,14 +30,19 @@
 //                     to stderr for every ok value request slower than N
 //                     milliseconds, engine time + queue wait
 //   --metrics-file=P  dump the metrics registry as JSON to P on exit
-//   --shards=N        route exact / exact-corrected / weighted-fast value
-//                     requests through N shard workers (thread-per-shard);
+//   --shards=N        route exact / exact-corrected / weighted-fast /
+//                     truncated value requests through N shard workers;
 //                     responses stay byte-identical to the unsharded
 //                     server (src/shard/README.md)
-//   --shard-workers=W process-per-shard instead: W is "self" (re-exec this
-//                     binary via /proc/self/exe) or a path to a serve
-//                     binary; workers speak the JSONL protocol over pipes
-//                     and inherit the environment (KNNSHAP_FAULTS included)
+//   --shard-workers=W where the workers run: "thread" (default) in
+//                     process on the shared pool; "self" spawns one child
+//                     per shard re-exec'ing this binary via /proc/self/exe;
+//                     anything else is the path of a serve binary to
+//                     spawn. Children speak the JSONL protocol over a
+//                     socketpair on their stdin/stdout, get the same
+//                     corpus sync as remote workers, exit when the router
+//                     closes the connection, and inherit the environment
+//                     (KNNSHAP_FAULTS included)
 //
 // Remote shards over TCP (docs/DEPLOYMENT.md; docs/PROTOCOL.md is the
 // wire spec):
@@ -45,21 +50,25 @@
 //                     JSONL protocol to every TCP connection (serial,
 //                     thread-per-connection over one shared store, so the
 //                     corpus persists across router reconnects for delta
-//                     sync). Port 0 binds an ephemeral port; the bound
-//                     endpoint is announced on stderr. Start workers with
-//                     the same --kernel as the router.
+//                     sync). HOST defaults to 127.0.0.1 (loopback); name
+//                     an interface or 0.0.0.0 to accept other hosts. Port
+//                     0 binds an ephemeral port; the bound endpoint is
+//                     announced on stderr. Start workers with the same
+//                     --kernel as the router.
 //   --shard-remote=SPEC          route shards to remote workers: replica
 //                     groups separated by ';', replicas within a group by
 //                     ',' — e.g. "h1:7001,h2:7001;h1:7002,h2:7002" is two
 //                     shards with a failover replica each. Group count
 //                     must equal --shards (and sets it when --shards is
 //                     absent). Conflicts with --shard-workers.
-//   --shard-connect-timeout-ms=N per dial attempt (default 2000)
+//
+// Socket transport knobs, for spawned and remote workers alike:
+//   --shard-connect-timeout-ms=N per dial attempt (default 2000; remote)
 //   --shard-io-timeout-ms=N      per request/response read/write on a
 //                                worker socket (default 30000; 0 = none)
 //   --shard-connect-attempts=N   bounded dial retries with doubling
 //                                backoff before a replica is marked dead
-//                                (default 3)
+//                                (default 3; remote)
 //
 // Robustness flags (see src/serve/README.md, "Failure semantics"):
 //   --max-queue=N            shed value requests arriving while N are
@@ -206,12 +215,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string shard_workers = args.GetString("shard-workers", "");
-  if (!shard_workers.empty()) {
-    if (options.shards < 2) {
-      std::fprintf(stderr, "--shard-workers needs --shards=N (N >= 2)\n");
-      return 1;
-    }
-    options.shard_process = true;
+  if (!shard_workers.empty() && options.shards < 2) {
+    std::fprintf(stderr, "--shard-workers needs --shards=N (N >= 2)\n");
+    return 1;
+  }
+  if (!shard_workers.empty() && shard_workers != "thread") {
     const std::string worker_path =
         shard_workers == "self" ? "/proc/self/exe" : shard_workers;
     // Workers must answer deterministically whatever this server's timing
@@ -267,7 +275,7 @@ int main(int argc, char** argv) {
       for (const std::string& spec : replicas) {
         Endpoint endpoint;
         std::string error;
-        if (!ParseEndpoint(spec, &endpoint, &error, "127.0.0.1")) {
+        if (!ParseEndpoint(spec, &endpoint, &error)) {
           std::fprintf(stderr, "--shard-remote: bad endpoint '%s': %s\n",
                        spec.c_str(), error.c_str());
           return 1;
@@ -287,13 +295,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     options.shard_remote = std::move(groups);
-    options.shard_connect_timeout_ms =
-        static_cast<int>(args.GetInt("shard-connect-timeout-ms", 2000));
-    options.shard_io_timeout_ms =
-        static_cast<int>(args.GetInt("shard-io-timeout-ms", 30000));
-    options.shard_connect_attempts =
-        static_cast<int>(args.GetInt("shard-connect-attempts", 3));
   }
+  options.shard_transport.connect_timeout_ms =
+      static_cast<int>(args.GetInt("shard-connect-timeout-ms", 2000));
+  options.shard_transport.io_timeout_ms =
+      static_cast<int>(args.GetInt("shard-io-timeout-ms", 30000));
+  options.shard_transport.connect_attempts =
+      static_cast<int>(args.GetInt("shard-connect-attempts", 3));
   InstallShutdownHandlers();
   options.shutdown = &g_shutdown;
 
@@ -307,7 +315,7 @@ int main(int argc, char** argv) {
     }
     Endpoint endpoint;
     std::string error;
-    if (!ParseEndpoint(shard_listen, &endpoint, &error, "0.0.0.0",
+    if (!ParseEndpoint(shard_listen, &endpoint, &error, "127.0.0.1",
                        /*allow_port_zero=*/true)) {
       std::fprintf(stderr, "--shard-listen: %s\n", error.c_str());
       return 1;
