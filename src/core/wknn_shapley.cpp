@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
 #include <optional>
 #include <string>
 
@@ -128,21 +127,11 @@ WknnQueryContext MakeWknnQueryContext(const Dataset& train,
   KNNSHAP_CHECK(n >= 1, "empty training set");
   KNNSHAP_CHECK(train.HasLabels(), "weighted-fast: labeled corpus required");
 
-  std::vector<double> dist =
-      AllDistances(train.features, query, options.metric, norms);
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  {
-    // Ascending distance, ties by row index — the ArgsortByDistance /
-    // TopKAmongRows ordering every other valuation core uses.
-    ScopedPhase span(Phase::kSort);
-    std::sort(order.begin(), order.end(), [&](int lhs, int rhs) {
-      double dl = dist[static_cast<size_t>(lhs)];
-      double dr = dist[static_cast<size_t>(rhs)];
-      if (dl != dr) return dl < dr;
-      return lhs < rhs;
-    });
-  }
+  // The full ascending (distance, index) order every valuation core uses
+  // (knn/selection.h), from ArgsortDistances.
+  std::vector<double> dist(n);
+  std::vector<int> order;
+  RankByDistance(train.features, query, n, options.metric, norms, dist, &order);
   return MakeWknnQueryContextFromRanking(std::move(order), dist, train.labels,
                                          test_label, options);
 }
@@ -160,8 +149,10 @@ double WknnDiscretizedUtility(const WknnQueryContext& context,
   for (int row : subset) {
     ranks.push_back(context.rank_of[static_cast<size_t>(row)]);
   }
-  std::sort(ranks.begin(), ranks.end());
+  // The top-min(K, |S|) ranks, in any order: the sums below commute.
   const size_t top = std::min(static_cast<size_t>(k), ranks.size());
+  std::nth_element(ranks.begin(), ranks.begin() + static_cast<long>(top) - 1,
+                   ranks.end());
   long a = 0;
   long b = 0;
   for (size_t i = 0; i < top; ++i) {

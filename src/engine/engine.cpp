@@ -8,22 +8,12 @@
 #include <utility>
 
 #include "knn/distance_kernel.h"
-#include "shard/sharded_valuator.h"
 #include "util/fault.h"
 #include "util/fingerprint.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace knnshap {
-
-namespace {
-
-bool RoutesThroughShards(const ValuationRequest& request) {
-  return request.shard != nullptr && request.shard->count > 1 &&
-         ShardedValuatorSupports(request.method);
-}
-
-}  // namespace
 
 size_t ValuationEngine::FittedKeyHash::operator()(const FittedKey& key) const {
   Fnv64 hash;
@@ -232,18 +222,7 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
   }
 
   // --- Fit (or reuse) and run. ------------------------------------------
-  FittedKey fitted_key{train_fp, request.method, params_fp};
-  // The fitted-valuator key carries the topology (a 3-shard router and an
-  // unsharded valuator are different resident structures), but the result
-  // cache above deliberately does not: sharded values are bit-identical to
-  // unsharded ones, so cached results warm-start across topologies.
-  if (RoutesThroughShards(request)) {
-    fitted_key.method +=
-        "#shards=" + std::to_string(request.shard->count) +
-        (!request.shard->remote_replicas.empty()
-             ? "/remote"
-             : (request.shard->worker_command.empty() ? "/thread" : "/proc"));
-  }
+  const FittedKey fitted_key{train_fp, request.method, params_fp};
   std::shared_ptr<Valuator> valuator;
   bool fit_cancelled = false;
   {
@@ -366,7 +345,7 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
   // Per-corpus fit locking: the engine mutex covers only the bookkeeping.
   // The first request for a key installs an in-progress slot and fits
   // *outside* the lock; duplicates for the same key wait on the slot (the
-  // same kd-tree / LSH index must not be built twice), while cold fits of
+  // same shard workers / LSH index must not be built twice), while cold fits of
   // different corpora — previously serialized here — overlap freely.
   //
   // Cancellation makes this a retry loop: an owner whose deadline expires
@@ -443,14 +422,15 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       }
       // The token stays active during the fit so a Fit implementation may
       // poll it; expiry is also checked when the fit returns.
-      if (RoutesThroughShards(request)) {
-        valuator = MakeShardedValuator(request.method, params, request.shard,
-                                       request.train_digests, request.train_name,
-                                       options_.metrics);
-      } else {
-        valuator = registry_->Create(request.method, params);
+      valuator = registry_->Create(request.method, params);
+      const ShardTopology* topology = options_.shard_topology.get();
+      const ShardContext shard{options_.shard_topology, request.train_digests,
+                               request.train_name, options_.metrics};
+      if (valuator != nullptr) {
+        valuator->Fit(request.train,
+                      topology != nullptr && topology->count > 1 ? &shard
+                                                                 : nullptr);
       }
-      if (valuator != nullptr) valuator->Fit(request.train);
     } catch (...) {
       retire(nullptr, /*was_cancelled=*/false);
       throw;

@@ -8,7 +8,7 @@
 //   * serves repeated requests from an LRU result cache keyed by content
 //     fingerprints (same corpus + queries + method + hyperparameters =>
 //     cache hit, bit-identical values, no recomputation);
-//   * reuses fitted valuators — and therefore their kd-tree / LSH index —
+//   * reuses fitted valuators — and therefore their ranking / LSH index —
 //     across requests against the same corpus;
 //   * shards the test batch across ThreadPool::Shared() in contiguous
 //     blocks for per-query methods, merging by additivity (Eq 8) in query
@@ -80,18 +80,9 @@ struct ValuationRequest {
   /// concurrent server stamps requests in arrival order, so which fitted
   /// valuator is evicted does not depend on which request finished first.
   uint64_t order = 0;
-  /// Shard topology (null or count <= 1 = unsharded); count > 1 routes
-  /// supported methods through the shard subsystem (src/shard) —
-  /// per-shard candidate workers plus a bit-identical top-R merge —
-  /// and unsupported methods ignore it. Affects only HOW supported
-  /// methods compute (the result-cache key is deliberately
-  /// topology-free: values are bit-identical across topologies, so a
-  /// cache written unsharded warm-starts a sharded server and vice
-  /// versa). The fitted-valuator key DOES carry the topology — a router
-  /// and an unsharded valuator are different resident structures.
-  std::shared_ptr<const ShardTopology> shard;
   /// The train corpus's maintained block digests, which content-address
-  /// its shards (null: a sharded fit hashes the corpus itself).
+  /// its shards (null: a sharded fit hashes the corpus itself). Read only
+  /// under EngineOptions::shard_topology.
   std::shared_ptr<const CorpusDigests> train_digests;
   /// Store name of the train corpus; socket shard workers hold it under
   /// this name.
@@ -115,6 +106,16 @@ struct EngineOptions {
   /// fit split) — the disabled-by-default contract the warm-replay bench
   /// gates at <1%.
   MetricsRegistry* metrics = nullptr;
+  /// Shard topology of this process (null or count <= 1 = unsharded).
+  /// With count > 1 the ranked methods (exact, exact-corrected,
+  /// truncated, weighted-fast) fit a ShardRanking
+  /// (shard/shard_ranking.h): per-shard candidate workers plus a
+  /// bit-identical top-R merge; the other methods ignore it. It changes
+  /// only HOW ranked methods compute, never what: values are
+  /// bit-identical across topologies, so neither the result-cache key nor
+  /// the fitted-valuator key carries it, and a cache written unsharded
+  /// warm-starts a sharded server and vice versa.
+  std::shared_ptr<const ShardTopology> shard_topology;
 };
 
 /// Serves batched valuation requests over any registered method.

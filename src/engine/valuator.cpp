@@ -6,11 +6,14 @@
 
 namespace knnshap {
 
-void Valuator::Fit(std::shared_ptr<const Dataset> train) {
+void Valuator::Fit(std::shared_ptr<const Dataset> train,
+                   const ShardContext* shard) {
   KNNSHAP_CHECK(train != nullptr && train->Size() > 0, "empty training set");
   KNNSHAP_CHECK(!Fitted(), "Fit called twice");
   train_ = std::move(train);
+  fit_shard_ = shard;
   OnFit();
+  fit_shard_ = nullptr;
 }
 
 const Dataset& Valuator::Train() const {

@@ -32,6 +32,8 @@
 
 namespace knnshap {
 
+struct ShardContext;  // shard/topology.h
+
 /// Hyperparameters shared by all valuation methods. Each adapter reads the
 /// fields it understands and ignores the rest; which fields a method reads
 /// is declared in its MethodSchema (engine/schema.h), and cache keys hash
@@ -69,7 +71,11 @@ class Valuator {
   /// Value call; the engine reuses a fitted valuator across requests that
   /// share a corpus. Aborts (KNNSHAP_CHECK) on data the method cannot
   /// value, e.g. a corpus without labels for a classification method.
-  void Fit(std::shared_ptr<const Dataset> train);
+  /// `shard` (null: rank locally) places the ranking of the methods that
+  /// consume one (engine/valuators.h) on shard workers; the others ignore
+  /// it.
+  void Fit(std::shared_ptr<const Dataset> train,
+           const ShardContext* shard = nullptr);
   bool Fitted() const { return train_ != nullptr; }
 
   /// True when the multi-test value is the mean of per-query values (Eq 8)
@@ -101,8 +107,8 @@ class Valuator {
   virtual std::vector<double> ValueBatch(const Dataset& test) const;
 
   /// Liveness of the fitted structure. In-process valuators are always
-  /// healthy; the sharded valuator latches a non-OK status when a worker
-  /// process dies or answers garbage (ValueOne must stay noexcept-ish on
+  /// healthy; a shard-ranked valuator latches a non-OK status when a
+  /// worker dies or answers garbage (ValueOne must stay noexcept-ish on
   /// pool threads, so failures surface here). The engine checks after
   /// every Run: a non-OK health evicts the fitted entry — the next
   /// request re-fits, respawning workers — and the current request is
@@ -121,8 +127,14 @@ class Valuator {
   /// train_ is set.
   virtual void OnFit() {}
 
+  /// The shard context of the Fit in progress; valid only inside OnFit.
+  const ShardContext* FitShard() const { return fit_shard_; }
+
   ValuatorParams params_;
   std::shared_ptr<const Dataset> train_;
+
+ private:
+  const ShardContext* fit_shard_ = nullptr;
 };
 
 }  // namespace knnshap

@@ -12,6 +12,8 @@
 #include "core/weighted_knn_shapley.h"
 #include "engine/registry.h"
 #include "obs/trace.h"
+#include "shard/shard_ranking.h"
+#include "util/cancel.h"
 #include "util/common.h"
 
 namespace knnshap {
@@ -40,71 +42,96 @@ double TestTarget(const Dataset& test, size_t row) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// exact
+// ranked methods: exact, exact-corrected, truncated (weighted-fast below)
 // ---------------------------------------------------------------------------
+
+std::vector<double> RankedValuator::ValueOne(const Dataset& test,
+                                             size_t row) const {
+  if (depth_ == 0) return FromRanking({}, {}, TestLabel(test, row));
+  // Per-thread scratch: the engine drives many queries per pool thread,
+  // and the N-row buffers would otherwise be reallocated per query.
+  static thread_local std::vector<double> dists;
+  static thread_local std::vector<int> order;
+  const bool ranked = ranking_->Rank(test.features.Row(row), depth_, &dists, &order);
+  // A fired deadline answers right-sized zeros and a failed shard fan-out
+  // (Health() latched) an empty vector; the engine discards both.
+  if (CancelRequested()) return std::vector<double>(Train().Size(), 0.0);
+  if (!ranked) return {};
+  return FromRanking(order, dists, TestLabel(test, row));
+}
+
+Status RankedValuator::Health() const {
+  return ranking_ != nullptr ? ranking_->Health() : Status::Ok();
+}
+
+void RankedValuator::FitRanking(Metric metric, size_t depth) {
+  KNNSHAP_CHECK(Train().HasLabels(),
+                std::string(Method()) + ": labeled corpus required");
+  depth_ = depth;
+  if (FitShard() != nullptr) {
+    ranking_ = std::make_unique<ShardRanking>(Train(), metric, *FitShard());
+  } else {
+    ranking_ = std::make_unique<LocalRanking>(&Train().features, metric);
+  }
+}
 
 void ExactValuator::OnFit() {
-  KNNSHAP_CHECK(Train().HasLabels(), "exact: labeled corpus required");
-  // Norms amortize across every request sharing this fitted corpus.
-  norms_ = NormsForMetric(Train().features, params_.metric);
+  const size_t n = Train().Size();
+  FitRanking(params_.metric,
+             params_.approx_error > 0.0
+                 ? TruncatedExactEffectiveRank(
+                       static_cast<size_t>(KStar(params_.k, params_.approx_error)),
+                       n, params_.k)
+                 : n);
 }
 
-std::vector<double> ExactValuator::ValueOne(const Dataset& test, size_t row) const {
-  if (params_.approx_error > 0.0) {
-    // Truncated-exact: only the top KStar(k, approx_error) ranks are
-    // retrieved (streaming selection, no full argsort); the sup-norm error
-    // is bounded analytically and reported via the schema's approx_bound.
-    const size_t r = static_cast<size_t>(KStar(params_.k, params_.approx_error));
-    return TruncatedExactKnnShapleySingle(Train(), test.features.Row(row),
-                                          TestLabel(test, row), params_.k, r,
-                                          params_.metric, &norms_);
-  }
-  return ExactKnnShapleySingle(Train(), test.features.Row(row), TestLabel(test, row),
-                               params_.k, params_.metric, &norms_);
+std::vector<double> ExactValuator::FromRanking(std::span<const int> order,
+                                               std::span<const double>,
+                                               int test_label) const {
+  const std::vector<int>& labels = Train().labels;
+  return order.size() < labels.size()
+             ? TruncatedExactKnnShapleyFromOrder(order, labels, test_label,
+                                                 params_.k, labels.size())
+             : ExactKnnShapleyFromOrder(order, labels, test_label, params_.k);
 }
-
-// ---------------------------------------------------------------------------
-// exact-corrected
-// ---------------------------------------------------------------------------
 
 void CorrectedValuator::OnFit() {
-  KNNSHAP_CHECK(Train().HasLabels(), "exact-corrected: labeled corpus required");
-  norms_ = NormsForMetric(Train().features, params_.metric);
-}
-
-std::vector<double> CorrectedValuator::ValueOne(const Dataset& test,
-                                                size_t row) const {
+  const size_t n = Train().Size();
+  size_t depth = n;
   if (params_.approx_error > 0.0) {
-    const size_t r = static_cast<size_t>(KStar(params_.k, params_.approx_error));
-    return TruncatedCorrectedKnnShapleySingle(Train(), test.features.Row(row),
-                                              TestLabel(test, row), params_.k, r,
-                                              params_.metric, &norms_);
+    // The truncated N-1 < K regime is labels-only: no ranking at all.
+    depth = static_cast<int>(n) - 1 < params_.k
+                ? 0
+                : TruncatedCorrectedEffectiveRank(
+                      static_cast<size_t>(KStar(params_.k, params_.approx_error)),
+                      n, params_.k);
   }
-  return CorrectedKnnShapleySingle(Train(), test.features.Row(row),
-                                   TestLabel(test, row), params_.k, params_.metric,
-                                   &norms_);
+  FitRanking(params_.metric, depth);
 }
 
-// ---------------------------------------------------------------------------
-// truncated
-// ---------------------------------------------------------------------------
+std::vector<double> CorrectedValuator::FromRanking(std::span<const int> order,
+                                                   std::span<const double>,
+                                                   int test_label) const {
+  const std::vector<int>& labels = Train().labels;
+  return order.size() < labels.size()
+             ? TruncatedCorrectedKnnShapleyFromOrder(order, labels, test_label,
+                                                     params_.k)
+             : CorrectedKnnShapleyFromOrder(order, labels, test_label, params_.k);
+}
 
 void TruncatedValuator::OnFit() {
-  KNNSHAP_CHECK(Train().HasLabels(), "truncated: labeled corpus required");
-  k_star_ = KStar(params_.k, params_.epsilon);
-  kd_tree_ = std::make_unique<KdTree>(&Train().features);
+  FitRanking(Metric::kL2, static_cast<size_t>(KStar(params_.k, params_.epsilon)));
 }
 
-std::vector<double> TruncatedValuator::ValueOne(const Dataset& test,
-                                                size_t row) const {
+std::vector<double> TruncatedValuator::FromRanking(std::span<const int> order,
+                                                   std::span<const double> dists,
+                                                   int test_label) const {
   std::vector<Neighbor> neighbors;
-  {
-    ScopedPhase span(Phase::kRetrieve);
-    neighbors =
-        kd_tree_->Query(test.features.Row(row), static_cast<size_t>(k_star_));
-  }
-  std::vector<double> by_rank = TruncatedShapleyFromNeighbors(
-      Train(), neighbors, TestLabel(test, row), params_.k, k_star_);
+  neighbors.reserve(order.size());
+  for (int i : order) neighbors.push_back({i, dists[static_cast<size_t>(i)]});
+  std::vector<double> by_rank =
+      TruncatedShapleyFromNeighbors(Train(), neighbors, test_label, params_.k,
+                                    KStar(params_.k, params_.epsilon));
   return ScatterByRank(Train().Size(), neighbors, by_rank);
 }
 
@@ -182,24 +209,28 @@ std::vector<double> McValuator::ValueBatch(const Dataset& test) const {
 // ---------------------------------------------------------------------------
 
 void WeightedFastValuator::OnFit() {
-  KNNSHAP_CHECK(Train().HasLabels(), "weighted-fast: labeled corpus required");
-  norms_ = NormsForMetric(Train().features, params_.metric);
+  // The DP consumes the full ranking, and its kernel weights the exact
+  // double distances.
+  FitRanking(params_.metric, Train().Size());
   // The coalition-weight tables depend only on (N, K); every query on this
-  // fitted corpus reuses them, like the kd-tree/LSH retrieval structures.
+  // fitted corpus reuses them, like the ranking itself.
   coalition_ = std::make_unique<WknnCoalitionWeights>(
       static_cast<int>(Train().Size()), params_.k);
 }
 
-std::vector<double> WeightedFastValuator::ValueOne(const Dataset& test,
-                                                   size_t row) const {
+std::vector<double> WeightedFastValuator::FromRanking(
+    std::span<const int> order, std::span<const double> dists,
+    int test_label) const {
   WknnShapleyOptions options;
   options.k = params_.k;
   options.weights = params_.weights;
   options.metric = params_.metric;
   options.weight_bits = params_.weight_bits;
   options.approx_error = params_.approx_error;
-  return WknnShapleySingle(Train(), test.features.Row(row), TestLabel(test, row),
-                           options, &norms_, coalition_.get());
+  const WknnQueryContext context = MakeWknnQueryContextFromRanking(
+      std::vector<int>(order.begin(), order.end()), dists, Train().labels,
+      test_label, options);
+  return WknnShapleyFromContext(context, options, coalition_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -291,8 +322,8 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   MethodSchema truncated;
   truncated.name = "truncated";
   truncated.description =
-      "(eps,0)-approx via top-K* truncation, kd-tree retrieval (Thm 2)";
-  truncated.params = ResolveParams({"k", "epsilon"});  // kd-tree is L2-bound
+      "(eps,0)-approx via top-K* truncation (Thm 2)";
+  truncated.params = ResolveParams({"k", "epsilon"});  // ranks by L2
   truncated.tasks = {KnnTask::kClassification};
   add(truncated, [](const ValuatorParams& p) -> std::unique_ptr<Valuator> {
     return std::make_unique<TruncatedValuator>(p);

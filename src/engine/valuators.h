@@ -4,7 +4,7 @@
 //
 //   exact            Theorem 1 / Algorithm 1   O(N log N) exact recursion
 //   exact-corrected  arXiv:2304.04258          min(K,|S|)-normalized utility
-//   truncated   Theorem 2                 top-K* truncation, kd-tree retrieval
+//   truncated   Theorem 2                 top-K* truncation
 //   lsh         Theorems 3-4              LSH retrieval, contrast-tuned
 //   mc          Algorithm 2 / Theorem 5   improved Monte-Carlo estimator
 //   weighted    Theorem 7                 exact weighted KNN, O(N^K)
@@ -13,76 +13,100 @@
 //
 // Each adapter is a thin shim over the corresponding src/core function, so
 // the engine path produces bit-identical values to the standalone entry
-// points (see the contract in engine/valuator.h). The truncated and lsh
-// adapters build their retrieval structure once in Fit and reuse it across
-// every subsequent batch — the serving win the engine exists for.
+// points (see the contract in engine/valuator.h). Adapters build their
+// retrieval structure once in Fit — the ranking of the four ranked
+// methods, the lsh index — and reuse it across every subsequent batch:
+// the serving win the engine exists for.
 
 #ifndef KNNSHAP_ENGINE_VALUATORS_H_
 #define KNNSHAP_ENGINE_VALUATORS_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/wknn_shapley.h"
 #include "engine/valuator.h"
-#include "knn/kd_tree.h"
+#include "knn/ranking.h"
 #include "lsh/lsh_index.h"
 
 namespace knnshap {
 
-/// Exact recursion of Theorem 1. Fit precomputes corpus row norms so each
-/// query's distance pass runs the fast kernel path; the norms amortize
-/// across every request sharing the corpus, like the kd-tree/LSH reuse.
-/// params.approx_error > 0 switches to the truncated-exact path (streaming
-/// top-R selection, analytic tail bound reported as approx_bound).
-class ExactValuator : public Valuator {
+/// Base of the methods whose recursion consumes only the corpus's
+/// (distance, index) ranking: exact, exact-corrected, truncated and
+/// weighted-fast. Fit builds the Ranking once (knn/ranking.h) — a
+/// LocalRanking, or a ShardRanking (shard/shard_ranking.h) when fitted
+/// with a shard context — and fixes the method's ranking depth; each query
+/// then ranks to that depth and runs the method's recursion on the result,
+/// the same code on every topology. Health() is the ranking's.
+class RankedValuator : public Valuator {
  public:
   using Valuator::Valuator;
+  std::vector<double> ValueOne(const Dataset& test, size_t row) const final;
+  Status Health() const override;
+
+ protected:
+  /// Builds the ranking of the labeled Train() under `metric`; queries
+  /// rank the first min(depth, N) rows (0: none at all).
+  void FitRanking(Metric metric, size_t depth);
+
+  /// The method's recursion: `order` holds the query's first
+  /// min(depth, N) rows ascending by (distance, index), `dists` every
+  /// row's distance.
+  virtual std::vector<double> FromRanking(std::span<const int> order,
+                                          std::span<const double> dists,
+                                          int test_label) const = 0;
+
+ private:
+  std::unique_ptr<Ranking> ranking_;
+  size_t depth_ = 0;
+};
+
+/// Exact recursion of Theorem 1 over the full ranking.
+/// params.approx_error > 0 switches to the truncated-exact path: only the
+/// top TruncatedExactEffectiveRank ranks (streaming top-R selection, no
+/// full argsort), with the analytic tail bound reported as approx_bound.
+class ExactValuator : public RankedValuator {
+ public:
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "exact"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
 
  protected:
   void OnFit() override;
-
- private:
-  CorpusNorms norms_;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  int test_label) const override;
 };
 
 /// Corrected exact recursion (Wang & Jia, arXiv:2304.04258): the KNN
 /// utility normalized by min(K, |S|) — the vote count a soft-label KNN
 /// classifier actually uses on coalitions smaller than K — instead of the
-/// source paper's constant K. Same O(N log N)/query shape and norm reuse as
-/// ExactValuator.
-class CorrectedValuator : public Valuator {
+/// source paper's constant K. Same ranking depths as ExactValuator.
+class CorrectedValuator : public RankedValuator {
  public:
-  using Valuator::Valuator;
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "exact-corrected"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
 
  protected:
   void OnFit() override;
-
- private:
-  CorpusNorms norms_;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  int test_label) const override;
 };
 
 /// (epsilon, 0)-approximation of Theorem 2: only the K* nearest neighbors
-/// carry value. Fit builds a kd-tree over the corpus; each query retrieves
-/// exactly the top K* through it.
-class TruncatedValuator : public Valuator {
+/// carry value. Each query ranks exactly the top min(K*, N) by L2 (the
+/// schema declares no metric) and runs the truncated recursion on them.
+class TruncatedValuator : public RankedValuator {
  public:
-  using Valuator::Valuator;
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "truncated"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
-
-  int KStarDepth() const { return k_star_; }
 
  protected:
   void OnFit() override;
-
- private:
-  int k_star_ = 0;
-  std::unique_ptr<KdTree> kd_tree_;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  int test_label) const override;
 };
 
 /// (epsilon, delta)-approximation of Theorem 4: LSH retrieval of the K*
@@ -128,20 +152,21 @@ class McValuator : public Valuator {
 
 /// Quadratic-time WKNN-Shapley (arXiv:2401.11103): exact SVs of the
 /// discretized-weight Eq-26 classifier in O(N^2 K 4^b)/query, with an
-/// optional deterministic truncation budget (params.approx_error). Fit
-/// precomputes corpus norms plus the (N, K) coalition-weight tables the
-/// ranked-neighbor recursion shares across every query on the corpus.
-class WeightedFastValuator : public Valuator {
+/// optional deterministic truncation budget (params.approx_error), over
+/// the full ranking and its raw distances. Fit also precomputes the
+/// (N, K) coalition-weight tables every query on the corpus shares.
+class WeightedFastValuator : public RankedValuator {
  public:
-  using Valuator::Valuator;
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "weighted-fast"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
 
  protected:
   void OnFit() override;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  int test_label) const override;
 
  private:
-  CorpusNorms norms_;
   std::unique_ptr<WknnCoalitionWeights> coalition_;
 };
 

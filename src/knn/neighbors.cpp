@@ -125,23 +125,40 @@ std::vector<double> AllDistances(const Matrix& train, std::span<const float> que
   return dists;
 }
 
-void ArgsortByDistanceInto(const Matrix& train, std::span<const float> query,
-                           Metric metric, const CorpusNorms* norms,
-                           std::vector<int>* order) {
-  std::vector<double>& dists = DistanceScratch(train.Rows());
+void RankByDistance(const Matrix& train, std::span<const float> query, size_t r,
+                    Metric metric, const CorpusNorms* norms,
+                    std::span<double> dists, std::vector<int>* order) {
+  const size_t rows = train.Rows();
+  r = std::min(r, rows);
+  if (r == 0) {
+    order->clear();
+    return;
+  }
   SingleQueryDistances(train, query, metric, norms, dists);
-  // Cancellation poll between the two O(N)+O(N log N) passes. The early
-  // out must stay structurally valid — downstream recursions
-  // KNNSHAP_CHECK a full-sized ranking — so it returns the identity
-  // order; the engine discards the garbage result once it observes the
+  // Cancellation poll between the distance pass and the ordering. The
+  // early out must stay structurally valid — downstream recursions
+  // KNNSHAP_CHECK a right-sized ranking — so it returns the identity
+  // prefix; the engine discards the garbage result once it observes the
   // expired token.
   if (CancelRequested()) {
-    order->resize(train.Rows());
+    order->resize(r);
     std::iota(order->begin(), order->end(), 0);
     return;
   }
-  ScopedPhase span(Phase::kSort);
-  ArgsortDistances(dists, order);
+  if (r == rows) {
+    ScopedPhase span(Phase::kSort);
+    ArgsortDistances(dists.first(rows), order);
+  } else {
+    ScopedPhase span(Phase::kSelect);
+    BlockedTopR(dists.first(rows), r, order);
+  }
+}
+
+void ArgsortByDistanceInto(const Matrix& train, std::span<const float> query,
+                           Metric metric, const CorpusNorms* norms,
+                           std::vector<int>* order) {
+  RankByDistance(train, query, train.Rows(), metric, norms,
+                 DistanceScratch(train.Rows()), order);
 }
 
 std::vector<int> ArgsortByDistance(const Matrix& train, std::span<const float> query,
@@ -154,35 +171,18 @@ std::vector<int> ArgsortByDistance(const Matrix& train, std::span<const float> q
 void TopROrderByDistance(const Matrix& train, std::span<const float> query,
                          size_t r, Metric metric, const CorpusNorms* norms,
                          std::vector<int>* order) {
-  const size_t rows = train.Rows();
-  r = std::min(r, rows);
-  if (r == 0) {
-    order->clear();
-    return;
-  }
-  std::vector<double>& dists = DistanceScratch(rows);
-  SingleQueryDistances(train, query, metric, norms, dists);
-  if (CancelRequested()) {
-    order->resize(r);
-    std::iota(order->begin(), order->end(), 0);
-    return;
-  }
-  ScopedPhase span(Phase::kSelect);
-  BlockedTopR(dists, r, order);
+  RankByDistance(train, query, r, metric, norms, DistanceScratch(train.Rows()),
+                 order);
 }
 
 void TopKNeighborsInto(const Matrix& train, std::span<const float> query,
                        size_t k, Metric metric, const CorpusNorms* norms,
                        std::vector<Neighbor>* out) {
   out->clear();
-  k = std::min(k, train.Rows());
-  if (k == 0) return;
   std::vector<double>& dists = DistanceScratch(train.Rows());
-  SingleQueryDistances(train, query, metric, norms, dists);
-  ScopedPhase span(Phase::kSelect);
   static thread_local std::vector<int> order;
-  BlockedTopR(dists, k, &order);
-  out->reserve(k);
+  RankByDistance(train, query, k, metric, norms, dists, &order);
+  out->reserve(order.size());
   for (int pos : order) {
     out->push_back({pos, dists[static_cast<size_t>(pos)]});
   }

@@ -58,6 +58,18 @@ void SingleQueryDistances(const Matrix& train, std::span<const float> query,
                           Metric metric, const CorpusNorms* norms,
                           std::span<double> out);
 
+/// The per-query ranking behind every exact valuation path: distances
+/// from `query` to every training row into `dists` (length >=
+/// train.Rows()), then the first min(r, N) entries of the ascending
+/// (distance, index) order into *order — the full argsort (kSort span)
+/// when r >= N, else block-parallel streaming top-R selection (kSelect
+/// span). r == 0 runs no distance pass. On cancellation after the
+/// distance pass the order degrades to an identity prefix (the engine
+/// discards the result).
+void RankByDistance(const Matrix& train, std::span<const float> query, size_t r,
+                    Metric metric, const CorpusNorms* norms,
+                    std::span<double> dists, std::vector<int>* order);
+
 /// Indices of all training rows sorted by ascending distance to `query`
 /// (ties broken by index, making results deterministic).
 std::vector<int> ArgsortByDistance(const Matrix& train, std::span<const float> query,
@@ -72,10 +84,8 @@ void ArgsortByDistanceInto(const Matrix& train, std::span<const float> query,
                            std::vector<int>* order);
 
 /// The first min(r, N) entries of the ArgsortByDistance order — ascending
-/// (distance, index) — without ordering the tail: streaming top-R selection
-/// (knn/selection.h), block-parallel per IntraQueryOptions with an exact
-/// shard merge. The truncated-exact valuation path. On cancellation the
-/// order degrades to an identity prefix (the engine discards the result).
+/// (distance, index) — without ordering the tail: RankByDistance into a
+/// per-thread distance buffer.
 void TopROrderByDistance(const Matrix& train, std::span<const float> query,
                          size_t r, Metric metric, const CorpusNorms* norms,
                          std::vector<int>* order);

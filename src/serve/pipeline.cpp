@@ -333,10 +333,27 @@ struct RequestPipeline::PreparedValue {
 
 namespace {
 
+// The request's "deadline_ms": a non-negative integer no larger than
+// 1e15 (checked before any cast, so no value is out of int64 range).
+Status ParseDeadlineMs(const JsonValue& request, const char* op, int64_t* ms) {
+  const JsonValue& raw = request.Get("deadline_ms");
+  const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
+  if (!raw.IsNumber() || value < 0 || value > 1e15 ||
+      value != static_cast<double>(static_cast<int64_t>(value))) {
+    return Status::InvalidArgument(
+        std::string(op) + ": 'deadline_ms' must be a non-negative integer",
+        "deadline_ms");
+  }
+  *ms = static_cast<int64_t>(value);
+  return Status::Ok();
+}
+
 EngineOptions EngineOptionsWith(const PipelineOptions& options,
-                                MetricsRegistry* metrics) {
+                                MetricsRegistry* metrics,
+                                std::shared_ptr<const ShardTopology> topology) {
   EngineOptions engine = options.engine;
   if (engine.metrics == nullptr) engine.metrics = metrics;
+  engine.shard_topology = std::move(topology);
   return engine;
 }
 
@@ -344,6 +361,11 @@ EngineOptions EngineOptionsWith(const PipelineOptions& options,
 
 RequestPipeline::RequestPipeline(const PipelineOptions& options)
     : options_(options),
+      topology_(options.shards > 1
+                    ? std::make_shared<const ShardTopology>(ShardTopology{
+                          options.shards, options.shard_worker_command,
+                          options.shard_remote, options.shard_transport})
+                    : nullptr),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
       max_in_flight_(options.max_in_flight != 0 ? options.max_in_flight
                                                 : 2 * pool_->NumThreads()),
@@ -354,12 +376,7 @@ RequestPipeline::RequestPipeline(const PipelineOptions& options)
                    ? (options.metrics != nullptr ? options.metrics
                                                  : owned_metrics_.get())
                    : nullptr),
-      engine_(EngineOptionsWith(options, metrics_)) {
-  if (options_.shards > 1) {
-    topology_ = std::make_shared<const ShardTopology>(ShardTopology{
-        options_.shards, options_.shard_worker_command, options_.shard_remote,
-        options_.shard_transport});
-  }
+      engine_(EngineOptionsWith(options, metrics_, topology_)) {
   if (metrics_ != nullptr) {
     parse_nanos_ = metrics_->GetCounter(
         std::string("knnshap_phase_nanos_total{phase=\"") +
@@ -1222,14 +1239,12 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
   // token from it means this worker can never fire before its parent.
   std::unique_ptr<CancelToken> token;
   if (request.Has("deadline_ms")) {
-    const JsonValue& raw = request.Get("deadline_ms");
-    if (!raw.IsNumber() || raw.AsNumber() < 0) {
-      return ErrorResponse(Status::InvalidArgument(
-          "candidates: 'deadline_ms' must be a non-negative integer",
-          "deadline_ms"));
+    int64_t deadline_ms = 0;
+    if (Status status = ParseDeadlineMs(request, "candidates", &deadline_ms);
+        !status.ok()) {
+      return ErrorResponse(status);
     }
-    token = std::make_unique<CancelToken>(
-        static_cast<int64_t>(raw.AsNumber()));
+    token = std::make_unique<CancelToken>(deadline_ms);
   }
   CancelActivation cancel_scope(token.get());
 
@@ -1375,14 +1390,11 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   }
   engine_request.train = train->data;
   engine_request.train_fingerprint = train->fingerprint;
-  if (topology_ != nullptr) {
-    // The shard plan is content-addressed through the snapshot's block
-    // digests, so this request values exactly the corpus version it
-    // snapshotted even if a mutation lands while it is queued.
-    engine_request.shard = topology_;
-    engine_request.train_digests = train->digests;
-    engine_request.train_name = request.Get("train").AsString();
-  }
+  // A shard plan is content-addressed through the snapshot's block
+  // digests, so this request values exactly the corpus version it
+  // snapshotted even if a mutation lands while it is queued.
+  engine_request.train_digests = train->digests;
+  engine_request.train_name = request.Get("train").AsString();
 
   if (request.Has("test")) {
     auto test = store_.Get(request.Get("test").AsString());
@@ -1415,15 +1427,10 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   // way to exercise the deadline_exceeded path.
   int64_t deadline_ms = -1;
   if (request.Has("deadline_ms")) {
-    const JsonValue& raw = request.Get("deadline_ms");
-    const double ms = raw.IsNumber() ? raw.AsNumber() : -1.0;
-    if (!raw.IsNumber() || ms < 0 || ms > 1e15 ||
-        ms != static_cast<double>(static_cast<int64_t>(ms))) {
-      return fail(Status::InvalidArgument(
-          "value: 'deadline_ms' must be a non-negative integer",
-          "deadline_ms"));
+    if (Status status = ParseDeadlineMs(request, "value", &deadline_ms);
+        !status.ok()) {
+      return fail(status);
     }
-    deadline_ms = static_cast<int64_t>(ms);
   } else if (options_.default_deadline_ms > 0) {
     deadline_ms = options_.default_deadline_ms;
   }

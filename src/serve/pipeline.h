@@ -112,10 +112,11 @@ struct PipelineOptions {
   /// work, flushes the snapshot and returns. knnshap_serve points this at
   /// its signal-handler flag.
   const std::atomic<bool>* shutdown = nullptr;
-  /// > 1: route supported value methods (exact / exact-corrected /
-  /// weighted-fast / truncated) through the shard subsystem — responses
-  /// stay byte-identical to the unsharded server (see src/shard/README.md).
-  /// The `stats` op grows a "topology" section when sharding is on.
+  /// > 1: the ranked value methods (exact / exact-corrected /
+  /// weighted-fast / truncated) rank through the shard subsystem
+  /// (EngineOptions::shard_topology) — responses stay byte-identical to
+  /// the unsharded server (see src/shard/README.md). The `stats` op grows
+  /// a "topology" section when sharding is on.
   int shards = 1;
   /// Non-empty: argv of a worker binary speaking the JSONL protocol on
   /// stdin/stdout, spawned once per shard (knnshap_serve

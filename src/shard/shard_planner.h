@@ -1,7 +1,7 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // ShardPlanner — splits a corpus into contiguous, fingerprint-block-aligned
-// shards for the shard router (src/shard/sharded_valuator.h).
+// shards for the shard ranking (src/shard/shard_ranking.h).
 //
 // Two design constraints drive the plan shape:
 //

@@ -3,15 +3,15 @@
 // ShardWorker — one shard's candidate server, behind a topology-agnostic
 // interface. A worker owns a planned ShardRange (shard_planner.h) and
 // answers one kind of query: "distances + exact top-r candidate run over
-// your rows". The router (sharded_valuator.h) merges the runs and feeds the
-// recursion; because each worker's run is the exact restriction of the
-// global (distance, index) order to its contiguous rows, the merge is
-// bit-identical to the unsharded ranking.
+// your rows". ShardRanking (shard_ranking.h) merges the runs into the
+// ranking the recursions consume; because each worker's run is the exact
+// restriction of the global (distance, index) order to its contiguous
+// rows, the merge is bit-identical to the unsharded ranking.
 //
 // Implementations:
 //
-//   * LocalShardWorker (here) — borrows the router's corpus/norms and
-//     computes on the calling thread (the router fans out across the
+//   * LocalShardWorker (here) — borrows the ranking's corpus/norms and
+//     computes on the calling thread (the ranking fans out across the
 //     shared pool). Zero copies, always healthy; the default topology.
 //
 //   * SocketShardWorker / ReplicaShardWorker (socket_worker.h) — one
@@ -22,7 +22,7 @@
 // no usable run". A false WITH Health() still OK is a propagated deadline
 // (the worker answered deadline_exceeded off the forwarded remaining-ms
 // budget — the parent's own token is the authority and is re-checked by
-// the router); any other false latches a non-OK Health first.
+// the valuator); any other false latches a non-OK Health first.
 
 #ifndef KNNSHAP_SHARD_SHARD_WORKER_H_
 #define KNNSHAP_SHARD_SHARD_WORKER_H_
@@ -84,7 +84,7 @@ class ShardWorker {
 
 /// Thread-per-shard worker: computes over a borrowed corpus slice on the
 /// calling thread. `corpus` and `norms` must outlive the worker (the
-/// router's fitted valuator owns both).
+/// fitted valuator and its ShardRanking own them).
 class LocalShardWorker : public ShardWorker {
  public:
   LocalShardWorker(ShardRange range, const Dataset* corpus,

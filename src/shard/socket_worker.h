@@ -142,8 +142,8 @@ class SocketShardWorker : public ShardWorker {
 /// Health() alone is thread-safe (the engine reads it concurrently).
 class ReplicaShardWorker : public ShardWorker {
  public:
-  /// `corpus` and `digests` must outlive the worker (the router's fitted
-  /// valuator owns both); replicas are tried strictly in order.
+  /// `corpus` and `digests` must outlive the worker (the fitted valuator
+  /// and its ShardRanking own them); replicas are tried strictly in order.
   ReplicaShardWorker(ShardRange range, std::vector<Endpoint> replicas,
                      std::string corpus_name, Metric metric,
                      uint64_t expected_fingerprint,

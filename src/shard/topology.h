@@ -1,10 +1,11 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// ShardTopology — how a sharded server places its shard workers. Built
-// once by the serve layer (serve/pipeline.h) from its flags and shared,
-// immutable, by every request and every router it fits
-// (shard/sharded_valuator.h). Three placements, selected by which field
-// is set:
+// ShardTopology — how a sharded server places its shard workers. Fixed
+// per process: the serve layer (serve/pipeline.h) builds it once from its
+// flags into EngineOptions, and the engine hands it, inside a
+// ShardContext, to every fit of a ranked method, whose ShardRanking
+// (shard/shard_ranking.h) builds that fit's workers from it. Three
+// placements, selected by which field is set:
 //
 //   remote_replicas non-empty  TCP connections to standalone
 //                              `knnshap_serve --shard-listen` workers,
@@ -19,10 +20,15 @@
 #ifndef KNNSHAP_SHARD_TOPOLOGY_H_
 #define KNNSHAP_SHARD_TOPOLOGY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "util/fingerprint.h"
+
 namespace knnshap {
+
+class MetricsRegistry;
 
 /// Socket transport knobs (spawned and remote workers).
 struct SocketWorkerOptions {
@@ -44,6 +50,19 @@ struct ShardTopology {
   /// go unused).
   std::vector<std::vector<std::string>> remote_replicas;
   SocketWorkerOptions transport;
+};
+
+/// What a fit needs to rank its corpus through the shards: the process's
+/// topology plus the corpus's identity on the workers.
+struct ShardContext {
+  std::shared_ptr<const ShardTopology> topology;
+  /// The corpus's maintained block digests, which content-address its
+  /// shards (null: the fit hashes the corpus itself).
+  std::shared_ptr<const CorpusDigests> digests;
+  /// Store name socket workers hold the corpus under.
+  std::string corpus_name;
+  /// Receives the transport counters (nullable).
+  MetricsRegistry* metrics = nullptr;
 };
 
 }  // namespace knnshap

@@ -39,12 +39,12 @@ class CancelToken {
   /// A token that expires `deadline_ms` milliseconds from construction.
   /// `deadline_ms <= 0` constructs an already-expired token (useful for
   /// deterministic deadline behavior: "deadline_ms":0 answers
-  /// deadline_exceeded regardless of timing). The atomic latch makes the
-  /// type non-copyable, hence a constructor rather than a factory.
+  /// deadline_exceeded regardless of timing). A deadline past the clock's
+  /// range saturates at its last instant rather than wrapping around. The
+  /// atomic latch makes the type non-copyable, hence a constructor rather
+  /// than a factory.
   explicit CancelToken(int64_t deadline_ms)
-      : has_deadline_(true),
-        deadline_(std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(deadline_ms > 0 ? deadline_ms : 0)) {
+      : has_deadline_(true), deadline_(DeadlineAfter(deadline_ms)) {
     if (deadline_ms <= 0) fired_.store(true, std::memory_order_relaxed);
   }
 
@@ -93,6 +93,15 @@ class CancelToken {
   }
 
  private:
+  static std::chrono::steady_clock::time_point DeadlineAfter(int64_t ms) {
+    const auto now = std::chrono::steady_clock::now();
+    const auto last = std::chrono::steady_clock::time_point::max();
+    if (ms >= std::chrono::duration_cast<std::chrono::milliseconds>(last - now).count()) {
+      return last;
+    }
+    return now + std::chrono::milliseconds(ms > 0 ? ms : 0);
+  }
+
   // Cancel()/Expired() are conceptually const observers of an external
   // event (time passing, a caller's decision); the latch is bookkeeping.
   mutable std::atomic<bool> fired_{false};

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "util/cancel.h"
@@ -56,6 +58,17 @@ TEST(CancelTokenTest, GenerousDeadlineDoesNotExpire) {
   CancelToken token(60'000);
   EXPECT_FALSE(token.Expired());
   EXPECT_EQ(token.OvershootSeconds(), 0.0);
+}
+
+TEST(CancelTokenTest, FarDeadlineSaturatesInsteadOfWrapping) {
+  // now + 1e13 ms overflows int64 nanoseconds; the deadline must
+  // saturate at the clock's last instant, not wrap into the past.
+  for (int64_t ms : {int64_t{10'000'000'000'000},
+                     std::numeric_limits<int64_t>::max()}) {
+    CancelToken token(ms);
+    EXPECT_FALSE(token.Expired()) << ms;
+    EXPECT_GT(token.RemainingMs(), int64_t{1} << 40) << ms;
+  }
 }
 
 TEST(CancelActivationTest, NoActiveTokenMeansNoCancellation) {

@@ -864,6 +864,23 @@ TEST(ServeTest, InvalidDeadlineIsAStructuredFieldError) {
   }
 }
 
+TEST(ServeTest, FarDeadlineStillAnswers) {
+  // 1e13 ms passes the validator; it must not overflow the token's clock
+  // arithmetic into an already-passed deadline.
+  PipelineOptions options;
+  options.emit_timing = false;
+  RequestPipeline pipeline(options);
+  pipeline.HandleSync(ParseJson(R"({"op":"load","name":"a","rows":)" +
+                                RowsJson(10, 3, 2, 67) +
+                                R"(,"target":"label"})")
+                          .value);
+  JsonValue response = pipeline.HandleSync(
+      ParseJson(R"({"op":"value","train":"a","queries":[[0.1,0.2,0.3,1]],)"
+                R"("deadline_ms":10000000000000})")
+          .value);
+  EXPECT_TRUE(response.Get("ok").AsBool()) << response.Dump();
+}
+
 TEST(ServeTest, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   PipelineOptions options;
   options.emit_timing = false;

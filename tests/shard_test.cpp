@@ -230,10 +230,10 @@ std::string Answer(RequestPipeline& pipeline, const std::string& line) {
 }
 
 // The session every topology must answer identically: two corpora (one
-// Gaussian, one tie-heavy), multi-query batches, full and truncated
-// variants of every sharded method, plus methods the shard router does
-// not support (they fall back to the unsharded valuator inside the same
-// server and must also agree).
+// Gaussian, one tie-heavy), multi-query batches, full, truncated and
+// cosine variants of every ranked method, plus a method that ranks
+// nothing (it runs unsharded inside the same server and must also
+// agree).
 std::vector<std::string> EquivalenceSession(uint64_t seed) {
   std::vector<std::string> lines;
   lines.push_back(R"({"op":"load","name":"train","rows":)" +
@@ -246,8 +246,8 @@ std::vector<std::string> EquivalenceSession(uint64_t seed) {
                   TieRowsJson(2, 3, seed + 3) + R"(,"target":"label"})");
   for (const char* train : {"train", "ties"}) {
     const char* test = train[0] == 't' && train[1] == 'r' ? "q" : "qt";
-    for (const char* extra :
-         {"", R"(,"approx_error":0.2)", R"(,"approx_error":0.01)"}) {
+    for (const char* extra : {"", R"(,"approx_error":0.2)",
+                              R"(,"approx_error":0.01)", R"(,"metric":"cosine")"}) {
       lines.push_back(std::string(R"({"op":"value","train":")") + train +
                       R"(","test":")" + test +
                       R"(","method":"exact","k":3)" + extra + "}");
@@ -255,17 +255,18 @@ std::vector<std::string> EquivalenceSession(uint64_t seed) {
                       R"(","test":")" + test +
                       R"(","method":"exact-corrected","k":3)" + extra + "}");
     }
-    lines.push_back(std::string(R"({"op":"value","train":")") + train +
-                    R"(","test":")" + test +
-                    R"(","method":"weighted-fast","k":2,"kernel":"inverse"})");
-    // Routed through the shard fan-out since the socket-transport PR
-    // (depth min(K*, N), then the same truncated recursion).
+    for (const char* extra : {"", R"(,"approx_error":0.1)"}) {
+      lines.push_back(std::string(R"({"op":"value","train":")") + train +
+                      R"(","test":")" + test +
+                      R"(","method":"weighted-fast","k":2,"kernel":"inverse")" +
+                      extra + "}");
+    }
+    // Ranked to depth min(K*, N), then the truncated recursion.
     lines.push_back(std::string(R"({"op":"value","train":")") + train +
                     R"(","test":")" + test +
                     R"(","method":"truncated","k":3,"epsilon":0.1})");
-    // Genuinely unsupported by the router (randomized retrieval): must
-    // fall back to the unsharded valuator inside the same server and
-    // still agree, seed pinned.
+    // Randomized LSH retrieval, no ranking: must run unsharded inside
+    // the same server and still agree, seed pinned.
     lines.push_back(std::string(R"({"op":"value","train":")") + train +
                     R"(","test":")" + test +
                     R"(","method":"lsh","k":3,"epsilon":0.5,"delta":0.2,"seed":7})");
@@ -367,7 +368,7 @@ TEST(ShardServeTest, ConcurrentRequestsFitOnce) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  // One fitted router (per-corpus fit lock), six identical answers.
+  // One fitted valuator (per-corpus fit lock), six identical answers.
   EXPECT_EQ(pipeline->Engine().FittedCount(), 1u);
   for (const std::string& response : responses) {
     EXPECT_EQ(response, responses[0]);
@@ -517,6 +518,19 @@ TEST_F(CandidatesOpTest, RejectsMisalignedRange) {
       Fingerprint(0, 512) + R"(","query":)" + QueryJson(3, 93));
   EXPECT_FALSE(response.Get("ok").AsBool(true));
   EXPECT_EQ(response.Get("code").AsString(), "invalid_argument");
+}
+
+TEST_F(CandidatesOpTest, RejectsAnOutOfRangeDeadline) {
+  // The value op's deadline validator: no cast of 1e300 to int64.
+  for (const char* bad : {"1e300", "-1", "2.5"}) {
+    JsonValue response = Candidates(
+        R"(,"r":5,"row_begin":256,"row_end":512,"fingerprint":")" +
+        Fingerprint(256, 512) + R"(","query":)" + QueryJson(3, 95) +
+        R"(,"deadline_ms":)" + bad);
+    EXPECT_FALSE(response.Get("ok").AsBool(true)) << bad;
+    EXPECT_EQ(response.Get("code").AsString(), "invalid_argument") << bad;
+    EXPECT_EQ(response.Get("field").AsString(), "deadline_ms") << bad;
+  }
 }
 
 TEST_F(CandidatesOpTest, RejectsOutOfRangeRows) {
