@@ -9,6 +9,7 @@
 
 #include "knn/selection.h"
 #include "obs/trace.h"
+#include "shard/shard_planner.h"
 #include "shard/socket_worker.h"
 #include "util/cancel.h"
 #include "util/common.h"

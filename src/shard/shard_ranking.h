@@ -33,7 +33,6 @@
 #include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/ranking.h"
-#include "shard/shard_planner.h"
 #include "shard/shard_worker.h"
 #include "shard/topology.h"
 #include "util/fingerprint.h"

@@ -96,9 +96,9 @@ class CancelToken {
   static std::chrono::steady_clock::time_point DeadlineAfter(int64_t ms) {
     const auto now = std::chrono::steady_clock::now();
     const auto last = std::chrono::steady_clock::time_point::max();
-    if (ms >= std::chrono::duration_cast<std::chrono::milliseconds>(last - now).count()) {
-      return last;
-    }
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(last - now);
+    if (ms >= headroom.count()) return last;
     return now + std::chrono::milliseconds(ms > 0 ? ms : 0);
   }
 
