@@ -3,6 +3,7 @@
 #include "serve/pipeline.h"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -624,6 +625,17 @@ JsonValue RequestPipeline::HandleSync(const JsonValue& request) {
 
 namespace {
 
+/// A positive integer count field (at most 1e15, so the cast is exact).
+bool ParseCount(const JsonValue& raw, size_t* out) {
+  const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
+  if (!raw.IsNumber() || value <= 0 || value > 1e15 ||
+      value != static_cast<double>(static_cast<size_t>(value))) {
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 void SetSnapshotFields(JsonValue* out, const std::string& name,
                        const CorpusSnapshot& snapshot) {
   out->Set("name", JsonValue(name));
@@ -663,8 +675,18 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
     if (!FromInlineRows(request.Get("rows"), target, &data, &error)) {
       return ErrorResponse("load: " + error);
     }
+  } else if (request.Has("features")) {
+    // Packed rows (docs/PROTOCOL.md §1), the form a shard router syncs.
+    size_t dim = 0;
+    if (!ParseCount(request.Get("dim"), &dim)) {
+      return ErrorResponse("load: 'dim' must be a positive integer");
+    }
+    std::string error;
+    if (!wire::AppendPackedRows(request, dim, target, 0, &data, &error)) {
+      return ErrorResponse("load: " + error);
+    }
   } else {
-    return ErrorResponse("load: need 'path' or 'rows'");
+    return ErrorResponse("load: need 'path', 'rows' or packed 'features'");
   }
 
   CorpusMutation mutation = store_.Put(name, std::move(data));
@@ -680,7 +702,7 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
 JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
   // Delta corpus sync (docs/PROTOCOL.md): splice the provided blocks into
   // the stored corpus, keeping every other block's rows. The router sends
-  // this instead of a full inline load when the worker already holds a
+  // this instead of a full load when the worker already holds a
   // previous version; any rejection here (structured error, never a crash)
   // makes the router fall back to the full load, so this op can only ever
   // save bytes, not correctness.
@@ -703,18 +725,9 @@ JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
     return ErrorResponse(Status::FailedPrecondition(
         "load_delta: target mode does not match the stored corpus"));
   }
-  auto parse_count = [&](const char* field, size_t* out) {
-    const JsonValue& raw = request.Get(field);
-    const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
-    if (!raw.IsNumber() || value <= 0 || value > 1e15 ||
-        value != static_cast<double>(static_cast<size_t>(value))) {
-      return false;
-    }
-    *out = static_cast<size_t>(value);
-    return true;
-  };
   size_t rows = 0, dim = 0;
-  if (!parse_count("rows", &rows) || !parse_count("dim", &dim)) {
+  if (!ParseCount(request.Get("rows"), &rows) ||
+      !ParseCount(request.Get("dim"), &dim)) {
     return ErrorResponse(
         "load_delta: 'rows' and 'dim' must be positive integers");
   }
@@ -748,14 +761,15 @@ JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
   for (const JsonValue& entry : blocks.Items()) {
     const JsonValue& index = entry.Get("block");
     const double raw = index.IsNumber() ? index.AsNumber() : -1.0;
+    // Range before the cast: an unrepresentable index is UB per
+    // [conv.fpint].
     if (!index.IsNumber() || raw < 0 ||
-        raw != static_cast<double>(static_cast<size_t>(raw)) ||
-        static_cast<size_t>(raw) >= num_blocks) {
+        raw >= static_cast<double>(num_blocks) || raw != std::floor(raw)) {
       return ErrorResponse(
           "load_delta: each block entry needs an in-range integer 'block'");
     }
     const size_t b = static_cast<size_t>(raw);
-    if (!provided.emplace(b, &entry.Get("rows")).second) {
+    if (!provided.emplace(b, &entry).second) {
       return ErrorResponse("load_delta: duplicate block " + std::to_string(b));
     }
   }
@@ -766,13 +780,9 @@ JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
     const size_t end = std::min(begin + block_rows, rows);
     auto it = provided.find(b);
     if (it != provided.end()) {
-      if (!it->second->IsArray() || it->second->Items().size() != end - begin) {
-        return ErrorResponse("load_delta: block " + std::to_string(b) +
-                             " must carry exactly " + std::to_string(end - begin) +
-                             " rows");
-      }
       std::string error;
-      if (!FromInlineRows(*it->second, target, &next, &error)) {
+      if (!wire::AppendPackedRows(*it->second, dim, target, end - begin, &next,
+                                  &error)) {
         return ErrorResponse("load_delta: block " + std::to_string(b) + ": " +
                              error);
       }
@@ -793,9 +803,6 @@ JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
         }
       }
     }
-  }
-  if (next.Dim() != dim) {
-    return ErrorResponse("load_delta: block rows disagree with 'dim'");
   }
   const size_t applied = provided.size();
 
@@ -1274,18 +1281,14 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
     return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
   }
 
+  // Raw doubles: the packed run carries their bits, so the router's merged
+  // ranking — and weighted-fast's kernel weights — match the unsharded
+  // computation to the last bit.
+  thread_local std::vector<double> run_dists;
+  run_dists.clear();
+  for (int i : run) run_dists.push_back(dists[static_cast<size_t>(i) - row_begin]);
   JsonValue out = OkResponse();
-  JsonValue indices = JsonValue::MakeArray();
-  JsonValue run_dists = JsonValue::MakeArray();
-  for (int i : run) {
-    indices.Append(JsonValue(static_cast<double>(i)));
-    // Raw doubles: %.17g round-trips them bit-exactly, so the router's
-    // merged ranking — and weighted-fast's kernel weights — match the
-    // unsharded computation to the last bit.
-    run_dists.Append(JsonValue(dists[static_cast<size_t>(i) - row_begin]));
-  }
-  out.Set("indices", std::move(indices));
-  out.Set("dists", std::move(run_dists));
+  out.Set("run", JsonValue(wire::PackCandidateRun(run, run_dists)));
   return out;
 }
 
@@ -1332,7 +1335,7 @@ JsonValue RequestPipeline::Protocol() const {
       "ping",    "protocol",   "quit",       "remove",  "save_cache",
       "stats",   "sync",       "value"};
   JsonValue out = OkResponse();
-  out.Set("protocol", JsonValue(1.0));
+  out.Set("protocol", JsonValue(wire::kProtocolVersion));
   JsonValue ops = JsonValue::MakeArray();
   for (const char* op : kOps) ops.Append(JsonValue(op));
   out.Set("ops", std::move(ops));
@@ -1538,8 +1541,9 @@ JsonValue RequestPipeline::RunValue(const PreparedValue& prepared) {
   out.Set("summary", summary);
   if (prepared.include_values) {
     JsonValue values = JsonValue::MakeArray();
-    for (double v : report.values) values.Append(JsonValue(v));
-    out.Set("values", values);
+    values.Items().reserve(report.values.size());
+    for (double v : report.values) values.Items().emplace_back(v);
+    out.Set("values", std::move(values));
   }
   if (options_.emit_timing) out.Set("seconds", JsonValue(report.seconds));
 

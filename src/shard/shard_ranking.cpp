@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -39,6 +40,16 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
   const uint64_t fingerprint = digests.Combined();
   const ShardTransportCounters counters =
       ShardTransportCounters::From(context.metrics);
+  // Socket workers connect and sync every shard at once on the shared pool
+  // (the caller helps, so this is safe from a pool thread). The fit's
+  // trace follows each shard onto its helper thread.
+  RequestTrace* trace = ActiveTrace();
+  const auto for_each_shard = [&](const std::function<void(size_t)>& fn) {
+    ThreadPool::Shared().ParallelForHelping(workers_.size(), [&](size_t s) {
+      TraceActivation activation(trace);
+      fn(s);
+    });
+  };
   if (!topology.remote_replicas.empty()) {
     // Remote sockets: one ReplicaShardWorker per planned shard, each with
     // its ordered replica list. Endpoint parse errors throw (bad flag —
@@ -69,28 +80,34 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
         throw std::runtime_error("sharded fit: shard " + std::to_string(s) +
                                  " has no replica endpoints");
       }
-      auto worker = std::make_unique<ReplicaShardWorker>(
+      workers_.push_back(std::make_unique<ReplicaShardWorker>(
           plan[s], std::move(replicas), context.corpus_name, metric,
-          fingerprint, topology.transport, counters, &corpus, digests_.get());
-      worker->Connect();
-      workers_.push_back(std::move(worker));
+          fingerprint, topology.transport, counters, &corpus, digests_.get()));
     }
+    for_each_shard([&](size_t s) {
+      static_cast<ReplicaShardWorker&>(*workers_[s]).Connect();
+    });
   } else if (!topology.worker_command.empty()) {
     // One spawned child per shard over the same socket transport. Spawn
     // and sync failures (bad command, dead child, fingerprint mismatch)
     // throw — the engine turns that into a structured internal-error
     // response and retires the fit slot.
     for (const ShardRange& range : plan) {
-      auto worker = std::make_unique<SocketShardWorker>(
+      workers_.push_back(std::make_unique<SocketShardWorker>(
           range, context.corpus_name, metric, fingerprint, topology.transport,
-          counters);
-      Status status = worker->Spawn(topology.worker_command);
-      if (status.ok()) status = worker->Sync(corpus, digests);
+          counters));
+    }
+    std::vector<Status> started(workers_.size());
+    for_each_shard([&](size_t s) {
+      auto& worker = static_cast<SocketShardWorker&>(*workers_[s]);
+      started[s] = worker.Spawn(topology.worker_command);
+      if (started[s].ok()) started[s] = worker.Sync(corpus, digests);
+    });
+    for (const Status& status : started) {
       if (!status.ok()) {
         throw std::runtime_error("shard worker spawn failed: " +
                                  status.message());
       }
-      workers_.push_back(std::move(worker));
     }
   } else {
     for (const ShardRange& range : plan) {
@@ -127,12 +144,24 @@ bool ShardRanking::FanOut(std::span<const float> query, size_t r,
   // Socket workers: each connection is a single-lane channel and queries
   // arrive concurrently from the pool, so fan-outs serialize.
   // (Serialization also keeps replica failover sane: at most one query is
-  // ever in flight when a replica dies.)
+  // ever in flight when a replica dies.) Within one fan-out, every
+  // request is written before any reply is read, so the shards compute
+  // at once. Every shard sent to is read, even after another failed, so
+  // no connection is left holding a reply the next query would take for
+  // its own.
   std::lock_guard<std::mutex> lock(fan_out_mutex_);
-  for (size_t s = 0; s < workers_.size(); ++s) {
-    if (!workers_[s]->Candidates(query, r, dists, &(*runs)[s])) return false;
+  const auto connected = [&](size_t s) -> ConnectedShardWorker& {
+    return static_cast<ConnectedShardWorker&>(*workers_[s]);
+  };
+  size_t sent = 0;
+  while (sent < workers_.size() && connected(sent).SendCandidates(query, r)) {
+    ++sent;
   }
-  return true;
+  bool ok = sent == workers_.size();
+  for (size_t s = 0; s < sent; ++s) {
+    if (!connected(s).ReadCandidates(query, r, dists, &(*runs)[s])) ok = false;
+  }
+  return ok;
 }
 
 bool ShardRanking::Rank(std::span<const float> query, size_t r,

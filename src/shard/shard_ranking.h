@@ -9,7 +9,8 @@
 // bit-identically to the unsharded server: each worker's run is the
 // exact top-r of its contiguous rows, and the merge of those runs *is*
 // the global top-r (knn/selection.h). The raw double distances cross the
-// shard boundary losslessly (%.17g on the socket transport), so
+// shard boundary losslessly (raw bits in the packed candidate run on the
+// socket transport), so
 // weighted-fast's kernel weights match too.
 //
 // Failure semantics: a fan-out that fails on a healthy topology (a worker
@@ -43,7 +44,8 @@ class ShardRanking : public Ranking {
  public:
   /// Plans `corpus`'s shards from the context's digests (hashing the
   /// corpus when it carries none) and builds one worker per planned
-  /// shard. Throws on a bad topology (too few replica groups, a bad
+  /// shard, connecting and syncing socket workers concurrently on the
+  /// shared pool. Throws on a bad topology (too few replica groups, a bad
   /// endpoint) and on a spawned worker that fails to start or sync;
   /// remote dial failures do not throw but surface through Health() on
   /// the first fan-out. `corpus` must outlive the ranking.
@@ -54,8 +56,8 @@ class ShardRanking : public Ranking {
   Status Health() const override;
 
  private:
-  /// Fan the query out to every worker; false unless every worker
-  /// produced its run.
+  /// Fan the query out to every worker (socket workers: send to all,
+  /// then gather); false unless every worker produced its run.
   bool FanOut(std::span<const float> query, size_t r, std::span<double> dists,
               std::vector<std::vector<int>>* runs) const;
 

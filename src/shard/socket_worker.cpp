@@ -63,7 +63,7 @@ SocketShardWorker::SocketShardWorker(ShardRange range, std::string corpus_name,
                                      uint64_t expected_fingerprint,
                                      SocketWorkerOptions options,
                                      ShardTransportCounters counters)
-    : ShardWorker(range),
+    : ConnectedShardWorker(range),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
       expected_fingerprint_(expected_fingerprint),
@@ -200,16 +200,28 @@ Status SocketShardWorker::Spawn(const std::vector<std::string>& command) {
 Status SocketShardWorker::Sync(const Dataset& corpus,
                                const CorpusDigests& digests) {
   ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
+  // Version first: a worker on another protocol would misread every
+  // packed payload that follows.
+  std::string line;
+  if (!Exchange(R"({"op":"protocol"})", &line)) return Health();
+  JsonParseResult parsed = ParseJson(line);
+  const JsonValue& version = parsed.value.Get("protocol");
+  if (!version.IsNumber() || version.AsNumber() != wire::kProtocolVersion) {
+    return Fail(Status::FailedPrecondition(
+        "shard worker " + peer_ + " speaks protocol " +
+        (version.IsNumber() ? version.Dump() : "unknown") +
+        "; this router speaks protocol " +
+        std::to_string(wire::kProtocolVersion)));
+  }
   // Corpus sync: ask what the worker holds, ship the difference. A worker
   // that kept the corpus across a router re-fit (the common warm case)
   // costs one digests round trip and zero rows; a mutated corpus costs
   // only its changed blocks; everything else — a fresh spawned child
-  // included — falls back to the full inline load.
-  std::string line;
+  // included — falls back to the full load.
   if (!Exchange(wire::BuildDigestsRequest(corpus_name_).Dump(), &line)) {
     return Health();
   }
-  JsonParseResult parsed = ParseJson(line);
+  parsed = ParseJson(line);
   if (!parsed.ok()) {
     return Fail(Status::Unavailable("shard worker " + peer_ +
                                     " sent an unparseable digests response"));
@@ -266,17 +278,24 @@ Status SocketShardWorker::Sync(const Dataset& corpus,
   return Status::Ok();
 }
 
-bool SocketShardWorker::Exchange(const std::string& line,
-                                 std::string* response) {
+bool SocketShardWorker::WriteLine(const std::string& line) {
   if (write_stream_ == nullptr || read_stream_ == nullptr) {
     Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
   }
-  if (std::fputs(line.c_str(), write_stream_) < 0 ||
+  if (std::fwrite(line.data(), 1, line.size(), write_stream_) != line.size() ||
       std::fputc('\n', write_stream_) == EOF ||
       std::fflush(write_stream_) != 0) {
     Fail(Status::Unavailable("shard worker " + peer_ +
                              " closed the connection on write"));
+    return false;
+  }
+  return true;
+}
+
+bool SocketShardWorker::ReadLine(std::string* response) {
+  if (read_stream_ == nullptr) {
+    Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
   }
   if (FaultInjectionEnabled() && Fault("shard_read")) {
@@ -304,19 +323,21 @@ bool SocketShardWorker::Exchange(const std::string& line,
   return true;
 }
 
-bool SocketShardWorker::Candidates(std::span<const float> query, size_t r,
-                                   std::span<double> dists,
-                                   std::vector<int>* run) {
+bool SocketShardWorker::SendCandidates(std::span<const float> query,
+                                       size_t r) {
+  return Health().ok() &&
+         WriteLine(wire::BuildCandidatesRequest(range_, corpus_name_, metric_,
+                                                query, r)
+                       .Dump());
+}
+
+bool SocketShardWorker::ReadCandidates(std::span<const float> /*query*/,
+                                       size_t r, std::span<double> dists,
+                                       std::vector<int>* run) {
   run->clear();
-  if (!Health().ok()) return false;
   std::string line;
-  if (!Exchange(
-          wire::BuildCandidatesRequest(range_, corpus_name_, metric_, query, r)
-              .Dump(),
-          &line)) {
-    return false;
-  }
-  Status status = wire::ParseCandidatesResponse(line, range_, dists, run);
+  if (!ReadLine(&line)) return false;
+  Status status = wire::ParseCandidatesResponse(line, range_, r, dists, run);
   if (status.ok()) return true;
   // A propagated deadline leaves health OK (no failover — the router's
   // token is the authority); any other failure latches this connection
@@ -334,7 +355,7 @@ ReplicaShardWorker::ReplicaShardWorker(
     Metric metric, uint64_t expected_fingerprint, SocketWorkerOptions options,
     ShardTransportCounters counters, const Dataset* corpus,
     const CorpusDigests* digests)
-    : ShardWorker(range),
+    : ConnectedShardWorker(range),
       replicas_(std::move(replicas)),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
@@ -387,25 +408,31 @@ void ReplicaShardWorker::Connect() {
   EnsureActive();
 }
 
-bool ReplicaShardWorker::Candidates(std::span<const float> query, size_t r,
-                                    std::span<double> dists,
-                                    std::vector<int>* run) {
-  run->clear();
-  if (!Health().ok()) return false;
-  while (EnsureActive()) {
-    if (conn_->Candidates(query, r, dists, run)) return true;
+bool ReplicaShardWorker::SendCandidates(std::span<const float> query,
+                                        size_t r) {
+  if (!Health().ok() || !EnsureActive()) return false;
+  // A failed write latches conn_ dead; ReadCandidates then fails over.
+  conn_->SendCandidates(query, r);
+  return true;
+}
+
+bool ReplicaShardWorker::ReadCandidates(std::span<const float> query, size_t r,
+                                        std::span<double> dists,
+                                        std::vector<int>* run) {
+  bool ok = conn_->ReadCandidates(query, r, dists, run);
+  while (!ok) {
     if (conn_->Health().ok()) {
       // Propagated deadline — the replica is fine, the budget is not.
       // Retrying a sibling would only burn what little remains.
       return false;
     }
     // The active replica died mid-query. Fail over: mark it dead, connect
-    // + sync the next one, retry the same query there. The candidate run
-    // is a pure function of the fingerprint-verified corpus, so the
-    // retried answer is byte-identical to what the dead replica would
-    // have sent. (Rows the aborted attempt already wrote into `dists` are
-    // harmless: the router only reads distances at indices named by the
-    // merged runs.)
+    // + sync the next one, retry the same query there synchronously. The
+    // candidate run is a pure function of the fingerprint-verified
+    // corpus, so the retried answer is byte-identical to what the dead
+    // replica would have sent. (Rows the aborted attempt already wrote
+    // into `dists` are harmless: the router only reads distances at
+    // indices named by the merged runs.)
     ScopedPhase span(ActiveTrace(), Phase::kShardFailover);
     conn_.reset();
     ++active_;
@@ -415,8 +442,10 @@ bool ReplicaShardWorker::Candidates(std::span<const float> query, size_t r,
       // all-replicas-dead path deterministically.
       active_ = replicas_.size();
     }
+    if (!EnsureActive()) return false;
+    ok = conn_->Candidates(query, r, dists, run);
   }
-  return false;
+  return true;
 }
 
 }  // namespace knnshap

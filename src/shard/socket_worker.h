@@ -10,17 +10,21 @@
 //     worker command onto one end of a socketpair (the child's stdin and
 //     stdout) and owns the child, reaping it on destruction — a child
 //     whose router goes away sees EOF and exits. Either way, Sync() then
+//     checks the worker speaks this build's protocol version (`protocol`
+//     op; any other version is a failed_precondition naming both) and
 //     brings the worker's corpus up to date: it asks for the worker's
 //     per-block content digests (`digests` op) and ships either nothing
-//     (fingerprints match), a `load_delta` with exactly the changed
-//     blocks, or a full inline `load` (unknown/incompatible worker
-//     state — always the case for a fresh child). Every sync path ends
-//     with the worker echoing its independently recomputed corpus
+//     (fingerprints match), a packed `load_delta` with exactly the
+//     changed blocks, or a full packed `load` (unknown/incompatible
+//     worker state — always the case for a fresh child). Every sync path
+//     ends with the worker echoing its independently recomputed corpus
 //     fingerprint, which must equal the router's — transport corruption
 //     and stale-worker states are caught before any candidates flow.
-//     Candidates() is one JSONL line exchange (shard/wire.h) under the
-//     socket's SO_RCVTIMEO/SO_SNDTIMEO — a worker that stops answering
-//     surfaces as a read timeout, not a hang.
+//     Candidates are one JSONL line exchange (shard/wire.h), split into
+//     SendCandidates() and ReadCandidates() so the router can have a
+//     request in flight on every shard at once, under the socket's
+//     SO_RCVTIMEO/SO_SNDTIMEO — a worker that stops answering surfaces
+//     as a read timeout, not a hang.
 //
 //     A SocketShardWorker is one connection's lifetime: any transport or
 //     protocol failure latches Health() non-OK and the object is
@@ -30,9 +34,10 @@
 //
 //   * ReplicaShardWorker — an ordered list of remote replicas for one
 //     shard. It lazily connects the first live replica and fails over
-//     *within a single Candidates() call*: a replica that dies mid-query
-//     is marked dead (health latching), the next replica is connected +
-//     synced, and the same query is retried there — the router's fan-out
+//     *within a single query*: a replica that dies between SendCandidates
+//     and ReadCandidates is marked dead (health latching), the next
+//     replica is connected + synced, and the same query is retried there
+//     synchronously — the router's fan-out
 //     sees a usable run and the response stays byte-identical (the
 //     candidate run is a pure function of the corpus, which every replica
 //     verified by fingerprint). Only when EVERY replica is dead does
@@ -87,8 +92,31 @@ struct ShardTransportCounters {
   static ShardTransportCounters From(MetricsRegistry* metrics);
 };
 
+/// A worker behind a connection. Candidates splits into a send half and a
+/// read half, so the router can write every shard's request before it
+/// reads any reply (send-all-then-gather: the shards compute at once).
+class ConnectedShardWorker : public ShardWorker {
+ public:
+  using ShardWorker::ShardWorker;
+
+  /// Writes the candidates request. False when no reply will follow (the
+  /// worker is dead; Health() says why), and the caller must not read.
+  virtual bool SendCandidates(std::span<const float> query, size_t r) = 0;
+  /// Reads the reply to the last successful SendCandidates, with
+  /// Candidates' contract. The query is passed again for failover.
+  virtual bool ReadCandidates(std::span<const float> query, size_t r,
+                              std::span<double> dists,
+                              std::vector<int>* run) = 0;
+
+  bool Candidates(std::span<const float> query, size_t r,
+                  std::span<double> dists, std::vector<int>* run) final {
+    run->clear();
+    return SendCandidates(query, r) && ReadCandidates(query, r, dists, run);
+  }
+};
+
 /// One JSONL connection to one shard worker process.
-class SocketShardWorker : public ShardWorker {
+class SocketShardWorker : public ConnectedShardWorker {
  public:
   SocketShardWorker(ShardRange range, std::string corpus_name, Metric metric,
                     uint64_t expected_fingerprint, SocketWorkerOptions options,
@@ -102,21 +130,27 @@ class SocketShardWorker : public ShardWorker {
   /// socketpair; this object owns the other end and the child.
   Status Spawn(const std::vector<std::string>& command);
 
-  /// Brings the worker's corpus up to date (digests -> none/delta/full,
-  /// fingerprint-verified). Must follow a successful Dial or Spawn and
-  /// succeed before Candidates; a non-OK return leaves the worker dead
-  /// (discard it).
+  /// Checks the worker's protocol version, then brings its corpus up to
+  /// date (digests -> none/delta/full, fingerprint-verified). Must follow
+  /// a successful Dial or Spawn and succeed before Candidates; a non-OK
+  /// return leaves the worker dead (discard it).
   Status Sync(const Dataset& corpus, const CorpusDigests& digests);
 
-  bool Candidates(std::span<const float> query, size_t r,
-                  std::span<double> dists, std::vector<int>* run) override;
+  bool SendCandidates(std::span<const float> query, size_t r) override;
+  bool ReadCandidates(std::span<const float> query, size_t r,
+                      std::span<double> dists,
+                      std::vector<int>* run) override;
 
   Status Health() const override;
 
  private:
   /// Adopts a connected fd as the line-framed stream pair.
   Status Open(int fd);
-  bool Exchange(const std::string& line, std::string* response);
+  bool WriteLine(const std::string& line);
+  bool ReadLine(std::string* response);
+  bool Exchange(const std::string& line, std::string* response) {
+    return WriteLine(line) && ReadLine(response);
+  }
   /// Latches `status`, closes the connection and returns `status`.
   Status Fail(Status status);
   void CloseStreams();
@@ -137,10 +171,10 @@ class SocketShardWorker : public ShardWorker {
 };
 
 /// Ordered replica list for one shard, with health latching and
-/// mid-query failover. The data plane (Candidates/Connect) is NOT
-/// internally synchronized — the router serializes socket fan-outs;
+/// mid-query failover. The data plane (Send/ReadCandidates, Connect) is
+/// NOT internally synchronized — the router serializes socket fan-outs;
 /// Health() alone is thread-safe (the engine reads it concurrently).
-class ReplicaShardWorker : public ShardWorker {
+class ReplicaShardWorker : public ConnectedShardWorker {
  public:
   /// `corpus` and `digests` must outlive the worker (the fitted valuator
   /// and its ShardRanking own them); replicas are tried strictly in order.
@@ -152,12 +186,14 @@ class ReplicaShardWorker : public ShardWorker {
                      const CorpusDigests* digests);
 
   /// Best-effort eager connect of the first live replica (fit-time). A
-  /// failure is not fatal — Candidates() retries the remaining replicas;
-  /// only all-dead latches Health().
+  /// failure is not fatal — the next query retries the remaining
+  /// replicas; only all-dead latches Health().
   void Connect();
 
-  bool Candidates(std::span<const float> query, size_t r,
-                  std::span<double> dists, std::vector<int>* run) override;
+  bool SendCandidates(std::span<const float> query, size_t r) override;
+  bool ReadCandidates(std::span<const float> query, size_t r,
+                      std::span<double> dists,
+                      std::vector<int>* run) override;
 
   Status Health() const override;
 

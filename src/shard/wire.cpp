@@ -3,7 +3,10 @@
 #include "shard/wire.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -40,22 +43,206 @@ std::string TargetMode(const Dataset& data) {
 
 namespace {
 
-/// One corpus row in the inline-load encoding: features widened to double
-/// (%.17g round-trips bit-exactly) plus the trailing label/target column.
-JsonValue RowJson(const Dataset& corpus, size_t i) {
-  JsonValue row = JsonValue::MakeArray();
-  for (float f : corpus.features.Row(i)) {
-    row.Append(JsonValue(static_cast<double>(f)));
+constexpr char kBase64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// 0..63 for the alphabet's characters, 64 for every other byte.
+constexpr std::array<uint8_t, 256> kBase64Values = [] {
+  std::array<uint8_t, 256> values{};
+  values.fill(64);
+  for (uint8_t i = 0; i < 64; ++i) {
+    values[static_cast<uint8_t>(kBase64Alphabet[i])] = i;
   }
-  if (corpus.HasLabels()) {
-    row.Append(JsonValue(static_cast<double>(corpus.labels[i])));
-  } else if (corpus.HasTargets()) {
-    row.Append(JsonValue(corpus.targets[i]));
+  return values;
+}();
+
+/// Bytes per packed candidate: u32 row index + f64 distance bits.
+constexpr size_t kRunEntryBytes = 12;
+/// Packed rows carry at most this many rows: row indices are ints.
+constexpr double kMaxPackedRows = 2147483647.0;
+
+void PutU32(uint32_t value, char* out) {
+  for (int b = 0; b < 4; ++b) out[b] = static_cast<char>(value >> (8 * b));
+}
+
+void PutU64(uint64_t value, char* out) {
+  for (int b = 0; b < 8; ++b) out[b] = static_cast<char>(value >> (8 * b));
+}
+
+uint32_t GetU32(const char* in) {
+  uint32_t value = 0;
+  for (int b = 0; b < 4; ++b) {
+    value |= static_cast<uint32_t>(static_cast<uint8_t>(in[b])) << (8 * b);
   }
-  return row;
+  return value;
+}
+
+uint64_t GetU64(const char* in) {
+  uint64_t value = 0;
+  for (int b = 0; b < 8; ++b) {
+    value |= static_cast<uint64_t>(static_cast<uint8_t>(in[b])) << (8 * b);
+  }
+  return value;
+}
+
+/// Decodes the base64 string field `field` of `payload` into *bytes and
+/// checks it holds exactly `expected` bytes.
+bool DecodeColumn(const JsonValue& payload, const char* field, size_t expected,
+                  std::string* bytes, std::string* error) {
+  const JsonValue& text = payload.Get(field);
+  if (!text.IsString() || !DecodeBase64(text.AsString(), bytes)) {
+    *error = std::string("'") + field + "' must be a base64 string";
+    return false;
+  }
+  if (bytes->size() != expected) {
+    *error = std::string("'") + field + "' holds " +
+             std::to_string(bytes->size()) + " bytes, expected " +
+             std::to_string(expected);
+    return false;
+  }
+  return true;
+}
+
+Status ParseRun(const std::string& line, const ShardRange& range,
+                size_t max_count, bool exact_count, std::span<double> dists,
+                std::vector<int>* run) {
+  KNNSHAP_CHECK(range.row_end <= dists.size(), "dists buffer too small");
+  run->clear();
+  JsonParseResult parsed = ParseJson(line);
+  if (!parsed.ok()) {
+    return Status::Error(StatusCode::kInternal,
+                         "shard worker sent an unparseable response");
+  }
+  const JsonValue& response = parsed.value;
+  if (!response.Get("ok").AsBool(false)) {
+    if (response.Get("code").AsString() == "deadline_exceeded") {
+      return Status::DeadlineExceeded("shard worker deadline");
+    }
+    return Status::Unavailable("shard worker error: " +
+                               response.Get("error").AsString());
+  }
+  const auto malformed = [](const std::string& what) {
+    return Status::Error(StatusCode::kInternal,
+                         "shard worker returned " + what);
+  };
+  thread_local std::string bytes;
+  const JsonValue& packed = response.Get("run");
+  if (!packed.IsString() || !DecodeBase64(packed.AsString(), &bytes) ||
+      bytes.size() % kRunEntryBytes != 0) {
+    return malformed("a malformed candidate run");
+  }
+  const size_t count = bytes.size() / kRunEntryBytes;
+  if (count > max_count || (exact_count && count != max_count)) {
+    return malformed("a candidate run of " + std::to_string(count) +
+                     " entries, expected " + (exact_count ? "" : "at most ") +
+                     std::to_string(max_count));
+  }
+  run->reserve(count);
+  // The last entry with a number for a distance. The merge trusts each
+  // run's (distance, index) order; NaN distances have no place in it and
+  // pass through as computed, but cannot hide a descent around them.
+  double previous = 0.0;
+  uint32_t previous_index = 0;
+  bool have_previous = false;
+  // The merge reads each distance back from `dists` by index, so a row
+  // named twice would make one entry read the other's distance.
+  thread_local std::vector<bool> seen;
+  seen.assign(range.Rows(), false);
+  for (size_t e = 0; e < count; ++e) {
+    const char* entry = bytes.data() + e * kRunEntryBytes;
+    const uint32_t index = GetU32(entry);
+    const double dist = std::bit_cast<double>(GetU64(entry + 4));
+    if (index < range.row_begin || index >= range.row_end) {
+      run->clear();
+      return malformed("an out-of-range candidate");
+    }
+    if (seen[index - range.row_begin]) {
+      run->clear();
+      return malformed("a candidate run naming a row twice");
+    }
+    seen[index - range.row_begin] = true;
+    if (!std::isnan(dist)) {
+      if (have_previous && !(previous < dist || (previous == dist &&
+                                                  previous_index < index))) {
+        run->clear();
+        return malformed("a candidate run out of (distance, index) order");
+      }
+      previous = dist;
+      previous_index = index;
+      have_previous = true;
+    }
+    dists[index] = dist;
+    run->push_back(static_cast<int>(index));
+  }
+  return Status::Ok();
 }
 
 }  // namespace
+
+std::string EncodeBase64(std::string_view bytes) {
+  std::string out((bytes.size() + 2) / 3 * 4, '=');
+  char* o = out.data();
+  const auto byte = [&](size_t i) {
+    return static_cast<uint32_t>(static_cast<uint8_t>(bytes[i]));
+  };
+  size_t i = 0;
+  for (; i + 3 <= bytes.size(); i += 3) {
+    const uint32_t v = byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2);
+    *o++ = kBase64Alphabet[v >> 18];
+    *o++ = kBase64Alphabet[(v >> 12) & 63];
+    *o++ = kBase64Alphabet[(v >> 6) & 63];
+    *o++ = kBase64Alphabet[v & 63];
+  }
+  if (const size_t rest = bytes.size() - i; rest > 0) {
+    const uint32_t v = byte(i) << 16 | (rest == 2 ? byte(i + 1) << 8 : 0);
+    *o++ = kBase64Alphabet[v >> 18];
+    *o++ = kBase64Alphabet[(v >> 12) & 63];
+    if (rest == 2) *o = kBase64Alphabet[(v >> 6) & 63];
+  }
+  return out;
+}
+
+bool DecodeBase64(std::string_view text, std::string* bytes) {
+  if (text.size() % 4 != 0) return false;
+  size_t pad = 0;
+  if (!text.empty() && text.back() == '=') {
+    pad = text[text.size() - 2] == '=' ? 2 : 1;
+  }
+  bytes->resize(text.size() / 4 * 3 - pad);
+  char* o = bytes->data();
+  const auto value = [&](size_t i) {
+    return kBase64Values[static_cast<uint8_t>(text[i])];
+  };
+  const size_t quanta = text.size() / 4;
+  for (size_t q = 0; q < quanta; ++q) {
+    const size_t at = 4 * q;
+    const bool last = q + 1 == quanta;
+    const uint32_t a = value(at), b = value(at + 1);
+    const uint32_t c = last && pad == 2 ? 0 : value(at + 2);
+    const uint32_t d = last && pad > 0 ? 0 : value(at + 3);
+    if ((a | b | c | d) & 64) return false;
+    const uint32_t v = a << 18 | b << 12 | c << 6 | d;
+    *o++ = static_cast<char>(v >> 16);
+    if (last && pad == 2) return (v & 0xffff) == 0;
+    *o++ = static_cast<char>(v >> 8);
+    if (last && pad == 1) return (v & 0xff) == 0;
+    *o++ = static_cast<char>(v);
+  }
+  return true;
+}
+
+std::string PackCandidateRun(std::span<const int> indices,
+                             std::span<const double> distances) {
+  KNNSHAP_CHECK(indices.size() == distances.size(),
+                "candidate run: one distance per index");
+  std::string bytes(indices.size() * kRunEntryBytes, '\0');
+  for (size_t e = 0; e < indices.size(); ++e) {
+    char* entry = bytes.data() + e * kRunEntryBytes;
+    PutU32(static_cast<uint32_t>(indices[e]), entry);
+    PutU64(std::bit_cast<uint64_t>(distances[e]), entry + 4);
+  }
+  return EncodeBase64(bytes);
+}
 
 JsonValue BuildCandidatesRequest(const ShardRange& range,
                                  const std::string& corpus_name, Metric metric,
@@ -84,46 +271,97 @@ JsonValue BuildCandidatesRequest(const ShardRange& range,
 }
 
 Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
+                               size_t r, std::span<double> dists,
+                               std::vector<int>* run) {
+  return ParseRun(line, range, std::min(r, range.Rows()), true, dists, run);
+}
+
+Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
                                std::span<double> dists, std::vector<int>* run) {
-  run->clear();
-  JsonParseResult parsed = ParseJson(line);
-  if (!parsed.ok()) {
-    return Status::Error(StatusCode::kInternal,
-                         "shard worker sent an unparseable response");
-  }
-  const JsonValue& response = parsed.value;
-  if (!response.Get("ok").AsBool(false)) {
-    if (response.Get("code").AsString() == "deadline_exceeded") {
-      return Status::DeadlineExceeded("shard worker deadline");
+  return ParseRun(line, range, range.Rows(), false, dists, run);
+}
+
+void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
+                   JsonValue* out) {
+  KNNSHAP_CHECK(begin < end && end <= corpus.Size(), "packed rows out of range");
+  const size_t count = end - begin, dim = corpus.Dim();
+  out->Set("count", JsonValue(static_cast<double>(count)));
+  std::string bytes(count * dim * 4, '\0');
+  char* o = bytes.data();
+  for (size_t i = begin; i < end; ++i) {
+    for (float f : corpus.features.Row(i)) {
+      PutU32(std::bit_cast<uint32_t>(f), o);
+      o += 4;
     }
-    return Status::Unavailable("shard worker error: " +
-                               response.Get("error").AsString());
   }
-  const JsonValue& indices = response.Get("indices");
-  const JsonValue& distances = response.Get("dists");
-  if (!indices.IsArray() || !distances.IsArray() ||
-      indices.Items().size() != distances.Items().size()) {
-    return Status::Error(StatusCode::kInternal,
-                         "shard worker returned a malformed candidate run");
-  }
-  run->reserve(indices.Items().size());
-  for (size_t i = 0; i < indices.Items().size(); ++i) {
-    const JsonValue& index = indices.Items()[i];
-    const JsonValue& dist = distances.Items()[i];
-    const double raw = index.AsNumber(-1.0);
-    const int row = static_cast<int>(raw);
-    if (!index.IsNumber() || !dist.IsNumber() ||
-        static_cast<double>(row) != raw ||
-        row < static_cast<int>(range.row_begin) ||
-        row >= static_cast<int>(range.row_end)) {
-      run->clear();
-      return Status::Error(StatusCode::kInternal,
-                           "shard worker returned an out-of-range candidate");
+  out->Set("features", JsonValue(EncodeBase64(bytes)));
+  if (corpus.HasLabels()) {
+    bytes.assign(count * 4, '\0');
+    for (size_t i = begin; i < end; ++i) {
+      PutU32(static_cast<uint32_t>(corpus.labels[i]), &bytes[(i - begin) * 4]);
     }
-    dists[static_cast<size_t>(row)] = dist.AsNumber();
-    run->push_back(row);
+    out->Set("labels", JsonValue(EncodeBase64(bytes)));
+  } else if (corpus.HasTargets()) {
+    bytes.assign(count * 8, '\0');
+    for (size_t i = begin; i < end; ++i) {
+      PutU64(std::bit_cast<uint64_t>(corpus.targets[i]), &bytes[(i - begin) * 8]);
+    }
+    out->Set("targets", JsonValue(EncodeBase64(bytes)));
   }
-  return Status::Ok();
+}
+
+bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
+                      size_t expected_rows, Dataset* data, std::string* error) {
+  const JsonValue& count_json = payload.Get("count");
+  const double raw = count_json.IsNumber() ? count_json.AsNumber() : 0.0;
+  if (!(raw >= 1.0 && raw <= kMaxPackedRows) ||
+      raw != static_cast<double>(static_cast<size_t>(raw))) {
+    *error = "'count' must be a positive integer";
+    return false;
+  }
+  const size_t count = static_cast<size_t>(raw);
+  if (expected_rows != 0 && count != expected_rows) {
+    *error = "'count' is " + std::to_string(count) + ", expected " +
+             std::to_string(expected_rows);
+    return false;
+  }
+  if (dim == 0 || dim > SIZE_MAX / 4 / count ||
+      (!data->features.Empty() && dim != data->Dim())) {
+    *error = "packed rows do not match the corpus dim";
+    return false;
+  }
+  const char* column = target == CsvTarget::kLabel    ? "labels"
+                       : target == CsvTarget::kTarget ? "targets"
+                                                      : nullptr;
+  for (const char* field : {"labels", "targets"}) {
+    if (payload.Has(field) &&
+        (column == nullptr || std::string_view(column) != field)) {
+      *error = std::string("'") + field + "' does not match the target mode";
+      return false;
+    }
+  }
+  thread_local std::string features, values;
+  if (!DecodeColumn(payload, "features", count * dim * 4, &features, error) ||
+      (column != nullptr &&
+       !DecodeColumn(payload, column,
+                     count * (target == CsvTarget::kLabel ? 4 : 8), &values,
+                     error))) {
+    return false;
+  }
+  thread_local std::vector<float> row;
+  row.resize(dim);
+  for (size_t i = 0; i < count; ++i) {
+    for (size_t c = 0; c < dim; ++c) {
+      row[c] = std::bit_cast<float>(GetU32(&features[(i * dim + c) * 4]));
+    }
+    data->features.AppendRow(row);
+    if (target == CsvTarget::kLabel) {
+      data->labels.push_back(static_cast<int32_t>(GetU32(&values[i * 4])));
+    } else if (target == CsvTarget::kTarget) {
+      data->targets.push_back(std::bit_cast<double>(GetU64(&values[i * 8])));
+    }
+  }
+  return true;
 }
 
 JsonValue BuildInlineLoadRequest(const std::string& corpus_name,
@@ -132,9 +370,8 @@ JsonValue BuildInlineLoadRequest(const std::string& corpus_name,
   load.Set("op", JsonValue("load"));
   load.Set("name", JsonValue(corpus_name));
   load.Set("target", JsonValue(TargetMode(corpus)));
-  JsonValue rows = JsonValue::MakeArray();
-  for (size_t i = 0; i < corpus.Size(); ++i) rows.Append(RowJson(corpus, i));
-  load.Set("rows", std::move(rows));
+  load.Set("dim", JsonValue(static_cast<double>(corpus.Dim())));
+  SetPackedRows(corpus, 0, corpus.Size(), &load);
   return load;
 }
 
@@ -214,11 +451,9 @@ JsonValue BuildDeltaLoadRequest(const std::string& corpus_name,
     KNNSHAP_CHECK(b < digests.NumBlocks(), "delta block out of range");
     JsonValue entry = JsonValue::MakeObject();
     entry.Set("block", JsonValue(static_cast<double>(b)));
-    JsonValue rows = JsonValue::MakeArray();
     const size_t begin = b * digests.block_rows;
-    const size_t end = std::min(begin + digests.block_rows, corpus.Size());
-    for (size_t i = begin; i < end; ++i) rows.Append(RowJson(corpus, i));
-    entry.Set("rows", std::move(rows));
+    SetPackedRows(corpus, begin,
+                  std::min(begin + digests.block_rows, corpus.Size()), &entry);
     block_array.Append(std::move(entry));
   }
   request.Set("blocks", std::move(block_array));

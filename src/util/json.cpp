@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <system_error>
 
 namespace knnshap {
@@ -156,13 +157,23 @@ class Parser {
   JsonValue ParseString(std::string* error) {
     ++p_;  // '"'
     std::string out;
+    // Plain runs are appended whole: memchr finds the next quote (end_ if
+    // there is none), kept until an escape consumes it, and the next
+    // backslash before it.
+    const char* quote = nullptr;
     while (p_ != end_) {
-      char c = *p_++;
-      if (c == '"') return JsonValue(std::move(out));
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+      if (quote == nullptr || quote < p_) {
+        quote = static_cast<const char*>(std::memchr(p_, '"', end_ - p_));
+        if (quote == nullptr) quote = end_;
       }
+      const char* backslash = static_cast<const char*>(
+          std::memchr(p_, '\\', static_cast<size_t>(quote - p_)));
+      const char* stop = backslash != nullptr ? backslash : quote;
+      out.append(p_, stop);
+      p_ = stop;
+      if (p_ == end_) break;
+      ++p_;
+      if (stop == quote) return JsonValue(std::move(out));
       if (p_ == end_) break;
       char esc = *p_++;
       switch (esc) {
@@ -224,23 +235,32 @@ class Parser {
   int depth_ = 0;
 };
 
+bool NeedsEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void EscapeInto(const std::string& s, std::string* out) {
   out->push_back('"');
-  for (char c : s) {
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (true) {
+    // Append the plain run up to the next character that needs escaping.
+    const char* run = p;
+    while (p != end && !NeedsEscape(*p)) ++p;
+    out->append(run, p);
+    if (p == end) break;
+    const char c = *p++;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
   out->push_back('"');

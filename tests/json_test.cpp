@@ -237,6 +237,95 @@ TEST(JsonNumberCodecTest, MalformedNumbersStayErrors) {
   }
 }
 
+// The character-at-a-time escaper the run-copying EscapeInto replaced:
+// the oracle its bytes must match.
+std::string ReferenceEscape(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+TEST(JsonStringTest, EscapesEveryControlCharacter) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string s(1, static_cast<char>(c));
+    const std::string text = JsonValue(s).Dump();
+    const char* expected = c == '\n'   ? "\"\\n\""
+                           : c == '\r' ? "\"\\r\""
+                           : c == '\t' ? "\"\\t\""
+                                       : nullptr;
+    if (expected != nullptr) {
+      EXPECT_EQ(text, expected) << c;
+    } else {
+      char buf[16];
+      std::snprintf(buf, sizeof buf, "\"\\u%04x\"", c);
+      EXPECT_EQ(text, buf) << c;
+    }
+    const JsonParseResult back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << back.error;
+    EXPECT_EQ(back.value.AsString(), s) << c;
+  }
+  // DEL and bytes >= 0x80 are not escaped.
+  EXPECT_EQ(JsonValue("\x7f\xc3\xa9").Dump(), "\"\x7f\xc3\xa9\"");
+}
+
+TEST(JsonStringTest, EscapesAtTheStartMiddleAndEndOfARun) {
+  for (const std::string& s :
+       {std::string(""), std::string("plain"), std::string("\"lead"),
+        std::string("trail\\"), std::string("mid\"dle"), std::string("\\\\"),
+        std::string("\"\""), std::string("\n"), std::string("a\x01b\x1f"),
+        std::string("\x00zero", 5), std::string(70'000, 'x') + "\"",
+        "\\" + std::string(70'000, 'y')}) {
+    const std::string text = JsonValue(s).Dump();
+    EXPECT_EQ(text, ReferenceEscape(s));
+    const JsonParseResult back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << back.error;
+    EXPECT_EQ(back.value.AsString(), s);
+  }
+  // \u escapes and the short escapes, anywhere in a run.
+  EXPECT_EQ(ParseJson(R"("\u0041bc")").value.AsString(), "Abc");
+  EXPECT_EQ(ParseJson(R"("ab\u0043")").value.AsString(), "abC");
+  EXPECT_EQ(ParseJson(R"("a\u00e9b")").value.AsString(), "a?b");
+  EXPECT_EQ(ParseJson(R"("\/\b\f\n\r\t\"\\")").value.AsString(),
+            "/\b\f\n\r\t\"\\");
+  EXPECT_EQ(ParseJson(R"("x\"y\"z")").value.AsString(), "x\"y\"z");
+  // Escape errors stay errors wherever they sit.
+  for (const char* bad : {R"("\q")", R"("ab\u12")", R"("ab\u12zz")", R"("ab\")",
+                          "\"ab\\", "\"no end", "\"\\\""}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+}
+
+TEST(JsonStringTest, SeededStringsMatchTheReferenceEscaper) {
+  const char alphabet[] = {'a', 'Z', '"', '\\', '\n', '\t', '\x01', '\x1f',
+                           '\x7f', '\xff', ' ', '/'};
+  Rng rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string s(rng.NextIndex(40), '\0');
+    for (char& c : s) c = alphabet[rng.NextIndex(sizeof alphabet)];
+    const std::string text = JsonValue(s).Dump();
+    ASSERT_EQ(text, ReferenceEscape(s));
+    const JsonParseResult back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << back.error;
+    ASSERT_EQ(back.value.AsString(), s);
+  }
+}
+
 TEST(JsonParseTest, NestingDepthIsBounded) {
   auto nested = [](int depth, char open, char close) {
     std::string inner = open == '{' ? "1" : "[]";

@@ -14,7 +14,9 @@
 // The workers here are LoopbackWorker: a real RequestPipeline served over
 // a real 127.0.0.1 socket by an in-test accept loop — the same per-
 // connection FdInBuf/FdOutBuf plumbing knnshap_serve --shard-listen uses,
-// without forking a binary (CI owns the out-of-process arm).
+// without forking a binary (CI owns the out-of-process arm). A line hook
+// turns one into a stub peer: it can answer a line itself or hang up
+// after reading a request, the way a worker that dies mid-query does.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -22,7 +24,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -33,6 +37,7 @@
 
 #include "dataset/dataset.h"
 #include "serve/pipeline.h"
+#include "shard/socket_worker.h"
 #include "shard/wire.h"
 #include "util/fingerprint.h"
 #include "util/json.h"
@@ -47,6 +52,12 @@ namespace {
 
 class LoopbackWorker {
  public:
+  /// Sees each request line first: returns the reply to send instead, ""
+  /// to let the pipeline answer, or kHangUp to drop the connection
+  /// without replying.
+  using LineHook = std::function<std::string(const std::string& line)>;
+  static constexpr const char* kHangUp = "hang up";
+
   explicit LoopbackWorker(int port = 0) {
     PipelineOptions options;
     options.pipelined = false;  // what --shard-listen forces
@@ -61,6 +72,12 @@ class LoopbackWorker {
   }
 
   ~LoopbackWorker() { Stop(); }
+
+  /// Installs `hook` for connections accepted from now on.
+  void SetLineHook(LineHook hook) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    hook_ = std::move(hook);
+  }
 
   int Port() const { return port_; }
   std::string Address() const { return "127.0.0.1:" + std::to_string(port_); }
@@ -89,16 +106,32 @@ class LoopbackWorker {
         if (errno == EINTR && !stopped_.load()) continue;
         return;
       }
+      LineHook hook;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         open_fds_.push_back(fd);
+        hook = hook_;
       }
-      handlers_.emplace_back([this, fd] {
+      handlers_.emplace_back([this, fd, hook] {
         FdInBuf in_buf(fd);
         FdOutBuf out_buf(fd);
         std::istream in(&in_buf);
         std::ostream out(&out_buf);
-        pipeline_->Run(in, out);
+        if (hook) {
+          std::string line;
+          while (std::getline(in, line)) {
+            std::string reply = hook(line);
+            if (reply == kHangUp) {
+              shutdown(fd, SHUT_RDWR);
+              break;
+            }
+            if (reply.empty()) reply = Answer(line);
+            out << reply << '\n';
+            out.flush();
+          }
+        } else {
+          pipeline_->Run(in, out);
+        }
         out.flush();
         {
           std::lock_guard<std::mutex> lock(mutex_);
@@ -110,7 +143,12 @@ class LoopbackWorker {
     }
   }
 
+  std::string Answer(const std::string& line) {
+    return pipeline_->HandleSync(ParseJson(line).value).Dump();
+  }
+
   std::unique_ptr<RequestPipeline> pipeline_;
+  LineHook hook_;  // guarded by mutex_
   int listen_fd_ = -1;
   int port_ = -1;
   std::atomic<bool> stopped_{false};
@@ -314,6 +352,158 @@ TEST(RemoteShardTest, AllReplicasDeadAnswersUnavailableThenRecovers) {
   worker0 = std::make_unique<LoopbackWorker>(port0);
   worker1 = std::make_unique<LoopbackWorker>(port1);
   EXPECT_EQ(Answer(*remote, value), expected_value);
+}
+
+// ---------------------------------------------------------------------------
+// Send-all-then-gather: a primary dies after its request was sent, while
+// the other shards' replies wait unread.
+
+TEST(RemoteShardTest, PrimaryDeathDuringGatherLeavesNoStaleReply) {
+  std::atomic<bool> die_on_candidates{false};
+  LoopbackWorker primary0, secondary0, worker1, worker2;
+  primary0.SetLineHook([&](const std::string& line) -> std::string {
+    if (line.find(R"("op":"candidates")") != std::string::npos &&
+        die_on_candidates.exchange(false)) {
+      return LoopbackWorker::kHangUp;
+    }
+    return "";
+  });
+  std::unique_ptr<RequestPipeline> remote = MakeRemoteRouter(
+      {{primary0.Address(), secondary0.Address()},
+       {worker1.Address()},
+       {worker2.Address()}});
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+
+  // 900 rows: four fingerprint blocks, three shards. Shard 0 is read
+  // first, so shards 1 and 2 hold pending replies when it fails.
+  for (const std::string& line :
+       {R"({"op":"load","name":"c","rows":)" + RowsJson(900, 4, 3, 601) +
+            R"(,"target":"label"})",
+        R"({"op":"load","name":"q1","rows":)" + RowsJson(3, 4, 3, 602) +
+            R"(,"target":"label"})",
+        R"({"op":"load","name":"q2","rows":)" + RowsJson(3, 4, 3, 603) +
+            R"(,"target":"label"})"}) {
+    ASSERT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  const auto value = [](const char* test) {
+    return R"({"op":"value","train":"c","test":")" + std::string(test) +
+           R"(","method":"exact","k":3,"cache":false})";
+  };
+  const std::string expected_q1 = Answer(*baseline, value("q1"));
+  const std::string expected_q2 = Answer(*baseline, value("q2"));
+  // A reply left over from q1's fan-out would change q2's bytes.
+  ASSERT_NE(expected_q1, expected_q2);
+
+  ASSERT_EQ(Answer(*remote, value("q1")), expected_q1);
+  const uint64_t connects =
+      CounterValue(*remote, "knnshap_shard_connects_total");
+  EXPECT_EQ(connects, 3u);
+
+  die_on_candidates = true;
+  EXPECT_EQ(Answer(*remote, value("q1")), expected_q1);
+  EXPECT_FALSE(die_on_candidates.load());
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_failovers_total"), 1u);
+
+  // The same fitted valuator (one new connection: the secondary's) now
+  // answers a different batch, then the first again.
+  EXPECT_EQ(Answer(*remote, value("q2")), expected_q2);
+  EXPECT_EQ(Answer(*remote, value("q1")), expected_q1);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_connects_total"),
+            connects + 1);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_failovers_total"), 1u);
+}
+
+// A shard that answers deadline_exceeded fails the fan-out without
+// failing the worker, so the fitted valuator and its connections live on:
+// the other shards' replies must have been read all the same.
+TEST(RemoteShardTest, DeadlineDuringGatherLeavesNoStaleReply) {
+  std::atomic<bool> stall{false};
+  LoopbackWorker worker0, worker1, worker2;
+  worker0.SetLineHook([&](const std::string& line) -> std::string {
+    if (line.find(R"("op":"candidates")") != std::string::npos &&
+        stall.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      return R"({"ok":false,"error":"deadline exceeded","code":"deadline_exceeded"})";
+    }
+    return "";
+  });
+  std::unique_ptr<RequestPipeline> remote = MakeRemoteRouter(
+      {{worker0.Address()}, {worker1.Address()}, {worker2.Address()}});
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+  for (const std::string& line :
+       {R"({"op":"load","name":"c","rows":)" + RowsJson(900, 4, 3, 611) +
+            R"(,"target":"label"})",
+        R"({"op":"load","name":"q1","rows":)" + RowsJson(1, 4, 3, 612) +
+            R"(,"target":"label"})",
+        R"({"op":"load","name":"q2","rows":)" + RowsJson(1, 4, 3, 613) +
+            R"(,"target":"label"})"}) {
+    ASSERT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  const auto value = [](const char* test, const char* extra) {
+    return R"({"op":"value","train":"c","test":")" + std::string(test) +
+           R"(","method":"exact","k":3,"cache":false)" + extra + "}";
+  };
+  const std::string expected_q2 = Answer(*baseline, value("q2", ""));
+  ASSERT_EQ(Answer(*remote, value("q1", "")),
+            Answer(*baseline, value("q1", "")));
+
+  stall = true;
+  const JsonValue late = remote->HandleSync(
+      ParseJson(value("q1", R"(,"deadline_ms":200)")).value);
+  EXPECT_EQ(late.Get("code").AsString(), "deadline_exceeded") << late.Dump();
+  EXPECT_FALSE(stall.load());
+
+  EXPECT_EQ(Answer(*remote, value("q2", "")), expected_q2);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_connects_total"), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol version: checked at connect, before any packed payload.
+
+TEST(RemoteShardTest, WorkerOnAnotherProtocolIsAFailedPrecondition) {
+  // A stub peer that answers every line as a protocol 1 worker would
+  // answer the `protocol` op.
+  LoopbackWorker stub;
+  stub.SetLineHook([](const std::string&) -> std::string {
+    return R"({"ok":true,"protocol":1,"ops":["candidates","digests","load"]})";
+  });
+  Dataset corpus;
+  for (int i = 0; i < 300; ++i) {
+    corpus.features.AppendRow(std::vector<float>{1.0f * i, 2.0f, 3.0f});
+    corpus.labels.push_back(i % 2);
+  }
+  const CorpusDigests digests = ComputeCorpusDigests(corpus);
+  SocketShardWorker worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
+                           digests.Combined(), SocketWorkerOptions{},
+                           ShardTransportCounters{});
+  Endpoint endpoint;
+  std::string error;
+  ASSERT_TRUE(ParseEndpoint(stub.Address(), &endpoint, &error)) << error;
+  ASSERT_TRUE(worker.Dial(endpoint).ok());
+  const Status status = worker.Sync(corpus, digests);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("speaks protocol 1"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("speaks protocol 2"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(worker.Health().code(), StatusCode::kFailedPrecondition);
+
+  // Through a router the value request answers a structured error that
+  // names the mismatch, not a malformed candidate run.
+  std::unique_ptr<RequestPipeline> remote =
+      MakeRemoteRouter({{stub.Address()}, {stub.Address()}});
+  Answer(*remote, R"({"op":"load","name":"c","rows":)" +
+                      RowsJson(600, 3, 2, 72) + R"(,"target":"label"})");
+  Answer(*remote, R"({"op":"load","name":"q","rows":)" +
+                      RowsJson(2, 3, 2, 73) + R"(,"target":"label"})");
+  const JsonValue down = remote->HandleSync(
+      ParseJson(R"({"op":"value","train":"c","test":"q","method":"exact","k":3})")
+          .value);
+  EXPECT_FALSE(down.Get("ok").AsBool(true));
+  EXPECT_EQ(down.Get("code").AsString(), "unavailable") << down.Dump();
+  EXPECT_NE(down.Get("error").AsString().find("speaks protocol 1"),
+            std::string::npos)
+      << down.Dump();
 }
 
 // ---------------------------------------------------------------------------

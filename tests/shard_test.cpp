@@ -18,6 +18,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <fstream>
 #include <memory>
@@ -32,6 +33,7 @@
 #include "serve/pipeline.h"
 #include "shard/shard_planner.h"
 #include "shard/shard_worker.h"
+#include "shard/wire.h"
 #include "serve_process.h"
 #include "test_util.h"
 #include "util/fingerprint.h"
@@ -493,14 +495,20 @@ TEST_F(CandidatesOpTest, AnswersTheShardRestrictedSelection) {
   std::vector<int> local;
   PartialArgsortDistances(slice, kR, &local);
 
-  const auto& indices = response.Get("indices").Items();
-  const auto& dists = response.Get("dists").Items();
-  ASSERT_EQ(indices.size(), kR);
-  ASSERT_EQ(dists.size(), kR);
+  // Decode the packed run the way the router does.
+  const ShardRange range{kBegin, kEnd, 0};
+  std::vector<double> dists(data.Size());
+  std::vector<int> run;
+  const Status status = wire::ParseCandidatesResponse(response.Dump(), range,
+                                                      kR, dists, &run);
+  ASSERT_TRUE(status.ok()) << status.message();
+  ASSERT_EQ(run.size(), kR);
   for (size_t i = 0; i < kR; ++i) {
-    EXPECT_EQ(indices[i].AsNumber(),
-              static_cast<double>(local[i]) + static_cast<double>(kBegin));
-    EXPECT_EQ(dists[i].AsNumber(), slice[static_cast<size_t>(local[i])]);
+    EXPECT_EQ(run[i], local[i] + static_cast<int>(kBegin));
+    const double expected = slice[static_cast<size_t>(local[i])];
+    const double actual = dists[static_cast<size_t>(run[i])];
+    EXPECT_EQ(std::memcmp(&actual, &expected, sizeof expected), 0)
+        << "distance " << i << " is not bit-equal";
   }
 }
 
