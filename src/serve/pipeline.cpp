@@ -1286,7 +1286,9 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
   // computation to the last bit.
   thread_local std::vector<double> run_dists;
   run_dists.clear();
-  for (int i : run) run_dists.push_back(dists[static_cast<size_t>(i) - row_begin]);
+  for (int i : run) {
+    run_dists.push_back(dists[static_cast<size_t>(i) - row_begin]);
+  }
   JsonValue out = OkResponse();
   out.Set("run", JsonValue(wire::PackCandidateRun(run, run_dists)));
   return out;

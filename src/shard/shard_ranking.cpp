@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -44,7 +43,7 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
   // (the caller helps, so this is safe from a pool thread). The fit's
   // trace follows each shard onto its helper thread.
   RequestTrace* trace = ActiveTrace();
-  const auto for_each_shard = [&](const std::function<void(size_t)>& fn) {
+  const auto for_each_shard = [&](const auto& fn) {
     ThreadPool::Shared().ParallelForHelping(workers_.size(), [&](size_t s) {
       TraceActivation activation(trace);
       fn(s);

@@ -61,26 +61,19 @@ constexpr size_t kRunEntryBytes = 12;
 /// Packed rows carry at most this many rows: row indices are ints.
 constexpr double kMaxPackedRows = 2147483647.0;
 
-void PutU32(uint32_t value, char* out) {
-  for (int b = 0; b < 4; ++b) out[b] = static_cast<char>(value >> (8 * b));
-}
-
-void PutU64(uint64_t value, char* out) {
-  for (int b = 0; b < 8; ++b) out[b] = static_cast<char>(value >> (8 * b));
-}
-
-uint32_t GetU32(const char* in) {
-  uint32_t value = 0;
-  for (int b = 0; b < 4; ++b) {
-    value |= static_cast<uint32_t>(static_cast<uint8_t>(in[b])) << (8 * b);
+/// Little-endian bytes of an unsigned integer, whatever the host order.
+template <typename T>
+void PutLittleEndian(T value, char* out) {
+  for (size_t b = 0; b < sizeof(T); ++b) {
+    out[b] = static_cast<char>(value >> (8 * b));
   }
-  return value;
 }
 
-uint64_t GetU64(const char* in) {
-  uint64_t value = 0;
-  for (int b = 0; b < 8; ++b) {
-    value |= static_cast<uint64_t>(static_cast<uint8_t>(in[b])) << (8 * b);
+template <typename T>
+T GetLittleEndian(const char* in) {
+  T value = 0;
+  for (size_t b = 0; b < sizeof(T); ++b) {
+    value |= static_cast<T>(static_cast<uint8_t>(in[b])) << (8 * b);
   }
   return value;
 }
@@ -150,8 +143,9 @@ Status ParseRun(const std::string& line, const ShardRange& range,
   seen.assign(range.Rows(), false);
   for (size_t e = 0; e < count; ++e) {
     const char* entry = bytes.data() + e * kRunEntryBytes;
-    const uint32_t index = GetU32(entry);
-    const double dist = std::bit_cast<double>(GetU64(entry + 4));
+    const uint32_t index = GetLittleEndian<uint32_t>(entry);
+    const double dist =
+        std::bit_cast<double>(GetLittleEndian<uint64_t>(entry + 4));
     if (index < range.row_begin || index >= range.row_end) {
       run->clear();
       return malformed("an out-of-range candidate");
@@ -238,8 +232,8 @@ std::string PackCandidateRun(std::span<const int> indices,
   std::string bytes(indices.size() * kRunEntryBytes, '\0');
   for (size_t e = 0; e < indices.size(); ++e) {
     char* entry = bytes.data() + e * kRunEntryBytes;
-    PutU32(static_cast<uint32_t>(indices[e]), entry);
-    PutU64(std::bit_cast<uint64_t>(distances[e]), entry + 4);
+    PutLittleEndian(static_cast<uint32_t>(indices[e]), entry);
+    PutLittleEndian(std::bit_cast<uint64_t>(distances[e]), entry + 4);
   }
   return EncodeBase64(bytes);
 }
@@ -283,14 +277,15 @@ Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
 
 void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
                    JsonValue* out) {
-  KNNSHAP_CHECK(begin < end && end <= corpus.Size(), "packed rows out of range");
+  KNNSHAP_CHECK(begin < end && end <= corpus.Size(),
+                "packed rows out of range");
   const size_t count = end - begin, dim = corpus.Dim();
   out->Set("count", JsonValue(static_cast<double>(count)));
   std::string bytes(count * dim * 4, '\0');
   char* o = bytes.data();
   for (size_t i = begin; i < end; ++i) {
     for (float f : corpus.features.Row(i)) {
-      PutU32(std::bit_cast<uint32_t>(f), o);
+      PutLittleEndian(std::bit_cast<uint32_t>(f), o);
       o += 4;
     }
   }
@@ -298,13 +293,15 @@ void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
   if (corpus.HasLabels()) {
     bytes.assign(count * 4, '\0');
     for (size_t i = begin; i < end; ++i) {
-      PutU32(static_cast<uint32_t>(corpus.labels[i]), &bytes[(i - begin) * 4]);
+      PutLittleEndian(static_cast<uint32_t>(corpus.labels[i]),
+                      &bytes[(i - begin) * 4]);
     }
     out->Set("labels", JsonValue(EncodeBase64(bytes)));
   } else if (corpus.HasTargets()) {
     bytes.assign(count * 8, '\0');
     for (size_t i = begin; i < end; ++i) {
-      PutU64(std::bit_cast<uint64_t>(corpus.targets[i]), &bytes[(i - begin) * 8]);
+      PutLittleEndian(std::bit_cast<uint64_t>(corpus.targets[i]),
+                      &bytes[(i - begin) * 8]);
     }
     out->Set("targets", JsonValue(EncodeBase64(bytes)));
   }
@@ -352,13 +349,16 @@ bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
   row.resize(dim);
   for (size_t i = 0; i < count; ++i) {
     for (size_t c = 0; c < dim; ++c) {
-      row[c] = std::bit_cast<float>(GetU32(&features[(i * dim + c) * 4]));
+      row[c] = std::bit_cast<float>(
+          GetLittleEndian<uint32_t>(&features[(i * dim + c) * 4]));
     }
     data->features.AppendRow(row);
     if (target == CsvTarget::kLabel) {
-      data->labels.push_back(static_cast<int32_t>(GetU32(&values[i * 4])));
+      data->labels.push_back(
+          static_cast<int32_t>(GetLittleEndian<uint32_t>(&values[i * 4])));
     } else if (target == CsvTarget::kTarget) {
-      data->targets.push_back(std::bit_cast<double>(GetU64(&values[i * 8])));
+      data->targets.push_back(
+          std::bit_cast<double>(GetLittleEndian<uint64_t>(&values[i * 8])));
     }
   }
   return true;

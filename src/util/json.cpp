@@ -280,6 +280,12 @@ void DumpInto(const JsonValue& v, std::string* out) {
         *out += "null";  // JSON has no Inf/NaN.
         break;
       }
+      if (n == 0.0) {
+        // %g's bytes for both zeros, without the round-trip check: most of
+        // a truncated valuation's values are exactly zero.
+        *out += std::signbit(n) ? "-0" : "0";
+        break;
+      }
       // %g when it reads back losslessly, else %.17g (exact for every
       // double). to_chars with an explicit precision prints printf's bytes.
       char buf[32];

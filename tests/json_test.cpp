@@ -196,6 +196,7 @@ TEST(JsonNumberCodecTest, DumpMatchesPrintfRuleByteForByte) {
   EXPECT_EQ(JsonValue(1234567.0).Dump(), "1234567");
   EXPECT_EQ(JsonValue(1e-5).Dump(), "1e-05");
   EXPECT_EQ(JsonValue(1e21).Dump(), "1e+21");
+  EXPECT_EQ(JsonValue(0.0).Dump(), "0");
   EXPECT_EQ(JsonValue(-0.0).Dump(), "-0");
   EXPECT_EQ(JsonValue(0.1).Dump(), "0.1");
   EXPECT_EQ(JsonValue(1.0 / 3.0).Dump(), "0.33333333333333331");

@@ -423,7 +423,7 @@ TEST(RemoteShardTest, DeadlineDuringGatherLeavesNoStaleReply) {
     if (line.find(R"("op":"candidates")") != std::string::npos &&
         stall.exchange(false)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
-      return R"({"ok":false,"error":"deadline exceeded","code":"deadline_exceeded"})";
+      return R"({"ok":false,"error":"late","code":"deadline_exceeded"})";
     }
     return "";
   });

@@ -145,8 +145,10 @@ TEST(CandidateRunTest, RejectsMalformedRuns) {
       R"({"ok":true,"run":["AAAA"]})", RunReply(good + "!"),
       RunReply(good.substr(0, good.size() - 4)),  // 4 bytes short of 6 entries
       RunReply(WithChar(good, 0, '=')),           // padding at the start
-      RunReply(good.substr(0, 8) + "==" + good.substr(10)),  // padding mid-string
-      RunReply(wire::EncodeBase64(std::string(13, '\0'))),   // not 12-byte entries
+      // padding mid-string
+      RunReply(good.substr(0, 8) + "==" + good.substr(10)),
+      // a byte count that is not a whole number of 12-byte entries
+      RunReply(wire::EncodeBase64(std::string(13, '\0'))),
   };
   // Every truncation of a valid line.
   const std::string line = RunReply(good);
@@ -332,8 +334,10 @@ TEST(PackedRowsTest, RejectsMismatchedPayloads) {
   with("features short a row",
        "features", JsonValue(wire::EncodeBase64(std::string(7 * 3 * 4, 'x'))));
   with("features one byte long",
-       "features", JsonValue(wire::EncodeBase64(std::string(8 * 3 * 4 + 1, 'x'))));
-  with("features bad alphabet", "features", JsonValue(WithChar(features, 0, '*')));
+       "features",
+       JsonValue(wire::EncodeBase64(std::string(8 * 3 * 4 + 1, 'x'))));
+  with("features bad alphabet", "features",
+       JsonValue(WithChar(features, 0, '*')));
   with("features padded mid-string", "features",
        JsonValue(features.substr(0, 6) + "==" + features.substr(8)));
   with("labels short", "labels",
@@ -359,11 +363,14 @@ TEST(PackedRowsTest, RejectsMismatchedPayloads) {
   // is appended to.
   Dataset out;
   std::string error;
-  EXPECT_FALSE(wire::AppendPackedRows(good, 4, CsvTarget::kLabel, 8, &out, &error));
-  EXPECT_FALSE(wire::AppendPackedRows(good, 0, CsvTarget::kLabel, 8, &out, &error));
-  EXPECT_FALSE(wire::AppendPackedRows(good, 3, CsvTarget::kNone, 8, &out, &error));
+  const auto append = [&](size_t dim, CsvTarget target, Dataset* to) {
+    return wire::AppendPackedRows(good, dim, target, 8, to, &error);
+  };
+  EXPECT_FALSE(append(4, CsvTarget::kLabel, &out));
+  EXPECT_FALSE(append(0, CsvTarget::kLabel, &out));
+  EXPECT_FALSE(append(3, CsvTarget::kNone, &out));
   Dataset wider = MakeCorpus(2, 4, CsvTarget::kLabel, 7);
-  EXPECT_FALSE(wire::AppendPackedRows(good, 3, CsvTarget::kLabel, 8, &wider, &error));
+  EXPECT_FALSE(append(3, CsvTarget::kLabel, &wider));
   EXPECT_EQ(wider.Size(), 2u);
 }
 
@@ -456,7 +463,8 @@ TEST_F(PackedLoadOpTest, MutatedDeltasAreStructuredErrors) {
   with("count", JsonValue(255.0));
   with("count", JsonValue(1e300));
   with("features", JsonValue(block.Get("features").AsString().substr(4)));
-  with("features", JsonValue(WithChar(block.Get("features").AsString(), 0, '=')));
+  with("features",
+       JsonValue(WithChar(block.Get("features").AsString(), 0, '=')));
   with("labels", JsonValue(block.Get("labels").AsString() + "AAAA"));
   with("labels", JsonValue());
   with("block", JsonValue(3.0));
