@@ -238,8 +238,8 @@ TEST(JsonNumberCodecTest, MalformedNumbersStayErrors) {
   }
 }
 
-// The character-at-a-time escaper the run-copying EscapeInto replaced:
-// the oracle its bytes must match.
+// A character-at-a-time escaper: the oracle EscapeInto's bytes must
+// match.
 std::string ReferenceEscape(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
