@@ -12,7 +12,9 @@
 // Then measures cache-serving latency: the same value workload replayed
 // against a warm engine (all hits), and against a *fresh* pipeline that
 // warm-started from a save_cache/load_cache round trip (the restart
-// story). Results land in BENCH_serve.json.
+// story). Last, the shard arms time single-query fan-out through 2, 4 and
+// 8 spawned worker processes of the serve binary against the unsharded
+// in-process ranking. Results land in BENCH_serve.json.
 //
 //   bench_serve --smoke            # CI-sized run
 //   bench_serve --workers=4       # pipelined worker count
@@ -28,6 +30,7 @@
 
 #include "bench_util.h"
 #include "serve/pipeline.h"
+#include "shard/socket_worker.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -383,8 +386,9 @@ int main(int argc, char** argv) {
   // Sequential HandleSync (no cross-request concurrency) with the result
   // cache off, so the timing isolates the per-query fan-out + merge path;
   // full exact (r = N) is the method where the shards parallelize the
-  // most work. Cold includes the fit (plan, norms, workers); warm is the
-  // steady state, min-of-N. Responses must stay byte-identical across
+  // most work. Sharded arms spawn one serve-binary worker per shard. Cold
+  // includes the fit (plan, spawn, corpus sync); warm is the steady
+  // state, min-of-N. Responses must stay byte-identical across
   // every shard count. The warm >= 2x gate at 4 shards needs real cores
   // and a full-size run; otherwise the numbers are recorded and the gate
   // reported unenforced.
@@ -415,6 +419,10 @@ int main(int argc, char** argv) {
     PipelineOptions shard_options;
     shard_options.emit_timing = false;
     shard_options.shards = shards;
+    if (shards > 1) {
+      shard_options.shard_worker_command =
+          ShardWorkerCommand(KNNSHAP_SERVE_BINARY);
+    }
     RequestPipeline shard_pipeline(shard_options);
     shard_pipeline.HandleSync(shard_corpus);
     auto run_once = [&](std::string* out) {

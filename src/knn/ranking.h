@@ -5,9 +5,10 @@
 // follow-ups (exact-corrected, weighted-fast) consume nothing else, so
 // the ranked valuators (engine/valuators.h) ask this one seam for it and
 // run the same code on every topology. LocalRanking (here) ranks the
-// in-process corpus with RankByDistance; ShardRanking
-// (shard/shard_ranking.h) merges exact per-shard candidate runs, which is
-// the same ranking bit for bit (knn/selection.h).
+// in-process corpus with RankByDistance and is the unsharded server's
+// only path; ShardRanking (shard/shard_ranking.h) merges exact candidate
+// runs from spawned or remote shard workers, which is the same ranking
+// bit for bit (knn/selection.h).
 
 #ifndef KNNSHAP_KNN_RANKING_H_
 #define KNNSHAP_KNN_RANKING_H_

@@ -1003,11 +1003,7 @@ JsonValue RequestPipeline::Stats() const {
     JsonValue topology = JsonValue::MakeObject();
     topology.Set("shards", JsonValue(static_cast<double>(topology_->count)));
     const bool remote = !topology_->remote_replicas.empty();
-    topology.Set("workers",
-                 JsonValue(remote ? "remote"
-                                  : (topology_->worker_command.empty()
-                                         ? "thread"
-                                         : "process")));
+    topology.Set("workers", JsonValue(remote ? "remote" : "process"));
     if (remote) {
       // The configured replica endpoints per shard — static topology facts
       // only (no liveness probes: stats stays deterministic and cheap).

@@ -118,9 +118,10 @@ struct PipelineOptions {
   /// the unsharded server (see src/shard/README.md). The `stats` op grows
   /// a "topology" section when sharding is on.
   int shards = 1;
-  /// Non-empty: argv of a worker binary speaking the JSONL protocol on
-  /// stdin/stdout, spawned once per shard (knnshap_serve
-  /// --shard-workers=self|PATH); empty: in-process workers.
+  /// argv of a worker binary speaking the JSONL protocol on stdin/stdout,
+  /// spawned once per shard (knnshap_serve --shard-workers=self|PATH).
+  /// With shards > 1 either this or shard_remote must be set; a fit
+  /// without either answers a structured internal error.
   std::vector<std::string> shard_worker_command;
   /// Remote socket topology: one ordered replica endpoint list
   /// ("host:port") per shard (knnshap_serve --shard-remote), with

@@ -3,7 +3,6 @@
 #include "shard/shard_ranking.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -20,11 +19,15 @@ namespace knnshap {
 
 ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
                            const ShardContext& context)
-    : rows_(corpus.Size()),
-      local_workers_(context.topology->worker_command.empty() &&
-                     context.topology->remote_replicas.empty()),
-      norms_(NormsForMetric(corpus.features, metric)),
-      digests_(context.digests) {
+    : rows_(corpus.Size()), digests_(context.digests) {
+  const ShardTopology& topology = *context.topology;
+  if (topology.worker_command.empty() && topology.remote_replicas.empty()) {
+    // Unsharded serving is the in-process path (LocalRanking); a sharded
+    // fit needs workers in other processes.
+    throw std::runtime_error(
+        "sharded fit: the topology places no workers (set a worker command "
+        "or remote replicas)");
+  }
   if (digests_ == nullptr) {
     // No maintained digests (engine used outside the serve layer): one
     // full hash here buys content-addressed shard identity all the same.
@@ -32,14 +35,13 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
         std::make_shared<const CorpusDigests>(ComputeCorpusDigests(corpus));
   }
   const CorpusDigests& digests = *digests_;
-  const ShardTopology& topology = *context.topology;
   const std::vector<ShardRange> plan =
       PlanShards(digests, static_cast<size_t>(std::max(topology.count, 1)));
   workers_.reserve(plan.size());
   const uint64_t fingerprint = digests.Combined();
   const ShardTransportCounters counters =
       ShardTransportCounters::From(context.metrics);
-  // Socket workers connect and sync every shard at once on the shared pool
+  // Workers connect and sync every shard at once on the shared pool
   // (the caller helps, so this is safe from a pool thread). The fit's
   // trace follows each shard onto its helper thread.
   RequestTrace* trace = ActiveTrace();
@@ -86,7 +88,7 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
     for_each_shard([&](size_t s) {
       static_cast<ReplicaShardWorker&>(*workers_[s]).Connect();
     });
-  } else if (!topology.worker_command.empty()) {
+  } else {
     // One spawned child per shard over the same socket transport. Spawn
     // and sync failures (bad command, dead child, fingerprint mismatch)
     // throw — the engine turns that into a structured internal-error
@@ -108,11 +110,6 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
                                  status.message());
       }
     }
-  } else {
-    for (const ShardRange& range : plan) {
-      workers_.push_back(
-          std::make_unique<LocalShardWorker>(range, &corpus, &norms_, metric));
-    }
   }
 }
 
@@ -125,40 +122,21 @@ bool ShardRanking::FanOut(std::span<const float> query, size_t r,
                           std::span<double> dists,
                           std::vector<std::vector<int>>* runs) const {
   runs->resize(workers_.size());
-  if (local_workers_) {
-    // Thread-per-shard: the caller helps drain shard indices alongside
-    // pool workers (ParallelForHelping is safe from pool threads, which is
-    // where the engine runs ValueOne). The active token is re-established
-    // per helper, same as the block-parallel distance path.
-    const CancelToken* token = ActiveCancelToken();
-    std::atomic<bool> failed{false};
-    ThreadPool::Shared().ParallelForHelping(workers_.size(), [&](size_t s) {
-      CancelActivation activation(token);
-      if (!workers_[s]->Candidates(query, r, dists, &(*runs)[s])) {
-        failed.store(true, std::memory_order_relaxed);
-      }
-    });
-    return !failed.load(std::memory_order_relaxed);
-  }
-  // Socket workers: each connection is a single-lane channel and queries
-  // arrive concurrently from the pool, so fan-outs serialize.
-  // (Serialization also keeps replica failover sane: at most one query is
-  // ever in flight when a replica dies.) Within one fan-out, every
-  // request is written before any reply is read, so the shards compute
-  // at once. Every shard sent to is read, even after another failed, so
-  // no connection is left holding a reply the next query would take for
-  // its own.
+  // Each connection is a single-lane channel and queries arrive
+  // concurrently from the pool, so fan-outs serialize. (Serialization
+  // also keeps replica failover sane: at most one query is ever in flight
+  // when a replica dies.) Within one fan-out, every request is written
+  // before any reply is read, so the shards compute at once. Every shard
+  // sent to is read, even after another failed, so no connection is left
+  // holding a reply the next query would take for its own.
   std::lock_guard<std::mutex> lock(fan_out_mutex_);
-  const auto connected = [&](size_t s) -> ConnectedShardWorker& {
-    return static_cast<ConnectedShardWorker&>(*workers_[s]);
-  };
   size_t sent = 0;
-  while (sent < workers_.size() && connected(sent).SendCandidates(query, r)) {
+  while (sent < workers_.size() && workers_[sent]->SendCandidates(query, r)) {
     ++sent;
   }
   bool ok = sent == workers_.size();
   for (size_t s = 0; s < sent; ++s) {
-    if (!connected(s).ReadCandidates(query, r, dists, &(*runs)[s])) ok = false;
+    if (!workers_[s]->ReadCandidates(query, r, dists, &(*runs)[s])) ok = false;
   }
   return ok;
 }
@@ -174,7 +152,7 @@ bool ShardRanking::Rank(std::span<const float> query, size_t r,
     ScopedPhase span(Phase::kShardFanout);
     fanned_out = FanOut(query, r, *dists, &runs);
   }
-  // A deadline that fired anywhere in the fan-out (local poll or a child's
+  // A deadline that fired anywhere in the fan-out (ours, or a worker's
   // propagated deadline_exceeded, whose token can never fire earlier than
   // ours) is the caller's to discard — never a partial merge, and never a
   // latched failure.

@@ -1,26 +1,26 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // ShardRanking — the corpus ranking served by shard workers. A Ranking
-// (knn/ranking.h) that fans each query out to per-shard workers
-// (in-process, spawned children, or remote replica groups — see
-// topology.h, shard_worker.h and socket_worker.h) and merges their
-// candidate runs into the global (distance, index) ranking. The valuators
-// run their recursions on it unchanged, so every topology answers
-// bit-identically to the unsharded server: each worker's run is the
-// exact top-r of its contiguous rows, and the merge of those runs *is*
-// the global top-r (knn/selection.h). The raw double distances cross the
-// shard boundary losslessly (raw bits in the packed candidate run on the
-// socket transport), so
-// weighted-fast's kernel weights match too.
+// (knn/ranking.h) that fans each query out to per-shard socket workers
+// (spawned children or remote replica groups — see topology.h,
+// shard_worker.h and socket_worker.h) and merges their candidate runs
+// into the global (distance, index) ranking. The valuators run their
+// recursions on it unchanged, so every topology answers bit-identically
+// to the unsharded server, which ranks in process through LocalRanking:
+// each worker's run is the exact top-r of its contiguous rows, and the
+// merge of those runs *is* the global top-r (knn/selection.h). The raw
+// double distances cross the shard boundary losslessly (raw bits in the
+// packed candidate run), so weighted-fast's kernel weights match too.
 //
 // Failure semantics: a fan-out that fails on a healthy topology (a worker
 // died or answered garbage) latches Health() non-OK and Rank returns
 // false — the valuator answers an empty vector, the engine checks
 // Health() after the run, evicts the fitted entry and answers
 // Unavailable + retry; the next request re-fits, respawning workers. A
-// partial merge is never produced. A deadline that fires anywhere in the
-// fan-out (a local poll, or a worker's propagated deadline_exceeded) is
-// the caller's to detect: it polls CancelRequested() after Rank.
+// partial merge is never produced. A deadline that fires during the
+// fan-out (the router's own token, or a worker's propagated
+// deadline_exceeded) is the caller's to detect: it polls
+// CancelRequested() after Rank.
 
 #ifndef KNNSHAP_SHARD_SHARD_RANKING_H_
 #define KNNSHAP_SHARD_SHARD_RANKING_H_
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/ranking.h"
 #include "shard/shard_worker.h"
@@ -45,8 +44,9 @@ class ShardRanking : public Ranking {
   /// Plans `corpus`'s shards from the context's digests (hashing the
   /// corpus when it carries none) and builds one worker per planned
   /// shard, connecting and syncing socket workers concurrently on the
-  /// shared pool. Throws on a bad topology (too few replica groups, a bad
-  /// endpoint) and on a spawned worker that fails to start or sync;
+  /// shared pool. Throws on a bad topology (no worker command and no
+  /// replicas, too few replica groups, a bad endpoint) and on a spawned
+  /// worker that fails to start or sync;
   /// remote dial failures do not throw but surface through Health() on
   /// the first fan-out. `corpus` must outlive the ranking.
   ShardRanking(const Dataset& corpus, Metric metric, const ShardContext& context);
@@ -56,21 +56,19 @@ class ShardRanking : public Ranking {
   Status Health() const override;
 
  private:
-  /// Fan the query out to every worker (socket workers: send to all,
-  /// then gather); false unless every worker produced its run.
+  /// Fan the query out to every worker (send to all, then gather); false
+  /// unless every worker produced its run.
   bool FanOut(std::span<const float> query, size_t r, std::span<double> dists,
               std::vector<std::vector<int>>* runs) const;
 
   size_t rows_;
-  bool local_workers_;
-  CorpusNorms norms_;
   /// Kept alive for remote workers, which re-sync from these digests on
   /// every replica (re)connect.
   std::shared_ptr<const CorpusDigests> digests_;
   std::vector<std::unique_ptr<ShardWorker>> workers_;
 
-  /// Socket fan-outs are serialized: each worker's connection is a
-  /// single-lane channel, and queries arrive concurrently from the pool.
+  /// Fan-outs are serialized: each worker's connection is a single-lane
+  /// channel, and queries arrive concurrently from the pool.
   mutable std::mutex fan_out_mutex_;
   mutable std::mutex health_mutex_;
   mutable Status health_;

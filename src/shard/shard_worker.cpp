@@ -22,15 +22,4 @@ bool ShardCandidates(const Matrix& features, std::span<const float> query,
   return true;
 }
 
-bool LocalShardWorker::Candidates(std::span<const float> query, size_t r,
-                                  std::span<double> dists,
-                                  std::vector<int>* run) {
-  // A cancelled pass leaves *run empty and still answers true: the router
-  // re-checks the token and discards the whole query.
-  ShardCandidates(corpus_->features, query, metric_, norms_, range_.row_begin,
-                  range_.row_end, r,
-                  dists.subspan(range_.row_begin, range_.Rows()), run);
-  return true;
-}
-
 }  // namespace knnshap

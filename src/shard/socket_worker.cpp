@@ -14,6 +14,7 @@
 #include <thread>
 #include <utility>
 
+#include "knn/distance_kernel.h"
 #include "obs/trace.h"
 #include "shard/wire.h"
 #include "util/fault.h"
@@ -54,6 +55,11 @@ ShardTransportCounters ShardTransportCounters::From(MetricsRegistry* metrics) {
   return counters;
 }
 
+std::vector<std::string> ShardWorkerCommand(std::string binary) {
+  return {std::move(binary), "--serial", "--no-timing", "--no-obs",
+          "--kernel=" + std::string(KernelName(ActiveKernel()))};
+}
+
 // ---------------------------------------------------------------------------
 // SocketShardWorker
 // ---------------------------------------------------------------------------
@@ -63,7 +69,7 @@ SocketShardWorker::SocketShardWorker(ShardRange range, std::string corpus_name,
                                      uint64_t expected_fingerprint,
                                      SocketWorkerOptions options,
                                      ShardTransportCounters counters)
-    : ConnectedShardWorker(range),
+    : ShardWorker(range),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
       expected_fingerprint_(expected_fingerprint),
@@ -355,7 +361,7 @@ ReplicaShardWorker::ReplicaShardWorker(
     Metric metric, uint64_t expected_fingerprint, SocketWorkerOptions options,
     ShardTransportCounters counters, const Dataset* corpus,
     const CorpusDigests* digests)
-    : ConnectedShardWorker(range),
+    : ShardWorker(range),
       replicas_(std::move(replicas)),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
@@ -443,7 +449,8 @@ bool ReplicaShardWorker::ReadCandidates(std::span<const float> query, size_t r,
       active_ = replicas_.size();
     }
     if (!EnsureActive()) return false;
-    ok = conn_->Candidates(query, r, dists, run);
+    ok = conn_->SendCandidates(query, r) &&
+         conn_->ReadCandidates(query, r, dists, run);
   }
   return true;
 }

@@ -92,31 +92,14 @@ struct ShardTransportCounters {
   static ShardTransportCounters From(MetricsRegistry* metrics);
 };
 
-/// A worker behind a connection. Candidates splits into a send half and a
-/// read half, so the router can write every shard's request before it
-/// reads any reply (send-all-then-gather: the shards compute at once).
-class ConnectedShardWorker : public ShardWorker {
- public:
-  using ShardWorker::ShardWorker;
-
-  /// Writes the candidates request. False when no reply will follow (the
-  /// worker is dead; Health() says why), and the caller must not read.
-  virtual bool SendCandidates(std::span<const float> query, size_t r) = 0;
-  /// Reads the reply to the last successful SendCandidates, with
-  /// Candidates' contract. The query is passed again for failover.
-  virtual bool ReadCandidates(std::span<const float> query, size_t r,
-                              std::span<double> dists,
-                              std::vector<int>* run) = 0;
-
-  bool Candidates(std::span<const float> query, size_t r,
-                  std::span<double> dists, std::vector<int>* run) final {
-    run->clear();
-    return SendCandidates(query, r) && ReadCandidates(query, r, dists, run);
-  }
-};
+/// The argv that spawns the serve binary `binary` as a shard worker:
+/// serial, untimed and unobserved so it answers deterministically, and on
+/// the caller's active kernel so its candidate distances are
+/// bit-identical to the router's own.
+std::vector<std::string> ShardWorkerCommand(std::string binary);
 
 /// One JSONL connection to one shard worker process.
-class SocketShardWorker : public ConnectedShardWorker {
+class SocketShardWorker : public ShardWorker {
  public:
   SocketShardWorker(ShardRange range, std::string corpus_name, Metric metric,
                     uint64_t expected_fingerprint, SocketWorkerOptions options,
@@ -132,7 +115,7 @@ class SocketShardWorker : public ConnectedShardWorker {
 
   /// Checks the worker's protocol version, then brings its corpus up to
   /// date (digests -> none/delta/full, fingerprint-verified). Must follow
-  /// a successful Dial or Spawn and succeed before Candidates; a non-OK
+  /// a successful Dial or Spawn and succeed before SendCandidates; a non-OK
   /// return leaves the worker dead (discard it).
   Status Sync(const Dataset& corpus, const CorpusDigests& digests);
 
@@ -174,7 +157,7 @@ class SocketShardWorker : public ConnectedShardWorker {
 /// mid-query failover. The data plane (Send/ReadCandidates, Connect) is
 /// NOT internally synchronized — the router serializes socket fan-outs;
 /// Health() alone is thread-safe (the engine reads it concurrently).
-class ReplicaShardWorker : public ConnectedShardWorker {
+class ReplicaShardWorker : public ShardWorker {
  public:
   /// `corpus` and `digests` must outlive the worker (the fitted valuator
   /// and its ShardRanking own them); replicas are tried strictly in order.

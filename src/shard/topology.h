@@ -4,7 +4,7 @@
 // per process: the serve layer (serve/pipeline.h) builds it once from its
 // flags into EngineOptions, and the engine hands it, inside a
 // ShardContext, to every fit of a ranked method, whose ShardRanking
-// (shard/shard_ranking.h) builds that fit's workers from it. Three
+// (shard/shard_ranking.h) builds that fit's workers from it. Two
 // placements, selected by which field is set:
 //
 //   remote_replicas non-empty  TCP connections to standalone
@@ -12,10 +12,11 @@
 //                              one ordered replica list per shard
 //   worker_command non-empty   one spawned child per shard, connected
 //                              over a socketpair on its stdin/stdout
-//   neither                    in-process workers on the shared pool
 //
-// Spawned and remote workers share one transport (socket_worker.h): the
-// same corpus sync, health latching, counters and timeouts.
+// A sharded topology with neither fails its fits: unsharded serving is
+// the in-process path. Spawned and remote workers share one transport
+// (socket_worker.h): the same corpus sync, health latching, counters and
+// timeouts.
 
 #ifndef KNNSHAP_SHARD_TOPOLOGY_H_
 #define KNNSHAP_SHARD_TOPOLOGY_H_

@@ -2,13 +2,14 @@
 //
 // Shard subsystem coverage (src/shard/): the planner must produce
 // balanced, block-aligned, content-addressed partitions; a mutation must
-// invalidate exactly the shards whose blocks were touched; in-process
-// workers must reproduce the global selection restricted to their rows;
-// and — the headline contract — sharded serving must answer byte-for-byte
-// identically to the unsharded pipeline for every supported method, on
-// tie-heavy corpora included. Failure paths: a worker command that cannot
-// spawn yields a structured internal error, and the `candidates` data
-// plane rejects stale fingerprints and misaligned ranges.
+// invalidate exactly the shards whose blocks were touched; the candidates
+// kernel must reproduce the global selection restricted to each planned
+// range; and — the headline contract — sharded serving through spawned
+// worker processes must answer byte-for-byte identically to the unsharded
+// pipeline for every supported method, on tie-heavy corpora included.
+// Failure paths: a worker command that cannot spawn (or none at all)
+// yields a structured internal error, and the `candidates` data plane
+// rejects stale fingerprints and misaligned ranges.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "serve/pipeline.h"
 #include "shard/shard_planner.h"
 #include "shard/shard_worker.h"
+#include "shard/socket_worker.h"
 #include "shard/wire.h"
 #include "serve_process.h"
 #include "test_util.h"
@@ -132,7 +135,8 @@ TEST(ShardPlannerTest, FingerprintsAreRangeAndShapeAddressed) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker + merge: the restriction/merge identity on real distances.
+// Candidates kernel + merge: the restriction/merge identity on real
+// distances.
 
 TEST(ShardWorkerTest, InProcessRunsMergeToGlobalSelection) {
   const size_t kBlockRows = 16;
@@ -152,9 +156,12 @@ TEST(ShardWorkerTest, InProcessRunsMergeToGlobalSelection) {
       std::vector<std::vector<int>> runs(plan.size());
       for (size_t r : {0u, 1u, 5u, 50u, 100u}) {
         for (size_t s = 0; s < plan.size(); ++s) {
-          LocalShardWorker worker(plan[s], &data, &norms, metric);
-          ASSERT_TRUE(worker.Candidates(query.features.Row(0), r, dists,
-                                        &runs[s]));
+          ASSERT_TRUE(ShardCandidates(
+              data.features, query.features.Row(0), metric, &norms,
+              plan[s].row_begin, plan[s].row_end, r,
+              std::span<double>(dists).subspan(plan[s].row_begin,
+                                               plan[s].Rows()),
+              &runs[s]));
           // Each run is the shard's exact top-min(r, Rows()), global
           // indices inside the shard's range.
           EXPECT_EQ(runs[s].size(), std::min(r, plan[s].Rows()));
@@ -218,10 +225,14 @@ std::string TieRowsJson(size_t n, int num_classes, uint64_t seed) {
   return out;
 }
 
+// Sharded pipelines spawn one worker per shard from the real binary.
 std::unique_ptr<RequestPipeline> MakePipeline(int shards) {
   PipelineOptions options;
   options.emit_timing = false;
   options.shards = shards;
+  if (shards > 1) {
+    options.shard_worker_command = ShardWorkerCommand(KNNSHAP_SERVE_BINARY);
+  }
   return std::make_unique<RequestPipeline>(options);
 }
 
@@ -298,9 +309,9 @@ TEST(ShardEquivalenceTest, ShardedResponsesAreByteIdentical) {
 
 TEST(ShardEquivalenceTest, GoldenShardSessionReproduces) {
   // The session/golden pair the CI shard smoke pipes through the real
-  // binary on all three topologies; here the unsharded and thread-mode
-  // pipelines replay it in-process (process mode needs the binary, so CI
-  // owns that arm). Reference kernel pinned, as for the main golden.
+  // binary on every topology; here the unsharded pipeline and a sharded
+  // one with spawned workers replay it through HandleSync. Reference
+  // kernel pinned, as for the main golden.
   const std::string dir = KNNSHAP_TEST_DATA_DIR;
   std::ifstream session_file(dir + "/serve_shard_session.jsonl");
   std::ifstream golden_file(dir + "/serve_shard_golden.jsonl");
@@ -381,26 +392,31 @@ TEST(ShardServeTest, ConcurrentRequestsFitOnce) {
 // Failure paths.
 
 TEST(ShardServeTest, UnspawnableWorkerCommandIsAStructuredError) {
-  PipelineOptions options;
-  options.emit_timing = false;
-  options.shards = 2;
   // /bin/false exits without speaking the protocol: the spawn-time load
-  // handshake fails and the engine answers internal, not a crash.
-  options.shard_worker_command = {"/bin/false"};
-  RequestPipeline pipeline(options);
+  // handshake fails and the engine answers internal, not a crash. No
+  // command at all (a library caller asking for shards without placing
+  // them) is refused the same way: there are no in-process shards.
+  for (const std::vector<std::string>& command :
+       {std::vector<std::string>{"/bin/false"}, std::vector<std::string>{}}) {
+    PipelineOptions options;
+    options.emit_timing = false;
+    options.shards = 2;
+    options.shard_worker_command = command;
+    RequestPipeline pipeline(options);
 
-  Answer(pipeline, R"({"op":"load","name":"c","rows":)" +
-                       RowsJson(600, 3, 2, 61) + R"(,"target":"label"})");
-  Answer(pipeline, R"({"op":"load","name":"q","rows":)" +
-                       RowsJson(1, 3, 2, 62) + R"(,"target":"label"})");
-  JsonValue response = pipeline.HandleSync(
-      ParseJson(
-          R"({"op":"value","train":"c","test":"q","method":"exact","k":3})")
-          .value);
-  EXPECT_FALSE(response.Get("ok").AsBool(true));
-  EXPECT_EQ(response.Get("code").AsString(), "internal");
-  // The failed fit was not retained.
-  EXPECT_EQ(pipeline.Engine().FittedCount(), 0u);
+    Answer(pipeline, R"({"op":"load","name":"c","rows":)" +
+                         RowsJson(600, 3, 2, 61) + R"(,"target":"label"})");
+    Answer(pipeline, R"({"op":"load","name":"q","rows":)" +
+                         RowsJson(1, 3, 2, 62) + R"(,"target":"label"})");
+    JsonValue response = pipeline.HandleSync(
+        ParseJson(
+            R"({"op":"value","train":"c","test":"q","method":"exact","k":3})")
+            .value);
+    EXPECT_FALSE(response.Get("ok").AsBool(true)) << command.size();
+    EXPECT_EQ(response.Get("code").AsString(), "internal") << command.size();
+    // The failed fit was not retained.
+    EXPECT_EQ(pipeline.Engine().FittedCount(), 0u) << command.size();
+  }
 }
 
 TEST(ShardServeTest, TopologyStatsGatedOnSharding) {
@@ -417,7 +433,7 @@ TEST(ShardServeTest, TopologyStatsGatedOnSharding) {
   ASSERT_TRUE(stats.Has("topology"));
   const JsonValue& topology = stats.Get("topology");
   EXPECT_EQ(topology.Get("shards").AsNumber(), 3.0);
-  EXPECT_EQ(topology.Get("workers").AsString(), "thread");
+  EXPECT_EQ(topology.Get("workers").AsString(), "process");
   const JsonValue& plan = topology.Get("plans").Get("c");
   ASSERT_TRUE(plan.IsArray());
   ASSERT_EQ(plan.Items().size(), 3u);
@@ -549,9 +565,8 @@ TEST_F(CandidatesOpTest, RejectsOutOfRangeRows) {
   EXPECT_EQ(response.Get("code").AsString(), "invalid_argument");
 }
 
-#ifdef KNNSHAP_SERVE_BINARY
 // ---------------------------------------------------------------------------
-// Spawned workers through the real binary (--shard-workers=self): byte
+// Routers through the real binary (spawning their own workers): byte
 // equivalence, a killed child, and no child outliving its router.
 
 using testing_util::ChildPids;
@@ -568,10 +583,13 @@ std::vector<std::string> DataLines(const std::string& file) {
   return lines;
 }
 
-ServeProcess SpawnRouter(const std::string& workers) {
-  return SpawnServe(KNNSHAP_SERVE_BINARY,
-                    {"--no-timing", "--kernel=reference", "--shards=3",
-                     "--shard-workers=" + workers});
+// A --shards=3 router; `workers` is its --shard-workers value, or empty
+// for the flag's default.
+ServeProcess SpawnRouter(const std::string& workers = "") {
+  std::vector<std::string> args = {"--no-timing", "--kernel=reference",
+                                   "--shards=3"};
+  if (!workers.empty()) args.push_back("--shard-workers=" + workers);
+  return SpawnServe(KNNSHAP_SERVE_BINARY, args);
 }
 
 // Sends each line and waits for its reply before the next, so every
@@ -622,7 +640,7 @@ TEST(ShardProcessTest, GoldenShardSessionReproducesThroughTheBinary) {
       DataLines("serve_shard_session.jsonl");
   const std::vector<std::string> golden = DataLines("serve_shard_golden.jsonl");
   ASSERT_EQ(session.size(), golden.size());
-  for (const std::string workers : {"self", "thread"}) {
+  for (const std::string workers : {"self", ""}) {
     ServeProcess server = SpawnRouter(workers);
     ASSERT_GT(server.pid, 0);
     EXPECT_EQ(Exchange(server, session), golden)
@@ -721,7 +739,5 @@ TEST(ShardProcessTest, NoSpawnedWorkerOutlivesItsRouter) {
     EXPECT_EQ(ProcessState(pid), '\0') << "worker " << pid;
   }
 }
-#endif  // KNNSHAP_SERVE_BINARY
-
 }  // namespace
 }  // namespace knnshap

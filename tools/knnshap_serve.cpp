@@ -19,9 +19,10 @@
 //   --in-flight=N     cap on concurrently dispatched value requests
 //   --cache=N         result-cache capacity in entries (default 64)
 //   --kernel=K        force the distance kernel (reference|blocked|avx2|
-//                     auto); outranks the KNNSHAP_KERNEL environment
-//                     variable — used with --no-timing for deterministic
-//                     transcripts
+//                     avx512|auto); outranks the KNNSHAP_KERNEL
+//                     environment variable — used with --no-timing for
+//                     deterministic transcripts, and passed to spawned
+//                     shard workers as the router's active kernel
 //   --no-obs          disable the metrics registry entirely (no metrics
 //                     clock reads; the `metrics` op errors)
 //   --trace-all       record deep per-query trace spans on every value
@@ -31,17 +32,17 @@
 //                     milliseconds, engine time + queue wait
 //   --metrics-file=P  dump the metrics registry as JSON to P on exit
 //   --shards=N        route exact / exact-corrected / weighted-fast /
-//                     truncated value requests through N shard workers;
-//                     responses stay byte-identical to the unsharded
-//                     server (src/shard/README.md)
-//   --shard-workers=W where the workers run: "thread" (default) in
-//                     process on the shared pool; "self" spawns one child
-//                     per shard re-exec'ing this binary via /proc/self/exe;
-//                     anything else is the path of a serve binary to
-//                     spawn. Children speak the JSONL protocol over a
-//                     socketpair on their stdin/stdout, get the same
-//                     corpus sync as remote workers, exit when the router
-//                     closes the connection, and inherit the environment
+//                     truncated value requests through N shard worker
+//                     processes; responses stay byte-identical to the
+//                     unsharded server, which ranks in process
+//                     (src/shard/README.md)
+//   --shard-workers=W the binary spawned once per shard: "self" (the
+//                     default) re-execs this binary via /proc/self/exe;
+//                     anything else is the path of a serve binary.
+//                     Children speak the JSONL protocol over a socketpair
+//                     on their stdin/stdout, get the same corpus sync as
+//                     remote workers, exit when the router closes the
+//                     connection, and inherit the environment
 //                     (KNNSHAP_FAULTS included)
 //
 // Remote shards over TCP (docs/DEPLOYMENT.md; docs/PROTOCOL.md is the
@@ -108,6 +109,7 @@
 
 #include "knn/distance_kernel.h"
 #include "serve/pipeline.h"
+#include "shard/socket_worker.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/net.h"
@@ -169,6 +171,8 @@ int main(int argc, char** argv) {
     SetKernelOverride(KernelKind::kBlocked);
   } else if (kernel == "avx2") {
     SetKernelOverride(KernelKind::kAvx2);
+  } else if (kernel == "avx512") {
+    SetKernelOverride(KernelKind::kAvx512);
   } else if (kernel == "auto") {
     SetKernelOverride(KernelKind::kAuto);
   } else if (!kernel.empty()) {
@@ -215,20 +219,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string shard_workers = args.GetString("shard-workers", "");
+  if (shard_workers == "thread") {
+    std::fprintf(stderr,
+                 "--shard-workers=thread: in-process shards were removed; "
+                 "unsharded serving (no --shards) is the in-process path\n");
+    return 1;
+  }
   if (!shard_workers.empty() && options.shards < 2) {
     std::fprintf(stderr, "--shard-workers needs --shards=N (N >= 2)\n");
     return 1;
-  }
-  if (!shard_workers.empty() && shard_workers != "thread") {
-    const std::string worker_path =
-        shard_workers == "self" ? "/proc/self/exe" : shard_workers;
-    // Workers must answer deterministically whatever this server's timing
-    // flags are, and must compute on the same kernel so candidate
-    // distances are bit-identical to the router's expectations.
-    options.shard_worker_command = {worker_path, "--serial", "--no-timing",
-                                    "--no-obs",
-                                    "--kernel=" + std::string(KernelName(
-                                        ActiveKernel()))};
   }
   const std::string shard_remote = args.GetString("shard-remote", "");
   if (!shard_remote.empty()) {
@@ -295,6 +294,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     options.shard_remote = std::move(groups);
+  } else if (options.shards > 1) {
+    options.shard_worker_command = ShardWorkerCommand(
+        shard_workers.empty() || shard_workers == "self" ? "/proc/self/exe"
+                                                         : shard_workers);
   }
   options.shard_transport.connect_timeout_ms =
       static_cast<int>(args.GetInt("shard-connect-timeout-ms", 2000));
