@@ -39,6 +39,7 @@
 #include "serve/pipeline.h"
 #include "shard/socket_worker.h"
 #include "shard/wire.h"
+#include "util/fault.h"
 #include "util/fingerprint.h"
 #include "util/json.h"
 #include "util/net.h"
@@ -352,6 +353,81 @@ TEST(RemoteShardTest, AllReplicasDeadAnswersUnavailableThenRecovers) {
   worker0 = std::make_unique<LoopbackWorker>(port0);
   worker1 = std::make_unique<LoopbackWorker>(port1);
   EXPECT_EQ(Answer(*remote, value), expected_value);
+}
+
+// ---------------------------------------------------------------------------
+// Fault sites (util/fault.h): each remote-transport site drives its
+// documented outcome, and disarming it recovers byte-identically.
+
+struct FaultSiteCase {
+  const char* spec;
+  /// Answer one request through the primaries before arming the site, so
+  /// the fault meets established connections.
+  bool warm;
+  /// Stop both primaries after the warm request: a real mid-query death.
+  bool kill_primaries;
+  uint64_t connect_failures;
+  uint64_t failovers;
+};
+
+// Disarms every fault site when the test body exits, failed or not.
+struct FaultReset {
+  ~FaultReset() { FaultRegistry::Global().Reset(); }
+};
+
+TEST(RemoteShardTest, FaultSitesAnswerUnavailableThenRecover) {
+  const std::string load = R"({"op":"load","name":"c","rows":)" +
+                           RowsJson(600, 3, 2, 331) + R"(,"target":"label"})";
+  const std::string load_q = R"({"op":"load","name":"q","rows":)" +
+                             RowsJson(2, 3, 2, 332) + R"(,"target":"label"})";
+  const std::string value =
+      R"({"op":"value","train":"c","test":"q","method":"exact","k":3,"cache":false})";
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+  const std::string expected =
+      (Answer(*baseline, load), Answer(*baseline, load_q),
+       Answer(*baseline, value));
+
+  // Two shards, two replicas each, two dial attempts per replica.
+  const FaultSiteCase cases[] = {
+      // Every dial attempt fails: both groups are exhausted at fit.
+      {"shard_connect:after=0", false, false, 8, 0},
+      // Every read fails: each primary dies mid-query, and the sync of
+      // the secondary it fails over to dies too.
+      {"shard_read:after=0", true, false, 0, 2},
+      // The primaries really die, and each failover is abandoned.
+      {"shard_failover:after=0", true, true, 0, 2},
+  };
+  for (const FaultSiteCase& c : cases) {
+    SCOPED_TRACE(c.spec);
+    FaultReset reset;
+    LoopbackWorker primary0, primary1, secondary0, secondary1;
+    std::unique_ptr<RequestPipeline> remote = MakeRemoteRouter(
+        {{primary0.Address(), secondary0.Address()},
+         {primary1.Address(), secondary1.Address()}});
+    Answer(*remote, load);
+    Answer(*remote, load_q);
+    if (c.warm) {
+      ASSERT_EQ(Answer(*remote, value), expected);
+    }
+    if (c.kill_primaries) {
+      primary0.Stop();
+      primary1.Stop();
+    }
+
+    ASSERT_TRUE(FaultRegistry::Global().Configure(c.spec));
+    const JsonValue down = remote->HandleSync(ParseJson(value).value);
+    EXPECT_FALSE(down.Get("ok").AsBool(true)) << down.Dump();
+    EXPECT_EQ(down.Get("code").AsString(), "unavailable") << down.Dump();
+    EXPECT_TRUE(down.Has("retry_after_ms")) << down.Dump();
+    EXPECT_EQ(CounterValue(*remote, "knnshap_shard_connect_failures_total"),
+              c.connect_failures);
+    EXPECT_EQ(CounterValue(*remote, "knnshap_shard_failovers_total"),
+              c.failovers);
+
+    // Disarmed, the next request re-fits and answers the unsharded bytes.
+    FaultRegistry::Global().Reset();
+    EXPECT_EQ(Answer(*remote, value), expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
