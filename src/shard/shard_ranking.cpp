@@ -9,13 +9,45 @@
 #include "knn/selection.h"
 #include "obs/trace.h"
 #include "shard/shard_planner.h"
-#include "shard/socket_worker.h"
 #include "util/cancel.h"
 #include "util/common.h"
 #include "util/net.h"
 #include "util/thread_pool.h"
 
 namespace knnshap {
+
+namespace {
+
+/// Shard `s`'s replicas in failover order: its remote group's endpoints,
+/// or the one child the worker command spawns. Throws on a bad topology.
+std::vector<ShardPeer> PeersOf(const ShardTopology& topology, size_t s,
+                               size_t shards) {
+  if (topology.remote_replicas.empty()) return {topology.worker_command};
+  if (topology.remote_replicas.size() < shards) {
+    throw std::runtime_error(
+        "sharded fit: " + std::to_string(shards) +
+        " planned shards but only " +
+        std::to_string(topology.remote_replicas.size()) +
+        " remote replica group(s)");
+  }
+  std::vector<ShardPeer> peers;
+  for (const std::string& spec : topology.remote_replicas[s]) {
+    Endpoint endpoint;
+    std::string error;
+    if (!ParseEndpoint(spec, &endpoint, &error)) {
+      throw std::runtime_error("sharded fit: bad replica endpoint '" + spec +
+                               "': " + error);
+    }
+    peers.emplace_back(std::move(endpoint));
+  }
+  if (peers.empty()) {
+    throw std::runtime_error("sharded fit: shard " + std::to_string(s) +
+                             " has no replica endpoints");
+  }
+  return peers;
+}
+
+}  // namespace
 
 ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
                            const ShardContext& context)
@@ -34,81 +66,36 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
     digests_ =
         std::make_shared<const CorpusDigests>(ComputeCorpusDigests(corpus));
   }
-  const CorpusDigests& digests = *digests_;
   const std::vector<ShardRange> plan =
-      PlanShards(digests, static_cast<size_t>(std::max(topology.count, 1)));
-  workers_.reserve(plan.size());
-  const uint64_t fingerprint = digests.Combined();
+      PlanShards(*digests_, static_cast<size_t>(std::max(topology.count, 1)));
   const ShardTransportCounters counters =
       ShardTransportCounters::From(context.metrics);
-  // Workers connect and sync every shard at once on the shared pool
-  // (the caller helps, so this is safe from a pool thread). The fit's
-  // trace follows each shard onto its helper thread.
+  workers_.reserve(plan.size());
+  for (size_t s = 0; s < plan.size(); ++s) {
+    workers_.push_back(std::make_unique<ShardWorker>(
+        plan[s], PeersOf(topology, s, plan.size()), context.corpus_name,
+        metric, digests_->Combined(), topology.transport, counters, &corpus,
+        digests_.get()));
+  }
+  // Every shard connects and syncs at once on the shared pool (the caller
+  // helps, so this is safe from a pool thread). The fit's trace follows
+  // each shard onto its helper thread.
   RequestTrace* trace = ActiveTrace();
-  const auto for_each_shard = [&](const auto& fn) {
-    ThreadPool::Shared().ParallelForHelping(workers_.size(), [&](size_t s) {
-      TraceActivation activation(trace);
-      fn(s);
-    });
-  };
-  if (!topology.remote_replicas.empty()) {
-    // Remote sockets: one ReplicaShardWorker per planned shard, each with
-    // its ordered replica list. Endpoint parse errors throw (bad flag —
-    // the engine answers a structured internal error); dial failures do
-    // NOT — the eager Connect below is best-effort, so an all-dead
-    // topology surfaces as unavailable + retry_after_ms through the
-    // normal fan-out health path instead of poisoning the fit.
-    if (topology.remote_replicas.size() < plan.size()) {
-      throw std::runtime_error(
-          "sharded fit: " + std::to_string(plan.size()) +
-          " planned shards but only " +
-          std::to_string(topology.remote_replicas.size()) +
-          " remote replica group(s)");
-    }
-    for (size_t s = 0; s < plan.size(); ++s) {
-      std::vector<Endpoint> replicas;
-      replicas.reserve(topology.remote_replicas[s].size());
-      for (const std::string& spec : topology.remote_replicas[s]) {
-        Endpoint endpoint;
-        std::string error;
-        if (!ParseEndpoint(spec, &endpoint, &error)) {
-          throw std::runtime_error("sharded fit: bad replica endpoint '" +
-                                   spec + "': " + error);
-        }
-        replicas.push_back(std::move(endpoint));
-      }
-      if (replicas.empty()) {
-        throw std::runtime_error("sharded fit: shard " + std::to_string(s) +
-                                 " has no replica endpoints");
-      }
-      workers_.push_back(std::make_unique<ReplicaShardWorker>(
-          plan[s], std::move(replicas), context.corpus_name, metric,
-          fingerprint, topology.transport, counters, &corpus, digests_.get()));
-    }
-    for_each_shard([&](size_t s) {
-      static_cast<ReplicaShardWorker&>(*workers_[s]).Connect();
-    });
-  } else {
-    // One spawned child per shard over the same socket transport. Spawn
-    // and sync failures (bad command, dead child, fingerprint mismatch)
-    // throw — the engine turns that into a structured internal-error
-    // response and retires the fit slot.
-    for (const ShardRange& range : plan) {
-      workers_.push_back(std::make_unique<SocketShardWorker>(
-          range, context.corpus_name, metric, fingerprint, topology.transport,
-          counters));
-    }
-    std::vector<Status> started(workers_.size());
-    for_each_shard([&](size_t s) {
-      auto& worker = static_cast<SocketShardWorker&>(*workers_[s]);
-      started[s] = worker.Spawn(topology.worker_command);
-      if (started[s].ok()) started[s] = worker.Sync(corpus, digests);
-    });
-    for (const Status& status : started) {
-      if (!status.ok()) {
-        throw std::runtime_error("shard worker spawn failed: " +
-                                 status.message());
-      }
+  std::vector<Status> connected(workers_.size());
+  ThreadPool::Shared().ParallelForHelping(workers_.size(), [&](size_t s) {
+    TraceActivation activation(trace);
+    connected[s] = workers_[s]->Connect();
+  });
+  // A spawned child that fails to start or sync is a bad command: the fit
+  // throws, and the engine answers a structured internal error and
+  // retires the fit slot. A remote group that no dial reached is an
+  // outage a retry may outlive: its latched Health() answers unavailable
+  // + retry_after_ms on the first fan-out instead of poisoning the fit.
+  if (!topology.remote_replicas.empty()) return;
+  for (const Status& status : connected) {
+    if (!status.ok()) {
+      throw std::runtime_error("shard worker spawn failed: " +
+                               status.message());
     }
   }
 }
@@ -118,9 +105,9 @@ Status ShardRanking::Health() const {
   return health_;
 }
 
-bool ShardRanking::FanOut(std::span<const float> query, size_t r,
-                          std::span<double> dists,
-                          std::vector<std::vector<int>>* runs) const {
+Status ShardRanking::FanOut(std::span<const float> query, size_t r,
+                            std::span<double> dists,
+                            std::vector<std::vector<int>>* runs) const {
   runs->resize(workers_.size());
   // Each connection is a single-lane channel and queries arrive
   // concurrently from the pool, so fan-outs serialize. (Serialization
@@ -138,7 +125,11 @@ bool ShardRanking::FanOut(std::span<const float> query, size_t r,
   for (size_t s = 0; s < sent; ++s) {
     if (!workers_[s]->ReadCandidates(query, r, dists, &(*runs)[s])) ok = false;
   }
-  return ok;
+  if (ok) return Status::Ok();
+  for (const auto& worker : workers_) {
+    if (!worker->Health().ok()) return worker->Health();
+  }
+  return Status::Unavailable("shard fan-out failed");
 }
 
 bool ShardRanking::Rank(std::span<const float> query, size_t r,
@@ -147,7 +138,7 @@ bool ShardRanking::Rank(std::span<const float> query, size_t r,
   r = std::min(r, rows_);
   ResizeScratch(dists, rows_);
   thread_local std::vector<std::vector<int>> runs;
-  bool fanned_out;
+  Status fanned_out;
   {
     ScopedPhase span(Phase::kShardFanout);
     fanned_out = FanOut(query, r, *dists, &runs);
@@ -157,18 +148,10 @@ bool ShardRanking::Rank(std::span<const float> query, size_t r,
   // ours) is the caller's to discard — never a partial merge, and never a
   // latched failure.
   if (CancelRequested()) return true;
-  if (!fanned_out) {
-    // Worker failure on a live request: latch the first worker's status
-    // (Unavailable/Internal).
-    Status latched = Status::Unavailable("shard fan-out failed");
-    for (const auto& worker : workers_) {
-      if (Status health = worker->Health(); !health.ok()) {
-        latched = std::move(health);
-        break;
-      }
-    }
+  if (!fanned_out.ok()) {
+    // Worker failure on a live request: latch it.
     std::lock_guard<std::mutex> lock(health_mutex_);
-    if (health_.ok()) health_ = std::move(latched);
+    if (health_.ok()) health_ = std::move(fanned_out);
     return false;
   }
   ScopedPhase span(Phase::kShardMerge);

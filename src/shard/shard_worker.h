@@ -1,37 +1,53 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// ShardWorker — one shard's candidate server, behind a connection. A
-// worker owns a planned ShardRange (shard_planner.h) and answers one kind
-// of query: "distances + exact top-r candidate run over your rows".
-// ShardRanking (shard_ranking.h) merges the runs into the ranking the
-// recursions consume; because each worker's run is the exact restriction
-// of the global (distance, index) order to its contiguous rows, the merge
-// is bit-identical to the unsharded ranking.
+// ShardWorker — one shard's candidate server. A worker owns a planned
+// ShardRange (shard_planner.h) and answers one kind of query: "distances
+// + exact top-r candidate run over your rows". ShardRanking
+// (shard_ranking.h) merges the runs into the ranking the recursions
+// consume; because each worker's run is the exact restriction of the
+// global (distance, index) order to its contiguous rows, the merge is
+// bit-identical to the unsharded ranking.
 //
-// Every worker is a JSONL connection to another process (socket_worker.h):
-// SocketShardWorker to a spawned child or one remote worker,
-// ReplicaShardWorker to a remote replica group. The process on the other
-// end runs ShardCandidates below behind its `candidates` op. A query
-// splits into a send half and a read half, so the router can write every
-// shard's request before it reads any reply (send-all-then-gather: the
-// shards compute at once).
+// Every shard has one worker type: an ordered list of replicas, each a
+// ShardPeer — a remote worker to dial or a worker command to spawn — and
+// a spawned shard is simply a group of one. The worker speaks to one
+// replica at a time through a ShardConnection (socket_worker.h); the
+// process on the other end runs ShardCandidates below behind its
+// `candidates` op. A query splits into a send half and a read half, so
+// the router can write every shard's request before it reads any reply
+// (send-all-then-gather: the shards compute at once).
 //
-// Failure semantics of ReadCandidates(): `false` means "this fan-out
-// produced no usable run". A false WITH Health() still OK is a propagated
-// deadline (the worker answered deadline_exceeded off the forwarded
-// remaining-ms budget — the parent's own token is the authority and is
-// re-checked by the valuator); any other false latches a non-OK Health
-// first.
+// Failover: a replica that dies between SendCandidates and
+// ReadCandidates is dropped, the next replica is opened and synced, and
+// the same query is retried there synchronously. The fan-out sees a
+// usable run and the response stays byte-identical (the candidate run is
+// a pure function of the corpus, which every replica verified by
+// fingerprint). Only when EVERY replica is dead does Health() latch
+// non-OK, naming the last connection's own failure; the router then
+// answers `unavailable` + retry_after_ms, and the next request re-fits,
+// dialing or respawning every replica from scratch. A propagated deadline
+// (the replica answered deadline_exceeded off the forwarded budget) does
+// NOT fail over: the router's own token is the authority, and a retry on
+// a sibling would only burn the rest of the budget.
+//
+// Fault site (util/fault.h): `shard_failover` abandons a switch to the
+// next replica, as if the whole group were dead.
 
 #ifndef KNNSHAP_SHARD_SHARD_WORKER_H_
 #define KNNSHAP_SHARD_SHARD_WORKER_H_
 
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "dataset/dataset.h"
 #include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "shard/shard_planner.h"
+#include "shard/socket_worker.h"
+#include "shard/topology.h"
+#include "util/fingerprint.h"
 #include "util/matrix.h"
 #include "util/status.h"
 
@@ -51,36 +67,62 @@ bool ShardCandidates(const Matrix& features, std::span<const float> query,
                      size_t row_end, size_t r, std::span<double> dists,
                      std::vector<int>* run);
 
-/// One shard's candidate server behind a connection.
+/// One shard's ordered replica list, with health latching and mid-query
+/// failover. Not synchronized: the router serializes fan-outs and reads
+/// Health() under the same lock.
 class ShardWorker {
  public:
-  explicit ShardWorker(ShardRange range) : range_(range) {}
-  virtual ~ShardWorker() = default;
+  /// `peers` are tried strictly in order. `corpus` and `digests` must
+  /// outlive the worker (the fitted valuator and its ShardRanking own
+  /// them): every replica (re)connect syncs from them.
+  ShardWorker(ShardRange range, std::vector<ShardPeer> peers,
+              std::string corpus_name, Metric metric,
+              uint64_t expected_fingerprint, SocketWorkerOptions options,
+              ShardTransportCounters counters, const Dataset* corpus,
+              const CorpusDigests* digests);
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Writes the candidates request. False when no reply will follow (the
-  /// worker is dead; Health() says why), and the caller must not read.
-  virtual bool SendCandidates(std::span<const float> query, size_t r) = 0;
+  /// Opens and syncs the first replica, from the current one on, that
+  /// answers. On failure every replica is dead: Health() is latched and
+  /// the last replica's own failure is returned.
+  Status Connect();
+
+  /// Writes the candidates request to the active replica. False only when
+  /// the whole group is dead, and the caller must not read.
+  bool SendCandidates(std::span<const float> query, size_t r);
 
   /// Reads the reply to the last successful SendCandidates: the shard's
   /// distances into the global row-indexed `dists` at [row_begin,
-  /// row_end), and its exact top-min(r, Rows()) candidate row indices
+  /// row_end), and its exact top-min(r, rows) candidate row indices
   /// (global, ascending by (distance, index)) into *run (cleared first).
-  /// Returns false when no usable run was produced (see header comment).
-  /// The query is passed again so a replica group can retry it elsewhere.
-  virtual bool ReadCandidates(std::span<const float> query, size_t r,
-                              std::span<double> dists,
-                              std::vector<int>* run) = 0;
+  /// A replica that died since the send is replaced and `query` retried.
+  /// False when no usable run was produced: with Health() OK that is a
+  /// propagated deadline, otherwise the whole group is dead.
+  bool ReadCandidates(std::span<const float> query, size_t r,
+                      std::span<double> dists, std::vector<int>* run);
 
-  /// Liveness, latched non-OK on peer death or garbage. Thread-safe.
-  virtual Status Health() const = 0;
+  /// OK while any replica may still answer; latched on the first
+  /// all-replicas-dead failure.
+  const Status& Health() const { return health_; }
 
-  const ShardRange& Range() const { return range_; }
+ private:
+  void LatchAllDead(const Status& last_error);
 
- protected:
   ShardRange range_;
+  std::vector<ShardPeer> peers_;
+  std::string corpus_name_;
+  Metric metric_;
+  uint64_t expected_fingerprint_;
+  SocketWorkerOptions options_;
+  ShardTransportCounters counters_;
+  const Dataset* corpus_;
+  const CorpusDigests* digests_;
+
+  size_t active_ = 0;  ///< Index of the peer conn_ speaks to.
+  std::unique_ptr<ShardConnection> conn_;
+  Status health_;
 };
 
 }  // namespace knnshap

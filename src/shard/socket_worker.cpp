@@ -11,6 +11,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -60,23 +61,18 @@ std::vector<std::string> ShardWorkerCommand(std::string binary) {
           "--kernel=" + std::string(KernelName(ActiveKernel()))};
 }
 
-// ---------------------------------------------------------------------------
-// SocketShardWorker
-// ---------------------------------------------------------------------------
-
-SocketShardWorker::SocketShardWorker(ShardRange range, std::string corpus_name,
-                                     Metric metric,
-                                     uint64_t expected_fingerprint,
-                                     SocketWorkerOptions options,
-                                     ShardTransportCounters counters)
-    : ShardWorker(range),
+ShardConnection::ShardConnection(ShardRange range, std::string corpus_name,
+                                 Metric metric, uint64_t expected_fingerprint,
+                                 SocketWorkerOptions options,
+                                 ShardTransportCounters counters)
+    : range_(range),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
       expected_fingerprint_(expected_fingerprint),
       options_(options),
       counters_(counters) {}
 
-SocketShardWorker::~SocketShardWorker() {
+ShardConnection::~ShardConnection() {
   // Closing the connection is a spawned child's shutdown signal: its serve
   // loop sees EOF, drains and exits; the wait reaps it so no zombie
   // outlives a router re-fit.
@@ -88,7 +84,7 @@ SocketShardWorker::~SocketShardWorker() {
   }
 }
 
-void SocketShardWorker::CloseStreams() {
+void ShardConnection::CloseStreams() {
   // write_stream_ owns a dup of the socket fd; read_stream_ owns the fd
   // itself. Closing both fully shuts the connection down.
   if (write_stream_ != nullptr) std::fclose(write_stream_);
@@ -97,21 +93,13 @@ void SocketShardWorker::CloseStreams() {
   read_stream_ = nullptr;
 }
 
-Status SocketShardWorker::Fail(Status status) {
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    if (health_.ok()) health_ = status;
-  }
+Status ShardConnection::Fail(Status status) {
+  if (health_.ok()) health_ = status;
   CloseStreams();
   return status;
 }
 
-Status SocketShardWorker::Health() const {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  return health_;
-}
-
-Status SocketShardWorker::Open(int fd) {
+Status ShardConnection::Adopt(int fd) {
   // Close-on-exec on both fds: a LATER sibling's fork+exec must not
   // inherit this connection, or a spawned child would never see EOF when
   // the router closes it (shutdown would wait forever on the reap).
@@ -128,14 +116,19 @@ Status SocketShardWorker::Open(int fd) {
   return Status::Ok();
 }
 
-Status SocketShardWorker::Dial(const Endpoint& endpoint) {
+Status ShardConnection::Open(const ShardPeer& peer) {
+  if (const auto* endpoint = std::get_if<Endpoint>(&peer)) return Dial(*endpoint);
+  return Spawn(std::get<std::vector<std::string>>(peer));
+}
+
+Status ShardConnection::Dial(const Endpoint& endpoint) {
   IgnoreSigpipe();
   ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
   peer_ = endpoint.ToString();
   // Bounded dial attempts with doubling backoff: a worker that is
   // restarting (or not yet up in a deploy race) gets a short grace window;
-  // one that is truly gone fails fast enough for the replica layer to move
-  // on.
+  // one that is truly gone fails fast enough for its ShardWorker to move
+  // on to the next replica.
   int fd = -1;
   std::string error;
   int backoff_ms = kDialBackoffInitialMs;
@@ -159,10 +152,10 @@ Status SocketShardWorker::Dial(const Endpoint& endpoint) {
     return Fail(
         Status::Unavailable("shard worker " + peer_ + " unreachable: " + error));
   }
-  return Open(fd);
+  return Adopt(fd);
 }
 
-Status SocketShardWorker::Spawn(const std::vector<std::string>& command) {
+Status ShardConnection::Spawn(const std::vector<std::string>& command) {
   if (command.empty()) {
     return Fail(Status::InvalidArgument("shard worker: empty worker command"));
   }
@@ -200,16 +193,16 @@ Status SocketShardWorker::Spawn(const std::vector<std::string>& command) {
   // The I/O timeout goes on the router's end only: the child idles on its
   // stdin between requests, and a read timeout there would end its loop.
   SetSocketIoTimeout(fds[0], options_.io_timeout_ms);
-  return Open(fds[0]);
+  return Adopt(fds[0]);
 }
 
-Status SocketShardWorker::Sync(const Dataset& corpus,
+Status ShardConnection::Sync(const Dataset& corpus,
                                const CorpusDigests& digests) {
   ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
   // Version first: a worker on another protocol would misread every
   // packed payload that follows.
   std::string line;
-  if (!Exchange(R"({"op":"protocol"})", &line)) return Health();
+  if (!Exchange(R"({"op":"protocol"})", &line)) return health_;
   JsonParseResult parsed = ParseJson(line);
   const JsonValue& version = parsed.value.Get("protocol");
   if (!version.IsNumber() || version.AsNumber() != wire::kProtocolVersion) {
@@ -225,7 +218,7 @@ Status SocketShardWorker::Sync(const Dataset& corpus,
   // only its changed blocks; everything else — a fresh spawned child
   // included — falls back to the full load.
   if (!Exchange(wire::BuildDigestsRequest(corpus_name_).Dump(), &line)) {
-    return Health();
+    return health_;
   }
   parsed = ParseJson(line);
   if (!parsed.ok()) {
@@ -238,7 +231,7 @@ Status SocketShardWorker::Sync(const Dataset& corpus,
                                               plan.blocks)
                       .Dump(),
                   &line)) {
-      return Health();
+      return health_;
     }
     parsed = ParseJson(line);
     if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
@@ -254,7 +247,7 @@ Status SocketShardWorker::Sync(const Dataset& corpus,
   if (plan.mode == wire::CorpusSyncPlan::Mode::kFull) {
     if (!Exchange(wire::BuildInlineLoadRequest(corpus_name_, corpus).Dump(),
                   &line)) {
-      return Health();
+      return health_;
     }
     parsed = ParseJson(line);
     if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
@@ -284,7 +277,7 @@ Status SocketShardWorker::Sync(const Dataset& corpus,
   return Status::Ok();
 }
 
-bool SocketShardWorker::WriteLine(const std::string& line) {
+bool ShardConnection::WriteLine(const std::string& line) {
   if (write_stream_ == nullptr || read_stream_ == nullptr) {
     Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
@@ -299,7 +292,7 @@ bool SocketShardWorker::WriteLine(const std::string& line) {
   return true;
 }
 
-bool SocketShardWorker::ReadLine(std::string* response) {
+bool ShardConnection::ReadLine(std::string* response) {
   if (read_stream_ == nullptr) {
     Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
@@ -329,17 +322,16 @@ bool SocketShardWorker::ReadLine(std::string* response) {
   return true;
 }
 
-bool SocketShardWorker::SendCandidates(std::span<const float> query,
-                                       size_t r) {
-  return Health().ok() &&
+bool ShardConnection::SendCandidates(std::span<const float> query,
+                                     size_t r) {
+  return health_.ok() &&
          WriteLine(wire::BuildCandidatesRequest(range_, corpus_name_, metric_,
                                                 query, r)
                        .Dump());
 }
 
-bool SocketShardWorker::ReadCandidates(std::span<const float> /*query*/,
-                                       size_t r, std::span<double> dists,
-                                       std::vector<int>* run) {
+bool ShardConnection::ReadCandidates(size_t r, std::span<double> dists,
+                                     std::vector<int>* run) {
   run->clear();
   std::string line;
   if (!ReadLine(&line)) return false;
@@ -350,109 +342,6 @@ bool SocketShardWorker::ReadCandidates(std::span<const float> /*query*/,
   // dead.
   if (status.code() != StatusCode::kDeadlineExceeded) Fail(std::move(status));
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// ReplicaShardWorker
-// ---------------------------------------------------------------------------
-
-ReplicaShardWorker::ReplicaShardWorker(
-    ShardRange range, std::vector<Endpoint> replicas, std::string corpus_name,
-    Metric metric, uint64_t expected_fingerprint, SocketWorkerOptions options,
-    ShardTransportCounters counters, const Dataset* corpus,
-    const CorpusDigests* digests)
-    : ShardWorker(range),
-      replicas_(std::move(replicas)),
-      corpus_name_(std::move(corpus_name)),
-      metric_(metric),
-      expected_fingerprint_(expected_fingerprint),
-      options_(options),
-      counters_(counters),
-      corpus_(corpus),
-      digests_(digests) {}
-
-Status ReplicaShardWorker::Health() const {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  return health_;
-}
-
-void ReplicaShardWorker::LatchAllDead(const Status& last_error) {
-  std::lock_guard<std::mutex> lock(health_mutex_);
-  if (health_.ok()) {
-    health_ = Status::Unavailable(
-        "all " + std::to_string(replicas_.size()) + " replica(s) of shard [" +
-        std::to_string(range_.row_begin) + ", " + std::to_string(range_.row_end) +
-        ") are dead; last error: " + last_error.message());
-  }
-}
-
-bool ReplicaShardWorker::EnsureActive() {
-  Status last_error = Status::Unavailable("no replicas configured");
-  while (active_ < replicas_.size()) {
-    if (conn_ == nullptr) {
-      conn_ = std::make_unique<SocketShardWorker>(
-          range_, corpus_name_, metric_, expected_fingerprint_, options_,
-          counters_);
-      Status status = conn_->Dial(replicas_[active_]);
-      if (status.ok()) status = conn_->Sync(*corpus_, *digests_);
-      if (!status.ok()) {
-        last_error = status;
-        conn_.reset();
-        ++active_;
-        continue;
-      }
-    }
-    return true;
-  }
-  LatchAllDead(last_error);
-  return false;
-}
-
-void ReplicaShardWorker::Connect() {
-  // Best-effort: a dead primary here just advances `active_`; total
-  // failure latches Health and the router's fan-out answers unavailable.
-  EnsureActive();
-}
-
-bool ReplicaShardWorker::SendCandidates(std::span<const float> query,
-                                        size_t r) {
-  if (!Health().ok() || !EnsureActive()) return false;
-  // A failed write latches conn_ dead; ReadCandidates then fails over.
-  conn_->SendCandidates(query, r);
-  return true;
-}
-
-bool ReplicaShardWorker::ReadCandidates(std::span<const float> query, size_t r,
-                                        std::span<double> dists,
-                                        std::vector<int>* run) {
-  bool ok = conn_->ReadCandidates(query, r, dists, run);
-  while (!ok) {
-    if (conn_->Health().ok()) {
-      // Propagated deadline — the replica is fine, the budget is not.
-      // Retrying a sibling would only burn what little remains.
-      return false;
-    }
-    // The active replica died mid-query. Fail over: mark it dead, connect
-    // + sync the next one, retry the same query there synchronously. The
-    // candidate run is a pure function of the fingerprint-verified
-    // corpus, so the retried answer is byte-identical to what the dead
-    // replica would have sent. (Rows the aborted attempt already wrote
-    // into `dists` are harmless: the router only reads distances at
-    // indices named by the merged runs.)
-    ScopedPhase span(ActiveTrace(), Phase::kShardFailover);
-    conn_.reset();
-    ++active_;
-    Bump(counters_.failovers);
-    if (FaultInjectionEnabled() && Fault("shard_failover")) {
-      // Chaos hook: the failover target is unreachable too — drive the
-      // all-replicas-dead path deterministically.
-      active_ = replicas_.size();
-    }
-    if (!EnsureActive()) return false;
-    ok = conn_->SendCandidates(query, r) &&
-         conn_->ReadCandidates(query, r, dists, run);
-  }
-  return true;
 }
 
 }  // namespace knnshap

@@ -4,17 +4,19 @@
 // per process: the serve layer (serve/pipeline.h) builds it once from its
 // flags into EngineOptions, and the engine hands it, inside a
 // ShardContext, to every fit of a ranked method, whose ShardRanking
-// (shard/shard_ranking.h) builds that fit's workers from it. Two
-// placements, selected by which field is set:
+// (shard/shard_ranking.h) builds that fit's workers from it. Every shard
+// gets one ShardWorker (shard/shard_worker.h), an ordered replica list;
+// the fields only choose how its replicas are opened:
 //
-//   remote_replicas non-empty  TCP connections to standalone
-//                              `knnshap_serve --shard-listen` workers,
-//                              one ordered replica list per shard
-//   worker_command non-empty   one spawned child per shard, connected
-//                              over a socketpair on its stdin/stdout
+//   remote_replicas non-empty  each shard's group is its list of
+//                              standalone `knnshap_serve --shard-listen`
+//                              endpoints, dialed over TCP
+//   worker_command non-empty   each shard's group is one child spawned
+//                              from the command, connected over a
+//                              socketpair on its stdin/stdout
 //
 // A sharded topology with neither fails its fits: unsharded serving is
-// the in-process path. Spawned and remote workers share one transport
+// the in-process path. Both kinds of replica share one transport
 // (socket_worker.h): the same corpus sync, health latching, counters and
 // timeouts.
 

@@ -346,6 +346,11 @@ TEST(RemoteShardTest, AllReplicasDeadAnswersUnavailableThenRecovers) {
   EXPECT_FALSE(down.Get("ok").AsBool(true)) << down.Dump();
   EXPECT_EQ(down.Get("code").AsString(), "unavailable");
   EXPECT_TRUE(down.Has("retry_after_ms")) << down.Dump();
+  // The error names the dead connection's own failure.
+  EXPECT_NE(down.Get("error").AsString().find(
+                "last error: shard worker 127.0.0.1:" + std::to_string(port0)),
+            std::string::npos)
+      << down.Dump();
 
   // Workers come back on the same ports (blank corpus state): the next
   // request re-fits, re-dials, full-loads, and the answer is again
@@ -368,6 +373,8 @@ struct FaultSiteCase {
   bool kill_primaries;
   uint64_t connect_failures;
   uint64_t failovers;
+  /// The failure the unavailable error names.
+  const char* cause;
 };
 
 // Disarms every fault site when the test body exits, failed or not.
@@ -390,12 +397,15 @@ TEST(RemoteShardTest, FaultSitesAnswerUnavailableThenRecover) {
   // Two shards, two replicas each, two dial attempts per replica.
   const FaultSiteCase cases[] = {
       // Every dial attempt fails: both groups are exhausted at fit.
-      {"shard_connect:after=0", false, false, 8, 0},
+      {"shard_connect:after=0", false, false, 8, 0,
+       "injected shard_connect fault"},
       // Every read fails: each primary dies mid-query, and the sync of
       // the secondary it fails over to dies too.
-      {"shard_read:after=0", true, false, 0, 2},
-      // The primaries really die, and each failover is abandoned.
-      {"shard_failover:after=0", true, true, 0, 2},
+      {"shard_read:after=0", true, false, 0, 2, "injected shard_read fault"},
+      // The primaries really die, and each failover is abandoned: the
+      // error names the primary's own death.
+      {"shard_failover:after=0", true, true, 0, 2,
+       "last error: shard worker 127.0.0.1:"},
   };
   for (const FaultSiteCase& c : cases) {
     SCOPED_TRACE(c.spec);
@@ -419,6 +429,8 @@ TEST(RemoteShardTest, FaultSitesAnswerUnavailableThenRecover) {
     EXPECT_FALSE(down.Get("ok").AsBool(true)) << down.Dump();
     EXPECT_EQ(down.Get("code").AsString(), "unavailable") << down.Dump();
     EXPECT_TRUE(down.Has("retry_after_ms")) << down.Dump();
+    EXPECT_NE(down.Get("error").AsString().find(c.cause), std::string::npos)
+        << down.Dump();
     EXPECT_EQ(CounterValue(*remote, "knnshap_shard_connect_failures_total"),
               c.connect_failures);
     EXPECT_EQ(CounterValue(*remote, "knnshap_shard_failovers_total"),
@@ -549,9 +561,9 @@ TEST(RemoteShardTest, WorkerOnAnotherProtocolIsAFailedPrecondition) {
     corpus.labels.push_back(i % 2);
   }
   const CorpusDigests digests = ComputeCorpusDigests(corpus);
-  SocketShardWorker worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
-                           digests.Combined(), SocketWorkerOptions{},
-                           ShardTransportCounters{});
+  ShardConnection worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
+                         digests.Combined(), SocketWorkerOptions{},
+                         ShardTransportCounters{});
   Endpoint endpoint;
   std::string error;
   ASSERT_TRUE(ParseEndpoint(stub.Address(), &endpoint, &error)) << error;
