@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -31,6 +32,16 @@ bool ParseDouble(const std::string& text, double* out) {
 }
 
 }  // namespace
+
+bool LabelFromCell(double cell, int* label) {
+  // Bounds one past each end: the cast truncates, so (INT_MIN - 1, INT_MAX
+  // + 1) is exactly the range it is defined on. NaN fails both compares.
+  constexpr double kBelow = std::numeric_limits<int>::min() - 1.0;
+  constexpr double kAbove = std::numeric_limits<int>::max() + 1.0;
+  if (!(cell > kBelow && cell < kAbove)) return false;
+  *label = static_cast<int>(cell);
+  return true;
+}
 
 CsvLoadResult LoadCsvDataset(const std::string& path, CsvTarget target) {
   CsvLoadResult result;
@@ -85,13 +96,17 @@ CsvLoadResult LoadCsvDataset(const std::string& path, CsvTarget target) {
     if (row_ok && target != CsvTarget::kNone) {
       row_ok = ParseDouble(cells.back(), &trailing);
     }
+    int label = 0;
+    if (row_ok && target == CsvTarget::kLabel) {
+      row_ok = LabelFromCell(trailing, &label);
+    }
     if (!row_ok) {
       ++result.rows_skipped;
       continue;
     }
     result.data.features.AppendRow(features);
     if (target == CsvTarget::kLabel) {
-      result.data.labels.push_back(static_cast<int>(trailing));
+      result.data.labels.push_back(label);
     } else if (target == CsvTarget::kTarget) {
       result.data.targets.push_back(trailing);
     }

@@ -28,7 +28,9 @@ enum class CsvTarget {
 struct CsvLoadResult {
   Dataset data;
   size_t rows_parsed = 0;
-  size_t rows_skipped = 0;  ///< Malformed rows (wrong arity / non-numeric).
+  /// Malformed rows (wrong arity, non-numeric cells, a label that is not
+  /// a finite number in int range).
+  size_t rows_skipped = 0;
   bool had_header = false;
   /// OK, or the typed fatal failure: not_found for an unreadable file,
   /// invalid_argument for a file with no usable rows — so callers (the
@@ -38,6 +40,10 @@ struct CsvLoadResult {
   bool ok() const { return status.ok(); }
   const std::string& error() const { return status.message(); }
 };
+
+/// Converts a label cell to a class label, truncating toward zero. False
+/// when `cell` is not finite or its truncation falls outside int range.
+bool LabelFromCell(double cell, int* label);
 
 /// Loads a dataset from `path`. Rows with the wrong column count or
 /// non-numeric cells are skipped and counted, not fatal; an unreadable

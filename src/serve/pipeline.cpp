@@ -39,6 +39,10 @@ namespace knnshap {
 
 namespace {
 
+/// retry_after_ms on shed and unavailable responses. A constant, not a
+/// latency estimate, so those responses are byte-deterministic.
+constexpr double kRetryAfterMs = 100;
+
 /// Failure responses carry the machine-readable Status parts: "error" is
 /// the human message, "code" the stable snake_case class, and "field" —
 /// present for parameter errors — names the offending request field.
@@ -175,7 +179,12 @@ bool FromInlineRows(const JsonValue& rows, CsvTarget target, Dataset* data,
         return false;
       }
       if (target == CsvTarget::kLabel) {
-        data->labels.push_back(static_cast<int>(last.AsNumber()));
+        int label = 0;
+        if (!LabelFromCell(last.AsNumber(), &label)) {
+          *error = "label cell must be a finite number in int range";
+          return false;
+        }
+        data->labels.push_back(label);
       } else {
         data->targets.push_back(last.AsNumber());
       }
@@ -401,8 +410,7 @@ JsonValue RequestPipeline::ShedResponse(const JsonValue& request) {
   if (shed_metric_ != nullptr) shed_metric_->Add(1);
   JsonValue out =
       ErrorResponse(Status::Unavailable("server overloaded: value queue full"));
-  out.Set("retry_after_ms",
-          JsonValue(static_cast<double>(options_.shed_retry_after_ms)));
+  out.Set("retry_after_ms", JsonValue(kRetryAfterMs));
   if (request.Has("id")) out.Set("id", request.Get("id"));
   return out;
 }
@@ -1251,27 +1259,27 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
   }
   CancelActivation cancel_scope(token.get());
 
-  const CorpusNorms* norms = nullptr;
+  std::shared_ptr<const CorpusNorms> norms;
   {
     // One slot keyed by corpus identity: a worker answers a stream of
     // queries against one version, so the norms pass runs once per
     // (corpus, metric), not per query.
     std::lock_guard<std::mutex> lock(norms_cache_mutex_);
-    if (!norms_cache_.valid || norms_cache_.name != name ||
+    if (norms_cache_.norms == nullptr || norms_cache_.name != name ||
         norms_cache_.version != snapshot->version ||
         norms_cache_.metric != metric) {
-      norms_cache_.norms = NormsForMetric(snapshot->data->features, metric);
+      norms_cache_.norms = std::make_shared<const CorpusNorms>(
+          NormsForMetric(snapshot->data->features, metric));
       norms_cache_.name = name;
       norms_cache_.version = snapshot->version;
       norms_cache_.metric = metric;
-      norms_cache_.valid = true;
     }
-    norms = &norms_cache_.norms;
+    norms = norms_cache_.norms;
   }
 
   std::vector<double> dists(row_end - row_begin);
   std::vector<int> run;
-  if (!ShardCandidates(snapshot->data->features, query, metric, norms,
+  if (!ShardCandidates(snapshot->data->features, query, metric, norms.get(),
                        row_begin, row_end, r, dists, &run) ||
       CancelRequested()) {
     return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
@@ -1498,9 +1506,7 @@ JsonValue RequestPipeline::RunValue(const PreparedValue& prepared) {
     // respawned by the re-fit the retry triggers), so it carries the same
     // deterministic retry hint as a shed response.
     if (report.status.code() == StatusCode::kUnavailable) {
-      error_response.Set(
-          "retry_after_ms",
-          JsonValue(static_cast<double>(options_.shed_retry_after_ms)));
+      error_response.Set("retry_after_ms", JsonValue(kRetryAfterMs));
     }
     // A deadline error still echoes the partial trace when one was
     // requested: the phases that ran before the deadline fired are

@@ -90,9 +90,6 @@ struct PipelineOptions {
   /// silently freezing the input stream. 0 sheds every value request
   /// (deterministic; the serial-vs-pipelined byte-identity test uses it).
   int max_queue = -1;
-  /// retry_after_ms echoed on shed responses. A constant, not a latency
-  /// estimate, so shed responses are byte-deterministic.
-  int shed_retry_after_ms = 100;
   /// Server-wide deadline (ms) applied to every value request that does
   /// not carry its own "deadline_ms". 0 = none.
   int64_t default_deadline_ms = 0;
@@ -243,13 +240,14 @@ class RequestPipeline {
   /// Single-entry norms cache for the candidates op, keyed by corpus
   /// identity: a worker process answers a stream of candidates against one
   /// corpus version, so one slot removes the per-query norms recompute
-  /// (which only cosine actually populates).
+  /// (which only cosine actually populates). Shared, so a request that
+  /// copied the norms out keeps them while another connection refills
+  /// the slot for a different corpus or metric.
   struct NormsCacheEntry {
-    bool valid = false;
     std::string name;
     uint64_t version = 0;
     Metric metric = Metric::kL2;
-    CorpusNorms norms;
+    std::shared_ptr<const CorpusNorms> norms;
   };
   std::mutex norms_cache_mutex_;
   NormsCacheEntry norms_cache_;

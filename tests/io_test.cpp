@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "dataset/io.h"
 #include "test_util.h"
@@ -74,6 +75,21 @@ TEST(CsvIoTest, MalformedRowsSkippedNotFatal) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.rows_parsed, 2u);
   EXPECT_EQ(loaded.rows_skipped, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(CsvIoTest, LabelsOutsideIntRangeAreSkippedRows) {
+  std::string path = TempPath("label_range.csv");
+  WriteFile(path,
+            "1.0,2.0,0\n1.0,2.0,1e300\n1.0,2.0,nan\n1.0,2.0,-inf\n"
+            "1.0,2.0,2147483648\n1.0,2.0,-2147483649\n3.0,4.0,1.7\n"
+            "5.0,6.0,-2147483648\n");
+  auto loaded = LoadCsvDataset(path, CsvTarget::kLabel);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.rows_parsed, 3u);
+  EXPECT_EQ(loaded.rows_skipped, 5u);
+  // In-range labels truncate toward zero, as they always have.
+  EXPECT_EQ(loaded.data.labels, (std::vector<int>{0, 1, -2147483647 - 1}));
   std::remove(path.c_str());
 }
 

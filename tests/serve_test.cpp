@@ -280,6 +280,11 @@ TEST(ServeTest, MalformedRequestsAnswerErrorsNotAborts) {
           .AsBool());
   EXPECT_FALSE(handle(R"({"op":"remove","name":"a","row":2.9})").Get("ok").AsBool());
   EXPECT_FALSE(handle(R"({"op":"remove","name":"a","row":1e300})").Get("ok").AsBool());
+  // A label no int can hold is a structured error, not an out-of-range cast.
+  JsonValue huge_label =
+      handle(R"({"op":"load","name":"b","rows":[[1,1e300]],"target":"label"})");
+  EXPECT_FALSE(huge_label.Get("ok").AsBool());
+  EXPECT_EQ(huge_label.Get("code").AsString(), "invalid_argument");
   // The store is intact and a well-formed request still works.
   JsonValue good =
       handle(R"({"op":"value","train":"a","queries":[[0.1,0.2,0.3,1]],"k":3})");

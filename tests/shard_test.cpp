@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -526,6 +527,42 @@ TEST_F(CandidatesOpTest, AnswersTheShardRestrictedSelection) {
     EXPECT_EQ(std::memcmp(&actual, &expected, sizeof expected), 0)
         << "distance " << i << " is not bit-equal";
   }
+}
+
+// A --shard-listen worker answers every connection from one pipeline: a
+// query must keep its norms while another connection's request for a
+// different metric refills the norms cache.
+TEST_F(CandidatesOpTest, ConcurrentMetricsMatchTheSerialReplies) {
+  const std::string metrics[] = {"l2", "l1"};
+  const auto request = [&](const std::string& metric) {
+    return ParseJson(R"({"op":"candidates","train":"c","metric":")" + metric +
+                     R"(","r":7,"row_begin":0,"row_end":600,"fingerprint":")" +
+                     Fingerprint(0, 600) + R"(","query":)" + QueryJson(3, 96) +
+                     "}")
+        .value;
+  };
+  std::string serial[2];
+  for (int m = 0; m < 2; ++m) {
+    const JsonValue reply = pipeline_->HandleSync(request(metrics[m]));
+    ASSERT_TRUE(reply.Get("ok").AsBool(false)) << reply.Dump();
+    serial[m] = reply.Dump();
+  }
+  ASSERT_NE(serial[0], serial[1]);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const int m = (i + t) % 2;
+        if (pipeline_->HandleSync(request(metrics[m])).Dump() != serial[m]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(CandidatesOpTest, RejectsStaleFingerprint) {

@@ -84,6 +84,8 @@
 //   --snapshot-every=N       also snapshot after every N value requests
 //   --max-line-bytes=N       reject request lines longer than N bytes
 //
+// Any other flag is rejected at startup (exit 1), naming it.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: stop reading, drain
 // in-flight work, flush the snapshot and the metrics file, exit 0.
 //
@@ -101,6 +103,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -163,6 +166,22 @@ void InstallShutdownHandlers() {
 
 int main(int argc, char** argv) {
   CommandLine args(argc, argv);
+  // Strict flags, like knnshap_value: a typo such as --shard-remtoe fails
+  // at startup instead of silently serving unsharded.
+  static const char* kFlags[] = {
+      "serial", "no-timing", "threads", "in-flight", "cache", "kernel",
+      "no-obs", "trace-all", "slow-ms", "metrics-file", "max-queue",
+      "default-deadline-ms", "snapshot", "snapshot-every", "max-line-bytes",
+      "shards", "shard-workers", "shard-listen", "shard-remote",
+      "shard-connect-timeout-ms", "shard-io-timeout-ms",
+      "shard-connect-attempts"};
+  for (const std::string& name : args.Names()) {
+    if (std::none_of(std::begin(kFlags), std::end(kFlags),
+                     [&](const char* flag) { return name == flag; })) {
+      std::fprintf(stderr, "unknown flag '--%s'\n", name.c_str());
+      return 1;
+    }
+  }
 
   const std::string kernel = args.GetString("kernel", "");
   if (kernel == "reference") {
