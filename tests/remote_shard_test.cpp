@@ -351,6 +351,8 @@ TEST(RemoteShardTest, AllReplicasDeadAnswersUnavailableThenRecovers) {
                 "last error: shard worker 127.0.0.1:" + std::to_string(port0)),
             std::string::npos)
       << down.Dump();
+  // One replica per shard: there was no next replica to switch to.
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_failovers_total"), 0u);
 
   // Workers come back on the same ports (blank corpus state): the next
   // request re-fits, re-dials, full-loads, and the answer is again
