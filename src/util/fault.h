@@ -16,8 +16,9 @@
 //                 xor'd with the site name hash — a fixed seed gives a
 //                 byte-reproducible fault sequence
 //
-// Cost when unset: Enabled() is one load of a plain bool set before
-// main-adjacent code runs; every injection site is
+// Cost when unset: Enabled() is one relaxed atomic load (a plain load on
+// x86), so a test may reconfigure while other threads poll; every
+// injection site is
 //   if (FaultInjectionEnabled() && Fault("site")) { ...fail... }
 // so production traffic pays a single never-taken branch per site. CI
 // proves the compiled-but-unset arm byte-identical to the golden
@@ -29,6 +30,7 @@
 #ifndef KNNSHAP_UTIL_FAULT_H_
 #define KNNSHAP_UTIL_FAULT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -52,7 +54,7 @@ class FaultRegistry {
 
   /// True when any fault point is armed. Cheap (plain bool load);
   /// the fast-path guard at every injection site.
-  bool enabled() const { return enabled_; }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Should the fault at `site` fire on this call? Counts the call either
   /// way. Unarmed sites always answer false.
@@ -75,7 +77,7 @@ class FaultRegistry {
 
   std::mutex mu_;
   std::unordered_map<std::string, Site> sites_;
-  bool enabled_ = false;
+  std::atomic<bool> enabled_{false};
 };
 
 /// Convenience fast-path guard: `if (FaultInjectionEnabled() && Fault("x"))`.
