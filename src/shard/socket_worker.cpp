@@ -117,7 +117,9 @@ Status ShardConnection::Adopt(int fd) {
 }
 
 Status ShardConnection::Open(const ShardPeer& peer) {
-  if (const auto* endpoint = std::get_if<Endpoint>(&peer)) return Dial(*endpoint);
+  if (const auto* endpoint = std::get_if<Endpoint>(&peer)) {
+    return Dial(*endpoint);
+  }
   return Spawn(std::get<std::vector<std::string>>(peer));
 }
 
