@@ -26,7 +26,11 @@
 // (TopROrderByDistance, the approx_error path at R = K*(k, 1e-3)) — at
 // corpus sizes up to 10M rows, where the argsort dominates the query. A
 // third "sort" grid times the full argsort alone at N = 200k, 1M and 10M:
-// the radix ArgsortDistances against the indirect comparator std::sort.
+// the radix ArgsortDistances against the indirect comparator std::sort. A
+// fourth "crossover" grid times the two paths PartialArgsortDistances picks
+// between — internal::TopRHeap against the full ArgsortDistances — at
+// r = n/64, n/32, n/16 and n/8 for N = 100k and 1M: the record behind
+// internal::kHeapRankDivisor (the heap runs while r <= n/32).
 // In --smoke mode the selection and sort arms double as perf regression
 // gates: the process exits nonzero if the select path is slower than the
 // argsort path at N=100k, or the radix argsort is slower than the
@@ -34,6 +38,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -104,9 +109,9 @@ struct SortResult {
   double radix_ms = 0.0;
 };
 
-// Full argsort of one query's squared-L2 distances to a 16-dim Gaussian
-// corpus (chi-square shaped, like the serve workloads), timed both ways.
-SortResult TimeSorts(size_t n, size_t repeats) {
+// One query's squared-L2 distances to a 16-dim Gaussian corpus
+// (chi-square shaped, like the serve workloads).
+std::vector<double> ChiSquareDistances(size_t n) {
   Rng rng(41);
   std::vector<double> dists(n);
   for (auto& x : dists) {
@@ -117,6 +122,26 @@ SortResult TimeSorts(size_t n, size_t repeats) {
     }
     x = sum;
   }
+  return dists;
+}
+
+// Median wall time of `repeats` calls, in ms: the crossover rows compare
+// two close timings, so one slow call must not move either.
+double MedianMs(size_t repeats, const std::function<void()>& call) {
+  std::vector<double> ms(repeats);
+  for (double& m : ms) {
+    WallTimer timer;
+    call();
+    m = timer.Millis();
+  }
+  std::nth_element(ms.begin(), ms.begin() + static_cast<long>(repeats / 2),
+                   ms.end());
+  return ms[repeats / 2];
+}
+
+// Full argsort of ChiSquareDistances(n), timed both ways.
+SortResult TimeSorts(size_t n, size_t repeats) {
+  const std::vector<double> dists = ChiSquareDistances(n);
   SortResult result;
   result.comparator_ms = TimeComparatorArgsort(dists, repeats);
   std::vector<int> radix;
@@ -314,6 +339,35 @@ int main(int argc, char** argv) {
                  "\"radix_argsort_ms\": %.4f, \"speedup_vs_comparator\": %.2f}",
                  n, r.comparator_ms, r.radix_ms, speedup);
     if (smoke && r.radix_ms > r.comparator_ms) sort_ok = false;
+  }
+  std::fprintf(json, "\n  ],\n");
+
+  // Crossover grid: the heap against the argsort it hands over to.
+  std::vector<size_t> crossover_grid = {100000};
+  if (!smoke) crossover_grid = {100000, 1000000};
+  std::fprintf(json, "  \"crossover\": [\n");
+  first = true;
+  for (size_t n : crossover_grid) {
+    const std::vector<double> dists = ChiSquareDistances(n);
+    const size_t repeats = smoke ? 3 : (n >= 1000000 ? 9 : 31);
+    std::vector<int> order;
+    const double argsort_ms =
+        MedianMs(repeats, [&] { ArgsortDistances(dists, &order); });
+    for (size_t divisor : {64, 32, 16, 8}) {
+      const size_t r = n / divisor;
+      const double heap_ms =
+          MedianMs(repeats, [&] { internal::TopRHeap(dists, r, &order); });
+      const double ratio = argsort_ms > 0.0 ? heap_ms / argsort_ms : 0.0;
+      bench::Row("N=%-8zu r=n/%-3zu heap %9.3f ms  argsort %9.3f ms  (%.2fx)\n",
+                 n, divisor, heap_ms, argsort_ms, ratio);
+      if (!first) std::fprintf(json, ",\n");
+      first = false;
+      std::fprintf(json,
+                   "    {\"n\": %zu, \"r\": %zu, \"r_divisor\": %zu, "
+                   "\"heap_ms\": %.4f, \"argsort_ms\": %.4f, "
+                   "\"heap_over_argsort\": %.2f}",
+                   n, r, divisor, heap_ms, argsort_ms, ratio);
+    }
   }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);

@@ -2,6 +2,7 @@
 
 #include "dataset/io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -40,6 +41,13 @@ bool LabelFromCell(double cell, int* label) {
   constexpr double kAbove = std::numeric_limits<int>::max() + 1.0;
   if (!(cell > kBelow && cell < kAbove)) return false;
   *label = static_cast<int>(cell);
+  return true;
+}
+
+bool FeatureFromCell(double cell, float* feature) {
+  // NaN fails the compare.
+  if (!(std::fabs(cell) <= std::numeric_limits<float>::max())) return false;
+  *feature = static_cast<float>(cell);
   return true;
 }
 
@@ -86,11 +94,12 @@ CsvLoadResult LoadCsvDataset(const std::string& path, CsvTarget target) {
     bool row_ok = true;
     for (size_t c = 0; c < feature_cells; ++c) {
       double v;
-      if (!ParseDouble(cells[c], &v)) {
+      float feature;
+      if (!ParseDouble(cells[c], &v) || !FeatureFromCell(v, &feature)) {
         row_ok = false;
         break;
       }
-      features.push_back(static_cast<float>(v));
+      features.push_back(feature);
     }
     double trailing = 0.0;
     if (row_ok && target != CsvTarget::kNone) {

@@ -28,8 +28,9 @@ enum class CsvTarget {
 struct CsvLoadResult {
   Dataset data;
   size_t rows_parsed = 0;
-  /// Malformed rows (wrong arity, non-numeric cells, a label that is not
-  /// a finite number in int range).
+  /// Malformed rows (wrong arity, non-numeric cells, a feature that is not
+  /// a finite number in float range, a label that is not a finite number
+  /// in int range).
   size_t rows_skipped = 0;
   bool had_header = false;
   /// OK, or the typed fatal failure: not_found for an unreadable file,
@@ -44,6 +45,11 @@ struct CsvLoadResult {
 /// Converts a label cell to a class label, truncating toward zero. False
 /// when `cell` is not finite or its truncation falls outside int range.
 bool LabelFromCell(double cell, int* label);
+
+/// Converts a feature cell to the stored float. False when `cell` is NaN,
+/// infinite, or beyond float range (it would round to inf): a non-finite
+/// feature makes distances NaN, and the (distance, index) order undefined.
+bool FeatureFromCell(double cell, float* feature);
 
 /// Loads a dataset from `path`. Rows with the wrong column count or
 /// non-numeric cells are skipped and counted, not fatal; an unreadable

@@ -8,18 +8,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string>
 
 #include "knn/neighbors.h"
 #include "util/common.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define KNNSHAP_KERNEL_HAS_AVX2 1
-#define KNNSHAP_KERNEL_HAS_AVX512 1
 #include <immintrin.h>
 #else
 #define KNNSHAP_KERNEL_HAS_AVX2 0
-#define KNNSHAP_KERNEL_HAS_AVX512 0
 #endif
 
 namespace knnshap {
@@ -34,14 +31,10 @@ std::atomic<KernelKind> g_override{KernelKind::kAuto};
 
 KernelKind EnvKernel() {
   static KernelKind env_kind = [] {
+    KernelKind kind = KernelKind::kAuto;
     const char* env = std::getenv("KNNSHAP_KERNEL");
-    if (env == nullptr) return KernelKind::kAuto;
-    std::string value(env);
-    if (value == "reference") return KernelKind::kReference;
-    if (value == "blocked") return KernelKind::kBlocked;
-    if (value == "avx2") return KernelKind::kAvx2;
-    if (value == "avx512") return KernelKind::kAvx512;
-    return KernelKind::kAuto;
+    if (env != nullptr) KernelFromName(env, &kind);
+    return kind;
   }();
   return env_kind;
 }
@@ -65,15 +58,6 @@ bool CpuSupportsAvx2Fma() {
 #endif
 }
 
-bool CpuSupportsAvx512() {
-#if KNNSHAP_KERNEL_HAS_AVX512
-  static const bool supported = __builtin_cpu_supports("avx512f");
-  return supported;
-#else
-  return false;
-#endif
-}
-
 const char* KernelName(KernelKind kind) {
   switch (kind) {
     case KernelKind::kAuto:
@@ -84,10 +68,19 @@ const char* KernelName(KernelKind kind) {
       return "blocked";
     case KernelKind::kAvx2:
       return "avx2";
-    case KernelKind::kAvx512:
-      return "avx512";
   }
   return "unknown";
+}
+
+bool KernelFromName(std::string_view name, KernelKind* out) {
+  for (KernelKind kind : {KernelKind::kAuto, KernelKind::kReference,
+                          KernelKind::kBlocked, KernelKind::kAvx2}) {
+    if (name == KernelName(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 void SetKernelOverride(KernelKind kind) {
@@ -98,12 +91,7 @@ KernelKind ActiveKernel() {
   KernelKind kind = g_override.load(std::memory_order_relaxed);
   if (kind == KernelKind::kAuto) kind = EnvKernel();
   if (kind == KernelKind::kAuto) {
-    // avx512 stays opt-in: downclocking on 512-bit ports is part-specific,
-    // so auto keeps the conservatively fast avx2 pick.
     kind = CpuSupportsAvx2Fma() ? KernelKind::kAvx2 : KernelKind::kBlocked;
-  }
-  if (kind == KernelKind::kAvx512 && !CpuSupportsAvx512()) {
-    kind = KernelKind::kAvx2;
   }
   if (kind == KernelKind::kAvx2 && !CpuSupportsAvx2Fma()) {
     kind = KernelKind::kBlocked;
@@ -302,77 +290,6 @@ __attribute__((target("avx2,fma"))) double L1Avx2(const float* a, const float* b
 
 #endif  // KNNSHAP_KERNEL_HAS_AVX2
 
-#if KNNSHAP_KERNEL_HAS_AVX512
-
-// AVX-512F variants: two 512-bit double accumulators (16 lanes/iteration).
-// _mm512_reduce_add_pd is a fixed pairwise tree, so results are
-// deterministic per kernel even though the summation order differs from
-// the avx2/blocked splits (parity tests bound the difference at 1e-9).
-
-__attribute__((target("avx512f"))) double DotAvx512(const float* a, const float* b,
-                                                    size_t d) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= d; i += 16) {
-    __m512d a0 = _mm512_cvtps_pd(_mm256_loadu_ps(a + i));
-    __m512d b0 = _mm512_cvtps_pd(_mm256_loadu_ps(b + i));
-    acc0 = _mm512_fmadd_pd(a0, b0, acc0);
-    __m512d a1 = _mm512_cvtps_pd(_mm256_loadu_ps(a + i + 8));
-    __m512d b1 = _mm512_cvtps_pd(_mm256_loadu_ps(b + i + 8));
-    acc1 = _mm512_fmadd_pd(a1, b1, acc1);
-  }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-  for (; i < d; ++i) {
-    total += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return total;
-}
-
-__attribute__((target("avx512f"))) double SquaredDiffAvx512(const float* a,
-                                                            const float* b,
-                                                            size_t d) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= d; i += 16) {
-    __m512d d0 = _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i)),
-                               _mm512_cvtps_pd(_mm256_loadu_ps(b + i)));
-    acc0 = _mm512_fmadd_pd(d0, d0, acc0);
-    __m512d d1 = _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i + 8)),
-                               _mm512_cvtps_pd(_mm256_loadu_ps(b + i + 8)));
-    acc1 = _mm512_fmadd_pd(d1, d1, acc1);
-  }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-  for (; i < d; ++i) {
-    double diff = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    total += diff * diff;
-  }
-  return total;
-}
-
-__attribute__((target("avx512f"))) double L1Avx512(const float* a, const float* b,
-                                                   size_t d) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= d; i += 16) {
-    __m512d d0 = _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i)),
-                               _mm512_cvtps_pd(_mm256_loadu_ps(b + i)));
-    acc0 = _mm512_add_pd(acc0, _mm512_abs_pd(d0));
-    __m512d d1 = _mm512_sub_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i + 8)),
-                               _mm512_cvtps_pd(_mm256_loadu_ps(b + i + 8)));
-    acc1 = _mm512_add_pd(acc1, _mm512_abs_pd(d1));
-  }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-  for (; i < d; ++i) {
-    total += std::fabs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-  }
-  return total;
-}
-
-#endif  // KNNSHAP_KERNEL_HAS_AVX512
-
 // Double-precision dot over pre-converted rows — the inner microkernel of
 // the query-block × corpus-block path. float→double conversion is exact
 // and the accumulation pattern mirrors DotBlocked/DotAvx2 exactly, so
@@ -411,29 +328,7 @@ __attribute__((target("avx2,fma"))) double DotDDAvx2(const double* a,
 
 #endif  // KNNSHAP_KERNEL_HAS_AVX2
 
-#if KNNSHAP_KERNEL_HAS_AVX512
-
-__attribute__((target("avx512f"))) double DotDDAvx512(const double* a,
-                                                      const double* b, size_t d) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= d; i += 16) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i), acc0);
-    acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i + 8), _mm512_loadu_pd(b + i + 8),
-                           acc1);
-  }
-  double total = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-  for (; i < d; ++i) total += a[i] * b[i];
-  return total;
-}
-
-#endif  // KNNSHAP_KERNEL_HAS_AVX512
-
 double DotDD(KernelKind kind, const double* a, const double* b, size_t d) {
-#if KNNSHAP_KERNEL_HAS_AVX512
-  if (kind == KernelKind::kAvx512) return DotDDAvx512(a, b, d);
-#endif
 #if KNNSHAP_KERNEL_HAS_AVX2
   if (kind == KernelKind::kAvx2) return DotDDAvx2(a, b, d);
 #endif
@@ -446,9 +341,6 @@ void ToDouble(const float* src, double* dst, size_t d) {
 }
 
 double Dot(KernelKind kind, const float* a, const float* b, size_t d) {
-#if KNNSHAP_KERNEL_HAS_AVX512
-  if (kind == KernelKind::kAvx512) return DotAvx512(a, b, d);
-#endif
 #if KNNSHAP_KERNEL_HAS_AVX2
   if (kind == KernelKind::kAvx2) return DotAvx2(a, b, d);
 #endif
@@ -457,9 +349,6 @@ double Dot(KernelKind kind, const float* a, const float* b, size_t d) {
 }
 
 double SquaredDiff(KernelKind kind, const float* a, const float* b, size_t d) {
-#if KNNSHAP_KERNEL_HAS_AVX512
-  if (kind == KernelKind::kAvx512) return SquaredDiffAvx512(a, b, d);
-#endif
 #if KNNSHAP_KERNEL_HAS_AVX2
   if (kind == KernelKind::kAvx2) return SquaredDiffAvx2(a, b, d);
 #endif
@@ -468,9 +357,6 @@ double SquaredDiff(KernelKind kind, const float* a, const float* b, size_t d) {
 }
 
 double L1Dist(KernelKind kind, const float* a, const float* b, size_t d) {
-#if KNNSHAP_KERNEL_HAS_AVX512
-  if (kind == KernelKind::kAvx512) return L1Avx512(a, b, d);
-#endif
 #if KNNSHAP_KERNEL_HAS_AVX2
   if (kind == KernelKind::kAvx2) return L1Avx2(a, b, d);
 #endif

@@ -14,11 +14,8 @@
 //      blocked    portable multi-accumulator loops (breaks the serial
 //                 double-add dependence chain, auto-vectorizable);
 //      avx2       AVX2/FMA intrinsics, compiled with target attributes and
-//                 selected only when cpuid reports avx2+fma;
-//      avx512     AVX-512F intrinsics (512-bit double accumulators),
-//                 cpuid-gated, opt-in via override/env — kAuto prefers
-//                 avx2 because 512-bit frequency behaviour varies by part.
-//    The blocked/avx2/avx512 paths use the ‖x−q‖² = ‖x‖² − 2x·q + ‖q‖²
+//                 selected only when cpuid reports avx2+fma.
+//    The blocked/avx2 paths use the ‖x−q‖² = ‖x‖² − 2x·q + ‖q‖²
 //    identity when precomputed corpus row norms are supplied, turning the
 //    inner loop into a pure dot product; without norms they run a single
 //    fused pass.
@@ -35,7 +32,8 @@
 //
 // Kernel selection: SetKernelOverride() (strongest), else the
 // KNNSHAP_KERNEL environment variable ("reference", "blocked", "avx2",
-// "avx512", "auto"), else auto (avx2 when supported, blocked otherwise) —
+// "auto"; KernelFromName is the one name table), else auto (avx2 when
+// the CPU supports it, blocked otherwise) —
 // refined per call by internal::ResolveDistanceKernel, which sends
 // auto-dispatched small-d plain-l2 single-query passes back to the
 // reference loop (the blocked norm-identity path measures slower than the
@@ -46,6 +44,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "knn/metric.h"
@@ -63,22 +62,22 @@ enum class KernelKind {
   kReference,  ///< Scalar per-pair loops, bit-exact with Distance().
   kBlocked,    ///< Portable multi-accumulator fallback.
   kAvx2,       ///< AVX2/FMA intrinsics (x86-64 with cpuid support).
-  kAvx512,     ///< AVX-512F intrinsics, opt-in (override/env only).
 };
 
 /// Human-readable kernel name.
 const char* KernelName(KernelKind kind);
 
+/// Inverse of KernelName ("auto", "reference", "blocked", "avx2"); false
+/// when `name` matches no kernel. Shared by the KNNSHAP_KERNEL variable
+/// and knnshap_serve --kernel.
+bool KernelFromName(std::string_view name, KernelKind* out);
+
 /// True when this build and CPU can run the AVX2/FMA path.
 bool CpuSupportsAvx2Fma();
 
-/// True when this build and CPU can run the AVX-512F path.
-bool CpuSupportsAvx512();
-
 /// Forces a kernel for the whole process (tests, benchmarks, and the
 /// KNNSHAP_KERNEL escape hatch use this). kAuto restores auto-detection.
-/// Requesting kAvx512 without CPU support falls back to kAvx2, and kAvx2
-/// without support falls back to kBlocked.
+/// Requesting kAvx2 without CPU support falls back to kBlocked.
 void SetKernelOverride(KernelKind kind);
 
 /// The kernel every batch entry point will actually run, after applying

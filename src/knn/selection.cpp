@@ -3,71 +3,15 @@
 #include "knn/selection.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "knn/distance_kernel.h"
 #include "knn/neighbors.h"
 #include "util/common.h"
 
 namespace knnshap {
-
-// ---------------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::atomic<SelectKind> g_select_override{SelectKind::kAuto};
-
-SelectKind EnvSelect() {
-  static SelectKind env_kind = [] {
-    const char* env = std::getenv("KNNSHAP_SELECT");
-    if (env == nullptr) return SelectKind::kAuto;
-    std::string value(env);
-    if (value == "heap") return SelectKind::kHeap;
-    if (value == "nth") return SelectKind::kNth;
-    if (value == "sort") return SelectKind::kSort;
-    return SelectKind::kAuto;
-  }();
-  return env_kind;
-}
-
-}  // namespace
-
-const char* SelectName(SelectKind kind) {
-  switch (kind) {
-    case SelectKind::kAuto:
-      return "auto";
-    case SelectKind::kHeap:
-      return "heap";
-    case SelectKind::kNth:
-      return "nth";
-    case SelectKind::kSort:
-      return "sort";
-  }
-  return "unknown";
-}
-
-void SetSelectOverride(SelectKind kind) {
-  g_select_override.store(kind, std::memory_order_relaxed);
-}
-
-SelectKind ActiveSelect(size_t r, size_t n) {
-  SelectKind kind = g_select_override.load(std::memory_order_relaxed);
-  if (kind == SelectKind::kAuto) kind = EnvSelect();
-  if (kind == SelectKind::kAuto) {
-    // Heap rejections are a predicted-not-taken compare once the heap is
-    // warm, so the streaming pass wins while r is a small fraction of n;
-    // nth_element's partition wins once most elements survive selection.
-    kind = (r <= n / 16) ? SelectKind::kHeap : SelectKind::kNth;
-  }
-  return kind;
-}
 
 namespace internal {
 
@@ -165,25 +109,6 @@ void ArgsortDistances(std::span<const double> dists, std::vector<int>* order) {
 
 namespace {
 
-// Exact-sorts a candidate set (prefix plus the boundary float-tie band) by
-// (double distance, index) and keeps the first r — the shared finishing
-// step that makes every strategy agree with the full-sort prefix bit for
-// bit.
-void FinishCandidates(std::span<const double> dists, std::vector<uint32_t>* band,
-                      size_t r, std::vector<int>* order) {
-  std::sort(band->begin(), band->end(), [&dists](uint32_t a, uint32_t b) {
-    double da = dists[a];
-    double db = dists[b];
-    if (da != db) return da < db;
-    return a < b;
-  });
-  band->resize(r);
-  order->resize(r);
-  for (size_t i = 0; i < r; ++i) {
-    (*order)[i] = static_cast<int>((*band)[i]);
-  }
-}
-
 // Inverse of SortableBits: the float whose sortable bits are `s`.
 float FloatFromSortableBits(uint32_t s) {
   const uint32_t fbits = (s & 0x80000000u) ? (s & 0x7fffffffu) : ~s;
@@ -203,6 +128,10 @@ double RejectCutoff(uint32_t s) {
       std::nextafterf(f, std::numeric_limits<float>::infinity()));
 }
 
+}  // namespace
+
+namespace internal {
+
 // One streaming pass with a bounded max-heap of packed keys: after the
 // pass the heap holds exactly the r smallest packed keys, whose maximum
 // identifies the boundary float key; a second scan gathers that whole tie
@@ -212,6 +141,7 @@ double RejectCutoff(uint32_t s) {
 // against the root's reject cutoff.
 void TopRHeap(std::span<const double> dists, size_t r, std::vector<int>* order) {
   const size_t n = dists.size();
+  KNNSHAP_CHECK(r >= 1 && r <= n, "TopRHeap needs 1 <= r <= n");
   static thread_local std::vector<uint64_t> heap;
   static thread_local std::vector<uint32_t> band;
   ShrinkScratch(&heap, r);
@@ -287,42 +217,16 @@ void TopRHeap(std::span<const double> dists, size_t r, std::vector<int>* order) 
       }
     }
   }
-  FinishCandidates(dists, &band, r, order);
+  // Exact-sort the prefix plus the boundary band by (double distance,
+  // index) and keep the first r: bit-identical to the full-sort prefix.
+  std::sort(band.begin(), band.end(), [&dists](uint32_t a, uint32_t b) {
+    if (dists[a] != dists[b]) return dists[a] < dists[b];
+    return a < b;
+  });
+  order->assign(band.begin(), band.begin() + static_cast<long>(r));
 }
 
-// nth_element partition of the full packed-key buffer, then the same band
-// gather. O(n) with small constants when r is a sizable fraction of n.
-void TopRNth(std::span<const double> dists, size_t r, std::vector<int>* order) {
-  const size_t n = dists.size();
-  static thread_local std::vector<uint64_t> keys;
-  static thread_local std::vector<uint32_t> band;
-  ResizeScratch(&keys, n);
-  ShrinkScratch(&band, n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = (static_cast<uint64_t>(internal::SortableBits(dists[i])) << 32) |
-              static_cast<uint32_t>(i);
-  }
-  std::nth_element(keys.begin(), keys.begin() + static_cast<long>(r - 1),
-                   keys.end());
-  // Everything strictly below the r-th float key landed in the prefix;
-  // boundary ties can straddle it, so pull in the whole tie band and
-  // resolve it with the exact (double, index) comparison.
-  const uint32_t kth_bits = static_cast<uint32_t>(keys[r - 1] >> 32);
-  band.clear();
-  for (size_t i = 0; i < r; ++i) {
-    if (static_cast<uint32_t>(keys[i] >> 32) != kth_bits) {
-      band.push_back(static_cast<uint32_t>(keys[i] & 0xffffffffu));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (static_cast<uint32_t>(keys[i] >> 32) == kth_bits) {
-      band.push_back(static_cast<uint32_t>(keys[i] & 0xffffffffu));
-    }
-  }
-  FinishCandidates(dists, &band, r, order);
-}
-
-}  // namespace
+}  // namespace internal
 
 void PartialArgsortDistances(std::span<const double> dists, size_t r,
                              std::vector<int>* order) {
@@ -332,26 +236,12 @@ void PartialArgsortDistances(std::span<const double> dists, size_t r,
     order->clear();
     return;
   }
-  if (r >= n) {
-    // The full order is the r = n degenerate case of every strategy;
-    // delegate to the one implementation of it.
-    ArgsortDistances(dists, order);
+  if (r <= n / internal::kHeapRankDivisor) {
+    internal::TopRHeap(dists, r, order);
     return;
   }
-  switch (ActiveSelect(r, n)) {
-    case SelectKind::kHeap:
-      TopRHeap(dists, r, order);
-      return;
-    case SelectKind::kNth:
-      TopRNth(dists, r, order);
-      return;
-    case SelectKind::kSort:
-    case SelectKind::kAuto:  // ActiveSelect never returns kAuto.
-      ArgsortDistances(dists, order);
-      order->resize(r);
-      return;
-  }
-  KNNSHAP_CHECK(false, "unknown selection strategy");
+  ArgsortDistances(dists, order);
+  order->resize(std::min(r, n));
 }
 
 void MergeTopCandidates(std::span<const double> dists,
@@ -417,8 +307,7 @@ std::vector<Neighbor> SelectTopK(std::span<const double> dists,
   if (k == 0) return {};
   if (ids.empty()) {
     // Identity ids tie-break by position == id, exactly the
-    // PartialArgsortDistances order — so the KNNSHAP_SELECT-forced
-    // strategies cover this path too.
+    // PartialArgsortDistances order, so its size rule picks the path.
     static thread_local std::vector<int> order;
     PartialArgsortDistances(dists, k, &order);
     std::vector<Neighbor> out;
@@ -429,7 +318,9 @@ std::vector<Neighbor> SelectTopK(std::span<const double> dists,
     return out;
   }
   // With an id map (LSH/SRP candidate rescoring) ties break by mapped id,
-  // not buffer position, so the generic selector cannot be reused.
+  // not buffer position — a different order from PartialArgsortDistances,
+  // so this nth_element partition plus id-ordered band sort stays its own
+  // path.
   auto id_of = [&ids](size_t pos) { return ids[pos]; };
   static thread_local std::vector<uint64_t> keys;
   static thread_local std::vector<uint32_t> band;

@@ -35,18 +35,17 @@
 // packed order bit for bit; -0.0 distances (cosine rounding) need no
 // special-casing on their side. Pinned by select_test.cpp.
 //
-// Three interchangeable strategies (KNNSHAP_SELECT forces one in CI):
+// Two paths, picked by size alone (no override, option or environment
+// variable):
 //   heap   one streaming pass with a bounded max-heap of packed keys plus
 //          a second O(n) scan for the boundary band — O(n + r log r) and
-//          no O(n) key buffer mutation; the r << n fast path.
-//   nth    std::nth_element partition of the key buffer at r, then the
-//          band gather — O(n) with better constants when r is a sizable
-//          fraction of n.
-//   sort   full ArgsortDistances, truncated — the oracle the other two
-//          are tested against.
-// Selection: SetSelectOverride() (strongest), else the KNNSHAP_SELECT
-// environment variable ("heap", "nth", "sort", "auto"), else auto (heap
-// when r is small relative to n, nth otherwise).
+//          no O(n) key buffer mutation; runs while r <= n / 32.
+//   sort   the full radix ArgsortDistances, truncated — runs above that,
+//          and is the oracle the heap is tested against.
+// The cutoff (internal::kHeapRankDivisor) sits at the measured crossover:
+// BENCH_kernel.json's crossover rows time the heap against the argsort at
+// r = n/64 .. n/8 for n = 100k and 1M; heap/argsort is ~0.6 at n/64,
+// ~1.1 at n/32 and 1.9-3.6 from n/16 up.
 //
 // The derivation of the truncated-exact tail bound that picks R lives in
 // src/knn/README.md; the parity suite is tests/select_test.cpp.
@@ -54,35 +53,18 @@
 #ifndef KNNSHAP_KNN_SELECTION_H_
 #define KNNSHAP_KNN_SELECTION_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace knnshap {
 
-/// Top-R selection strategies. kAuto resolves at call time from r and n.
-enum class SelectKind {
-  kAuto,  ///< heap when r << n, nth otherwise.
-  kHeap,  ///< Streaming bounded max-heap, single pass + band scan.
-  kNth,   ///< nth_element partition of the packed-key buffer.
-  kSort,  ///< Full argsort, truncated — the parity oracle.
-};
-
-/// Human-readable strategy name ("auto", "heap", "nth", "sort").
-const char* SelectName(SelectKind kind);
-
-/// Forces a selection strategy process-wide (tests, benchmarks, and the
-/// KNNSHAP_SELECT escape hatch). kAuto restores the size heuristic.
-void SetSelectOverride(SelectKind kind);
-
-/// The strategy PartialArgsortDistances will run for a given (r, n), after
-/// the override, the KNNSHAP_SELECT environment variable, and the auto
-/// heuristic.
-SelectKind ActiveSelect(size_t r, size_t n);
-
 /// The first min(r, n) entries of ArgsortDistances(dists), bit-identically
 /// — ascending by (double distance, index) — without ordering the tail.
-/// Appends into *order (cleared first). r >= n degrades to the full sort.
+/// Appends into *order (cleared first). The bounded heap answers while
+/// r <= n / internal::kHeapRankDivisor, the argsort prefix otherwise;
+/// r >= n is the full sort.
 void PartialArgsortDistances(std::span<const double> dists, size_t r,
                              std::vector<int>* order);
 
@@ -113,6 +95,15 @@ namespace internal {
 /// order for negatives too (cosine can round a hair below zero). Shared by
 /// every packed-key path so their boundary bands agree bit for bit.
 uint32_t SortableBits(double value);
+
+/// PartialArgsortDistances runs TopRHeap while r <= n / kHeapRankDivisor
+/// and the ArgsortDistances prefix above it.
+inline constexpr size_t kHeapRankDivisor = 32;
+
+/// The bounded-heap top-R path of PartialArgsortDistances, callable at any
+/// 1 <= r <= dists.size() so tests and benchmarks can pin it against the
+/// argsort prefix on both sides of the size cutoff. Same output contract.
+void TopRHeap(std::span<const double> dists, size_t r, std::vector<int>* order);
 }  // namespace internal
 
 }  // namespace knnshap

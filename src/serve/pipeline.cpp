@@ -165,7 +165,12 @@ bool FromInlineRows(const JsonValue& rows, CsvTarget target, Dataset* data,
         *error = "non-numeric feature cell";
         return false;
       }
-      features.push_back(static_cast<float>(cell.AsNumber()));
+      float feature;
+      if (!FeatureFromCell(cell.AsNumber(), &feature)) {
+        *error = "feature cell must be a finite number in float range";
+        return false;
+      }
+      features.push_back(feature);
     }
     if (!data->features.Empty() && features.size() != data->Dim()) {
       *error = "inconsistent row arity";
@@ -1240,11 +1245,13 @@ JsonValue RequestPipeline::Candidates(const JsonValue& request) {
   std::vector<float> query;
   query.reserve(query_json.Items().size());
   for (const JsonValue& cell : query_json.Items()) {
-    if (!cell.IsNumber()) {
-      return ErrorResponse(
-          Status::InvalidArgument("candidates: non-numeric query cell", "query"));
+    float feature;
+    if (!cell.IsNumber() || !FeatureFromCell(cell.AsNumber(), &feature)) {
+      return ErrorResponse(Status::InvalidArgument(
+          "candidates: query cells must be finite numbers in float range",
+          "query"));
     }
-    query.push_back(static_cast<float>(cell.AsNumber()));
+    query.push_back(feature);
   }
   // The router forwards its *remaining* deadline budget; arming a fresh
   // token from it means this worker can never fire before its parent.

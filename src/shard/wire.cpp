@@ -345,6 +345,14 @@ bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
                      error))) {
     return false;
   }
+  // Reject before appending, so a bad payload leaves *data untouched.
+  for (size_t i = 0; i < count * dim; ++i) {
+    if (!std::isfinite(
+            std::bit_cast<float>(GetLittleEndian<uint32_t>(&features[i * 4])))) {
+      *error = "packed features must be finite";
+      return false;
+    }
+  }
   thread_local std::vector<float> row;
   row.resize(dim);
   for (size_t i = 0; i < count; ++i) {

@@ -100,9 +100,9 @@ void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
 
 /// Appends the packed rows `payload` carries (fields as SetPackedRows
 /// writes them) to *data, which must be empty or have `dim` columns.
-/// Checks `count` against `expected_rows` (0: any positive count) and
-/// every byte length against count and `dim` before touching *data; on
-/// failure returns false with *error set.
+/// Checks `count` against `expected_rows` (0: any positive count), every
+/// byte length against count and `dim`, and that every feature is finite
+/// before touching *data; on failure returns false with *error set.
 bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
                       size_t expected_rows, Dataset* data, std::string* error);
 

@@ -93,6 +93,25 @@ TEST(CsvIoTest, LabelsOutsideIntRangeAreSkippedRows) {
   std::remove(path.c_str());
 }
 
+TEST(CsvIoTest, NonFiniteFeaturesAreSkippedRows) {
+  // A NaN distance leaves the (distance, index) order undefined, so a
+  // feature that is nan, inf, or overflows to an inf float (1e999 reads
+  // as inf, 1e39 rounds to it) makes its row malformed.
+  std::string path = TempPath("feature_range.csv");
+  WriteFile(path,
+            "1.0,2.0,0\nnan,2.0,1\n1.0,inf,1\n1e999,2.0,0\n1.0,-inf,0\n"
+            "1.0,-nan,1\n1e39,2.0,1\n3.0,-3.4e38,1\n");
+  auto loaded = LoadCsvDataset(path, CsvTarget::kLabel);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.rows_parsed, 2u);
+  EXPECT_EQ(loaded.rows_skipped, 6u);
+  EXPECT_EQ(loaded.data.labels, (std::vector<int>{0, 1}));
+  auto features_only = LoadCsvDataset(path, CsvTarget::kNone);
+  ASSERT_TRUE(features_only.ok());
+  EXPECT_EQ(features_only.rows_parsed, 2u);
+  std::remove(path.c_str());
+}
+
 TEST(CsvIoTest, MissingFileIsFatal) {
   auto loaded = LoadCsvDataset(TempPath("does_not_exist.csv"), CsvTarget::kLabel);
   EXPECT_FALSE(loaded.ok());

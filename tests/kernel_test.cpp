@@ -38,7 +38,6 @@ class KernelTest : public ::testing::Test {
   static std::vector<KernelKind> FastKernels() {
     std::vector<KernelKind> kinds = {KernelKind::kBlocked};
     if (CpuSupportsAvx2Fma()) kinds.push_back(KernelKind::kAvx2);
-    if (CpuSupportsAvx512()) kinds.push_back(KernelKind::kAvx512);
     return kinds;
   }
 
@@ -75,25 +74,28 @@ TEST_F(KernelTest, OverrideAndNames) {
   // Falls back to blocked when the CPU lacks avx2+fma.
   EXPECT_EQ(ActiveKernel(),
             CpuSupportsAvx2Fma() ? KernelKind::kAvx2 : KernelKind::kBlocked);
-  SetKernelOverride(KernelKind::kAvx512);
-  // Fallback chain: avx512 -> avx2 -> blocked, per cpuid.
-  EXPECT_EQ(ActiveKernel(),
-            CpuSupportsAvx512()
-                ? KernelKind::kAvx512
-                : (CpuSupportsAvx2Fma() ? KernelKind::kAvx2
-                                        : KernelKind::kBlocked));
   SetKernelOverride(KernelKind::kAuto);
   if (std::getenv("KNNSHAP_KERNEL") == nullptr) {
-    // With no env override, auto never picks the reference kernel — and
-    // stays off avx512, which is opt-in (frequency behavior varies by
-    // part).
-    EXPECT_NE(ActiveKernel(), KernelKind::kReference);
-    EXPECT_NE(ActiveKernel(), KernelKind::kAvx512);
+    // With no env override, auto picks avx2 when the CPU has it, else
+    // blocked — never the reference kernel.
+    EXPECT_EQ(ActiveKernel(),
+              CpuSupportsAvx2Fma() ? KernelKind::kAvx2 : KernelKind::kBlocked);
+  }
+  // KernelFromName inverts KernelName over every kind and nothing else.
+  for (KernelKind kind : {KernelKind::kAuto, KernelKind::kReference,
+                          KernelKind::kBlocked, KernelKind::kAvx2}) {
+    KernelKind parsed = KernelKind::kReference;
+    EXPECT_TRUE(KernelFromName(KernelName(kind), &parsed)) << KernelName(kind);
+    EXPECT_EQ(parsed, kind);
   }
   EXPECT_STREQ(KernelName(KernelKind::kReference), "reference");
   EXPECT_STREQ(KernelName(KernelKind::kBlocked), "blocked");
   EXPECT_STREQ(KernelName(KernelKind::kAvx2), "avx2");
-  EXPECT_STREQ(KernelName(KernelKind::kAvx512), "avx512");
+  KernelKind untouched = KernelKind::kBlocked;
+  EXPECT_FALSE(KernelFromName("", &untouched));
+  EXPECT_FALSE(KernelFromName("AVX2", &untouched));
+  EXPECT_FALSE(KernelFromName("sse", &untouched));
+  EXPECT_EQ(untouched, KernelKind::kBlocked);
 }
 
 // Satellite pin: when auto-dispatch resolved to the blocked kernel for a
@@ -122,7 +124,7 @@ TEST_F(KernelTest, AutoDispatchRoutesSmallDimPlainL2ToReference) {
   EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, /*was_auto=*/false,
                                   Metric::kL2, 16),
             KernelKind::kBlocked);
-  // Auto resolving to avx2/avx512 is also left alone.
+  // Auto resolving to avx2 is also left alone.
   EXPECT_EQ(ResolveDistanceKernel(KernelKind::kAvx2, true, Metric::kL2, 16),
             KernelKind::kAvx2);
 }

@@ -2,8 +2,10 @@
 //
 // Parity suite for streaming top-R selection (knn/selection.h) and the
 // truncated-exact valuation path built on it. The contract under test: for
-// every strategy and every input — tie-heavy ones especially — the top-R
-// prefix is bit-identical to the same-length prefix of ArgsortDistances,
+// both top-R paths (the bounded heap, forced at every r, and the size rule
+// that picks it or the argsort prefix) and every input — tie-heavy ones
+// especially — the top-R prefix is bit-identical to the same-length prefix
+// of ArgsortDistances,
 // block-parallel selection is bit-identical to serial, and the observed
 // sup-norm error of the truncated recursions never exceeds the analytic
 // bound reported to clients.
@@ -13,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -38,14 +39,24 @@ using testing_util::SingleQuery;
 
 class SelectTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    SetSelectOverride(SelectKind::kAuto);
-    SetIntraQueryOptions(IntraQueryOptions{});
-  }
+  void TearDown() override { SetIntraQueryOptions(IntraQueryOptions{}); }
 
-  static std::vector<SelectKind> AllStrategies() {
-    return {SelectKind::kAuto, SelectKind::kHeap, SelectKind::kNth,
-            SelectKind::kSort};
+  // Both top-R paths must answer the first min(r, n) entries of `full`:
+  // PartialArgsortDistances, which picks its path by size, and the heap
+  // forced at any r in [1, n].
+  static void ExpectTopRPrefix(std::span<const double> dists, size_t r,
+                               const std::vector<int>& full,
+                               const std::string& context) {
+    const size_t len = std::min(r, dists.size());
+    const std::vector<int> want(full.begin(),
+                                full.begin() + static_cast<long>(len));
+    std::vector<int> got;
+    PartialArgsortDistances(dists, r, &got);
+    EXPECT_EQ(got, want) << context << " r=" << r << " partial";
+    if (r >= 1 && r <= dists.size()) {
+      internal::TopRHeap(dists, r, &got);
+      EXPECT_EQ(got, want) << context << " r=" << r << " heap";
+    }
   }
 
   // Distance fixtures chosen to stress the boundary band: long runs of
@@ -92,50 +103,21 @@ class SelectTest : public ::testing::Test {
     if (n >= 1) rs.push_back(n - 1);
     if (n >= 2) rs.push_back(n / 2);
     if (n >= 3) rs.push_back(3);  // a typical K
-    rs.push_back(n / 16);         // straddles the auto heap/nth cutoff
-    rs.push_back(n / 16 + 1);
+    // Straddles the heap/argsort cutoff.
+    rs.push_back(n / internal::kHeapRankDivisor);
+    rs.push_back(n / internal::kHeapRankDivisor + 1);
     std::sort(rs.begin(), rs.end());
     rs.erase(std::unique(rs.begin(), rs.end()), rs.end());
     return rs;
   }
 };
 
-TEST_F(SelectTest, NamesAndDispatch) {
-  EXPECT_STREQ(SelectName(SelectKind::kAuto), "auto");
-  EXPECT_STREQ(SelectName(SelectKind::kHeap), "heap");
-  EXPECT_STREQ(SelectName(SelectKind::kNth), "nth");
-  EXPECT_STREQ(SelectName(SelectKind::kSort), "sort");
-
-  SetSelectOverride(SelectKind::kHeap);
-  EXPECT_EQ(ActiveSelect(999, 1000), SelectKind::kHeap);
-  SetSelectOverride(SelectKind::kNth);
-  EXPECT_EQ(ActiveSelect(1, 1000), SelectKind::kNth);
-  SetSelectOverride(SelectKind::kAuto);
-  if (std::getenv("KNNSHAP_SELECT") == nullptr) {
-    // Auto: heap while r is a small fraction of n, nth otherwise.
-    EXPECT_EQ(ActiveSelect(10, 1000), SelectKind::kHeap);
-    EXPECT_EQ(ActiveSelect(500, 1000), SelectKind::kNth);
-  }
-}
-
 TEST_F(SelectTest, PartialPrefixMatchesArgsortOnTieHeavyFixtures) {
   for (const auto& dists : TieHeavyFixtures()) {
     std::vector<int> full;
     ArgsortDistances(dists, &full);
-    for (SelectKind kind : AllStrategies()) {
-      SetSelectOverride(kind);
-      for (size_t r : InterestingRs(dists.size())) {
-        std::vector<int> got;
-        PartialArgsortDistances(dists, r, &got);
-        const size_t want = std::min(r, dists.size());
-        ASSERT_EQ(got.size(), want)
-            << SelectName(kind) << " n=" << dists.size() << " r=" << r;
-        for (size_t i = 0; i < want; ++i) {
-          ASSERT_EQ(got[i], full[i])
-              << SelectName(kind) << " n=" << dists.size() << " r=" << r
-              << " rank=" << i;
-        }
-      }
+    for (size_t r : InterestingRs(dists.size())) {
+      ExpectTopRPrefix(dists, r, full, "n=" + std::to_string(dists.size()));
     }
   }
 }
@@ -213,15 +195,12 @@ TEST_F(SelectTest, SingleRowCorpusAndDegenerateR) {
   const Dataset train = RandomClassDataset(1, 2, 3, 41);
   const Dataset query = SingleQuery(3, 42);
   const auto q = query.features.Row(0);
-  for (SelectKind kind : AllStrategies()) {
-    SetSelectOverride(kind);
-    std::vector<int> order;
-    TopROrderByDistance(train.features, q, 5, Metric::kL2, nullptr, &order);
-    ASSERT_EQ(order.size(), 1u);
-    EXPECT_EQ(order[0], 0);
-    TopROrderByDistance(train.features, q, 0, Metric::kL2, nullptr, &order);
-    EXPECT_TRUE(order.empty());
-  }
+  std::vector<int> order;
+  TopROrderByDistance(train.features, q, 5, Metric::kL2, nullptr, &order);
+  ASSERT_EQ(order.size(), 1u);
+  EXPECT_EQ(order[0], 0);
+  TopROrderByDistance(train.features, q, 0, Metric::kL2, nullptr, &order);
+  EXPECT_TRUE(order.empty());
 }
 
 // The truncated recursions must (a) never exceed the bound they report and
@@ -286,22 +265,20 @@ TEST_F(SelectTest, TruncatedCorrectedErrorWithinReportedBound) {
   }
 }
 
-// The truncated path must agree with itself across every selection strategy
-// and the blocked shard path — the values are a pure function of the top-R
-// prefix, which is bit-identical everywhere.
+// The truncated path must agree with itself across both top-R paths and
+// the blocked shard path — the values are a pure function of the top-R
+// prefix, which is bit-identical everywhere. At n = 150, r = 4 selects
+// with the heap serially (4 <= 150 / 32) while every 11-row block takes
+// the argsort prefix; r = 25 takes the argsort prefix both ways.
 TEST_F(SelectTest, TruncatedValuesIdenticalAcrossStrategiesAndBlocking) {
   const Dataset train = RandomClassDataset(150, 3, 4, 9);
   const Dataset query = SingleQuery(4, 10, /*label=*/0);
   const auto q = query.features.Row(0);
-  const auto reference =
-      TruncatedExactKnnShapleySingle(train, q, 0, 3, 25);
-  for (SelectKind kind : {SelectKind::kHeap, SelectKind::kNth, SelectKind::kSort}) {
-    SetSelectOverride(kind);
-    EXPECT_EQ(TruncatedExactKnnShapleySingle(train, q, 0, 3, 25), reference)
-        << SelectName(kind);
+  for (size_t r : {size_t{4}, size_t{25}}) {
+    const auto serial = TruncatedExactKnnShapleySingle(train, q, 0, 3, r);
     SetIntraQueryOptions({.min_rows = 1, .block_rows = 11});
-    EXPECT_EQ(TruncatedExactKnnShapleySingle(train, q, 0, 3, 25), reference)
-        << SelectName(kind) << " blocked";
+    EXPECT_EQ(TruncatedExactKnnShapleySingle(train, q, 0, 3, r), serial)
+        << "r=" << r << " blocked";
     SetIntraQueryOptions(IntraQueryOptions{});
   }
 }
@@ -352,16 +329,8 @@ TEST_F(SelectTest, SignedZeroKeysIdenticallyToPositiveZero) {
   ArgsortDistances(dists, &packed);
   EXPECT_EQ(packed, expected);
 
-  for (SelectKind kind : AllStrategies()) {
-    SetSelectOverride(kind);
-    for (size_t r : InterestingRs(dists.size())) {
-      std::vector<int> prefix;
-      PartialArgsortDistances(dists, r, &prefix);
-      const size_t len = std::min(r, dists.size());
-      EXPECT_EQ(prefix, std::vector<int>(expected.begin(),
-                                         expected.begin() + len))
-          << SelectName(kind) << " r=" << r;
-    }
+  for (size_t r : InterestingRs(dists.size())) {
+    ExpectTopRPrefix(dists, r, expected, "signed zeros");
   }
 }
 
@@ -459,18 +428,31 @@ TEST_F(SelectTest, RadixArgsortMatchesComparatorSort) {
       std::vector<int> got;
       ArgsortDistances(dists, &got);
       ASSERT_EQ(got, expected) << name << " n=" << n;
-      // The streaming strategies answer against the same oracle.
-      for (SelectKind kind : AllStrategies()) {
-        SetSelectOverride(kind);
-        for (size_t r : {size_t{1}, n / 16 + 1, n / 2 + 1}) {
-          PartialArgsortDistances(dists, r, &got);
-          const size_t len = std::min(r, n);
-          ASSERT_EQ(got, std::vector<int>(expected.begin(),
-                                          expected.begin() + static_cast<long>(len)))
-              << name << " n=" << n << " r=" << r << " " << SelectName(kind);
-        }
+      // Both top-R paths answer against the same oracle.
+      for (size_t r : {size_t{1}, n / 32, n / 32 + 1, n / 2 + 1}) {
+        ExpectTopRPrefix(dists, r, expected,
+                         name + " n=" + std::to_string(n));
       }
-      SetSelectOverride(SelectKind::kAuto);
+    }
+  }
+}
+
+// PartialArgsortDistances takes the heap up to r = n / kHeapRankDivisor and
+// the argsort prefix above it. Pin the answer on both sides of the cutoff,
+// at sizes that do and do not divide evenly, on the inputs where the float
+// key and the double disagree.
+TEST_F(SelectTest, PartialArgsortMatchesOnBothSidesOfHeapCutoff) {
+  for (size_t n : {size_t{32}, size_t{1000}, size_t{4096}, size_t{12500}}) {
+    for (const auto& [name, dists] : RadixParityInputs(n, 2000 + n)) {
+      const std::vector<int> expected = ComparatorArgsort(dists);
+      const size_t cutoff = n / internal::kHeapRankDivisor;
+      for (size_t r : {cutoff - 1, cutoff, cutoff + 1, cutoff + 2}) {
+        std::vector<int> got;
+        PartialArgsortDistances(dists, r, &got);
+        EXPECT_EQ(got, std::vector<int>(expected.begin(),
+                                        expected.begin() + static_cast<long>(r)))
+            << name << " n=" << n << " r=" << r;
+      }
     }
   }
 }

@@ -285,6 +285,16 @@ TEST(ServeTest, MalformedRequestsAnswerErrorsNotAborts) {
       handle(R"({"op":"load","name":"b","rows":[[1,1e300]],"target":"label"})");
   EXPECT_FALSE(huge_label.Get("ok").AsBool());
   EXPECT_EQ(huge_label.Get("code").AsString(), "invalid_argument");
+  // So is a feature the parser reads as inf (1e999), in a corpus or in
+  // inline queries: NaN distances have no (distance, index) order.
+  JsonValue inf_feature = handle(
+      R"({"op":"load","name":"c","rows":[[1e999,0,1],[0,0,0]],"target":"label"})");
+  EXPECT_FALSE(inf_feature.Get("ok").AsBool());
+  EXPECT_EQ(inf_feature.Get("code").AsString(), "invalid_argument");
+  JsonValue inf_query = handle(
+      R"({"op":"value","train":"a","queries":[[0.1,1e999,0.3,1]],"k":3})");
+  EXPECT_FALSE(inf_query.Get("ok").AsBool());
+  EXPECT_EQ(inf_query.Get("code").AsString(), "invalid_argument");
   // The store is intact and a well-formed request still works.
   JsonValue good =
       handle(R"({"op":"value","train":"a","queries":[[0.1,0.2,0.3,1]],"k":3})");

@@ -594,6 +594,18 @@ TEST_F(CandidatesOpTest, RejectsAnOutOfRangeDeadline) {
   }
 }
 
+TEST_F(CandidatesOpTest, RejectsNonFiniteQueryCells) {
+  // 1e999 parses as inf; 1e39 is finite but rounds to an inf float.
+  for (const char* query : {"[1e999,0,0]", "[0,-1e999,0]", "[0,0,1e39]"}) {
+    JsonValue response = Candidates(
+        R"(,"r":5,"row_begin":256,"row_end":512,"fingerprint":")" +
+        Fingerprint(256, 512) + R"(","query":)" + query);
+    EXPECT_FALSE(response.Get("ok").AsBool(true)) << query;
+    EXPECT_EQ(response.Get("code").AsString(), "invalid_argument") << query;
+    EXPECT_EQ(response.Get("field").AsString(), "query") << query;
+  }
+}
+
 TEST_F(CandidatesOpTest, RejectsOutOfRangeRows) {
   JsonValue response = Candidates(
       R"(,"r":5,"row_begin":512,"row_end":1024,"fingerprint":")" +

@@ -349,6 +349,16 @@ TEST(PackedRowsTest, RejectsMismatchedPayloads) {
     payload.Set("targets", Packed(targets).Get("targets"));
     cases.emplace_back("a targets column in label mode", std::move(payload));
   }
+  // Non-finite feature bits in the last row: rejected before any earlier
+  // row is appended.
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    Dataset poisoned = data;
+    poisoned.features.At(7, 1) = bad;
+    with("non-finite feature bits", "features",
+         Packed(poisoned).Get("features"));
+  }
 
   for (const auto& [what, payload] : cases) {
     Dataset out;

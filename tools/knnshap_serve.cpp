@@ -19,8 +19,9 @@
 //   --in-flight=N     cap on concurrently dispatched value requests
 //   --cache=N         result-cache capacity in entries (default 64)
 //   --kernel=K        force the distance kernel (reference|blocked|avx2|
-//                     avx512|auto); outranks the KNNSHAP_KERNEL
-//                     environment variable — used with --no-timing for
+//                     auto); outranks the KNNSHAP_KERNEL environment
+//                     variable, and an unknown value of either exits 1
+//                     at startup — used with --no-timing for
 //                     deterministic transcripts, and passed to spawned
 //                     shard workers as the router's active kernel
 //   --no-obs          disable the metrics registry entirely (no metrics
@@ -101,6 +102,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -183,20 +185,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string kernel = args.GetString("kernel", "");
-  if (kernel == "reference") {
-    SetKernelOverride(KernelKind::kReference);
-  } else if (kernel == "blocked") {
-    SetKernelOverride(KernelKind::kBlocked);
-  } else if (kernel == "avx2") {
-    SetKernelOverride(KernelKind::kAvx2);
-  } else if (kernel == "avx512") {
-    SetKernelOverride(KernelKind::kAvx512);
-  } else if (kernel == "auto") {
-    SetKernelOverride(KernelKind::kAuto);
-  } else if (!kernel.empty()) {
-    std::fprintf(stderr, "unknown --kernel '%s'\n", kernel.c_str());
+  // The library reads an unknown KNNSHAP_KERNEL as auto; the server
+  // refuses it, so a mistyped kernel never serves silently.
+  KernelKind kernel_kind = KernelKind::kAuto;
+  const char* env_kernel = std::getenv("KNNSHAP_KERNEL");
+  if (env_kernel != nullptr && *env_kernel != '\0' &&
+      !KernelFromName(env_kernel, &kernel_kind)) {
+    std::fprintf(stderr, "unknown KNNSHAP_KERNEL '%s'\n", env_kernel);
     return 1;
+  }
+  const std::string kernel = args.GetString("kernel", "");
+  if (!kernel.empty()) {
+    if (!KernelFromName(kernel, &kernel_kind)) {
+      std::fprintf(stderr, "unknown --kernel '%s'\n", kernel.c_str());
+      return 1;
+    }
+    SetKernelOverride(kernel_kind);
   }
 
   PipelineOptions options;
