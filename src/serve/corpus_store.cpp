@@ -60,6 +60,7 @@ bool CorpusStore::Append(const std::string& name, const Dataset& rows,
 
   const size_t old_rows = current.Size();
   Dataset next = current;  // copy-on-write: readers keep the old version
+  next.features.Reserve(old_rows + rows.Size(), current.Dim());
   for (size_t r = 0; r < rows.Size(); ++r) next.features.AppendRow(rows.features.Row(r));
   next.labels.insert(next.labels.end(), rows.labels.begin(), rows.labels.end());
   next.targets.insert(next.targets.end(), rows.targets.begin(), rows.targets.end());

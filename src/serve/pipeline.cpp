@@ -2,6 +2,7 @@
 
 #include "serve/pipeline.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -142,25 +143,38 @@ bool ParseTargetMode(const std::string& mode, CsvTarget* out) {
 
 bool FromInlineRows(const JsonValue& rows, CsvTarget target, Dataset* data,
                     std::string* error) {
-  if (!rows.IsArray() || rows.Items().empty()) {
+  const std::vector<JsonValue>& items = rows.Items();
+  if (items.empty()) {
     *error = "'rows' must be a non-empty array of rows";
     return false;
   }
-  for (const auto& row : rows.Items()) {
-    if (!row.IsArray() || row.Items().empty()) {
+  std::vector<float> features;  // one row, reused
+  for (const JsonValue& row : items) {
+    const std::vector<JsonValue>& cells = row.Items();
+    if (cells.empty()) {
       *error = "each row must be a non-empty array of numbers";
       return false;
     }
-    size_t arity = row.Items().size();
-    size_t num_features = target == CsvTarget::kNone ? arity : arity - 1;
+    const size_t arity = cells.size();
+    const size_t num_features = target == CsvTarget::kNone ? arity : arity - 1;
     if (num_features == 0) {
       *error = "row has no feature columns";
       return false;
     }
-    std::vector<float> features;
-    features.reserve(num_features);
+    if (data->features.Empty()) {
+      // Reserve once, from the first row's arity, bounded by the cells
+      // the tree holds: a line of short rows cannot reserve more than it
+      // carries.
+      size_t total_cells = 0;
+      for (const JsonValue& r : items) total_cells += r.Items().size();
+      const size_t reserve_rows = std::min(items.size(), total_cells / num_features);
+      data->features.Reserve(reserve_rows, num_features);
+      if (target == CsvTarget::kLabel) data->labels.reserve(reserve_rows);
+      if (target == CsvTarget::kTarget) data->targets.reserve(reserve_rows);
+    }
+    features.clear();
     for (size_t c = 0; c < num_features; ++c) {
-      const JsonValue& cell = row.Items()[c];
+      const JsonValue& cell = cells[c];
       if (!cell.IsNumber()) {
         *error = "non-numeric feature cell";
         return false;
@@ -178,7 +192,7 @@ bool FromInlineRows(const JsonValue& rows, CsvTarget target, Dataset* data,
     }
     data->features.AppendRow(features);
     if (target != CsvTarget::kNone) {
-      const JsonValue& last = row.Items()[arity - 1];
+      const JsonValue& last = cells[arity - 1];
       if (!last.IsNumber()) {
         *error = "non-numeric label/target cell";
         return false;

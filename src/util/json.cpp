@@ -2,13 +2,19 @@
 
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <string_view>
 #include <system_error>
+#include <unordered_map>
 
 namespace knnshap {
 
@@ -30,10 +36,19 @@ bool ParseDouble(const char* begin, const char* end, double* out) {
   return parse_end == text.c_str() + text.size();
 }
 
-// Recursive-descent parser over a bounded character range.
-class Parser {
+// Objects up to this many fields find duplicate keys by a linear scan;
+// larger ones through a hash index, so a hostile line of 100k distinct
+// keys parses in linear time.
+constexpr size_t kLinearDedupFields = 16;
+
+}  // namespace
+
+// Recursive-descent parser over a bounded character range. The children
+// of every open array and object wait on the parser's two stacks; the
+// closing bracket moves them into one exactly sized vector.
+class JsonParser {
  public:
-  Parser(const char* begin, const char* end) : p_(begin), end_(end) {}
+  JsonParser(const char* begin, const char* end) : p_(begin), end_(end) {}
 
   JsonParseResult Run() {
     JsonParseResult result;
@@ -88,8 +103,11 @@ class Parser {
         --depth_;
         return container;
       }
-      case '"':
-        return ParseString(error);
+      case '"': {
+        std::string s;
+        ParseString(&s, error);
+        return JsonValue(std::move(s));
+      }
       case 't':
         if (ConsumeLiteral("true")) return JsonValue(true);
         break;
@@ -108,55 +126,101 @@ class Parser {
 
   JsonValue ParseObject(std::string* error) {
     ++p_;  // '{'
-    JsonValue obj = JsonValue::MakeObject();
     SkipWhitespace();
-    if (Consume('}')) return obj;
+    if (Consume('}')) return JsonValue::MakeObject();
+    const size_t base = fields_.size();
     while (true) {
       SkipWhitespace();
       if (p_ == end_ || *p_ != '"') {
         *error = "expected object key";
-        return obj;
+        return JsonValue();
       }
-      JsonValue key = ParseString(error);
-      if (!error->empty()) return obj;
+      std::string key;
+      if (!ParseString(&key, error)) return JsonValue();
       SkipWhitespace();
       if (!Consume(':')) {
         *error = "expected ':' after key";
-        return obj;
+        return JsonValue();
       }
       JsonValue value = ParseValue(error);
-      if (!error->empty()) return obj;
-      obj.Set(key.AsString(), std::move(value));
+      if (!error->empty()) return JsonValue();
+      fields_.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
-      if (Consume('}')) return obj;
+      if (Consume('}')) return CloseObject(base);
       if (!Consume(',')) {
         *error = "expected ',' or '}' in object";
-        return obj;
+        return JsonValue();
       }
     }
+  }
+
+  // Moves fields_[base..] into one object. A repeated key keeps its first
+  // position and takes the last value.
+  JsonValue CloseObject(size_t base) {
+    const auto first = fields_.begin() + static_cast<std::ptrdiff_t>(base);
+    const size_t count = fields_.size() - base;
+    JsonValue::FieldList out;
+    out.reserve(count);
+    if (count <= kLinearDedupFields) {
+      for (auto it = first; it != fields_.end(); ++it) {
+        auto same = std::find_if(out.begin(), out.end(), [&](const auto& field) {
+          return field.first == it->first;
+        });
+        if (same != out.end()) {
+          same->second = std::move(it->second);
+        } else {
+          out.push_back(std::move(*it));
+        }
+      }
+    } else {
+      // Views into out's keys: the reserve above keeps them in place.
+      std::unordered_map<std::string_view, size_t> index;
+      index.reserve(count);
+      for (auto it = first; it != fields_.end(); ++it) {
+        const auto same = index.find(it->first);
+        if (same != index.end()) {
+          out[same->second].second = std::move(it->second);
+        } else {
+          out.push_back(std::move(*it));
+          index.emplace(out.back().first, out.size() - 1);
+        }
+      }
+    }
+    fields_.erase(first, fields_.end());
+    JsonValue obj;
+    obj.type_ = JsonValue::Type::kObject;
+    obj.payload_.fields = new JsonValue::FieldList(std::move(out));
+    return obj;
   }
 
   JsonValue ParseArray(std::string* error) {
     ++p_;  // '['
-    JsonValue arr = JsonValue::MakeArray();
     SkipWhitespace();
-    if (Consume(']')) return arr;
+    if (Consume(']')) return JsonValue::MakeArray();
+    const size_t base = items_.size();
     while (true) {
-      JsonValue value = ParseValue(error);
-      if (!error->empty()) return arr;
-      arr.Append(std::move(value));
+      items_.push_back(ParseValue(error));
+      if (!error->empty()) return JsonValue();
       SkipWhitespace();
-      if (Consume(']')) return arr;
+      if (Consume(']')) break;
       if (!Consume(',')) {
         *error = "expected ',' or ']' in array";
-        return arr;
+        return JsonValue();
       }
     }
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(base);
+    JsonValue arr;
+    arr.type_ = JsonValue::Type::kArray;
+    arr.payload_.items = new std::vector<JsonValue>(std::make_move_iterator(first),
+                                                    std::make_move_iterator(items_.end()));
+    items_.erase(first, items_.end());
+    return arr;
   }
 
-  JsonValue ParseString(std::string* error) {
+  // Parses the string at p_ (on its opening quote) into *out; false (and
+  // *error set) on a malformed string.
+  bool ParseString(std::string* out, std::string* error) {
     ++p_;  // '"'
-    std::string out;
     // Plain runs are appended whole: memchr finds the next quote (end_ if
     // there is none), kept until an escape consumes it, and the next
     // backslash before it.
@@ -169,54 +233,56 @@ class Parser {
       const char* backslash = static_cast<const char*>(
           std::memchr(p_, '\\', static_cast<size_t>(quote - p_)));
       const char* stop = backslash != nullptr ? backslash : quote;
-      out.append(p_, stop);
+      out->append(p_, stop);
       p_ = stop;
       if (p_ == end_) break;
       ++p_;
-      if (stop == quote) return JsonValue(std::move(out));
+      if (stop == quote) return true;
       if (p_ == end_) break;
       char esc = *p_++;
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
         case 'u': {
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_))) {
               *error = "bad \\u escape";
-              return JsonValue(std::move(out));
+              return false;
             }
             char h = *p_++;
             code = code * 16 +
                    static_cast<unsigned>(h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
           }
-          out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
+          out->push_back(code < 0x80 ? static_cast<char>(code) : '?');
           break;
         }
         default:
           *error = "bad escape character";
-          return JsonValue(std::move(out));
+          return false;
       }
     }
     *error = "unterminated string";
-    return JsonValue(std::move(out));
+    return false;
   }
 
   JsonValue ParseNumber(std::string* error) {
     const char* start = p_;
     if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
     bool digits = false;
-    while (p_ != end_ && (std::isdigit(static_cast<unsigned char>(*p_)) ||
-                          *p_ == '.' || *p_ == 'e' || *p_ == 'E' || *p_ == '-' ||
-                          *p_ == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(*p_))) digits = true;
-      ++p_;
+    for (; p_ != end_; ++p_) {
+      const char c = *p_;
+      if (c >= '0' && c <= '9') {
+        digits = true;
+      } else if (c != '.' && c != 'e' && c != 'E' && c != '-' && c != '+') {
+        break;
+      }
     }
     if (!digits) {
       *error = "invalid number";
@@ -233,7 +299,11 @@ class Parser {
   const char* p_;
   const char* end_;
   int depth_ = 0;
+  std::vector<JsonValue> items_;  // items of the open arrays
+  JsonValue::FieldList fields_;   // fields of the open objects
 };
+
+namespace {
 
 bool NeedsEscape(char c) {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
@@ -266,6 +336,60 @@ void EscapeInto(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+// Whether %g can read back the double whose %.17g bytes are [begin, end).
+// Returns false only when it provably cannot. If %g's 6-digit decimal D6
+// reads back to n, then n is the double nearest D6, so |D6 - n| is at
+// most half an ulp of n, below 11.2 units of n's 17th significant digit
+// for every normal n. The 17-digit D17 is within half a unit of n. So
+// D17 lies within 12 units of a multiple of 10^11 units (D6's grid), and
+// digits 7-17 of D17 read as an integer are near 0 or near 10^11.
+// Subnormals have a coarser relative ulp and are left to the exact check.
+bool MayRoundTripSixDigits(double n, const char* begin, const char* end) {
+  if (std::fabs(n) < std::numeric_limits<double>::min()) return true;
+  constexpr uint64_t kTailGrid = 100'000'000'000;  // 10^11
+  constexpr uint64_t kTailSlack = 16;
+  uint64_t tail = 0;  // significant digits 7..17
+  int digits = 0;
+  for (const char* p = begin; p != end && *p != 'e'; ++p) {
+    if (*p < '0' || *p > '9' || (digits == 0 && *p == '0')) continue;
+    if (digits >= 6) tail = tail * 10 + static_cast<uint64_t>(*p - '0');
+    ++digits;
+  }
+  for (; digits < 17; ++digits) tail *= 10;  // %.17g dropped trailing zeros
+  return tail <= kTailSlack || kTailGrid - tail <= kTailSlack;
+}
+
+// %g when it reads back losslessly, else %.17g (exact for every double);
+// null for Inf/NaN, which JSON lacks. to_chars with an explicit precision
+// prints printf's bytes. %.17g is printed first: for almost every value
+// it shows that %g cannot read back, and is then final.
+void DumpNumber(double n, std::string* out) {
+  if (!std::isfinite(n)) {
+    *out += "null";
+    return;
+  }
+  if (n == 0.0) {
+    // %g's bytes for both zeros, without the round-trip check: most of a
+    // truncated valuation's values are exactly zero.
+    *out += std::signbit(n) ? "-0" : "0";
+    return;
+  }
+  char full[32];
+  char* const full_end =
+      std::to_chars(full, full + sizeof full, n, std::chars_format::general, 17).ptr;
+  if (MayRoundTripSixDigits(n, full, full_end)) {
+    char buf[32];
+    char* const end =
+        std::to_chars(buf, buf + sizeof buf, n, std::chars_format::general, 6).ptr;
+    double back = 0.0;
+    if (ParseDouble(buf, end, &back) && back == n) {
+      out->append(buf, end);
+      return;
+    }
+  }
+  out->append(full, full_end);
+}
+
 void DumpInto(const JsonValue& v, std::string* out) {
   switch (v.GetType()) {
     case JsonValue::Type::kNull:
@@ -274,31 +398,9 @@ void DumpInto(const JsonValue& v, std::string* out) {
     case JsonValue::Type::kBool:
       *out += v.AsBool() ? "true" : "false";
       break;
-    case JsonValue::Type::kNumber: {
-      double n = v.AsNumber();
-      if (!std::isfinite(n)) {
-        *out += "null";  // JSON has no Inf/NaN.
-        break;
-      }
-      if (n == 0.0) {
-        // %g's bytes for both zeros, without the round-trip check: most of
-        // a truncated valuation's values are exactly zero.
-        *out += std::signbit(n) ? "-0" : "0";
-        break;
-      }
-      // %g when it reads back losslessly, else %.17g (exact for every
-      // double). to_chars with an explicit precision prints printf's bytes.
-      char buf[32];
-      char* end = std::to_chars(buf, buf + sizeof buf, n,
-                                std::chars_format::general, 6).ptr;
-      double back = 0.0;
-      if (!ParseDouble(buf, end, &back) || back != n) {
-        end = std::to_chars(buf, buf + sizeof buf, n,
-                            std::chars_format::general, 17).ptr;
-      }
-      out->append(buf, end);
+    case JsonValue::Type::kNumber:
+      DumpNumber(v.AsNumber(), out);
       break;
-    }
     case JsonValue::Type::kString:
       EscapeInto(v.AsString(), out);
       break;
@@ -331,38 +433,107 @@ void DumpInto(const JsonValue& v, std::string* out) {
 
 }  // namespace
 
+JsonValue::JsonValue(std::string s)
+    : type_(Type::kString), payload_{.string = new std::string(std::move(s))} {}
+
+JsonValue::JsonValue(const char* s)
+    : type_(Type::kString), payload_{.string = new std::string(s)} {}
+
+JsonValue::JsonValue(const JsonValue& other)
+    : type_(other.type_), payload_(other.payload_) {
+  switch (type_) {
+    case Type::kString:
+      payload_.string = new std::string(*other.payload_.string);
+      break;
+    case Type::kArray:
+      payload_.items = new std::vector<JsonValue>(*other.payload_.items);
+      break;
+    case Type::kObject:
+      payload_.fields = new FieldList(*other.payload_.fields);
+      break;
+    default:
+      break;
+  }
+}
+
+void JsonValue::Release() {
+  switch (type_) {
+    case Type::kString:
+      delete payload_.string;
+      break;
+    case Type::kArray:
+      delete payload_.items;
+      break;
+    case Type::kObject:
+      delete payload_.fields;
+      break;
+    default:
+      break;
+  }
+}
+
+JsonValue JsonValue::MakeArray() {
+  JsonValue v;
+  v.payload_.items = new std::vector<JsonValue>();
+  v.type_ = Type::kArray;
+  return v;
+}
+
+JsonValue JsonValue::MakeObject() {
+  JsonValue v;
+  v.payload_.fields = new FieldList();
+  v.type_ = Type::kObject;
+  return v;
+}
+
+const std::string& JsonValue::EmptyString() {
+  static const std::string empty;
+  return empty;
+}
+
+const std::vector<JsonValue>& JsonValue::EmptyItems() {
+  static const std::vector<JsonValue> empty;
+  return empty;
+}
+
+const JsonValue::FieldList& JsonValue::EmptyFields() {
+  static const FieldList empty;
+  return empty;
+}
+
+std::vector<JsonValue>& JsonValue::Items() {
+  if (!IsArray()) *this = MakeArray();
+  return *payload_.items;
+}
+
 const JsonValue& JsonValue::Get(const std::string& key) const {
-  for (const auto& [k, v] : fields_) {
+  for (const auto& [k, v] : Fields()) {
     if (k == key) return v;
   }
   return kNullValue;
 }
 
 bool JsonValue::Has(const std::string& key) const {
-  for (const auto& [k, v] : fields_) {
+  for (const auto& [k, v] : Fields()) {
     if (k == key) return true;
   }
   return false;
 }
 
 void JsonValue::Set(const std::string& key, JsonValue value) {
-  if (type_ != Type::kObject) {
-    *this = MakeObject();
-  }
-  for (auto& [k, v] : fields_) {
+  if (!IsObject()) *this = MakeObject();
+  for (auto& [k, v] : *payload_.fields) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  fields_.emplace_back(key, std::move(value));
+  payload_.fields->emplace_back(key, std::move(value));
 }
 
 void JsonValue::Append(JsonValue value) {
-  if (type_ != Type::kArray) {
-    *this = MakeArray();
-  }
-  items_.push_back(std::move(value));
+  if (!IsArray()) *this = MakeArray();
+  payload_.items->push_back(std::move(value));
 }
 
 std::string JsonValue::Dump() const {
@@ -372,7 +543,7 @@ std::string JsonValue::Dump() const {
 }
 
 JsonParseResult ParseJson(const std::string& text) {
-  Parser parser(text.data(), text.data() + text.size());
+  JsonParser parser(text.data(), text.data() + text.size());
   return parser.Run();
 }
 

@@ -5,17 +5,28 @@
 // numbers, nested arrays for inline feature rows). No external dependency;
 // the container image is intentionally kept lean.
 //
-// Deliberate simplifications: numbers are doubles (JSON's own model),
-// object key order is preserved on write but duplicate keys keep the last
-// value, and \uXXXX escapes outside the BMP-ASCII range are replaced with
-// '?'. These never matter for the serve protocol.
+// Node layout: a JsonValue is 16 bytes, a type tag plus a union of a bool,
+// a double, or one owning pointer to a std::string, an item vector or a
+// field vector. A 200k-row x 17-cell `load` line is 3.4M nodes, so the
+// node size is most of the parsed tree's memory. Copies are deep; a move
+// steals the pointer and leaves the source null. The parser builds every
+// array and object from its own stack into one exactly sized vector.
+//
+// Objects keep their key order on write. A duplicate key keeps the first
+// key's position and the last key's value: {"a":1,"b":2,"a":3} parses to
+// {"a":3,"b":2}, in O(n) expected time per object.
+//
+// Numbers are doubles (JSON's own model). The parser takes strtod's
+// grammar and bits. The serializer prints %g when that reads back to the
+// same double, else %.17g (exact for every double), and Inf/NaN as null.
+// \uXXXX escapes outside the BMP-ASCII range are replaced with '?'. These
+// never matter for the serve protocol.
 
 #ifndef KNNSHAP_UTIL_JSON_H_
 #define KNNSHAP_UTIL_JSON_H_
 
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace knnshap {
@@ -25,23 +36,35 @@ class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  JsonValue() : type_(Type::kNull) {}
-  explicit JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
-  explicit JsonValue(double n) : type_(Type::kNumber), number_(n) {}
-  explicit JsonValue(int n) : type_(Type::kNumber), number_(n) {}
-  explicit JsonValue(std::string s) : type_(Type::kString), string_(std::move(s)) {}
-  explicit JsonValue(const char* s) : type_(Type::kString), string_(s) {}
+  JsonValue() : type_(Type::kNull), payload_{.number = 0.0} {}
+  explicit JsonValue(bool b) : type_(Type::kBool), payload_{.boolean = b} {}
+  explicit JsonValue(double n) : type_(Type::kNumber), payload_{.number = n} {}
+  explicit JsonValue(int n)
+      : type_(Type::kNumber), payload_{.number = static_cast<double>(n)} {}
+  explicit JsonValue(std::string s);
+  explicit JsonValue(const char* s);
 
-  static JsonValue MakeArray() {
-    JsonValue v;
-    v.type_ = Type::kArray;
-    return v;
+  JsonValue(const JsonValue& other);
+  JsonValue(JsonValue&& other) noexcept
+      : type_(other.type_), payload_(other.payload_) {
+    other.type_ = Type::kNull;
   }
-  static JsonValue MakeObject() {
-    JsonValue v;
-    v.type_ = Type::kObject;
-    return v;
+  JsonValue& operator=(const JsonValue& other) {
+    JsonValue copy(other);
+    Swap(copy);
+    return *this;
   }
+  JsonValue& operator=(JsonValue&& other) noexcept {
+    JsonValue taken(std::move(other));
+    Swap(taken);
+    return *this;
+  }
+  ~JsonValue() {
+    if (type_ >= Type::kString) Release();
+  }
+
+  static JsonValue MakeArray();
+  static JsonValue MakeObject();
 
   Type GetType() const { return type_; }
   bool IsNull() const { return type_ == Type::kNull; }
@@ -52,15 +75,23 @@ class JsonValue {
   bool IsObject() const { return type_ == Type::kObject; }
 
   /// Typed accessors; defaults are returned on type mismatch so protocol
-  /// handlers can express "field with fallback" in one call.
-  bool AsBool(bool fallback = false) const { return IsBool() ? bool_ : fallback; }
-  double AsNumber(double fallback = 0.0) const {
-    return IsNumber() ? number_ : fallback;
+  /// handlers can express "field with fallback" in one call. AsString,
+  /// Items and Fields return a shared empty constant on a mismatch.
+  bool AsBool(bool fallback = false) const {
+    return IsBool() ? payload_.boolean : fallback;
   }
-  const std::string& AsString() const { return string_; }
+  double AsNumber(double fallback = 0.0) const {
+    return IsNumber() ? payload_.number : fallback;
+  }
+  const std::string& AsString() const {
+    return IsString() ? *payload_.string : EmptyString();
+  }
 
-  std::vector<JsonValue>& Items() { return items_; }
-  const std::vector<JsonValue>& Items() const { return items_; }
+  /// Mutable items (converts this value to an array if needed).
+  std::vector<JsonValue>& Items();
+  const std::vector<JsonValue>& Items() const {
+    return IsArray() ? *payload_.items : EmptyItems();
+  }
 
   /// Object field lookup; returns a shared null value when absent.
   const JsonValue& Get(const std::string& key) const;
@@ -69,7 +100,7 @@ class JsonValue {
   /// Object field assignment (converts this value to an object if needed).
   void Set(const std::string& key, JsonValue value);
   const std::vector<std::pair<std::string, JsonValue>>& Fields() const {
-    return fields_;
+    return IsObject() ? *payload_.fields : EmptyFields();
   }
 
   /// Appends to an array (converts this value to an array if needed).
@@ -79,13 +110,33 @@ class JsonValue {
   std::string Dump() const;
 
  private:
+  friend class JsonParser;
+  using FieldList = std::vector<std::pair<std::string, JsonValue>>;
+
+  union Payload {
+    bool boolean;
+    double number;
+    std::string* string;
+    std::vector<JsonValue>* items;
+    FieldList* fields;
+  };
+
+  static const std::string& EmptyString();
+  static const std::vector<JsonValue>& EmptyItems();
+  static const FieldList& EmptyFields();
+
+  void Swap(JsonValue& other) noexcept {
+    std::swap(type_, other.type_);
+    std::swap(payload_, other.payload_);
+  }
+  /// Frees the owned string or container (string, array and object only).
+  void Release();
+
   Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;                          // array
-  std::vector<std::pair<std::string, JsonValue>> fields_;  // object
+  Payload payload_;
 };
+
+static_assert(sizeof(JsonValue) <= 16, "JsonValue is a tag plus one word");
 
 /// Result of a parse: the value plus an error message (empty on success).
 struct JsonParseResult {

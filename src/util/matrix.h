@@ -43,6 +43,10 @@ class Matrix {
   /// Appends a row; its length must equal Cols() (or set Cols on first row).
   void AppendRow(std::span<const float> row);
 
+  /// Capacity for `rows` rows of `cols` values, so AppendRow does not
+  /// regrow the storage.
+  void Reserve(size_t rows, size_t cols) { data_.reserve(rows * cols); }
+
   /// Scales every entry by `factor` (used to normalize D_mean = 1 before
   /// LSH, as in the proof of Theorem 3).
   void Scale(double factor);

@@ -1,16 +1,22 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// Tests for the minimal JSON module backing the knnshap_serve protocol.
+// Tests for the minimal JSON module backing the knnshap_serve protocol:
+// the value type's ownership, the parser (including a seeded mutation
+// suite over real request lines, which CI runs under ASan/UBSan), and the
+// number codec against the printf/strtod rule.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -98,6 +104,204 @@ TEST(JsonDumpTest, SetReplacesExistingKey) {
   obj.Set("a", JsonValue(2.0));
   EXPECT_EQ(obj.Fields().size(), 1u);
   EXPECT_DOUBLE_EQ(obj.Get("a").AsNumber(), 2.0);
+}
+
+TEST(JsonValueTest, CopiesAreDeepAndIndependent) {
+  JsonValue original = ParseJson(R"({"name":"a","rows":[[1,2],[3]],"meta":{"k":5}})").value;
+  const std::string before = original.Dump();
+  JsonValue copy = original;
+  copy.Set("name", JsonValue("b"));
+  copy.Items();  // converts the copy to an array
+  EXPECT_TRUE(copy.IsArray());
+  EXPECT_EQ(original.Dump(), before);
+
+  JsonValue nested = original;
+  JsonValue rows = nested.Get("rows");
+  rows.Items()[0].Append(JsonValue(9.0));
+  nested.Set("rows", rows);
+  EXPECT_EQ(nested.Get("rows").Dump(), "[[1,2,9],[3]]");
+  EXPECT_EQ(original.Get("rows").Dump(), "[[1,2],[3]]");
+  EXPECT_EQ(original.Dump(), before);
+}
+
+TEST(JsonValueTest, AssignmentAcrossTypesAndToItself) {
+  const JsonValue array = ParseJson("[1,\"two\",[3]]").value;
+  const JsonValue object = ParseJson(R"({"a":{"b":[true,null]}})").value;
+  JsonValue v("string");
+  v = array;
+  EXPECT_EQ(v.Dump(), "[1,\"two\",[3]]");
+  v = object;
+  EXPECT_EQ(v.Dump(), R"({"a":{"b":[true,null]}})");
+  v = JsonValue(2.5);
+  EXPECT_EQ(v.Dump(), "2.5");
+  v = JsonValue("s");
+  EXPECT_EQ(v.Dump(), "\"s\"");
+  v = JsonValue();
+  EXPECT_TRUE(v.IsNull());
+
+  v = object;
+  const JsonValue& alias = v;
+  v = alias;  // self copy-assignment
+  EXPECT_EQ(v.Dump(), object.Dump());
+  v = v.Get("a");  // from a value v owns
+  EXPECT_EQ(v.Dump(), R"({"b":[true,null]})");
+  v = array;
+  v = std::move(v.Items()[2]);  // steal from a value v owns
+  EXPECT_EQ(v.Dump(), "[3]");
+  JsonValue& same = v;
+  v = std::move(same);  // self move-assignment keeps the value
+  EXPECT_EQ(v.Dump(), "[3]");
+}
+
+TEST(JsonValueTest, MovedFromValuesAreNull) {
+  for (JsonValue source : {JsonValue(true), JsonValue(1.5), JsonValue("text"),
+                           ParseJson("[1,[2]]").value, ParseJson(R"({"a":"b"})").value}) {
+    const std::string text = source.Dump();
+    JsonValue target(std::move(source));
+    EXPECT_TRUE(source.IsNull()) << text;
+    EXPECT_EQ(target.Dump(), text);
+    JsonValue assigned;
+    assigned = std::move(target);
+    EXPECT_TRUE(target.IsNull()) << text;
+    EXPECT_EQ(assigned.Dump(), text);
+  }
+}
+
+TEST(JsonValueTest, WrongTypeAccessorsReturnEmpty) {
+  const JsonValue values[] = {JsonValue(),
+                              JsonValue(false),
+                              JsonValue(7.0),
+                              JsonValue("s"),
+                              ParseJson("[1]").value,
+                              ParseJson(R"({"b":1})").value};
+  for (const JsonValue& v : values) {
+    EXPECT_EQ(v.AsString().empty(), !v.IsString()) << v.Dump();
+    EXPECT_EQ(v.Items().empty(), !v.IsArray()) << v.Dump();
+    EXPECT_EQ(v.Fields().empty(), !v.IsObject()) << v.Dump();
+    EXPECT_TRUE(v.Get("a").IsNull());
+    EXPECT_FALSE(v.Has("a"));
+    EXPECT_EQ(v.AsNumber(-1.0), v.IsNumber() ? 7.0 : -1.0);
+    EXPECT_EQ(v.AsBool(true), !v.IsBool());
+  }
+  // Mutators convert: Set makes an object, Append and Items an array.
+  JsonValue v(3.0);
+  v.Set("k", JsonValue(1));
+  EXPECT_EQ(v.Dump(), R"({"k":1})");
+  v.Append(JsonValue("x"));
+  EXPECT_EQ(v.Dump(), R"(["x"])");
+  JsonValue s("text");
+  s.Items().emplace_back(2.0);
+  EXPECT_EQ(s.Dump(), "[2]");
+}
+
+TEST(JsonParseTest, DuplicateKeysKeepFirstPositionAndLastValue) {
+  EXPECT_EQ(ParseJson(R"({"a":1,"b":2,"a":3})").value.Dump(), R"({"a":3,"b":2})");
+  EXPECT_EQ(ParseJson(R"({"a":1,"a":{"x":[1]},"a":null})").value.Dump(),
+            R"({"a":null})");
+  // Above the linear-scan size the hash index must give the same object
+  // as Set, which replaces in place.
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t fields = 1 + rng.NextIndex(200);
+    std::string text = "{";
+    JsonValue expected = JsonValue::MakeObject();
+    for (size_t f = 0; f < fields; ++f) {
+      std::string key = "k";
+      key += std::to_string(rng.NextIndex(fields / 2 + 1));
+      text += f > 0 ? ",\"" : "\"";
+      text += key;
+      text += "\":";
+      text += std::to_string(f);
+      expected.Set(key, JsonValue(static_cast<double>(f)));
+    }
+    text += "}";
+    const JsonParseResult parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    ASSERT_EQ(parsed.value.Dump(), expected.Dump()) << text;
+  }
+}
+
+TEST(JsonParseTest, ManyDistinctKeysParseInLinearTime) {
+  // One object of 200k distinct keys: a quadratic duplicate scan takes
+  // minutes here and stalls the server's reader thread.
+  constexpr size_t kKeys = 200'000;
+  std::string text = "{";
+  for (size_t k = 0; k < kKeys; ++k) {
+    text += k > 0 ? ",\"key" : "\"key";
+    text += std::to_string(k);
+    text += "\":";
+    text += std::to_string(k);
+  }
+  text += "}";
+  const auto start = std::chrono::steady_clock::now();
+  const JsonParseResult parsed = ParseJson(text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_LT(seconds, 10.0);
+  ASSERT_EQ(parsed.value.Fields().size(), kKeys);
+  EXPECT_EQ(parsed.value.Fields().back().first, "key199999");
+  EXPECT_EQ(parsed.value.Get("key123456").AsNumber(), 123456.0);
+}
+
+// Every line of the golden session plus one 1k-row inline load line.
+std::vector<std::string> MutationSeeds() {
+  std::vector<std::string> lines;
+  std::ifstream session(std::string(KNNSHAP_TEST_DATA_DIR) + "/serve_session.jsonl");
+  for (std::string line; std::getline(session, line);) lines.push_back(line);
+  Rng rng(31);
+  std::string load = R"({"op":"load","name":"big","target":"label","rows":[)";
+  for (int r = 0; r < 1000; ++r) {
+    load += r > 0 ? ",[" : "[";
+    for (int d = 0; d < 16; ++d) {
+      load += JsonValue(rng.NextGaussian()).Dump() + ",";
+    }
+    load += std::to_string(rng.NextIndex(3)) + "]";
+  }
+  lines.push_back(load + "]}");
+  return lines;
+}
+
+TEST(JsonParseTest, SeededMutantsAreErrorsOrReachAFixedPoint) {
+  const std::vector<std::string> seeds = MutationSeeds();
+  ASSERT_GT(seeds.size(), 40u);
+  Rng rng(2027);
+  size_t accepted = 0, rejected = 0;
+  for (const std::string& seed : seeds) {
+    const JsonParseResult original = ParseJson(seed);
+    ASSERT_TRUE(original.ok()) << original.error;
+    const int trials = seed.size() > 10'000 ? 60 : 40;
+    for (int trial = 0; trial < trials; ++trial) {
+      std::string mutant = seed;
+      switch (trial % 3) {
+        case 0:  // truncate
+          mutant.resize(rng.NextIndex(mutant.size()));
+          break;
+        case 1:  // flip one to three bytes
+          for (uint64_t f = 0, n = 1 + rng.NextIndex(3); f < n; ++f) {
+            mutant[rng.NextIndex(mutant.size())] = static_cast<char>(rng.NextIndex(256));
+          }
+          break;
+        default:  // splice an opener
+          mutant.insert(rng.NextIndex(mutant.size() + 1), 1, "[{\""[rng.NextIndex(3)]);
+          break;
+      }
+      const JsonParseResult parsed = ParseJson(mutant);
+      if (!parsed.ok()) {
+        EXPECT_FALSE(parsed.error.empty());
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const std::string once = parsed.value.Dump();
+      const JsonParseResult again = ParseJson(once);
+      ASSERT_TRUE(again.ok()) << again.error << " in " << once;
+      ASSERT_EQ(again.value.Dump(), once) << mutant;
+    }
+  }
+  // Both outcomes occur, so the suite exercises each side.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/result_cache.h"
@@ -414,6 +415,57 @@ TEST(ServeTest, StructuredErrorsNameCodeAndField) {
   EXPECT_EQ(tiny_lsh.Get("code").AsString(), "failed_precondition");
   EXPECT_NE(tiny_lsh.Get("error").AsString().find("at least 2"),
             std::string::npos);
+}
+
+TEST(ServeTest, InlineRowsValidationMessagesArePinned) {
+  // The exact bytes of every inline-rows error, for each op that reads
+  // rows: load and append take `rows`, value takes `queries` and names it.
+  PipelineOptions options;
+  options.emit_timing = false;
+  RequestPipeline pipeline(options);
+  auto handle = [&](const std::string& line) {
+    return pipeline.HandleSync(ParseJson(line).value);
+  };
+  ASSERT_TRUE(handle(R"({"op":"load","name":"a","rows":)" + RowsJson(12, 3, 2, 43) +
+                     R"(,"target":"label"})")
+                  .Get("ok")
+                  .AsBool());
+
+  const std::pair<const char*, const char*> cases[] = {
+      {"5", "'rows' must be a non-empty array of rows"},
+      {"[]", "'rows' must be a non-empty array of rows"},
+      {"[[0.1,0.2,0.3,1],5]", "each row must be a non-empty array of numbers"},
+      {"[[]]", "each row must be a non-empty array of numbers"},
+      {"[[1]]", "row has no feature columns"},
+      {R"([["x",0.2,0.3,1]])", "non-numeric feature cell"},
+      {"[[1e300,0.2,0.3,1]]", "feature cell must be a finite number in float range"},
+      {"[[0.1,0.2,0.3,1],[0.1,0.2,1]]", "inconsistent row arity"},
+      {R"([[0.1,0.2,0.3,"x"]])", "non-numeric label/target cell"},
+      {"[[0.1,0.2,0.3,1e12]]", "label cell must be a finite number in int range"},
+  };
+  for (const auto& [rows, message] : cases) {
+    const JsonValue load = handle(R"({"op":"load","name":"b","rows":)" +
+                                  std::string(rows) + R"(,"target":"label"})");
+    EXPECT_FALSE(load.Get("ok").AsBool(true)) << rows;
+    EXPECT_EQ(load.Get("code").AsString(), "invalid_argument") << rows;
+    EXPECT_EQ(load.Get("error").AsString(), std::string("load: ") + message);
+
+    const JsonValue append =
+        handle(R"({"op":"append","name":"a","rows":)" + std::string(rows) + "}");
+    EXPECT_FALSE(append.Get("ok").AsBool(true)) << rows;
+    EXPECT_EQ(append.Get("code").AsString(), "invalid_argument") << rows;
+    EXPECT_EQ(append.Get("error").AsString(), std::string("append: ") + message);
+
+    const JsonValue value = handle(R"({"op":"value","train":"a","queries":)" +
+                                   std::string(rows) + "}");
+    EXPECT_FALSE(value.Get("ok").AsBool(true)) << rows;
+    EXPECT_EQ(value.Get("code").AsString(), "invalid_argument") << rows;
+    EXPECT_EQ(value.Get("error").AsString(), std::string("value: ") + message);
+    EXPECT_EQ(value.Get("field").AsString(), "queries") << rows;
+  }
+  // No failed request left a corpus behind or changed one.
+  EXPECT_FALSE(pipeline.Store().Get("b").has_value());
+  EXPECT_EQ(pipeline.Store().Get("a")->data->Size(), 12u);
 }
 
 TEST(ServeTest, PipelineHonorsACustomEngineRegistry) {
