@@ -59,10 +59,17 @@ bool CorpusStore::Append(const std::string& name, const Dataset& rows,
   }
 
   const size_t old_rows = current.Size();
-  Dataset next = current;  // copy-on-write: readers keep the old version
+  // Copy-on-write: readers keep the old version. Sized once, so the
+  // corpus is copied once.
+  Dataset next;
   next.features.Reserve(old_rows + rows.Size(), current.Dim());
-  for (size_t r = 0; r < rows.Size(); ++r) next.features.AppendRow(rows.features.Row(r));
+  next.features.AppendRows(current.features);
+  next.features.AppendRows(rows.features);
+  next.labels.reserve(current.labels.size() + rows.labels.size());
+  next.labels.insert(next.labels.end(), current.labels.begin(), current.labels.end());
   next.labels.insert(next.labels.end(), rows.labels.begin(), rows.labels.end());
+  next.targets.reserve(current.targets.size() + rows.targets.size());
+  next.targets.insert(next.targets.end(), current.targets.begin(), current.targets.end());
   next.targets.insert(next.targets.end(), rows.targets.begin(), rows.targets.end());
 
   // Incremental: only the trailing (possibly partial) block and the new

@@ -12,9 +12,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <string_view>
+#include <numeric>
 #include <system_error>
-#include <unordered_map>
 
 namespace knnshap {
 
@@ -35,11 +34,6 @@ bool ParseDouble(const char* begin, const char* end, double* out) {
   *out = std::strtod(text.c_str(), &parse_end);
   return parse_end == text.c_str() + text.size();
 }
-
-// Objects up to this many fields find duplicate keys by a linear scan;
-// larger ones through a hash index, so a hostile line of 100k distinct
-// keys parses in linear time.
-constexpr size_t kLinearDedupFields = 16;
 
 }  // namespace
 
@@ -155,42 +149,40 @@ class JsonParser {
   }
 
   // Moves fields_[base..] into one object. A repeated key keeps its first
-  // position and takes the last value.
+  // position and takes the last value. The positions are sorted by (key,
+  // position), so each run of equal keys starts at the first position and
+  // ends at the last value: O(n log n) key comparisons whatever the keys.
   JsonValue CloseObject(size_t base) {
-    const auto first = fields_.begin() + static_cast<std::ptrdiff_t>(base);
+    auto* const first = fields_.data() + base;
     const size_t count = fields_.size() - base;
-    JsonValue::FieldList out;
-    out.reserve(count);
-    if (count <= kLinearDedupFields) {
-      for (auto it = first; it != fields_.end(); ++it) {
-        auto same = std::find_if(out.begin(), out.end(), [&](const auto& field) {
-          return field.first == it->first;
-        });
-        if (same != out.end()) {
-          same->second = std::move(it->second);
-        } else {
-          out.push_back(std::move(*it));
-        }
+    order_.resize(count);
+    std::iota(order_.begin(), order_.end(), size_t{0});
+    std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      const int c = first[a].first.compare(first[b].first);
+      return c < 0 || (c == 0 && a < b);
+    });
+    dropped_.assign(count, 0);
+    size_t kept = count;
+    for (size_t run = 0; run < count;) {
+      auto& head = first[order_[run]];
+      size_t next = run + 1;
+      while (next < count && first[order_[next]].first == head.first) {
+        dropped_[order_[next]] = 1;
+        ++next;
       }
-    } else {
-      // Views into out's keys: the reserve above keeps them in place.
-      std::unordered_map<std::string_view, size_t> index;
-      index.reserve(count);
-      for (auto it = first; it != fields_.end(); ++it) {
-        const auto same = index.find(it->first);
-        if (same != index.end()) {
-          out[same->second].second = std::move(it->second);
-        } else {
-          out.push_back(std::move(*it));
-          index.emplace(out.back().first, out.size() - 1);
-        }
+      if (next - run > 1) {
+        head.second = std::move(first[order_[next - 1]].second);
+        kept -= next - run - 1;
       }
+      run = next;
     }
-    fields_.erase(first, fields_.end());
-    JsonValue obj;
-    obj.type_ = JsonValue::Type::kObject;
-    obj.payload_.fields = new JsonValue::FieldList(std::move(out));
-    return obj;
+    JsonValue::FieldList out;
+    out.reserve(kept);
+    for (size_t i = 0; i < count; ++i) {
+      if (!dropped_[i]) out.push_back(std::move(first[i]));
+    }
+    fields_.resize(base);
+    return JsonValue(std::move(out));
   }
 
   JsonValue ParseArray(std::string* error) {
@@ -209,12 +201,10 @@ class JsonParser {
       }
     }
     const auto first = items_.begin() + static_cast<std::ptrdiff_t>(base);
-    JsonValue arr;
-    arr.type_ = JsonValue::Type::kArray;
-    arr.payload_.items = new std::vector<JsonValue>(std::make_move_iterator(first),
-                                                    std::make_move_iterator(items_.end()));
+    std::vector<JsonValue> items(std::make_move_iterator(first),
+                                 std::make_move_iterator(items_.end()));
     items_.erase(first, items_.end());
-    return arr;
+    return JsonValue(std::move(items));
   }
 
   // Parses the string at p_ (on its opening quote) into *out; false (and
@@ -301,6 +291,8 @@ class JsonParser {
   int depth_ = 0;
   std::vector<JsonValue> items_;  // items of the open arrays
   JsonValue::FieldList fields_;   // fields of the open objects
+  std::vector<size_t> order_;     // CloseObject's sorted field positions
+  std::vector<char> dropped_;     // CloseObject's repeated-key marks
 };
 
 namespace {
@@ -472,19 +464,16 @@ void JsonValue::Release() {
   }
 }
 
-JsonValue JsonValue::MakeArray() {
-  JsonValue v;
-  v.payload_.items = new std::vector<JsonValue>();
-  v.type_ = Type::kArray;
-  return v;
-}
+JsonValue::JsonValue(std::vector<JsonValue>&& items)
+    : type_(Type::kArray),
+      payload_{.items = new std::vector<JsonValue>(std::move(items))} {}
 
-JsonValue JsonValue::MakeObject() {
-  JsonValue v;
-  v.payload_.fields = new FieldList();
-  v.type_ = Type::kObject;
-  return v;
-}
+JsonValue::JsonValue(FieldList&& fields)
+    : type_(Type::kObject), payload_{.fields = new FieldList(std::move(fields))} {}
+
+JsonValue JsonValue::MakeArray() { return JsonValue(std::vector<JsonValue>()); }
+
+JsonValue JsonValue::MakeObject() { return JsonValue(FieldList()); }
 
 const std::string& JsonValue::EmptyString() {
   static const std::string empty;

@@ -14,7 +14,9 @@
 //
 // Objects keep their key order on write. A duplicate key keeps the first
 // key's position and the last key's value: {"a":1,"b":2,"a":3} parses to
-// {"a":3,"b":2}, in O(n) expected time per object.
+// {"a":3,"b":2}. The parser finds duplicates by sorting the field
+// positions by key, O(n log n) key comparisons per object in the worst
+// case; no hash, so no chosen keys can make it quadratic.
 //
 // Numbers are doubles (JSON's own model). The parser takes strtod's
 // grammar and bits. The serializer prints %g when that reads back to the
@@ -112,6 +114,10 @@ class JsonValue {
  private:
   friend class JsonParser;
   using FieldList = std::vector<std::pair<std::string, JsonValue>>;
+
+  /// An array or object that owns the given children.
+  explicit JsonValue(std::vector<JsonValue>&& items);
+  explicit JsonValue(FieldList&& fields);
 
   union Payload {
     bool boolean;

@@ -16,6 +16,14 @@ void Matrix::AppendRow(std::span<const float> row) {
   ++rows_;
 }
 
+void Matrix::AppendRows(const Matrix& other) {
+  if (other.rows_ == 0) return;
+  if (rows_ == 0 && cols_ == 0) cols_ = other.cols_;
+  KNNSHAP_CHECK(other.cols_ == cols_, "row length mismatch");
+  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
+  rows_ += other.rows_;
+}
+
 void Matrix::Scale(double factor) {
   for (auto& x : data_) x = static_cast<float>(x * factor);
 }

@@ -43,6 +43,10 @@ class Matrix {
   /// Appends a row; its length must equal Cols() (or set Cols on first row).
   void AppendRow(std::span<const float> row);
 
+  /// Appends every row of `other`; its width must equal Cols() (or set
+  /// Cols on first row).
+  void AppendRows(const Matrix& other);
+
   /// Capacity for `rows` rows of `cols` values, so AppendRow does not
   /// regrow the storage.
   void Reserve(size_t rows, size_t cols) { data_.reserve(rows * cols); }

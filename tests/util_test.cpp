@@ -307,6 +307,22 @@ TEST(MatrixTest, AppendRowGrows) {
   EXPECT_EQ(m.Cols(), 3u);
 }
 
+TEST(MatrixTest, AppendRowsCopiesEveryRowInOrder) {
+  Matrix a;
+  a.AppendRows(Matrix());
+  EXPECT_TRUE(a.Empty());
+  Matrix b(2, 3);
+  b.At(1, 2) = 7.0f;
+  Matrix c(1, 3);
+  c.At(0, 0) = -1.0f;
+  a.AppendRows(b);
+  a.AppendRows(c);
+  EXPECT_EQ(a.Rows(), 3u);
+  EXPECT_EQ(a.Cols(), 3u);
+  EXPECT_FLOAT_EQ(a.At(1, 2), 7.0f);
+  EXPECT_FLOAT_EQ(a.At(2, 0), -1.0f);
+}
+
 TEST(MatrixTest, ScaleMultipliesEverything) {
   Matrix m(1, 2);
   m.At(0, 0) = 2.0f;
