@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -221,66 +222,51 @@ TEST(JsonParseTest, DuplicateKeysKeepFirstPositionAndLastValue) {
   }
 }
 
-TEST(JsonParseTest, ManyDistinctKeysParseQuickly) {
-  // One object of 200k distinct keys: a quadratic duplicate scan takes
-  // minutes here and stalls the server's reader thread.
-  constexpr size_t kKeys = 200'000;
+// One object of `count` fields; field i is "<prefix><key(i)>":i.
+std::string ObjectText(size_t count, const std::string& prefix,
+                       const std::function<size_t(size_t)>& key) {
   std::string text = "{";
-  for (size_t k = 0; k < kKeys; ++k) {
-    text += k > 0 ? ",\"key" : "\"key";
-    text += std::to_string(k);
+  for (size_t i = 0; i < count; ++i) {
+    text += i > 0 ? ",\"" : "\"";
+    text += prefix + std::to_string(key(i));
     text += "\":";
-    text += std::to_string(k);
+    text += std::to_string(i);
   }
-  text += "}";
-  const auto start = std::chrono::steady_clock::now();
-  const JsonParseResult parsed = ParseJson(text);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_LT(seconds, 10.0);
-  ASSERT_EQ(parsed.value.Fields().size(), kKeys);
-  EXPECT_EQ(parsed.value.Fields().back().first, "key199999");
-  EXPECT_EQ(parsed.value.Get("key123456").AsNumber(), 123456.0);
+  return text + "}";
 }
 
-TEST(JsonParseTest, KeysChosenAgainstTheDedupeParseQuickly) {
-  // The worst cases for a sort of the keys: one key repeated 200k times,
-  // and 50k keys in descending order behind a shared 256-byte prefix.
-  const auto parse_seconds = [](const std::string& text, JsonParseResult* parsed) {
-    const auto start = std::chrono::steady_clock::now();
-    *parsed = ParseJson(text);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-        .count();
-  };
-  constexpr size_t kRepeats = 200'000;
-  std::string text = "{";
-  for (size_t k = 0; k < kRepeats; ++k) {
-    text += k > 0 ? ",\"a\":" : "\"a\":";
-    text += std::to_string(k);
-  }
-  text += "}";
-  JsonParseResult parsed;
-  EXPECT_LT(parse_seconds(text, &parsed), 10.0);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  ASSERT_EQ(parsed.value.Fields().size(), 1u);
-  EXPECT_EQ(parsed.value.Get("a").AsNumber(), static_cast<double>(kRepeats - 1));
-
-  constexpr size_t kKeys = 50'000;
+TEST(JsonParseTest, LargeObjectsParseQuickly) {
+  // A quadratic duplicate scan takes minutes on 200k distinct keys and
+  // stalls the server's reader thread. One key repeated 200k times and
+  // descending keys behind a shared 256-byte prefix are a key sort's
+  // worst cases.
   const std::string prefix(256, 'p');
-  text = "{";
-  for (size_t k = kKeys; k-- > 0;) {
-    text += k + 1 < kKeys ? ",\"" : "\"";
-    text += prefix + std::to_string(k);
-    text += "\":";
-    text += std::to_string(k);
+  struct Case {
+    std::string text;
+    size_t fields;
+    std::string first_key;
+    std::string probe_key;
+    double probe_value;
+  };
+  const Case cases[] = {
+      {ObjectText(200'000, "key", [](size_t i) { return i; }), 200'000, "key0",
+       "key123456", 123456.0},
+      {ObjectText(200'000, "a", [](size_t) { return size_t{0}; }), 1, "a0", "a0",
+       199'999.0},
+      {ObjectText(50'000, prefix, [](size_t i) { return 49'999 - i; }), 50'000,
+       prefix + "49999", prefix + "12345", 37'654.0},
+  };
+  for (const Case& c : cases) {
+    const auto start = std::chrono::steady_clock::now();
+    const JsonParseResult parsed = ParseJson(c.text);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    EXPECT_LT(seconds, 10.0);
+    ASSERT_EQ(parsed.value.Fields().size(), c.fields);
+    EXPECT_EQ(parsed.value.Fields().front().first, c.first_key);
+    EXPECT_EQ(parsed.value.Get(c.probe_key).AsNumber(), c.probe_value);
   }
-  text += "}";
-  EXPECT_LT(parse_seconds(text, &parsed), 10.0);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  ASSERT_EQ(parsed.value.Fields().size(), kKeys);
-  EXPECT_EQ(parsed.value.Fields().front().first, prefix + std::to_string(kKeys - 1));
-  EXPECT_EQ(parsed.value.Get(prefix + "12345").AsNumber(), 12345.0);
 }
 
 // Every line of the golden session plus one 1k-row inline load line.
