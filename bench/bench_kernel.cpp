@@ -30,23 +30,33 @@
 // fourth "crossover" grid times the two paths PartialArgsortDistances picks
 // between — internal::TopRHeap against the full ArgsortDistances — at
 // r = n/64, n/32, n/16 and n/8 for N = 100k and 1M: the record behind
-// internal::kHeapRankDivisor (the heap runs while r <= n/32).
-// In --smoke mode the selection and sort arms double as perf regression
-// gates: the process exits nonzero if the select path is slower than the
-// argsort path at N=100k, or the radix argsort is slower than the
-// comparator sort at N=200k.
+// internal::kHeapRankDivisor (the heap runs while r <= n/32). A fifth
+// "number" arm times JsonValue::Dump of a 200k-value array of seeded
+// Shapley-shaped doubles (a fullrank reply's values) against
+// std::to_chars(general, 17) alone over the same values, in ns per value.
+// In --smoke mode the selection, sort and number arms double as perf
+// regression gates: the process exits nonzero if the select path is
+// slower than the argsort path at N=100k, the radix argsort is slower
+// than the comparator sort at N=200k, or Dump is slower than to_chars.
+// The JSON records the host's core count and kernel.
+
+#include <sys/utsname.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/exact_knn_shapley.h"
 #include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/neighbors.h"
 #include "knn/selection.h"
+#include "util/json.h"
 #include "util/random.h"
 
 using namespace knnshap;
@@ -175,6 +185,49 @@ double TimeSelectPath(const Matrix& corpus, const CorpusNorms& norms,
   return timer.Millis() / static_cast<double>(queries.Rows());
 }
 
+// Values shaped like a fullrank reply: Theorem 1's recursion on 4
+// queries with seeded 3-class labels, averaged per training row.
+std::vector<double> ShapleyShapedValues(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(n, 0.0);
+  std::vector<int> labels(n);
+  std::vector<size_t> rows(n);
+  for (int query = 0; query < 4; ++query) {
+    for (int& label : labels) label = static_cast<int>(rng.NextIndex(3));
+    for (size_t i = 0; i < n; ++i) rows[i] = i;
+    rng.Shuffle(&rows);
+    const std::vector<double> by_rank = KnnShapleyRecursion(labels, 0, 5);
+    for (size_t rank = 0; rank < n; ++rank) values[rows[rank]] += by_rank[rank] / 4;
+  }
+  return values;
+}
+
+struct NumberResult {
+  double dump_ns = 0.0;      // JsonValue::Dump of the whole array, per value
+  double to_chars_ns = 0.0;  // to_chars(general, 17) + ',' per value
+};
+
+NumberResult TimeNumbers(size_t n, size_t repeats) {
+  const std::vector<double> values = ShapleyShapedValues(n, /*seed=*/43);
+  JsonValue array = JsonValue::MakeArray();
+  for (double v : values) array.Append(JsonValue(v));
+  NumberResult result;
+  result.dump_ns = MedianMs(repeats, [&] { array.Dump(); }) * 1e6 /
+                   static_cast<double>(n);
+  std::string out;
+  char buf[32];
+  result.to_chars_ns =
+      MedianMs(repeats, [&] {
+        out.clear();
+        for (double v : values) {
+          out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                        std::chars_format::general, 17).ptr);
+          out.push_back(',');
+        }
+      }) * 1e6 / static_cast<double>(n);
+  return result;
+}
+
 ModeResult TimeKernel(const Matrix& corpus, const Matrix& queries, Metric metric,
                       KernelKind kind, size_t argsort_repeats) {
   SetKernelOverride(kind);
@@ -235,6 +288,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json, "{\n  \"bench\": \"kernel\",\n  \"smoke\": %s,\n",
                smoke ? "true" : "false");
+  struct utsname host;
+  const bool have_uname = uname(&host) == 0;
+  std::fprintf(json, "  \"host\": {\"cores\": %u, \"kernel\": \"%s %s\"},\n",
+               std::thread::hardware_concurrency(), have_uname ? host.sysname : "unknown",
+               have_uname ? host.release : "");
   std::fprintf(json, "  \"queries\": %zu,\n  \"cpu_avx2_fma\": %s,\n",
                num_queries, CpuSupportsAvx2Fma() ? "true" : "false");
   std::fprintf(json, "  \"results\": [\n");
@@ -369,7 +427,20 @@ int main(int argc, char** argv) {
                    n, r, divisor, heap_ms, argsort_ms, ratio);
     }
   }
-  std::fprintf(json, "\n  ]\n}\n");
+  std::fprintf(json, "\n  ],\n");
+
+  // Number arm: the reply serializer against the %.17g print it replaces.
+  const size_t number_n = 200000;
+  const NumberResult numbers = TimeNumbers(number_n, smoke ? 5 : 15);
+  const double number_speedup =
+      numbers.dump_ns > 0.0 ? numbers.to_chars_ns / numbers.dump_ns : 0.0;
+  bench::Row("N=%-8zu Dump %7.1f ns/value  to_chars(17) %7.1f ns/value  (%.2fx)\n",
+             number_n, numbers.dump_ns, numbers.to_chars_ns, number_speedup);
+  std::fprintf(json,
+               "  \"number\": [\n    {\"n\": %zu, \"dump_ns_per_value\": %.2f, "
+               "\"to_chars17_ns_per_value\": %.2f, \"speedup_vs_to_chars\": %.2f}\n  ]\n}\n",
+               number_n, numbers.dump_ns, numbers.to_chars_ns, number_speedup);
+  const bool number_ok = !smoke || numbers.dump_ns <= numbers.to_chars_ns;
   std::fclose(json);
   bench::Row("wrote %s\n", json_path.c_str());
   if (!select_ok) {
@@ -381,6 +452,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: radix argsort slower than comparator sort in smoke "
                  "gate\n");
+    return 1;
+  }
+  if (!number_ok) {
+    std::fprintf(stderr,
+                 "FAIL: JsonValue::Dump slower than to_chars(general, 17) in "
+                 "smoke gate\n");
     return 1;
   }
   return 0;

@@ -2,7 +2,10 @@
 
 #include "util/cli.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <system_error>
 
 #include "util/common.h"
 
@@ -67,7 +70,31 @@ double CommandLine::GetDouble(const std::string& name, double fallback) const {
 }
 
 int CommandLine::GetInt(const std::string& name, int fallback) const {
-  return static_cast<int>(GetDouble(name, fallback));
+  int value = 0;
+  std::string error;
+  KNNSHAP_CHECK(ParseInt(name, fallback, std::numeric_limits<int>::min(), &value, &error),
+                error);
+  return value;
+}
+
+bool CommandLine::ParseInt(const std::string& name, int fallback, int min_value,
+                           int* out, std::string* error) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) {
+    *out = fallback;
+    return true;
+  }
+  const std::string& text = it->second;
+  int value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < min_value) {
+    *error = "--" + name + " must be an integer in [" + std::to_string(min_value) +
+             ", " + std::to_string(std::numeric_limits<int>::max()) + "], got '" +
+             text + "'";
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace knnshap

@@ -32,7 +32,16 @@ class CommandLine {
 
   std::string GetString(const std::string& name, const std::string& fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
+  /// Aborts, like GetDouble, unless the value is a base-10 integer in
+  /// int's range.
   int GetInt(const std::string& name, int fallback) const;
+
+  /// The integer flag `name` into *out (`fallback` when absent). Returns
+  /// false, with a message naming the flag in *error, unless the value is
+  /// a base-10 integer in [min_value, INT_MAX]: "2.5", "1e3" and "-1" with
+  /// min_value 0 are errors, never truncated or wrapped.
+  bool ParseInt(const std::string& name, int fallback, int min_value, int* out,
+                std::string* error) const;
 
   /// Dataset-size multiplier shared by all benches (--scale).
   double Scale() const { return GetDouble("scale", 1.0); }

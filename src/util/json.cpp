@@ -3,6 +3,7 @@
 #include "util/json.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -11,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
-#include <limits>
 #include <numeric>
 #include <system_error>
 
@@ -328,33 +328,138 @@ void EscapeInto(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-// Whether %g can read back the double whose %.17g bytes are [begin, end).
-// Returns false only when it provably cannot. If %g's 6-digit decimal D6
-// reads back to n, then n is the double nearest D6, so |D6 - n| is at
-// most half an ulp of n, below 11.2 units of n's 17th significant digit
-// for every normal n. The 17-digit D17 is within half a unit of n. So
-// D17 lies within 12 units of a multiple of 10^11 units (D6's grid), and
-// digits 7-17 of D17 read as an integer are near 0 or near 10^11.
-// Subnormals have a coarser relative ulp and are left to the exact check.
-bool MayRoundTripSixDigits(double n, const char* begin, const char* end) {
-  if (std::fabs(n) < std::numeric_limits<double>::min()) return true;
-  constexpr uint64_t kTailGrid = 100'000'000'000;  // 10^11
-  constexpr uint64_t kTailSlack = 16;
-  uint64_t tail = 0;  // significant digits 7..17
-  int digits = 0;
-  for (const char* p = begin; p != end && *p != 'e'; ++p) {
-    if (*p < '0' || *p > '9' || (digits == 0 && *p == '0')) continue;
-    if (digits >= 6) tail = tail * 10 + static_cast<uint64_t>(*p - '0');
-    ++digits;
+using Uint128 = unsigned __int128;
+
+constexpr uint64_t kPow10To16 = 10'000'000'000'000'000;
+constexpr uint64_t kPow10To17 = 100'000'000'000'000'000;
+
+// 5^0 .. 5^32. 5^32 < 2^75, so m * 5^k < 2^128 for every 53-bit m.
+constexpr std::array<Uint128, 33> kPow5 = [] {
+  std::array<Uint128, 33> pow5{};
+  pow5[0] = 1;
+  for (size_t k = 1; k < pow5.size(); ++k) pow5[k] = pow5[k - 1] * 5;
+  return pow5;
+}();
+
+constexpr char kDigitPairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+// %.17g's digits of a = |n| = m * 2^e, exactly, in integer arithmetic:
+// the 17-digit integer q = round(a * 10^k) and the decimal exponent x of
+// its first digit, with k = 16 - x. a * 10^k = m * 5^k * 2^(e+k), so q is
+// m * 5^k in 128 bits, shifted right by -(e+k) bits; the remainder
+// against half the divisor rounds, and an exact tie goes to the even q,
+// as printf does. Returns false, and the caller falls back to to_chars,
+// for zero, subnormals, Inf/NaN and every a whose k leaves [0, 32]:
+// roughly a < 1e-16 or a >= 1e17.
+//
+// x starts as floor(log10(2^b)) for a's binary exponent b (b * 78913 >>
+// 18 is that floor for every normal b), which is x or one below it. The estimate is one low exactly when the unrounded quotient
+// reaches 10^17; the pass then reruns with k one smaller. A q that rounds
+// up to 10^17 is 10^16 with x one higher, as in %e. (DumpNumber never
+// prints such a q: its digits 7-17 are zero, and %g reads it back.)
+bool SeventeenDigits(double n, uint64_t* q_out, int* x_out) {
+  uint64_t bits;
+  std::memcpy(&bits, &n, sizeof bits);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  if (biased == 0 || biased == 0x7ff) return false;
+  const uint64_t m = (bits & ((uint64_t{1} << 52) - 1)) | (uint64_t{1} << 52);
+  const int e = biased - 1075;
+  int x = ((e + 52) * 78913) >> 18;
+  for (;;) {
+    const int k = 16 - x;
+    if (k < 0 || k > 32) return false;
+    const Uint128 scaled = m * kPow5[static_cast<size_t>(k)];
+    const int shift = -(e + k);
+    // For shift <= 0, a * 10^k is an integer: there is nothing to round.
+    const Uint128 quotient = shift <= 0 ? scaled << -shift : scaled >> shift;
+    if (quotient >= kPow10To17) {
+      ++x;
+      continue;
+    }
+    uint64_t q = static_cast<uint64_t>(quotient);
+    if (shift > 0) {
+      const Uint128 rem = scaled & ((Uint128{1} << shift) - 1);
+      const Uint128 half = Uint128{1} << (shift - 1);
+      if (rem > half || (rem == half && (q & 1) != 0)) ++q;
+    }
+    if (q == kPow10To17) {
+      q = kPow10To16;
+      ++x;
+    }
+    *q_out = q;
+    *x_out = x;
+    return true;
   }
-  for (; digits < 17; ++digits) tail *= 10;  // %.17g dropped trailing zeros
-  return tail <= kTailSlack || kTailGrid - tail <= kTailSlack;
+}
+
+void WriteEightDigits(uint32_t v, char* out) {
+  const uint32_t high = v / 10000;
+  const uint32_t low = v % 10000;
+  std::memcpy(out, kDigitPairs + 2 * (high / 100), 2);
+  std::memcpy(out + 2, kDigitPairs + 2 * (high % 100), 2);
+  std::memcpy(out + 4, kDigitPairs + 2 * (low / 100), 2);
+  std::memcpy(out + 6, kDigitPairs + 2 * (low % 100), 2);
+}
+
+// Writes SeventeenDigits' (q, x) by %.17g's rules at `p` and returns the
+// end: trailing zeros stripped, scientific notation with a sign and at
+// least two exponent digits when x < -4 or x >= 17, else fixed notation.
+// |x| <= 17 here, so the exponent is always two digits.
+char* FormatSeventeenDigits(bool negative, uint64_t q, int x, char* p) {
+  char digits[17];
+  digits[0] = static_cast<char>('0' + q / kPow10To16);
+  const uint64_t rest = q % kPow10To16;
+  WriteEightDigits(static_cast<uint32_t>(rest / 100'000'000), digits + 1);
+  WriteEightDigits(static_cast<uint32_t>(rest % 100'000'000), digits + 9);
+  int len = 17;
+  while (digits[len - 1] == '0') --len;  // q >= 10^16: digits[0] != '0'
+  if (negative) *p++ = '-';
+  if (x < -4 || x >= 17) {
+    *p++ = digits[0];
+    if (len > 1) {
+      *p++ = '.';
+      std::memcpy(p, digits + 1, static_cast<size_t>(len - 1));
+      p += len - 1;
+    }
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    std::memcpy(p, kDigitPairs + 2 * std::abs(x), 2);
+    return p + 2;
+  }
+  if (x < 0) {
+    *p++ = '0';
+    *p++ = '.';
+    for (int i = 0; i < -x - 1; ++i) *p++ = '0';
+    std::memcpy(p, digits, static_cast<size_t>(len));
+    return p + len;
+  }
+  std::memcpy(p, digits, static_cast<size_t>(x + 1));
+  p += x + 1;
+  if (len > x + 1) {
+    *p++ = '.';
+    std::memcpy(p, digits + x + 1, static_cast<size_t>(len - x - 1));
+    p += len - x - 1;
+  }
+  return p;
 }
 
 // %g when it reads back losslessly, else %.17g (exact for every double);
 // null for Inf/NaN, which JSON lacks. to_chars with an explicit precision
-// prints printf's bytes. %.17g is printed first: for almost every value
-// it shows that %g cannot read back, and is then final.
+// prints printf's bytes.
+//
+// The %.17g digits come first, from SeventeenDigits, and usually show
+// that %g cannot read back, so no %g print or parse-back is needed. If
+// %g's 6-digit decimal D6 reads back to n, then n is the double nearest
+// D6, so |D6 - n| is at most half an ulp of n, below 11.2 units of n's
+// 17th significant digit for every normal n. The 17-digit q is within
+// half a unit of n. So q lies within 12 units of a multiple of 10^11 (D6's
+// grid): digits 7-17, q % 10^11, are near 0 or near 10^11. Only then, or
+// outside SeventeenDigits' range, does the exact %g check run.
 void DumpNumber(double n, std::string* out) {
   if (!std::isfinite(n)) {
     *out += "null";
@@ -366,11 +471,14 @@ void DumpNumber(double n, std::string* out) {
     *out += std::signbit(n) ? "-0" : "0";
     return;
   }
-  char full[32];
-  char* const full_end =
-      std::to_chars(full, full + sizeof full, n, std::chars_format::general, 17).ptr;
-  if (MayRoundTripSixDigits(n, full, full_end)) {
-    char buf[32];
+  constexpr uint64_t kTailGrid = 100'000'000'000;  // 10^11
+  constexpr uint64_t kTailSlack = 16;
+  uint64_t q = 0;
+  int x = 0;
+  const bool exact = SeventeenDigits(std::fabs(n), &q, &x);
+  const uint64_t tail = q % kTailGrid;
+  char buf[32];
+  if (!exact || tail <= kTailSlack || kTailGrid - tail <= kTailSlack) {
     char* const end =
         std::to_chars(buf, buf + sizeof buf, n, std::chars_format::general, 6).ptr;
     double back = 0.0;
@@ -379,7 +487,10 @@ void DumpNumber(double n, std::string* out) {
       return;
     }
   }
-  out->append(full, full_end);
+  char* const end =
+      exact ? FormatSeventeenDigits(std::signbit(n), q, x, buf)
+            : std::to_chars(buf, buf + sizeof buf, n, std::chars_format::general, 17).ptr;
+  out->append(buf, end);
 }
 
 void DumpInto(const JsonValue& v, std::string* out) {

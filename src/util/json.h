@@ -21,6 +21,12 @@
 // Numbers are doubles (JSON's own model). The parser takes strtod's
 // grammar and bits. The serializer prints %g when that reads back to the
 // same double, else %.17g (exact for every double), and Inf/NaN as null.
+// For a normal |n| = m * 2^e in roughly [1e-16, 1e17), %.17g's digits are
+// computed in integers: q = round(|n| * 10^k) is m * 5^k shifted right by
+// -(e+k) bits, with k = 16 - x <= 32 for the decimal exponent x. m < 2^53
+// and 5^32 < 2^75, so m * 5^k fits in 128 bits and q is exact; a remainder
+// of exactly half rounds to the even q, as printf does. Other magnitudes
+// and subnormals go through std::to_chars. Both give printf's bytes.
 // \uXXXX escapes outside the BMP-ASCII range are replaced with '?'. These
 // never matter for the serve protocol.
 

@@ -5,20 +5,24 @@
 // per-entry checksums, prefix salvage of torn files, and a table of
 // hand-corrupted files covering every untrusted header/length field —
 // each must yield a specific structured Status, never UB (this test runs
-// in CI's ASan/UBSan matrix).
+// in CI's ASan/UBSan matrix), plus a seeded mutation suite over the
+// whole file.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/result_cache.h"
 #include "util/fault.h"
+#include "util/random.h"
 
 namespace knnshap {
 namespace {
@@ -298,6 +302,75 @@ TEST_F(CacheCorruptionTest, FlippedPayloadBitFailsItsChecksumOnly) {
   EXPECT_NE(loaded.value().warning.find("checksum mismatch"),
             std::string::npos)
       << loaded.value().warning;
+}
+
+// Seeded mutants of the saved three-entry file: every truncation, 4000
+// byte flips, and the count and length fields overwritten with 0, 2^48
+// and 2^64-1. Each load must fail with not_found or data_loss, or merge
+// only a prefix of the file's own entries, each with its saved values.
+TEST_F(CacheCorruptionTest, SeededMutantsFailOrSalvageAValidPrefix) {
+  // SaveTo writes most recent first; Fill made entry 3 the most recent.
+  std::vector<ResultCacheKey> file_order;
+  for (int i = 3; i >= 1; --i) file_order.push_back(Key(100 + i, 200 + i, "exact"));
+  ResultCache original(8);
+  Fill(&original, 3, 4);
+
+  size_t mutants = 0;
+  const auto check = [&](const std::string& bytes, const std::string& what) {
+    ++mutants;
+    WriteAll(path_, bytes);
+    ResultCache cache(8);
+    const StatusOr<CacheLoadResult> loaded = cache.LoadFrom(path_);
+    if (!loaded.ok()) {
+      const StatusCode code = loaded.status().code();
+      ASSERT_TRUE(code == StatusCode::kNotFound || code == StatusCode::kDataLoss)
+          << what << ": " << loaded.status().ToString();
+      ASSERT_EQ(cache.Size(), 0u) << what;
+      return;
+    }
+    const size_t entries = loaded.value().entries;
+    ASSERT_LE(entries, file_order.size()) << what;
+    ASSERT_EQ(cache.Size(), entries) << what;
+    for (size_t e = 0; e < entries; ++e) {
+      const auto values = cache.Get(file_order[e]);
+      ASSERT_NE(values, nullptr) << what << ": entry " << e;
+      ASSERT_EQ(*values, *original.Get(file_order[e])) << what << ": entry " << e;
+    }
+  };
+
+  for (size_t cut = 0; cut < bytes_.size(); ++cut) {
+    ASSERT_NO_FATAL_FAILURE(check(bytes_.substr(0, cut), "cut at " + std::to_string(cut)));
+  }
+  Rng rng(20261018);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string mutated = bytes_;
+    const int flips = 1 + static_cast<int>(rng.NextIndex(3));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.NextIndex(mutated.size())] = static_cast<char>(rng.NextIndex(256));
+    }
+    ASSERT_NO_FATAL_FAILURE(check(mutated, "flip trial " + std::to_string(trial)));
+  }
+  // (offset, width) of the header count and of each entry's method length
+  // (4 bytes; the values saturate) and value count.
+  std::vector<std::pair<size_t, size_t>> fields = {{12, 8}};
+  for (size_t e = 0; e < 3; ++e) {
+    fields.push_back({20 + e * entry_size_ + 3 * 8, 4});
+    fields.push_back({20 + e * entry_size_ + 3 * 8 + 4 + 5, 8});
+  }
+  for (const auto& [offset, width] : fields) {
+    for (uint64_t value : {uint64_t{0}, uint64_t{1} << 48, ~uint64_t{0}}) {
+      std::string mutated = bytes_;
+      if (width == 4) {
+        const uint32_t narrow = static_cast<uint32_t>(std::min<uint64_t>(value, UINT32_MAX));
+        std::memcpy(&mutated[offset], &narrow, sizeof narrow);
+      } else {
+        std::memcpy(&mutated[offset], &value, sizeof value);
+      }
+      ASSERT_NO_FATAL_FAILURE(check(
+          mutated, "field at " + std::to_string(offset) + " = " + std::to_string(value)));
+    }
+  }
+  EXPECT_EQ(mutants, bytes_.size() + 4000 + 7 * 3);
 }
 
 TEST_F(CacheCorruptionTest, V1FilesAreRejectedNotGuessed) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/exact_knn_shapley.h"
 #include "util/json.h"
 #include "util/random.h"
 
@@ -431,6 +433,62 @@ TEST(JsonNumberCodecTest, DumpMatchesPrintfRuleByteForByte) {
   EXPECT_EQ(JsonValue(1.0 / 3.0).Dump(), "0.33333333333333331");
   EXPECT_EQ(JsonValue(std::numeric_limits<double>::infinity()).Dump(), "null");
   EXPECT_EQ(JsonValue(std::nan("")).Dump(), "null");
+}
+
+// Values shaped like a fullrank reply: Theorem 1's recursion on 4
+// queries with seeded 3-class labels, averaged per training row.
+std::vector<double> ShapleyShapedValues(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(n, 0.0);
+  std::vector<int> labels(n);
+  std::vector<size_t> rows(n);
+  for (int query = 0; query < 4; ++query) {
+    for (int& label : labels) label = static_cast<int>(rng.NextIndex(3));
+    for (size_t i = 0; i < n; ++i) rows[i] = i;
+    rng.Shuffle(&rows);
+    const std::vector<double> by_rank = KnnShapleyRecursion(labels, 0, 5);
+    for (size_t rank = 0; rank < n; ++rank) values[rows[rank]] += by_rank[rank] / 4;
+  }
+  return values;
+}
+
+// The integer %.17g printer against snprintf where it is easiest to get
+// wrong: exact ties at the 18th digit (printf rounds them to even),
+// decimal exponents at the edges of its range, and reply-shaped values.
+TEST(JsonNumberCodecTest, IntegerPrinterMatchesPrintfAtTiesAndEdges) {
+  std::vector<double> inputs;
+  // base + j/2^f with f = 17 - x and j odd, for a base of x+1 integer
+  // digits: a * 10^(16-x) is an integer plus j * 5^(16-x) / 2, an exact
+  // tie. The base stays below 2^(53-f) so the sum is a double.
+  Rng rng(20261018);
+  for (int x = 4; x <= 15; ++x) {
+    const int f = 17 - x;
+    const double low = std::pow(10.0, x);
+    const double high = std::min(std::pow(10.0, x + 1), std::ldexp(1.0, 53 - f));
+    for (int i = 0; i < 20000; ++i) {
+      const double base = std::floor(low + (high - low) * rng.NextDouble());
+      const double j = static_cast<double>(2 * rng.NextIndex(uint64_t{1} << (f - 1)) + 1);
+      inputs.push_back(base + std::ldexp(j, -f));
+    }
+  }
+  for (double edge : {1e-17, 1e-16, 1e-15, 1e15, 1e16, 1e17,
+                      std::nextafter(1e17, 0.0)}) {
+    for (int ulps = -2000; ulps <= 2000; ++ulps) {
+      const double v = FromBits(Bits(edge) + static_cast<uint64_t>(ulps));
+      inputs.push_back(v);
+      inputs.push_back(-v);
+    }
+  }
+  for (double v : ShapleyShapedValues(50000, 7)) inputs.push_back(v);
+  for (double v : inputs) {
+    ASSERT_EQ(JsonValue(v).Dump(), OracleDump(v)) << std::hexfloat << v;
+  }
+  // Two ties: rounding half up prints the first as ...3, and truncating
+  // prints the second as ...7.
+  EXPECT_EQ(JsonValue(1234567890123456.25).Dump(), "1234567890123456.2");
+  EXPECT_EQ(JsonValue(1234567890123456.75).Dump(), "1234567890123456.8");
+  EXPECT_EQ(JsonValue(std::nextafter(1e17, 0.0)).Dump(), "99999999999999984");
+  EXPECT_EQ(JsonValue(-1e-15).Dump(), "-1e-15");
 }
 
 TEST(JsonNumberCodecTest, ParseMatchesStrtodBitForBit) {

@@ -368,5 +368,28 @@ TEST(CliTest, ParsesEqualsAndSpaceForms) {
   EXPECT_EQ(cli.GetInt("missing", 7), 7);
 }
 
+TEST(CliTest, ParseIntTakesOnlyInRangeIntegers) {
+  const char* argv[] = {"prog", "--a=12", "--b=-1", "--c=2.5", "--d=1e300",
+                        "--e=2147483648", "--f=12abc", "--g="};
+  CommandLine cli(8, const_cast<char**>(argv));
+  int value = 0;
+  std::string error;
+  EXPECT_TRUE(cli.ParseInt("a", 0, 0, &value, &error));
+  EXPECT_EQ(value, 12);
+  EXPECT_TRUE(cli.ParseInt("b", 0, -1, &value, &error));
+  EXPECT_EQ(value, -1);
+  EXPECT_TRUE(cli.ParseInt("missing", 64, 0, &value, &error));
+  EXPECT_EQ(value, 64);
+  EXPECT_EQ(cli.GetInt("b", 0), -1);
+  for (const char* name : {"b", "c", "d", "e", "f", "g"}) {
+    value = 7;
+    error.clear();
+    EXPECT_FALSE(cli.ParseInt(name, 0, 0, &value, &error)) << name;
+    EXPECT_EQ(value, 7) << name;
+    EXPECT_EQ(error.rfind(std::string("--") + name + " must be an integer in [0, ", 0), 0u)
+        << error;
+  }
+}
+
 }  // namespace
 }  // namespace knnshap

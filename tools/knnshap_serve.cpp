@@ -85,7 +85,9 @@
 //   --snapshot-every=N       also snapshot after every N value requests
 //   --max-line-bytes=N       reject request lines longer than N bytes
 //
-// Any other flag is rejected at startup (exit 1), naming it.
+// Any other flag is rejected at startup (exit 1), naming it. So is an
+// integer flag whose value is not a base-10 integer in int's range, or is
+// negative (--max-queue takes -1, --shards starts at 1).
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: stop reading, drain
 // in-flight work, flush the snapshot and the metrics file, exit 0.
@@ -203,20 +205,37 @@ int main(int argc, char** argv) {
     SetKernelOverride(kernel_kind);
   }
 
+  // Integer flags, read before any pool or worker starts. A count, size
+  // or timeout is never negative (it would wrap to a huge size_t), and a
+  // non-integer such as "2.5" or "1e300" is an error, not truncated.
+  bool int_flags_ok = true;
+  const auto int_flag = [&](const char* name, int fallback, int min_value) {
+    int value = fallback;
+    std::string error;
+    if (int_flags_ok && !args.ParseInt(name, fallback, min_value, &value, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      int_flags_ok = false;
+    }
+    return value;
+  };
+  const int threads = int_flag("threads", 0, 0);
+  const int in_flight = int_flag("in-flight", 0, 0);
+  const int cache = int_flag("cache", 64, 0);
+  const int max_queue = int_flag("max-queue", -1, -1);
+  const int default_deadline_ms = int_flag("default-deadline-ms", 0, 0);
+  const int snapshot_every = int_flag("snapshot-every", 0, 0);
+  const int max_line_bytes = int_flag("max-line-bytes", 0, 0);
+  const int shards = int_flag("shards", 1, 1);
+  const int connect_timeout_ms = int_flag("shard-connect-timeout-ms", 2000, 0);
+  const int io_timeout_ms = int_flag("shard-io-timeout-ms", 30000, 0);
+  const int connect_attempts = int_flag("shard-connect-attempts", 3, 0);
+  if (!int_flags_ok) return 1;
+
   PipelineOptions options;
   options.pipelined = !args.Has("serial");
   options.emit_timing = !args.Has("no-timing");
-  options.engine.result_cache_capacity =
-      static_cast<size_t>(args.GetInt("cache", 64));
-  if (args.GetInt("in-flight", 0) > 0) {
-    options.max_in_flight = static_cast<size_t>(args.GetInt("in-flight", 0));
-  }
-  std::unique_ptr<ThreadPool> private_pool;
-  if (args.GetInt("threads", 0) > 0) {
-    private_pool =
-        std::make_unique<ThreadPool>(static_cast<size_t>(args.GetInt("threads", 0)));
-    options.pool = private_pool.get();
-  }
+  options.engine.result_cache_capacity = static_cast<size_t>(cache);
+  if (in_flight > 0) options.max_in_flight = static_cast<size_t>(in_flight);
   options.observability = !args.Has("no-obs");
   options.trace_all = args.Has("trace-all");
   options.slow_ms = args.GetDouble("slow-ms", 0.0);
@@ -225,22 +244,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--no-obs conflicts with --metrics-file/--slow-ms\n");
     return 1;
   }
-  options.max_queue = static_cast<int>(args.GetInt("max-queue", -1));
-  options.default_deadline_ms = args.GetInt("default-deadline-ms", 0);
+  options.max_queue = max_queue;
+  options.default_deadline_ms = default_deadline_ms;
   options.snapshot_path = args.GetString("snapshot", "");
-  options.snapshot_every =
-      static_cast<size_t>(args.GetInt("snapshot-every", 0));
+  options.snapshot_every = static_cast<size_t>(snapshot_every);
   if (options.snapshot_every != 0 && options.snapshot_path.empty()) {
     std::fprintf(stderr, "--snapshot-every needs --snapshot=PATH\n");
     return 1;
   }
-  options.max_line_bytes =
-      static_cast<size_t>(args.GetInt("max-line-bytes", 0));
-  options.shards = static_cast<int>(args.GetInt("shards", 1));
-  if (options.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 1;
-  }
+  options.max_line_bytes = static_cast<size_t>(max_line_bytes);
+  options.shards = shards;
   const std::string shard_workers = args.GetString("shard-workers", "");
   if (shard_workers == "thread") {
     std::fprintf(stderr,
@@ -322,12 +335,14 @@ int main(int argc, char** argv) {
         shard_workers.empty() || shard_workers == "self" ? "/proc/self/exe"
                                                          : shard_workers);
   }
-  options.shard_transport.connect_timeout_ms =
-      static_cast<int>(args.GetInt("shard-connect-timeout-ms", 2000));
-  options.shard_transport.io_timeout_ms =
-      static_cast<int>(args.GetInt("shard-io-timeout-ms", 30000));
-  options.shard_transport.connect_attempts =
-      static_cast<int>(args.GetInt("shard-connect-attempts", 3));
+  options.shard_transport.connect_timeout_ms = connect_timeout_ms;
+  options.shard_transport.io_timeout_ms = io_timeout_ms;
+  options.shard_transport.connect_attempts = connect_attempts;
+  std::unique_ptr<ThreadPool> private_pool;
+  if (threads > 0) {
+    private_pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+    options.pool = private_pool.get();
+  }
   InstallShutdownHandlers();
   options.shutdown = &g_shutdown;
 
