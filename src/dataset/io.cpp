@@ -34,6 +34,30 @@ bool ParseDouble(const std::string& text, double* out) {
 
 }  // namespace
 
+CsvTarget TargetOf(const Dataset& data) {
+  if (data.HasLabels()) return CsvTarget::kLabel;
+  if (data.HasTargets()) return CsvTarget::kTarget;
+  return CsvTarget::kNone;
+}
+
+const char* CsvTargetName(CsvTarget target) {
+  if (target == CsvTarget::kLabel) return "label";
+  return target == CsvTarget::kTarget ? "target" : "none";
+}
+
+bool CsvTargetFromName(const std::string& name, CsvTarget* out) {
+  if (name.empty() || name == "label") {
+    *out = CsvTarget::kLabel;
+  } else if (name == "target") {
+    *out = CsvTarget::kTarget;
+  } else if (name == "none") {
+    *out = CsvTarget::kNone;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 bool LabelFromCell(double cell, int* label) {
   // Bounds one past each end: the cast truncates, so (INT_MIN - 1, INT_MAX
   // + 1) is exactly the range it is defined on. NaN fails both compares.

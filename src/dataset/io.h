@@ -24,6 +24,17 @@ enum class CsvTarget {
   kNone,     ///< All columns are features (unlabeled data).
 };
 
+/// The trailing column `data` carries: labels win over targets, because
+/// one trailing column cannot carry both.
+CsvTarget TargetOf(const Dataset& data);
+
+/// "label", "target" or "none": a `target` field's value in requests.
+const char* CsvTargetName(CsvTarget target);
+
+/// The inverse of CsvTargetName, with "" read as "label". False for any
+/// other name.
+bool CsvTargetFromName(const std::string& name, CsvTarget* out);
+
 /// Result of a load: the dataset plus parse diagnostics.
 struct CsvLoadResult {
   Dataset data;

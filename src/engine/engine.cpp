@@ -428,7 +428,7 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
                                request.train_name, options_.metrics};
       if (valuator != nullptr) {
         valuator->Fit(request.train,
-                      topology != nullptr && topology->count > 1 ? &shard
+                      topology != nullptr && topology->shards > 1 ? &shard
                                                                  : nullptr);
       }
     } catch (...) {

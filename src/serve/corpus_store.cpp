@@ -7,7 +7,8 @@
 namespace knnshap {
 
 CorpusMutation CorpusStore::InstallLocked(const std::string& name, Dataset next,
-                                          CorpusDigests digests, Entry* entry) {
+                                          CorpusDigests digests,
+                                          CorpusSnapshot* entry) {
   CorpusMutation result;
   result.old_fingerprint = entry->fingerprint;
   next.name = name;
@@ -15,8 +16,7 @@ CorpusMutation CorpusStore::InstallLocked(const std::string& name, Dataset next,
   entry->digests = std::make_shared<const CorpusDigests>(std::move(digests));
   entry->fingerprint = entry->digests->Combined();
   entry->version += 1;
-  result.snapshot = {entry->data, entry->fingerprint, entry->version,
-                     entry->digests};
+  result.snapshot = *entry;
   return result;
 }
 
@@ -30,8 +30,7 @@ std::optional<CorpusSnapshot> CorpusStore::Get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(name);
   if (it == entries_.end()) return std::nullopt;
-  return CorpusSnapshot{it->second.data, it->second.fingerprint,
-                        it->second.version, it->second.digests};
+  return it->second;
 }
 
 bool CorpusStore::Append(const std::string& name, const Dataset& rows,
@@ -121,20 +120,9 @@ bool CorpusStore::Drop(const std::string& name, uint64_t* old_fingerprint) {
   return true;
 }
 
-std::vector<CorpusStore::ListedCorpus> CorpusStore::List() const {
+std::vector<std::pair<std::string, CorpusSnapshot>> CorpusStore::List() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ListedCorpus> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    out.push_back({name, entry.data->Size(), entry.data->Dim(), entry.version,
-                   entry.fingerprint});
-  }
-  return out;
-}
-
-size_t CorpusStore::Size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return {entries_.begin(), entries_.end()};
 }
 
 }  // namespace knnshap

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -80,31 +81,15 @@ class CorpusStore {
   /// *old_fingerprint (for engine invalidation). False if unknown.
   bool Drop(const std::string& name, uint64_t* old_fingerprint);
 
-  /// Stats-level listing, sorted by name.
-  struct ListedCorpus {
-    std::string name;
-    size_t rows = 0;
-    size_t dim = 0;
-    uint64_t version = 0;
-    uint64_t fingerprint = 0;
-  };
-  std::vector<ListedCorpus> List() const;
-
-  size_t Size() const;
+  /// Every corpus's current snapshot, sorted by name.
+  std::vector<std::pair<std::string, CorpusSnapshot>> List() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const Dataset> data;
-    std::shared_ptr<const CorpusDigests> digests;  ///< shared with snapshots
-    uint64_t fingerprint = 0;
-    uint64_t version = 0;
-  };
-
   CorpusMutation InstallLocked(const std::string& name, Dataset next,
-                               CorpusDigests digests, Entry* entry);
+                               CorpusDigests digests, CorpusSnapshot* entry);
 
   mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, CorpusSnapshot> entries_;
 };
 
 }  // namespace knnshap

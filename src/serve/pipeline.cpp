@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -20,17 +19,13 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "dataset/io.h"
 #include "engine/registry.h"
 #include "engine/result_cache.h"
 #include "engine/schema.h"
-#include "knn/selection.h"
 #include "market/valuation_report.h"
 #include "obs/trace.h"
 #include "shard/shard_planner.h"
-#include "shard/shard_worker.h"
 #include "shard/wire.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -44,30 +39,11 @@ namespace {
 /// latency estimate, so those responses are byte-deterministic.
 constexpr double kRetryAfterMs = 100;
 
-/// Failure responses carry the machine-readable Status parts: "error" is
-/// the human message, "code" the stable snake_case class, and "field" —
-/// present for parameter errors — names the offending request field.
-JsonValue ErrorResponse(const Status& status) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("ok", JsonValue(false));
-  out.Set("error", JsonValue(status.message()));
-  out.Set("code", JsonValue(StatusCodeName(status.code())));
-  if (!status.field().empty()) out.Set("field", JsonValue(status.field()));
-  return out;
-}
-
-JsonValue ErrorResponse(const std::string& message) {
-  return ErrorResponse(Status::InvalidArgument(message));
-}
+using wire::ErrorResponse;
+using wire::OkResponse;
 
 JsonValue NotFoundResponse(const std::string& message) {
   return ErrorResponse(Status::NotFound(message));
-}
-
-JsonValue OkResponse() {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("ok", JsonValue(true));
-  return out;
 }
 
 JsonValue CountersJson(const CacheCounters& counters) {
@@ -126,19 +102,6 @@ JsonValue TraceJson(const ValuationReport& report, bool timed) {
   }
   out.Set("spans", std::move(spans));
   return out;
-}
-
-bool ParseTargetMode(const std::string& mode, CsvTarget* out) {
-  if (mode.empty() || mode == "label") {
-    *out = CsvTarget::kLabel;
-  } else if (mode == "target") {
-    *out = CsvTarget::kTarget;
-  } else if (mode == "none") {
-    *out = CsvTarget::kNone;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool FromInlineRows(const JsonValue& rows, CsvTarget target, Dataset* data,
@@ -362,21 +325,6 @@ struct RequestPipeline::PreparedValue {
 
 namespace {
 
-// The request's "deadline_ms": a non-negative integer no larger than
-// 1e15 (checked before any cast, so no value is out of int64 range).
-Status ParseDeadlineMs(const JsonValue& request, const char* op, int64_t* ms) {
-  const JsonValue& raw = request.Get("deadline_ms");
-  const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
-  if (!raw.IsNumber() || value < 0 || value > 1e15 ||
-      value != static_cast<double>(static_cast<int64_t>(value))) {
-    return Status::InvalidArgument(
-        std::string(op) + ": 'deadline_ms' must be a non-negative integer",
-        "deadline_ms");
-  }
-  *ms = static_cast<int64_t>(value);
-  return Status::Ok();
-}
-
 EngineOptions EngineOptionsWith(const PipelineOptions& options,
                                 MetricsRegistry* metrics,
                                 std::shared_ptr<const ShardTopology> topology) {
@@ -391,9 +339,7 @@ EngineOptions EngineOptionsWith(const PipelineOptions& options,
 RequestPipeline::RequestPipeline(const PipelineOptions& options)
     : options_(options),
       topology_(options.shards > 1
-                    ? std::make_shared<const ShardTopology>(ShardTopology{
-                          options.shards, options.shard_worker_command,
-                          options.shard_remote, options.shard_transport})
+                    ? std::make_shared<const ShardTopology>(options)
                     : nullptr),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
       max_in_flight_(options.max_in_flight != 0 ? options.max_in_flight
@@ -452,6 +398,80 @@ void RequestPipeline::SnapshotNow() {
   }
 }
 
+/// A barrier op drains every in-flight value first: values fill the
+/// result cache and fitted set as they finish, so draining makes
+/// invalidation (and stats / save_cache contents) deterministic instead of
+/// racing job completion. Values never wait on values, and ops that answer
+/// from constants or the store skip the barrier (ping stays a liveness
+/// probe).
+struct RequestPipeline::Op {
+  std::string_view name;
+  bool barrier;
+  JsonValue (*handler)(RequestPipeline& pipeline, const JsonValue& request);
+};
+
+std::span<const RequestPipeline::Op> RequestPipeline::Ops() {
+  using P = RequestPipeline;
+  using R = const JsonValue&;
+  static constexpr Op kOps[] = {
+      {"append", true, [](P& p, R r) { return p.AppendRows(r); }},
+      {"candidates", false, [](P& p, R r) { return p.shard_.Candidates(r); }},
+      {"describe", false, [](P& p, R r) { return p.Describe(r); }},
+      {"digests", false, [](P& p, R r) { return p.shard_.Digests(r); }},
+      {"drop", true, [](P& p, R r) { return p.Drop(r); }},
+      {"load", true, [](P& p, R r) { return p.Load(r); }},
+      {"load_cache", true, [](P& p, R r) { return p.LoadCache(r); }},
+      {"load_delta", true,
+       [](P& p, R r) {
+         std::vector<uint64_t> retired;
+         JsonValue out = p.shard_.LoadDelta(r, &retired);
+         for (uint64_t fingerprint : retired) p.InvalidateOld(fingerprint);
+         return out;
+       }},
+      {"methods", false, [](P& p, R) { return p.Methods(); }},
+      {"metrics", true, [](P& p, R) { return p.MetricsText(); }},
+      {"ping", false, [](P&, R) { return OkResponse(); }},
+      {"protocol", false,
+       [](P&, R) {
+         // The CI docs gate greps docs/PROTOCOL.md for each listed name.
+         JsonValue out = OkResponse();
+         out.Set("protocol", JsonValue(wire::kProtocolVersion));
+         JsonValue ops = JsonValue::MakeArray();
+         for (const Op& op : Ops()) ops.Append(JsonValue(std::string(op.name)));
+         out.Set("ops", std::move(ops));
+         return out;
+       }},
+      {"quit", true,
+       [](P&, R) {
+         JsonValue out = OkResponse();
+         out.Set("bye", JsonValue(true));
+         return out;
+       }},
+      {"remove", true, [](P& p, R r) { return p.RemoveRow(r); }},
+      {"save_cache", true, [](P& p, R r) { return p.SaveCache(r); }},
+      {"stats", true, [](P& p, R) { return p.Stats(); }},
+      {"sync", true, [](P&, R) { return OkResponse(); }},
+      {"value", false,
+       [](P& p, R r) {
+         PreparedValue prepared;
+         JsonValue error_response;
+         if (!p.PrepareValue(r, &prepared, &error_response)) {
+           return error_response;
+         }
+         return p.RunValue(prepared);
+       }},
+  };
+  static_assert(std::ranges::is_sorted(kOps, {}, &Op::name),
+                "FindOp binary-searches the op table by name");
+  return kOps;
+}
+
+const RequestPipeline::Op* RequestPipeline::FindOp(std::string_view name) {
+  const std::span<const Op> ops = Ops();
+  const auto it = std::ranges::lower_bound(ops, name, {}, &Op::name);
+  return it != ops.end() && it->name == name ? &*it : nullptr;
+}
+
 size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
   OrderedEmitter emitter(&out);
   InFlightWindow window;
@@ -496,30 +516,8 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
       continue;
     }
     const std::string& op = parsed.value.Get("op").AsString();
-
-    if (op == "quit" || op == "sync") {
-      // Barrier ops: wait for every in-flight value, then answer.
-      window.Drain();
-      JsonValue response = OkResponse();
-      if (op == "quit") response.Set("bye", JsonValue(true));
-      emitter.EmitOrdered(response.Dump());
-      if (op == "quit") {
-        SnapshotNow();  // final flush: quit is a graceful exit
-        return served;
-      }
-      continue;
-    }
-
-    // Control-plane ops are barriers too: in-flight values populate the
-    // result cache and fitted set as they finish, so draining first makes
-    // mutation-driven invalidation (and stats / save_cache contents)
-    // deterministic instead of racing job completion. Value traffic — the
-    // data plane — is never stalled by other values. methods/describe/ping
-    // answer from registry constants and skip the barrier (ping stays a
-    // liveness probe).
-    if (op == "load" || op == "load_delta" || op == "append" ||
-        op == "remove" || op == "drop" || op == "save_cache" ||
-        op == "load_cache" || op == "stats" || op == "metrics") {
+    // Barrier ops wait for every in-flight value first (see the op table).
+    if (const Op* entry = FindOp(op); entry != nullptr && entry->barrier) {
       window.Drain();
     }
 
@@ -606,6 +604,10 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
 
     emitter.EmitOrdered(HandleSync(parsed.value).Dump());
     if (op == "value") value_snapshot_tick();
+    if (op == "quit") {
+      SnapshotNow();  // final flush: quit is a graceful exit
+      return served;
+    }
   }
   // EOF or graceful shutdown: drain in-flight work, then one final
   // snapshot so a restart resumes from the last served state.
@@ -616,64 +618,15 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
 
 JsonValue RequestPipeline::HandleSync(const JsonValue& request) {
   if (!request.IsObject()) return ErrorResponse("request must be a JSON object");
-  const std::string& op = request.Get("op").AsString();
-  if (op == "value") {
-    PreparedValue prepared;
-    JsonValue error_response;
-    if (!PrepareValue(request, &prepared, &error_response)) return error_response;
-    return RunValue(prepared);
-  }
-  if (op == "load") return Load(request);
-  if (op == "load_delta") return LoadDelta(request);
-  if (op == "append") return AppendRows(request);
-  if (op == "remove") return RemoveRow(request);
-  if (op == "drop") return Drop(request);
-  if (op == "methods") return Methods();
-  if (op == "describe") return Describe(request);
-  if (op == "stats") return Stats();
-  if (op == "metrics") return MetricsText();
-  if (op == "save_cache") return SaveCache(request);
-  if (op == "load_cache") return LoadCache(request);
-  if (op == "candidates") return Candidates(request);
-  if (op == "digests") return Digests(request);
-  if (op == "protocol") return Protocol();
-  if (op == "ping" || op == "sync") return OkResponse();
-  if (op == "quit") {
-    JsonValue response = OkResponse();
-    response.Set("bye", JsonValue(true));
-    return response;
-  }
-  return ErrorResponse("unknown op '" + op + "'");
+  const std::string& name = request.Get("op").AsString();
+  const Op* op = FindOp(name);
+  if (op == nullptr) return ErrorResponse("unknown op '" + name + "'");
+  return op->handler(*this, request);
 }
 
 // ---------------------------------------------------------------------------
 // Corpus ops
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// A positive integer count field (at most 1e15, so the cast is exact).
-bool ParseCount(const JsonValue& raw, size_t* out) {
-  const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
-  if (!raw.IsNumber() || value <= 0 || value > 1e15 ||
-      value != static_cast<double>(static_cast<size_t>(value))) {
-    return false;
-  }
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
-void SetSnapshotFields(JsonValue* out, const std::string& name,
-                       const CorpusSnapshot& snapshot) {
-  out->Set("name", JsonValue(name));
-  out->Set("rows", JsonValue(static_cast<double>(snapshot.data->Size())));
-  out->Set("dim", JsonValue(static_cast<double>(snapshot.data->Dim())));
-  out->Set("version", JsonValue(static_cast<double>(snapshot.version)));
-  out->Set("fingerprint",
-           JsonValue(wire::FingerprintHex(snapshot.fingerprint)));
-}
-
-}  // namespace
 
 void RequestPipeline::InvalidateOld(uint64_t old_fingerprint) {
   if (old_fingerprint != 0) engine_.InvalidateTrain(old_fingerprint);
@@ -683,7 +636,7 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
   const std::string& name = request.Get("name").AsString();
   if (name.empty()) return ErrorResponse("load: 'name' is required");
   CsvTarget target;
-  if (!ParseTargetMode(request.Get("target").AsString(), &target)) {
+  if (!CsvTargetFromName(request.Get("target").AsString(), &target)) {
     return ErrorResponse("load: target must be label|target|none");
   }
 
@@ -705,7 +658,7 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
   } else if (request.Has("features")) {
     // Packed rows (docs/PROTOCOL.md §1), the form a shard router syncs.
     size_t dim = 0;
-    if (!ParseCount(request.Get("dim"), &dim)) {
+    if (!JsonInteger(request.Get("dim"), 1, kMaxJsonInteger, &dim)) {
       return ErrorResponse("load: 'dim' must be a positive integer");
     }
     std::string error;
@@ -726,150 +679,14 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
   return out;
 }
 
-JsonValue RequestPipeline::LoadDelta(const JsonValue& request) {
-  // Delta corpus sync (docs/PROTOCOL.md): splice the provided blocks into
-  // the stored corpus, keeping every other block's rows. The router sends
-  // this instead of a full load when the worker already holds a
-  // previous version; any rejection here (structured error, never a crash)
-  // makes the router fall back to the full load, so this op can only ever
-  // save bytes, not correctness.
-  const std::string& name = request.Get("name").AsString();
-  if (name.empty()) return ErrorResponse("load_delta: 'name' is required");
-  auto base = store_.Get(name);
-  if (!base) {
-    return NotFoundResponse("load_delta: unknown dataset '" + name +
-                            "' (send a full load first)");
-  }
-  CsvTarget target;
-  if (!ParseTargetMode(request.Get("target").AsString(), &target)) {
-    return ErrorResponse("load_delta: target must be label|target|none");
-  }
-  const CsvTarget base_target =
-      base->data->HasLabels()
-          ? CsvTarget::kLabel
-          : (base->data->HasTargets() ? CsvTarget::kTarget : CsvTarget::kNone);
-  if (target != base_target) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "load_delta: target mode does not match the stored corpus"));
-  }
-  size_t rows = 0, dim = 0;
-  if (!ParseCount(request.Get("rows"), &rows) ||
-      !ParseCount(request.Get("dim"), &dim)) {
-    return ErrorResponse(
-        "load_delta: 'rows' and 'dim' must be positive integers");
-  }
-  if (dim != base->data->Dim()) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "load_delta: dim " + std::to_string(dim) +
-        " does not match the stored corpus (" +
-        std::to_string(base->data->Dim()) + ")"));
-  }
-  uint64_t expected = 0;
-  if (!wire::ParseHexFingerprint(request.Get("fingerprint").AsString(),
-                                 &expected)) {
-    return ErrorResponse(
-        "load_delta: 'fingerprint' must be a 0x-prefixed hex string");
-  }
-  const JsonValue& blocks = request.Get("blocks");
-  if (!blocks.IsArray()) {
-    return ErrorResponse("load_delta: 'blocks' must be an array");
-  }
-  // Fault site: a worker that cannot apply deltas (disk, version skew)
-  // answers a structured internal error; the router falls back to a full
-  // load and the topology keeps serving.
-  if (FaultInjectionEnabled() && Fault("delta_apply")) {
-    return ErrorResponse(
-        Status::Error(StatusCode::kInternal, "injected delta_apply fault"));
-  }
-
-  const size_t block_rows = base->digests->block_rows;
-  const size_t num_blocks = (rows + block_rows - 1) / block_rows;
-  std::map<size_t, const JsonValue*> provided;
-  for (const JsonValue& entry : blocks.Items()) {
-    const JsonValue& index = entry.Get("block");
-    const double raw = index.IsNumber() ? index.AsNumber() : -1.0;
-    // Range before the cast: an unrepresentable index is UB per
-    // [conv.fpint].
-    if (!index.IsNumber() || raw < 0 ||
-        raw >= static_cast<double>(num_blocks) || raw != std::floor(raw)) {
-      return ErrorResponse(
-          "load_delta: each block entry needs an in-range integer 'block'");
-    }
-    const size_t b = static_cast<size_t>(raw);
-    if (!provided.emplace(b, &entry).second) {
-      return ErrorResponse("load_delta: duplicate block " + std::to_string(b));
-    }
-  }
-
-  Dataset next;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t begin = b * block_rows;
-    const size_t end = std::min(begin + block_rows, rows);
-    auto it = provided.find(b);
-    if (it != provided.end()) {
-      std::string error;
-      if (!wire::AppendPackedRows(*it->second, dim, target, end - begin, &next,
-                                  &error)) {
-        return ErrorResponse("load_delta: block " + std::to_string(b) + ": " +
-                             error);
-      }
-    } else {
-      // Unchanged block: keep the stored rows. The router only plans a
-      // delta when the geometry matches, so these rows must exist.
-      if (end > base->data->Size()) {
-        return ErrorResponse(Status::FailedPrecondition(
-            "load_delta: unchanged block " + std::to_string(b) +
-            " is outside the stored corpus"));
-      }
-      for (size_t i = begin; i < end; ++i) {
-        next.features.AppendRow(base->data->features.Row(i));
-        if (target == CsvTarget::kLabel) {
-          next.labels.push_back(base->data->labels[i]);
-        } else if (target == CsvTarget::kTarget) {
-          next.targets.push_back(base->data->targets[i]);
-        }
-      }
-    }
-  }
-  const size_t applied = provided.size();
-
-  CorpusMutation mutation = store_.Put(name, std::move(next));
-  if (mutation.snapshot.fingerprint != expected) {
-    // The splice produced the wrong contents (corruption in flight, or a
-    // router/worker disagreement the plan missed). Serving candidates off
-    // it would silently mis-rank, so drop it outright: the router's
-    // fallback full load repopulates from scratch.
-    uint64_t dropped = 0;
-    store_.Drop(name, &dropped);
-    InvalidateOld(mutation.old_fingerprint);
-    InvalidateOld(dropped);
-    return ErrorResponse(Status::Error(
-        StatusCode::kDataLoss,
-        "load_delta: corpus fingerprint mismatch after splice (expected " +
-            wire::FingerprintHex(expected) + ", got " +
-            wire::FingerprintHex(mutation.snapshot.fingerprint) +
-            "); corpus dropped — send a full load"));
-  }
-  if (mutation.old_fingerprint != mutation.snapshot.fingerprint) {
-    InvalidateOld(mutation.old_fingerprint);
-  }
-  JsonValue out = OkResponse();
-  SetSnapshotFields(&out, name, mutation.snapshot);
-  out.Set("applied", JsonValue(static_cast<double>(applied)));
-  return out;
-}
-
 JsonValue RequestPipeline::AppendRows(const JsonValue& request) {
   const std::string& name = request.Get("name").AsString();
   auto current = store_.Get(name);
   if (!current) return NotFoundResponse("append: unknown dataset '" + name + "'");
-  CsvTarget target = current->data->HasLabels()
-                         ? CsvTarget::kLabel
-                         : (current->data->HasTargets() ? CsvTarget::kTarget
-                                                        : CsvTarget::kNone);
   Dataset rows;
   std::string error;
-  if (!FromInlineRows(request.Get("rows"), target, &rows, &error)) {
+  if (!FromInlineRows(request.Get("rows"), TargetOf(*current->data), &rows,
+                      &error)) {
     return ErrorResponse("append: " + error);
   }
   const size_t appended = rows.Size();
@@ -889,24 +706,19 @@ JsonValue RequestPipeline::RemoveRow(const JsonValue& request) {
   if (!store_.Get(name)) {
     return NotFoundResponse("remove: unknown dataset '" + name + "'");
   }
-  if (!request.Get("row").IsNumber()) {
-    return ErrorResponse("remove: 'row' (index) is required");
-  }
-  const double row = request.Get("row").AsNumber();
-  // Integrality + range before the size_t cast: a fractional index would
-  // silently truncate and an unrepresentable one is UB per [conv.fpint].
-  if (row < 0 || row > 1e15 || row != static_cast<double>(static_cast<size_t>(row))) {
+  size_t row = 0;
+  if (!JsonInteger(request.Get("row"), 0, kMaxJsonInteger, &row)) {
     return ErrorResponse("remove: 'row' must be a non-negative integer");
   }
   CorpusMutation mutation;
   std::string error;
-  if (!store_.RemoveRow(name, static_cast<size_t>(row), &mutation, &error)) {
+  if (!store_.RemoveRow(name, row, &mutation, &error)) {
     return ErrorResponse("remove: " + error);
   }
   InvalidateOld(mutation.old_fingerprint);
   JsonValue out = OkResponse();
   SetSnapshotFields(&out, name, mutation.snapshot);
-  out.Set("removed_row", JsonValue(row));
+  out.Set("removed_row", JsonValue(static_cast<double>(row)));
   return out;
 }
 
@@ -980,16 +792,12 @@ JsonValue RequestPipeline::Stats() const {
           JsonValue(static_cast<double>(engine_.FittedCount())));
   out.Set("fit_reuses", JsonValue(static_cast<double>(engine_.FitReuses())));
   const auto fitted_by_train = engine_.FittedByTrain();
+  const auto corpora = store_.List();
   JsonValue datasets = JsonValue::MakeArray();
-  for (const auto& corpus : store_.List()) {
+  for (const auto& [name, snapshot] : corpora) {
     JsonValue entry = JsonValue::MakeObject();
-    entry.Set("name", JsonValue(corpus.name));
-    entry.Set("rows", JsonValue(static_cast<double>(corpus.rows)));
-    entry.Set("dim", JsonValue(static_cast<double>(corpus.dim)));
-    entry.Set("version", JsonValue(static_cast<double>(corpus.version)));
-    entry.Set("fingerprint",
-              JsonValue(wire::FingerprintHex(corpus.fingerprint)));
-    const auto fitted = fitted_by_train.find(corpus.fingerprint);
+    SetSnapshotFields(&entry, name, snapshot);
+    const auto fitted = fitted_by_train.find(snapshot.fingerprint);
     entry.Set("fitted",
               JsonValue(static_cast<double>(
                   fitted != fitted_by_train.end() ? fitted->second : 0)));
@@ -1028,14 +836,14 @@ JsonValue RequestPipeline::Stats() const {
   // no worker state — so this section is deterministic too.
   if (topology_ != nullptr) {
     JsonValue topology = JsonValue::MakeObject();
-    topology.Set("shards", JsonValue(static_cast<double>(topology_->count)));
-    const bool remote = !topology_->remote_replicas.empty();
+    topology.Set("shards", JsonValue(static_cast<double>(topology_->shards)));
+    const bool remote = !topology_->shard_remote.empty();
     topology.Set("workers", JsonValue(remote ? "remote" : "process"));
     if (remote) {
       // The configured replica endpoints per shard — static topology facts
       // only (no liveness probes: stats stays deterministic and cheap).
       JsonValue replicas = JsonValue::MakeArray();
-      for (const auto& group : topology_->remote_replicas) {
+      for (const auto& group : topology_->shard_remote) {
         JsonValue endpoints = JsonValue::MakeArray();
         for (const std::string& endpoint : group) {
           endpoints.Append(JsonValue(endpoint));
@@ -1045,13 +853,11 @@ JsonValue RequestPipeline::Stats() const {
       topology.Set("replicas", std::move(replicas));
     }
     JsonValue plans = JsonValue::MakeObject();
-    for (const auto& corpus : store_.List()) {
-      auto snapshot = store_.Get(corpus.name);
-      if (!snapshot) continue;
+    for (const auto& [name, snapshot] : corpora) {
       JsonValue ranges = JsonValue::MakeArray();
       for (const ShardRange& range :
-           PlanShards(*snapshot->digests,
-                      static_cast<size_t>(topology_->count))) {
+           PlanShards(*snapshot.digests,
+                      static_cast<size_t>(topology_->shards))) {
         JsonValue entry = JsonValue::MakeObject();
         entry.Set("row_begin",
                   JsonValue(static_cast<double>(range.row_begin)));
@@ -1060,7 +866,7 @@ JsonValue RequestPipeline::Stats() const {
                   JsonValue(wire::FingerprintHex(range.fingerprint)));
         ranges.Append(entry);
       }
-      plans.Set(corpus.name, std::move(ranges));
+      plans.Set(name, std::move(ranges));
     }
     topology.Set("plans", std::move(plans));
     out.Set("topology", std::move(topology));
@@ -1185,191 +991,6 @@ JsonValue RequestPipeline::LoadCache(const JsonValue& request) {
 }
 
 // ---------------------------------------------------------------------------
-// candidates (the shard-worker data plane)
-// ---------------------------------------------------------------------------
-
-JsonValue RequestPipeline::Candidates(const JsonValue& request) {
-  // Chaos site: a worker that dies mid-query exercises the router's
-  // dead-worker path (EOF on the response pipe -> Unavailable + retry).
-  // Exit, not a structured error: the point is an abrupt death.
-  if (FaultInjectionEnabled() && Fault("shard_candidates")) _exit(3);
-
-  const std::string& name = request.Get("train").AsString();
-  auto snapshot = store_.Get(name);
-  if (!snapshot) {
-    return NotFoundResponse("candidates: unknown dataset '" + name + "'");
-  }
-  Metric metric;
-  if (!MetricFromName(request.Get("metric").AsString(), &metric)) {
-    return ErrorResponse("candidates: unknown metric '" +
-                         request.Get("metric").AsString() + "'");
-  }
-  auto parse_index = [&](const char* field, size_t* out) {
-    const JsonValue& raw = request.Get(field);
-    const double value = raw.IsNumber() ? raw.AsNumber() : -1.0;
-    if (!raw.IsNumber() || value < 0 || value > 1e15 ||
-        value != static_cast<double>(static_cast<size_t>(value))) {
-      return false;
-    }
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  size_t r = 0, row_begin = 0, row_end = 0;
-  if (!parse_index("r", &r) || !parse_index("row_begin", &row_begin) ||
-      !parse_index("row_end", &row_end)) {
-    return ErrorResponse(
-        "candidates: 'r', 'row_begin', 'row_end' must be non-negative integers");
-  }
-  if (row_begin >= row_end || row_end > snapshot->data->Size()) {
-    return ErrorResponse(Status::InvalidArgument(
-        "candidates: row range [" + std::to_string(row_begin) + ", " +
-        std::to_string(row_end) + ") is not within the " +
-        std::to_string(snapshot->data->Size()) + "-row corpus"));
-  }
-  // ShardFingerprint requires block alignment (a core check, fatal);
-  // requests are validated to structured errors here instead.
-  const size_t block_rows = snapshot->digests->block_rows;
-  if (row_begin % block_rows != 0 ||
-      (row_end % block_rows != 0 && row_end != snapshot->data->Size())) {
-    return ErrorResponse(Status::InvalidArgument(
-        "candidates: row range must be aligned to the " +
-        std::to_string(block_rows) + "-row fingerprint blocks"));
-  }
-  // Content addressing: the router's plan named this shard by the
-  // fingerprint of exactly the rows it expects. A mismatch means this
-  // worker holds a different corpus version — refuse rather than answer
-  // candidates the merge would silently mis-rank.
-  const uint64_t expected =
-      ShardFingerprint(*snapshot->digests, row_begin, row_end);
-  if (request.Get("fingerprint").AsString() != wire::FingerprintHex(expected)) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "candidates: shard fingerprint mismatch for rows [" +
-        std::to_string(row_begin) + ", " + std::to_string(row_end) +
-        ") (expected " + wire::FingerprintHex(expected) + ", got '" +
-        request.Get("fingerprint").AsString() + "')"));
-  }
-  const JsonValue& query_json = request.Get("query");
-  if (!query_json.IsArray() ||
-      query_json.Items().size() != snapshot->data->Dim()) {
-    return ErrorResponse(Status::InvalidArgument(
-        "candidates: 'query' must be an array of " +
-        std::to_string(snapshot->data->Dim()) + " numbers",
-        "query"));
-  }
-  std::vector<float> query;
-  query.reserve(query_json.Items().size());
-  for (const JsonValue& cell : query_json.Items()) {
-    float feature;
-    if (!cell.IsNumber() || !FeatureFromCell(cell.AsNumber(), &feature)) {
-      return ErrorResponse(Status::InvalidArgument(
-          "candidates: query cells must be finite numbers in float range",
-          "query"));
-    }
-    query.push_back(feature);
-  }
-  // The router forwards its *remaining* deadline budget; arming a fresh
-  // token from it means this worker can never fire before its parent.
-  std::unique_ptr<CancelToken> token;
-  if (request.Has("deadline_ms")) {
-    int64_t deadline_ms = 0;
-    if (Status status = ParseDeadlineMs(request, "candidates", &deadline_ms);
-        !status.ok()) {
-      return ErrorResponse(status);
-    }
-    token = std::make_unique<CancelToken>(deadline_ms);
-  }
-  CancelActivation cancel_scope(token.get());
-
-  std::shared_ptr<const CorpusNorms> norms;
-  {
-    // One slot keyed by corpus identity: a worker answers a stream of
-    // queries against one version, so the norms pass runs once per
-    // (corpus, metric), not per query.
-    std::lock_guard<std::mutex> lock(norms_cache_mutex_);
-    if (norms_cache_.norms == nullptr || norms_cache_.name != name ||
-        norms_cache_.version != snapshot->version ||
-        norms_cache_.metric != metric) {
-      norms_cache_.norms = std::make_shared<const CorpusNorms>(
-          NormsForMetric(snapshot->data->features, metric));
-      norms_cache_.name = name;
-      norms_cache_.version = snapshot->version;
-      norms_cache_.metric = metric;
-    }
-    norms = norms_cache_.norms;
-  }
-
-  std::vector<double> dists(row_end - row_begin);
-  std::vector<int> run;
-  if (!ShardCandidates(snapshot->data->features, query, metric, norms.get(),
-                       row_begin, row_end, r, dists, &run) ||
-      CancelRequested()) {
-    return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
-  }
-
-  // Raw doubles: the packed run carries their bits, so the router's merged
-  // ranking — and weighted-fast's kernel weights — match the unsharded
-  // computation to the last bit.
-  thread_local std::vector<double> run_dists;
-  run_dists.clear();
-  for (int i : run) {
-    run_dists.push_back(dists[static_cast<size_t>(i) - row_begin]);
-  }
-  JsonValue out = OkResponse();
-  out.Set("run", JsonValue(wire::PackCandidateRun(run, run_dists)));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// digests / protocol (remote-worker control plane)
-// ---------------------------------------------------------------------------
-
-JsonValue RequestPipeline::Digests(const JsonValue& request) {
-  // What corpus version does this worker hold? The router diffs the
-  // per-block digests against its own (wire::PlanCorpusSync) and ships
-  // nothing, a delta, or a full load. Digests are maintained incrementally
-  // by the store, so this answers without touching the corpus rows.
-  const std::string& name = request.Get("name").AsString();
-  auto snapshot = store_.Get(name);
-  if (!snapshot) {
-    return NotFoundResponse("digests: unknown dataset '" + name + "'");
-  }
-  const CorpusDigests& digests = *snapshot->digests;
-  JsonValue out = OkResponse();
-  out.Set("name", JsonValue(name));
-  out.Set("rows", JsonValue(static_cast<double>(snapshot->data->Size())));
-  out.Set("dim", JsonValue(static_cast<double>(snapshot->data->Dim())));
-  out.Set("block_rows", JsonValue(static_cast<double>(digests.block_rows)));
-  out.Set("target", JsonValue(wire::TargetMode(*snapshot->data)));
-  out.Set("version", JsonValue(static_cast<double>(snapshot->version)));
-  out.Set("fingerprint",
-          JsonValue(wire::FingerprintHex(snapshot->fingerprint)));
-  JsonValue blocks = JsonValue::MakeArray();
-  for (size_t b = 0; b < digests.NumBlocks(); ++b) {
-    blocks.Append(
-        JsonValue(wire::FingerprintHex(wire::BlockDigest(digests, b))));
-  }
-  out.Set("blocks", std::move(blocks));
-  return out;
-}
-
-JsonValue RequestPipeline::Protocol() const {
-  // Self-description for clients and the CI docs gate: every op this
-  // server dispatches, sorted. Keep in lockstep with HandleSync and
-  // docs/PROTOCOL.md (CI greps the doc for each name listed here).
-  static const char* const kOps[] = {
-      "append",  "candidates", "describe",   "digests", "drop",
-      "load",    "load_cache", "load_delta", "methods", "metrics",
-      "ping",    "protocol",   "quit",       "remove",  "save_cache",
-      "stats",   "sync",       "value"};
-  JsonValue out = OkResponse();
-  out.Set("protocol", JsonValue(wire::kProtocolVersion));
-  JsonValue ops = JsonValue::MakeArray();
-  for (const char* op : kOps) ops.Append(JsonValue(op));
-  out.Set("ops", std::move(ops));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // value
 // ---------------------------------------------------------------------------
 
@@ -1455,17 +1076,19 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   // Deadline: a per-request "deadline_ms" wins over the server-wide
   // default. 0 is a valid (already-expired) deadline — the deterministic
   // way to exercise the deadline_exceeded path.
-  int64_t deadline_ms = -1;
   if (request.Has("deadline_ms")) {
-    if (Status status = ParseDeadlineMs(request, "value", &deadline_ms);
-        !status.ok()) {
-      return fail(status);
+    size_t deadline_ms = 0;
+    if (!JsonInteger(request.Get("deadline_ms"), 0, kMaxJsonInteger,
+                     &deadline_ms)) {
+      return fail(Status::InvalidArgument(
+          "value: 'deadline_ms' must be a non-negative integer",
+          "deadline_ms"));
     }
+    engine_request.cancel = std::make_shared<const CancelToken>(
+        static_cast<int64_t>(deadline_ms));
   } else if (options_.default_deadline_ms > 0) {
-    deadline_ms = options_.default_deadline_ms;
-  }
-  if (deadline_ms >= 0) {
-    engine_request.cancel = std::make_shared<const CancelToken>(deadline_ms);
+    engine_request.cancel =
+        std::make_shared<const CancelToken>(options_.default_deadline_ms);
   }
 
   engine_request.use_cache = request.Get("cache").AsBool(true);

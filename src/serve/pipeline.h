@@ -37,21 +37,29 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/engine.h"
-#include "knn/distance_kernel.h"
 #include "obs/metrics.h"
 #include "serve/corpus_store.h"
+#include "shard/shard_service.h"
 #include "shard/topology.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace knnshap {
 
-/// Pipeline construction options.
-struct PipelineOptions {
+/// Pipeline construction options. The inherited ShardTopology fields
+/// (`shards`, `shard_worker_command`, `shard_remote`, `shard_transport`)
+/// place the shard workers: with shards > 1 the ranked value methods
+/// (exact / exact-corrected / weighted-fast / truncated) rank through the
+/// shard subsystem (EngineOptions::shard_topology), responses stay
+/// byte-identical to the unsharded server (see src/shard/README.md), and
+/// the `stats` op grows a "topology" section.
+struct PipelineOptions : ShardTopology {
   /// Pool the value jobs run on; nullptr = ThreadPool::Shared().
   ThreadPool* pool = nullptr;
   /// Max value jobs submitted but not yet finished; the reader blocks when
@@ -109,24 +117,6 @@ struct PipelineOptions {
   /// work, flushes the snapshot and returns. knnshap_serve points this at
   /// its signal-handler flag.
   const std::atomic<bool>* shutdown = nullptr;
-  /// > 1: the ranked value methods (exact / exact-corrected /
-  /// weighted-fast / truncated) rank through the shard subsystem
-  /// (EngineOptions::shard_topology) — responses stay byte-identical to
-  /// the unsharded server (see src/shard/README.md). The `stats` op grows
-  /// a "topology" section when sharding is on.
-  int shards = 1;
-  /// argv of a worker binary speaking the JSONL protocol on stdin/stdout,
-  /// spawned once per shard (knnshap_serve --shard-workers=self|PATH).
-  /// With shards > 1 either this or shard_remote must be set; a fit
-  /// without either answers a structured internal error.
-  std::vector<std::string> shard_worker_command;
-  /// Remote socket topology: one ordered replica endpoint list
-  /// ("host:port") per shard (knnshap_serve --shard-remote), with
-  /// per-shard failover and delta corpus sync (docs/DEPLOYMENT.md);
-  /// mutually exclusive with shard_worker_command.
-  std::vector<std::vector<std::string>> shard_remote;
-  /// Socket transport knobs for spawned and remote workers.
-  SocketWorkerOptions shard_transport;
   EngineOptions engine;
 };
 
@@ -175,23 +165,13 @@ class RequestPipeline {
   JsonValue SaveCache(const JsonValue& request);
   JsonValue LoadCache(const JsonValue& request);
 
-  /// The shard-worker data plane: one exact top-r candidate run over a
-  /// contiguous row range of a stored corpus, fingerprint-verified.
-  /// Answered inline on the reader thread — a worker process serves these
-  /// between its parent's barrier ops, so they must never queue behind the
-  /// pool.
-  JsonValue Candidates(const JsonValue& request);
-
-  /// Remote-worker corpus sync (docs/PROTOCOL.md): `digests` reports a
-  /// stored corpus's per-block content digests; `load_delta` splices
-  /// changed blocks into it, verifying the resulting combined fingerprint
-  /// against the router's expectation (mismatch = data_loss + drop).
-  JsonValue Digests(const JsonValue& request);
-  JsonValue LoadDelta(const JsonValue& request);
-
-  /// Protocol self-description: version + the sorted op list (the CI docs
-  /// gate cross-checks docs/PROTOCOL.md against it).
-  JsonValue Protocol() const;
+  /// One row of the op table (pipeline.cpp): every op this server
+  /// answers, sorted by name. HandleSync dispatches through it, Run drains
+  /// in-flight values before its barrier ops, and `protocol` lists it.
+  struct Op;
+  static std::span<const Op> Ops();
+  /// The table row named `name`; null for an unknown op.
+  static const Op* FindOp(std::string_view name);
 
   /// Per-method/latency/phase subsections of `stats` (time-valued parts
   /// omitted when emit_timing is off, keeping golden transcripts stable).
@@ -224,6 +204,10 @@ class RequestPipeline {
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   CorpusStore store_;
+  /// The shard-worker ops (`candidates`, `digests`, `load_delta`), answered
+  /// inline on the reader thread: a worker process serves them between
+  /// its router's barrier ops, so they never queue behind the pool.
+  ShardService shard_{&store_};
   ValuationEngine engine_;
 
   // Serve-layer instrument handles (null when observability is off). The
@@ -236,21 +220,6 @@ class RequestPipeline {
   Counter* shed_metric_ = nullptr;
   Counter* snapshot_failures_metric_ = nullptr;
   std::mutex slow_log_mutex_;
-
-  /// Single-entry norms cache for the candidates op, keyed by corpus
-  /// identity: a worker process answers a stream of candidates against one
-  /// corpus version, so one slot removes the per-query norms recompute
-  /// (which only cosine actually populates). Shared, so a request that
-  /// copied the norms out keeps them while another connection refills
-  /// the slot for a different corpus or metric.
-  struct NormsCacheEntry {
-    std::string name;
-    uint64_t version = 0;
-    Metric metric = Metric::kL2;
-    std::shared_ptr<const CorpusNorms> norms;
-  };
-  std::mutex norms_cache_mutex_;
-  NormsCacheEntry norms_cache_;
 
   // Robustness counters (surfaced by the stats `server` section and
   // FormatStatusLine). Values-since-last-snapshot is reader-thread-only.

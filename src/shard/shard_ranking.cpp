@@ -22,16 +22,16 @@ namespace {
 /// or the one child the worker command spawns. Throws on a bad topology.
 std::vector<ShardPeer> PeersOf(const ShardTopology& topology, size_t s,
                                size_t shards) {
-  if (topology.remote_replicas.empty()) return {topology.worker_command};
-  if (topology.remote_replicas.size() < shards) {
+  if (topology.shard_remote.empty()) return {topology.shard_worker_command};
+  if (topology.shard_remote.size() < shards) {
     throw std::runtime_error(
         "sharded fit: " + std::to_string(shards) +
         " planned shards but only " +
-        std::to_string(topology.remote_replicas.size()) +
+        std::to_string(topology.shard_remote.size()) +
         " remote replica group(s)");
   }
   std::vector<ShardPeer> peers;
-  for (const std::string& spec : topology.remote_replicas[s]) {
+  for (const std::string& spec : topology.shard_remote[s]) {
     Endpoint endpoint;
     std::string error;
     if (!ParseEndpoint(spec, &endpoint, &error)) {
@@ -53,7 +53,8 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
                            const ShardContext& context)
     : rows_(corpus.Size()), digests_(context.digests) {
   const ShardTopology& topology = *context.topology;
-  if (topology.worker_command.empty() && topology.remote_replicas.empty()) {
+  if (topology.shard_worker_command.empty() &&
+      topology.shard_remote.empty()) {
     // Unsharded serving is the in-process path (LocalRanking); a sharded
     // fit needs workers in other processes.
     throw std::runtime_error(
@@ -67,15 +68,15 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
         std::make_shared<const CorpusDigests>(ComputeCorpusDigests(corpus));
   }
   const std::vector<ShardRange> plan =
-      PlanShards(*digests_, static_cast<size_t>(std::max(topology.count, 1)));
+      PlanShards(*digests_, static_cast<size_t>(std::max(topology.shards, 1)));
   const ShardTransportCounters counters =
       ShardTransportCounters::From(context.metrics);
   workers_.reserve(plan.size());
   for (size_t s = 0; s < plan.size(); ++s) {
     workers_.push_back(std::make_unique<ShardWorker>(
         plan[s], PeersOf(topology, s, plan.size()), context.corpus_name,
-        metric, digests_->Combined(), topology.transport, counters, &corpus,
-        digests_.get()));
+        metric, digests_->Combined(), topology.shard_transport, counters,
+        &corpus, digests_.get()));
   }
   // Every shard connects and syncs at once on the shared pool (the caller
   // helps, so this is safe from a pool thread). The fit's trace follows
@@ -91,7 +92,7 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
   // retires the fit slot. A remote group that no dial reached is an
   // outage a retry may outlive: its latched Health() answers unavailable
   // + retry_after_ms on the first fan-out instead of poisoning the fit.
-  if (!topology.remote_replicas.empty()) return;
+  if (!topology.shard_remote.empty()) return;
   for (const Status& status : connected) {
     if (!status.ok()) {
       throw std::runtime_error("shard worker spawn failed: " +

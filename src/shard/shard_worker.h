@@ -12,8 +12,8 @@
 // ShardPeer — a remote worker to dial or a worker command to spawn — and
 // a spawned shard is simply a group of one. The worker speaks to one
 // replica at a time through a ShardConnection (socket_worker.h); the
-// process on the other end runs ShardCandidates below behind its
-// `candidates` op. A query splits into a send half and a read half, so
+// process on the other end answers through its ShardService
+// (shard_service.h). A query splits into a send half and a read half, so
 // the router can write every shard's request before it reads any reply
 // (send-all-then-gather: the shards compute at once).
 //
@@ -42,30 +42,14 @@
 #include <vector>
 
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "shard/shard_planner.h"
 #include "shard/socket_worker.h"
 #include "shard/topology.h"
 #include "util/fingerprint.h"
-#include "util/matrix.h"
 #include "util/status.h"
 
 namespace knnshap {
-
-/// The candidates kernel every worker runs: distances from `query` to
-/// corpus rows [row_begin, row_end) into `dists` (one slot per row of the
-/// range, bit-identical to the matching slice of a whole-corpus
-/// ComputeDistances pass), then the range's exact top-min(r, rows) in
-/// (distance, index) order, as global row indices, into *run. Local
-/// selection equals the restriction of the global order: the index tie
-/// break is monotone under the constant row offset. Returns false, with
-/// *run cleared, when the active CancelToken expired during the distance
-/// pass.
-bool ShardCandidates(const Matrix& features, std::span<const float> query,
-                     Metric metric, const CorpusNorms* norms, size_t row_begin,
-                     size_t row_end, size_t r, std::span<double> dists,
-                     std::vector<int>* run);
 
 /// One shard's ordered replica list, with health latching and mid-query
 /// failover. Not synchronized: the router serializes fan-outs and reads

@@ -1,24 +1,25 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// ShardTopology — how a sharded server places its shard workers. Fixed
-// per process: the serve layer (serve/pipeline.h) builds it once from its
-// flags into EngineOptions, and the engine hands it, inside a
-// ShardContext, to every fit of a ranked method, whose ShardRanking
-// (shard/shard_ranking.h) builds that fit's workers from it. Every shard
-// gets one ShardWorker (shard/shard_worker.h), an ordered replica list;
-// the fields only choose how its replicas are opened:
+// ShardTopology — how a sharded server places its shard workers, and the
+// one definition of those knobs: PipelineOptions (serve/pipeline.h)
+// derives from it. Fixed per process: the pipeline copies it into
+// EngineOptions, and the engine hands it, inside a ShardContext, to every
+// fit of a ranked method, whose ShardRanking (shard/shard_ranking.h)
+// builds that fit's workers from it. Every shard gets one ShardWorker
+// (shard/shard_worker.h), an ordered replica list; the fields only choose
+// how its replicas are opened:
 //
-//   remote_replicas non-empty  each shard's group is its list of
-//                              standalone `knnshap_serve --shard-listen`
-//                              endpoints, dialed over TCP
-//   worker_command non-empty   each shard's group is one child spawned
-//                              from the command, connected over a
-//                              socketpair on its stdin/stdout
+//   shard_remote non-empty          each shard's group is its list of
+//                                   `knnshap_serve --shard-listen`
+//                                   endpoints, dialed over TCP
+//   shard_worker_command non-empty  each shard's group is one child
+//                                   spawned from the command, over a
+//                                   socketpair on its stdin/stdout
 //
 // A sharded topology with neither fails its fits: unsharded serving is
 // the in-process path. Both kinds of replica share one transport
-// (socket_worker.h): the same corpus sync, health latching, counters and
-// timeouts.
+// (socket_worker.h), and each answers through its ShardService
+// (shard_service.h).
 
 #ifndef KNNSHAP_SHARD_TOPOLOGY_H_
 #define KNNSHAP_SHARD_TOPOLOGY_H_
@@ -42,17 +43,20 @@ struct SocketWorkerOptions {
 
 struct ShardTopology {
   /// Planned shard count (clamped to the corpus's fingerprint-block
-  /// count); 1 = unsharded.
-  int count = 1;
+  /// count); 1 = unsharded (knnshap_serve --shards).
+  int shards = 1;
   /// argv of a worker binary that speaks the JSONL serve protocol on
-  /// stdin/stdout. Non-empty spawns one child per shard.
-  std::vector<std::string> worker_command;
-  /// One ordered replica endpoint list ("host:port") per shard. There
-  /// must be at least as many groups as planned shards (the planner may
-  /// clamp the count below the flag on tiny corpora; trailing groups then
-  /// go unused).
-  std::vector<std::vector<std::string>> remote_replicas;
-  SocketWorkerOptions transport;
+  /// stdin/stdout. Non-empty spawns one child per shard
+  /// (--shard-workers=self|PATH).
+  std::vector<std::string> shard_worker_command;
+  /// One ordered replica endpoint list ("host:port") per shard
+  /// (--shard-remote). There must be at least as many groups as planned
+  /// shards (the planner may clamp the count below the flag on tiny
+  /// corpora; trailing groups then go unused). Mutually exclusive with
+  /// shard_worker_command.
+  std::vector<std::vector<std::string>> shard_remote;
+  /// Socket transport knobs for spawned and remote workers.
+  SocketWorkerOptions shard_transport;
 };
 
 /// What a fit needs to rank its corpus through the shards: the process's

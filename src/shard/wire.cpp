@@ -5,10 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/cancel.h"
 #include "util/common.h"
@@ -27,18 +26,29 @@ bool ParseHexFingerprint(const std::string& hex, uint64_t* out) {
   if (hex.size() < 3 || hex[0] != '0' || (hex[1] != 'x' && hex[1] != 'X')) {
     return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(hex.c_str() + 2, &end, 16);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
+  // from_chars, not strtoull: no sign, no whitespace, no wraparound.
+  const char* end = hex.data() + hex.size();
+  const auto [stop, ec] = std::from_chars(hex.data() + 2, end, *out, 16);
+  return ec == std::errc() && stop == end;
 }
 
-std::string TargetMode(const Dataset& data) {
-  if (data.HasLabels()) return "label";
-  if (data.HasTargets()) return "target";
-  return "none";
+JsonValue OkResponse() {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("ok", JsonValue(true));
+  return out;
+}
+
+JsonValue ErrorResponse(const Status& status) {
+  JsonValue out = JsonValue::MakeObject();
+  out.Set("ok", JsonValue(false));
+  out.Set("error", JsonValue(status.message()));
+  out.Set("code", JsonValue(StatusCodeName(status.code())));
+  if (!status.field().empty()) out.Set("field", JsonValue(status.field()));
+  return out;
+}
+
+JsonValue ErrorResponse(const std::string& message) {
+  return ErrorResponse(Status::InvalidArgument(message));
 }
 
 namespace {
@@ -59,7 +69,7 @@ constexpr std::array<uint8_t, 256> kBase64Values = [] {
 /// Bytes per packed candidate: u32 row index + f64 distance bits.
 constexpr size_t kRunEntryBytes = 12;
 /// Packed rows carry at most this many rows: row indices are ints.
-constexpr double kMaxPackedRows = 2147483647.0;
+constexpr size_t kMaxPackedRows = 2147483647;
 
 /// Little-endian bytes of an unsigned integer, whatever the host order.
 template <typename T>
@@ -309,14 +319,11 @@ void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
 
 bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
                       size_t expected_rows, Dataset* data, std::string* error) {
-  const JsonValue& count_json = payload.Get("count");
-  const double raw = count_json.IsNumber() ? count_json.AsNumber() : 0.0;
-  if (!(raw >= 1.0 && raw <= kMaxPackedRows) ||
-      raw != static_cast<double>(static_cast<size_t>(raw))) {
+  size_t count = 0;
+  if (!JsonInteger(payload.Get("count"), 1, kMaxPackedRows, &count)) {
     *error = "'count' must be a positive integer";
     return false;
   }
-  const size_t count = static_cast<size_t>(raw);
   if (expected_rows != 0 && count != expected_rows) {
     *error = "'count' is " + std::to_string(count) + ", expected " +
              std::to_string(expected_rows);
@@ -377,7 +384,7 @@ JsonValue BuildInlineLoadRequest(const std::string& corpus_name,
   JsonValue load = JsonValue::MakeObject();
   load.Set("op", JsonValue("load"));
   load.Set("name", JsonValue(corpus_name));
-  load.Set("target", JsonValue(TargetMode(corpus)));
+  load.Set("target", JsonValue(CsvTargetName(TargetOf(corpus))));
   load.Set("dim", JsonValue(static_cast<double>(corpus.Dim())));
   SetPackedRows(corpus, 0, corpus.Size(), &load);
   return load;
@@ -410,11 +417,13 @@ CorpusSyncPlan PlanCorpusSync(const Dataset& corpus, const CorpusDigests& local,
   // A delta splices blocks into the worker's existing corpus, so every
   // structural parameter must match; anything else falls back to a full
   // load (correct by construction, just more bytes).
-  if (static_cast<size_t>(remote_response.Get("dim").AsNumber(0)) !=
-          local.cols ||
-      static_cast<size_t>(remote_response.Get("block_rows").AsNumber(0)) !=
-          local.block_rows ||
-      remote_response.Get("target").AsString() != TargetMode(corpus)) {
+  size_t dim = 0, block_rows = 0;
+  if (!JsonInteger(remote_response.Get("dim"), 1, kMaxJsonInteger, &dim) ||
+      !JsonInteger(remote_response.Get("block_rows"), 1, kMaxJsonInteger,
+                   &block_rows) ||
+      dim != local.cols || block_rows != local.block_rows ||
+      remote_response.Get("target").AsString() !=
+          CsvTargetName(TargetOf(corpus))) {
     return plan;
   }
   uint64_t remote_fingerprint = 0;
@@ -450,7 +459,7 @@ JsonValue BuildDeltaLoadRequest(const std::string& corpus_name,
   JsonValue request = JsonValue::MakeObject();
   request.Set("op", JsonValue("load_delta"));
   request.Set("name", JsonValue(corpus_name));
-  request.Set("target", JsonValue(TargetMode(corpus)));
+  request.Set("target", JsonValue(CsvTargetName(TargetOf(corpus))));
   request.Set("rows", JsonValue(static_cast<double>(corpus.Size())));
   request.Set("dim", JsonValue(static_cast<double>(corpus.Dim())));
   request.Set("fingerprint", JsonValue(FingerprintHex(digests.Combined())));

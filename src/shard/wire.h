@@ -5,8 +5,8 @@
 // (socket_worker.h; spawned children and remote replicas alike). The
 // messages are ordinary serve-protocol requests (docs/PROTOCOL.md is the
 // normative spec); this header is the single in-tree encoding of them, so
-// a framing change cannot drift between the router and the worker ops in
-// serve/pipeline.cpp.
+// a framing change cannot drift between the router and the worker ops
+// (`candidates`, `digests`, `load_delta`) in shard_service.cpp.
 //
 // Bulk payloads (protocol 2) are packed: one base64 string field of
 // little-endian raw bits instead of a JSON array of numbers. A candidate
@@ -63,9 +63,14 @@ std::string PackCandidateRun(std::span<const int> indices,
 std::string FingerprintHex(uint64_t fingerprint);
 bool ParseHexFingerprint(const std::string& hex, uint64_t* out);
 
-/// The trailing-column target mode of a dataset ("label"|"target"|"none").
-/// Datasets with both channels cannot ship over the one-column wire.
-std::string TargetMode(const Dataset& data);
+/// {"ok":true}, the start of every successful reply.
+JsonValue OkResponse();
+/// A failed reply carries the Status parts: "error" is the message,
+/// "code" the stable snake_case class, and "field" — present for
+/// parameter errors — names the offending request field.
+JsonValue ErrorResponse(const Status& status);
+/// An invalid_argument reply: the request itself is malformed.
+JsonValue ErrorResponse(const std::string& message);
 
 /// One `candidates` request for a planned shard. Forwards the *remaining*
 /// budget of the active CancelToken (if any) as `deadline_ms`, so a

@@ -3,7 +3,8 @@
 #include "util/cli.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
+#include <cstdio>
 #include <limits>
 #include <system_error>
 
@@ -61,12 +62,12 @@ std::string CommandLine::GetString(const std::string& name,
 }
 
 double CommandLine::GetDouble(const std::string& name, double fallback) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  KNNSHAP_CHECK(end != it->second.c_str(), "flag --" + name + " is not a number");
-  return v;
+  double value = 0.0;
+  std::string error;
+  KNNSHAP_CHECK(ParseDouble(name, fallback, std::numeric_limits<double>::lowest(),
+                            &value, &error),
+                error);
+  return value;
 }
 
 int CommandLine::GetInt(const std::string& name, int fallback) const {
@@ -91,6 +92,29 @@ bool CommandLine::ParseInt(const std::string& name, int fallback, int min_value,
     *error = "--" + name + " must be an integer in [" + std::to_string(min_value) +
              ", " + std::to_string(std::numeric_limits<int>::max()) + "], got '" +
              text + "'";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool CommandLine::ParseDouble(const std::string& name, double fallback,
+                              double min_value, double* out,
+                              std::string* error) const {
+  auto it = values_.find(name);
+  if (it == values_.end()) {
+    *out = fallback;
+    return true;
+  }
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value) ||
+      value < min_value) {
+    char bound[32];
+    std::snprintf(bound, sizeof bound, "%g", min_value);
+    *error = "--" + name + " must be a finite number >= " + bound + ", got '" + text +
+             "'";
     return false;
   }
   *out = value;

@@ -31,6 +31,7 @@ class CommandLine {
   std::vector<std::string> Names() const;
 
   std::string GetString(const std::string& name, const std::string& fallback) const;
+  /// Aborts, like GetInt, unless the value is a finite decimal number.
   double GetDouble(const std::string& name, double fallback) const;
   /// Aborts, like GetDouble, unless the value is a base-10 integer in
   /// int's range.
@@ -42,6 +43,13 @@ class CommandLine {
   /// min_value 0 are errors, never truncated or wrapped.
   bool ParseInt(const std::string& name, int fallback, int min_value, int* out,
                 std::string* error) const;
+
+  /// The number flag `name` into *out (`fallback` when absent). Returns
+  /// false, with a message naming the flag in *error, unless the whole
+  /// value is a finite decimal number >= min_value: "abc", "5abc" and
+  /// "inf" are errors, never read as a prefix or aborted on.
+  bool ParseDouble(const std::string& name, double fallback, double min_value,
+                   double* out, std::string* error) const;
 
   /// Dataset-size multiplier shared by all benches (--scale).
   double Scale() const { return GetDouble("scale", 1.0); }

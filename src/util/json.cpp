@@ -647,4 +647,16 @@ JsonParseResult ParseJson(const std::string& text) {
   return parser.Run();
 }
 
+bool JsonInteger(const JsonValue& value, size_t min_value, size_t max_value,
+                 size_t* out) {
+  const double number = value.AsNumber(-1.0);
+  if (!value.IsNumber() || !(number >= static_cast<double>(min_value) &&
+                             number <= static_cast<double>(max_value)) ||
+      number != std::floor(number)) {
+    return false;
+  }
+  *out = static_cast<size_t>(number);
+  return true;
+}
+
 }  // namespace knnshap

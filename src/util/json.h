@@ -33,6 +33,7 @@
 #ifndef KNNSHAP_UTIL_JSON_H_
 #define KNNSHAP_UTIL_JSON_H_
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,6 +167,17 @@ inline constexpr int kJsonMaxNestingDepth = 256;
 /// error (JSONL framing: exactly one document per line). Numbers take
 /// strtod's grammar and values, a leading '+' included.
 JsonParseResult ParseJson(const std::string& text);
+
+/// The largest integer a request field may carry: every integer up to it
+/// is exact in a double.
+inline constexpr size_t kMaxJsonInteger = 1'000'000'000'000'000;  // 1e15
+
+/// The integer request field `value`, in [min_value, max_value], into
+/// *out. False for a non-number, a fraction or a value out of range; the
+/// range is checked before the cast, which a double outside size_t would
+/// make undefined. max_value must not exceed kMaxJsonInteger.
+bool JsonInteger(const JsonValue& value, size_t min_value, size_t max_value,
+                 size_t* out);
 
 }  // namespace knnshap
 

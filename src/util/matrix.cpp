@@ -16,12 +16,14 @@ void Matrix::AppendRow(std::span<const float> row) {
   ++rows_;
 }
 
-void Matrix::AppendRows(const Matrix& other) {
-  if (other.rows_ == 0) return;
+void Matrix::AppendRows(const Matrix& other, size_t begin, size_t end) {
+  KNNSHAP_CHECK(begin <= end && end <= other.rows_, "row range out of bounds");
+  if (begin == end) return;
   if (rows_ == 0 && cols_ == 0) cols_ = other.cols_;
   KNNSHAP_CHECK(other.cols_ == cols_, "row length mismatch");
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-  rows_ += other.rows_;
+  data_.insert(data_.end(), other.data_.begin() + begin * other.cols_,
+               other.data_.begin() + end * other.cols_);
+  rows_ += end - begin;
 }
 
 void Matrix::Scale(double factor) {

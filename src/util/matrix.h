@@ -45,7 +45,10 @@ class Matrix {
 
   /// Appends every row of `other`; its width must equal Cols() (or set
   /// Cols on first row).
-  void AppendRows(const Matrix& other);
+  void AppendRows(const Matrix& other) { AppendRows(other, 0, other.Rows()); }
+
+  /// Appends rows [begin, end) of `other`, as AppendRows(other) does.
+  void AppendRows(const Matrix& other, size_t begin, size_t end);
 
   /// Capacity for `rows` rows of `cols` values, so AppendRow does not
   /// regrow the storage.

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -352,6 +353,37 @@ TEST(ServeTest, DescribeListsEveryMethodWithTypedParams) {
       ParseJson(R"({"op":"describe","method":"nope"})").value);
   EXPECT_FALSE(missing.Get("ok").AsBool());
   EXPECT_EQ(missing.Get("code").AsString(), "not_found");
+}
+
+// `protocol` answers version 2 and the op table's names, sorted; every
+// listed op dispatches and no other name does.
+TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
+  PipelineOptions options;
+  options.emit_timing = false;
+  RequestPipeline pipeline(options);
+
+  const JsonValue reply =
+      pipeline.HandleSync(ParseJson(R"({"op":"protocol"})").value);
+  EXPECT_EQ(reply.Dump(),
+            R"({"ok":true,"protocol":2,"ops":["append","candidates",)"
+            R"("describe","digests","drop","load","load_cache","load_delta",)"
+            R"("methods","metrics","ping","protocol","quit","remove",)"
+            R"("save_cache","stats","sync","value"]})");
+  std::vector<std::string> ops;
+  for (const JsonValue& op : reply.Get("ops").Items()) {
+    ops.push_back(op.AsString());
+  }
+  EXPECT_TRUE(std::is_sorted(ops.begin(), ops.end()));
+  const auto unknown = [&](const std::string& op) {
+    JsonValue request = JsonValue::MakeObject();
+    request.Set("op", JsonValue(op));
+    return pipeline.HandleSync(request).Get("error").AsString() ==
+           "unknown op '" + op + "'";
+  };
+  for (const std::string& op : ops) EXPECT_FALSE(unknown(op)) << op;
+  for (const char* op : {"", "bogus", "Value", "load-delta", "valu", "values"}) {
+    EXPECT_TRUE(unknown(op)) << op;
+  }
 }
 
 TEST(ServeTest, StructuredErrorsNameCodeAndField) {

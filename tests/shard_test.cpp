@@ -35,6 +35,7 @@
 #include "knn/selection.h"
 #include "serve/pipeline.h"
 #include "shard/shard_planner.h"
+#include "shard/shard_service.h"
 #include "shard/shard_worker.h"
 #include "shard/socket_worker.h"
 #include "shard/wire.h"

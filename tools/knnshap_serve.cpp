@@ -87,7 +87,8 @@
 //
 // Any other flag is rejected at startup (exit 1), naming it. So is an
 // integer flag whose value is not a base-10 integer in int's range, or is
-// negative (--max-queue takes -1, --shards starts at 1).
+// negative (--max-queue takes -1, --shards starts at 1), and a --slow-ms
+// that is not a finite, non-negative number.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: stop reading, drain
 // in-flight work, flush the snapshot and the metrics file, exit 0.
@@ -205,17 +206,16 @@ int main(int argc, char** argv) {
     SetKernelOverride(kernel_kind);
   }
 
-  // Integer flags, read before any pool or worker starts. A count, size
-  // or timeout is never negative (it would wrap to a huge size_t), and a
-  // non-integer such as "2.5" or "1e300" is an error, not truncated.
-  bool int_flags_ok = true;
+  // Number flags, read before any pool or worker starts. A count, size
+  // or timeout is never negative (it would wrap to a huge size_t), a
+  // non-integer such as "2.5" or "1e300" is an error, not truncated, and
+  // no value is read from a prefix ("5abc").
+  bool flags_ok = true;
+  std::string flag_error;
   const auto int_flag = [&](const char* name, int fallback, int min_value) {
     int value = fallback;
-    std::string error;
-    if (int_flags_ok && !args.ParseInt(name, fallback, min_value, &value, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      int_flags_ok = false;
-    }
+    flags_ok = flags_ok &&
+               args.ParseInt(name, fallback, min_value, &value, &flag_error);
     return value;
   };
   const int threads = int_flag("threads", 0, 0);
@@ -229,7 +229,13 @@ int main(int argc, char** argv) {
   const int connect_timeout_ms = int_flag("shard-connect-timeout-ms", 2000, 0);
   const int io_timeout_ms = int_flag("shard-io-timeout-ms", 30000, 0);
   const int connect_attempts = int_flag("shard-connect-attempts", 3, 0);
-  if (!int_flags_ok) return 1;
+  double slow_ms = 0.0;
+  flags_ok = flags_ok &&
+             args.ParseDouble("slow-ms", 0.0, 0.0, &slow_ms, &flag_error);
+  if (!flags_ok) {
+    std::fprintf(stderr, "%s\n", flag_error.c_str());
+    return 1;
+  }
 
   PipelineOptions options;
   options.pipelined = !args.Has("serial");
@@ -238,7 +244,7 @@ int main(int argc, char** argv) {
   if (in_flight > 0) options.max_in_flight = static_cast<size_t>(in_flight);
   options.observability = !args.Has("no-obs");
   options.trace_all = args.Has("trace-all");
-  options.slow_ms = args.GetDouble("slow-ms", 0.0);
+  options.slow_ms = slow_ms;
   const std::string metrics_file = args.GetString("metrics-file", "");
   if (!options.observability && (!metrics_file.empty() || options.slow_ms > 0)) {
     std::fprintf(stderr, "--no-obs conflicts with --metrics-file/--slow-ms\n");
@@ -347,6 +353,8 @@ int main(int argc, char** argv) {
   options.shutdown = &g_shutdown;
 
   const std::string shard_listen = args.GetString("shard-listen", "");
+  Endpoint listen_endpoint;
+  int listen_fd = -1;
   if (!shard_listen.empty()) {
     if (options.shards != 1 || !shard_workers.empty()) {
       std::fprintf(stderr,
@@ -354,29 +362,31 @@ int main(int argc, char** argv) {
                    "--shards/--shard-workers/--shard-remote\n");
       return 1;
     }
-    Endpoint endpoint;
     std::string error;
-    if (!ParseEndpoint(shard_listen, &endpoint, &error, "127.0.0.1",
+    if (!ParseEndpoint(shard_listen, &listen_endpoint, &error, "127.0.0.1",
                        /*allow_port_zero=*/true)) {
       std::fprintf(stderr, "--shard-listen: %s\n", error.c_str());
       return 1;
     }
-    const int listen_fd = ListenTcp(endpoint, /*backlog=*/64, &error);
+    listen_fd = ListenTcp(listen_endpoint, /*backlog=*/64, &error);
     if (listen_fd < 0) {
       std::fprintf(stderr, "--shard-listen: %s\n", error.c_str());
       return 1;
     }
+    options.pipelined = false;
+  }
+
+  RequestPipeline pipeline(options);
+  if (listen_fd >= 0) {
     // Connections are served serially, one thread per connection, against
     // ONE shared pipeline: the corpus a router loaded survives its
     // reconnects, which is what makes `digests` + `load_delta` re-syncs
     // cheap. Concurrent connections are safe — the store and engine are
     // thread-safe — and each connection's own request stream stays ordered.
-    options.pipelined = false;
-    RequestPipeline pipeline(options);
     // Announced on stderr (stdout belongs to nothing in this mode); tests
     // bind port 0 and parse this line for the ephemeral port.
     std::fprintf(stderr, "knnshap_serve: shard worker listening on %s:%d\n",
-                 endpoint.host.c_str(), BoundPort(listen_fd));
+                 listen_endpoint.host.c_str(), BoundPort(listen_fd));
     std::fflush(stderr);
     std::mutex conn_mutex;
     std::vector<int> open_fds;
@@ -416,24 +426,13 @@ int main(int argc, char** argv) {
       for (int fd : open_fds) shutdown(fd, SHUT_RDWR);
     }
     for (auto& handler : handlers) handler.join();
-    if (!metrics_file.empty() && pipeline.Metrics() != nullptr) {
-      std::ofstream out(metrics_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot open --metrics-file '%s'\n",
-                     metrics_file.c_str());
-        return 1;
-      }
-      out << pipeline.Metrics()->ToJson().Dump() << '\n';
-    }
-    return 0;
+  } else {
+    // Requests are read from fd 0 through a 64 KB buffer: std::cin, synced
+    // with stdio, makes one locked getc call per byte once threads exist.
+    FdInBuf stdin_buf(STDIN_FILENO, g_wake_pipe[0]);
+    std::istream in(&stdin_buf);
+    pipeline.Run(in, std::cout);
   }
-
-  RequestPipeline pipeline(options);
-  // Requests are read from fd 0 through a 64 KB buffer: std::cin, synced
-  // with stdio, makes one locked getc call per byte once threads exist.
-  FdInBuf stdin_buf(STDIN_FILENO, g_wake_pipe[0]);
-  std::istream in(&stdin_buf);
-  pipeline.Run(in, std::cout);
   if (!metrics_file.empty() && pipeline.Metrics() != nullptr) {
     std::ofstream out(metrics_file);
     if (!out) {
