@@ -34,10 +34,14 @@
 // "number" arm times JsonValue::Dump of a 200k-value array of seeded
 // Shapley-shaped doubles (a fullrank reply's values) against
 // std::to_chars(general, 17) alone over the same values, in ns per value.
-// In --smoke mode the selection, sort and number arms double as perf
-// regression gates: the process exits nonzero if the select path is
+// A sixth "base64" arm times wire::EncodeBase64/DecodeBase64 on 100,000
+// seeded bytes (one 12,500-row shard's distance column) against the
+// byte-at-a-time codec they replaced (tests/base64_oracle.h).
+// In --smoke mode the selection, sort, number and base64 arms double as
+// perf regression gates: the process exits nonzero if the select path is
 // slower than the argsort path at N=100k, the radix argsort is slower
-// than the comparator sort at N=200k, or Dump is slower than to_chars.
+// than the comparator sort at N=200k, Dump is slower than to_chars, or
+// the wire decoder is slower than the oracle's.
 // The JSON records the host's core count and kernel.
 
 #include <sys/utsname.h>
@@ -45,17 +49,20 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../tests/base64_oracle.h"
 #include "bench_util.h"
 #include "core/exact_knn_shapley.h"
 #include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/neighbors.h"
 #include "knn/selection.h"
+#include "shard/wire.h"
 #include "util/json.h"
 #include "util/random.h"
 
@@ -225,6 +232,39 @@ NumberResult TimeNumbers(size_t n, size_t repeats) {
           out.push_back(',');
         }
       }) * 1e6 / static_cast<double>(n);
+  return result;
+}
+
+struct Base64Result {
+  double encode_us = 0.0;         // wire::EncodeBase64
+  double oracle_encode_us = 0.0;  // the byte-at-a-time encoder
+  double decode_us = 0.0;         // wire::DecodeBase64
+  double oracle_decode_us = 0.0;  // the byte-at-a-time decoder
+};
+
+Base64Result TimeBase64(size_t n, size_t repeats) {
+  Rng rng(47);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.NextIndex(256));
+  const std::string text = wire::EncodeBase64(bytes);
+  if (text != oracle::EncodeBase64(bytes)) {
+    std::fprintf(stderr, "FAIL: base64 encoders disagree\n");
+    std::exit(1);
+  }
+  std::string encoded, decoded;
+  Base64Result result;
+  result.encode_us =
+      MedianMs(repeats, [&] { encoded = wire::EncodeBase64(bytes); }) * 1e3;
+  result.oracle_encode_us =
+      MedianMs(repeats, [&] { encoded = oracle::EncodeBase64(bytes); }) * 1e3;
+  result.decode_us =
+      MedianMs(repeats, [&] { wire::DecodeBase64(text, &decoded); }) * 1e3;
+  result.oracle_decode_us =
+      MedianMs(repeats, [&] { oracle::DecodeBase64(text, &decoded); }) * 1e3;
+  if (decoded != bytes) {
+    std::fprintf(stderr, "FAIL: base64 decoders disagree\n");
+    std::exit(1);
+  }
   return result;
 }
 
@@ -438,9 +478,24 @@ int main(int argc, char** argv) {
              number_n, numbers.dump_ns, numbers.to_chars_ns, number_speedup);
   std::fprintf(json,
                "  \"number\": [\n    {\"n\": %zu, \"dump_ns_per_value\": %.2f, "
-               "\"to_chars17_ns_per_value\": %.2f, \"speedup_vs_to_chars\": %.2f}\n  ]\n}\n",
+               "\"to_chars17_ns_per_value\": %.2f, \"speedup_vs_to_chars\": %.2f}\n  ],\n",
                number_n, numbers.dump_ns, numbers.to_chars_ns, number_speedup);
   const bool number_ok = !smoke || numbers.dump_ns <= numbers.to_chars_ns;
+
+  // Base64 arm: the wire codec against the byte-at-a-time one it replaced.
+  const size_t base64_n = 100000;
+  const Base64Result b64 = TimeBase64(base64_n, smoke ? 21 : 101);
+  bench::Row("base64 %zu B: encode %.1f us (oracle %.1f)  decode %.1f us "
+             "(oracle %.1f)\n",
+             base64_n, b64.encode_us, b64.oracle_encode_us, b64.decode_us,
+             b64.oracle_decode_us);
+  std::fprintf(json,
+               "  \"base64\": [\n    {\"bytes\": %zu, \"encode_us\": %.2f, "
+               "\"oracle_encode_us\": %.2f, \"decode_us\": %.2f, "
+               "\"oracle_decode_us\": %.2f}\n  ]\n}\n",
+               base64_n, b64.encode_us, b64.oracle_encode_us, b64.decode_us,
+               b64.oracle_decode_us);
+  const bool base64_ok = !smoke || b64.decode_us <= b64.oracle_decode_us;
   std::fclose(json);
   bench::Row("wrote %s\n", json_path.c_str());
   if (!select_ok) {
@@ -458,6 +513,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: JsonValue::Dump slower than to_chars(general, 17) in "
                  "smoke gate\n");
+    return 1;
+  }
+  if (!base64_ok) {
+    std::fprintf(stderr,
+                 "FAIL: wire::DecodeBase64 slower than the byte-at-a-time "
+                 "decoder in smoke gate\n");
     return 1;
   }
   return 0;

@@ -6,9 +6,10 @@
 // the ranked valuators (engine/valuators.h) ask this one seam for it and
 // run the same code on every topology. LocalRanking (here) ranks the
 // in-process corpus with RankByDistance and is the unsharded server's
-// only path; ShardRanking (shard/shard_ranking.h) merges exact candidate
-// runs from spawned or remote shard workers, which is the same ranking
-// bit for bit (knn/selection.h).
+// only path; ShardRanking (shard/shard_ranking.h) orders what spawned or
+// remote shard workers send — distance columns sorted once at full rank,
+// exact candidate runs merged below it — which is the same ranking bit
+// for bit (knn/selection.h).
 
 #ifndef KNNSHAP_KNN_RANKING_H_
 #define KNNSHAP_KNN_RANKING_H_

@@ -434,8 +434,7 @@ std::span<const RequestPipeline::Op> RequestPipeline::Ops() {
       {"protocol", false,
        [](P&, R) {
          // The CI docs gate greps docs/PROTOCOL.md for each listed name.
-         JsonValue out = OkResponse();
-         out.Set("protocol", JsonValue(wire::kProtocolVersion));
+         JsonValue out = wire::ProtocolResponse();
          JsonValue ops = JsonValue::MakeArray();
          for (const Op& op : Ops()) ops.Append(JsonValue(std::string(op.name)));
          out.Set("ops", std::move(ops));

@@ -6,9 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "knn/distance_kernel.h"
 #include "knn/selection.h"
 #include "obs/trace.h"
 #include "shard/shard_planner.h"
+#include "shard/wire.h"
 #include "util/cancel.h"
 #include "util/common.h"
 #include "util/net.h"
@@ -49,6 +51,25 @@ std::vector<ShardPeer> PeersOf(const ShardTopology& topology, size_t s,
 
 }  // namespace
 
+void OrderShardReplies(std::span<const double> dists,
+                       std::span<const ShardRange> plan, size_t r,
+                       std::vector<std::vector<int>>* runs,
+                       std::vector<int>* order) {
+  if (r >= dists.size()) {
+    ScopedPhase span(Phase::kSort);
+    ArgsortDistances(dists, order);
+    return;
+  }
+  ScopedPhase span(Phase::kShardMerge);
+  for (size_t s = 0; s < plan.size(); ++s) {
+    if (!wire::RepliesWithColumn(r, plan[s].Rows())) continue;
+    std::vector<int>& run = (*runs)[s];
+    ArgsortDistances(dists.subspan(plan[s].row_begin, plan[s].Rows()), &run);
+    for (int& index : run) index += static_cast<int>(plan[s].row_begin);
+  }
+  MergeSortedCandidateRuns(dists, *runs, r, order);
+}
+
 ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
                            const ShardContext& context)
     : rows_(corpus.Size()), digests_(context.digests) {
@@ -67,14 +88,14 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
     digests_ =
         std::make_shared<const CorpusDigests>(ComputeCorpusDigests(corpus));
   }
-  const std::vector<ShardRange> plan =
+  plan_ =
       PlanShards(*digests_, static_cast<size_t>(std::max(topology.shards, 1)));
   const ShardTransportCounters counters =
       ShardTransportCounters::From(context.metrics);
-  workers_.reserve(plan.size());
-  for (size_t s = 0; s < plan.size(); ++s) {
+  workers_.reserve(plan_.size());
+  for (size_t s = 0; s < plan_.size(); ++s) {
     workers_.push_back(std::make_unique<ShardWorker>(
-        plan[s], PeersOf(topology, s, plan.size()), context.corpus_name,
+        plan_[s], PeersOf(topology, s, plan_.size()), context.corpus_name,
         metric, digests_->Combined(), topology.shard_transport, counters,
         &corpus, digests_.get()));
   }
@@ -146,8 +167,8 @@ bool ShardRanking::Rank(std::span<const float> query, size_t r,
   }
   // A deadline that fired anywhere in the fan-out (ours, or a worker's
   // propagated deadline_exceeded, whose token can never fire earlier than
-  // ours) is the caller's to discard — never a partial merge, and never a
-  // latched failure.
+  // ours) is the caller's to discard — never a partial ranking, and never
+  // a latched failure.
   if (CancelRequested()) return true;
   if (!fanned_out.ok()) {
     // Worker failure on a live request: latch it.
@@ -155,8 +176,7 @@ bool ShardRanking::Rank(std::span<const float> query, size_t r,
     if (health_.ok()) health_ = std::move(fanned_out);
     return false;
   }
-  ScopedPhase span(Phase::kShardMerge);
-  MergeSortedCandidateRuns(*dists, runs, r, order);
+  OrderShardReplies(*dists, plan_, r, &runs, order);
   return true;
 }
 

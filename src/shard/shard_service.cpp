@@ -29,6 +29,7 @@ bool ShardCandidates(const Matrix& features, std::span<const float> query,
   ComputeDistancesRange(features, query, metric, norms, row_begin, row_end,
                         dists);
   if (CancelRequested()) return false;
+  if (wire::RepliesWithColumn(r, row_end - row_begin)) return true;
   thread_local std::vector<int> local;
   PartialArgsortDistances(dists, r, &local);
   run->reserve(local.size());
@@ -159,15 +160,20 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
     return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
   }
 
-  // Raw doubles: the packed run carries their bits, so the router's merged
+  // Raw doubles: the packed reply carries their bits, so the router's
   // ranking — and weighted-fast's kernel weights — match the unsharded
-  // computation to the last bit.
+  // computation to the last bit. An r that covers the range gets the
+  // whole distance column in row order; the router sorts all rows once.
+  JsonValue out = OkResponse();
+  if (wire::RepliesWithColumn(r, dists.size())) {
+    out.Set("dists", JsonValue(wire::PackDistanceColumn(dists)));
+    return out;
+  }
   thread_local std::vector<double> run_dists;
   run_dists.clear();
   for (int i : run) {
     run_dists.push_back(dists[static_cast<size_t>(i) - row_begin]);
   }
-  JsonValue out = OkResponse();
   out.Set("run", JsonValue(wire::PackCandidateRun(run, run_dists)));
   return out;
 }

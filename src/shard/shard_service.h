@@ -1,10 +1,11 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // ShardService — the worker side of the shard protocol (docs/PROTOCOL.md)
-// over a worker's CorpusStore: `candidates` (distances plus the exact
-// top-r run of a block-aligned row range), `digests` (per-block content
-// digests, which the router diffs to plan its sync) and `load_delta`
-// (splice changed blocks, then check the router's combined fingerprint).
+// over a worker's CorpusStore: `candidates` (the distance column of a
+// block-aligned row range, or its exact top-r run when r is below the
+// range's rows), `digests` (per-block content digests, which the router
+// diffs to plan its sync) and `load_delta` (splice changed blocks, then
+// check the router's combined fingerprint).
 // Request decoding, the norms cache and the candidates kernel live here,
 // beside the wire encoding (wire.h). RequestPipeline dispatches the ops
 // from its op table and invalidates the engine state keyed by the
@@ -35,8 +36,10 @@ namespace knnshap {
 /// The candidates kernel: distances from `query` to corpus rows
 /// [row_begin, row_end) into `dists` (one slot per row of the range,
 /// bit-identical to the matching slice of a whole-corpus ComputeDistances
-/// pass), then the range's exact top-min(r, rows) in (distance, index)
-/// order, as global row indices, into *run. Local selection equals the
+/// pass). When r is below the range's rows, also the range's exact top-r
+/// in (distance, index) order, as global row indices, into *run; an r
+/// that covers the range leaves *run empty and sorts nothing, since the
+/// distance column is then the whole answer. Local selection equals the
 /// restriction of the global order: the index tie break is monotone under
 /// the constant row offset. Returns false, with *run cleared, when the
 /// active CancelToken expired during the distance pass.

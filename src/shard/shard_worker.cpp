@@ -69,12 +69,12 @@ bool ShardWorker::ReadCandidates(std::span<const float> query, size_t r,
       return false;
     }
     // The active replica died mid-query. Fail over: open + sync the next
-    // one and retry the same query there synchronously. The candidate run
-    // is a pure function of the fingerprint-verified corpus, so the
-    // retried answer is byte-identical to what the dead replica would have
-    // sent. (Rows the aborted attempt already wrote into `dists` are
-    // harmless: the router only reads distances at indices named by the
-    // merged runs.)
+    // one and retry the same query there synchronously. The reply is a
+    // pure function of the fingerprint-verified corpus, so the retried
+    // answer is byte-identical to what the dead replica would have sent.
+    // (Rows the aborted attempt already wrote into `dists` are harmless:
+    // the router reads only the rows the retried reply writes — its whole
+    // column, or its run's rows.)
     ScopedPhase span(ActiveTrace(), Phase::kShardFailover);
     if (counters_.failovers != nullptr) counters_.failovers->Add(1);
     if (FaultInjectionEnabled() && Fault("shard_failover")) {

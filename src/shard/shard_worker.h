@@ -1,12 +1,14 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // ShardWorker — one shard's candidate server. A worker owns a planned
-// ShardRange (shard_planner.h) and answers one kind of query: "distances
-// + exact top-r candidate run over your rows". ShardRanking
-// (shard_ranking.h) merges the runs into the ranking the recursions
-// consume; because each worker's run is the exact restriction of the
-// global (distance, index) order to its contiguous rows, the merge is
-// bit-identical to the unsharded ranking.
+// ShardRange (shard_planner.h) and answers one kind of query: "your rows'
+// distances, and their exact top-r candidate run when r is below your
+// rows". ShardRanking (shard_ranking.h) orders the replies into the
+// ranking the recursions consume: at full rank one sort of the gathered
+// distance columns, below it a merge of the runs. Each worker's run is
+// the exact restriction of the global (distance, index) order to its
+// contiguous rows, so either way the ranking is bit-identical to the
+// unsharded one.
 //
 // Every shard has one worker type: an ordered list of replicas, each a
 // ShardPeer — a remote worker to dial or a worker command to spawn — and
@@ -77,11 +79,12 @@ class ShardWorker {
   /// the whole group is dead, and the caller must not read.
   bool SendCandidates(std::span<const float> query, size_t r);
 
-  /// Reads the reply to the last successful SendCandidates: the shard's
-  /// distances into the global row-indexed `dists` at [row_begin,
-  /// row_end), and its exact top-min(r, rows) candidate row indices
-  /// (global, ascending by (distance, index)) into *run (cleared first).
-  /// A replica that died since the send is replaced and `query` retried.
+  /// Reads the reply to the last successful SendCandidates into the
+  /// global row-indexed `dists` and *run, as ShardConnection does: the
+  /// whole distance column and an empty run when r covers the shard, its
+  /// exact top-r row indices (global, ascending by (distance, index))
+  /// below that. A replica that died since the send is replaced and
+  /// `query` retried.
   /// False when no usable run was produced: with Health() OK that is a
   /// propagated deadline, otherwise the whole group is dead.
   bool ReadCandidates(std::span<const float> query, size_t r,

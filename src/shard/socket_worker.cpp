@@ -214,6 +214,16 @@ Status ShardConnection::Sync(const Dataset& corpus,
         "; this router speaks protocol " +
         std::to_string(wire::kProtocolVersion)));
   }
+  // The router orders rows by the distances its workers computed, so both
+  // sides must run the same kernel: kernels differ in the last bits.
+  const std::string kernel = parsed.value.Get("kernel").AsString();
+  if (kernel != KernelName(ActiveKernel())) {
+    return Fail(Status::FailedPrecondition(
+        "shard worker " + peer_ + " runs the " +
+        (kernel.empty() ? "unknown" : kernel) +
+        " distance kernel; this router runs the " +
+        KernelName(ActiveKernel()) + " kernel"));
+  }
   // Corpus sync: ask what the worker holds, ship the difference. A worker
   // that kept the corpus across a router re-fit (the common warm case)
   // costs one digests round trip and zero rows; a mutated corpus costs

@@ -9,12 +9,13 @@
 // socketpair (the child's stdin and stdout) and owns the child, reaping it
 // on destruction — a child whose router goes away sees EOF and exits.
 // Either way, Sync() then checks the worker speaks this build's protocol
-// version (`protocol` op; any other version is a failed_precondition
-// naming both) and brings the worker's corpus up to date: it asks for the
-// worker's per-block content digests (`digests` op) and ships either
-// nothing (fingerprints match), a packed `load_delta` with exactly the
-// changed blocks, or a full packed `load` (unknown/incompatible worker
-// state — always the case for a fresh child). Every sync path ends with
+// version and runs the router's distance kernel (`protocol` op; any other
+// version or kernel is a failed_precondition naming both) and brings the
+// worker's corpus up to date: it asks for the worker's per-block content
+// digests (`digests` op) and ships either nothing (fingerprints match), a
+// packed `load_delta` with exactly the changed blocks, or a full packed
+// `load` (unknown/incompatible worker state — always the case for a fresh
+// child). Every sync path ends with
 // the worker echoing its independently recomputed corpus fingerprint,
 // which must equal the router's — transport corruption and stale-worker
 // states are caught before any candidates flow. Candidates are one JSONL
@@ -100,19 +101,21 @@ class ShardConnection {
   /// socketpair; this object owns the other end and the child.
   Status Spawn(const std::vector<std::string>& command);
 
-  /// Checks the worker's protocol version, then brings its corpus up to
-  /// date (digests -> none/delta/full, fingerprint-verified). Must follow
-  /// a successful Open and succeed before SendCandidates; a non-OK return
-  /// leaves the connection dead (discard it).
+  /// Checks the worker's protocol version and distance kernel, then
+  /// brings its corpus up to date (digests -> none/delta/full,
+  /// fingerprint-verified). Must follow a successful Open and succeed
+  /// before SendCandidates; a non-OK return leaves the connection dead
+  /// (discard it).
   Status Sync(const Dataset& corpus, const CorpusDigests& digests);
 
   /// Writes the candidates request. False when the write failed (Health()
   /// says why); the read that follows then fails too.
   bool SendCandidates(std::span<const float> query, size_t r);
-  /// Reads the reply to the last SendCandidates: the shard's distances
-  /// into the global row-indexed `dists` at [row_begin, row_end), and its
-  /// exact top-min(r, rows) candidate row indices into *run (cleared
-  /// first). False with Health() still OK is a propagated deadline; any
+  /// Reads the reply to the last SendCandidates (wire.h): when r covers
+  /// the shard, its whole distance column into the global row-indexed
+  /// `dists` at [row_begin, row_end) and *run empty; below that, its exact
+  /// top-r candidate row indices into *run and their distances into
+  /// `dists`. False with Health() still OK is a propagated deadline; any
   /// other false latches Health() first.
   bool ReadCandidates(size_t r, std::span<double> dists,
                       std::vector<int>* run);

@@ -8,7 +8,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
+#include "knn/distance_kernel.h"
 #include "util/cancel.h"
 #include "util/common.h"
 
@@ -51,6 +53,13 @@ JsonValue ErrorResponse(const std::string& message) {
   return ErrorResponse(Status::InvalidArgument(message));
 }
 
+JsonValue ProtocolResponse() {
+  JsonValue out = OkResponse();
+  out.Set("protocol", JsonValue(kProtocolVersion));
+  out.Set("kernel", JsonValue(KernelName(ActiveKernel())));
+  return out;
+}
+
 namespace {
 
 constexpr char kBase64Alphabet[] =
@@ -65,6 +74,74 @@ constexpr std::array<uint8_t, 256> kBase64Values = [] {
   }
   return values;
 }();
+
+/// The two characters of every 12-bit value: a 3-byte group encodes with
+/// two lookups.
+constexpr std::array<std::array<char, 2>, 4096> kBase64Pairs = [] {
+  std::array<std::array<char, 2>, 4096> pairs{};
+  for (size_t v = 0; v < 4096; ++v) {
+    pairs[v] = {kBase64Alphabet[v >> 6], kBase64Alphabet[v & 63]};
+  }
+  return pairs;
+}();
+
+/// kBase64Shifted[k][c]: character c's six bits placed for position k of a
+/// quantum, so a quantum decodes to the OR of four lookups. A byte outside
+/// the alphabet sets the top byte, which no valid quantum reaches.
+constexpr uint32_t kBase64Invalid = 0xff000000u;
+constexpr std::array<std::array<uint32_t, 256>, 4> kBase64Shifted = [] {
+  std::array<std::array<uint32_t, 256>, 4> shifted{};
+  for (size_t k = 0; k < 4; ++k) {
+    for (size_t c = 0; c < 256; ++c) {
+      shifted[k][c] = kBase64Values[c] == 64
+                          ? kBase64Invalid
+                          : uint32_t{kBase64Values[c]} << (18 - 6 * k);
+    }
+  }
+  return shifted;
+}();
+
+/// The byte count padded base64 `text` decodes to. `text` must be a
+/// non-empty whole number of quanta.
+size_t DecodedSize(std::string_view text) {
+  size_t pad = 0;
+  if (text.back() == '=') pad = text[text.size() - 2] == '=' ? 2 : 1;
+  return text.size() / 4 * 3 - pad;
+}
+
+/// Decodes `text`, a whole number of quanta, into out[0, DecodedSize).
+/// False on any byte outside the alphabet, '=' anywhere but the padding of
+/// the last quantum, or nonzero padding bits; out is then unspecified.
+bool DecodeBase64To(std::string_view text, char* out) {
+  if (text.empty()) return true;
+  const auto* in = reinterpret_cast<const uint8_t*>(text.data());
+  const size_t quanta = text.size() / 4;
+  // Every quantum but the last: '=' is outside the alphabet here, and the
+  // lookups' invalid bits accumulate into one check after the loop.
+  uint32_t seen = 0;
+  for (size_t q = 0; q + 1 < quanta; ++q, in += 4, out += 3) {
+    const uint32_t v = kBase64Shifted[0][in[0]] | kBase64Shifted[1][in[1]] |
+                       kBase64Shifted[2][in[2]] | kBase64Shifted[3][in[3]];
+    seen |= v;
+    out[0] = static_cast<char>(v >> 16);
+    out[1] = static_cast<char>(v >> 8);
+    out[2] = static_cast<char>(v);
+  }
+  if (seen & kBase64Invalid) return false;
+  // The last quantum may end in one or two '='.
+  const size_t pad = in[3] != '=' ? 0 : in[2] == '=' ? 2 : 1;
+  const uint32_t a = kBase64Values[in[0]], b = kBase64Values[in[1]];
+  const uint32_t c = pad == 2 ? 0 : kBase64Values[in[2]];
+  const uint32_t d = pad > 0 ? 0 : kBase64Values[in[3]];
+  if ((a | b | c | d) & 64) return false;
+  const uint32_t v = a << 18 | b << 12 | c << 6 | d;
+  out[0] = static_cast<char>(v >> 16);
+  if (pad == 2) return (v & 0xffff) == 0;
+  out[1] = static_cast<char>(v >> 8);
+  if (pad == 1) return (v & 0xff) == 0;
+  out[2] = static_cast<char>(v);
+  return true;
+}
 
 /// Bytes per packed candidate: u32 row index + f64 distance bits.
 constexpr size_t kRunEntryBytes = 12;
@@ -106,9 +183,36 @@ bool DecodeColumn(const JsonValue& payload, const char* field, size_t expected,
   return true;
 }
 
-Status ParseRun(const std::string& line, const ShardRange& range,
-                size_t max_count, bool exact_count, std::span<double> dists,
-                std::vector<int>* run) {
+/// Decodes a `dists` column of range.Rows() distances into `dists` at the
+/// range's rows.
+bool DecodeDistanceColumn(const JsonValue& column, const ShardRange& range,
+                          std::span<double> dists) {
+  if (!column.IsString()) return false;
+  const std::string& text = column.AsString();
+  const size_t bytes = range.Rows() * sizeof(double);
+  if (text.size() % 4 != 0 || (text.empty() ? 0 : DecodedSize(text)) != bytes) {
+    return false;
+  }
+  double* out = dists.data() + range.row_begin;
+  if constexpr (std::endian::native == std::endian::little) {
+    return DecodeBase64To(text, reinterpret_cast<char*>(out));
+  } else {
+    thread_local std::string raw;
+    raw.resize(bytes);
+    if (!DecodeBase64To(text, raw.data())) return false;
+    for (size_t i = 0; i < range.Rows(); ++i) {
+      out[i] = std::bit_cast<double>(GetLittleEndian<uint64_t>(&raw[i * 8]));
+    }
+    return true;
+  }
+}
+
+/// `r` for a caller that does not know the request's rank.
+constexpr size_t kUnknownRank = SIZE_MAX;
+
+Status ParseCandidates(const std::string& line, const ShardRange& range,
+                       size_t r, std::span<double> dists,
+                       std::vector<int>* run) {
   KNNSHAP_CHECK(range.row_end <= dists.size(), "dists buffer too small");
   run->clear();
   JsonParseResult parsed = ParseJson(line);
@@ -128,6 +232,24 @@ Status ParseRun(const std::string& line, const ShardRange& range,
     return Status::Error(StatusCode::kInternal,
                          "shard worker returned " + what);
   };
+  const bool known = r != kUnknownRank;
+  const bool column = response.Has("dists");
+  if (column == response.Has("run")) {
+    return malformed("a candidates reply without exactly one of run, dists");
+  }
+  if (column) {
+    if (known && !RepliesWithColumn(r, range.Rows())) {
+      return malformed("a distance column for an r below the shard's rows");
+    }
+    if (!DecodeDistanceColumn(response.Get("dists"), range, dists)) {
+      return malformed("a malformed distance column");
+    }
+    return Status::Ok();
+  }
+  if (known && RepliesWithColumn(r, range.Rows())) {
+    return malformed("a candidate run for an r that covers the shard");
+  }
+  const size_t max_count = known ? r : range.Rows() - 1;
   thread_local std::string bytes;
   const JsonValue& packed = response.Get("run");
   if (!packed.IsString() || !DecodeBase64(packed.AsString(), &bytes) ||
@@ -135,9 +257,9 @@ Status ParseRun(const std::string& line, const ShardRange& range,
     return malformed("a malformed candidate run");
   }
   const size_t count = bytes.size() / kRunEntryBytes;
-  if (count > max_count || (exact_count && count != max_count)) {
+  if (count > max_count || (known && count != max_count)) {
     return malformed("a candidate run of " + std::to_string(count) +
-                     " entries, expected " + (exact_count ? "" : "at most ") +
+                     " entries, expected " + (known ? "" : "at most ") +
                      std::to_string(max_count));
   }
   run->reserve(count);
@@ -190,49 +312,23 @@ std::string EncodeBase64(std::string_view bytes) {
     return static_cast<uint32_t>(static_cast<uint8_t>(bytes[i]));
   };
   size_t i = 0;
-  for (; i + 3 <= bytes.size(); i += 3) {
+  for (; i + 3 <= bytes.size(); i += 3, o += 4) {
     const uint32_t v = byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2);
-    *o++ = kBase64Alphabet[v >> 18];
-    *o++ = kBase64Alphabet[(v >> 12) & 63];
-    *o++ = kBase64Alphabet[(v >> 6) & 63];
-    *o++ = kBase64Alphabet[v & 63];
+    std::memcpy(o, kBase64Pairs[v >> 12].data(), 2);
+    std::memcpy(o + 2, kBase64Pairs[v & 0xfff].data(), 2);
   }
   if (const size_t rest = bytes.size() - i; rest > 0) {
     const uint32_t v = byte(i) << 16 | (rest == 2 ? byte(i + 1) << 8 : 0);
-    *o++ = kBase64Alphabet[v >> 18];
-    *o++ = kBase64Alphabet[(v >> 12) & 63];
-    if (rest == 2) *o = kBase64Alphabet[(v >> 6) & 63];
+    std::memcpy(o, kBase64Pairs[v >> 12].data(), 2);
+    if (rest == 2) o[2] = kBase64Alphabet[(v >> 6) & 63];
   }
   return out;
 }
 
 bool DecodeBase64(std::string_view text, std::string* bytes) {
   if (text.size() % 4 != 0) return false;
-  size_t pad = 0;
-  if (!text.empty() && text.back() == '=') {
-    pad = text[text.size() - 2] == '=' ? 2 : 1;
-  }
-  bytes->resize(text.size() / 4 * 3 - pad);
-  char* o = bytes->data();
-  const auto value = [&](size_t i) {
-    return kBase64Values[static_cast<uint8_t>(text[i])];
-  };
-  const size_t quanta = text.size() / 4;
-  for (size_t q = 0; q < quanta; ++q) {
-    const size_t at = 4 * q;
-    const bool last = q + 1 == quanta;
-    const uint32_t a = value(at), b = value(at + 1);
-    const uint32_t c = last && pad == 2 ? 0 : value(at + 2);
-    const uint32_t d = last && pad > 0 ? 0 : value(at + 3);
-    if ((a | b | c | d) & 64) return false;
-    const uint32_t v = a << 18 | b << 12 | c << 6 | d;
-    *o++ = static_cast<char>(v >> 16);
-    if (last && pad == 2) return (v & 0xffff) == 0;
-    *o++ = static_cast<char>(v >> 8);
-    if (last && pad == 1) return (v & 0xff) == 0;
-    *o++ = static_cast<char>(v);
-  }
-  return true;
+  bytes->resize(text.empty() ? 0 : DecodedSize(text));
+  return DecodeBase64To(text, bytes->data());
 }
 
 std::string PackCandidateRun(std::span<const int> indices,
@@ -246,6 +342,20 @@ std::string PackCandidateRun(std::span<const int> indices,
     PutLittleEndian(std::bit_cast<uint64_t>(distances[e]), entry + 4);
   }
   return EncodeBase64(bytes);
+}
+
+std::string PackDistanceColumn(std::span<const double> distances) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return EncodeBase64(std::string_view(
+        reinterpret_cast<const char*>(distances.data()),
+        distances.size_bytes()));
+  } else {
+    std::string bytes(distances.size_bytes(), '\0');
+    for (size_t i = 0; i < distances.size(); ++i) {
+      PutLittleEndian(std::bit_cast<uint64_t>(distances[i]), &bytes[i * 8]);
+    }
+    return EncodeBase64(bytes);
+  }
 }
 
 JsonValue BuildCandidatesRequest(const ShardRange& range,
@@ -277,12 +387,12 @@ JsonValue BuildCandidatesRequest(const ShardRange& range,
 Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
                                size_t r, std::span<double> dists,
                                std::vector<int>* run) {
-  return ParseRun(line, range, std::min(r, range.Rows()), true, dists, run);
+  return ParseCandidates(line, range, std::min(r, range.Rows()), dists, run);
 }
 
 Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
                                std::span<double> dists, std::vector<int>* run) {
-  return ParseRun(line, range, range.Rows(), false, dists, run);
+  return ParseCandidates(line, range, kUnknownRank, dists, run);
 }
 
 void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,

@@ -8,11 +8,14 @@
 // a framing change cannot drift between the router and the worker ops
 // (`candidates`, `digests`, `load_delta`) in shard_service.cpp.
 //
-// Bulk payloads (protocol 2) are packed: one base64 string field of
-// little-endian raw bits instead of a JSON array of numbers. A candidate
-// run is count x (u32 global row index, f64 distance bits); corpus rows
-// are count x dim f32 features plus an i32 label or f64 target column.
-// Raw bits make every value round-trip exactly, and JSONL stays the only
+// Bulk payloads are packed: one base64 string field of little-endian raw
+// bits instead of a JSON array of numbers. A `candidates` reply (protocol
+// 3) takes one of two forms, fixed by the request's `r`: when r covers
+// the shard's rows it is the distance column, rows x f64 in row order, and
+// the worker does not sort; below that it is the shard's top-r run,
+// count x (u32 global row index, f64 distance bits). Corpus rows are
+// count x dim f32 features plus an i32 label or f64 target column. Raw
+// bits make every value round-trip exactly, and JSONL stays the only
 // framing.
 //
 // Also here: corpus-sync planning. A remote worker is a long-lived
@@ -45,7 +48,12 @@ namespace wire {
 
 /// The protocol version this build speaks: the `protocol` op reports it,
 /// and a router refuses a worker that reports another.
-inline constexpr int kProtocolVersion = 2;
+inline constexpr int kProtocolVersion = 3;
+
+/// The `protocol` reply: the version and this process's resolved distance
+/// kernel. A router refuses a worker on another version or kernel, since
+/// it orders rows by the distances its workers computed.
+JsonValue ProtocolResponse();
 
 /// Padded RFC 4648 base64, the text form of every packed payload.
 std::string EncodeBase64(std::string_view bytes);
@@ -54,10 +62,18 @@ std::string EncodeBase64(std::string_view bytes);
 /// other input (*bytes is then unspecified).
 bool DecodeBase64(std::string_view text, std::string* bytes);
 
+/// Whether the `candidates` reply to rank `r` over a `rows`-row range is
+/// the distance column (r covers the range) rather than a top-r run. The
+/// worker, the parser and the router all pick the form here.
+constexpr bool RepliesWithColumn(size_t r, size_t rows) { return r >= rows; }
+
 /// The packed `run` of a `candidates` reply: entry i is (indices[i],
 /// distances[i]) as a u32 and the f64's bits, little-endian.
 std::string PackCandidateRun(std::span<const int> indices,
                              std::span<const double> distances);
+/// The packed `dists` column of a `candidates` reply whose `r` covers the
+/// shard: the f64 bits of each row's distance, in row order.
+std::string PackDistanceColumn(std::span<const double> distances);
 
 /// Canonical fingerprint encoding on the wire: "0x%016llx".
 std::string FingerprintHex(uint64_t fingerprint);
@@ -79,22 +95,25 @@ JsonValue BuildCandidatesRequest(const ShardRange& range,
                                  const std::string& corpus_name, Metric metric,
                                  std::span<const float> query, size_t r);
 
-/// Parses the `candidates` response to a request with rank `r` into the
-/// global row-indexed `dists` buffer and the candidate run. The run must
-/// hold exactly min(r, range.Rows()) entries, each index inside `range`,
+/// Parses the `candidates` response to a request with rank `r`. When `r`
+/// covers the range (r >= range.Rows()) the reply must be a `dists`
+/// column of exactly range.Rows() distances, which fills `dists` at
+/// [row_begin, row_end) and leaves *run empty. Below that it must be a
+/// `run` of exactly r entries, each index inside `range`, no row twice,
 /// strictly ascending in (distance, index); the merge trusts all three.
-/// Returns:
-///   OK                  — run is usable
+/// Each run entry's distance lands in `dists` at its row. Returns:
+///   OK                  — the reply is usable
 ///   kDeadlineExceeded   — the worker propagated the forwarded deadline
 ///                         (health stays OK; the router's token is the
 ///                         authority)
 ///   kUnavailable        — the worker answered a structured error
-///   kInternal           — unparseable / malformed / out-of-range payload
+///   kInternal           — unparseable / malformed / out-of-range payload,
+///                         or the form that does not match `r`
 Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
                                size_t r, std::span<double> dists,
                                std::vector<int>* run);
-/// As above for a caller that does not know `r`: the run may hold any
-/// number of entries up to range.Rows().
+/// As above for a caller that does not know `r`: either form is accepted,
+/// and a run may hold any number of entries below range.Rows().
 Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
                                std::span<double> dists, std::vector<int>* run);
 

@@ -574,7 +574,9 @@ TEST(RemoteShardTest, WorkerOnAnotherProtocolIsAFailedPrecondition) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("speaks protocol 1"), std::string::npos)
       << status.message();
-  EXPECT_NE(status.message().find("speaks protocol 2"), std::string::npos)
+  EXPECT_NE(status.message().find("speaks protocol " +
+                                  std::to_string(wire::kProtocolVersion)),
+            std::string::npos)
       << status.message();
   EXPECT_EQ(worker.Health().code(), StatusCode::kFailedPrecondition);
 

@@ -12,8 +12,10 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -71,6 +73,69 @@ inline std::string ReadLine(int fd, int timeout_ms) {
     line.push_back(c);
   }
   return "";
+}
+
+/// A knnshap_serve --shard-listen worker on a loopback ephemeral port.
+struct ListeningWorker {
+  pid_t pid = -1;
+  int port = 0;     ///< 0 when the worker never announced its port.
+  int from_stderr = -1;
+};
+
+/// Spawns `binary --shard-listen=127.0.0.1:0 args...` with stdin and
+/// stdout on /dev/null and reads the port from the "listening on" line it
+/// writes to stderr.
+inline ListeningWorker SpawnShardListener(const std::string& binary,
+                                          std::vector<std::string> args) {
+  int err_pipe[2];
+  if (pipe2(err_pipe, O_CLOEXEC) != 0) return {};
+  args.insert(args.begin(), "--shard-listen=127.0.0.1:0");
+  std::vector<char*> argv = {const_cast<char*>(binary.c_str())};
+  for (auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  ListeningWorker worker;
+  worker.pid = fork();
+  if (worker.pid == 0) {
+    const int null_fd = open("/dev/null", O_RDWR);
+    dup2(null_fd, STDIN_FILENO);
+    dup2(null_fd, STDOUT_FILENO);
+    dup2(err_pipe[1], STDERR_FILENO);
+    execv(binary.c_str(), argv.data());
+    _exit(127);
+  }
+  close(err_pipe[1]);
+  worker.from_stderr = err_pipe[0];
+  const std::string line = ReadLine(worker.from_stderr, 10000);
+  const size_t colon = line.rfind(':');
+  if (line.find("listening on") != std::string::npos &&
+      colon != std::string::npos) {
+    worker.port = std::atoi(line.c_str() + colon + 1);
+  }
+  return worker;
+}
+
+/// SIGTERMs the worker, reaps it and closes its stderr pipe.
+inline void StopShardListener(ListeningWorker* worker) {
+  if (worker->pid > 0) {
+    kill(worker->pid, SIGTERM);
+    int status = 0;
+    waitpid(worker->pid, &status, 0);
+  }
+  if (worker->from_stderr >= 0) close(worker->from_stderr);
+  *worker = {};
+}
+
+/// The number after `field` (e.g. "Threads:", "VmSize:") in
+/// /proc/<pid>/status, or -1 when absent.
+inline long ProcStatusField(pid_t pid, const std::string& field) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, field.size(), field) == 0) {
+      return std::atol(line.c_str() + field.size());
+    }
+  }
+  return -1;
 }
 
 /// The fields of /proc/<pid>/stat after the command name ("S 1234 ..."

@@ -365,7 +365,9 @@ TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
   const JsonValue reply =
       pipeline.HandleSync(ParseJson(R"({"op":"protocol"})").value);
   EXPECT_EQ(reply.Dump(),
-            R"({"ok":true,"protocol":2,"ops":["append","candidates",)"
+            R"({"ok":true,"protocol":3,"kernel":")" +
+                std::string(KernelName(ActiveKernel())) +
+                R"(","ops":["append","candidates",)"
             R"("describe","digests","drop","load","load_cache","load_delta",)"
             R"("methods","metrics","ping","protocol","quit","remove",)"
             R"("save_cache","stats","sync","value"]})");

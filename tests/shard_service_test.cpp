@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "dataset/dataset.h"
+#include "knn/distance_kernel.h"
 #include "serve/corpus_store.h"
 #include "shard/shard_planner.h"
 #include "shard/shard_service.h"
@@ -206,6 +208,49 @@ TEST_F(ShardServiceTest, HostileCandidatesAreStructuredErrors) {
            JsonValue(wire::FingerprintHex(ShardFingerprint(
                ComputeCorpusDigests(corpus_), 512, 600))));
   EXPECT_TRUE(service_.Candidates(tail).Get("ok").AsBool(false));
+}
+
+// The reply's form follows r: a top-r run while r is below the range's
+// rows, the whole distance column once r covers them. Both decode through
+// the router's parser to the distances of one ComputeDistancesRange pass.
+TEST_F(ShardServiceTest, CandidatesFormFollowsRAgainstTheRangeRows) {
+  const JsonValue good = GoodCandidates();
+  const ShardRange range{256, 512, 0};
+  const std::vector<float> query = {0.5f, -1.0f, 0.25f, 2.0f};
+  const CorpusNorms norms = NormsForMetric(corpus_.features, Metric::kL2);
+  std::vector<double> expected(range.Rows());
+  ComputeDistancesRange(corpus_.features, query, Metric::kL2, &norms,
+                        range.row_begin, range.row_end, expected);
+  struct Row {
+    size_t r;
+    bool column;
+  };
+  for (const Row& row : {Row{range.Rows() - 1, false}, Row{range.Rows(), true},
+                         Row{range.Rows() + 1, true}}) {
+    const JsonValue reply = service_.Candidates(
+        With(good, "r", JsonValue(static_cast<double>(row.r))));
+    ASSERT_TRUE(reply.Get("ok").AsBool(false)) << row.r;
+    EXPECT_EQ(reply.Has("dists"), row.column) << row.r;
+    EXPECT_EQ(reply.Has("run"), !row.column) << row.r;
+    std::vector<double> dists(600, -1.0);
+    std::vector<int> run;
+    const Status status =
+        wire::ParseCandidatesResponse(reply.Dump(), range, row.r, dists, &run);
+    ASSERT_TRUE(status.ok()) << row.r << ": " << status.message();
+    EXPECT_EQ(run.size(), row.column ? 0 : row.r) << row.r;
+    // The column fills every row of the range; the run every row but the
+    // farthest.
+    size_t filled = 0;
+    for (size_t i = 0; i < range.Rows(); ++i) {
+      const double got = dists[range.row_begin + i];
+      if (got == -1.0) continue;
+      ++filled;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                std::bit_cast<uint64_t>(expected[i]))
+          << "row " << i << " at r " << row.r;
+    }
+    EXPECT_EQ(filled, row.column ? range.Rows() : row.r) << row.r;
+  }
 }
 
 TEST_F(ShardServiceTest, HostileDeltasAreStructuredErrors) {

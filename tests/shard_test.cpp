@@ -32,9 +32,11 @@
 
 #include "dataset/dataset.h"
 #include "knn/distance_kernel.h"
+#include "knn/ranking.h"
 #include "knn/selection.h"
 #include "serve/pipeline.h"
 #include "shard/shard_planner.h"
+#include "shard/shard_ranking.h"
 #include "shard/shard_service.h"
 #include "shard/shard_worker.h"
 #include "shard/socket_worker.h"
@@ -43,6 +45,7 @@
 #include "test_util.h"
 #include "util/fingerprint.h"
 #include "util/json.h"
+#include "util/net.h"
 #include "util/random.h"
 
 namespace knnshap {
@@ -164,9 +167,9 @@ TEST(ShardWorkerTest, InProcessRunsMergeToGlobalSelection) {
               std::span<double>(dists).subspan(plan[s].row_begin,
                                                plan[s].Rows()),
               &runs[s]));
-          // Each run is the shard's exact top-min(r, Rows()), global
-          // indices inside the shard's range.
-          EXPECT_EQ(runs[s].size(), std::min(r, plan[s].Rows()));
+          // Each run is the shard's exact top-r, global indices inside
+          // the shard's range; an r that covers the shard leaves it empty.
+          EXPECT_EQ(runs[s].size(), r < plan[s].Rows() ? r : 0);
           for (int index : runs[s]) {
             EXPECT_GE(static_cast<size_t>(index), plan[s].row_begin);
             EXPECT_LT(static_cast<size_t>(index), plan[s].row_end);
@@ -176,9 +179,9 @@ TEST(ShardWorkerTest, InProcessRunsMergeToGlobalSelection) {
         // bit-identically to the unsharded kernel call.
         EXPECT_EQ(dists, expected_dists);
 
-        // Merging the runs reproduces the global top-r exactly.
+        // Ordering the replies reproduces the global top-r exactly.
         std::vector<int> merged, expected_order;
-        MergeSortedCandidateRuns(dists, runs, r, &merged);
+        OrderShardReplies(dists, plan, r, &runs, &merged);
         PartialArgsortDistances(expected_dists, r, &expected_order);
         EXPECT_EQ(merged, expected_order);
       }
@@ -333,6 +336,93 @@ TEST(ShardEquivalenceTest, GoldenShardSessionReproduces) {
     }
   }
   SetKernelOverride(KernelKind::kAuto);
+}
+
+// Full rank over exact distance ties that cross shard boundaries: row i
+// repeats row i - 1 for every odd i - 1, so the pairs (255, 256), (511,
+// 512) and (767, 768) straddle the block edges, and every pair recurs
+// further on. Labels are drawn per row, so the tie order moves values.
+// At r = N every shard ships its distance column and the router sorts
+// once; the values must equal the unsharded server's to the last bit.
+TEST(ShardEquivalenceTest, FullRankTiesAcrossShardEdgesAreBitIdentical) {
+  Rng rng(4242);
+  std::vector<std::string> base(97);
+  for (std::string& row : base) {
+    for (int d = 0; d < 4; ++d) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.4f,", rng.NextGaussian());
+      row += buf;
+    }
+  }
+  std::string train = "[", queries = "[";
+  for (size_t i = 0; i < 1024; ++i) {
+    train += (i > 0 ? ",[" : "[") + base[((i + 1) / 2) % base.size()] +
+             std::to_string(rng.NextIndex(3)) + "]";
+  }
+  train += "]";
+  // Two queries sit on corpus rows (a tie at distance zero), one off them.
+  queries += "[" + base[28] + "0],[" + base[3] + "1],";
+  queries += RowsJson(1, 4, 3, 4243).substr(1);
+  const std::vector<std::string> session = {
+      R"({"op":"load","name":"train","rows":)" + train +
+          R"(,"target":"label"})",
+      R"({"op":"load","name":"q","rows":)" + queries + R"(,"target":"label"})",
+      R"({"op":"value","train":"train","test":"q","method":"exact","k":3})",
+      R"({"op":"value","train":"train","test":"q","method":"exact-corrected","k":3})",
+      R"({"op":"value","train":"train","test":"q","method":"weighted-fast","k":2,"kernel":"inverse"})",
+      R"({"op":"value","train":"train","test":"q","method":"exact","k":3,"metric":"cosine"})",
+  };
+  std::unique_ptr<RequestPipeline> baseline = MakePipeline(1);
+  std::vector<std::string> expected;
+  for (const std::string& line : session) {
+    expected.push_back(Answer(*baseline, line));
+    EXPECT_NE(expected.back().find(R"("ok":true)"), std::string::npos)
+        << expected.back();
+  }
+  for (int shards : {3, 4}) {
+    std::unique_ptr<RequestPipeline> sharded = MakePipeline(shards);
+    for (size_t i = 0; i < session.size(); ++i) {
+      EXPECT_EQ(Answer(*sharded, session[i]), expected[i])
+          << "shards=" << shards << " request " << i;
+    }
+  }
+}
+
+// The same ties at the ranking seam, where one shard is reachable too:
+// over 1, 3 and 4 spawned shards, the full-rank distances and order equal
+// LocalRanking's bit for bit.
+TEST(ShardEquivalenceTest, FullRankShardRankingEqualsLocalRanking) {
+  const Dataset base = RandomClassDataset(97, 3, 4, 4244);
+  Dataset corpus;
+  Rng rng(4245);
+  for (size_t i = 0; i < 1024; ++i) {
+    corpus.features.AppendRow(base.features.Row(((i + 1) / 2) % base.Size()));
+    corpus.labels.push_back(static_cast<int>(rng.NextIndex(3)));
+  }
+  const LocalRanking local(&corpus.features, Metric::kL2);
+  for (size_t shards : {1u, 3u, 4u}) {
+    auto topology = std::make_shared<ShardTopology>();
+    topology->shards = static_cast<int>(shards);
+    topology->shard_worker_command = ShardWorkerCommand(KNNSHAP_SERVE_BINARY);
+    ShardContext context;
+    context.topology = topology;
+    context.corpus_name = "c";
+    const ShardRanking sharded(corpus, Metric::kL2, context);
+    for (size_t q : {5u, 300u}) {
+      std::vector<double> want_dists, got_dists;
+      std::vector<int> want_order, got_order;
+      const std::span<const float> query = base.features.Row(q % base.Size());
+      ASSERT_TRUE(local.Rank(query, corpus.Size(), &want_dists, &want_order));
+      ASSERT_TRUE(sharded.Rank(query, corpus.Size(), &got_dists, &got_order))
+          << sharded.Health().message();
+      EXPECT_EQ(got_order, want_order) << shards << " shards";
+      ASSERT_EQ(got_dists.size(), want_dists.size());
+      EXPECT_EQ(std::memcmp(got_dists.data(), want_dists.data(),
+                            want_dists.size() * sizeof(double)),
+                0)
+          << shards << " shards";
+    }
+  }
 }
 
 TEST(ShardEquivalenceTest, MutationsKeepShardedAndUnshardedInLockstep) {
@@ -788,6 +878,121 @@ TEST(ShardProcessTest, NoSpawnedWorkerOutlivesItsRouter) {
   for (pid_t pid : children) {
     EXPECT_EQ(ProcessState(pid), '\0') << "worker " << pid;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Standalone --shard-listen workers through the real binary.
+
+using testing_util::ListeningWorker;
+using testing_util::ProcStatusField;
+using testing_util::SpawnShardListener;
+using testing_util::StopShardListener;
+
+// The router orders rows by the distances its workers computed, so a
+// worker on another distance kernel is refused at connect, naming both.
+TEST(ShardListenTest, WorkerOnAnotherKernelIsRefused) {
+  ListeningWorker workers[2] = {
+      SpawnShardListener(KNNSHAP_SERVE_BINARY, {"--kernel=reference"}),
+      SpawnShardListener(KNNSHAP_SERVE_BINARY, {"--kernel=reference"})};
+  ASSERT_GT(workers[0].port, 0);
+  ASSERT_GT(workers[1].port, 0);
+  const std::string remote = "--shard-remote=127.0.0.1:" +
+                             std::to_string(workers[0].port) + ";127.0.0.1:" +
+                             std::to_string(workers[1].port);
+  const std::vector<std::string> session = {
+      R"({"op":"load","name":"c","rows":)" + RowsJson(600, 3, 2, 61) +
+          R"(,"target":"label"})",
+      R"({"op":"load","name":"q","rows":)" + RowsJson(2, 3, 2, 62) +
+          R"(,"target":"label"})",
+      R"({"op":"value","train":"c","test":"q","method":"exact","k":3})",
+      R"({"op":"quit"})"};
+  for (const char* kernel : {"blocked", "reference"}) {
+    ServeProcess router = SpawnServe(
+        KNNSHAP_SERVE_BINARY,
+        {"--no-timing", std::string("--kernel=") + kernel, remote});
+    ASSERT_GT(router.pid, 0);
+    const std::vector<std::string> replies = Exchange(router, session);
+    ASSERT_EQ(replies.size(), session.size());
+    const JsonValue value = ParseJson(replies[2]).value;
+    if (std::string(kernel) == "reference") {
+      EXPECT_TRUE(value.Get("ok").AsBool(false)) << replies[2];
+    } else {
+      EXPECT_EQ(value.Get("code").AsString(), "unavailable") << replies[2];
+      const std::string& error = value.Get("error").AsString();
+      EXPECT_NE(error.find("runs the reference distance kernel"),
+                std::string::npos)
+          << error;
+      EXPECT_NE(error.find("this router runs the blocked kernel"),
+                std::string::npos)
+          << error;
+    }
+    EXPECT_TRUE(Finish(router));
+  }
+  // The same refusal at the connection: a failed_precondition.
+  const KernelKind other = ActiveKernel() == KernelKind::kReference
+                               ? KernelKind::kBlocked
+                               : KernelKind::kReference;
+  ListeningWorker mismatched = SpawnShardListener(
+      KNNSHAP_SERVE_BINARY, {std::string("--kernel=") + KernelName(other)});
+  ASSERT_GT(mismatched.port, 0);
+  Dataset corpus = RandomClassDataset(300, 2, 3, 63);
+  const CorpusDigests digests = ComputeCorpusDigests(corpus);
+  ShardConnection connection(ShardRange{0, corpus.Size(), 0}, "c",
+                             Metric::kL2, digests.Combined(),
+                             SocketWorkerOptions{}, ShardTransportCounters{});
+  ASSERT_TRUE(
+      connection.Dial(Endpoint{"127.0.0.1", mismatched.port}).ok());
+  const Status status = connection.Sync(corpus, digests);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.message();
+  EXPECT_NE(status.message().find(KernelName(other)), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(KernelName(ActiveKernel())),
+            std::string::npos)
+      << status.message();
+  StopShardListener(&mismatched);
+  for (ListeningWorker& worker : workers) StopShardListener(&worker);
+}
+
+// Each accepted connection runs on its own thread; the accept loop joins
+// the finished ones, so reconnects leave no thread and no stack mapped.
+// The kernel reaps an exited thread whether or not it was joined, so the
+// thread count alone cannot tell; the mapped stacks in VmSize can.
+TEST(ShardListenTest, ClosedConnectionsLeaveNoThreadsBehind) {
+  ListeningWorker worker =
+      SpawnShardListener(KNNSHAP_SERVE_BINARY, {"--kernel=reference"});
+  ASSERT_GT(worker.port, 0);
+  const auto ping = [&] {
+    std::string error;
+    const int fd = DialTcp(Endpoint{"127.0.0.1", worker.port}, 2000, 10000,
+                           &error);
+    if (fd < 0) return false;
+    const std::string line = "{\"op\":\"ping\"}\n";
+    const bool ok =
+        write(fd, line.data(), line.size()) ==
+            static_cast<ssize_t>(line.size()) &&
+        ReadLine(fd, 10000) == R"({"ok":true})";
+    close(fd);
+    return ok;
+  };
+  ASSERT_TRUE(ping());
+  long idle_threads = -1;
+  ASSERT_TRUE(WaitFor([&] {
+    const long threads = ProcStatusField(worker.pid, "Threads:");
+    const bool settled = threads == idle_threads;
+    idle_threads = threads;
+    return settled;
+  }));
+  const long idle_vm_kb = ProcStatusField(worker.pid, "VmSize:");
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(ping()) << i;
+  EXPECT_TRUE(WaitFor([&] {
+    return ProcStatusField(worker.pid, "Threads:") == idle_threads;
+  })) << ProcStatusField(worker.pid, "Threads:") << " threads, idle "
+      << idle_threads;
+  // A finished thread that is never joined keeps its stack mapped (8 MiB
+  // each by default): 200 of them would add more than a gigabyte.
+  EXPECT_LT(ProcStatusField(worker.pid, "VmSize:") - idle_vm_kb, 256 * 1024)
+      << "VmSize grew from " << idle_vm_kb << " kB";
+  StopShardListener(&worker);
 }
 }  // namespace
 }  // namespace knnshap

@@ -1,7 +1,8 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// Hostile input for the protocol 2 decoders (src/shard/wire.h): base64,
-// the packed candidate run a router reads from a worker socket, and the
+// Hostile input for the packed-payload decoders (src/shard/wire.h):
+// base64, the two forms of `candidates` reply a router reads from a worker
+// socket (the top-r run and the full-rank distance column), and the
 // packed rows a worker reads in `load`/`load_delta`. Every mutation is
 // deterministic (fixed seeds, exhaustive small cases) and must end in a
 // structured error, never a crash or a silently accepted payload; CI runs
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "base64_oracle.h"
 #include "dataset/dataset.h"
 #include "dataset/io.h"
 #include "serve/pipeline.h"
@@ -71,6 +73,51 @@ TEST(Base64Test, RejectsNonCanonicalText) {
       EXPECT_FALSE(wire::DecodeBase64(text, &bytes)) << c << " at " << pos;
     }
   }
+}
+
+// The table codec against the byte-at-a-time one it replaced
+// (base64_oracle.h): the same text for every input, and for every text the
+// same accept/reject decision and, when accepted, the same bytes.
+TEST(Base64Test, MatchesTheOracle) {
+  size_t checked = 0, mismatches = 0;
+  std::string first_mismatch;
+  const auto same_decode = [&](const std::string& text) {
+    std::string got, want;
+    const bool ok = wire::DecodeBase64(text, &got);
+    ++checked;
+    if (ok != oracle::DecodeBase64(text, &want) || (ok && got != want)) {
+      if (mismatches++ == 0) first_mismatch = text;
+    }
+  };
+  Rng rng(2024);
+  for (size_t n = 0; n <= 64; ++n) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::string bytes(n, '\0');
+      for (char& b : bytes) b = static_cast<char>(rng.NextIndex(256));
+      const std::string text = wire::EncodeBase64(bytes);
+      ASSERT_EQ(text, oracle::EncodeBase64(bytes)) << n;
+      same_decode(text);
+      // Every single-character mutation of the valid text.
+      for (size_t pos = 0; pos < text.size(); ++pos) {
+        for (int c = 0; c < 256; ++c) {
+          std::string mutated = text;
+          mutated[pos] = static_cast<char>(c);
+          same_decode(mutated);
+        }
+      }
+    }
+    // Random text of every length, mostly alphabet and '=': padding in
+    // and out of place, lengths that are not whole quanta.
+    static constexpr char kChars[] =
+        "AQgw+/=====\x80 -_.AZaz09";
+    for (int trial = 0; trial < 400; ++trial) {
+      std::string text(n, 'A');
+      for (char& c : text) c = kChars[rng.NextIndex(sizeof kChars - 1)];
+      same_decode(text);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: '" << first_mismatch << "'";
+  EXPECT_GT(checked, 1000000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,6 +311,163 @@ TEST(CandidateRunTest, SeededByteFlipsNeverYieldAnInvalidRun) {
       if (std::isnan(a) || std::isnan(b)) continue;
       ASSERT_TRUE(a < b || (a == b && run[e - 1] < run[e])) << mutated;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Distance columns: the reply to an r that covers the shard's rows.
+
+std::string ColumnReply(const JsonValue& column) {
+  JsonValue reply = JsonValue::MakeObject();
+  reply.Set("ok", JsonValue(true));
+  reply.Set("dists", column);
+  return reply.Dump();
+}
+
+/// kRange.Rows() seeded distances with exact ties, signed zeros and a NaN.
+std::vector<double> ColumnDistances() {
+  Rng rng(77);
+  std::vector<double> column(kRange.Rows());
+  for (double& d : column) d = 0.125 * static_cast<double>(rng.NextIndex(40));
+  column[3] = -0.0;
+  column[4] = std::numeric_limits<double>::quiet_NaN();
+  column[5] = std::nextafter(column[6], 10.0);
+  return column;
+}
+
+TEST(DistanceColumnTest, FillsTheShardsRowsBitExactly) {
+  const std::vector<double> column = ColumnDistances();
+  const std::string line =
+      ColumnReply(JsonValue(wire::PackDistanceColumn(column)));
+  for (size_t r : {kRange.Rows(), kRange.Rows() + 1, size_t{1} << 40,
+                   SIZE_MAX}) {
+    std::vector<double> dists(kRange.row_end + 8, -1.0);
+    std::vector<int> run = {300, 301};
+    const Status status =
+        wire::ParseCandidatesResponse(line, kRange, r, dists, &run);
+    ASSERT_TRUE(status.ok()) << r << ": " << status.message();
+    EXPECT_TRUE(run.empty()) << r;
+    for (size_t i = 0; i < dists.size(); ++i) {
+      const double want = i >= kRange.row_begin && i < kRange.row_end
+                              ? column[i - kRange.row_begin]
+                              : -1.0;
+      ASSERT_EQ(std::bit_cast<uint64_t>(dists[i]),
+                std::bit_cast<uint64_t>(want))
+          << "row " << i << " at r " << r;
+    }
+  }
+  // The overload without r takes the column as it comes.
+  std::vector<double> dists(kRange.row_end);
+  std::vector<int> run;
+  ASSERT_TRUE(wire::ParseCandidatesResponse(line, kRange, dists, &run).ok());
+  EXPECT_TRUE(run.empty());
+  EXPECT_EQ(std::bit_cast<uint64_t>(dists[kRange.row_begin + 5]),
+            std::bit_cast<uint64_t>(column[5]));
+}
+
+TEST(DistanceColumnTest, RejectsMalformedColumnsAndTheWrongForm) {
+  const std::vector<double> column = ColumnDistances();
+  const std::string good = wire::PackDistanceColumn(column);
+  const size_t rows = kRange.Rows();
+  std::vector<int> indices;
+  std::vector<double> distances;
+  ValidRun(5, &indices, &distances);
+  const std::string run5 = wire::PackCandidateRun(indices, distances);
+  // A valid run of every row of the shard: still the wrong form.
+  std::vector<int> all_rows;
+  std::vector<double> ascending;
+  for (size_t i = 0; i < rows; ++i) {
+    all_rows.push_back(static_cast<int>(kRange.row_begin + i));
+    ascending.push_back(static_cast<double>(i));
+  }
+  const std::string full_run = wire::PackCandidateRun(all_rows, ascending);
+  const auto both = [&](const std::string& run_text) {
+    JsonValue reply = JsonValue::MakeObject();
+    reply.Set("ok", JsonValue(true));
+    reply.Set("run", JsonValue(run_text));
+    reply.Set("dists", JsonValue(good));
+    return reply.Dump();
+  };
+  const auto column_of = [](size_t bytes) {
+    return ColumnReply(JsonValue(wire::EncodeBase64(std::string(bytes, 'x'))));
+  };
+
+  struct Case {
+    const char* what;
+    std::string line;
+    size_t r;
+  };
+  const std::vector<Case> cases = {
+      {"a column one row short", column_of((rows - 1) * 8), rows},
+      {"a column one row long", column_of((rows + 1) * 8), rows},
+      {"a column one byte long", column_of(rows * 8 + 1), rows},
+      {"a column one byte short", column_of(rows * 8 - 1), rows},
+      {"an empty column", ColumnReply(JsonValue("")), rows},
+      {"a column outside the alphabet",
+       ColumnReply(JsonValue(WithChar(good, 7, '*'))), rows},
+      {"a column padded mid-string",
+       ColumnReply(JsonValue(WithChar(good, 10, '='))), rows},
+      {"a column with a trailing byte", ColumnReply(JsonValue(good + "!")),
+       rows},
+      {"a column with a trailing quantum",
+       ColumnReply(JsonValue(good + "AAAA")), rows},
+      {"a column as a number", ColumnReply(JsonValue(1.0)), rows},
+      {"a column as an array", ColumnReply(JsonValue::MakeArray()), rows},
+      {"a column and a run", both(run5), rows},
+      {"a run and a column", both(run5), 5},
+      {"neither form", R"({"ok":true})", rows},
+      {"neither form below full rank", R"({"ok":true})", 5},
+      {"a column for r one below the rows", ColumnReply(JsonValue(good)),
+       rows - 1},
+      {"a column for r = 0", ColumnReply(JsonValue(good)), 0},
+      {"a run for r = rows", RunReply(run5), rows},
+      {"a run for r past the rows", RunReply(run5), rows + 44},
+      {"a run of every row for r = rows", RunReply(full_run), rows},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> dists(kRange.row_end);
+    std::vector<int> run = {300};
+    const Status status =
+        wire::ParseCandidatesResponse(c.line, kRange, c.r, dists, &run);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << c.what;
+    EXPECT_TRUE(run.empty()) << c.what;
+  }
+  // The overload without r rejects what no r could make valid.
+  for (const std::string& line :
+       {both(run5), std::string(R"({"ok":true})"), column_of(rows * 8 + 8),
+        RunReply(full_run)}) {
+    std::vector<double> dists(kRange.row_end);
+    std::vector<int> run;
+    EXPECT_EQ(wire::ParseCandidatesResponse(line, kRange, dists, &run).code(),
+              StatusCode::kInternal)
+        << line.substr(0, 60);
+  }
+}
+
+TEST(DistanceColumnTest, SeededByteFlipsAreRejectedOrFillTheRange) {
+  const std::string line =
+      ColumnReply(JsonValue(wire::PackDistanceColumn(ColumnDistances())));
+  Rng rng(2027);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = line;
+    const int flips = 1 + static_cast<int>(rng.NextIndex(3));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.NextIndex(mutated.size())] =
+          static_cast<char>(rng.NextIndex(256));
+    }
+    std::vector<double> dists(kRange.row_end + 1, -1.0);
+    std::vector<int> run;
+    const Status status = wire::ParseCandidatesResponse(
+        mutated, kRange, kRange.Rows(), dists, &run);
+    EXPECT_TRUE(run.empty());
+    if (!status.ok()) {
+      EXPECT_NE(status.code(), StatusCode::kDeadlineExceeded) << mutated;
+      continue;
+    }
+    // Accepted: any 8 bytes are a double, but nothing outside the range
+    // may have been written.
+    for (size_t i = 0; i < kRange.row_begin; ++i) ASSERT_EQ(dists[i], -1.0);
+    ASSERT_EQ(dists[kRange.row_end], -1.0);
   }
 }
 

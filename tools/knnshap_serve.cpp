@@ -391,8 +391,26 @@ int main(int argc, char** argv) {
     std::mutex conn_mutex;
     std::vector<int> open_fds;
     std::vector<std::thread> handlers;
+    // Handlers whose connection ended; the accept loop joins them, so a
+    // worker that outlives many router connections keeps no dead stacks.
+    std::vector<std::thread::id> finished;
+    const auto join_finished = [&] {
+      std::vector<std::thread::id> done;
+      {
+        std::lock_guard<std::mutex> lock(conn_mutex);
+        done.swap(finished);
+      }
+      for (const std::thread::id id : done) {
+        const auto it = std::find_if(
+            handlers.begin(), handlers.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        it->join();
+        handlers.erase(it);
+      }
+    };
     while (!g_shutdown.load(std::memory_order_relaxed)) {
       const int fd = AcceptTcp(listen_fd);
+      join_finished();
       if (fd < 0) {
         if (errno == EINTR && !g_shutdown.load(std::memory_order_relaxed)) {
           continue;
@@ -403,19 +421,18 @@ int main(int argc, char** argv) {
         std::lock_guard<std::mutex> lock(conn_mutex);
         open_fds.push_back(fd);
       }
-      handlers.emplace_back([fd, &pipeline, &conn_mutex, &open_fds] {
+      handlers.emplace_back([fd, &pipeline, &conn_mutex, &open_fds, &finished] {
         FdInBuf in_buf(fd);
         FdOutBuf out_buf(fd);
         std::istream in(&in_buf);
         std::ostream out(&out_buf);
         pipeline.Run(in, out);
         out.flush();
-        {
-          std::lock_guard<std::mutex> lock(conn_mutex);
-          const auto it = std::find(open_fds.begin(), open_fds.end(), fd);
-          if (it != open_fds.end()) open_fds.erase(it);
-        }
+        std::lock_guard<std::mutex> lock(conn_mutex);
+        const auto it = std::find(open_fds.begin(), open_fds.end(), fd);
+        if (it != open_fds.end()) open_fds.erase(it);
         close(fd);
+        finished.push_back(std::this_thread::get_id());
       });
     }
     close(listen_fd);
