@@ -39,14 +39,12 @@ KernelKind EnvKernel() {
   return env_kind;
 }
 
-// True when neither an override nor the environment pins the kernel —
-// the auto-dispatch case ResolveDistanceKernel may refine per call.
+}  // namespace
+
 bool KernelChoiceIsAuto() {
   return g_override.load(std::memory_order_relaxed) == KernelKind::kAuto &&
          EnvKernel() == KernelKind::kAuto;
 }
-
-}  // namespace
 
 bool CpuSupportsAvx2Fma() {
 #if KNNSHAP_KERNEL_HAS_AVX2

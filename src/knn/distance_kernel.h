@@ -84,6 +84,12 @@ void SetKernelOverride(KernelKind kind);
 /// the override, the KNNSHAP_KERNEL environment variable, and cpuid.
 KernelKind ActiveKernel();
 
+/// True when neither SetKernelOverride nor KNNSHAP_KERNEL pins the
+/// kernel: the auto-dispatch case ResolveDistanceKernel may refine per
+/// call, so two processes on the same ActiveKernel() compute the same
+/// distances only when they also agree on this.
+bool KernelChoiceIsAuto();
+
 /// Precomputed per-row norms of a corpus, shared by every query against it.
 /// Supplying one to the batch entry points lets the squared-L2 / L2 /
 /// cosine fast paths skip the per-pair norm work; the engine valuators

@@ -8,6 +8,7 @@ namespace knnshap {
 
 CorpusMutation CorpusStore::InstallLocked(const std::string& name, Dataset next,
                                           CorpusDigests digests,
+                                          std::optional<size_t> window_begin,
                                           CorpusSnapshot* entry) {
   CorpusMutation result;
   result.old_fingerprint = entry->fingerprint;
@@ -16,14 +17,39 @@ CorpusMutation CorpusStore::InstallLocked(const std::string& name, Dataset next,
   entry->digests = std::make_shared<const CorpusDigests>(std::move(digests));
   entry->fingerprint = entry->digests->Combined();
   entry->version += 1;
+  entry->window = window_begin.has_value();
+  entry->row_begin = window_begin.value_or(0);
   result.snapshot = *entry;
   return result;
+}
+
+CorpusSnapshot* CorpusStore::MutableLocked(const std::string& name,
+                                           std::string* error) {
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    *error = "unknown dataset '" + name + "'";
+    return nullptr;
+  }
+  if (it->second.window) {
+    *error = "'" + name + "' is a shard window, not a whole corpus";
+    return nullptr;
+  }
+  return &it->second;
 }
 
 CorpusMutation CorpusStore::Put(const std::string& name, Dataset data) {
   CorpusDigests digests = ComputeCorpusDigests(data);
   std::lock_guard<std::mutex> lock(mutex_);
-  return InstallLocked(name, std::move(data), std::move(digests), &entries_[name]);
+  return InstallLocked(name, std::move(data), std::move(digests), std::nullopt,
+                       &entries_[name]);
+}
+
+CorpusMutation CorpusStore::PutWindow(const std::string& name, Dataset rows,
+                                      size_t row_begin) {
+  CorpusDigests digests = ComputeCorpusDigests(rows);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return InstallLocked(name, std::move(rows), std::move(digests), row_begin,
+                       &entries_[name]);
 }
 
 std::optional<CorpusSnapshot> CorpusStore::Get(const std::string& name) const {
@@ -40,12 +66,9 @@ bool CorpusStore::Append(const std::string& name, const Dataset& rows,
     return false;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    *error = "unknown dataset '" + name + "'";
-    return false;
-  }
-  const Dataset& current = *it->second.data;
+  CorpusSnapshot* entry = MutableLocked(name, error);
+  if (entry == nullptr) return false;
+  const Dataset& current = *entry->data;
   if (rows.Dim() != current.Dim()) {
     *error = "append: dimension mismatch (corpus " + std::to_string(current.Dim()) +
              ", rows " + std::to_string(rows.Dim()) + ")";
@@ -73,21 +96,19 @@ bool CorpusStore::Append(const std::string& name, const Dataset& rows,
 
   // Incremental: only the trailing (possibly partial) block and the new
   // blocks are rehashed.
-  CorpusDigests digests = *it->second.digests;
+  CorpusDigests digests = *entry->digests;
   RehashBlocksFrom(next, old_rows, &digests);
-  *out = InstallLocked(name, std::move(next), std::move(digests), &it->second);
+  *out = InstallLocked(name, std::move(next), std::move(digests), std::nullopt,
+                       entry);
   return true;
 }
 
 bool CorpusStore::RemoveRow(const std::string& name, size_t row, CorpusMutation* out,
                             std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    *error = "unknown dataset '" + name + "'";
-    return false;
-  }
-  const Dataset& current = *it->second.data;
+  CorpusSnapshot* entry = MutableLocked(name, error);
+  if (entry == nullptr) return false;
+  const Dataset& current = *entry->data;
   if (row >= current.Size()) {
     *error = "remove: row " + std::to_string(row) + " out of range (corpus has " +
              std::to_string(current.Size()) + " rows)";
@@ -105,9 +126,10 @@ bool CorpusStore::RemoveRow(const std::string& name, size_t row, CorpusMutation*
   Dataset next = current.Subset(keep);
 
   // Blocks before `row`'s block are untouched by the shift-down.
-  CorpusDigests digests = *it->second.digests;
+  CorpusDigests digests = *entry->digests;
   RehashBlocksFrom(next, row, &digests);
-  *out = InstallLocked(name, std::move(next), std::move(digests), &it->second);
+  *out = InstallLocked(name, std::move(next), std::move(digests), std::nullopt,
+                       entry);
   return true;
 }
 

@@ -17,6 +17,11 @@
 // The invariant `fingerprint == DatasetFingerprint(*data)` is what
 // tests/fingerprint_test.cpp pins across randomized mutation sequences.
 //
+// A shard worker's store also holds windows (PutWindow): the rows of a
+// router's corpus that the worker's shard covers, under the corpus's name.
+// Append and RemoveRow refuse them, as the serve ops that read a corpus
+// do.
+//
 // Thread-safe: all operations are mutex-guarded; snapshots are immutable.
 
 #ifndef KNNSHAP_SERVE_CORPUS_STORE_H_
@@ -45,6 +50,14 @@ struct CorpusSnapshot {
   /// the shard planner derives content-addressed shard fingerprints from
   /// them without rehashing the corpus.
   std::shared_ptr<const CorpusDigests> digests;
+  /// A shard window: corpus rows [row_begin, row_begin + data->Size())
+  /// of a router's corpus, the rows a shard worker's `load_delta`
+  /// installed for its shard (shard/shard_service.h); the digests then
+  /// describe only those rows. Client ops refuse a window: it is not the
+  /// corpus its name stands for. A client's load, append or remove
+  /// installs a whole corpus (window false, row_begin 0).
+  bool window = false;
+  size_t row_begin = 0;
 };
 
 /// Outcome of a mutating operation: the new snapshot plus the fingerprint
@@ -61,19 +74,23 @@ class CorpusStore {
   /// Inserts or replaces `name` with `data` (full digest computation —
   /// this is the one place a complete hash of the corpus happens).
   CorpusMutation Put(const std::string& name, Dataset data);
+  /// Inserts or replaces `name` with `rows`, a shard window: corpus rows
+  /// from block-aligned row `row_begin` on.
+  CorpusMutation PutWindow(const std::string& name, Dataset rows,
+                           size_t row_begin);
 
   /// Snapshot of the current version; nullopt for an unknown name.
   std::optional<CorpusSnapshot> Get(const std::string& name) const;
 
   /// Appends `rows` (same dim / label / target schema) to `name`.
   /// Incremental digest update: only blocks from the old row count onward
-  /// are rehashed. Returns false with *error on schema mismatch or an
-  /// unknown name.
+  /// are rehashed. Returns false with *error on schema mismatch, an
+  /// unknown name or a window.
   bool Append(const std::string& name, const Dataset& rows, CorpusMutation* out,
               std::string* error);
 
   /// Removes row `row` from `name`; digests are rehashed from `row`'s
-  /// block onward.
+  /// block onward. A window is refused as Append refuses it.
   bool RemoveRow(const std::string& name, size_t row, CorpusMutation* out,
                  std::string* error);
 
@@ -85,8 +102,13 @@ class CorpusStore {
   std::vector<std::pair<std::string, CorpusSnapshot>> List() const;
 
  private:
+  /// Installs a whole corpus, or a window when `window_begin` is set.
   CorpusMutation InstallLocked(const std::string& name, Dataset next,
-                               CorpusDigests digests, CorpusSnapshot* entry);
+                               CorpusDigests digests,
+                               std::optional<size_t> window_begin,
+                               CorpusSnapshot* entry);
+  /// The whole corpus `name` for a mutation, or null with *error set.
+  CorpusSnapshot* MutableLocked(const std::string& name, std::string* error);
 
   mutable std::mutex mutex_;
   std::map<std::string, CorpusSnapshot> entries_;

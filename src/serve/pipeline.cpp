@@ -46,6 +46,18 @@ JsonValue NotFoundResponse(const std::string& message) {
   return ErrorResponse(Status::NotFound(message));
 }
 
+/// Client ops answer on whole corpora only. A shard worker's window holds
+/// some rows of a router's corpus under that corpus's name; valuing or
+/// mutating it as though it were the corpus would answer wrongly.
+Status WindowRefusal(const std::string& what, const std::string& name,
+                     const CorpusSnapshot& window) {
+  return Status::FailedPrecondition(
+      what + " '" + name + "' is a shard window, rows [" +
+      std::to_string(window.row_begin) + ", " +
+      std::to_string(window.row_begin + window.data->Size()) +
+      ") of a router's corpus, not a whole corpus");
+}
+
 JsonValue CountersJson(const CacheCounters& counters) {
   JsonValue out = JsonValue::MakeObject();
   out.Set("hits", JsonValue(static_cast<double>(counters.hits)));
@@ -682,6 +694,9 @@ JsonValue RequestPipeline::AppendRows(const JsonValue& request) {
   const std::string& name = request.Get("name").AsString();
   auto current = store_.Get(name);
   if (!current) return NotFoundResponse("append: unknown dataset '" + name + "'");
+  if (current->window) {
+    return ErrorResponse(WindowRefusal("append:", name, *current));
+  }
   Dataset rows;
   std::string error;
   if (!FromInlineRows(request.Get("rows"), TargetOf(*current->data), &rows,
@@ -702,8 +717,12 @@ JsonValue RequestPipeline::AppendRows(const JsonValue& request) {
 
 JsonValue RequestPipeline::RemoveRow(const JsonValue& request) {
   const std::string& name = request.Get("name").AsString();
-  if (!store_.Get(name)) {
+  auto current = store_.Get(name);
+  if (!current) {
     return NotFoundResponse("remove: unknown dataset '" + name + "'");
+  }
+  if (current->window) {
+    return ErrorResponse(WindowRefusal("remove:", name, *current));
   }
   size_t row = 0;
   if (!JsonInteger(request.Get("row"), 0, kMaxJsonInteger, &row)) {
@@ -1038,6 +1057,10 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
     return fail(Status::NotFound("value: unknown train dataset '" +
                                  request.Get("train").AsString() + "'"));
   }
+  if (train->window) {
+    return fail(WindowRefusal("value: train dataset",
+                              request.Get("train").AsString(), *train));
+  }
   engine_request.train = train->data;
   engine_request.train_fingerprint = train->fingerprint;
   // A shard plan is content-addressed through the snapshot's block
@@ -1051,6 +1074,10 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
     if (!test) {
       return fail(Status::NotFound("value: unknown test dataset '" +
                                    request.Get("test").AsString() + "'"));
+    }
+    if (test->window) {
+      return fail(WindowRefusal("value: test dataset",
+                                request.Get("test").AsString(), *test));
     }
     engine_request.test = test->data;
     engine_request.test_fingerprint = test->fingerprint;

@@ -25,17 +25,20 @@ void AddBlockSlice(Fnv64* hash, const std::vector<uint64_t>& blocks,
 }  // namespace
 
 uint64_t ShardFingerprint(const CorpusDigests& digests, size_t row_begin,
-                          size_t row_end) {
+                          size_t row_end, size_t first_row) {
   const size_t block_rows = digests.block_rows;
   KNNSHAP_CHECK(block_rows > 0, "digests without a block size");
-  KNNSHAP_CHECK(row_begin < row_end && row_end <= digests.rows,
+  KNNSHAP_CHECK(first_row % block_rows == 0 && first_row <= row_begin &&
+                    row_begin < row_end && row_end - first_row <= digests.rows,
                 "shard range out of bounds");
-  KNNSHAP_CHECK(row_begin % block_rows == 0,
+  // Block indices into the digests, which start at first_row.
+  const size_t begin = row_begin - first_row, end = row_end - first_row;
+  KNNSHAP_CHECK(begin % block_rows == 0,
                 "shard row_begin must be block-aligned");
-  KNNSHAP_CHECK(row_end % block_rows == 0 || row_end == digests.rows,
+  KNNSHAP_CHECK(end % block_rows == 0 || end == digests.rows,
                 "shard row_end must be block-aligned or the corpus end");
-  const size_t block_begin = row_begin / block_rows;
-  const size_t block_end = (row_end + block_rows - 1) / block_rows;
+  const size_t block_begin = begin / block_rows;
+  const size_t block_end = (end + block_rows - 1) / block_rows;
 
   Fnv64 hash;
   hash.AddString("knnshap.shard");

@@ -47,14 +47,17 @@ struct ShardRange {
   bool operator==(const ShardRange&) const = default;
 };
 
-/// Content fingerprint of rows [row_begin, row_end): FNV over the range,
-/// the shape, and the feature/label/target block digests the range covers.
-/// `row_begin` must be block-aligned and `row_end` block-aligned or equal
-/// to digests.rows. Shared by the planner and the worker-side verification
-/// in the `candidates` op — both sides compute it from their own
-/// incrementally-maintained digests and must agree bit for bit.
+/// Content fingerprint of corpus rows [row_begin, row_end): FNV over the
+/// range, the shape, and the feature/label/target block digests the range
+/// covers. `digests` describe corpus rows [first_row, first_row +
+/// digests.rows) with `first_row` block-aligned: the whole corpus on the
+/// router, the held window on a shard worker. The range must lie inside
+/// them, with `row_begin` block-aligned and `row_end` block-aligned or the
+/// end of the described rows. Shared by the planner and the worker-side
+/// verification in the `candidates` op — both sides compute it from their
+/// own digests and must agree bit for bit.
 uint64_t ShardFingerprint(const CorpusDigests& digests, size_t row_begin,
-                          size_t row_end);
+                          size_t row_end, size_t first_row = 0);
 
 /// Splits the corpus described by `digests` into min(shard_count,
 /// NumBlocks()) contiguous block-aligned shards with balanced block

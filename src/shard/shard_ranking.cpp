@@ -96,8 +96,7 @@ ShardRanking::ShardRanking(const Dataset& corpus, Metric metric,
   for (size_t s = 0; s < plan_.size(); ++s) {
     workers_.push_back(std::make_unique<ShardWorker>(
         plan_[s], PeersOf(topology, s, plan_.size()), context.corpus_name,
-        metric, digests_->Combined(), topology.shard_transport, counters,
-        &corpus, digests_.get()));
+        metric, topology.shard_transport, counters, &corpus, digests_.get()));
   }
   // Every shard connects and syncs at once on the shared pool (the caller
   // helps, so this is safe from a pool thread). The fit's trace follows

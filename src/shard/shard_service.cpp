@@ -24,10 +24,10 @@ using wire::OkResponse;
 bool ShardCandidates(const Matrix& features, std::span<const float> query,
                      Metric metric, const CorpusNorms* norms, size_t row_begin,
                      size_t row_end, size_t r, std::span<double> dists,
-                     std::vector<int>* run) {
+                     std::vector<int>* run, size_t first_row) {
   run->clear();
-  ComputeDistancesRange(features, query, metric, norms, row_begin, row_end,
-                        dists);
+  ComputeDistancesRange(features, query, metric, norms, row_begin - first_row,
+                        row_end - first_row, dists);
   if (CancelRequested()) return false;
   if (wire::RepliesWithColumn(r, row_end - row_begin)) return true;
   thread_local std::vector<int> local;
@@ -45,6 +45,9 @@ void SetSnapshotFields(JsonValue* out, const std::string& name,
   out->Set("version", JsonValue(static_cast<double>(snapshot.version)));
   out->Set("fingerprint",
            JsonValue(wire::FingerprintHex(snapshot.fingerprint)));
+  if (snapshot.window) {
+    out->Set("row_begin", JsonValue(static_cast<double>(snapshot.row_begin)));
+  }
 }
 
 JsonValue ShardService::Candidates(const JsonValue& request) {
@@ -54,12 +57,12 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
   if (FaultInjectionEnabled() && Fault("shard_candidates")) _exit(3);
 
   const std::string& name = request.Get("train").AsString();
-  auto snapshot = store_->Get(name);
-  if (!snapshot) {
+  auto held = store_->Get(name);
+  if (!held) {
     return ErrorResponse(
         Status::NotFound("candidates: unknown dataset '" + name + "'"));
   }
-  const Dataset& corpus = *snapshot->data;
+  const Dataset& rows = *held->data;
   Metric metric;
   if (!MetricFromName(request.Get("metric").AsString(), &metric)) {
     return ErrorResponse("candidates: unknown metric '" +
@@ -73,17 +76,22 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
         "candidates: 'r', 'row_begin', 'row_end' must be non-negative "
         "integers");
   }
-  if (row_begin >= row_end || row_end > corpus.Size()) {
+  // The range names corpus rows, and must lie inside the rows this worker
+  // holds: its shard's window, or a whole corpus a client loaded.
+  const size_t held_begin = held->row_begin;
+  const size_t held_end = held_begin + rows.Size();
+  if (row_begin >= row_end || row_begin < held_begin || row_end > held_end) {
     return ErrorResponse("candidates: row range [" +
                          std::to_string(row_begin) + ", " +
-                         std::to_string(row_end) + ") is not within the " +
-                         std::to_string(corpus.Size()) + "-row corpus");
+                         std::to_string(row_end) + ") is not within the held "
+                         "rows [" + std::to_string(held_begin) + ", " +
+                         std::to_string(held_end) + ")");
   }
   // ShardFingerprint requires block alignment (a core check, fatal);
   // requests are validated to structured errors here instead.
-  const size_t block_rows = snapshot->digests->block_rows;
+  const size_t block_rows = held->digests->block_rows;
   if (row_begin % block_rows != 0 ||
-      (row_end % block_rows != 0 && row_end != corpus.Size())) {
+      (row_end % block_rows != 0 && row_end != held_end)) {
     return ErrorResponse("candidates: row range must be aligned to the " +
                          std::to_string(block_rows) +
                          "-row fingerprint blocks");
@@ -93,7 +101,7 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
   // worker holds a different corpus version — refuse rather than answer
   // candidates the merge would silently mis-rank.
   const uint64_t expected =
-      ShardFingerprint(*snapshot->digests, row_begin, row_end);
+      ShardFingerprint(*held->digests, row_begin, row_end, held_begin);
   if (request.Get("fingerprint").AsString() != wire::FingerprintHex(expected)) {
     return ErrorResponse(Status::FailedPrecondition(
         "candidates: shard fingerprint mismatch for rows [" +
@@ -102,10 +110,10 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
         request.Get("fingerprint").AsString() + "')"));
   }
   const JsonValue& query_json = request.Get("query");
-  if (!query_json.IsArray() || query_json.Items().size() != corpus.Dim()) {
+  if (!query_json.IsArray() || query_json.Items().size() != rows.Dim()) {
     return ErrorResponse(Status::InvalidArgument(
         "candidates: 'query' must be an array of " +
-            std::to_string(corpus.Dim()) + " numbers",
+            std::to_string(rows.Dim()) + " numbers",
         "query"));
   }
   std::vector<float> query;
@@ -141,12 +149,12 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
     // (corpus, metric), not per query.
     std::lock_guard<std::mutex> lock(norms_cache_mutex_);
     if (norms_cache_.norms == nullptr || norms_cache_.name != name ||
-        norms_cache_.version != snapshot->version ||
+        norms_cache_.version != held->version ||
         norms_cache_.metric != metric) {
       norms_cache_.norms = std::make_shared<const CorpusNorms>(
-          NormsForMetric(corpus.features, metric));
+          NormsForMetric(rows.features, metric));
       norms_cache_.name = name;
-      norms_cache_.version = snapshot->version;
+      norms_cache_.version = held->version;
       norms_cache_.metric = metric;
     }
     norms = norms_cache_.norms;
@@ -154,8 +162,8 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
 
   std::vector<double> dists(row_end - row_begin);
   std::vector<int> run;
-  if (!ShardCandidates(corpus.features, query, metric, norms.get(), row_begin,
-                       row_end, r, dists, &run) ||
+  if (!ShardCandidates(rows.features, query, metric, norms.get(), row_begin,
+                       row_end, r, dists, &run, held_begin) ||
       CancelRequested()) {
     return ErrorResponse(Status::DeadlineExceeded("deadline exceeded"));
   }
@@ -179,10 +187,11 @@ JsonValue ShardService::Candidates(const JsonValue& request) {
 }
 
 JsonValue ShardService::Digests(const JsonValue& request) const {
-  // What corpus version does this worker hold? The router diffs the
-  // per-block digests against its own (wire::PlanCorpusSync) and ships
-  // nothing, a delta, or a full load. Digests are maintained incrementally
-  // by the store, so this answers without touching the corpus rows.
+  // Which rows of which corpus version does this worker hold? The router
+  // diffs the per-block digests against its own over the window it plans
+  // for this worker (wire::PlanCorpusSync) and ships nothing or the blocks
+  // the worker lacks. Digests are maintained by the store, so this
+  // answers without touching the rows.
   const std::string& name = request.Get("name").AsString();
   auto snapshot = store_->Get(name);
   if (!snapshot) {
@@ -205,27 +214,19 @@ JsonValue ShardService::Digests(const JsonValue& request) const {
 
 JsonValue ShardService::LoadDelta(const JsonValue& request,
                                   std::vector<uint64_t>* retired) {
-  // Delta corpus sync (docs/PROTOCOL.md): splice the provided blocks into
-  // the stored corpus, keeping every other block's rows. The router sends
-  // this instead of a full load when the worker already holds a
-  // previous version; any rejection here (structured error, never a crash)
-  // makes the router fall back to the full load, so this op can only ever
+  // Window sync (docs/PROTOCOL.md): install corpus rows [row_begin,
+  // row_end) — the shard this worker serves — from the blocks the request
+  // carries plus the blocks of the held window it keeps. Blocks are
+  // addressed by corpus block index, so a window whose boundaries moved
+  // keeps its overlap. A request that carries every block of its window
+  // needs nothing held. Any rejection is a structured error, never a
+  // crash; the router then ships every block, so this op can only ever
   // save bytes, not correctness.
   const std::string& name = request.Get("name").AsString();
   if (name.empty()) return ErrorResponse("load_delta: 'name' is required");
-  auto base = store_->Get(name);
-  if (!base) {
-    return ErrorResponse(Status::NotFound("load_delta: unknown dataset '" +
-                                          name + "' (send a full load first)"));
-  }
-  const Dataset& stored = *base->data;
   CsvTarget target;
   if (!CsvTargetFromName(request.Get("target").AsString(), &target)) {
     return ErrorResponse("load_delta: target must be label|target|none");
-  }
-  if (target != TargetOf(stored)) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "load_delta: target mode does not match the stored corpus"));
   }
   size_t rows = 0, dim = 0;
   if (!JsonInteger(request.Get("rows"), 1, kMaxJsonInteger, &rows) ||
@@ -233,11 +234,29 @@ JsonValue ShardService::LoadDelta(const JsonValue& request,
     return ErrorResponse(
         "load_delta: 'rows' and 'dim' must be positive integers");
   }
-  if (dim != stored.Dim()) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "load_delta: dim " + std::to_string(dim) +
-        " does not match the stored corpus (" + std::to_string(stored.Dim()) +
-        ")"));
+  // The window; without the fields, the whole corpus.
+  size_t row_begin = 0, row_end = rows;
+  if ((request.Has("row_begin") &&
+       !JsonInteger(request.Get("row_begin"), 0, kMaxJsonInteger,
+                    &row_begin)) ||
+      (request.Has("row_end") &&
+       !JsonInteger(request.Get("row_end"), 0, kMaxJsonInteger, &row_end))) {
+    return ErrorResponse(
+        "load_delta: 'row_begin' and 'row_end' must be non-negative "
+        "integers");
+  }
+  if (row_begin >= row_end || row_end > rows) {
+    return ErrorResponse("load_delta: window [" + std::to_string(row_begin) +
+                         ", " + std::to_string(row_end) +
+                         ") is not within the " + std::to_string(rows) +
+                         "-row corpus");
+  }
+  const size_t block_rows = kFingerprintBlockRows;
+  if (row_begin % block_rows != 0 ||
+      (row_end % block_rows != 0 && row_end != rows)) {
+    return ErrorResponse("load_delta: the window must be aligned to the " +
+                         std::to_string(block_rows) +
+                         "-row fingerprint blocks");
   }
   uint64_t expected = 0;
   if (!wire::ParseHexFingerprint(request.Get("fingerprint").AsString(),
@@ -249,22 +268,16 @@ JsonValue ShardService::LoadDelta(const JsonValue& request,
   if (!blocks.IsArray()) {
     return ErrorResponse("load_delta: 'blocks' must be an array");
   }
-  // Fault site: a worker that cannot apply deltas (disk, version skew)
-  // answers a structured internal error; the router falls back to a full
-  // load and the topology keeps serving.
-  if (FaultInjectionEnabled() && Fault("delta_apply")) {
-    return ErrorResponse(
-        Status::Error(StatusCode::kInternal, "injected delta_apply fault"));
-  }
-
-  const size_t block_rows = base->digests->block_rows;
-  const size_t num_blocks = (rows + block_rows - 1) / block_rows;
+  const size_t first_block = row_begin / block_rows;
+  const size_t end_block = (row_end + block_rows - 1) / block_rows;
   std::map<size_t, const JsonValue*> provided;
   for (const JsonValue& entry : blocks.Items()) {
     size_t b = 0;
-    if (!JsonInteger(entry.Get("block"), 0, num_blocks - 1, &b)) {
+    if (!JsonInteger(entry.Get("block"), first_block, end_block - 1, &b)) {
       return ErrorResponse(
-          "load_delta: each block entry needs an in-range integer 'block'");
+          "load_delta: each block entry needs an integer 'block' inside "
+          "the window's blocks [" + std::to_string(first_block) + ", " +
+          std::to_string(end_block) + ")");
     }
     if (!provided.emplace(b, &entry).second) {
       return ErrorResponse("load_delta: duplicate block " +
@@ -272,13 +285,44 @@ JsonValue ShardService::LoadDelta(const JsonValue& request,
     }
   }
 
+  // The blocks the request does not carry come from the held rows, which
+  // must then be this corpus's: same name, target mode and dim.
+  const auto base = store_->Get(name);
+  const bool keeps = provided.size() < end_block - first_block;
+  if (keeps) {
+    if (!base) {
+      return ErrorResponse(Status::NotFound(
+          "load_delta: unknown dataset '" + name +
+          "' (send every block of the window)"));
+    }
+    if (target != TargetOf(*base->data)) {
+      return ErrorResponse(Status::FailedPrecondition(
+          "load_delta: target mode does not match the held rows"));
+    }
+    if (dim != base->data->Dim()) {
+      return ErrorResponse(Status::FailedPrecondition(
+          "load_delta: dim " + std::to_string(dim) +
+          " does not match the held rows (" +
+          std::to_string(base->data->Dim()) + ")"));
+    }
+    // Fault site: a worker that cannot splice (disk, version skew)
+    // answers a structured internal error; the router falls back to
+    // shipping every block and the topology keeps serving.
+    if (FaultInjectionEnabled() && Fault("delta_apply")) {
+      return ErrorResponse(
+          Status::Error(StatusCode::kInternal, "injected delta_apply fault"));
+    }
+  }
+
   Dataset next;
   // Sized by what the request can fill, not by its claimed row count.
   next.features.Reserve(
-      std::min(rows, stored.Size() + provided.size() * block_rows), dim);
-  for (size_t b = 0; b < num_blocks; ++b) {
+      std::min(row_end - row_begin,
+               (keeps ? base->data->Size() : 0) + provided.size() * block_rows),
+      dim);
+  for (size_t b = first_block; b < end_block; ++b) {
     const size_t begin = b * block_rows;
-    const size_t end = std::min(begin + block_rows, rows);
+    const size_t end = std::min(begin + block_rows, row_end);
     auto it = provided.find(b);
     if (it != provided.end()) {
       std::string error;
@@ -289,39 +333,45 @@ JsonValue ShardService::LoadDelta(const JsonValue& request,
       }
       continue;
     }
-    // Unchanged block: keep the stored rows. The router only plans a
-    // delta when the geometry matches, so these rows must exist.
-    if (end > stored.Size()) {
+    // A kept block: the held window must cover all of its rows. The
+    // router keeps only blocks whose held digest matches its own.
+    const size_t held_begin = base->row_begin;
+    const size_t held_end = held_begin + base->data->Size();
+    if (begin < held_begin || end > held_end) {
       return ErrorResponse(Status::FailedPrecondition(
-          "load_delta: unchanged block " + std::to_string(b) +
-          " is outside the stored corpus"));
+          "load_delta: kept block " + std::to_string(b) +
+          " is not within the held rows [" + std::to_string(held_begin) +
+          ", " + std::to_string(held_end) + ")"));
     }
-    next.features.AppendRows(stored.features, begin, end);
+    const Dataset& held = *base->data;
+    const size_t local = begin - held_begin, local_end = end - held_begin;
+    next.features.AppendRows(held.features, local, local_end);
     if (target == CsvTarget::kLabel) {
-      next.labels.insert(next.labels.end(), stored.labels.begin() + begin,
-                         stored.labels.begin() + end);
+      next.labels.insert(next.labels.end(), held.labels.begin() + local,
+                         held.labels.begin() + local_end);
     } else if (target == CsvTarget::kTarget) {
-      next.targets.insert(next.targets.end(), stored.targets.begin() + begin,
-                          stored.targets.begin() + end);
+      next.targets.insert(next.targets.end(), held.targets.begin() + local,
+                          held.targets.begin() + local_end);
     }
   }
 
-  CorpusMutation mutation = store_->Put(name, std::move(next));
+  CorpusMutation mutation =
+      store_->PutWindow(name, std::move(next), row_begin);
   if (mutation.snapshot.fingerprint != expected) {
     // The splice produced the wrong contents (corruption in flight, or a
     // router/worker disagreement the plan missed). Serving candidates off
     // it would silently mis-rank, so drop it outright: the router's
-    // fallback full load repopulates from scratch.
+    // fallback ships every block from scratch.
     uint64_t dropped = 0;
     store_->Drop(name, &dropped);
     retired->push_back(mutation.old_fingerprint);
     retired->push_back(dropped);
     return ErrorResponse(Status::Error(
         StatusCode::kDataLoss,
-        "load_delta: corpus fingerprint mismatch after splice (expected " +
+        "load_delta: window fingerprint mismatch after splice (expected " +
             wire::FingerprintHex(expected) + ", got " +
             wire::FingerprintHex(mutation.snapshot.fingerprint) +
-            "); corpus dropped — send a full load"));
+            "); rows dropped — send every block"));
   }
   if (mutation.old_fingerprint != mutation.snapshot.fingerprint) {
     retired->push_back(mutation.old_fingerprint);

@@ -11,7 +11,6 @@ namespace knnshap {
 
 ShardWorker::ShardWorker(ShardRange range, std::vector<ShardPeer> peers,
                          std::string corpus_name, Metric metric,
-                         uint64_t expected_fingerprint,
                          SocketWorkerOptions options,
                          ShardTransportCounters counters,
                          const Dataset* corpus, const CorpusDigests* digests)
@@ -19,7 +18,6 @@ ShardWorker::ShardWorker(ShardRange range, std::vector<ShardPeer> peers,
       peers_(std::move(peers)),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
-      expected_fingerprint_(expected_fingerprint),
       options_(options),
       counters_(counters),
       corpus_(corpus),
@@ -37,8 +35,7 @@ Status ShardWorker::Connect() {
   Status last_error = Status::Unavailable("the shard has no replicas");
   for (; active_ < peers_.size(); ++active_) {
     conn_ = std::make_unique<ShardConnection>(range_, corpus_name_, metric_,
-                                              expected_fingerprint_, options_,
-                                              counters_);
+                                              options_, counters_);
     last_error = conn_->Open(peers_[active_]);
     if (last_error.ok()) last_error = conn_->Sync(*corpus_, *digests_);
     if (last_error.ok()) return last_error;

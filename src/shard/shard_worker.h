@@ -60,12 +60,11 @@ class ShardWorker {
  public:
   /// `peers` are tried strictly in order. `corpus` and `digests` must
   /// outlive the worker (the fitted valuator and its ShardRanking own
-  /// them): every replica (re)connect syncs from them.
+  /// them): every replica (re)connect syncs `range`'s window from them.
   ShardWorker(ShardRange range, std::vector<ShardPeer> peers,
               std::string corpus_name, Metric metric,
-              uint64_t expected_fingerprint, SocketWorkerOptions options,
-              ShardTransportCounters counters, const Dataset* corpus,
-              const CorpusDigests* digests);
+              SocketWorkerOptions options, ShardTransportCounters counters,
+              const Dataset* corpus, const CorpusDigests* digests);
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
@@ -101,7 +100,6 @@ class ShardWorker {
   std::vector<ShardPeer> peers_;
   std::string corpus_name_;
   Metric metric_;
-  uint64_t expected_fingerprint_;
   SocketWorkerOptions options_;
   ShardTransportCounters counters_;
   const Dataset* corpus_;

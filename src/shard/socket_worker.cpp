@@ -53,22 +53,29 @@ ShardTransportCounters ShardTransportCounters::From(MetricsRegistry* metrics) {
   counters.delta_loads = metrics->GetCounter("knnshap_shard_delta_loads_total");
   counters.delta_blocks =
       metrics->GetCounter("knnshap_shard_delta_blocks_total");
+  counters.bytes_sent = metrics->GetCounter("knnshap_shard_bytes_sent_total");
+  counters.bytes_received =
+      metrics->GetCounter("knnshap_shard_bytes_received_total");
   return counters;
 }
 
 std::vector<std::string> ShardWorkerCommand(std::string binary) {
-  return {std::move(binary), "--serial", "--no-timing", "--no-obs",
-          "--kernel=" + std::string(KernelName(ActiveKernel()))};
+  std::vector<std::string> argv = {std::move(binary), "--serial",
+                                    "--no-timing", "--no-obs"};
+  // A pinned worker never reroutes a pass the way an auto one may
+  // (ResolveDistanceKernel), so the child pins exactly when we do.
+  if (!KernelChoiceIsAuto()) {
+    argv.push_back("--kernel=" + std::string(KernelName(ActiveKernel())));
+  }
+  return argv;
 }
 
 ShardConnection::ShardConnection(ShardRange range, std::string corpus_name,
-                                 Metric metric, uint64_t expected_fingerprint,
-                                 SocketWorkerOptions options,
+                                 Metric metric, SocketWorkerOptions options,
                                  ShardTransportCounters counters)
     : range_(range),
       corpus_name_(std::move(corpus_name)),
       metric_(metric),
-      expected_fingerprint_(expected_fingerprint),
       options_(options),
       counters_(counters) {}
 
@@ -77,6 +84,7 @@ ShardConnection::~ShardConnection() {
   // loop sees EOF, drains and exits; the wait reaps it so no zombie
   // outlives a router re-fit.
   CloseStreams();
+  std::free(read_buffer_);
   if (child_pid_ > 0) {
     int status = 0;
     while (waitpid(child_pid_, &status, 0) < 0 && errno == EINTR) {
@@ -199,11 +207,11 @@ Status ShardConnection::Spawn(const std::vector<std::string>& command) {
 }
 
 Status ShardConnection::Sync(const Dataset& corpus,
-                               const CorpusDigests& digests) {
+                             const CorpusDigests& digests) {
   ScopedPhase span(ActiveTrace(), Phase::kShardConnect);
   // Version first: a worker on another protocol would misread every
   // packed payload that follows.
-  std::string line;
+  std::string_view line;
   if (!Exchange(R"({"op":"protocol"})", &line)) return health_;
   JsonParseResult parsed = ParseJson(line);
   const JsonValue& version = parsed.value.Get("protocol");
@@ -215,20 +223,28 @@ Status ShardConnection::Sync(const Dataset& corpus,
         std::to_string(wire::kProtocolVersion)));
   }
   // The router orders rows by the distances its workers computed, so both
-  // sides must run the same kernel: kernels differ in the last bits.
+  // sides must run the same kernel, chosen the same way: kernels differ in
+  // the last bits, and an auto-chosen one reroutes some passes.
+  const auto chosen = [](bool automatic) {
+    return automatic ? ", auto-selected" : ", pinned";
+  };
   const std::string kernel = parsed.value.Get("kernel").AsString();
-  if (kernel != KernelName(ActiveKernel())) {
+  const JsonValue& kernel_auto = parsed.value.Get("kernel_auto");
+  if (kernel != KernelName(ActiveKernel()) || !kernel_auto.IsBool() ||
+      kernel_auto.AsBool() != KernelChoiceIsAuto()) {
     return Fail(Status::FailedPrecondition(
         "shard worker " + peer_ + " runs the " +
-        (kernel.empty() ? "unknown" : kernel) +
-        " distance kernel; this router runs the " +
-        KernelName(ActiveKernel()) + " kernel"));
+        (kernel.empty() ? "unknown" : kernel) + " distance kernel" +
+        (kernel_auto.IsBool() ? chosen(kernel_auto.AsBool()) : "") +
+        "; this router runs the " + KernelName(ActiveKernel()) + " kernel" +
+        chosen(KernelChoiceIsAuto())));
   }
-  // Corpus sync: ask what the worker holds, ship the difference. A worker
-  // that kept the corpus across a router re-fit (the common warm case)
-  // costs one digests round trip and zero rows; a mutated corpus costs
-  // only its changed blocks; everything else — a fresh spawned child
-  // included — falls back to the full load.
+  // Window sync: ask what the worker holds, ship what its window lacks. A
+  // worker that kept its window across a router re-fit (the common warm
+  // case) costs one digests round trip and zero rows; a mutation or a
+  // re-plan costs only the window's changed or entering blocks;
+  // everything else — a fresh spawned child included — ships every block
+  // of the window, never the rest of the corpus.
   if (!Exchange(wire::BuildDigestsRequest(corpus_name_).Dump(), &line)) {
     return health_;
   }
@@ -237,51 +253,58 @@ Status ShardConnection::Sync(const Dataset& corpus,
     return Fail(Status::Unavailable("shard worker " + peer_ +
                                     " sent an unparseable digests response"));
   }
-  wire::CorpusSyncPlan plan = wire::PlanCorpusSync(corpus, digests, parsed.value);
-  if (plan.mode == wire::CorpusSyncPlan::Mode::kDelta) {
+  wire::CorpusSyncPlan plan =
+      wire::PlanCorpusSync(corpus, digests, range_, parsed.value);
+  // One load_delta exchange; false when the transport failed (health_ says
+  // so) or the worker rejected it.
+  const auto load = [&](const std::vector<size_t>& blocks) {
     if (!Exchange(wire::BuildDeltaLoadRequest(corpus_name_, corpus, digests,
-                                              plan.blocks)
+                                              range_, blocks)
                       .Dump(),
                   &line)) {
-      return health_;
+      return false;
     }
     parsed = ParseJson(line);
-    if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
-      // A worker that rejects the delta (row-count drift it cannot splice,
-      // an older binary without the op, an injected delta_apply fault) is
-      // still usable — fall back to the always-correct full load.
-      plan.mode = wire::CorpusSyncPlan::Mode::kFull;
-    } else {
+    return parsed.ok() && parsed.value.Get("ok").AsBool(false);
+  };
+  if (plan.mode == wire::CorpusSyncPlan::Mode::kDelta) {
+    if (load(plan.blocks)) {
       Bump(counters_.delta_loads);
       Bump(counters_.delta_blocks, plan.blocks.size());
+    } else if (!health_.ok()) {
+      return health_;
+    } else {
+      // A worker that rejects the delta (held rows it cannot splice, an
+      // injected delta_apply fault) is still usable: plan as for a worker
+      // that holds nothing, and ship every block of the window.
+      plan = wire::PlanCorpusSync(corpus, digests, range_, JsonValue());
     }
   }
   if (plan.mode == wire::CorpusSyncPlan::Mode::kFull) {
-    if (!Exchange(wire::BuildInlineLoadRequest(corpus_name_, corpus).Dump(),
-                  &line)) {
-      return health_;
-    }
-    parsed = ParseJson(line);
-    if (!parsed.ok() || !parsed.value.Get("ok").AsBool(false)) {
+    if (!load(plan.blocks)) {
+      if (!health_.ok()) return health_;
       return Fail(Status::Unavailable("shard worker " + peer_ +
-                                      " rejected the corpus load: " + line));
+                                      " rejected the window load: " +
+                                      std::string(line)));
     }
     Bump(counters_.full_loads);
   }
 
   // Every path ends fingerprint-verified: kNone verified inside
-  // PlanCorpusSync (the digests response fingerprint equals ours), delta
-  // and full loads via the echo below.
+  // PlanCorpusSync (the digests response fingerprint equals the window's),
+  // delta and full loads via the echo below.
   if (plan.mode != wire::CorpusSyncPlan::Mode::kNone) {
+    const uint64_t expected =
+        WindowDigests(digests, range_.row_begin, range_.row_end).Combined();
     uint64_t echoed = 0;
     if (!wire::ParseHexFingerprint(parsed.value.Get("fingerprint").AsString(),
                                    &echoed) ||
-        echoed != expected_fingerprint_) {
+        echoed != expected) {
       return Fail(Status::Error(
           StatusCode::kDataLoss,
           "shard worker " + peer_ +
-              " corpus fingerprint mismatch after sync (expected " +
-              wire::FingerprintHex(expected_fingerprint_) + ", got " +
+              " window fingerprint mismatch after sync (expected " +
+              wire::FingerprintHex(expected) + ", got " +
               parsed.value.Get("fingerprint").AsString() + ")"));
     }
   }
@@ -301,10 +324,11 @@ bool ShardConnection::WriteLine(const std::string& line) {
                              " closed the connection on write"));
     return false;
   }
+  Bump(counters_.bytes_sent, line.size() + 1);
   return true;
 }
 
-bool ShardConnection::ReadLine(std::string* response) {
+bool ShardConnection::ReadLine(std::string_view* response) {
   if (read_stream_ == nullptr) {
     Fail(Status::Unavailable("shard worker " + peer_ + " is not connected"));
     return false;
@@ -313,11 +337,8 @@ bool ShardConnection::ReadLine(std::string* response) {
     Fail(Status::Unavailable("injected shard_read fault (" + peer_ + ")"));
     return false;
   }
-  char* buf = nullptr;
-  size_t cap = 0;
-  const ssize_t len = getline(&buf, &cap, read_stream_);
+  const ssize_t len = getline(&read_buffer_, &read_capacity_, read_stream_);
   if (len < 0) {
-    std::free(buf);
     // EOF or SO_RCVTIMEO expiry — either way this connection is done (a
     // timed-out response would desynchronize the one-line framing if we
     // kept reading).
@@ -325,11 +346,11 @@ bool ShardConnection::ReadLine(std::string* response) {
                              " died or timed out on read"));
     return false;
   }
-  response->assign(buf, static_cast<size_t>(len));
-  std::free(buf);
+  Bump(counters_.bytes_received, static_cast<uint64_t>(len));
+  *response = std::string_view(read_buffer_, static_cast<size_t>(len));
   while (!response->empty() &&
          (response->back() == '\n' || response->back() == '\r')) {
-    response->pop_back();
+    response->remove_suffix(1);
   }
   return true;
 }
@@ -345,7 +366,7 @@ bool ShardConnection::SendCandidates(std::span<const float> query,
 bool ShardConnection::ReadCandidates(size_t r, std::span<double> dists,
                                      std::vector<int>* run) {
   run->clear();
-  std::string line;
+  std::string_view line;
   if (!ReadLine(&line)) return false;
   Status status = wire::ParseCandidatesResponse(line, range_, r, dists, run);
   if (status.ok()) return true;

@@ -9,16 +9,18 @@
 // socketpair (the child's stdin and stdout) and owns the child, reaping it
 // on destruction — a child whose router goes away sees EOF and exits.
 // Either way, Sync() then checks the worker speaks this build's protocol
-// version and runs the router's distance kernel (`protocol` op; any other
-// version or kernel is a failed_precondition naming both) and brings the
-// worker's corpus up to date: it asks for the worker's per-block content
-// digests (`digests` op) and ships either nothing (fingerprints match), a
-// packed `load_delta` with exactly the changed blocks, or a full packed
-// `load` (unknown/incompatible worker state — always the case for a fresh
-// child). Every sync path ends with
-// the worker echoing its independently recomputed corpus fingerprint,
-// which must equal the router's — transport corruption and stale-worker
-// states are caught before any candidates flow. Candidates are one JSONL
+// version and runs the router's distance kernel, chosen the same way
+// (`protocol` op; any other version or (kernel, kernel_auto) pair is a
+// failed_precondition naming both) and brings the worker's window — the
+// shard's rows of the corpus, and nothing else — up to date: it asks
+// which rows the worker holds and their per-block content digests
+// (`digests` op) and ships, in one packed `load_delta`, nothing (the
+// worker holds the window), the window's blocks it lacks, or every block
+// of the window (unknown/incompatible worker state — always the case for
+// a fresh child). Every sync path ends with the worker echoing its
+// independently recomputed window fingerprint, which must equal the
+// router's — transport corruption and stale-worker states are caught
+// before any candidates flow. Candidates are one JSONL
 // line exchange (shard/wire.h), split into SendCandidates() and
 // ReadCandidates() so the router can have a request in flight on every
 // shard at once, under the socket's SO_RCVTIMEO/SO_SNDTIMEO — a worker
@@ -42,6 +44,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -65,6 +68,8 @@ struct ShardTransportCounters {
   Counter* full_loads = nullptr;        ///< Corpus syncs that shipped everything.
   Counter* delta_loads = nullptr;       ///< Corpus syncs that shipped a delta.
   Counter* delta_blocks = nullptr;      ///< Blocks shipped across all deltas.
+  Counter* bytes_sent = nullptr;        ///< Line bytes written, '\n' included.
+  Counter* bytes_received = nullptr;    ///< Line bytes read, '\n' included.
 
   /// The knnshap_shard_* counters of `metrics` (all null when it is null).
   static ShardTransportCounters From(MetricsRegistry* metrics);
@@ -72,8 +77,9 @@ struct ShardTransportCounters {
 
 /// The argv that spawns the serve binary `binary` as a shard worker:
 /// serial, untimed and unobserved so it answers deterministically, and on
-/// the caller's active kernel so its candidate distances are
-/// bit-identical to the router's own.
+/// the caller's kernel so its candidate distances are bit-identical to
+/// the router's own: pinned with --kernel= when the caller's is pinned,
+/// auto-detected like the caller's otherwise.
 std::vector<std::string> ShardWorkerCommand(std::string binary);
 
 /// One replica of a shard: a remote worker to dial, or the argv of a
@@ -84,8 +90,9 @@ using ShardPeer = std::variant<Endpoint, std::vector<std::string>>;
 /// one thread drives it at a time.
 class ShardConnection {
  public:
+  /// The worker is synced to, and queried for, `range`: its window.
   ShardConnection(ShardRange range, std::string corpus_name, Metric metric,
-                  uint64_t expected_fingerprint, SocketWorkerOptions options,
+                  SocketWorkerOptions options,
                   ShardTransportCounters counters);
   /// Closes the connection, then reaps a spawned child.
   ~ShardConnection();
@@ -102,10 +109,10 @@ class ShardConnection {
   Status Spawn(const std::vector<std::string>& command);
 
   /// Checks the worker's protocol version and distance kernel, then
-  /// brings its corpus up to date (digests -> none/delta/full,
-  /// fingerprint-verified). Must follow a successful Open and succeed
-  /// before SendCandidates; a non-OK return leaves the connection dead
-  /// (discard it).
+  /// brings its window of `corpus` (described by `digests`) up to date
+  /// (digests -> none/delta/full, fingerprint-verified). Must follow a
+  /// successful Open and succeed before SendCandidates; a non-OK return
+  /// leaves the connection dead (discard it).
   Status Sync(const Dataset& corpus, const CorpusDigests& digests);
 
   /// Writes the candidates request. False when the write failed (Health()
@@ -127,8 +134,10 @@ class ShardConnection {
   /// Adopts a connected fd as the line-framed stream pair.
   Status Adopt(int fd);
   bool WriteLine(const std::string& line);
-  bool ReadLine(std::string* response);
-  bool Exchange(const std::string& line, std::string* response) {
+  /// Reads one reply line, without its line end, into *response: a view
+  /// of this connection's read buffer, valid until the next read.
+  bool ReadLine(std::string_view* response);
+  bool Exchange(const std::string& line, std::string_view* response) {
     return WriteLine(line) && ReadLine(response);
   }
   /// Latches `status`, closes the connection and returns `status`.
@@ -139,13 +148,16 @@ class ShardConnection {
   std::string peer_;  ///< "host:port" or "pid N", for messages.
   std::string corpus_name_;
   Metric metric_;
-  uint64_t expected_fingerprint_;
   SocketWorkerOptions options_;
   ShardTransportCounters counters_;
 
   pid_t child_pid_ = -1;  ///< Spawned child, or -1 for a dialed worker.
   std::FILE* write_stream_ = nullptr;
   std::FILE* read_stream_ = nullptr;
+  /// getline's buffer, kept across replies: a reply is read with no
+  /// allocation once it has grown to the largest reply size.
+  char* read_buffer_ = nullptr;
+  size_t read_capacity_ = 0;
   Status health_;
 };
 

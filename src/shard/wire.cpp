@@ -57,6 +57,7 @@ JsonValue ProtocolResponse() {
   JsonValue out = OkResponse();
   out.Set("protocol", JsonValue(kProtocolVersion));
   out.Set("kernel", JsonValue(KernelName(ActiveKernel())));
+  out.Set("kernel_auto", JsonValue(KernelChoiceIsAuto()));
   return out;
 }
 
@@ -210,7 +211,7 @@ bool DecodeDistanceColumn(const JsonValue& column, const ShardRange& range,
 /// `r` for a caller that does not know the request's rank.
 constexpr size_t kUnknownRank = SIZE_MAX;
 
-Status ParseCandidates(const std::string& line, const ShardRange& range,
+Status ParseCandidates(std::string_view line, const ShardRange& range,
                        size_t r, std::span<double> dists,
                        std::vector<int>* run) {
   KNNSHAP_CHECK(range.row_end <= dists.size(), "dists buffer too small");
@@ -384,13 +385,13 @@ JsonValue BuildCandidatesRequest(const ShardRange& range,
   return request;
 }
 
-Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
+Status ParseCandidatesResponse(std::string_view line, const ShardRange& range,
                                size_t r, std::span<double> dists,
                                std::vector<int>* run) {
   return ParseCandidates(line, range, std::min(r, range.Rows()), dists, run);
 }
 
-Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
+Status ParseCandidatesResponse(std::string_view line, const ShardRange& range,
                                std::span<double> dists, std::vector<int>* run) {
   return ParseCandidates(line, range, kUnknownRank, dists, run);
 }
@@ -520,18 +521,29 @@ uint64_t BlockDigest(const CorpusDigests& digests, size_t block) {
 }
 
 CorpusSyncPlan PlanCorpusSync(const Dataset& corpus, const CorpusDigests& local,
+                              const ShardRange& window,
                               const JsonValue& remote_response) {
+  const size_t block_rows = local.block_rows;
+  const size_t first_block = window.row_begin / block_rows;
+  const size_t end_block = (window.row_end + block_rows - 1) / block_rows;
   CorpusSyncPlan plan;
   plan.mode = CorpusSyncPlan::Mode::kFull;
+  for (size_t b = first_block; b < end_block; ++b) plan.blocks.push_back(b);
   if (!remote_response.Get("ok").AsBool(false)) return plan;  // not_found etc.
-  // A delta splices blocks into the worker's existing corpus, so every
-  // structural parameter must match; anything else falls back to a full
-  // load (correct by construction, just more bytes).
-  size_t dim = 0, block_rows = 0;
+  // Kept blocks are spliced next to shipped ones, so every structural
+  // parameter must match; anything else ships every block (correct by
+  // construction, just more bytes).
+  size_t dim = 0, remote_block_rows = 0, held_rows = 0, held_begin = 0;
   if (!JsonInteger(remote_response.Get("dim"), 1, kMaxJsonInteger, &dim) ||
       !JsonInteger(remote_response.Get("block_rows"), 1, kMaxJsonInteger,
-                   &block_rows) ||
-      dim != local.cols || block_rows != local.block_rows ||
+                   &remote_block_rows) ||
+      !JsonInteger(remote_response.Get("rows"), 1, kMaxJsonInteger,
+                   &held_rows) ||
+      (remote_response.Has("row_begin") &&
+       !JsonInteger(remote_response.Get("row_begin"), 0, kMaxJsonInteger,
+                    &held_begin)) ||
+      dim != local.cols || remote_block_rows != block_rows ||
+      held_begin % block_rows != 0 ||
       remote_response.Get("target").AsString() !=
           CsvTargetName(TargetOf(corpus))) {
     return plan;
@@ -541,23 +553,29 @@ CorpusSyncPlan PlanCorpusSync(const Dataset& corpus, const CorpusDigests& local,
                            &remote_fingerprint)) {
     return plan;
   }
-  if (remote_fingerprint == local.Combined()) {
+  if (held_begin == window.row_begin && held_rows == window.Rows() &&
+      remote_fingerprint ==
+          WindowDigests(local, window.row_begin, window.row_end).Combined()) {
     plan.mode = CorpusSyncPlan::Mode::kNone;
+    plan.blocks.clear();
     return plan;
   }
   const JsonValue& remote_blocks = remote_response.Get("blocks");
   if (!remote_blocks.IsArray()) return plan;
+  // Blocks are addressed by corpus block index: the worker's i-th digest
+  // is block held_first + i, so a window whose boundaries moved keeps the
+  // overlap with the one it holds.
+  const size_t held_first = held_begin / block_rows;
+  const auto& held = remote_blocks.Items();
   plan.mode = CorpusSyncPlan::Mode::kDelta;
   plan.blocks.clear();
-  for (size_t b = 0; b < local.NumBlocks(); ++b) {
+  for (size_t b = first_block; b < end_block; ++b) {
     uint64_t remote_digest = 0;
-    const bool have_remote =
-        b < remote_blocks.Items().size() &&
-        ParseHexFingerprint(remote_blocks.Items()[b].AsString(),
-                            &remote_digest);
-    if (!have_remote || remote_digest != BlockDigest(local, b)) {
-      plan.blocks.push_back(b);
-    }
+    const bool kept = b >= held_first && b - held_first < held.size() &&
+                      ParseHexFingerprint(held[b - held_first].AsString(),
+                                          &remote_digest) &&
+                      remote_digest == BlockDigest(local, b);
+    if (!kept) plan.blocks.push_back(b);
   }
   return plan;
 }
@@ -565,6 +583,7 @@ CorpusSyncPlan PlanCorpusSync(const Dataset& corpus, const CorpusDigests& local,
 JsonValue BuildDeltaLoadRequest(const std::string& corpus_name,
                                 const Dataset& corpus,
                                 const CorpusDigests& digests,
+                                const ShardRange& window,
                                 const std::vector<size_t>& blocks) {
   JsonValue request = JsonValue::MakeObject();
   request.Set("op", JsonValue("load_delta"));
@@ -572,15 +591,23 @@ JsonValue BuildDeltaLoadRequest(const std::string& corpus_name,
   request.Set("target", JsonValue(CsvTargetName(TargetOf(corpus))));
   request.Set("rows", JsonValue(static_cast<double>(corpus.Size())));
   request.Set("dim", JsonValue(static_cast<double>(corpus.Dim())));
-  request.Set("fingerprint", JsonValue(FingerprintHex(digests.Combined())));
+  if (window.row_begin != 0 || window.row_end != corpus.Size()) {
+    request.Set("row_begin", JsonValue(static_cast<double>(window.row_begin)));
+    request.Set("row_end", JsonValue(static_cast<double>(window.row_end)));
+  }
+  request.Set("fingerprint",
+              JsonValue(FingerprintHex(
+                  WindowDigests(digests, window.row_begin, window.row_end)
+                      .Combined())));
   JsonValue block_array = JsonValue::MakeArray();
   for (size_t b : blocks) {
-    KNNSHAP_CHECK(b < digests.NumBlocks(), "delta block out of range");
+    const size_t begin = b * digests.block_rows;
+    KNNSHAP_CHECK(begin >= window.row_begin && begin < window.row_end,
+                  "delta block outside the window");
     JsonValue entry = JsonValue::MakeObject();
     entry.Set("block", JsonValue(static_cast<double>(b)));
-    const size_t begin = b * digests.block_rows;
     SetPackedRows(corpus, begin,
-                  std::min(begin + digests.block_rows, corpus.Size()), &entry);
+                  std::min(begin + digests.block_rows, window.row_end), &entry);
     block_array.Append(std::move(entry));
   }
   request.Set("blocks", std::move(block_array));

@@ -18,13 +18,16 @@
 // bits make every value round-trip exactly, and JSONL stays the only
 // framing.
 //
-// Also here: corpus-sync planning. A remote worker is a long-lived
-// process that keeps its corpus between router re-fits, so the router
-// asks it for its per-block content digests (`digests` op) and ships only
-// the blocks that changed (`load_delta`) instead of the full inline
-// `load`. The plan is computed from CorpusStore's incrementally
-// maintained CorpusDigests — the same digests that content-address the
-// shards — so "what changed" costs zero rehashing.
+// Also here: window-sync planning. A worker holds only its shard's
+// window of the router's corpus, block-aligned corpus rows [row_begin,
+// row_end), and a remote worker keeps it between router re-fits. The
+// router asks which rows it holds and their per-block content digests
+// (`digests` op) and ships, in one `load_delta`, only the blocks of the
+// window the worker lacks: none when it holds the window already, the
+// changed or entering blocks after a mutation or a re-plan, every block
+// when it holds nothing usable. The plan is computed from CorpusStore's
+// incrementally maintained CorpusDigests — the same digests that
+// content-address the shards — so "what changed" costs zero rehashing.
 
 #ifndef KNNSHAP_SHARD_WIRE_H_
 #define KNNSHAP_SHARD_WIRE_H_
@@ -48,11 +51,14 @@ namespace wire {
 
 /// The protocol version this build speaks: the `protocol` op reports it,
 /// and a router refuses a worker that reports another.
-inline constexpr int kProtocolVersion = 3;
+inline constexpr int kProtocolVersion = 4;
 
-/// The `protocol` reply: the version and this process's resolved distance
-/// kernel. A router refuses a worker on another version or kernel, since
-/// it orders rows by the distances its workers computed.
+/// The `protocol` reply: the version, this process's resolved distance
+/// kernel and whether auto-detection chose it (`kernel_auto`). A router
+/// refuses a worker on another version or (kernel, kernel_auto) pair,
+/// since it orders rows by the distances its workers computed, and an
+/// auto-chosen kernel reroutes some passes (ResolveDistanceKernel) where a
+/// pinned one does not.
 JsonValue ProtocolResponse();
 
 /// Padded RFC 4648 base64, the text form of every packed payload.
@@ -109,12 +115,12 @@ JsonValue BuildCandidatesRequest(const ShardRange& range,
 ///   kUnavailable        — the worker answered a structured error
 ///   kInternal           — unparseable / malformed / out-of-range payload,
 ///                         or the form that does not match `r`
-Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
+Status ParseCandidatesResponse(std::string_view line, const ShardRange& range,
                                size_t r, std::span<double> dists,
                                std::vector<int>* run);
 /// As above for a caller that does not know `r`: either form is accepted,
 /// and a run may hold any number of entries below range.Rows().
-Status ParseCandidatesResponse(const std::string& line, const ShardRange& range,
+Status ParseCandidatesResponse(std::string_view line, const ShardRange& range,
                                std::span<double> dists, std::vector<int>* run);
 
 /// Sets the packed-rows fields (`count`, `features`, and `labels` or
@@ -130,43 +136,53 @@ void SetPackedRows(const Dataset& corpus, size_t begin, size_t end,
 bool AppendPackedRows(const JsonValue& payload, size_t dim, CsvTarget target,
                       size_t expected_rows, Dataset* data, std::string* error);
 
-/// The full `load` op in packed form: `dim` plus the packed rows of the
+/// A client `load` op in packed form: `dim` plus the packed rows of the
 /// whole corpus. Raw bits round-trip exactly, so the receiver's
 /// independently computed content fingerprint must equal the sender's.
+/// (A router syncs its workers' windows with BuildDeltaLoadRequest.)
 JsonValue BuildInlineLoadRequest(const std::string& corpus_name,
                                  const Dataset& corpus);
 
-/// `digests` op: ask a worker which corpus version (per-block) it holds.
+/// `digests` op: ask a worker which rows of which corpus version it holds
+/// (per block).
 JsonValue BuildDigestsRequest(const std::string& corpus_name);
 
 /// Per-block combined digest (features + labels + targets of one row
 /// block) — the unit of delta sync, and what the `digests` op reports.
 uint64_t BlockDigest(const CorpusDigests& digests, size_t block);
 
-/// How to bring a worker's corpus up to date with `local`.
+/// How to bring a worker's window up to date with the router's.
 struct CorpusSyncPlan {
   enum class Mode {
-    kNone,   ///< Fingerprints match — nothing to send.
-    kDelta,  ///< Ship only `blocks` via `load_delta`.
-    kFull,   ///< Unknown/incompatible remote state — full packed `load`.
+    kNone,   ///< The worker holds the window — nothing to send.
+    kDelta,  ///< Ship `blocks`; the worker keeps the rest of the window.
+    kFull,   ///< Unknown/incompatible worker state — ship every block.
   };
   Mode mode = Mode::kFull;
-  std::vector<size_t> blocks;  ///< Changed block indices (kDelta only).
+  /// Corpus block indices to ship, ascending: the window's blocks the
+  /// worker lacks (kDelta) or all of them (kFull); empty for kNone.
+  std::vector<size_t> blocks;
 };
 
-/// Plans the sync from the local digests and the worker's parsed
-/// `digests` response (ok:false — typically not_found — plans a full
-/// load, as does any shape/target/block-size mismatch).
+/// Plans the sync of `window` (block-aligned rows of the corpus `local`
+/// describes) from the worker's parsed `digests` response. ok:false —
+/// typically not_found — plans every block, as does any
+/// shape/target/block-size mismatch. Otherwise the worker keeps each
+/// block of the window it holds with the router's digest; the others ship.
 CorpusSyncPlan PlanCorpusSync(const Dataset& corpus,
                               const CorpusDigests& local,
+                              const ShardRange& window,
                               const JsonValue& remote_response);
 
-/// `load_delta` op carrying exactly `blocks` (ascending) of `corpus`, each
-/// as packed rows, the new row/dim totals and the expected combined
-/// fingerprint.
+/// `load_delta` op for `window` of `corpus`, carrying exactly `blocks`
+/// (ascending corpus block indices inside the window) as packed rows, the
+/// corpus's row total and dim, the window's bounds (omitted for the whole
+/// corpus) and the window's expected content fingerprint
+/// (WindowDigests(...).Combined()).
 JsonValue BuildDeltaLoadRequest(const std::string& corpus_name,
                                 const Dataset& corpus,
                                 const CorpusDigests& digests,
+                                const ShardRange& window,
                                 const std::vector<size_t>& blocks);
 
 }  // namespace wire

@@ -95,6 +95,31 @@ void RehashBlocksFrom(const Dataset& data, size_t first_row, CorpusDigests* dige
   RehashRange(data, std::min(first_row, data.Size()) / digests->block_rows, digests);
 }
 
+CorpusDigests WindowDigests(const CorpusDigests& digests, size_t row_begin,
+                            size_t row_end) {
+  const size_t block_rows = digests.block_rows;
+  KNNSHAP_CHECK(row_begin < row_end && row_end <= digests.rows,
+                "window out of bounds");
+  KNNSHAP_CHECK(row_begin % block_rows == 0 &&
+                    (row_end % block_rows == 0 || row_end == digests.rows),
+                "window must be block-aligned");
+  const size_t first = row_begin / block_rows;
+  const size_t last = (row_end + block_rows - 1) / block_rows;
+  const auto slice = [&](const std::vector<uint64_t>& blocks) {
+    return blocks.empty() ? blocks
+                          : std::vector<uint64_t>(blocks.begin() + first,
+                                                  blocks.begin() + last);
+  };
+  CorpusDigests window;
+  window.rows = row_end - row_begin;
+  window.cols = digests.cols;
+  window.block_rows = block_rows;
+  window.feature_blocks = slice(digests.feature_blocks);
+  window.label_blocks = slice(digests.label_blocks);
+  window.target_blocks = slice(digests.target_blocks);
+  return window;
+}
+
 uint64_t DatasetFingerprint(const Dataset& data) {
   return ComputeCorpusDigests(data).Combined();
 }

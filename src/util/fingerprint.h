@@ -103,6 +103,15 @@ CorpusDigests ComputeCorpusDigests(const Dataset& data,
 /// only ceil((rows - first_row)/block_rows) + 1 blocks were rehashed.
 void RehashBlocksFrom(const Dataset& data, size_t first_row, CorpusDigests* digests);
 
+/// The digests of rows [row_begin, row_end) of the corpus `digests`
+/// describes, equal to ComputeCorpusDigests of those rows alone: a block
+/// digest hashes only its own rows, so a block-aligned window's digests
+/// are a slice of the corpus's. `row_begin` must be block-aligned and
+/// `row_end` block-aligned or digests.rows. A shard worker holds such a
+/// window, and Combined() of it is the window's content fingerprint.
+CorpusDigests WindowDigests(const CorpusDigests& digests, size_t row_begin,
+                            size_t row_end);
+
 /// Fingerprint of a dataset's full contents: shape, feature bits, labels
 /// and targets, via a full block-digest rehash. The name is deliberately
 /// excluded — two datasets with equal contents are the same corpus for

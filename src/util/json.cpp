@@ -642,7 +642,7 @@ std::string JsonValue::Dump() const {
   return out;
 }
 
-JsonParseResult ParseJson(const std::string& text) {
+JsonParseResult ParseJson(std::string_view text) {
   JsonParser parser(text.data(), text.data() + text.size());
   return parser.Run();
 }

@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -166,7 +167,7 @@ inline constexpr int kJsonMaxNestingDepth = 256;
 /// Parses one JSON document from `text`. Trailing non-whitespace is an
 /// error (JSONL framing: exactly one document per line). Numbers take
 /// strtod's grammar and values, a leading '+' included.
-JsonParseResult ParseJson(const std::string& text);
+JsonParseResult ParseJson(std::string_view text);
 
 /// The largest integer a request field may carry: every integer up to it
 /// is exact in a double.

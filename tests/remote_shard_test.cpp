@@ -33,9 +33,11 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dataset/dataset.h"
+#include "knn/distance_kernel.h"
 #include "serve/pipeline.h"
 #include "shard/socket_worker.h"
 #include "shard/wire.h"
@@ -81,6 +83,8 @@ class LoopbackWorker {
   }
 
   int Port() const { return port_; }
+  /// The worker's own pipeline, which its connections answer from.
+  RequestPipeline& Pipeline() { return *pipeline_; }
   std::string Address() const { return "127.0.0.1:" + std::to_string(port_); }
 
   /// "Kill" the worker: stop accepting and force-close every live
@@ -564,8 +568,7 @@ TEST(RemoteShardTest, WorkerOnAnotherProtocolIsAFailedPrecondition) {
   }
   const CorpusDigests digests = ComputeCorpusDigests(corpus);
   ShardConnection worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
-                         digests.Combined(), SocketWorkerOptions{},
-                         ShardTransportCounters{});
+                         SocketWorkerOptions{}, ShardTransportCounters{});
   Endpoint endpoint;
   std::string error;
   ASSERT_TRUE(ParseEndpoint(stub.Address(), &endpoint, &error)) << error;
@@ -616,7 +619,7 @@ TEST(RemoteShardTest, ResyncShipsOnlyChangedBlocks) {
   for (const std::string& line : {load, load_q, value}) {
     EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
   }
-  // First fit: each worker had no corpus — one full inline load apiece.
+  // First fit: each worker had no rows — every block of its window.
   EXPECT_EQ(CounterValue(*remote, "knnshap_shard_full_loads_total"), 2u);
   EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_loads_total"), 0u);
 
@@ -627,11 +630,225 @@ TEST(RemoteShardTest, ResyncShipsOnlyChangedBlocks) {
   for (const std::string& line : {append, value}) {
     EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
   }
-  // The re-fit re-synced both long-lived workers via load_delta — one
-  // changed block each — with no further full load.
+  // The re-fit re-synced only the worker whose window holds the tail
+  // block, via load_delta — one changed block — with no further full
+  // load. The other window [0, 256) is unchanged, so its worker was sent
+  // nothing.
   EXPECT_EQ(CounterValue(*remote, "knnshap_shard_full_loads_total"), 2u);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_loads_total"), 1u);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_blocks_total"), 1u);
+}
+
+// A worker that cannot splice kept blocks is sent every block of its
+// window instead, and the topology keeps answering the unsharded bytes.
+TEST(RemoteShardTest, RejectedDeltaShipsTheWholeWindow) {
+  FaultReset reset;
+  LoopbackWorker worker0, worker1;
+  std::unique_ptr<RequestPipeline> remote =
+      MakeRemoteRouter({{worker0.Address()}, {worker1.Address()}});
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+  const std::string load = R"({"op":"load","name":"c","rows":)" +
+                           RowsJson(600, 3, 2, 731) + R"(,"target":"label"})";
+  const std::string load_q = R"({"op":"load","name":"q","rows":)" +
+                             RowsJson(2, 3, 2, 732) + R"(,"target":"label"})";
+  const std::string value =
+      R"({"op":"value","train":"c","test":"q","method":"exact","k":3})";
+  for (const std::string& line : {load, load_q, value}) {
+    EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  ASSERT_TRUE(FaultRegistry::Global().Configure("delta_apply:after=0"));
+  const std::string append = R"({"op":"append","name":"c","rows":)" +
+                             RowsJson(5, 3, 2, 733) + "}";
+  for (const std::string& line : {append, value}) {
+    EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  // The tail window [256, 605) was re-sent whole; no delta landed.
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_full_loads_total"), 3u);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_loads_total"), 0u);
+}
+
+// A worker holds only its shard's window. When an append moves the plan's
+// boundaries, each long-lived worker keeps the overlap of its old and new
+// windows and is sent only the blocks that entered or changed.
+TEST(RemoteShardTest, MovedWindowsShipOnlyTheEnteringBlocks) {
+  LoopbackWorker worker0, worker1, worker2;
+  std::unique_ptr<RequestPipeline> remote = MakeRemoteRouter(
+      {{worker0.Address()}, {worker1.Address()}, {worker2.Address()}});
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+
+  // 1536 rows = 6 blocks: windows [0, 512), [512, 1024), [1024, 1536).
+  const std::string load = R"({"op":"load","name":"c","rows":)" +
+                           RowsJson(1536, 3, 2, 701) + R"(,"target":"label"})";
+  const std::string load_q = R"({"op":"load","name":"q","rows":)" +
+                             RowsJson(2, 3, 2, 702) + R"(,"target":"label"})";
+  const std::string exact =
+      R"({"op":"value","train":"c","test":"q","method":"exact","k":3})";
+  const std::string truncated =
+      R"({"op":"value","train":"c","test":"q","method":"truncated","k":3,"epsilon":0.1})";
+  for (const std::string& line : {load, load_q, exact, truncated}) {
+    EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_full_loads_total"), 3u);
+
+  // 512 more rows = 8 blocks: windows [0, 512), [512, 1280), [1280, 2048).
+  // Shard 0 is unchanged; shard 1 keeps blocks 2-3 and receives block 4;
+  // shard 2 keeps block 5 and receives the new blocks 6 and 7.
+  const std::string append = R"({"op":"append","name":"c","rows":)" +
+                             RowsJson(512, 3, 2, 703) + "}";
+  for (const std::string& line : {append, exact, truncated}) {
+    EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_full_loads_total"), 3u);
   EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_loads_total"), 2u);
-  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_blocks_total"), 2u);
+  EXPECT_EQ(CounterValue(*remote, "knnshap_shard_delta_blocks_total"), 3u);
+
+  // Each worker holds exactly its window.
+  const std::pair<size_t, size_t> windows[] = {{0, 512}, {512, 1280},
+                                               {1280, 2048}};
+  LoopbackWorker* workers[] = {&worker0, &worker1, &worker2};
+  for (size_t s = 0; s < 3; ++s) {
+    const auto held = workers[s]->Pipeline().Store().Get("c");
+    ASSERT_TRUE(held.has_value()) << s;
+    EXPECT_TRUE(held->window) << s;
+    EXPECT_EQ(held->row_begin, windows[s].first) << s;
+    EXPECT_EQ(held->row_begin + held->data->Size(), windows[s].second) << s;
+  }
+}
+
+// No client op answers on a window as though it were the whole corpus.
+TEST(RemoteShardTest, ClientOpsRefuseAWindow) {
+  LoopbackWorker worker0, worker1;
+  std::unique_ptr<RequestPipeline> remote =
+      MakeRemoteRouter({{worker0.Address()}, {worker1.Address()}});
+  Answer(*remote, R"({"op":"load","name":"c","rows":)" +
+                      RowsJson(600, 3, 2, 711) + R"(,"target":"label"})");
+  Answer(*remote, R"({"op":"load","name":"q","rows":)" +
+                      RowsJson(2, 3, 2, 712) + R"(,"target":"label"})");
+  ASSERT_TRUE(remote
+                  ->HandleSync(ParseJson(R"({"op":"value","train":"c",)"
+                                         R"("test":"q","method":"exact","k":3})")
+                                   .value)
+                  .Get("ok")
+                  .AsBool(false));
+
+  // Worker 1 holds rows [256, 600) of "c".
+  RequestPipeline& worker = worker1.Pipeline();
+  Answer(worker, R"({"op":"load","name":"q","rows":)" +
+                     RowsJson(2, 3, 2, 712) + R"(,"target":"label"})");
+  for (const std::string& line :
+       {std::string(R"({"op":"value","train":"c","test":"q","method":"exact","k":3})"),
+        std::string(R"({"op":"value","train":"q","test":"c","method":"exact","k":3})"),
+        R"({"op":"append","name":"c","rows":)" + RowsJson(1, 3, 2, 713) + "}",
+        std::string(R"({"op":"remove","name":"c","row":0})")}) {
+    const JsonValue reply = worker.HandleSync(ParseJson(line).value);
+    EXPECT_EQ(reply.Get("code").AsString(), "failed_precondition")
+        << line.substr(0, 60) << ": " << reply.Dump();
+    EXPECT_NE(reply.Get("error").AsString().find("shard window"),
+              std::string::npos)
+        << reply.Dump();
+  }
+  // `stats` lists the window with its bounds.
+  const JsonValue stats =
+      worker.HandleSync(ParseJson(R"({"op":"stats"})").value);
+  bool listed = false;
+  for (const JsonValue& dataset : stats.Get("datasets").Items()) {
+    if (dataset.Get("name").AsString() != "c") continue;
+    listed = true;
+    EXPECT_EQ(dataset.Get("rows").AsNumber(), 344.0);
+    EXPECT_EQ(dataset.Get("row_begin").AsNumber(), 256.0);
+  }
+  EXPECT_TRUE(listed) << stats.Dump();
+}
+
+// The byte counters see every line of a connection. Each row of the
+// corpus crosses the wire once in a 2-shard first fit: the windows
+// partition the corpus, so what is sent is one whole-corpus load line
+// plus framing, where every worker used to receive the whole corpus.
+TEST(RemoteShardTest, FirstFitSendsEachRowOnce) {
+  LoopbackWorker worker0, worker1;
+  std::unique_ptr<RequestPipeline> remote =
+      MakeRemoteRouter({{worker0.Address()}, {worker1.Address()}});
+  std::unique_ptr<RequestPipeline> baseline = MakeBaseline();
+  const std::string load = R"({"op":"load","name":"c","rows":)" +
+                           RowsJson(2000, 8, 2, 721) + R"(,"target":"label"})";
+  const std::string load_q = R"({"op":"load","name":"q","rows":)" +
+                             RowsJson(1, 8, 2, 722) + R"(,"target":"label"})";
+  const std::string value =
+      R"({"op":"value","train":"c","test":"q","method":"exact","k":3})";
+  for (const std::string& line : {load, load_q, value}) {
+    EXPECT_EQ(Answer(*remote, line), Answer(*baseline, line));
+  }
+  const CorpusSnapshot corpus = *remote->Store().Get("c");
+  const uint64_t whole_line =
+      wire::BuildInlineLoadRequest("c", *corpus.data).Dump().size() + 1;
+  const uint64_t sent = CounterValue(*remote, "knnshap_shard_bytes_sent_total");
+  const uint64_t received =
+      CounterValue(*remote, "knnshap_shard_bytes_received_total");
+  EXPECT_GT(sent, whole_line);
+  EXPECT_LT(sent, whole_line + whole_line / 20)
+      << "sent " << sent << " bytes; one whole-corpus line is " << whole_line;
+  // Both full-rank candidates replies carry their shard's distance
+  // column: 2000 f64s, base64.
+  EXPECT_GT(received, 2000u * 8 * 4 / 3);
+  // Both counters reach the metrics scrape.
+  const std::string scrape =
+      remote->HandleSync(ParseJson(R"({"op":"metrics"})").value)
+          .Get("text")
+          .AsString();
+  EXPECT_NE(scrape.find("knnshap_shard_bytes_sent_total " +
+                        std::to_string(sent)),
+            std::string::npos);
+  EXPECT_NE(scrape.find("knnshap_shard_bytes_received_total " +
+                        std::to_string(received)),
+            std::string::npos);
+}
+
+// An auto-selected kernel reroutes some passes (ResolveDistanceKernel)
+// where a pinned one of the same name does not, so a worker whose
+// kernel_auto differs from the router's is refused at connect.
+TEST(RemoteShardTest, WorkerOnAnotherKernelChoiceIsAFailedPrecondition) {
+  LoopbackWorker stub;
+  const std::string other_choice = KernelChoiceIsAuto() ? "false" : "true";
+  stub.SetLineHook([&](const std::string&) -> std::string {
+    return R"({"ok":true,"protocol":)" +
+           std::to_string(wire::kProtocolVersion) + R"(,"kernel":")" +
+           KernelName(ActiveKernel()) + R"(","kernel_auto":)" + other_choice +
+           "}";
+  });
+  Dataset corpus;
+  for (int i = 0; i < 300; ++i) {
+    corpus.features.AppendRow(std::vector<float>{1.0f * i, 2.0f, 3.0f});
+    corpus.labels.push_back(i % 2);
+  }
+  const CorpusDigests digests = ComputeCorpusDigests(corpus);
+  ShardConnection worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
+                         SocketWorkerOptions{}, ShardTransportCounters{});
+  Endpoint endpoint;
+  std::string error;
+  ASSERT_TRUE(ParseEndpoint(stub.Address(), &endpoint, &error)) << error;
+  ASSERT_TRUE(worker.Dial(endpoint).ok());
+  const Status status = worker.Sync(corpus, digests);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.message();
+  EXPECT_NE(status.message().find(KernelChoiceIsAuto() ? "pinned"
+                                                       : "auto-selected"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(worker.Health().code(), StatusCode::kFailedPrecondition);
+}
+
+// A spawned worker pins its kernel exactly when the router's is pinned.
+TEST(RemoteShardTest, SpawnedWorkersPinOnlyAPinnedKernel) {
+  const auto pins = [] {
+    for (const std::string& arg : ShardWorkerCommand("knnshap_serve")) {
+      if (arg.rfind("--kernel=", 0) == 0) return arg;
+    }
+    return std::string();
+  };
+  SetKernelOverride(KernelKind::kReference);
+  EXPECT_EQ(pins(), "--kernel=reference");
+  SetKernelOverride(KernelKind::kAuto);
+  EXPECT_EQ(pins().empty(), KernelChoiceIsAuto());
 }
 
 // ---------------------------------------------------------------------------
@@ -658,9 +875,10 @@ TEST(WireTest, PlanCorpusSyncPicksTheCheapestSufficientMode) {
   ASSERT_TRUE(held.Get("ok").AsBool(false)) << held.Dump();
 
   const CorpusSnapshot snapshot = *holder->Store().Get("c");
+  const ShardRange whole{0, snapshot.data->Size(), 0};
   // Identical corpus: nothing to send.
   wire::CorpusSyncPlan plan =
-      wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, held);
+      wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, whole, held);
   EXPECT_EQ(plan.mode, wire::CorpusSyncPlan::Mode::kNone);
 
   // One appended row: exactly the tail block is stale.
@@ -670,7 +888,8 @@ TEST(WireTest, PlanCorpusSyncPicksTheCheapestSufficientMode) {
   Answer(*mutated, R"({"op":"append","name":"c","rows":)" +
                        RowsJson(1, 3, 2, 612) + "}");
   const CorpusSnapshot changed = *mutated->Store().Get("c");
-  plan = wire::PlanCorpusSync(*changed.data, *changed.digests, held);
+  plan = wire::PlanCorpusSync(*changed.data, *changed.digests,
+                              {0, changed.data->Size(), 0}, held);
   ASSERT_EQ(plan.mode, wire::CorpusSyncPlan::Mode::kDelta);
   ASSERT_EQ(plan.blocks.size(), 1u);
   EXPECT_EQ(plan.blocks[0], changed.digests->NumBlocks() - 1);
@@ -678,7 +897,7 @@ TEST(WireTest, PlanCorpusSyncPicksTheCheapestSufficientMode) {
   // A worker that never heard of the corpus answers not_found: full load.
   const JsonValue missing = holder->HandleSync(
       ParseJson(R"({"op":"digests","name":"nope"})").value);
-  plan = wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, missing);
+  plan = wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, whole, missing);
   EXPECT_EQ(plan.mode, wire::CorpusSyncPlan::Mode::kFull);
 
   // Incompatible geometry (different dim under the same name): full load.
@@ -687,7 +906,8 @@ TEST(WireTest, PlanCorpusSyncPicksTheCheapestSufficientMode) {
                      RowsJson(600, 5, 2, 613) + R"(,"target":"label"})");
   const JsonValue other_digests =
       other->HandleSync(ParseJson(R"({"op":"digests","name":"c"})").value);
-  plan = wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, other_digests);
+  plan = wire::PlanCorpusSync(*snapshot.data, *snapshot.digests, whole,
+                              other_digests);
   EXPECT_EQ(plan.mode, wire::CorpusSyncPlan::Mode::kFull);
 }
 

@@ -355,8 +355,9 @@ TEST(ServeTest, DescribeListsEveryMethodWithTypedParams) {
   EXPECT_EQ(missing.Get("code").AsString(), "not_found");
 }
 
-// `protocol` answers version 2 and the op table's names, sorted; every
-// listed op dispatches and no other name does.
+// `protocol` answers the version, the kernel and how it was chosen, and
+// the op table's names, sorted; every listed op dispatches and no other
+// name does.
 TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
   PipelineOptions options;
   options.emit_timing = false;
@@ -365,9 +366,11 @@ TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
   const JsonValue reply =
       pipeline.HandleSync(ParseJson(R"({"op":"protocol"})").value);
   EXPECT_EQ(reply.Dump(),
-            R"({"ok":true,"protocol":3,"kernel":")" +
+            R"({"ok":true,"protocol":4,"kernel":")" +
                 std::string(KernelName(ActiveKernel())) +
-                R"(","ops":["append","candidates",)"
+                R"(","kernel_auto":)" +
+                (KernelChoiceIsAuto() ? "true" : "false") +
+                R"(,"ops":["append","candidates",)"
             R"("describe","digests","drop","load","load_cache","load_delta",)"
             R"("methods","metrics","ping","protocol","quit","remove",)"
             R"("save_cache","stats","sync","value"]})");

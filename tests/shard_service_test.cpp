@@ -15,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -47,6 +48,9 @@ JsonValue With(JsonValue object, const std::string& key, JsonValue value) {
   object.Set(key, std::move(value));
   return object;
 }
+
+/// The whole corpus as a window, the one a client-loaded corpus holds.
+ShardRange Whole(const Dataset& corpus) { return {0, corpus.Size(), 0}; }
 
 struct HostileCase {
   const char* what;
@@ -257,7 +261,7 @@ TEST_F(ShardServiceTest, HostileDeltasAreStructuredErrors) {
   Dataset next = corpus_;
   next.features.MutableRow(300)[1] += 1.0f;
   const CorpusDigests digests = ComputeCorpusDigests(next);
-  const JsonValue good = wire::BuildDeltaLoadRequest("c", next, digests, {1});
+  const JsonValue good = wire::BuildDeltaLoadRequest("c", next, digests, Whole(next), {1});
 
   const auto with_blocks = [](const JsonValue& g,
                               std::vector<JsonValue> entries) {
@@ -386,7 +390,8 @@ TEST_F(ShardServiceTest, DeltaSplicesChangedBlocksAndKeepsTheRest) {
   const CorpusDigests digests = ComputeCorpusDigests(next);
   std::vector<uint64_t> retired;
   const JsonValue applied = service_.LoadDelta(
-      wire::BuildDeltaLoadRequest("c", next, digests, {1, 2}), &retired);
+      wire::BuildDeltaLoadRequest("c", next, digests, Whole(next), {1, 2}),
+      &retired);
   ASSERT_TRUE(applied.Get("ok").AsBool(false)) << applied.Dump();
   EXPECT_EQ(applied.Get("applied").AsNumber(), 2.0);
   EXPECT_EQ(applied.Get("fingerprint").AsString(),
@@ -406,7 +411,8 @@ TEST_F(ShardServiceTest, DeltaSplicesChangedBlocksAndKeepsTheRest) {
   const CorpusDigests grown_digests = ComputeCorpusDigests(grown);
   retired.clear();
   const JsonValue appended = service_.LoadDelta(
-      wire::BuildDeltaLoadRequest("r", grown, grown_digests, {1, 2}),
+      wire::BuildDeltaLoadRequest("r", grown, grown_digests, Whole(grown),
+                                  {1, 2}),
       &retired);
   ASSERT_TRUE(appended.Get("ok").AsBool(false)) << appended.Dump();
   ExpectSameDataset(*store_.Get("r")->data, grown);
@@ -425,6 +431,206 @@ TEST_F(ShardServiceTest, DigestsReportTheStoredVersion) {
   EXPECT_EQ(reply.Get("fingerprint").AsString(),
             wire::FingerprintHex(fingerprint_));
   EXPECT_EQ(reply.Get("blocks").Items().size(), 3u);
+}
+
+// A worker holds only its shard's window: corpus rows [row_begin, row_end)
+// synced by load_delta, every block of it at first, then only the blocks
+// that entered when the window moved. 1500 rows: blocks 0-4 full, block 5
+// the partial [1280, 1500).
+class WindowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    corpus_ = RandomClassDataset(1500, 3, 4, 17);
+    digests_ = ComputeCorpusDigests(corpus_);
+    // The held window [256, 768): blocks 1 and 2, every block sent.
+    const JsonValue first = service_.LoadDelta(Load({256, 768}, {1, 2}),
+                                               &retired_);
+    ASSERT_TRUE(first.Get("ok").AsBool(false)) << first.Dump();
+    held_ = *store_.Get("w");
+  }
+
+  ShardRange Window(size_t row_begin, size_t row_end) const {
+    return {row_begin, row_end,
+            ShardFingerprint(digests_, row_begin, row_end)};
+  }
+
+  JsonValue Load(std::pair<size_t, size_t> window,
+                 const std::vector<size_t>& blocks) const {
+    return wire::BuildDeltaLoadRequest(
+        "w", corpus_, digests_, Window(window.first, window.second), blocks);
+  }
+
+  /// Rows [row_begin, row_end) of the corpus, as a dataset.
+  Dataset Rows(size_t row_begin, size_t row_end) const {
+    std::vector<int> rows;
+    for (size_t i = row_begin; i < row_end; ++i) {
+      rows.push_back(static_cast<int>(i));
+    }
+    return corpus_.Subset(rows);
+  }
+
+  CorpusStore store_;
+  ShardService service_{&store_};
+  Dataset corpus_;
+  CorpusDigests digests_;
+  CorpusSnapshot held_;
+  std::vector<uint64_t> retired_;
+};
+
+TEST_F(WindowTest, FirstSyncHoldsTheWindowAndNothingElse) {
+  EXPECT_TRUE(held_.window);
+  EXPECT_EQ(held_.row_begin, 256u);
+  EXPECT_EQ(held_.fingerprint, WindowDigests(digests_, 256, 768).Combined());
+  ExpectSameDataset(*held_.data, Rows(256, 768));
+
+  // `digests` reports the window and its two blocks.
+  const JsonValue reply =
+      service_.Digests(ParseJson(R"({"op":"digests","name":"w"})").value);
+  ASSERT_TRUE(reply.Get("ok").AsBool(false)) << reply.Dump();
+  EXPECT_EQ(reply.Get("row_begin").AsNumber(), 256.0);
+  EXPECT_EQ(reply.Get("rows").AsNumber(), 512.0);
+  EXPECT_EQ(reply.Get("blocks").Items().size(), 2u);
+  // Planning the same window against it ships nothing.
+  EXPECT_EQ(wire::PlanCorpusSync(corpus_, digests_, Window(256, 768), reply)
+                .mode,
+            wire::CorpusSyncPlan::Mode::kNone);
+
+  // A corpus a client loaded is whole: no window fields on its replies.
+  store_.Put("c", corpus_);
+  const JsonValue whole =
+      service_.Digests(ParseJson(R"({"op":"digests","name":"c"})").value);
+  EXPECT_FALSE(whole.Has("row_begin"));
+  EXPECT_FALSE(store_.Get("c")->window);
+
+  // No mutation answers on a window as though it were the corpus.
+  CorpusMutation mutation;
+  std::string error;
+  EXPECT_FALSE(store_.Append("w", Rows(0, 1), &mutation, &error));
+  EXPECT_NE(error.find("shard window"), std::string::npos) << error;
+  EXPECT_FALSE(store_.RemoveRow("w", 0, &mutation, &error));
+  EXPECT_NE(error.find("shard window"), std::string::npos) << error;
+}
+
+// Candidates keep global addressing: a range inside the window answers
+// byte-identically to the same request against the whole corpus.
+TEST_F(WindowTest, CandidatesInsideTheWindowMatchTheWholeCorpus) {
+  CorpusStore whole_store;
+  whole_store.Put("w", corpus_);
+  ShardService whole{&whole_store};
+  const std::vector<float> query = {0.5f, -1.0f, 0.25f, 2.0f};
+  for (const auto& [b, e] : std::vector<std::pair<size_t, size_t>>{
+           {256, 768}, {256, 512}, {512, 768}}) {
+    for (size_t r : {size_t{7}, e - b}) {
+      const JsonValue request = wire::BuildCandidatesRequest(
+          Window(b, e), "w", Metric::kL2, query, r);
+      const JsonValue reply = service_.Candidates(request);
+      ASSERT_TRUE(reply.Get("ok").AsBool(false)) << reply.Dump();
+      EXPECT_EQ(reply.Dump(), whole.Candidates(request).Dump())
+          << b << "-" << e << " r " << r;
+    }
+  }
+  // Rows outside the window are not held.
+  for (const auto& [b, e] : std::vector<std::pair<size_t, size_t>>{
+           {0, 256}, {768, 1024}, {512, 1024}}) {
+    const JsonValue reply = service_.Candidates(wire::BuildCandidatesRequest(
+        Window(b, e), "w", Metric::kL2, query, 7));
+    EXPECT_EQ(reply.Get("code").AsString(), "invalid_argument") << b;
+  }
+}
+
+TEST_F(WindowTest, HostileWindowsAreStructuredErrors) {
+  // The good request moves the window to [512, 1024): block 2 is kept,
+  // block 3 enters.
+  const JsonValue good = Load({512, 1024}, {3});
+  const auto with_blocks = [](const JsonValue& g,
+                              std::vector<JsonValue> entries) {
+    JsonValue blocks = JsonValue::MakeArray();
+    for (JsonValue& entry : entries) blocks.Append(std::move(entry));
+    return With(g, "blocks", std::move(blocks));
+  };
+  const std::vector<HostileCase> cases = {
+      {"window past the rows",
+       [](const JsonValue& g) { return With(g, "row_end", JsonValue(1756)); },
+       "invalid_argument"},
+      {"window end past a short corpus",
+       [](const JsonValue& g) { return With(g, "rows", JsonValue(900)); },
+       "invalid_argument"},
+      {"unaligned row_begin",
+       [](const JsonValue& g) { return With(g, "row_begin", JsonValue(500)); },
+       "invalid_argument"},
+      {"unaligned row_end inside the corpus",
+       [](const JsonValue& g) { return With(g, "row_end", JsonValue(1000)); },
+       "invalid_argument"},
+      {"empty window",
+       [](const JsonValue& g) { return With(g, "row_end", JsonValue(512)); },
+       "invalid_argument"},
+      {"fractional row_begin",
+       [](const JsonValue& g) { return With(g, "row_begin", JsonValue(0.5)); },
+       "invalid_argument"},
+      {"string row_end",
+       [](const JsonValue& g) {
+         return With(g, "row_end", JsonValue("1024"));
+       },
+       "invalid_argument"},
+      {"huge row_end",
+       [](const JsonValue& g) { return With(g, "row_end", JsonValue(1e300)); },
+       "invalid_argument"},
+      {"a block after the window",
+       [with_blocks](const JsonValue& g) {
+         return with_blocks(g, {With(g.Get("blocks").Items()[0], "block",
+                                     JsonValue(4))});
+       },
+       "invalid_argument"},
+      {"a block before the window",
+       [with_blocks](const JsonValue& g) {
+         return with_blocks(g, {With(g.Get("blocks").Items()[0], "block",
+                                     JsonValue(1))});
+       },
+       "invalid_argument"},
+      {"duplicate block",
+       [with_blocks](const JsonValue& g) {
+         const JsonValue& entry = g.Get("blocks").Items()[0];
+         return with_blocks(g, {entry, entry});
+       },
+       "invalid_argument"},
+      {"a kept block the worker does not hold",
+       [](const JsonValue& g) { return With(g, "row_end", JsonValue(1280)); },
+       "failed_precondition"},
+      {"kept blocks under an unknown name",
+       [](const JsonValue& g) { return With(g, "name", JsonValue("nope")); },
+       "not_found"},
+  };
+  for (const HostileCase& c : cases) {
+    std::vector<uint64_t> retired;
+    const JsonValue response = service_.LoadDelta(c.mutate(good), &retired);
+    EXPECT_FALSE(response.Get("ok").AsBool(true)) << c.what;
+    EXPECT_EQ(response.Get("code").AsString(), c.code)
+        << c.what << ": " << response.Dump();
+    EXPECT_FALSE(response.Get("error").AsString().empty()) << c.what;
+    EXPECT_TRUE(retired.empty()) << c.what;
+    const auto held = store_.Get("w");
+    ASSERT_TRUE(held.has_value()) << c.what;
+    EXPECT_EQ(held->fingerprint, held_.fingerprint) << c.what;
+    EXPECT_EQ(held->row_begin, 256u) << c.what;
+  }
+
+  // The good request keeps block 2 and installs the moved window.
+  std::vector<uint64_t> retired;
+  const JsonValue moved = service_.LoadDelta(good, &retired);
+  ASSERT_TRUE(moved.Get("ok").AsBool(false)) << moved.Dump();
+  EXPECT_EQ(moved.Get("applied").AsNumber(), 1.0);
+  EXPECT_EQ(moved.Get("row_begin").AsNumber(), 512.0);
+  EXPECT_EQ(moved.Get("fingerprint").AsString(),
+            wire::FingerprintHex(WindowDigests(digests_, 512, 1024).Combined()));
+  EXPECT_EQ(retired, std::vector<uint64_t>{held_.fingerprint});
+  ExpectSameDataset(*store_.Get("w")->data, Rows(512, 1024));
+
+  // The tail window ends at the corpus end, mid-block; sending every
+  // block needs nothing held.
+  const JsonValue tail = service_.LoadDelta(Load({1024, 1500}, {4, 5}),
+                                            &retired);
+  ASSERT_TRUE(tail.Get("ok").AsBool(false)) << tail.Dump();
+  ExpectSameDataset(*store_.Get("w")->data, Rows(1024, 1500));
 }
 
 }  // namespace

@@ -938,8 +938,8 @@ TEST(ShardListenTest, WorkerOnAnotherKernelIsRefused) {
   Dataset corpus = RandomClassDataset(300, 2, 3, 63);
   const CorpusDigests digests = ComputeCorpusDigests(corpus);
   ShardConnection connection(ShardRange{0, corpus.Size(), 0}, "c",
-                             Metric::kL2, digests.Combined(),
-                             SocketWorkerOptions{}, ShardTransportCounters{});
+                             Metric::kL2, SocketWorkerOptions{},
+                             ShardTransportCounters{});
   ASSERT_TRUE(
       connection.Dial(Endpoint{"127.0.0.1", mismatched.port}).ok());
   const Status status = connection.Sync(corpus, digests);

@@ -665,7 +665,7 @@ TEST_F(PackedLoadOpTest, MutatedDeltasAreStructuredErrors) {
   next.features.MutableRow(300)[1] += 1.0f;
   const CorpusDigests digests = ComputeCorpusDigests(next);
   const JsonValue good =
-      wire::BuildDeltaLoadRequest("c", next, digests, {1});
+      wire::BuildDeltaLoadRequest("c", next, digests, {0, 600, 0}, {1});
   const JsonValue& block = good.Get("blocks").Items()[0];
 
   std::vector<JsonValue> bad_blocks;

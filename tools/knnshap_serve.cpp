@@ -22,8 +22,9 @@
 //                     auto); outranks the KNNSHAP_KERNEL environment
 //                     variable, and an unknown value of either exits 1
 //                     at startup — used with --no-timing for
-//                     deterministic transcripts, and passed to spawned
-//                     shard workers as the router's active kernel
+//                     deterministic transcripts; spawned shard workers
+//                     pin the router's active kernel when the router's
+//                     is pinned, and auto-detect like it otherwise
 //   --no-obs          disable the metrics registry entirely (no metrics
 //                     clock reads; the `metrics` op errors)
 //   --trace-all       record deep per-query trace spans on every value
@@ -51,12 +52,15 @@
 //   --shard-listen=[HOST:]PORT   run as a remote shard worker: serve the
 //                     JSONL protocol to every TCP connection (serial,
 //                     thread-per-connection over one shared store, so the
-//                     corpus persists across router reconnects for delta
-//                     sync). HOST defaults to 127.0.0.1 (loopback); name
-//                     an interface or 0.0.0.0 to accept other hosts. Port
+//                     synced shard windows persist across router
+//                     reconnects for delta sync). HOST defaults to
+//                     127.0.0.1 (loopback); name an interface or 0.0.0.0
+//                     to accept other hosts. Port
 //                     0 binds an ephemeral port; the bound endpoint is
 //                     announced on stderr. Start workers with the same
-//                     --kernel as the router.
+//                     --kernel as the router, or with none when the
+//                     router has none: a router refuses a worker whose
+//                     kernel, or whether it was pinned, differs.
 //   --shard-remote=SPEC          route shards to remote workers: replica
 //                     groups separated by ';', replicas within a group by
 //                     ',' — e.g. "h1:7001,h2:7001;h1:7002,h2:7002" is two
