@@ -21,9 +21,9 @@
 //   speedup[kind]          scalar / batch-kernel per-query time
 //
 // A second "selection" grid times the two end-to-end single-query paths the
-// exact valuators actually run — distance pass + full packed argsort
-// (ArgsortByDistanceInto) versus distance pass + streaming top-R selection
-// (TopROrderByDistance, the approx_error path at R = K*(k, 1e-3)) — at
+// exact valuators actually run through RankByDistance — distance pass +
+// full packed argsort (r = N) versus distance pass + streaming top-R
+// selection (the approx_error path at R = K*(k, 1e-3)) — at
 // corpus sizes up to 10M rows, where the argsort dominates the query. A
 // third "sort" grid times the full argsort alone at N = 200k, 1M and 10M:
 // the radix ArgsortDistances against the indirect comparator std::sort. A
@@ -168,26 +168,17 @@ SortResult TimeSorts(size_t n, size_t repeats) {
   return result;
 }
 
-// End-to-end per-query time of the full-argsort valuation prologue:
-// batched distance pass + complete packed-key rank order.
-double TimeArgsortPath(const Matrix& corpus, const CorpusNorms& norms,
-                       const Matrix& queries, Metric metric) {
+// End-to-end per-query time of a valuation prologue: batched distance pass
+// + the first r ranks through RankByDistance — the complete packed-key
+// argsort at r = N, streaming top-R selection below it (the approx_error
+// > 0 path).
+double TimeRankPath(const Matrix& corpus, const CorpusNorms& norms,
+                    const Matrix& queries, Metric metric, size_t r) {
+  std::vector<double> dists(corpus.Rows());
   std::vector<int> order;
   WallTimer timer;
   for (size_t j = 0; j < queries.Rows(); ++j) {
-    ArgsortByDistanceInto(corpus, queries.Row(j), metric, &norms, &order);
-  }
-  return timer.Millis() / static_cast<double>(queries.Rows());
-}
-
-// End-to-end per-query time of the truncated prologue: batched distance
-// pass + streaming top-R selection (the approx_error > 0 path).
-double TimeSelectPath(const Matrix& corpus, const CorpusNorms& norms,
-                      const Matrix& queries, Metric metric, size_t r) {
-  std::vector<int> order;
-  WallTimer timer;
-  for (size_t j = 0; j < queries.Rows(); ++j) {
-    TopROrderByDistance(corpus, queries.Row(j), r, metric, &norms, &order);
+    RankByDistance(corpus, queries.Row(j), r, metric, &norms, dists, &order);
   }
   return timer.Millis() / static_cast<double>(queries.Rows());
 }
@@ -398,9 +389,10 @@ int main(int argc, char** argv) {
     Matrix queries = RandomMatrix(smoke ? 2 : 4, g.d, /*seed=*/29);
     const CorpusNorms norms(corpus);
     const Metric metric = Metric::kSquaredL2;
-    const double argsort_ms = TimeArgsortPath(corpus, norms, queries, metric);
+    const double argsort_ms =
+        TimeRankPath(corpus, norms, queries, metric, corpus.Rows());
     const double select_ms =
-        TimeSelectPath(corpus, norms, queries, metric, select_r);
+        TimeRankPath(corpus, norms, queries, metric, select_r);
     const double cut = select_ms > 0.0 ? argsort_ms / select_ms : 0.0;
     bench::Row(
         "N=%-8zu d=%-4zu r=%-5zu argsort-path %9.3f ms/query  "

@@ -17,6 +17,7 @@
 #include "core/weighted_knn_shapley.h"
 #include "core/wknn_shapley.h"
 #include "dataset/synthetic.h"
+#include "knn/ranking.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -58,9 +59,13 @@ HeadToHead RunHeadToHead(size_t n, int k, int bits, const Dataset& test) {
   const double fast_s = fast_timer.Seconds();
 
   double bound = 0.0;
+  const LocalRanking ranking(&train.features, fast_options.metric);
   for (size_t j = 0; j < test.Size(); ++j) {
-    WknnQueryContext ctx = MakeWknnQueryContext(
-        train, test.features.Row(j), test.labels[j], fast_options);
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), train.Size(), &dists, &order);
+    WknnQueryContext ctx = MakeWknnQueryContextFromRanking(
+        std::move(order), dists, train.labels, test.labels[j], fast_options);
     bound = std::max(bound, WknnDiscretizationBound(ctx, k));
   }
 

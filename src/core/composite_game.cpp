@@ -6,25 +6,20 @@
 
 #include "core/multi_seller_shapley.h"
 #include "core/weighted_knn_shapley.h"
-#include "knn/neighbors.h"
+#include "knn/ranking.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
 namespace {
 
-// Averages per-test seller vectors and finishes the result with the
-// analyst's share s_C = nu(I) - sum_i s_i (Eq 87/92/95/97).
-CompositeShapleyResult FinishResult(std::vector<std::vector<double>> per_test,
-                                    double total_utility, size_t num_players) {
+// Finishes a result from the sellers' mean values with the analyst's share
+// s_C = nu(I) - sum_i s_i (Eq 87/92/95/97).
+CompositeShapleyResult FinishResult(std::vector<double> seller_values,
+                                    double total_utility) {
   CompositeShapleyResult result;
+  result.seller_values = std::move(seller_values);
   result.total_utility = total_utility;
-  result.seller_values.assign(num_players, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < num_players; ++i) result.seller_values[i] += row[i];
-  }
-  for (auto& s : result.seller_values) s /= static_cast<double>(per_test.size());
   double sellers_total = 0.0;
   for (double s : result.seller_values) sellers_total += s;
   result.analyst_value = total_utility - sellers_total;
@@ -61,31 +56,26 @@ std::vector<double> CompositeKnnShapleyRecursion(const std::vector<int>& sorted_
 CompositeShapleyResult CompositeKnnShapley(const Dataset& train, const Dataset& test,
                                            int k, bool parallel, Metric metric) {
   KNNSHAP_CHECK(train.HasLabels() && test.HasLabels(), "labels required");
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
-  const CorpusNorms norms = NormsForMetric(train.features, metric);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
-    std::vector<int> order = ArgsortByDistance(train.features, test.features.Row(j),
-                                               metric, &norms);
+  const size_t n = train.Size();
+  const LocalRanking ranking(&train.features, metric);
+  std::vector<double> sellers = MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
     std::vector<int> sorted_labels(order.size());
     for (size_t i = 0; i < order.size(); ++i) {
       sorted_labels[i] = train.labels[static_cast<size_t>(order[i])];
     }
     std::vector<double> by_rank =
         CompositeKnnShapleyRecursion(sorted_labels, test.labels[j], k);
-    std::vector<double> sv(train.Size(), 0.0);
+    std::vector<double> sv(n, 0.0);
     for (size_t i = 0; i < order.size(); ++i) {
       sv[static_cast<size_t>(order[i])] = by_rank[i];
     }
-    per_test[j] = std::move(sv);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
+    return sv;
+  });
   KnnSubsetUtility utility(&train, &test, k, KnnTask::kClassification);
-  return FinishResult(std::move(per_test), utility.GrandValue(), train.Size());
+  return FinishResult(std::move(sellers), utility.GrandValue());
 }
 
 std::vector<double> CompositeKnnRegressionShapleyRecursion(
@@ -154,31 +144,26 @@ CompositeShapleyResult CompositeKnnRegressionShapley(const Dataset& train,
                                                      const Dataset& test, int k,
                                                      bool parallel, Metric metric) {
   KNNSHAP_CHECK(train.HasTargets() && test.HasTargets(), "targets required");
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
-  const CorpusNorms norms = NormsForMetric(train.features, metric);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
-    std::vector<int> order = ArgsortByDistance(train.features, test.features.Row(j),
-                                               metric, &norms);
+  const size_t n = train.Size();
+  const LocalRanking ranking(&train.features, metric);
+  std::vector<double> sellers = MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
     std::vector<double> sorted_targets(order.size());
     for (size_t i = 0; i < order.size(); ++i) {
       sorted_targets[i] = train.targets[static_cast<size_t>(order[i])];
     }
     std::vector<double> by_rank =
         CompositeKnnRegressionShapleyRecursion(sorted_targets, test.targets[j], k);
-    std::vector<double> sv(train.Size(), 0.0);
+    std::vector<double> sv(n, 0.0);
     for (size_t i = 0; i < order.size(); ++i) {
       sv[static_cast<size_t>(order[i])] = by_rank[i];
     }
-    per_test[j] = std::move(sv);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
+    return sv;
+  });
   KnnSubsetUtility utility(&train, &test, k, KnnTask::kRegression);
-  return FinishResult(std::move(per_test), utility.GrandValue(), train.Size());
+  return FinishResult(std::move(sellers), utility.GrandValue());
 }
 
 CompositeShapleyResult CompositeWeightedKnnShapley(const Dataset& train,
@@ -192,14 +177,9 @@ CompositeShapleyResult CompositeWeightedKnnShapley(const Dataset& train,
   options.task = task;
   options.metric = metric;
   options.composite_game = true;
-  CompositeShapleyResult result;
-  result.seller_values = ExactWeightedKnnShapley(train, test, options, parallel);
   KnnSubsetUtility utility(&train, &test, k, task, weights);
-  result.total_utility = utility.GrandValue();
-  double sellers_total = 0.0;
-  for (double s : result.seller_values) sellers_total += s;
-  result.analyst_value = result.total_utility - sellers_total;
-  return result;
+  return FinishResult(ExactWeightedKnnShapley(train, test, options, parallel),
+                      utility.GrandValue());
 }
 
 CompositeShapleyResult CompositeMultiSellerShapley(const Dataset& train,
@@ -214,14 +194,9 @@ CompositeShapleyResult CompositeMultiSellerShapley(const Dataset& train,
   options.weights = weights;
   options.metric = metric;
   options.composite_game = true;
-  CompositeShapleyResult result;
-  result.seller_values = MultiSellerShapley(train, owners, test, options, parallel);
   KnnSubsetUtility utility(&train, &test, k, task, weights);
-  result.total_utility = utility.GrandValue();
-  double sellers_total = 0.0;
-  for (double s : result.seller_values) sellers_total += s;
-  result.analyst_value = result.total_utility - sellers_total;
-  return result;
+  return FinishResult(MultiSellerShapley(train, owners, test, options, parallel),
+                      utility.GrandValue());
 }
 
 }  // namespace knnshap

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 
-#include "knn/neighbors.h"
 #include "obs/trace.h"
-#include "util/cancel.h"
 #include "util/common.h"
 
 namespace knnshap {
@@ -94,17 +92,6 @@ std::vector<double> CorrectedKnnShapleyFromOrder(std::span<const int> order,
   return sv;
 }
 
-std::vector<double> CorrectedKnnShapleySingle(const Dataset& train,
-                                              std::span<const float> query,
-                                              int test_label, int k, Metric metric,
-                                              const CorpusNorms* norms) {
-  KNNSHAP_CHECK(train.HasLabels(), "labels required");
-  // Per-thread order scratch, matching ExactKnnShapleySingle.
-  static thread_local std::vector<int> order;
-  ArgsortByDistanceInto(train.features, query, metric, norms, &order);
-  return CorrectedKnnShapleyFromOrder(order, train.labels, test_label, k);
-}
-
 size_t TruncatedCorrectedEffectiveRank(size_t r, size_t n, int k) {
   // The accumulated c_i coefficients read ranks down to K, so the prefix
   // must reach it. (The N-1 < K regime never asks for a prefix at all.)
@@ -160,28 +147,6 @@ std::vector<double> TruncatedCorrectedKnnShapleyFromOrder(
     sv[row] = (match(i) == 1.0 ? base1 : base0) + acc;
   }
   return sv;
-}
-
-std::vector<double> TruncatedCorrectedKnnShapleySingle(
-    const Dataset& train, std::span<const float> query, int test_label, int k,
-    size_t r, Metric metric, const CorpusNorms* norms) {
-  KNNSHAP_CHECK(train.HasLabels(), "labels required");
-  KNNSHAP_CHECK(k >= 1, "k must be >= 1");
-  const size_t n = train.Size();
-  KNNSHAP_CHECK(n >= 1, "empty training set");
-  const int ni = static_cast<int>(n);
-  if (ni - 1 < k) {
-    // Labels-only regime: no distance pass at all.
-    return TruncatedCorrectedKnnShapleyFromOrder({}, train.labels, test_label, k);
-  }
-  r = TruncatedCorrectedEffectiveRank(r, n, k);
-  if (r >= n) {
-    return CorrectedKnnShapleySingle(train, query, test_label, k, metric, norms);
-  }
-  static thread_local std::vector<int> order;
-  TopROrderByDistance(train.features, query, r, metric, norms, &order);
-  if (CancelRequested()) return std::vector<double>(n, 0.0);
-  return TruncatedCorrectedKnnShapleyFromOrder(order, train.labels, test_label, k);
 }
 
 double TruncatedCorrectedKnnShapleyBound(size_t r, size_t n, int k) {

@@ -37,10 +37,6 @@
 #include <span>
 #include <vector>
 
-#include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
-#include "knn/metric.h"
-
 namespace knnshap {
 
 /// Corrected-utility Shapley values in *rank* order: `sorted_labels[i]` is
@@ -49,48 +45,33 @@ namespace knnshap {
 std::vector<double> CorrectedKnnShapleyRecursion(const std::vector<int>& sorted_labels,
                                                  int test_label, int k);
 
-/// Corrected-utility Shapley values of all training rows for one test
-/// point, indexed by training row. O(N (d + log N)). `norms` (optional)
-/// are precomputed row norms of train.features.
-std::vector<double> CorrectedKnnShapleySingle(const Dataset& train,
-                                              std::span<const float> query,
-                                              int test_label, int k,
-                                              Metric metric = Metric::kL2,
-                                              const CorpusNorms* norms = nullptr);
-
-/// Truncated corrected SVs for one test point — the `approx_error` path.
-/// Telescoping the recursion from the farthest rank and using that g(a) is
-/// affine gives the closed form
-///   phi_{alpha_r} = g(a_r) + sum_{i=r}^{N-1} (a_i - a_{i+1}) c_i,
-///   c_i = W_i / (N K) = 1/max(i, K) - 1/N   (0 when N-1 < K),
-/// whose rank-dependent sum telescopes with |partial sums| <= 1 and c_i
-/// decreasing, so dropping ranks past r changes any value by at most
-/// c_r = 1/r - 1/N. Only the first r ranks are retrieved; every tail point
-/// receives its rank-independent g(a) term, which needs just the point's
-/// own label and the global match count. r is raised to min(k, N)
-/// internally; r >= N (and the N-1 < K regime, where every c_i vanishes
-/// and the result is exact) delegates accordingly.
-std::vector<double> TruncatedCorrectedKnnShapleySingle(
-    const Dataset& train, std::span<const float> query, int test_label, int k,
-    size_t r, Metric metric = Metric::kL2, const CorpusNorms* norms = nullptr);
-
-/// Sup-norm truncation error of the above: 1/r - 1/N, exactly 0 when
-/// r >= N or N-1 < k (no coalition of size >= k exists — the
-/// rank-dependent term vanishes and truncation is exact).
+/// Sup-norm error of the truncated corrected SVs below at nominal rank r:
+/// 1/r - 1/N, exactly 0 when r >= N or N-1 < k (no coalition of size >= k
+/// exists — the rank-dependent term vanishes and truncation is exact).
 double TruncatedCorrectedKnnShapleyBound(size_t r, size_t n, int k);
 
-/// Corrected SVs evaluated on an externally supplied full distance
-/// ordering (ascending (distance, index); `labels` indexed by row) —
-/// the post-ranking body of CorrectedKnnShapleySingle, bit for bit.
+/// Corrected-utility Shapley values of all training rows for one test
+/// point, indexed by training row, from the query's full ranking (all
+/// rows ascending by (distance, index); `labels` indexed by row). O(N)
+/// after the ranking.
 std::vector<double> CorrectedKnnShapleyFromOrder(std::span<const int> order,
                                                  std::span<const int> labels,
                                                  int test_label, int k);
 
-/// Truncated corrected SVs from an externally supplied top-r order prefix.
-/// In the N-1 < K regime the result is labels-only and `order_prefix` is
-/// ignored (pass empty); otherwise the prefix length must be
-/// TruncatedCorrectedEffectiveRank(r, n, k) and < n — at r >= n use
-/// CorrectedKnnShapleyFromOrder, exactly as the Single delegates.
+/// Truncated corrected SVs for one test point — the `approx_error` path —
+/// from the query's top-r order prefix. Telescoping the recursion from the
+/// farthest rank and using that g(a) is affine gives the closed form
+///   phi_{alpha_r} = g(a_r) + sum_{i=r}^{N-1} (a_i - a_{i+1}) c_i,
+///   c_i = W_i / (N K) = 1/max(i, K) - 1/N   (0 when N-1 < K),
+/// whose rank-dependent sum telescopes with |partial sums| <= 1 and c_i
+/// decreasing, so dropping ranks past r changes any value by at most
+/// c_r = 1/r - 1/N. Only the first r ranks are ranked; every tail point
+/// receives its rank-independent g(a) term, which needs just the point's
+/// own label and the global match count. In the N-1 < K regime every c_i
+/// vanishes, the result is exact and labels-only, and `order_prefix` is
+/// ignored (pass empty). Otherwise the prefix length must be
+/// TruncatedCorrectedEffectiveRank(r, n, k) and < n; at r >= n use
+/// CorrectedKnnShapleyFromOrder.
 std::vector<double> TruncatedCorrectedKnnShapleyFromOrder(
     std::span<const int> order_prefix, std::span<const int> labels,
     int test_label, int k);

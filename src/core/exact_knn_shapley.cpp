@@ -4,11 +4,10 @@
 
 #include <algorithm>
 
-#include "knn/neighbors.h"
+#include "core/utility.h"
+#include "knn/ranking.h"
 #include "obs/trace.h"
-#include "util/cancel.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -85,21 +84,6 @@ std::vector<double> ExactKnnShapleyFromOrder(std::span<const int> order,
   return sv;
 }
 
-std::vector<double> ExactKnnShapleySingle(const Dataset& train,
-                                          std::span<const float> query, int test_label,
-                                          int k, Metric metric,
-                                          const CorpusNorms* norms) {
-  KNNSHAP_CHECK(train.HasLabels(), "labels required");
-  // Per-thread order scratch: the engine drives many queries per pool
-  // thread and the N-int ranking would otherwise be reallocated per query.
-  static thread_local std::vector<int> order;
-  ArgsortByDistanceInto(train.features, query, metric, norms, &order);
-  // Cancellation poll between the ranking and the SV recursion: skip the
-  // recursion, return right-sized zeros (the engine discards them).
-  if (CancelRequested()) return std::vector<double>(train.Size(), 0.0);
-  return ExactKnnShapleyFromOrder(order, train.labels, test_label, k);
-}
-
 size_t TruncatedExactEffectiveRank(size_t r, size_t n, int k) {
   // The i < K branch of Eq (46) reads the suffix at rank min(K, N), so the
   // prefix must reach it.
@@ -135,26 +119,6 @@ std::vector<double> TruncatedExactKnnShapleyFromOrder(
   return sv;
 }
 
-std::vector<double> TruncatedExactKnnShapleySingle(const Dataset& train,
-                                                   std::span<const float> query,
-                                                   int test_label, int k, size_t r,
-                                                   Metric metric,
-                                                   const CorpusNorms* norms) {
-  KNNSHAP_CHECK(train.HasLabels(), "labels required");
-  KNNSHAP_CHECK(k >= 1, "k must be >= 1");
-  const size_t n = train.Size();
-  // Once r covers every rank the truncation is the exact computation —
-  // delegate so the two paths cannot drift.
-  r = TruncatedExactEffectiveRank(r, n, k);
-  if (r >= n) {
-    return ExactKnnShapleySingle(train, query, test_label, k, metric, norms);
-  }
-  static thread_local std::vector<int> order;
-  TopROrderByDistance(train.features, query, r, metric, norms, &order);
-  if (CancelRequested()) return std::vector<double>(n, 0.0);
-  return TruncatedExactKnnShapleyFromOrder(order, train.labels, test_label, k, n);
-}
-
 double TruncatedExactKnnShapleyBound(size_t r, size_t n) {
   if (n == 0 || r >= n) return 0.0;
   r = std::max<size_t>(r, 1);
@@ -165,28 +129,15 @@ double TruncatedExactKnnShapleyBound(size_t r, size_t n) {
 
 std::vector<double> ExactKnnShapley(const Dataset& train, const Dataset& test, int k,
                                     bool parallel, Metric metric) {
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
-  KNNSHAP_CHECK(test.HasLabels(), "test labels required");
+  KNNSHAP_CHECK(train.HasLabels() && test.HasLabels(), "labels required");
   const size_t n = train.Size();
-  const size_t num_tests = test.Size();
-  // Row norms are shared by every query (and every pool thread) below.
-  const CorpusNorms norms = NormsForMetric(train.features, metric);
-  std::vector<std::vector<double>> per_test(num_tests);
-  auto run_one = [&](size_t j) {
-    per_test[j] = ExactKnnShapleySingle(train, test.features.Row(j), test.labels[j], k,
-                                        metric, &norms);
-  };
-  if (parallel && num_tests > 1) {
-    ThreadPool::Shared().ParallelFor(num_tests, run_one);
-  } else {
-    for (size_t j = 0; j < num_tests; ++j) run_one(j);
-  }
-  std::vector<double> sv(n, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < n; ++i) sv[i] += row[i];
-  }
-  for (auto& s : sv) s /= static_cast<double>(num_tests);
-  return sv;
+  const LocalRanking ranking(&train.features, metric);
+  return MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    static thread_local std::vector<double> dists;
+    static thread_local std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
+    return ExactKnnShapleyFromOrder(order, train.labels, test.labels[j], k);
+  });
 }
 
 }  // namespace knnshap

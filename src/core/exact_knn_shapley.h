@@ -20,19 +20,9 @@
 #include <vector>
 
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 
 namespace knnshap {
-
-/// Exact SVs of all training rows for one test point (Theorem 1).
-/// Returns a vector indexed by training row. O(N (d + log N)). `norms`
-/// (optional) are precomputed row norms of train.features, letting
-/// repeat-query callers amortize the per-row norm work.
-std::vector<double> ExactKnnShapleySingle(const Dataset& train,
-                                          std::span<const float> query, int test_label,
-                                          int k, Metric metric = Metric::kL2,
-                                          const CorpusNorms* norms = nullptr);
 
 /// Recursion evaluated on an externally supplied distance ordering:
 /// `sorted_labels[i]` is the label of the (i+1)-th nearest training point.
@@ -48,36 +38,30 @@ std::vector<double> KnnShapleyRecursion(const std::vector<int>& sorted_labels,
 std::vector<double> KnnShapleyClosedForm(const std::vector<int>& sorted_labels,
                                          int test_label, int k);
 
-/// Truncated Theorem-1 SVs for one test point — the `approx_error` path.
-/// Only the first r ranks are retrieved (streaming top-R selection, no
-/// full argsort): they receive Eq (45)/(46) values with the suffix sum
-/// truncated at rank r, and every tail point receives 0. Since the suffix
-/// tail is at most 1/r - 1/N and |s_i| <= 1/(r+1) past rank r, the
-/// sup-norm error is bounded by TruncatedExactKnnShapleyBound(r, N).
-/// r is raised to min(k, N) internally; r >= N delegates to the exact
-/// path (bound 0). O(N d + N + r log r) per test point.
-std::vector<double> TruncatedExactKnnShapleySingle(
-    const Dataset& train, std::span<const float> query, int test_label, int k,
-    size_t r, Metric metric = Metric::kL2, const CorpusNorms* norms = nullptr);
-
-/// Sup-norm truncation error of the above: max(1/r - 1/N, 1/(r+1)),
-/// exactly 0 when r >= N. Returned to clients as `approx_bound`.
+/// Sup-norm error of the truncated SVs below at nominal rank r:
+/// max(1/r - 1/N, 1/(r+1)), exactly 0 when r >= N. Returned to clients as
+/// `approx_bound`.
 double TruncatedExactKnnShapleyBound(size_t r, size_t n);
 
-/// Theorem-1 SVs evaluated on an externally supplied full distance
-/// ordering — `order` must be all of train's rows ascending by (distance,
-/// index), e.g. a per-shard candidate merge. `labels` is indexed by row.
-/// Returns dense row-indexed SVs, bit-identical to ExactKnnShapleySingle
-/// on the ordering it would compute itself (this *is* its post-ranking
-/// body, including the kRecursion span).
+/// Exact SVs of all training rows for one test point (Theorem 1), from
+/// the query's ranking: `order` must be all of train's rows ascending by
+/// (distance, index) — a Ranking's full order (knn/ranking.h), local or
+/// merged from shards. `labels` is indexed by row. Returns dense
+/// row-indexed SVs; O(N) after the ranking, inside the kRecursion span.
 std::vector<double> ExactKnnShapleyFromOrder(std::span<const int> order,
                                              std::span<const int> labels,
                                              int test_label, int k);
 
-/// Truncated Theorem-1 SVs from an externally supplied top-r order prefix
-/// (ascending (distance, index)) of an n-row corpus. The prefix length
-/// must be TruncatedExactEffectiveRank(r, n, k) and < n — at r >= n use
-/// ExactKnnShapleyFromOrder, exactly as the Single delegates.
+/// Truncated Theorem-1 SVs for one test point — the `approx_error` path —
+/// from the query's top-r order prefix (ascending (distance, index)) of an
+/// n-row corpus, so only the first r ranks need ranking (streaming top-R
+/// selection, no full argsort). They receive Eq (45)/(46) values with the
+/// suffix sum truncated at rank r, and every tail point receives 0. Since
+/// the suffix tail is at most 1/r - 1/N and |s_i| <= 1/(r+1) past rank r,
+/// the sup-norm error is bounded by TruncatedExactKnnShapleyBound(r, N).
+/// The prefix length must be TruncatedExactEffectiveRank(r, n, k) and
+/// < n; at r >= n the truncation is the exact computation, so use
+/// ExactKnnShapleyFromOrder.
 std::vector<double> TruncatedExactKnnShapleyFromOrder(
     std::span<const int> order_prefix, std::span<const int> labels,
     int test_label, int k, size_t n);

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 
-#include "knn/neighbors.h"
+#include "core/utility.h"
+#include "knn/ranking.h"
 #include "obs/trace.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -75,21 +75,18 @@ std::vector<double> KnnRegressionShapleyRecursion(
   return sv;
 }
 
-std::vector<double> ExactKnnRegressionShapleySingle(const Dataset& train,
-                                                    std::span<const float> query,
-                                                    double test_target, int k,
-                                                    Metric metric,
-                                                    const CorpusNorms* norms) {
-  KNNSHAP_CHECK(train.HasTargets(), "targets required");
-  std::vector<int> order = ArgsortByDistance(train.features, query, metric, norms);
+std::vector<double> ExactKnnRegressionShapleyFromOrder(std::span<const int> order,
+                                                       std::span<const double> targets,
+                                                       double test_target, int k) {
+  KNNSHAP_CHECK(order.size() == targets.size(), "targets and a full order required");
   ScopedPhase span(Phase::kRecursion);
   std::vector<double> sorted_targets(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    sorted_targets[i] = train.targets[static_cast<size_t>(order[i])];
+    sorted_targets[i] = targets[static_cast<size_t>(order[i])];
   }
   std::vector<double> by_rank =
       KnnRegressionShapleyRecursion(sorted_targets, test_target, k);
-  std::vector<double> sv(train.Size(), 0.0);
+  std::vector<double> sv(targets.size(), 0.0);
   for (size_t i = 0; i < order.size(); ++i) {
     sv[static_cast<size_t>(order[i])] = by_rank[i];
   }
@@ -98,25 +95,15 @@ std::vector<double> ExactKnnRegressionShapleySingle(const Dataset& train,
 
 std::vector<double> ExactKnnRegressionShapley(const Dataset& train, const Dataset& test,
                                               int k, bool parallel, Metric metric) {
-  KNNSHAP_CHECK(test.Size() > 0 && test.HasTargets(), "test targets required");
+  KNNSHAP_CHECK(train.HasTargets() && test.HasTargets(), "targets required");
   const size_t n = train.Size();
-  const CorpusNorms norms = NormsForMetric(train.features, metric);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
-    per_test[j] = ExactKnnRegressionShapleySingle(train, test.features.Row(j),
-                                                  test.targets[j], k, metric, &norms);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
-  std::vector<double> sv(n, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < n; ++i) sv[i] += row[i];
-  }
-  for (auto& s : sv) s /= static_cast<double>(test.Size());
-  return sv;
+  const LocalRanking ranking(&train.features, metric);
+  return MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
+    return ExactKnnRegressionShapleyFromOrder(order, train.targets, test.targets[j], k);
+  });
 }
 
 }  // namespace knnshap

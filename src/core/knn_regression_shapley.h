@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 
 namespace knnshap {
@@ -26,13 +25,12 @@ namespace knnshap {
 std::vector<double> KnnRegressionShapleyRecursion(
     const std::vector<double>& sorted_targets, double test_target, int k);
 
-/// Exact SVs of all training rows for one test point. O(N (d + log N)).
-/// `norms` (optional) are precomputed row norms of train.features.
-std::vector<double> ExactKnnRegressionShapleySingle(const Dataset& train,
-                                                    std::span<const float> query,
-                                                    double test_target, int k,
-                                                    Metric metric = Metric::kL2,
-                                                    const CorpusNorms* norms = nullptr);
+/// Exact SVs of all training rows for one test point, from the query's
+/// full ranking: `order` holds every row ascending by (distance, index)
+/// and `targets` is indexed by row. O(N) after the ranking.
+std::vector<double> ExactKnnRegressionShapleyFromOrder(std::span<const int> order,
+                                                       std::span<const double> targets,
+                                                       double test_target, int k);
 
 /// Exact SVs averaged over a test set with targets (additivity over test
 /// points, as in Eq 8).

@@ -11,7 +11,6 @@
 #include "knn/neighbors.h"
 #include "util/binomial.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -205,27 +204,14 @@ std::vector<double> MultiSellerShapley(const Dataset& train,
                                        const Dataset& test,
                                        const MultiSellerShapleyOptions& options,
                                        bool parallel) {
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
-  const size_t m = static_cast<size_t>(owners.NumSellers());
   const CorpusNorms norms = NormsForMetric(train.features, options.metric);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
-    int label = test.HasLabels() ? test.labels[j] : 0;
-    double target = test.HasTargets() ? test.targets[j] : 0.0;
-    per_test[j] = MultiSellerShapleySingle(train, owners, test.features.Row(j), label,
-                                           target, options, &norms);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
-  std::vector<double> sv(m, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < m; ++i) sv[i] += row[i];
-  }
-  for (auto& s : sv) s /= static_cast<double>(test.Size());
-  return sv;
+  return MeanOverQueries(
+      test.Size(), static_cast<size_t>(owners.NumSellers()), parallel, [&](size_t j) {
+        const int label = test.HasLabels() ? test.labels[j] : 0;
+        const double target = test.HasTargets() ? test.targets[j] : 0.0;
+        return MultiSellerShapleySingle(train, owners, test.features.Row(j), label,
+                                        target, options, &norms);
+      });
 }
 
 }  // namespace knnshap

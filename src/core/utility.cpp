@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "util/common.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -13,6 +14,25 @@ double SubsetUtility::GrandValue() const {
   std::vector<int> everyone(static_cast<size_t>(NumPlayers()));
   std::iota(everyone.begin(), everyone.end(), 0);
   return Value(everyone);
+}
+
+std::vector<double> MeanOverQueries(
+    size_t num_queries, size_t width, bool parallel,
+    const std::function<std::vector<double>(size_t)>& one) {
+  KNNSHAP_CHECK(num_queries > 0, "empty test set");
+  std::vector<std::vector<double>> per_query(num_queries);
+  auto run_one = [&](size_t j) { per_query[j] = one(j); };
+  if (parallel && num_queries > 1) {
+    ThreadPool::Shared().ParallelFor(num_queries, run_one);
+  } else {
+    for (size_t j = 0; j < num_queries; ++j) run_one(j);
+  }
+  std::vector<double> mean(width, 0.0);
+  for (const auto& row : per_query) {
+    for (size_t i = 0; i < width; ++i) mean[i] += row[i];
+  }
+  for (auto& s : mean) s /= static_cast<double>(num_queries);
+  return mean;
 }
 
 KnnSubsetUtility::KnnSubsetUtility(const Dataset* train, const Dataset* test, int k,

@@ -73,6 +73,17 @@ class KnnSubsetUtility : public SubsetUtility {
   WeightConfig weights_;
 };
 
+/// The multi-test value of a per-query valuation (additivity, Eq 8): runs
+/// `one(j)` for every query j < num_queries — on the shared pool when
+/// `parallel` and there is more than one query, serially otherwise — then
+/// sums the dense `width`-long rows in query order from +0.0 and divides
+/// each sum by the query count. The order of those float operations is
+/// the same on both schedules, so parallel and serial runs agree bit for
+/// bit.
+std::vector<double> MeanOverQueries(
+    size_t num_queries, size_t width, bool parallel,
+    const std::function<std::vector<double>(size_t)>& one);
+
 /// Seller-level game (App E.3): player j controls all rows of seller j; the
 /// utility of a seller coalition is the row-level utility of the union of
 /// their rows.

@@ -7,11 +7,10 @@
 
 #include "knn/knn_classifier.h"
 #include "knn/knn_regressor.h"
-#include "knn/neighbors.h"
+#include "knn/ranking.h"
 #include "obs/trace.h"
 #include "util/binomial.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -46,7 +45,7 @@ void ForEachCombination(int pool, int size,
 // evaluation is O(K log K).
 class RankUtility {
  public:
-  RankUtility(const Dataset& train, const std::vector<int>& order,
+  RankUtility(const Dataset& train, std::span<const int> order,
               std::span<const float> query, int test_label, double test_target,
               const WeightedShapleyOptions& options)
       : train_(train),
@@ -79,7 +78,7 @@ class RankUtility {
 
  private:
   const Dataset& train_;
-  const std::vector<int>& order_;
+  std::span<const int> order_;
   std::span<const float> query_;
   int test_label_;
   double test_target_;
@@ -99,17 +98,15 @@ double WeightedShapleyEvalCount(int n, int k) {
   return evals + static_cast<double>(n - 1) * per_pair;
 }
 
-std::vector<double> ExactWeightedKnnShapleySingle(
-    const Dataset& train, std::span<const float> query, int test_label,
-    double test_target, const WeightedShapleyOptions& options,
-    const CorpusNorms* norms) {
+std::vector<double> ExactWeightedKnnShapleyFromOrder(
+    const Dataset& train, std::span<const int> order, std::span<const float> query,
+    int test_label, double test_target, const WeightedShapleyOptions& options) {
   const int n = static_cast<int>(train.Size());
   const int k = options.k;
   KNNSHAP_CHECK(n >= 2, "need at least two training points");
   KNNSHAP_CHECK(k >= 1, "k must be >= 1");
+  KNNSHAP_CHECK(order.size() == train.Size(), "full order required");
 
-  std::vector<int> order =
-      ArgsortByDistance(train.features, query, options.metric, norms);
   // Everything after the ranking is coalition enumeration — the O(2^N)
   // part of the exact weighted method.
   ScopedPhase span(Phase::kRecursion);
@@ -232,27 +229,17 @@ std::vector<double> ExactWeightedKnnShapleySingle(
 std::vector<double> ExactWeightedKnnShapley(const Dataset& train, const Dataset& test,
                                             const WeightedShapleyOptions& options,
                                             bool parallel) {
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
   const size_t n = train.Size();
-  const CorpusNorms norms = NormsForMetric(train.features, options.metric);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
-    int label = test.HasLabels() ? test.labels[j] : 0;
-    double target = test.HasTargets() ? test.targets[j] : 0.0;
-    per_test[j] = ExactWeightedKnnShapleySingle(train, test.features.Row(j), label,
-                                                target, options, &norms);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
-  std::vector<double> sv(n, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < n; ++i) sv[i] += row[i];
-  }
-  for (auto& s : sv) s /= static_cast<double>(test.Size());
-  return sv;
+  const LocalRanking ranking(&train.features, options.metric);
+  return MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
+    const int label = test.HasLabels() ? test.labels[j] : 0;
+    const double target = test.HasTargets() ? test.targets[j] : 0.0;
+    return ExactWeightedKnnShapleyFromOrder(train, order, test.features.Row(j), label,
+                                            target, options);
+  });
 }
 
 }  // namespace knnshap

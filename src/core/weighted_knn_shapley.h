@@ -26,7 +26,6 @@
 
 #include "core/utility.h"
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/weights.h"
 
@@ -44,15 +43,13 @@ struct WeightedShapleyOptions {
   bool composite_game = false;
 };
 
-/// Exact SVs for one test point. O(N^K) utility evaluations; practical for
-/// small K and moderate N (the regime of Figure 12). The task must be one
-/// of the weighted variants. `norms` (optional) are precomputed row norms
-/// of train.features for the distance ordering.
-std::vector<double> ExactWeightedKnnShapleySingle(const Dataset& train,
-                                                  std::span<const float> query,
-                                                  int test_label, double test_target,
-                                                  const WeightedShapleyOptions& options,
-                                                  const CorpusNorms* norms = nullptr);
+/// Exact SVs for one test point, from the query's full ranking: `order`
+/// holds every training row ascending by (distance, index). The utilities
+/// are evaluated against `query` itself. O(N^K) utility evaluations;
+/// practical for small K and moderate N (the regime of Figure 12).
+std::vector<double> ExactWeightedKnnShapleyFromOrder(
+    const Dataset& train, std::span<const int> order, std::span<const float> query,
+    int test_label, double test_target, const WeightedShapleyOptions& options);
 
 /// Exact SVs averaged over a test set (additivity).
 std::vector<double> ExactWeightedKnnShapley(const Dataset& train, const Dataset& test,

@@ -8,12 +8,12 @@
 #include <optional>
 #include <string>
 
-#include "knn/neighbors.h"
+#include "core/utility.h"
+#include "knn/ranking.h"
 #include "obs/trace.h"
 #include "util/binomial.h"
 #include "util/cancel.h"
 #include "util/common.h"
-#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -117,23 +117,6 @@ WknnQueryContext MakeWknnQueryContextFromRanking(std::vector<int> order,
     ctx.level[rank] = std::clamp(level, 1, levels);
   }
   return ctx;
-}
-
-WknnQueryContext MakeWknnQueryContext(const Dataset& train,
-                                      std::span<const float> query, int test_label,
-                                      const WknnShapleyOptions& options,
-                                      const CorpusNorms* norms) {
-  const size_t n = train.Size();
-  KNNSHAP_CHECK(n >= 1, "empty training set");
-  KNNSHAP_CHECK(train.HasLabels(), "weighted-fast: labeled corpus required");
-
-  // The full ascending (distance, index) order every valuation core uses
-  // (knn/selection.h), from ArgsortDistances.
-  std::vector<double> dist(n);
-  std::vector<int> order;
-  RankByDistance(train.features, query, n, options.metric, norms, dist, &order);
-  return MakeWknnQueryContextFromRanking(std::move(order), dist, train.labels,
-                                         test_label, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,16 +292,6 @@ Status WknnTableBudget(int n, int k, int weight_bits) {
   return Status::Ok();
 }
 
-std::vector<double> WknnShapleySingle(const Dataset& train,
-                                      std::span<const float> query, int test_label,
-                                      const WknnShapleyOptions& options,
-                                      const CorpusNorms* norms,
-                                      const WknnCoalitionWeights* shared) {
-  const WknnQueryContext ctx =
-      MakeWknnQueryContext(train, query, test_label, options, norms);
-  return WknnShapleyFromContext(ctx, options, shared);
-}
-
 std::vector<double> WknnShapleyFromContext(const WknnQueryContext& context,
                                            const WknnShapleyOptions& options,
                                            const WknnCoalitionWeights* shared) {
@@ -441,27 +414,20 @@ std::vector<double> WknnShapleyFromContext(const WknnQueryContext& context,
 std::vector<double> WknnShapley(const Dataset& train, const Dataset& test,
                                 const WknnShapleyOptions& options,
                                 bool parallel) {
-  KNNSHAP_CHECK(test.Size() > 0, "empty test set");
   const size_t n = train.Size();
-  const CorpusNorms norms = NormsForMetric(train.features, options.metric);
+  KNNSHAP_CHECK(train.HasLabels(), "weighted-fast: labeled corpus required");
+  const LocalRanking ranking(&train.features, options.metric);
   const WknnCoalitionWeights shared(static_cast<int>(n), options.k);
-  std::vector<std::vector<double>> per_test(test.Size());
-  auto run_one = [&](size_t j) {
+  return MeanOverQueries(test.Size(), n, parallel, [&](size_t j) {
+    std::vector<double> dists;
+    std::vector<int> order;
+    ranking.Rank(test.features.Row(j), n, &dists, &order);
     const int label = test.HasLabels() ? test.labels[j] : 0;
-    per_test[j] = WknnShapleySingle(train, test.features.Row(j), label, options,
-                                    &norms, &shared);
-  };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
-  } else {
-    for (size_t j = 0; j < test.Size(); ++j) run_one(j);
-  }
-  std::vector<double> sv(n, 0.0);
-  for (const auto& row : per_test) {
-    for (size_t i = 0; i < n; ++i) sv[i] += row[i];
-  }
-  for (auto& s : sv) s /= static_cast<double>(test.Size());
-  return sv;
+    return WknnShapleyFromContext(
+        MakeWknnQueryContextFromRanking(std::move(order), dists, train.labels, label,
+                                        options),
+        options, &shared);
+  });
 }
 
 }  // namespace knnshap

@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "dataset/dataset.h"
-#include "knn/distance_kernel.h"
 #include "knn/metric.h"
 #include "knn/weights.h"
 #include "util/status.h"
@@ -117,19 +116,11 @@ struct WknnQueryContext {
   std::vector<double> raw;      ///< by rank: continuous kernel weight.
 };
 
-/// Ranks, correctness bits and (raw, discretized) weights for one query.
-/// `norms` (optional) are precomputed row norms of train.features.
-WknnQueryContext MakeWknnQueryContext(const Dataset& train,
-                                      std::span<const float> query, int test_label,
-                                      const WknnShapleyOptions& options,
-                                      const CorpusNorms* norms = nullptr);
-
-/// Same context built from an externally supplied full ranking: `order`
-/// must be every training row ascending by (dists[row], row) — e.g. a
-/// per-shard candidate merge — and `dists` the row-indexed raw distances
-/// that produced it (the kernel weights need the exact doubles).
-/// Bit-identical to MakeWknnQueryContext on the ranking and distances it
-/// would compute itself.
+/// Ranks, correctness bits and (raw, discretized) weights for one query,
+/// from its full ranking: `order` must be every training row ascending by
+/// (dists[row], row) — a Ranking's full order (knn/ranking.h), local or
+/// merged from shards — and `dists` the row-indexed raw distances that
+/// produced it (the kernel weights need the exact doubles).
 WknnQueryContext MakeWknnQueryContextFromRanking(std::vector<int> order,
                                                  std::span<const double> dists,
                                                  std::span<const int> labels,
@@ -158,19 +149,10 @@ double WknnDiscretizationBound(const WknnQueryContext& context, int k);
 Status WknnTableBudget(int n, int k, int weight_bits);
 
 /// Exact (or approx_error-truncated) SVs of the discretized weighted game
-/// for one test point in O(N^2 K 4^b) time. `shared` (optional) is a
-/// precomputed WknnCoalitionWeights for (train.Size(), k).
-std::vector<double> WknnShapleySingle(const Dataset& train,
-                                      std::span<const float> query, int test_label,
-                                      const WknnShapleyOptions& options,
-                                      const CorpusNorms* norms = nullptr,
-                                      const WknnCoalitionWeights* shared = nullptr);
-
-/// The counting recursion evaluated on a prebuilt query context — the
-/// post-ranking body of WknnShapleySingle, bit for bit (including the
-/// kRecursion span and per-rank cancellation polls). Entry point for the
-/// shard router, which assembles the context from merged per-shard
-/// candidates via MakeWknnQueryContextFromRanking.
+/// for one test point, from its query context, in O(N^2 K 4^b) time —
+/// inside the kRecursion span, polling for cancellation once per rank.
+/// `shared` (optional) is a precomputed WknnCoalitionWeights for
+/// (N, options.k).
 std::vector<double> WknnShapleyFromContext(const WknnQueryContext& context,
                                            const WknnShapleyOptions& options,
                                            const WknnCoalitionWeights* shared = nullptr);

@@ -108,7 +108,7 @@ struct EngineOptions {
   MetricsRegistry* metrics = nullptr;
   /// Shard topology of this process (null or count <= 1 = unsharded).
   /// With count > 1 the ranked methods (exact, exact-corrected,
-  /// truncated, weighted-fast) fit a ShardRanking
+  /// truncated, weighted-fast, weighted, regression) fit a ShardRanking
   /// (shard/shard_ranking.h): per-shard candidate workers plus a
   /// bit-identical top-R merge; the other methods ignore it. It changes
   /// only HOW ranked methods compute, never what: values are

@@ -11,10 +11,12 @@
 // BatchValue instead.
 //
 // Bitwise-compatibility contract: for per-query methods the engine merges
-// per-query vectors in query order and divides by the query count — the
-// exact float operation order of the pre-engine entry points
-// (ExactKnnShapley et al.) — so routing through the engine changes no bits
-// of any result, serial or parallel.
+// per-query vectors in query order from +0.0 and divides by the query
+// count — the float operation order of core's multi-test wrappers
+// (ExactKnnShapley et al., which average through MeanOverQueries in
+// core/utility.h) — and the ranked methods run the same *FromOrder bodies
+// on the same ranking, so routing through the engine changes no bits of
+// any result, serial or parallel.
 
 #ifndef KNNSHAP_ENGINE_VALUATOR_H_
 #define KNNSHAP_ENGINE_VALUATOR_H_

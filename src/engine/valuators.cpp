@@ -42,12 +42,13 @@ double TestTarget(const Dataset& test, size_t row) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ranked methods: exact, exact-corrected, truncated (weighted-fast below)
+// ranked methods: exact, exact-corrected, truncated (weighted-fast,
+// weighted and regression below)
 // ---------------------------------------------------------------------------
 
 std::vector<double> RankedValuator::ValueOne(const Dataset& test,
                                              size_t row) const {
-  if (depth_ == 0) return FromRanking({}, {}, TestLabel(test, row));
+  if (depth_ == 0) return FromRanking({}, {}, test, row);
   // Per-thread scratch: the engine drives many queries per pool thread,
   // and the N-row buffers would otherwise be reallocated per query.
   static thread_local std::vector<double> dists;
@@ -57,7 +58,7 @@ std::vector<double> RankedValuator::ValueOne(const Dataset& test,
   // (Health() latched) an empty vector; the engine discards both.
   if (CancelRequested()) return std::vector<double>(Train().Size(), 0.0);
   if (!ranked) return {};
-  return FromRanking(order, dists, TestLabel(test, row));
+  return FromRanking(order, dists, test, row);
 }
 
 Status RankedValuator::Health() const {
@@ -65,8 +66,6 @@ Status RankedValuator::Health() const {
 }
 
 void RankedValuator::FitRanking(Metric metric, size_t depth) {
-  KNNSHAP_CHECK(Train().HasLabels(),
-                std::string(Method()) + ": labeled corpus required");
   depth_ = depth;
   if (FitShard() != nullptr) {
     ranking_ = std::make_unique<ShardRanking>(Train(), metric, *FitShard());
@@ -76,6 +75,7 @@ void RankedValuator::FitRanking(Metric metric, size_t depth) {
 }
 
 void ExactValuator::OnFit() {
+  KNNSHAP_CHECK(Train().HasLabels(), "exact: labeled corpus required");
   const size_t n = Train().Size();
   FitRanking(params_.metric,
              params_.approx_error > 0.0
@@ -87,8 +87,10 @@ void ExactValuator::OnFit() {
 
 std::vector<double> ExactValuator::FromRanking(std::span<const int> order,
                                                std::span<const double>,
-                                               int test_label) const {
+                                               const Dataset& test,
+                                               size_t row) const {
   const std::vector<int>& labels = Train().labels;
+  const int test_label = TestLabel(test, row);
   return order.size() < labels.size()
              ? TruncatedExactKnnShapleyFromOrder(order, labels, test_label,
                                                  params_.k, labels.size())
@@ -96,6 +98,7 @@ std::vector<double> ExactValuator::FromRanking(std::span<const int> order,
 }
 
 void CorrectedValuator::OnFit() {
+  KNNSHAP_CHECK(Train().HasLabels(), "exact-corrected: labeled corpus required");
   const size_t n = Train().Size();
   size_t depth = n;
   if (params_.approx_error > 0.0) {
@@ -111,8 +114,10 @@ void CorrectedValuator::OnFit() {
 
 std::vector<double> CorrectedValuator::FromRanking(std::span<const int> order,
                                                    std::span<const double>,
-                                                   int test_label) const {
+                                                   const Dataset& test,
+                                                   size_t row) const {
   const std::vector<int>& labels = Train().labels;
+  const int test_label = TestLabel(test, row);
   return order.size() < labels.size()
              ? TruncatedCorrectedKnnShapleyFromOrder(order, labels, test_label,
                                                      params_.k)
@@ -120,18 +125,20 @@ std::vector<double> CorrectedValuator::FromRanking(std::span<const int> order,
 }
 
 void TruncatedValuator::OnFit() {
+  KNNSHAP_CHECK(Train().HasLabels(), "truncated: labeled corpus required");
   FitRanking(Metric::kL2, static_cast<size_t>(KStar(params_.k, params_.epsilon)));
 }
 
 std::vector<double> TruncatedValuator::FromRanking(std::span<const int> order,
                                                    std::span<const double> dists,
-                                                   int test_label) const {
+                                                   const Dataset& test,
+                                                   size_t row) const {
   std::vector<Neighbor> neighbors;
   neighbors.reserve(order.size());
   for (int i : order) neighbors.push_back({i, dists[static_cast<size_t>(i)]});
   std::vector<double> by_rank =
-      TruncatedShapleyFromNeighbors(Train(), neighbors, test_label, params_.k,
-                                    KStar(params_.k, params_.epsilon));
+      TruncatedShapleyFromNeighbors(Train(), neighbors, TestLabel(test, row),
+                                    params_.k, KStar(params_.k, params_.epsilon));
   return ScatterByRank(Train().Size(), neighbors, by_rank);
 }
 
@@ -209,6 +216,7 @@ std::vector<double> McValuator::ValueBatch(const Dataset& test) const {
 // ---------------------------------------------------------------------------
 
 void WeightedFastValuator::OnFit() {
+  KNNSHAP_CHECK(Train().HasLabels(), "weighted-fast: labeled corpus required");
   // The DP consumes the full ranking, and its kernel weights the exact
   // double distances.
   FitRanking(params_.metric, Train().Size());
@@ -220,7 +228,7 @@ void WeightedFastValuator::OnFit() {
 
 std::vector<double> WeightedFastValuator::FromRanking(
     std::span<const int> order, std::span<const double> dists,
-    int test_label) const {
+    const Dataset& test, size_t row) const {
   WknnShapleyOptions options;
   options.k = params_.k;
   options.weights = params_.weights;
@@ -229,7 +237,7 @@ std::vector<double> WeightedFastValuator::FromRanking(
   options.approx_error = params_.approx_error;
   const WknnQueryContext context = MakeWknnQueryContextFromRanking(
       std::vector<int>(order.begin(), order.end()), dists, Train().labels,
-      test_label, options);
+      TestLabel(test, row), options);
   return WknnShapleyFromContext(context, options, coalition_.get());
 }
 
@@ -241,10 +249,14 @@ void WeightedValuator::OnFit() {
   const bool regression = params_.task == KnnTask::kWeightedRegression;
   KNNSHAP_CHECK(regression ? Train().HasTargets() : Train().HasLabels(),
                 "weighted: corpus lacks the task's labels/targets");
-  norms_ = NormsForMetric(Train().features, params_.metric);
+  // The enumeration reads every rank.
+  FitRanking(params_.metric, Train().Size());
 }
 
-std::vector<double> WeightedValuator::ValueOne(const Dataset& test, size_t row) const {
+std::vector<double> WeightedValuator::FromRanking(std::span<const int> order,
+                                                  std::span<const double>,
+                                                  const Dataset& test,
+                                                  size_t row) const {
   WeightedShapleyOptions options;
   options.k = params_.k;
   options.weights = params_.weights;
@@ -252,9 +264,9 @@ std::vector<double> WeightedValuator::ValueOne(const Dataset& test, size_t row) 
                      ? KnnTask::kWeightedRegression
                      : KnnTask::kWeightedClassification;
   options.metric = params_.metric;
-  return ExactWeightedKnnShapleySingle(Train(), test.features.Row(row),
-                                       TestLabel(test, row), TestTarget(test, row),
-                                       options, &norms_);
+  return ExactWeightedKnnShapleyFromOrder(Train(), order, test.features.Row(row),
+                                          TestLabel(test, row), TestTarget(test, row),
+                                          options);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,14 +275,15 @@ std::vector<double> WeightedValuator::ValueOne(const Dataset& test, size_t row) 
 
 void RegressionValuator::OnFit() {
   KNNSHAP_CHECK(Train().HasTargets(), "regression: corpus targets required");
-  norms_ = NormsForMetric(Train().features, params_.metric);
+  FitRanking(params_.metric, Train().Size());
 }
 
-std::vector<double> RegressionValuator::ValueOne(const Dataset& test,
-                                                 size_t row) const {
-  return ExactKnnRegressionShapleySingle(Train(), test.features.Row(row),
-                                         TestTarget(test, row), params_.k,
-                                         params_.metric, &norms_);
+std::vector<double> RegressionValuator::FromRanking(std::span<const int> order,
+                                                    std::span<const double>,
+                                                    const Dataset& test,
+                                                    size_t row) const {
+  return ExactKnnRegressionShapleyFromOrder(order, Train().targets,
+                                            TestTarget(test, row), params_.k);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 // Each adapter is a thin shim over the corresponding src/core function, so
 // the engine path produces bit-identical values to the standalone entry
 // points (see the contract in engine/valuator.h). Adapters build their
-// retrieval structure once in Fit — the ranking of the four ranked
+// retrieval structure once in Fit — the ranking of the six ranked
 // methods, the lsh index — and reuse it across every subsequent batch:
 // the serving win the engine exists for.
 
@@ -32,13 +32,14 @@
 
 namespace knnshap {
 
-/// Base of the methods whose recursion consumes only the corpus's
-/// (distance, index) ranking: exact, exact-corrected, truncated and
-/// weighted-fast. Fit builds the Ranking once (knn/ranking.h) — a
-/// LocalRanking, or a ShardRanking (shard/shard_ranking.h) when fitted
-/// with a shard context — and fixes the method's ranking depth; each query
-/// then ranks to that depth and runs the method's recursion on the result,
-/// the same code on every topology. Health() is the ranking's.
+/// Base of the methods whose recursion starts from the query's (distance,
+/// index) ranking of the corpus: exact, exact-corrected, truncated,
+/// weighted-fast, weighted and regression. Fit builds the Ranking once
+/// (knn/ranking.h) — a LocalRanking, or a ShardRanking
+/// (shard/shard_ranking.h) when fitted with a shard context — and fixes
+/// the method's ranking depth; each query then ranks to that depth and
+/// runs the method's recursion on the result, the same code on every
+/// topology. Health() is the ranking's.
 class RankedValuator : public Valuator {
  public:
   using Valuator::Valuator;
@@ -46,16 +47,16 @@ class RankedValuator : public Valuator {
   Status Health() const override;
 
  protected:
-  /// Builds the ranking of the labeled Train() under `metric`; queries
-  /// rank the first min(depth, N) rows (0: none at all).
+  /// Builds the ranking of Train() under `metric`; queries rank the first
+  /// min(depth, N) rows (0: none at all).
   void FitRanking(Metric metric, size_t depth);
 
-  /// The method's recursion: `order` holds the query's first
-  /// min(depth, N) rows ascending by (distance, index), `dists` every
-  /// row's distance.
+  /// The method's recursion for query `row` of `test`: `order` holds its
+  /// first min(depth, N) rows ascending by (distance, index), `dists`
+  /// every row's distance.
   virtual std::vector<double> FromRanking(std::span<const int> order,
                                           std::span<const double> dists,
-                                          int test_label) const = 0;
+                                          const Dataset& test, size_t row) const = 0;
 
  private:
   std::unique_ptr<Ranking> ranking_;
@@ -75,7 +76,7 @@ class ExactValuator : public RankedValuator {
   void OnFit() override;
   std::vector<double> FromRanking(std::span<const int> order,
                                   std::span<const double> dists,
-                                  int test_label) const override;
+                                  const Dataset& test, size_t row) const override;
 };
 
 /// Corrected exact recursion (Wang & Jia, arXiv:2304.04258): the KNN
@@ -91,7 +92,7 @@ class CorrectedValuator : public RankedValuator {
   void OnFit() override;
   std::vector<double> FromRanking(std::span<const int> order,
                                   std::span<const double> dists,
-                                  int test_label) const override;
+                                  const Dataset& test, size_t row) const override;
 };
 
 /// (epsilon, 0)-approximation of Theorem 2: only the K* nearest neighbors
@@ -106,7 +107,7 @@ class TruncatedValuator : public RankedValuator {
   void OnFit() override;
   std::vector<double> FromRanking(std::span<const int> order,
                                   std::span<const double> dists,
-                                  int test_label) const override;
+                                  const Dataset& test, size_t row) const override;
 };
 
 /// (epsilon, delta)-approximation of Theorem 4: LSH retrieval of the K*
@@ -164,41 +165,38 @@ class WeightedFastValuator : public RankedValuator {
   void OnFit() override;
   std::vector<double> FromRanking(std::span<const int> order,
                                   std::span<const double> dists,
-                                  int test_label) const override;
+                                  const Dataset& test, size_t row) const override;
 
  private:
   std::unique_ptr<WknnCoalitionWeights> coalition_;
 };
 
 /// Exact weighted KNN values (Theorem 7), classification or regression per
-/// params.task. O(N^K) per query — small K only. Fit caches corpus norms
-/// for the per-query distance ordering.
-class WeightedValuator : public Valuator {
+/// params.task, over the full ranking. O(N^K) per query — small K only.
+class WeightedValuator : public RankedValuator {
  public:
-  using Valuator::Valuator;
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "weighted"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
 
  protected:
   void OnFit() override;
-
- private:
-  CorpusNorms norms_;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  const Dataset& test, size_t row) const override;
 };
 
-/// Exact unweighted KNN regression values (Theorem 6). Fit caches corpus
-/// norms for the per-query distance pass.
-class RegressionValuator : public Valuator {
+/// Exact unweighted KNN regression values (Theorem 6) over the full
+/// ranking.
+class RegressionValuator : public RankedValuator {
  public:
-  using Valuator::Valuator;
+  using RankedValuator::RankedValuator;
   const char* Method() const override { return "regression"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
 
  protected:
   void OnFit() override;
-
- private:
-  CorpusNorms norms_;
+  std::vector<double> FromRanking(std::span<const int> order,
+                                  std::span<const double> dists,
+                                  const Dataset& test, size_t row) const override;
 };
 
 }  // namespace knnshap

@@ -154,25 +154,12 @@ void RankByDistance(const Matrix& train, std::span<const float> query, size_t r,
   }
 }
 
-void ArgsortByDistanceInto(const Matrix& train, std::span<const float> query,
-                           Metric metric, const CorpusNorms* norms,
-                           std::vector<int>* order) {
-  RankByDistance(train, query, train.Rows(), metric, norms,
-                 DistanceScratch(train.Rows()), order);
-}
-
 std::vector<int> ArgsortByDistance(const Matrix& train, std::span<const float> query,
                                    Metric metric, const CorpusNorms* norms) {
   std::vector<int> order;
-  ArgsortByDistanceInto(train, query, metric, norms, &order);
+  RankByDistance(train, query, train.Rows(), metric, norms,
+                 DistanceScratch(train.Rows()), &order);
   return order;
-}
-
-void TopROrderByDistance(const Matrix& train, std::span<const float> query,
-                         size_t r, Metric metric, const CorpusNorms* norms,
-                         std::vector<int>* order) {
-  RankByDistance(train, query, r, metric, norms, DistanceScratch(train.Rows()),
-                 order);
 }
 
 void TopKNeighborsInto(const Matrix& train, std::span<const float> query,

@@ -76,20 +76,6 @@ std::vector<int> ArgsortByDistance(const Matrix& train, std::span<const float> q
                                    Metric metric = Metric::kL2,
                                    const CorpusNorms* norms = nullptr);
 
-/// Scratch-reusing ArgsortByDistance: writes the order into *order instead
-/// of returning a fresh vector, so per-query callers (the exact-SV loops)
-/// amortize the allocation across a request.
-void ArgsortByDistanceInto(const Matrix& train, std::span<const float> query,
-                           Metric metric, const CorpusNorms* norms,
-                           std::vector<int>* order);
-
-/// The first min(r, N) entries of the ArgsortByDistance order — ascending
-/// (distance, index) — without ordering the tail: RankByDistance into a
-/// per-thread distance buffer.
-void TopROrderByDistance(const Matrix& train, std::span<const float> query,
-                         size_t r, Metric metric, const CorpusNorms* norms,
-                         std::vector<int>* order);
-
 /// The k nearest rows to `query`, ascending by distance. k is clamped to
 /// the number of rows. One batched distance pass plus O(N + k log k)
 /// packed-key selection.

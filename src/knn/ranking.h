@@ -1,15 +1,16 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
 // Ranking — where a query's (distance, index) ranking of the corpus comes
-// from. Theorem 1's recursion, Theorem 2's truncation and the routed
-// follow-ups (exact-corrected, weighted-fast) consume nothing else, so
-// the ranked valuators (engine/valuators.h) ask this one seam for it and
-// run the same code on every topology. LocalRanking (here) ranks the
-// in-process corpus with RankByDistance and is the unsharded server's
-// only path; ShardRanking (shard/shard_ranking.h) orders what spawned or
-// remote shard workers send — distance columns sorted once at full rank,
-// exact candidate runs merged below it — which is the same ranking bit
-// for bit (knn/selection.h).
+// from. Theorem 1's recursion, Theorem 2's truncation, Theorems 6 and 7
+// and the follow-ups (exact-corrected, weighted-fast) all start from it,
+// so the ranked valuators (engine/valuators.h) and core's multi-test
+// wrappers ask this one seam for it and run the same code on every
+// topology. LocalRanking (here) ranks the in-process corpus with
+// RankByDistance and is the unsharded server's only path; ShardRanking
+// (shard/shard_ranking.h) orders what spawned or remote shard workers
+// send — distance columns sorted once at full rank, exact candidate runs
+// merged below it — which is the same ranking bit for bit
+// (knn/selection.h).
 
 #ifndef KNNSHAP_KNN_RANKING_H_
 #define KNNSHAP_KNN_RANKING_H_

@@ -55,10 +55,11 @@ namespace knnshap {
 /// Pipeline construction options. The inherited ShardTopology fields
 /// (`shards`, `shard_worker_command`, `shard_remote`, `shard_transport`)
 /// place the shard workers: with shards > 1 the ranked value methods
-/// (exact / exact-corrected / weighted-fast / truncated) rank through the
-/// shard subsystem (EngineOptions::shard_topology), responses stay
-/// byte-identical to the unsharded server (see src/shard/README.md), and
-/// the `stats` op grows a "topology" section.
+/// (exact / exact-corrected / truncated / weighted-fast / weighted /
+/// regression) rank through the shard subsystem
+/// (EngineOptions::shard_topology), responses stay byte-identical to the
+/// unsharded server (see src/shard/README.md), and the `stats` op grows a
+/// "topology" section.
 struct PipelineOptions : ShardTopology {
   /// Pool the value jobs run on; nullptr = ThreadPool::Shared().
   ThreadPool* pool = nullptr;

@@ -110,17 +110,24 @@ class CancelToken {
 };
 
 namespace internal {
-extern thread_local const CancelToken* active_cancel;
+/// The calling thread's active-token slot. A function-local thread_local
+/// behind an inline accessor, not an extern variable: gcc's UBSan at -O2
+/// reports stores through an extern thread_local's TLS wrapper as stores
+/// to a null pointer and aborts.
+inline const CancelToken*& ActiveCancelSlot() {
+  static thread_local const CancelToken* active = nullptr;
+  return active;
+}
 }  // namespace internal
 
 /// The calling thread's active token (deep-loop poll target), or nullptr.
 inline const CancelToken* ActiveCancelToken() {
-  return internal::active_cancel;
+  return internal::ActiveCancelSlot();
 }
 
 /// The poll the deep loops use: false when no token is active.
 inline bool CancelRequested() {
-  const CancelToken* token = internal::active_cancel;
+  const CancelToken* token = internal::ActiveCancelSlot();
   return token != nullptr && token->Expired();
 }
 
@@ -130,10 +137,10 @@ inline bool CancelRequested() {
 class CancelActivation {
  public:
   explicit CancelActivation(const CancelToken* token)
-      : previous_(internal::active_cancel) {
-    internal::active_cancel = token;
+      : previous_(internal::ActiveCancelSlot()) {
+    internal::ActiveCancelSlot() = token;
   }
-  ~CancelActivation() { internal::active_cancel = previous_; }
+  ~CancelActivation() { internal::ActiveCancelSlot() = previous_; }
   CancelActivation(const CancelActivation&) = delete;
   CancelActivation& operator=(const CancelActivation&) = delete;
 

@@ -29,6 +29,7 @@ namespace {
 
 using testing_util::ExpectVectorNear;
 using testing_util::RandomClassDataset;
+using testing_util::RankOrder;
 
 // Brute-force oracle over the corrected utility for one query, players
 // identified by their distance rank (0 = nearest). `matches[r]` is the
@@ -94,7 +95,8 @@ TEST(CorrectedShapleyTest, AgreesWithOriginalWhenCoalitionsSaturate) {
 TEST(CorrectedShapleyTest, SingleQueryScattersByTrainingRow) {
   Dataset train = RandomClassDataset(12, 2, 3, 99);
   Dataset query = testing_util::SingleQuery(3, 100, /*label=*/1);
-  auto by_row = CorrectedKnnShapleySingle(train, query.features.Row(0), 1, 3);
+  auto by_row = CorrectedKnnShapleyFromOrder(RankOrder(train, query.features.Row(0)),
+                                             train.labels, 1, 3);
 
   std::vector<int> order = ArgsortByDistance(train.features, query.features.Row(0),
                                              Metric::kL2, nullptr);
@@ -123,7 +125,8 @@ TEST(CorrectedShapleyTest, EngineMethodMatchesDirectAverage) {
 
   std::vector<double> expected(train.Size(), 0.0);
   for (size_t q = 0; q < test.Size(); ++q) {
-    auto one = CorrectedKnnShapleySingle(train, test.features.Row(q), test.labels[q], 4);
+    auto one = CorrectedKnnShapleyFromOrder(RankOrder(train, test.features.Row(q)),
+                                            train.labels, test.labels[q], 4);
     for (size_t i = 0; i < expected.size(); ++i) expected[i] += one[i];
   }
   for (auto& v : expected) v /= static_cast<double>(test.Size());

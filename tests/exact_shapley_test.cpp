@@ -23,6 +23,7 @@ namespace {
 
 using testing_util::ExpectVectorNear;
 using testing_util::RandomClassDataset;
+using testing_util::RankOrder;
 using testing_util::SingleQuery;
 
 struct OracleCase {
@@ -61,8 +62,8 @@ TEST(ExactShapleyTest, MultiTestIsAverageOfSingleTests) {
   auto multi = ExactKnnShapley(train, test, 2, /*parallel=*/false);
   std::vector<double> manual(train.Size(), 0.0);
   for (size_t j = 0; j < test.Size(); ++j) {
-    auto single =
-        ExactKnnShapleySingle(train, test.features.Row(j), test.labels[j], 2);
+    auto single = ExactKnnShapleyFromOrder(RankOrder(train, test.features.Row(j)),
+                                           train.labels, test.labels[j], 2);
     for (size_t i = 0; i < train.Size(); ++i) manual[i] += single[i] / 4.0;
   }
   ExpectVectorNear(multi, manual, 1e-12);

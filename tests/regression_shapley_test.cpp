@@ -17,6 +17,7 @@ namespace {
 
 using testing_util::ExpectVectorNear;
 using testing_util::RandomRegDataset;
+using testing_util::RankOrder;
 using testing_util::SingleQuery;
 
 struct RegCase {
@@ -85,8 +86,8 @@ TEST(RegressionShapleyTest, MultiTestAveragesSingleTests) {
   auto multi = ExactKnnRegressionShapley(train, test, 2, false);
   std::vector<double> manual(train.Size(), 0.0);
   for (size_t j = 0; j < test.Size(); ++j) {
-    auto single = ExactKnnRegressionShapleySingle(train, test.features.Row(j),
-                                                  test.targets[j], 2);
+    auto single = ExactKnnRegressionShapleyFromOrder(
+        RankOrder(train, test.features.Row(j)), train.targets, test.targets[j], 2);
     for (size_t i = 0; i < train.Size(); ++i) manual[i] += single[i] / 3.0;
   }
   ExpectVectorNear(multi, manual, 1e-12);

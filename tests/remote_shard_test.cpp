@@ -213,9 +213,9 @@ uint64_t CounterValue(RequestPipeline& pipeline, const std::string& name) {
   return pipeline.Metrics()->GetCounter(name)->Value();
 }
 
-// The session both servers must answer identically — every routed method
-// (truncated included) plus value traffic interleaved with mutations, so
-// the remote workers re-sync mid-session.
+// The session both servers must answer identically — every ranked method
+// (truncated, weighted and regression included) plus value traffic
+// interleaved with mutations, so the remote workers re-sync mid-session.
 std::vector<std::string> RemoteEquivalenceSession(uint64_t seed) {
   std::vector<std::string> lines;
   lines.push_back(R"({"op":"load","name":"train","rows":)" +
@@ -231,6 +231,18 @@ std::vector<std::string> RemoteEquivalenceSession(uint64_t seed) {
   lines.push_back(
       value(R"("method":"weighted-fast","k":2,"kernel":"inverse")"));
   lines.push_back(value(R"("method":"truncated","k":3,"epsilon":0.1)"));
+  // The full-rank methods that read the query or the targets.
+  lines.push_back(R"({"op":"load","name":"reg","rows":)" +
+                  RowsJson(600, 4, 7, seed + 3) + R"(,"target":"target"})");
+  lines.push_back(R"({"op":"load","name":"qr","rows":)" +
+                  RowsJson(2, 4, 7, seed + 4) + R"(,"target":"target"})");
+  lines.push_back(
+      R"({"op":"value","train":"reg","test":"qr","method":"regression","k":3})");
+  lines.push_back(value(R"("method":"weighted","k":2,)"
+                        R"("task":"weighted-classification","kernel":"inverse")"));
+  lines.push_back(
+      R"({"op":"value","train":"reg","test":"qr","method":"weighted","k":2,)"
+      R"("task":"weighted-regression","kernel":"inverse"})");
   // Mutate, then revalue: the routers' long-lived workers must delta-sync
   // and keep agreeing.
   lines.push_back(R"({"op":"append","name":"train","rows":)" +
@@ -253,6 +265,8 @@ TEST(RemoteShardTest, SocketShardedResponsesAreByteIdentical) {
     std::vector<std::string> expected;
     for (const std::string& line : session) {
       expected.push_back(Answer(*baseline, line));
+      EXPECT_NE(expected.back().find(R"("ok":true)"), std::string::npos)
+          << expected.back();
     }
 
     LoopbackWorker worker0, worker1;

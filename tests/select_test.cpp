@@ -35,7 +35,34 @@ namespace knnshap {
 namespace {
 
 using testing_util::RandomClassDataset;
+using testing_util::RankOrder;
 using testing_util::SingleQuery;
+
+// Truncated-exact SVs at nominal rank r, ranked as ExactValuator ranks
+// under an approx_error budget: the effective prefix, or the full order
+// once the prefix covers every row.
+std::vector<double> TruncatedExact(const Dataset& train, std::span<const float> q,
+                                   int label, int k, size_t r) {
+  const size_t n = train.Size();
+  r = TruncatedExactEffectiveRank(r, n, k);
+  const std::vector<int> order = RankOrder(train, q, r);
+  return r >= n ? ExactKnnShapleyFromOrder(order, train.labels, label, k)
+                : TruncatedExactKnnShapleyFromOrder(order, train.labels, label, k, n);
+}
+
+// Truncated corrected SVs at nominal rank r, ranked as CorrectedValuator
+// ranks: no ranking in the labels-only N-1 < K regime, else as above.
+std::vector<double> TruncatedCorrected(const Dataset& train, std::span<const float> q,
+                                       int label, int k, size_t r) {
+  const size_t n = train.Size();
+  if (static_cast<int>(n) - 1 < k) {
+    return TruncatedCorrectedKnnShapleyFromOrder({}, train.labels, label, k);
+  }
+  r = TruncatedCorrectedEffectiveRank(r, n, k);
+  const std::vector<int> order = RankOrder(train, q, r);
+  return r >= n ? CorrectedKnnShapleyFromOrder(order, train.labels, label, k)
+                : TruncatedCorrectedKnnShapleyFromOrder(order, train.labels, label, k);
+}
 
 class SelectTest : public ::testing::Test {
  protected:
@@ -158,14 +185,15 @@ TEST_F(SelectTest, BlockedTopROrderMatchesSerial) {
   const auto q = query.features.Row(0);
   for (Metric metric : {Metric::kSquaredL2, Metric::kCosine}) {
     const std::vector<int> full = ArgsortByDistance(train.features, q, metric);
+    std::vector<double> dists(train.Size());
     for (size_t r : {size_t{1}, size_t{7}, size_t{299}, size_t{300}, size_t{400}}) {
       // Serial reference (thresholds at defaults keep the path serial).
       std::vector<int> serial;
-      TopROrderByDistance(train.features, q, r, metric, nullptr, &serial);
+      RankByDistance(train.features, q, r, metric, nullptr, dists, &serial);
       // Forced-blocked run with a block size that doesn't divide n.
       SetIntraQueryOptions({.min_rows = 1, .block_rows = 7});
       std::vector<int> blocked;
-      TopROrderByDistance(train.features, q, r, metric, nullptr, &blocked);
+      RankByDistance(train.features, q, r, metric, nullptr, dists, &blocked);
       SetIntraQueryOptions(IntraQueryOptions{});
       const size_t want = std::min(r, static_cast<size_t>(300));
       ASSERT_EQ(serial.size(), want);
@@ -195,11 +223,12 @@ TEST_F(SelectTest, SingleRowCorpusAndDegenerateR) {
   const Dataset train = RandomClassDataset(1, 2, 3, 41);
   const Dataset query = SingleQuery(3, 42);
   const auto q = query.features.Row(0);
+  std::vector<double> dists(train.Size());
   std::vector<int> order;
-  TopROrderByDistance(train.features, q, 5, Metric::kL2, nullptr, &order);
+  RankByDistance(train.features, q, 5, Metric::kL2, nullptr, dists, &order);
   ASSERT_EQ(order.size(), 1u);
   EXPECT_EQ(order[0], 0);
-  TopROrderByDistance(train.features, q, 0, Metric::kL2, nullptr, &order);
+  RankByDistance(train.features, q, 0, Metric::kL2, nullptr, dists, &order);
   EXPECT_TRUE(order.empty());
 }
 
@@ -212,11 +241,11 @@ TEST_F(SelectTest, TruncatedExactErrorWithinReportedBound) {
     const auto q = query.features.Row(0);
     const size_t n = train.Size();
     for (int k : {1, 3, 10}) {
-      const auto exact = ExactKnnShapleySingle(train, q, 1, k);
+      const auto exact =
+          ExactKnnShapleyFromOrder(RankOrder(train, q), train.labels, 1, k);
       for (size_t r : {size_t{1}, size_t{5}, size_t{20}, size_t{60},
                        size_t{119}, size_t{120}, size_t{200}}) {
-        const auto truncated =
-            TruncatedExactKnnShapleySingle(train, q, 1, k, r);
+        const auto truncated = TruncatedExact(train, q, 1, k, r);
         const double bound = TruncatedExactKnnShapleyBound(r, n);
         ASSERT_EQ(truncated.size(), exact.size());
         double err = 0.0;
@@ -242,11 +271,11 @@ TEST_F(SelectTest, TruncatedCorrectedErrorWithinReportedBound) {
     const auto q = query.features.Row(0);
     const size_t n = train.Size();
     for (int k : {1, 3, 10, 200}) {  // k=200 > N: the exact small-N regime
-      const auto exact = CorrectedKnnShapleySingle(train, q, 1, k);
+      const auto exact =
+          CorrectedKnnShapleyFromOrder(RankOrder(train, q), train.labels, 1, k);
       for (size_t r : {size_t{1}, size_t{5}, size_t{20}, size_t{60},
                        size_t{119}, size_t{120}, size_t{200}}) {
-        const auto truncated =
-            TruncatedCorrectedKnnShapleySingle(train, q, 1, k, r);
+        const auto truncated = TruncatedCorrected(train, q, 1, k, r);
         const double bound = TruncatedCorrectedKnnShapleyBound(r, n, k);
         ASSERT_EQ(truncated.size(), exact.size());
         double err = 0.0;
@@ -275,9 +304,9 @@ TEST_F(SelectTest, TruncatedValuesIdenticalAcrossStrategiesAndBlocking) {
   const Dataset query = SingleQuery(4, 10, /*label=*/0);
   const auto q = query.features.Row(0);
   for (size_t r : {size_t{4}, size_t{25}}) {
-    const auto serial = TruncatedExactKnnShapleySingle(train, q, 0, 3, r);
+    const auto serial = TruncatedExact(train, q, 0, 3, r);
     SetIntraQueryOptions({.min_rows = 1, .block_rows = 11});
-    EXPECT_EQ(TruncatedExactKnnShapleySingle(train, q, 0, 3, r), serial)
+    EXPECT_EQ(TruncatedExact(train, q, 0, 3, r), serial)
         << "r=" << r << " blocked";
     SetIntraQueryOptions(IntraQueryOptions{});
   }

@@ -247,11 +247,11 @@ std::string Answer(RequestPipeline& pipeline, const std::string& line) {
   return pipeline.HandleSync(parsed.value).Dump();
 }
 
-// The session every topology must answer identically: two corpora (one
-// Gaussian, one tie-heavy), multi-query batches, full, truncated and
-// cosine variants of every ranked method, plus a method that ranks
-// nothing (it runs unsharded inside the same server and must also
-// agree).
+// The session every topology must answer identically: three corpora (one
+// Gaussian, one tie-heavy, one tie-heavy with regression targets),
+// multi-query batches, full, truncated and cosine variants of every
+// ranked method, plus a method that ranks nothing (it runs unsharded
+// inside the same server and must also agree).
 std::vector<std::string> EquivalenceSession(uint64_t seed) {
   std::vector<std::string> lines;
   lines.push_back(R"({"op":"load","name":"train","rows":)" +
@@ -262,6 +262,10 @@ std::vector<std::string> EquivalenceSession(uint64_t seed) {
                   RowsJson(3, 4, 3, seed + 2) + R"(,"target":"label"})");
   lines.push_back(R"({"op":"load","name":"qt","rows":)" +
                   TieRowsJson(2, 3, seed + 3) + R"(,"target":"label"})");
+  lines.push_back(R"({"op":"load","name":"reg","rows":)" +
+                  TieRowsJson(600, 7, seed + 4) + R"(,"target":"target"})");
+  lines.push_back(R"({"op":"load","name":"qr","rows":)" +
+                  TieRowsJson(2, 7, seed + 5) + R"(,"target":"target"})");
   for (const char* train : {"train", "ties"}) {
     const char* test = train[0] == 't' && train[1] == 'r' ? "q" : "qt";
     for (const char* extra : {"", R"(,"approx_error":0.2)",
@@ -289,6 +293,15 @@ std::vector<std::string> EquivalenceSession(uint64_t seed) {
                     R"(","test":")" + test +
                     R"(","method":"lsh","k":3,"epsilon":0.5,"delta":0.2,"seed":7})");
   }
+  // The full-rank methods that read the query or the targets.
+  lines.push_back(
+      R"({"op":"value","train":"reg","test":"qr","method":"regression","k":3})");
+  lines.push_back(
+      R"({"op":"value","train":"train","test":"q","method":"weighted","k":2,)"
+      R"("task":"weighted-classification","kernel":"inverse"})");
+  lines.push_back(
+      R"({"op":"value","train":"reg","test":"qr","method":"weighted","k":2,)"
+      R"("task":"weighted-regression","kernel":"inverse"})");
   return lines;
 }
 
@@ -299,6 +312,8 @@ TEST(ShardEquivalenceTest, ShardedResponsesAreByteIdentical) {
   std::vector<std::string> expected;
   for (const std::string& line : session) {
     expected.push_back(Answer(*baseline, line));
+    EXPECT_NE(expected.back().find(R"("ok":true)"), std::string::npos)
+        << expected.back();
   }
 
   // 600 rows = 3 fingerprint blocks, so 8 planned shards clamp to 3 —

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "dataset/dataset.h"
+#include "knn/ranking.h"
 #include "util/random.h"
 
 namespace knnshap {
@@ -59,6 +62,20 @@ inline Dataset SingleQuery(size_t dim, uint64_t seed, int label = 0,
   data.labels = {label};
   data.targets = {target};
   return data;
+}
+
+/// The first min(r, N) rows of `train`'s ascending (distance, index)
+/// ranking of `query` — what a valuator's LocalRanking hands its
+/// recursion. `dists` (optional) receives every row's distance.
+inline std::vector<int> RankOrder(const Dataset& train, std::span<const float> query,
+                                  size_t r = std::numeric_limits<size_t>::max(),
+                                  Metric metric = Metric::kL2,
+                                  std::vector<double>* dists = nullptr) {
+  std::vector<double> scratch;
+  std::vector<int> order;
+  LocalRanking(&train.features, metric)
+      .Rank(query, r, dists != nullptr ? dists : &scratch, &order);
+  return order;
 }
 
 /// Asserts elementwise |a - b| <= tol.

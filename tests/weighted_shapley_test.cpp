@@ -19,6 +19,7 @@ namespace {
 using testing_util::ExpectVectorNear;
 using testing_util::RandomClassDataset;
 using testing_util::RandomRegDataset;
+using testing_util::RankOrder;
 using testing_util::SingleQuery;
 
 struct WeightedCase {
@@ -126,8 +127,9 @@ TEST(WeightedShapleyTest, MultiTestAveragesSingles) {
   auto multi = ExactWeightedKnnShapley(train, test, options, false);
   std::vector<double> manual(train.Size(), 0.0);
   for (size_t j = 0; j < test.Size(); ++j) {
-    auto single = ExactWeightedKnnShapleySingle(train, test.features.Row(j),
-                                                test.labels[j], 0.0, options);
+    auto single = ExactWeightedKnnShapleyFromOrder(
+        train, RankOrder(train, test.features.Row(j)), test.features.Row(j),
+        test.labels[j], 0.0, options);
     for (size_t i = 0; i < train.Size(); ++i) manual[i] += single[i] / 3.0;
   }
   ExpectVectorNear(multi, manual, 1e-10);

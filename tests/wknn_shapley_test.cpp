@@ -25,6 +25,7 @@ namespace {
 
 using testing_util::ExpectVectorNear;
 using testing_util::RandomClassDataset;
+using testing_util::RankOrder;
 using testing_util::SingleQuery;
 
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
@@ -34,11 +35,27 @@ double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   return worst;
 }
 
+/// One query's context, from its full LocalRanking.
+WknnQueryContext QueryContext(const Dataset& train, std::span<const float> query,
+                              int test_label, const WknnShapleyOptions& options) {
+  std::vector<double> dists;
+  std::vector<int> order = RankOrder(train, query, train.Size(), options.metric, &dists);
+  return MakeWknnQueryContextFromRanking(std::move(order), dists, train.labels,
+                                         test_label, options);
+}
+
+/// One query's SVs through the counting recursion.
+std::vector<double> WknnOne(const Dataset& train, std::span<const float> query,
+                            int test_label, const WknnShapleyOptions& options) {
+  return WknnShapleyFromContext(QueryContext(train, query, test_label, options),
+                                options);
+}
+
 /// Enumeration oracle over the discretized game nu-hat.
 std::vector<double> DiscretizedOracle(const Dataset& train, const Dataset& test,
                                       const WknnShapleyOptions& options) {
-  WknnQueryContext ctx = MakeWknnQueryContext(train, test.features.Row(0),
-                                              test.labels[0], options);
+  WknnQueryContext ctx =
+      QueryContext(train, test.features.Row(0), test.labels[0], options);
   CallableUtility utility(static_cast<int>(train.Size()),
                           [&](std::span<const int> subset) {
                             return WknnDiscretizedUtility(ctx, subset, options.k);
@@ -101,8 +118,7 @@ TEST_P(WknnVsOracleTest, MatchesEnumerationOfDiscretizedGame) {
   options.weight_bits = bits;
   options.weights.kernel = kernel;
   auto oracle = DiscretizedOracle(train, test, options);
-  auto fast = WknnShapleySingle(train, test.features.Row(0), test.labels[0],
-                                options);
+  auto fast = WknnOne(train, test.features.Row(0), test.labels[0], options);
   ExpectVectorNear(fast, oracle, 1e-10);
 }
 
@@ -153,11 +169,10 @@ TEST(WknnShapleyTest, TieHeavyDuplicateDistancesMatchOracle) {
       options.weight_bits = bits;
       options.weights.kernel = WeightKernel::kInverseDistance;
       auto oracle = DiscretizedOracle(train, test, options);
-      auto fast = WknnShapleySingle(train, test.features.Row(0), 1, options);
+      auto fast = WknnOne(train, test.features.Row(0), 1, options);
       ExpectVectorNear(fast, oracle, 1e-10);
 
-      WknnQueryContext ctx =
-          MakeWknnQueryContext(train, test.features.Row(0), 1, options);
+      WknnQueryContext ctx = QueryContext(train, test.features.Row(0), 1, options);
       for (size_t r = 1; r < 10; ++r) {  // ties must break by row index
         EXPECT_LE(ctx.raw[r], ctx.raw[r - 1] + 1e-12);
       }
@@ -173,10 +188,10 @@ TEST(WknnShapleyTest, EdgeCases) {
   // N = 1: the lone point carries its correctness bit.
   Dataset one = RandomClassDataset(1, 2, 3, 21);
   Dataset q = SingleQuery(3, 22, one.labels[0]);
-  auto sv = WknnShapleySingle(one, q.features.Row(0), one.labels[0], options);
+  auto sv = WknnOne(one, q.features.Row(0), one.labels[0], options);
   ASSERT_EQ(sv.size(), 1u);
   EXPECT_NEAR(sv[0], 1.0, 1e-12);
-  sv = WknnShapleySingle(one, q.features.Row(0), one.labels[0] + 1, options);
+  sv = WknnOne(one, q.features.Row(0), one.labels[0] + 1, options);
   EXPECT_NEAR(sv[0], 0.0, 1e-12);
 
   // K >= N plays identically to K = N.
@@ -186,8 +201,8 @@ TEST(WknnShapleyTest, EdgeCases) {
   capped.k = 7;
   WknnShapleyOptions beyond = options;
   beyond.k = 50;
-  auto sv_capped = WknnShapleySingle(train, test.features.Row(0), 1, capped);
-  auto sv_beyond = WknnShapleySingle(train, test.features.Row(0), 1, beyond);
+  auto sv_capped = WknnOne(train, test.features.Row(0), 1, capped);
+  auto sv_beyond = WknnOne(train, test.features.Row(0), 1, beyond);
   ExpectVectorNear(sv_beyond, sv_capped, 1e-12);
 }
 
@@ -199,9 +214,8 @@ TEST(WknnShapleyTest, EfficiencyAxiomOnDiscretizedGame) {
   options.k = 4;
   options.weight_bits = 4;
   options.weights.kernel = WeightKernel::kGaussian;
-  auto sv = WknnShapleySingle(train, test.features.Row(0), 2, options);
-  WknnQueryContext ctx = MakeWknnQueryContext(train, test.features.Row(0), 2,
-                                              options);
+  auto sv = WknnOne(train, test.features.Row(0), 2, options);
+  WknnQueryContext ctx = QueryContext(train, test.features.Row(0), 2, options);
   std::vector<int> grand(train.Size());
   std::iota(grand.begin(), grand.end(), 0);
   const double total = std::accumulate(sv.begin(), sv.end(), 0.0);
@@ -224,11 +238,10 @@ TEST(WknnDiscretizationTest, WithinBoundOfContinuousOracle) {
     KnnSubsetUtility continuous(&train, &test, options.k,
                                 KnnTask::kWeightedClassification, weights);
     auto oracle = ShapleyByEnumeration(continuous);
-    auto fast =
-        WknnShapleySingle(train, test.features.Row(0), test.labels[0], options);
+    auto fast = WknnOne(train, test.features.Row(0), test.labels[0], options);
 
-    WknnQueryContext ctx = MakeWknnQueryContext(train, test.features.Row(0),
-                                                test.labels[0], options);
+    WknnQueryContext ctx =
+        QueryContext(train, test.features.Row(0), test.labels[0], options);
     const double bound = WknnDiscretizationBound(ctx, options.k);
     EXPECT_LE(MaxAbsDiff(fast, oracle), bound + 1e-12) << "seed " << seed;
     EXPECT_LT(bound, 0.2);  // 6 bits track the continuous weights closely
@@ -244,8 +257,7 @@ TEST(WknnDiscretizationTest, BoundShrinksAsBitsGrow) {
   double previous = 1e9;
   for (int bits : {1, 3, 5, 7}) {
     options.weight_bits = bits;
-    WknnQueryContext ctx =
-        MakeWknnQueryContext(train, test.features.Row(0), 0, options);
+    WknnQueryContext ctx = QueryContext(train, test.features.Row(0), 0, options);
     const double bound = WknnDiscretizationBound(ctx, options.k);
     EXPECT_LE(bound, previous + 1e-12);
     previous = bound;
@@ -269,20 +281,17 @@ TEST(WknnVsTheorem7Test, MatchesWithinDiscretizationBound) {
     exact_options.k = k;
     exact_options.weights.kernel = WeightKernel::kInverseDistance;
     exact_options.task = KnnTask::kWeightedClassification;
-    auto theorem7 = ExactWeightedKnnShapleySingle(train, test.features.Row(0),
-                                                  /*test_label=*/1,
-                                                  /*test_target=*/0.0,
-                                                  exact_options);
+    auto theorem7 = ExactWeightedKnnShapleyFromOrder(
+        train, RankOrder(train, test.features.Row(0)), test.features.Row(0),
+        /*test_label=*/1, /*test_target=*/0.0, exact_options);
 
     WknnShapleyOptions options;
     options.k = k;
     options.weight_bits = 7;
     options.weights.kernel = WeightKernel::kInverseDistance;
-    auto fast =
-        WknnShapleySingle(train, test.features.Row(0), /*test_label=*/1, options);
+    auto fast = WknnOne(train, test.features.Row(0), /*test_label=*/1, options);
 
-    WknnQueryContext ctx =
-        MakeWknnQueryContext(train, test.features.Row(0), 1, options);
+    WknnQueryContext ctx = QueryContext(train, test.features.Row(0), 1, options);
     const double bound = WknnDiscretizationBound(ctx, k);
     EXPECT_LE(MaxAbsDiff(fast, theorem7), bound + 1e-12);
   }
@@ -296,14 +305,14 @@ TEST(WknnApproximationTest, TruncationRespectsTheBudget) {
   WknnShapleyOptions options;
   options.k = 3;
   options.weights.kernel = WeightKernel::kInverseDistance;
-  auto exact = WknnShapleySingle(train, test.features.Row(0), 1, options);
+  auto exact = WknnOne(train, test.features.Row(0), 1, options);
 
   WknnCoalitionWeights weights(150, 3);
   int previous_rank = 0;
   for (double budget : {0.05, 0.01, 0.002}) {
     SCOPED_TRACE(budget);
     options.approx_error = budget;
-    auto approx = WknnShapleySingle(train, test.features.Row(0), 1, options);
+    auto approx = WknnOne(train, test.features.Row(0), 1, options);
     EXPECT_LE(MaxAbsDiff(approx, exact), budget + 1e-12);
     // Tighter budgets look farther down the ranking.
     const int rank = weights.TruncationRank(budget);
@@ -314,7 +323,7 @@ TEST(WknnApproximationTest, TruncationRespectsTheBudget) {
 
   // A budget below the smallest tail step reproduces the exact values.
   options.approx_error = 1e-300;
-  auto tight = WknnShapleySingle(train, test.features.Row(0), 1, options);
+  auto tight = WknnOne(train, test.features.Row(0), 1, options);
   ExpectVectorNear(tight, exact, 0.0);
 }
 

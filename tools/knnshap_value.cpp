@@ -42,6 +42,7 @@
 #include "engine/engine.h"
 #include "engine/registry.h"
 #include "engine/schema.h"
+#include "knn/ranking.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -261,9 +262,13 @@ int SelfTest() {
     double grand_mean = 0.0;
     std::vector<int> everyone(train->Size());
     std::iota(everyone.begin(), everyone.end(), 0);
+    const LocalRanking ranking(&train->features, options.metric);
     for (size_t j = 0; j < test->Size(); ++j) {
-      WknnQueryContext ctx = MakeWknnQueryContext(
-          *train, test->features.Row(j), test->labels[j], options);
+      std::vector<double> dists;
+      std::vector<int> order;
+      ranking.Rank(test->features.Row(j), train->Size(), &dists, &order);
+      WknnQueryContext ctx = MakeWknnQueryContextFromRanking(
+          std::move(order), dists, train->labels, test->labels[j], options);
       grand_mean += WknnDiscretizedUtility(ctx, everyone, options.k);
     }
     grand_mean /= static_cast<double>(test->Size());
