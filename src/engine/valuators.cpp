@@ -3,6 +3,7 @@
 #include "engine/valuators.h"
 
 #include <algorithm>
+#include <string>
 
 #include "core/corrected_knn_shapley.h"
 #include "core/exact_knn_shapley.h"
@@ -400,6 +401,16 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   regression.description = "Exact unweighted KNN regression SVs (Thm 6)";
   regression.params = ResolveParams({"k", "metric"});
   regression.tasks = {KnnTask::kRegression};
+  // Theorem 6's recursion needs N >= K+1; screen k against the corpus so
+  // such a request is a response, not an abort.
+  regression.precondition = [](const ValuatorParams& p, size_t rows) {
+    if (static_cast<size_t>(p.k) < rows) return Status::Ok();
+    return Status::InvalidArgument(
+        "'k' must be less than the training corpus size for regression "
+        "(Theorem 6 needs N >= K+1; got k=" + std::to_string(p.k) + ", " +
+            std::to_string(rows) + " rows)",
+        "k");
+  };
   add(regression, [](const ValuatorParams& p) -> std::unique_ptr<Valuator> {
     return std::make_unique<RegressionValuator>(p);
   });

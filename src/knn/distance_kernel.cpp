@@ -41,11 +41,6 @@ KernelKind EnvKernel() {
 
 }  // namespace
 
-bool KernelChoiceIsAuto() {
-  return g_override.load(std::memory_order_relaxed) == KernelKind::kAuto &&
-         EnvKernel() == KernelKind::kAuto;
-}
-
 bool CpuSupportsAvx2Fma() {
 #if KNNSHAP_KERNEL_HAS_AVX2
   static const bool supported =
@@ -99,17 +94,14 @@ KernelKind ActiveKernel() {
 
 namespace internal {
 
-KernelKind ResolveDistanceKernel(KernelKind resolved, bool was_auto,
-                                 Metric metric, size_t d) {
-  // Only second-guess auto-detection, and only where the bench shows the
-  // blocked path losing to the scalar loop: plain L2 (the per-row sqrt
-  // serializes the pass) at small d (the norm-identity guard's overhead is
-  // not amortized). Pinned kernels are never rerouted.
-  if (was_auto && resolved == KernelKind::kBlocked && metric == Metric::kL2 &&
-      d < 32) {
+KernelKind ResolveDistanceKernel(KernelKind kind, Metric metric, size_t d) {
+  // Only where the bench shows the blocked path losing to the scalar
+  // loop: plain L2 (the per-row sqrt serializes the pass) at small d (the
+  // norm-identity guard's overhead is not amortized).
+  if (kind == KernelKind::kBlocked && metric == Metric::kL2 && d < 32) {
     return KernelKind::kReference;
   }
-  return resolved;
+  return kind;
 }
 
 }  // namespace internal
@@ -566,8 +558,8 @@ void ComputeDistances(const Matrix& corpus, std::span<const float> query,
   const size_t d = corpus.Cols();
   KNNSHAP_CHECK(query.size() == d, "query dimension mismatch");
   KNNSHAP_CHECK(out.size() >= rows, "output buffer too small");
-  const KernelKind kind = internal::ResolveDistanceKernel(
-      ActiveKernel(), KernelChoiceIsAuto(), metric, d);
+  const KernelKind kind =
+      internal::ResolveDistanceKernel(ActiveKernel(), metric, d);
   ComputeDistancesCore(kind, corpus, query.data(), metric, norms, 0, rows, out);
 }
 
@@ -580,8 +572,8 @@ void ComputeDistancesRange(const Matrix& corpus, std::span<const float> query,
   KNNSHAP_CHECK(row_begin <= row_end && row_end <= corpus.Rows(),
                 "row range out of bounds");
   KNNSHAP_CHECK(out.size() >= row_end - row_begin, "output buffer too small");
-  const KernelKind kind = internal::ResolveDistanceKernel(
-      ActiveKernel(), KernelChoiceIsAuto(), metric, d);
+  const KernelKind kind =
+      internal::ResolveDistanceKernel(ActiveKernel(), metric, d);
   ComputeDistancesCore(kind, corpus, query.data(), metric, norms, row_begin,
                        row_end, out);
 }
@@ -595,7 +587,8 @@ void ComputeDistanceMatrix(const Matrix& corpus, const Matrix& queries,
   KNNSHAP_CHECK(queries.Cols() == d || num_queries == 0,
                 "query dimension mismatch");
   KNNSHAP_CHECK(out.size() >= rows * num_queries, "output buffer too small");
-  const KernelKind kind = ActiveKernel();
+  const KernelKind kind =
+      internal::ResolveDistanceKernel(ActiveKernel(), metric, d);
   if (kind == KernelKind::kReference) {
     for (size_t j = 0; j < num_queries; ++j) {
       const float* q = queries.Row(j).data();
@@ -687,8 +680,8 @@ void ComputeDistancesFor(const Matrix& corpus, std::span<const int> rows,
   const size_t d = corpus.Cols();
   KNNSHAP_CHECK(query.size() == d, "query dimension mismatch");
   KNNSHAP_CHECK(out.size() >= rows.size(), "output buffer too small");
-  const KernelKind kind = internal::ResolveDistanceKernel(
-      ActiveKernel(), KernelChoiceIsAuto(), metric, d);
+  const KernelKind kind =
+      internal::ResolveDistanceKernel(ActiveKernel(), metric, d);
   const float* q = query.data();
   if (kind == KernelKind::kReference) {
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -34,10 +34,11 @@
 // KNNSHAP_KERNEL environment variable ("reference", "blocked", "avx2",
 // "auto"; KernelFromName is the one name table), else auto (avx2 when
 // the CPU supports it, blocked otherwise) —
-// refined per call by internal::ResolveDistanceKernel, which sends
-// auto-dispatched small-d plain-l2 single-query passes back to the
-// reference loop (the blocked norm-identity path measures slower than the
-// scalar one there; see BENCH_kernel.json).
+// refined per call by internal::ResolveDistanceKernel, which sends the
+// blocked kernel's small-d plain-l2 passes back to the reference loop
+// (the blocked norm-identity path measures slower than the scalar one
+// there; see BENCH_kernel.json). Every distance entry point applies that
+// one rule, so a distance depends on (kernel name, metric, d) alone.
 
 #ifndef KNNSHAP_KNN_DISTANCE_KERNEL_H_
 #define KNNSHAP_KNN_DISTANCE_KERNEL_H_
@@ -83,12 +84,6 @@ void SetKernelOverride(KernelKind kind);
 /// The kernel every batch entry point will actually run, after applying
 /// the override, the KNNSHAP_KERNEL environment variable, and cpuid.
 KernelKind ActiveKernel();
-
-/// True when neither SetKernelOverride nor KNNSHAP_KERNEL pins the
-/// kernel: the auto-dispatch case ResolveDistanceKernel may refine per
-/// call, so two processes on the same ActiveKernel() compute the same
-/// distances only when they also agree on this.
-bool KernelChoiceIsAuto();
 
 /// Precomputed per-row norms of a corpus, shared by every query against it.
 /// Supplying one to the batch entry points lets the squared-L2 / L2 /
@@ -174,17 +169,17 @@ namespace internal {
 /// share the exact accumulation order of the distance pass).
 double KernelDot(const float* a, const float* b, size_t d);
 
-/// Pure per-call dispatch policy applied on top of ActiveKernel() by the
-/// single-query entry points (ComputeDistances / ComputeDistancesRange /
-/// ComputeDistancesFor): when the kernel was chosen by auto-detection
-/// (`was_auto`, i.e. neither an override nor the environment pinned it)
-/// and resolved to the blocked path for a plain-L2 pass at small d, the
-/// reference loop is returned instead — BENCH_kernel.json shows blocked
-/// 0.82-0.90x *slower* than scalar there (the per-row sqrt hides the
-/// multi-accumulator win and the norm-identity guard adds work). Exposed
-/// pure so the policy is testable on machines whose own auto pick differs.
-KernelKind ResolveDistanceKernel(KernelKind resolved, bool was_auto,
-                                 Metric metric, size_t d);
+/// Pure per-call dispatch policy applied on top of ActiveKernel() by every
+/// distance entry point (ComputeDistances / ComputeDistancesRange /
+/// ComputeDistanceMatrix / ComputeDistancesFor): the blocked kernel's
+/// plain-L2 passes at small d run the reference loop instead —
+/// BENCH_kernel.json shows blocked 0.82-0.90x *slower* than scalar there
+/// (the per-row sqrt hides the multi-accumulator win and the norm-identity
+/// guard adds work). Whether the kernel was pinned or auto-selected does
+/// not matter, so two processes on the same ActiveKernel() compute the
+/// same distances. Exposed pure so the policy is testable on machines
+/// whose own auto pick differs.
+KernelKind ResolveDistanceKernel(KernelKind kind, Metric metric, size_t d);
 }  // namespace internal
 
 }  // namespace knnshap

@@ -33,9 +33,9 @@ std::atomic<size_t> g_intra_min_rows{IntraQueryOptions{}.min_rows};
 std::atomic<size_t> g_intra_block_rows{IntraQueryOptions{}.block_rows};
 
 // Top-min(r, n) of `dists` by (distance, index): serial streaming selection
-// below the intra-query threshold, per-block selection with an exact
-// candidate merge above it. Either way bit-identical to the same-length
-// ArgsortDistances prefix.
+// below the intra-query threshold, per-block selection with an exact k-way
+// merge of the blocks' runs above it. Either way bit-identical to the
+// same-length ArgsortDistances prefix.
 void BlockedTopR(std::span<const double> dists, size_t r,
                  std::vector<int>* order) {
   const size_t n = dists.size();
@@ -55,15 +55,11 @@ void BlockedTopR(std::span<const double> dists, size_t r,
     std::vector<int>& top = block_tops[b];
     // Block-local indices order identically to their global counterparts
     // (the offset is monotone), so the per-block exact top-r is the
-    // restriction of the global order to the block.
+    // restriction of the global order to the block: an ascending run.
     PartialArgsortDistances(dists.subspan(begin, end - begin), r, &top);
     for (int& idx : top) idx += static_cast<int>(begin);
   });
-  order->clear();
-  for (const std::vector<int>& top : block_tops) {
-    order->insert(order->end(), top.begin(), top.end());
-  }
-  MergeTopCandidates(dists, order, r);
+  MergeSortedCandidateRuns(dists, block_tops, r, order);
 }
 
 }  // namespace

@@ -244,20 +244,6 @@ void PartialArgsortDistances(std::span<const double> dists, size_t r,
   order->resize(std::min(r, n));
 }
 
-void MergeTopCandidates(std::span<const double> dists,
-                        std::vector<int>* candidates, size_t r) {
-  r = std::min(r, candidates->size());
-  // The candidate lists are tiny (r per shard); a full exact sort is
-  // cheaper to reason about than a k-way merge and equally fast here.
-  std::sort(candidates->begin(), candidates->end(), [&dists](int a, int b) {
-    double da = dists[static_cast<size_t>(a)];
-    double db = dists[static_cast<size_t>(b)];
-    if (da != db) return da < db;
-    return a < b;
-  });
-  candidates->resize(r);
-}
-
 void MergeSortedCandidateRuns(std::span<const double> dists,
                               std::span<const std::vector<int>> runs, size_t r,
                               std::vector<int>* out) {

@@ -30,7 +30,7 @@
 // it, a distance of -0.0 keys identically to +0.0 and the tie breaks by
 // index — the same answer every double comparator gives, because
 // -0.0 == +0.0 under operator== and operator<. External callers merging
-// per-shard candidate runs (MergeTopCandidates below) may therefore
+// per-shard candidate runs (MergeSortedCandidateRuns below) may therefore
 // compare raw double distances with (dist, index) and reproduce the
 // packed order bit for bit; -0.0 distances (cosine rounding) need no
 // special-casing on their side. Pinned by select_test.cpp.
@@ -68,23 +68,14 @@ namespace knnshap {
 void PartialArgsortDistances(std::span<const double> dists, size_t r,
                              std::vector<int>* order);
 
-/// Exact merge of per-shard candidate lists: keeps the first min(r, size)
-/// entries of *candidates by (dists[i], i) ascending, in order. When every
-/// shard contributed its own exact top-r (e.g. from PartialArgsortDistances
-/// over a block, offset to global indices), the result is bit-identical to
-/// the global top-r — the shard-merge building block for blocked
-/// single-query parallelism and multi-shard serving.
-void MergeTopCandidates(std::span<const double> dists,
-                        std::vector<int>* candidates, size_t r);
-
 /// K-way merge of per-shard candidate *runs*, each already ascending by
 /// (dists[i], i) — exactly what PartialArgsortDistances over a contiguous
-/// shard produces after offsetting to global indices. Appends the first
-/// min(r, total) entries of the merged order into *out (cleared first),
-/// bit-identical to MergeTopCandidates over the concatenation but in
-/// O(total * runs) comparisons instead of a full sort — the multi-shard
-/// serving path runs it at r = N for the full-recursion methods, where
-/// re-sorting would repay the argsort the shards just parallelized.
+/// block or shard produces after offsetting to global indices. Appends the
+/// first min(r, total) entries of the merged order into *out (cleared
+/// first); when every run is its part's exact top-r, that is the global
+/// top-r bit for bit. O(total * runs) comparisons, no re-sort — the merge
+/// under blocked single-query selection and multi-shard serving, where
+/// the router runs it at r = N for the full-recursion methods.
 void MergeSortedCandidateRuns(std::span<const double> dists,
                               std::span<const std::vector<int>> runs, size_t r,
                               std::vector<int>* out);

@@ -60,14 +60,8 @@ ShardTransportCounters ShardTransportCounters::From(MetricsRegistry* metrics) {
 }
 
 std::vector<std::string> ShardWorkerCommand(std::string binary) {
-  std::vector<std::string> argv = {std::move(binary), "--serial",
-                                    "--no-timing", "--no-obs"};
-  // A pinned worker never reroutes a pass the way an auto one may
-  // (ResolveDistanceKernel), so the child pins exactly when we do.
-  if (!KernelChoiceIsAuto()) {
-    argv.push_back("--kernel=" + std::string(KernelName(ActiveKernel())));
-  }
-  return argv;
+  return {std::move(binary), "--serial", "--no-timing", "--no-obs",
+          "--kernel=" + std::string(KernelName(ActiveKernel()))};
 }
 
 ShardConnection::ShardConnection(ShardRange range, std::string corpus_name,
@@ -223,21 +217,14 @@ Status ShardConnection::Sync(const Dataset& corpus,
         std::to_string(wire::kProtocolVersion)));
   }
   // The router orders rows by the distances its workers computed, so both
-  // sides must run the same kernel, chosen the same way: kernels differ in
-  // the last bits, and an auto-chosen one reroutes some passes.
-  const auto chosen = [](bool automatic) {
-    return automatic ? ", auto-selected" : ", pinned";
-  };
+  // sides must run the same kernel: kernels differ in the last bits.
   const std::string kernel = parsed.value.Get("kernel").AsString();
-  const JsonValue& kernel_auto = parsed.value.Get("kernel_auto");
-  if (kernel != KernelName(ActiveKernel()) || !kernel_auto.IsBool() ||
-      kernel_auto.AsBool() != KernelChoiceIsAuto()) {
+  if (kernel != KernelName(ActiveKernel())) {
     return Fail(Status::FailedPrecondition(
         "shard worker " + peer_ + " runs the " +
-        (kernel.empty() ? "unknown" : kernel) + " distance kernel" +
-        (kernel_auto.IsBool() ? chosen(kernel_auto.AsBool()) : "") +
-        "; this router runs the " + KernelName(ActiveKernel()) + " kernel" +
-        chosen(KernelChoiceIsAuto())));
+        (kernel.empty() ? "unknown" : kernel) +
+        " distance kernel; this router runs the " +
+        KernelName(ActiveKernel()) + " kernel"));
   }
   // Window sync: ask what the worker holds, ship what its window lacks. A
   // worker that kept its window across a router re-fit (the common warm

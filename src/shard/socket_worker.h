@@ -9,18 +9,17 @@
 // socketpair (the child's stdin and stdout) and owns the child, reaping it
 // on destruction — a child whose router goes away sees EOF and exits.
 // Either way, Sync() then checks the worker speaks this build's protocol
-// version and runs the router's distance kernel, chosen the same way
-// (`protocol` op; any other version or (kernel, kernel_auto) pair is a
-// failed_precondition naming both) and brings the worker's window — the
-// shard's rows of the corpus, and nothing else — up to date: it asks
-// which rows the worker holds and their per-block content digests
-// (`digests` op) and ships, in one packed `load_delta`, nothing (the
-// worker holds the window), the window's blocks it lacks, or every block
-// of the window (unknown/incompatible worker state — always the case for
-// a fresh child). Every sync path ends with the worker echoing its
-// independently recomputed window fingerprint, which must equal the
-// router's — transport corruption and stale-worker states are caught
-// before any candidates flow. Candidates are one JSONL
+// version and runs the router's distance kernel (`protocol` op; any other
+// version or kernel is a failed_precondition naming both) and brings the
+// worker's window — the shard's rows of the corpus, and nothing else — up
+// to date: it asks which rows the worker holds and their per-block
+// content digests (`digests` op) and ships, in one packed `load_delta`,
+// nothing (the worker holds the window), the window's blocks it lacks, or
+// every block of the window (unknown/incompatible worker state — always
+// the case for a fresh child). Every sync path ends with the worker
+// echoing its independently recomputed window fingerprint, which must
+// equal the router's — transport corruption and stale-worker states are
+// caught before any candidates flow. Candidates are one JSONL
 // line exchange (shard/wire.h), split into SendCandidates() and
 // ReadCandidates() so the router can have a request in flight on every
 // shard at once, under the socket's SO_RCVTIMEO/SO_SNDTIMEO — a worker
@@ -77,9 +76,8 @@ struct ShardTransportCounters {
 
 /// The argv that spawns the serve binary `binary` as a shard worker:
 /// serial, untimed and unobserved so it answers deterministically, and on
-/// the caller's kernel so its candidate distances are bit-identical to
-/// the router's own: pinned with --kernel= when the caller's is pinned,
-/// auto-detected like the caller's otherwise.
+/// the caller's kernel (--kernel=ActiveKernel()) so its candidate
+/// distances are bit-identical to the router's own.
 std::vector<std::string> ShardWorkerCommand(std::string binary);
 
 /// One replica of a shard: a remote worker to dial, or the argv of a

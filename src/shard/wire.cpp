@@ -57,7 +57,6 @@ JsonValue ProtocolResponse() {
   JsonValue out = OkResponse();
   out.Set("protocol", JsonValue(kProtocolVersion));
   out.Set("kernel", JsonValue(KernelName(ActiveKernel())));
-  out.Set("kernel_auto", JsonValue(KernelChoiceIsAuto()));
   return out;
 }
 

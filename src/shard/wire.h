@@ -51,14 +51,11 @@ namespace wire {
 
 /// The protocol version this build speaks: the `protocol` op reports it,
 /// and a router refuses a worker that reports another.
-inline constexpr int kProtocolVersion = 4;
+inline constexpr int kProtocolVersion = 5;
 
-/// The `protocol` reply: the version, this process's resolved distance
-/// kernel and whether auto-detection chose it (`kernel_auto`). A router
-/// refuses a worker on another version or (kernel, kernel_auto) pair,
-/// since it orders rows by the distances its workers computed, and an
-/// auto-chosen kernel reroutes some passes (ResolveDistanceKernel) where a
-/// pinned one does not.
+/// The `protocol` reply: the version and this process's resolved distance
+/// kernel. A router refuses a worker on another version or kernel, since
+/// it orders rows by the distances its workers computed.
 JsonValue ProtocolResponse();
 
 /// Padded RFC 4648 base64, the text form of every packed payload.

@@ -98,35 +98,41 @@ TEST_F(KernelTest, OverrideAndNames) {
   EXPECT_EQ(untouched, KernelKind::kBlocked);
 }
 
-// Satellite pin: when auto-dispatch resolved to the blocked kernel for a
-// plain-l2 single-query pass at small d, the policy routes it back to the
-// scalar reference loop (BENCH_kernel.json measures blocked 0.82-0.90x
-// *slower* there). Pure-function pin so the policy is testable on machines
-// whose own auto pick is avx2.
-TEST_F(KernelTest, AutoDispatchRoutesSmallDimPlainL2ToReference) {
+// The blocked kernel's plain-l2 passes at small d run the scalar
+// reference loop (BENCH_kernel.json measures blocked 0.82-0.90x *slower*
+// there), whether blocked was pinned or auto-selected: the policy reads
+// the kernel, the metric and d, nothing else. Pure-function pin so the
+// policy is testable on machines whose own auto pick is avx2.
+TEST_F(KernelTest, BlockedRoutesSmallDimPlainL2ToReference) {
   using internal::ResolveDistanceKernel;
-  // The regression case: auto picked blocked, plain l2, small d.
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, /*was_auto=*/true,
-                                  Metric::kL2, 16),
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, Metric::kL2, 16),
             KernelKind::kReference);
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, true, Metric::kL2, 31),
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, Metric::kL2, 31),
             KernelKind::kReference);
   // d >= 32: the multi-accumulator win outweighs the sqrt, keep blocked.
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, true, Metric::kL2, 32),
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, Metric::kL2, 32),
             KernelKind::kBlocked);
   // Other metrics keep the fast path (squared-l2 has no per-row sqrt).
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, true,
-                                  Metric::kSquaredL2, 16),
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, Metric::kSquaredL2, 16),
             KernelKind::kBlocked);
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, true, Metric::kL1, 16),
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, Metric::kL1, 16),
             KernelKind::kBlocked);
-  // An explicit override or env pin is never second-guessed.
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kBlocked, /*was_auto=*/false,
-                                  Metric::kL2, 16),
-            KernelKind::kBlocked);
-  // Auto resolving to avx2 is also left alone.
-  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kAvx2, true, Metric::kL2, 16),
+  // The other kernels are left alone.
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kAvx2, Metric::kL2, 16),
             KernelKind::kAvx2);
+  EXPECT_EQ(ResolveDistanceKernel(KernelKind::kReference, Metric::kL2, 16),
+            KernelKind::kReference);
+  // Pinned and auto-selected blocked resolve alike: pinning blocked and
+  // auto-detection on a CPU without avx2/fma both leave ActiveKernel() at
+  // kBlocked, and the policy sees nothing else.
+  SetKernelOverride(KernelKind::kBlocked);
+  EXPECT_EQ(ResolveDistanceKernel(ActiveKernel(), Metric::kL2, 16),
+            KernelKind::kReference);
+  SetKernelOverride(KernelKind::kAuto);
+  if (!CpuSupportsAvx2Fma()) {
+    EXPECT_EQ(ResolveDistanceKernel(ActiveKernel(), Metric::kL2, 16),
+              KernelKind::kReference);
+  }
 }
 
 // ---------------------------------------------------- distance parity ----
@@ -310,28 +316,33 @@ TEST_F(KernelTest, DistanceMatrixMatchesPerQueryPass) {
 
 TEST_F(KernelTest, ForEachBatchedTopKMatchesPerQuery) {
   // 35 queries exercise the 16-query chunking (16 + 16 + 3); results must
-  // be bit-identical to per-query TopKNeighbors.
-  Matrix corpus = RandomMatrix(50, 9, 16);
-  Matrix queries = RandomMatrix(35, 9, 17);
-  for (KernelKind kind : FastKernels()) {
-    SetKernelOverride(kind);
-    const CorpusNorms norms(corpus);
-    for (Metric metric : kAllMetrics) {
-      size_t seen = 0;
-      ForEachBatchedTopK(corpus, queries, 7, metric, &norms,
-                         [&](size_t row, const std::vector<Neighbor>& nns) {
-                           EXPECT_EQ(row, seen++);
-                           auto ref = TopKNeighbors(corpus, queries.Row(row), 7,
-                                                    metric, &norms);
-                           ASSERT_EQ(nns.size(), ref.size());
-                           for (size_t i = 0; i < ref.size(); ++i) {
-                             EXPECT_EQ(nns[i].index, ref[i].index);
-                             EXPECT_EQ(nns[i].distance, ref[i].distance)
-                                 << MetricName(metric) << " kernel="
-                                 << KernelName(kind);
-                           }
-                         });
-      EXPECT_EQ(seen, queries.Rows());
+  // be bit-identical to per-query TopKNeighbors under every kernel, on
+  // both sides of the blocked kernel's d < 32 plain-l2 reroute.
+  for (size_t d : {size_t{9}, size_t{16}, size_t{31}, size_t{32}}) {
+    Matrix corpus = RandomMatrix(50, d, 16);
+    Matrix queries = RandomMatrix(35, d, 17);
+    std::vector<KernelKind> kinds = FastKernels();
+    kinds.push_back(KernelKind::kReference);
+    for (KernelKind kind : kinds) {
+      SetKernelOverride(kind);
+      const CorpusNorms norms(corpus);
+      for (Metric metric : kAllMetrics) {
+        size_t seen = 0;
+        ForEachBatchedTopK(corpus, queries, 7, metric, &norms,
+                           [&](size_t row, const std::vector<Neighbor>& nns) {
+                             EXPECT_EQ(row, seen++);
+                             auto ref = TopKNeighbors(corpus, queries.Row(row),
+                                                      7, metric, &norms);
+                             ASSERT_EQ(nns.size(), ref.size());
+                             for (size_t i = 0; i < ref.size(); ++i) {
+                               EXPECT_EQ(nns[i].index, ref[i].index);
+                               EXPECT_EQ(nns[i].distance, ref[i].distance)
+                                   << MetricName(metric) << " d=" << d
+                                   << " kernel=" << KernelName(kind);
+                             }
+                           });
+        EXPECT_EQ(seen, queries.Rows());
+      }
     }
   }
 }

@@ -817,52 +817,16 @@ TEST(RemoteShardTest, FirstFitSendsEachRowOnce) {
             std::string::npos);
 }
 
-// An auto-selected kernel reroutes some passes (ResolveDistanceKernel)
-// where a pinned one of the same name does not, so a worker whose
-// kernel_auto differs from the router's is refused at connect.
-TEST(RemoteShardTest, WorkerOnAnotherKernelChoiceIsAFailedPrecondition) {
-  LoopbackWorker stub;
-  const std::string other_choice = KernelChoiceIsAuto() ? "false" : "true";
-  stub.SetLineHook([&](const std::string&) -> std::string {
-    return R"({"ok":true,"protocol":)" +
-           std::to_string(wire::kProtocolVersion) + R"(,"kernel":")" +
-           KernelName(ActiveKernel()) + R"(","kernel_auto":)" + other_choice +
-           "}";
-  });
-  Dataset corpus;
-  for (int i = 0; i < 300; ++i) {
-    corpus.features.AppendRow(std::vector<float>{1.0f * i, 2.0f, 3.0f});
-    corpus.labels.push_back(i % 2);
+// A spawned worker always pins the router's active kernel, pinned or
+// auto-selected alike.
+TEST(RemoteShardTest, SpawnedWorkersPinTheActiveKernel) {
+  for (KernelKind kind : {KernelKind::kReference, KernelKind::kAuto}) {
+    SetKernelOverride(kind);
+    const std::vector<std::string> argv = ShardWorkerCommand("knnshap_serve");
+    const std::string pin =
+        "--kernel=" + std::string(KernelName(ActiveKernel()));
+    EXPECT_EQ(std::count(argv.begin(), argv.end(), pin), 1) << pin;
   }
-  const CorpusDigests digests = ComputeCorpusDigests(corpus);
-  ShardConnection worker(ShardRange{0, corpus.Size(), 0}, "c", Metric::kL2,
-                         SocketWorkerOptions{}, ShardTransportCounters{});
-  Endpoint endpoint;
-  std::string error;
-  ASSERT_TRUE(ParseEndpoint(stub.Address(), &endpoint, &error)) << error;
-  ASSERT_TRUE(worker.Dial(endpoint).ok());
-  const Status status = worker.Sync(corpus, digests);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
-      << status.message();
-  EXPECT_NE(status.message().find(KernelChoiceIsAuto() ? "pinned"
-                                                       : "auto-selected"),
-            std::string::npos)
-      << status.message();
-  EXPECT_EQ(worker.Health().code(), StatusCode::kFailedPrecondition);
-}
-
-// A spawned worker pins its kernel exactly when the router's is pinned.
-TEST(RemoteShardTest, SpawnedWorkersPinOnlyAPinnedKernel) {
-  const auto pins = [] {
-    for (const std::string& arg : ShardWorkerCommand("knnshap_serve")) {
-      if (arg.rfind("--kernel=", 0) == 0) return arg;
-    }
-    return std::string();
-  };
-  SetKernelOverride(KernelKind::kReference);
-  EXPECT_EQ(pins(), "--kernel=reference");
-  SetKernelOverride(KernelKind::kAuto);
-  EXPECT_EQ(pins().empty(), KernelChoiceIsAuto());
 }
 
 // ---------------------------------------------------------------------------

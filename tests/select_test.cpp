@@ -149,7 +149,7 @@ TEST_F(SelectTest, PartialPrefixMatchesArgsortOnTieHeavyFixtures) {
   }
 }
 
-TEST_F(SelectTest, MergeTopCandidatesEqualsGlobalTopR) {
+TEST_F(SelectTest, MergedBlockRunsEqualGlobalTopR) {
   for (const auto& dists : TieHeavyFixtures()) {
     const size_t n = dists.size();
     std::vector<int> full;
@@ -157,21 +157,24 @@ TEST_F(SelectTest, MergeTopCandidatesEqualsGlobalTopR) {
     for (size_t r : InterestingRs(n)) {
       for (size_t block : {size_t{1}, size_t{3}, size_t{64}}) {
         // Per-block exact top-r (block-local selection, offset to global
-        // indices) then one exact merge — the BlockedTopR recipe.
-        std::vector<int> candidates;
+        // indices) then one k-way merge of the runs — the BlockedTopR
+        // recipe.
+        std::vector<std::vector<int>> runs;
         for (size_t begin = 0; begin < n; begin += block) {
           const size_t end = std::min(begin + block, n);
           std::vector<int> local;
           PartialArgsortDistances(
               std::span<const double>(dists).subspan(begin, end - begin), r,
               &local);
-          for (int idx : local) candidates.push_back(idx + static_cast<int>(begin));
+          for (int& idx : local) idx += static_cast<int>(begin);
+          runs.push_back(std::move(local));
         }
-        MergeTopCandidates(dists, &candidates, r);
+        std::vector<int> merged;
+        MergeSortedCandidateRuns(dists, runs, r, &merged);
         const size_t want = std::min(r, n);
-        ASSERT_EQ(candidates.size(), want) << "n=" << n << " r=" << r;
+        ASSERT_EQ(merged.size(), want) << "n=" << n << " r=" << r;
         for (size_t i = 0; i < want; ++i) {
-          ASSERT_EQ(candidates[i], full[i])
+          ASSERT_EQ(merged[i], full[i])
               << "n=" << n << " r=" << r << " block=" << block << " rank=" << i;
         }
       }
@@ -365,8 +368,7 @@ TEST_F(SelectTest, SignedZeroKeysIdenticallyToPositiveZero) {
 
 // The k-way run merge the shard router uses at r = N: merging each
 // contiguous part's exact top-r (offset to global indices) must reproduce
-// the global top-r bit for bit, and agree with the sort-based
-// MergeTopCandidates over the concatenated runs.
+// the global top-r, the ArgsortDistances prefix, bit for bit.
 TEST_F(SelectTest, MergeSortedCandidateRunsMatchesGlobalTopR) {
   for (const auto& dists : TieHeavyFixtures()) {
     const size_t n = dists.size();
@@ -394,13 +396,6 @@ TEST_F(SelectTest, MergeSortedCandidateRunsMatchesGlobalTopR) {
         std::vector<int> merged;
         MergeSortedCandidateRuns(dists, runs, r, &merged);
         EXPECT_EQ(merged, expected) << "parts=" << parts << " r=" << r;
-
-        std::vector<int> concatenated;
-        for (const auto& run : runs) {
-          concatenated.insert(concatenated.end(), run.begin(), run.end());
-        }
-        MergeTopCandidates(dists, &concatenated, r);
-        EXPECT_EQ(concatenated, expected) << "parts=" << parts << " r=" << r;
       }
     }
   }

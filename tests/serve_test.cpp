@@ -355,9 +355,8 @@ TEST(ServeTest, DescribeListsEveryMethodWithTypedParams) {
   EXPECT_EQ(missing.Get("code").AsString(), "not_found");
 }
 
-// `protocol` answers the version, the kernel and how it was chosen, and
-// the op table's names, sorted; every listed op dispatches and no other
-// name does.
+// `protocol` answers the version, the kernel and the op table's names,
+// sorted; every listed op dispatches and no other name does.
 TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
   PipelineOptions options;
   options.emit_timing = false;
@@ -366,11 +365,9 @@ TEST(ServeTest, ProtocolListsExactlyTheDispatchedOps) {
   const JsonValue reply =
       pipeline.HandleSync(ParseJson(R"({"op":"protocol"})").value);
   EXPECT_EQ(reply.Dump(),
-            R"({"ok":true,"protocol":4,"kernel":")" +
+            R"({"ok":true,"protocol":5,"kernel":")" +
                 std::string(KernelName(ActiveKernel())) +
-                R"(","kernel_auto":)" +
-                (KernelChoiceIsAuto() ? "true" : "false") +
-                R"(,"ops":["append","candidates",)"
+                R"(","ops":["append","candidates",)"
             R"("describe","digests","drop","load","load_cache","load_delta",)"
             R"("methods","metrics","ping","protocol","quit","remove",)"
             R"("save_cache","stats","sync","value"]})");
@@ -452,6 +449,32 @@ TEST(ServeTest, StructuredErrorsNameCodeAndField) {
   EXPECT_EQ(tiny_lsh.Get("code").AsString(), "failed_precondition");
   EXPECT_NE(tiny_lsh.Get("error").AsString().find("at least 2"),
             std::string::npos);
+}
+
+// Theorem 6 needs N >= K+1: a regression request with k at least the
+// corpus size is a field error on k, and the pipeline keeps serving.
+TEST(ServeTest, RegressionWithKAtCorpusSizeIsAFieldErrorNotAnAbort) {
+  PipelineOptions options;
+  options.emit_timing = false;
+  const std::string out = RunSession(
+      Join({R"({"op":"load","name":"c","rows":[[0.1,0.2,1.5],[0.4,0.3,2.5],[0.9,0.7,0.5]],"target":"target"})",
+            R"({"op":"load","name":"q","rows":[[0.2,0.2,1.0]],"target":"target"})",
+            R"({"op":"value","train":"c","test":"q","method":"regression","k":3})",
+            R"({"op":"value","train":"c","test":"q","method":"regression","k":2})"}),
+      options);
+  std::vector<JsonValue> replies;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    replies.push_back(ParseJson(line).value);
+  }
+  ASSERT_EQ(replies.size(), 4u) << out;
+  const JsonValue& refused = replies[2];
+  EXPECT_FALSE(refused.Get("ok").AsBool(true)) << out;
+  EXPECT_EQ(refused.Get("code").AsString(), "invalid_argument");
+  EXPECT_EQ(refused.Get("field").AsString(), "k");
+  const JsonValue& valued = replies[3];
+  EXPECT_TRUE(valued.Get("ok").AsBool(false)) << out;
+  EXPECT_EQ(valued.Get("values").Items().size(), 3u) << out;
 }
 
 TEST(ServeTest, InlineRowsValidationMessagesArePinned) {
