@@ -9,7 +9,9 @@
 //                   concurrency lever needs real cores — workers and
 //                   hardware_concurrency are recorded)
 //
-// Then measures cache-serving latency: the same value workload replayed
+// It also times the big corpus's set-up `rows` load through Run
+// (`load_seconds`, recorded beside the host's core count). Then it
+// measures cache-serving latency: the same value workload replayed
 // against a warm engine (all hits), and against a *fresh* pipeline that
 // warm-started from a save_cache/load_cache round trip (the restart
 // story). Last, the shard arms time single-query fan-out through 2, 4 and
@@ -66,7 +68,8 @@ std::string RowsJson(size_t n, size_t dim, int num_classes, bool regression,
 }
 
 struct Workload {
-  std::string setup;   // corpus loads
+  std::string big_load;  // the big corpus's `rows` load, the first setup line
+  std::string setup;     // corpus loads
   std::string values;  // the timed value traffic
   /// The same value traffic replayed by a client that re-seeds every
   /// request (a uniform client-side knob most methods never read): the
@@ -81,10 +84,11 @@ struct Workload {
 /// served from the result cache within a pass.
 Workload MakeWorkload(size_t big_rows, size_t big_dim, size_t requests) {
   Workload w;
+  w.big_load = R"({"op":"load","name":"big","rows":)" +
+               RowsJson(big_rows, big_dim, 3, false, 1) + R"(,"target":"label"})" +
+               "\n";
   std::ostringstream setup;
-  setup << R"({"op":"load","name":"big","rows":)"
-        << RowsJson(big_rows, big_dim, 3, false, 1) << R"(,"target":"label"})"
-        << "\n";
+  setup << w.big_load;
   setup << R"({"op":"load","name":"small","rows":)" << RowsJson(150, 16, 2, false, 2)
         << R"(,"target":"label"})" << "\n";
   setup << R"({"op":"load","name":"medium","rows":)"
@@ -291,6 +295,20 @@ int main(int argc, char** argv) {
     RequestPipeline warmup(pipelined_options);
     RunPass(&warmup, workload, true);
   }
+  // The big corpus's set-up load through Run, the path a client's line
+  // takes: its `rows` are decoded off the tree in parallel chunks.
+  // Min-of-3, each on a fresh pipeline.
+  double load_seconds = 1e100;
+  for (int rep = 0; rep < 3; ++rep) {
+    RequestPipeline loader(pipelined_options);
+    std::istringstream in(workload.big_load);
+    std::ostringstream sink;
+    WallTimer timer;
+    loader.Run(in, sink);
+    load_seconds = std::min(load_seconds, timer.Seconds());
+  }
+  bench::Row("setup load      %7.3f s   (%zux%zu rows, %zu bytes, through Run)\n",
+             load_seconds, big_rows, big_dim, workload.big_load.size());
   RequestPipeline pipelined_pipeline(pipelined_options);
   PassResult pipelined = RunPass(&pipelined_pipeline, workload, true);
   bench::Row("pipelined       %7.3f s   (%.1f req/s)\n", pipelined.seconds,
@@ -490,6 +508,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"workers\": %zu,\n", workers);
   std::fprintf(json, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(json, "  \"load_seconds\": %.4f,\n", load_seconds);
   std::fprintf(json, "  \"serial_seconds\": %.4f,\n", serial.seconds);
   std::fprintf(json, "  \"pipelined_seconds\": %.4f,\n", pipelined.seconds);
   std::fprintf(json, "  \"speedup_from_concurrent_dispatch\": %.2f,\n",

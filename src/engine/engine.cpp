@@ -164,7 +164,7 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
     // Joint params-x-data preconditions (e.g. weighted-fast's count-table
     // budget): still a structured response, never a fatal core check.
     if (schema->precondition) {
-      if (Status status = schema->precondition(params, request.train->Size());
+      if (Status status = schema->precondition(params, *request.train, *request.test);
           !status.ok()) {
         report.status = std::move(status);
         return report;

@@ -128,11 +128,14 @@ struct MethodSchema {
   size_t min_train_rows = 1;
   /// Optional joint params-x-data precondition beyond min_train_rows and
   /// the per-param ranges: the engine calls it with the canonicalized
-  /// params and the training-corpus size after validation, and a non-OK
-  /// status becomes the request's structured response. weighted-fast uses
-  /// it to bound its (K, weight_bits) count-table footprint
-  /// (WknnTableBudget) so no request reaches a fatal core check.
-  std::function<Status(const ValuatorParams&, size_t train_rows)> precondition;
+  /// params, the training corpus and the test batch after validation, and
+  /// a non-OK status becomes the request's structured response.
+  /// weighted-fast uses it to bound its (K, weight_bits) count-table
+  /// footprint (WknnTableBudget), weighted to screen a Gaussian `sigma`
+  /// whose weights underflow, so no request reaches a fatal core check.
+  std::function<Status(const ValuatorParams&, const Dataset& train,
+                       const Dataset& test)>
+      precondition;
   /// Params listed here are omitted from ParamsToJson (the value-response
   /// echo) while they sit at their default value. Retrofitting a parameter
   /// onto a long-lived method (approx_error on exact/exact-corrected) would

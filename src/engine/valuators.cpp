@@ -3,6 +3,7 @@
 #include "engine/valuators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/corrected_knn_shapley.h"
@@ -12,6 +13,8 @@
 #include "core/lsh_knn_shapley.h"
 #include "core/weighted_knn_shapley.h"
 #include "engine/registry.h"
+#include "knn/metric.h"
+#include "knn/weights.h"
 #include "obs/trace.h"
 #include "shard/shard_ranking.h"
 #include "util/cancel.h"
@@ -291,6 +294,43 @@ std::vector<double> RegressionValuator::FromRanking(std::span<const int> order,
 // registration
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The weighted tasks normalize the kernel weights of coalitions as small
+// as one row (ComputeWeights), and a Gaussian weight exp(-d^2/(2 sigma^2))
+// underflows to 0 once d passes about 38.6 sigma. A weight only falls as
+// the distance grows, so if every query's farthest training row keeps a
+// nonzero weight, so does every coalition. The distances are the ones the
+// utilities compute (TopKAmongRows).
+Status GaussianWeightsPrecondition(const ValuatorParams& p, const Dataset& train,
+                                   const Dataset& test) {
+  if (p.weights.kernel != WeightKernel::kGaussian ||
+      (p.task != KnnTask::kWeightedClassification &&
+       p.task != KnnTask::kWeightedRegression)) {
+    return Status::Ok();
+  }
+  for (size_t q = 0; q < test.Size(); ++q) {
+    double farthest = 0.0;
+    for (size_t r = 0; r < train.Size(); ++r) {
+      farthest = std::max(farthest, std::fabs(internal::DistanceUnchecked(
+                                        train.features.Row(r).data(),
+                                        test.features.Row(q).data(), train.Dim(),
+                                        p.metric)));
+    }
+    if (RawKernelWeight(farthest, p.weights) == 0.0) {
+      return Status::InvalidArgument(
+          "'sigma' is too small for this data: the Gaussian weight of query " +
+              std::to_string(q) +
+              "'s farthest training row underflows to 0, so its coalitions "
+              "have no weight to normalize; raise 'sigma' or use another kernel",
+          "sigma");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   // Each schema declares exactly the ValuatorParams fields the adapter
   // above actually reads — the declaration *is* the cache identity, so an
@@ -363,6 +403,7 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   mc.tasks = {KnnTask::kClassification, KnnTask::kRegression,
               KnnTask::kWeightedClassification, KnnTask::kWeightedRegression};
   mc.per_query = false;
+  mc.precondition = GaussianWeightsPrecondition;
   add(mc, [](const ValuatorParams& p) -> std::unique_ptr<Valuator> {
     return std::make_unique<McValuator>(p);
   });
@@ -374,6 +415,7 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
       ResolveParams({"k", "metric", "kernel", "kernel_epsilon", "sigma"});
   weighted.tasks = {KnnTask::kWeightedClassification,
                     KnnTask::kWeightedRegression};
+  weighted.precondition = GaussianWeightsPrecondition;
   add(weighted, [](const ValuatorParams& p) -> std::unique_ptr<Valuator> {
     return std::make_unique<WeightedValuator>(p);
   });
@@ -389,8 +431,9 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   // k and weight_bits are individually in range long before their joint
   // count-table footprint explodes; screen the combination against the
   // corpus so an oversized request is a response, not an abort.
-  weighted_fast.precondition = [](const ValuatorParams& p, size_t rows) {
-    return WknnTableBudget(static_cast<int>(rows), p.k, p.weight_bits);
+  weighted_fast.precondition = [](const ValuatorParams& p, const Dataset& train,
+                                  const Dataset&) {
+    return WknnTableBudget(static_cast<int>(train.Size()), p.k, p.weight_bits);
   };
   add(weighted_fast, [](const ValuatorParams& p) -> std::unique_ptr<Valuator> {
     return std::make_unique<WeightedFastValuator>(p);
@@ -403,7 +446,9 @@ void RegisterBuiltinValuators(ValuatorRegistry* registry) {
   regression.tasks = {KnnTask::kRegression};
   // Theorem 6's recursion needs N >= K+1; screen k against the corpus so
   // such a request is a response, not an abort.
-  regression.precondition = [](const ValuatorParams& p, size_t rows) {
+  regression.precondition = [](const ValuatorParams& p, const Dataset& train,
+                               const Dataset&) {
+    const size_t rows = train.Size();
     if (static_cast<size_t>(p.k) < rows) return Status::Ok();
     return Status::InvalidArgument(
         "'k' must be less than the training corpus size for regression "

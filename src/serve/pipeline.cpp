@@ -310,6 +310,29 @@ class TwinQueue {
 
 }  // namespace
 
+/// A request line whose `rows` ParseJsonWithRows decoded off the tree, for
+/// `target`. The line stays, so rows needed for another target can be
+/// taken from its tree instead.
+struct RequestPipeline::LineRows {
+  std::string_view line;
+  CsvTarget target;
+  Dataset data;
+};
+
+bool RequestPipeline::InlineRows(const JsonValue& request, CsvTarget target,
+                                 LineRows* decoded, Dataset* data,
+                                 std::string* error) {
+  if (decoded == nullptr) return FromInlineRows(request.Get("rows"), target, data, error);
+  if (decoded->target == target) {
+    *data = std::move(decoded->data);
+    return true;
+  }
+  // Decoded for another target: an append whose corpus was replaced
+  // between the parse and the op.
+  return FromInlineRows(ParseJson(decoded->line).value.Get("rows"), target, data,
+                        error);
+}
+
 /// A value request after parse/validation: the engine request with corpus
 /// snapshots resolved (so later mutations cannot affect it) plus the
 /// response shaping fields.
@@ -521,7 +544,19 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
     // reads no clocks at all.
     std::chrono::steady_clock::time_point parse_start;
     if (metrics_ != nullptr) parse_start = std::chrono::steady_clock::now();
-    JsonParseResult parsed = ParseJson(line);
+    // A long load/append line's `rows` are decoded off the tree, in
+    // parallel; every other line, and any line that deviates, is parsed
+    // whole, so the reply bytes are the same either way.
+    LineRows rows{line, CsvTarget::kNone, {}};
+    bool rows_decoded = false;
+    JsonParseResult parsed = ParseJsonWithRows(
+        line, *pool_,
+        [&](const JsonValue& request, CsvTarget* target) {
+          if (!InlineRowsTarget(request, target)) return false;
+          rows.target = *target;
+          return true;
+        },
+        &rows.data, &rows_decoded);
     if (!parsed.ok()) {
       emitter.EmitOrdered(ErrorResponse("parse error: " + parsed.error).Dump());
       continue;
@@ -613,6 +648,12 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
       continue;
     }
 
+    if (rows_decoded) {
+      emitter.EmitOrdered((op == "load" ? Load(parsed.value, &rows)
+                                        : AppendRows(parsed.value, &rows))
+                              .Dump());
+      continue;
+    }
     emitter.EmitOrdered(HandleSync(parsed.value).Dump());
     if (op == "value") value_snapshot_tick();
     if (op == "quit") {
@@ -643,7 +684,18 @@ void RequestPipeline::InvalidateOld(uint64_t old_fingerprint) {
   if (old_fingerprint != 0) engine_.InvalidateTrain(old_fingerprint);
 }
 
-JsonValue RequestPipeline::Load(const JsonValue& request) {
+bool RequestPipeline::InlineRowsTarget(const JsonValue& request,
+                                       CsvTarget* target) const {
+  const std::string& op = request.Get("op").AsString();
+  if (op == "load") return CsvTargetFromName(request.Get("target").AsString(), target);
+  if (op != "append") return false;
+  const auto current = store_.Get(request.Get("name").AsString());
+  if (!current) return false;
+  *target = TargetOf(*current->data);
+  return true;
+}
+
+JsonValue RequestPipeline::Load(const JsonValue& request, LineRows* rows) {
   const std::string& name = request.Get("name").AsString();
   if (name.empty()) return ErrorResponse("load: 'name' is required");
   CsvTarget target;
@@ -663,7 +715,7 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
     data = std::move(loaded.data);
   } else if (request.Has("rows")) {
     std::string error;
-    if (!FromInlineRows(request.Get("rows"), target, &data, &error)) {
+    if (!InlineRows(request, target, rows, &data, &error)) {
       return ErrorResponse("load: " + error);
     }
   } else if (request.Has("features")) {
@@ -690,22 +742,21 @@ JsonValue RequestPipeline::Load(const JsonValue& request) {
   return out;
 }
 
-JsonValue RequestPipeline::AppendRows(const JsonValue& request) {
+JsonValue RequestPipeline::AppendRows(const JsonValue& request, LineRows* rows) {
   const std::string& name = request.Get("name").AsString();
   auto current = store_.Get(name);
   if (!current) return NotFoundResponse("append: unknown dataset '" + name + "'");
   if (current->window) {
     return ErrorResponse(WindowRefusal("append:", name, *current));
   }
-  Dataset rows;
+  Dataset appended_rows;
   std::string error;
-  if (!FromInlineRows(request.Get("rows"), TargetOf(*current->data), &rows,
-                      &error)) {
+  if (!InlineRows(request, TargetOf(*current->data), rows, &appended_rows, &error)) {
     return ErrorResponse("append: " + error);
   }
-  const size_t appended = rows.Size();
+  const size_t appended = appended_rows.Size();
   CorpusMutation mutation;
-  if (!store_.Append(name, rows, &mutation, &error)) {
+  if (!store_.Append(name, appended_rows, &mutation, &error)) {
     return ErrorResponse("append: " + error);
   }
   InvalidateOld(mutation.old_fingerprint);

@@ -154,9 +154,19 @@ class RequestPipeline {
 
  private:
   struct PreparedValue;  // parsed+validated value request (pipeline.cpp)
+  struct LineRows;       // a line's `rows` decoded off the tree (pipeline.cpp)
 
-  JsonValue Load(const JsonValue& request);
-  JsonValue AppendRows(const JsonValue& request);
+  /// Load and append take the request's `rows` from `rows` when Run
+  /// decoded them off the tree (null: from the tree).
+  JsonValue Load(const JsonValue& request, LineRows* rows = nullptr);
+  JsonValue AppendRows(const JsonValue& request, LineRows* rows = nullptr);
+  /// How a load or append stores each row's last cell, for Run's
+  /// ParseJsonWithRows; false for every other request.
+  bool InlineRowsTarget(const JsonValue& request, CsvTarget* target) const;
+  /// The request's inline `rows` for `target`, from `decoded` when Run
+  /// decoded them for that target, else through FromInlineRows.
+  static bool InlineRows(const JsonValue& request, CsvTarget target,
+                         LineRows* decoded, Dataset* data, std::string* error);
   JsonValue RemoveRow(const JsonValue& request);
   JsonValue Drop(const JsonValue& request);
   JsonValue Methods() const;

@@ -6,6 +6,7 @@
 
 #include "dataset/dataset.h"
 #include "util/common.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -51,17 +52,36 @@ uint64_t TargetBlockDigest(const Dataset& data, size_t begin, size_t end) {
   return hash.Digest();
 }
 
+// Rows one pool task hashes, so a small rehash (an append's last block, a
+// query batch) stays on the calling thread.
+constexpr size_t kRowsPerTask = 16384;
+
 void RehashRange(const Dataset& data, size_t first_block, CorpusDigests* d) {
   const size_t num_blocks = d->NumBlocks();
   d->feature_blocks.resize(num_blocks);
   d->label_blocks.resize(data.HasLabels() ? num_blocks : 0);
   d->target_blocks.resize(data.HasTargets() ? num_blocks : 0);
-  for (size_t b = first_block; b < num_blocks; ++b) {
-    const size_t begin = b * d->block_rows;
-    const size_t end = std::min(d->rows, begin + d->block_rows);
-    d->feature_blocks[b] = FeatureBlockDigest(data, begin, end);
-    if (data.HasLabels()) d->label_blocks[b] = LabelBlockDigest(data, begin, end);
-    if (data.HasTargets()) d->target_blocks[b] = TargetBlockDigest(data, begin, end);
+  // Each block digest reads only its own rows, so blocks hash in any
+  // order, on any thread, to the same bits.
+  const size_t block_rows = d->block_rows;
+  const size_t blocks_per_task = std::max<size_t>(1, kRowsPerTask / block_rows);
+  const size_t first = std::min(first_block, num_blocks);
+  const size_t tasks = (num_blocks - first + blocks_per_task - 1) / blocks_per_task;
+  const auto hash_task = [&](size_t task) {
+    const size_t task_begin = first + task * blocks_per_task;
+    for (size_t b = task_begin; b < std::min(num_blocks, task_begin + blocks_per_task);
+         ++b) {
+      const size_t begin = b * block_rows;
+      const size_t end = std::min(d->rows, begin + block_rows);
+      d->feature_blocks[b] = FeatureBlockDigest(data, begin, end);
+      if (data.HasLabels()) d->label_blocks[b] = LabelBlockDigest(data, begin, end);
+      if (data.HasTargets()) d->target_blocks[b] = TargetBlockDigest(data, begin, end);
+    }
+  };
+  if (tasks == 1) {
+    hash_task(0);
+  } else if (tasks > 1) {
+    ThreadPool::Shared().ParallelForHelping(tasks, hash_task);
   }
 }
 

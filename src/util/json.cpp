@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -14,6 +15,9 @@
 #include <iterator>
 #include <numeric>
 #include <system_error>
+
+#include "dataset/io.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 
@@ -35,14 +39,49 @@ bool ParseDouble(const char* begin, const char* end, double* out) {
   return parse_end == text.c_str() + text.size();
 }
 
+const char* SkipJsonSpace(const char* p, const char* end) {
+  while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
+  return p;
+}
+
+// The number token at p: an optional sign, then every following digit,
+// '.', 'e', 'E', '-' or '+'. Sets *digits when it holds a digit; the
+// token is a number only if it does and ParseDouble takes all of it.
+const char* ScanNumber(const char* p, const char* end, bool* digits) {
+  if (p != end && (*p == '-' || *p == '+')) ++p;
+  *digits = false;
+  for (; p != end; ++p) {
+    const char c = *p;
+    if (c >= '0' && c <= '9') {
+      *digits = true;
+    } else if (c != '.' && c != 'e' && c != 'E' && c != '-' && c != '+') {
+      break;
+    }
+  }
+  return p;
+}
+
 }  // namespace
 
 // Recursive-descent parser over a bounded character range. The children
 // of every open array and object wait on the parser's two stacks; the
 // closing bracket moves them into one exactly sized vector.
+//
+// With a `hole_key`, an array value of that key in the top-level object is
+// skipped, not parsed: it becomes null in the tree and its bytes are left
+// in [HoleBegin(), HoleEnd()) for ParseJsonWithRows to decode. The skip
+// takes the array to end at its first ']' followed, past white space, by
+// another ']' — true of an array of number rows, and the decoder rejects
+// every other array. A hole key that repeats is an error. HoleSeen() is
+// false while the parse has gone exactly as ParseJson's.
 class JsonParser {
  public:
-  JsonParser(const char* begin, const char* end) : p_(begin), end_(end) {}
+  JsonParser(const char* begin, const char* end, std::string_view hole_key = {})
+      : p_(begin), end_(end), hole_key_(hole_key) {}
+
+  bool HoleSeen() const { return hole_seen_; }
+  const char* HoleBegin() const { return hole_begin_; }
+  const char* HoleEnd() const { return hole_end_; }
 
   JsonParseResult Run() {
     JsonParseResult result;
@@ -54,11 +93,7 @@ class JsonParser {
   }
 
  private:
-  void SkipWhitespace() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
+  void SkipWhitespace() { p_ = SkipJsonSpace(p_, end_); }
 
   bool Consume(char c) {
     if (p_ != end_ && *p_ == c) {
@@ -136,7 +171,7 @@ class JsonParser {
         *error = "expected ':' after key";
         return JsonValue();
       }
-      JsonValue value = ParseValue(error);
+      JsonValue value = AtHole(key) ? SkipHole(error) : ParseValue(error);
       if (!error->empty()) return JsonValue();
       fields_.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
@@ -145,6 +180,38 @@ class JsonParser {
         *error = "expected ',' or '}' in object";
         return JsonValue();
       }
+    }
+  }
+
+  // Whether the value at p_, of `key`, is the hole (see the class
+  // comment): the hole key's array in the top-level object, or any
+  // repeat of the hole key there.
+  bool AtHole(const std::string& key) {
+    if (depth_ != 1 || hole_key_.empty() || key != hole_key_) return false;
+    SkipWhitespace();
+    return hole_keys_++ > 0 || (p_ != end_ && *p_ == '[');
+  }
+
+  // Skips the hole's array; null in the tree.
+  JsonValue SkipHole(std::string* error) {
+    hole_seen_ = true;
+    if (hole_keys_ > 1) {
+      *error = "repeated array of rows";
+      return JsonValue();
+    }
+    for (const char* close = p_;;) {
+      close = static_cast<const char*>(std::memchr(close, ']', end_ - close));
+      if (close == nullptr) {
+        *error = "unterminated array of rows";
+        return JsonValue();
+      }
+      const char* next = SkipJsonSpace(close + 1, end_);
+      if (next != end_ && *next == ']') {
+        hole_begin_ = p_;
+        hole_end_ = p_ = next + 1;
+        return JsonValue();
+      }
+      close = next;
     }
   }
 
@@ -264,16 +331,8 @@ class JsonParser {
 
   JsonValue ParseNumber(std::string* error) {
     const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
     bool digits = false;
-    for (; p_ != end_; ++p_) {
-      const char c = *p_;
-      if (c >= '0' && c <= '9') {
-        digits = true;
-      } else if (c != '.' && c != 'e' && c != 'E' && c != '-' && c != '+') {
-        break;
-      }
-    }
+    p_ = ScanNumber(p_, end_, &digits);
     if (!digits) {
       *error = "invalid number";
       return JsonValue();
@@ -288,6 +347,11 @@ class JsonParser {
 
   const char* p_;
   const char* end_;
+  std::string_view hole_key_;
+  int hole_keys_ = 0;
+  bool hole_seen_ = false;
+  const char* hole_begin_ = nullptr;
+  const char* hole_end_ = nullptr;
   int depth_ = 0;
   std::vector<JsonValue> items_;  // items of the open arrays
   JsonValue::FieldList fields_;   // fields of the open objects
@@ -645,6 +709,178 @@ std::string JsonValue::Dump() const {
 JsonParseResult ParseJson(std::string_view text) {
   JsonParser parser(text.data(), text.data() + text.size());
   return parser.Run();
+}
+
+namespace {
+
+// Where DecodeRowsChunk writes: `arity` cells per row, the first `cols` of
+// them features, the last a label or target when `target` asks for one.
+struct RowsSink {
+  CsvTarget target;
+  size_t arity;
+  size_t cols;
+  float* features;
+  int* labels;
+  double* targets;
+};
+
+constexpr double kExactPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                  1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+
+// The usual cell, a number token of an optional '-' and at most 15 digits
+// around at most one '.', parsed in one pass: its value w / 10^k has
+// w < 10^15 < 2^53 and k <= 15, both exact doubles, so the division is the
+// correctly rounded value strtod returns. Returns the token's end, or null
+// for any other token (an exponent, a '+', more digits), which
+// ParseDouble then takes.
+const char* ParseShortDecimal(const char* p, const char* end, double* out) {
+  const bool negative = p != end && *p == '-';
+  const char* q = p + (negative ? 1 : 0);
+  uint64_t w = 0;
+  int digits = 0;
+  int fraction = -1;  // digits after the '.'; -1 before it
+  for (; q != end; ++q) {
+    const unsigned digit = static_cast<unsigned>(*q - '0');
+    if (digit < 10) {
+      w = w * 10 + digit;
+      ++digits;
+      if (fraction >= 0) ++fraction;
+    } else if (*q == '.' && fraction < 0) {
+      fraction = 0;
+    } else {
+      break;
+    }
+  }
+  if (digits == 0 || digits > 15) return nullptr;
+  // The token must end here, as ScanNumber would end it.
+  if (q != end && (*q == '.' || *q == 'e' || *q == 'E' || *q == '+' || *q == '-')) {
+    return nullptr;
+  }
+  double value = static_cast<double>(w);
+  if (fraction > 0) value /= kExactPow10[fraction];
+  *out = negative ? -value : value;
+  return q;
+}
+
+// Decodes the rows of one chunk, [p, stop) with p on its first '[', into
+// rows [row, row_end) of `sink`; false on any deviation, having written
+// only inside those rows. A chunk but the last ends where the next one
+// starts, right after a row's ',' and white space; the last ends just past
+// the array's closing ']'.
+bool DecodeRowsChunk(const char* p, const char* stop, bool last, size_t row,
+                     size_t row_end, const RowsSink& sink) {
+  for (;; ++row) {
+    if (p == stop || *p != '[' || row == row_end) return false;
+    ++p;
+    float* const features = sink.features + row * sink.cols;
+    for (size_t cell = 0;; ++cell) {
+      p = SkipJsonSpace(p, stop);
+      if (cell == sink.arity) return false;
+      double value = 0.0;
+      const char* token_end = ParseShortDecimal(p, stop, &value);
+      if (token_end == nullptr) {
+        bool digits = false;
+        token_end = ScanNumber(p, stop, &digits);
+        if (!digits || !ParseDouble(p, token_end, &value)) return false;
+      }
+      if (cell < sink.cols) {
+        if (!FeatureFromCell(value, features + cell)) return false;
+      } else if (sink.target == CsvTarget::kLabel) {
+        if (!LabelFromCell(value, sink.labels + row)) return false;
+      } else {
+        sink.targets[row] = value;
+      }
+      p = SkipJsonSpace(token_end, stop);
+      if (p == stop) return false;
+      if (*p == ']') {
+        if (cell + 1 != sink.arity) return false;
+        ++p;
+        break;
+      }
+      if (*p != ',') return false;
+      ++p;
+    }
+    p = SkipJsonSpace(p, stop);
+    if (p == stop) return false;
+    if (*p == ']') return last && p + 1 == stop && row + 1 == row_end;
+    if (*p != ',') return false;
+    p = SkipJsonSpace(p + 1, stop);
+    if (p == stop) return !last && row + 1 == row_end;
+  }
+}
+
+// Decodes the array of number rows [begin, end) — begin on its '[', end
+// just past its ']' — into *out, chunk by chunk across `pool`. Each row is
+// one '[', so counting them per chunk gives every chunk its first row
+// before any is decoded, and the chunks write straight into the corpus.
+bool DecodeRows(const char* begin, const char* end, CsvTarget target,
+                ThreadPool& pool, Dataset* out) {
+  const char* const first = SkipJsonSpace(begin + 1, end);
+  if (first == end || *first != '[') return false;
+  // The first row's cells are its commas plus one; every row must match.
+  // end[-1] is ']', so the search cannot miss.
+  const char* const first_close =
+      static_cast<const char*>(std::memchr(first, ']', end - first));
+  const size_t arity = 1 + static_cast<size_t>(std::count(first, first_close, ','));
+  const size_t cols = target == CsvTarget::kNone ? arity : arity - 1;
+  if (cols == 0) return false;
+
+  std::vector<const char*> starts = {first};
+  const size_t bytes = static_cast<size_t>(end - begin);
+  for (size_t offset = kJsonRowsChunkBytes; offset < bytes;
+       offset += kJsonRowsChunkBytes) {
+    const void* next = std::memchr(begin + offset, '[', bytes - offset);
+    if (next == nullptr) break;
+    if (next > starts.back()) starts.push_back(static_cast<const char*>(next));
+  }
+  const size_t chunks = starts.size();
+  starts.push_back(end);
+  std::vector<size_t> first_row(chunks + 1, 0);
+  pool.ParallelForHelping(chunks, [&](size_t c) {
+    first_row[c + 1] = static_cast<size_t>(std::count(starts[c], starts[c + 1], '['));
+  });
+  std::partial_sum(first_row.begin(), first_row.end(), first_row.begin());
+  const size_t rows = first_row[chunks];
+  // Every cell holds a digit: this bounds the buffers by the line.
+  if (rows > bytes / arity) return false;
+
+  Dataset data;
+  data.features = Matrix(rows, cols);
+  if (target == CsvTarget::kLabel) data.labels.resize(rows);
+  if (target == CsvTarget::kTarget) data.targets.resize(rows);
+  const RowsSink sink{target, arity, cols, &data.features.At(0, 0), data.labels.data(),
+                      data.targets.data()};
+  std::atomic<bool> failed{false};
+  pool.ParallelForHelping(chunks, [&](size_t c) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    if (!DecodeRowsChunk(starts[c], starts[c + 1], c + 1 == chunks, first_row[c],
+                         first_row[c + 1], sink)) {
+      failed.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (failed.load(std::memory_order_relaxed)) return false;
+  *out = std::move(data);
+  return true;
+}
+
+}  // namespace
+
+JsonParseResult ParseJsonWithRows(std::string_view line, ThreadPool& pool,
+                                  const JsonRowsTarget& target_of, Dataset* rows,
+                                  bool* rows_decoded) {
+  *rows_decoded = false;
+  if (line.size() < kJsonRowsMinBytes) return ParseJson(line);
+  JsonParser parser(line.data(), line.data() + line.size(), "rows");
+  JsonParseResult result = parser.Run();
+  // A parse that met no top-level "rows" key went exactly as ParseJson's.
+  if (!parser.HoleSeen()) return result;
+  CsvTarget target = CsvTarget::kNone;
+  if (result.ok() && target_of(result.value, &target) &&
+      DecodeRows(parser.HoleBegin(), parser.HoleEnd(), target, pool, rows)) {
+    *rows_decoded = true;
+    return result;
+  }
+  return ParseJson(line);
 }
 
 bool JsonInteger(const JsonValue& value, size_t min_value, size_t max_value,

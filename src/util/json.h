@@ -34,12 +34,17 @@
 #define KNNSHAP_UTIL_JSON_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace knnshap {
+
+struct Dataset;
+enum class CsvTarget;
+class ThreadPool;
 
 /// A JSON value (null, bool, number, string, array or object).
 class JsonValue {
@@ -168,6 +173,37 @@ inline constexpr int kJsonMaxNestingDepth = 256;
 /// error (JSONL framing: exactly one document per line). Numbers take
 /// strtod's grammar and values, a leading '+' included.
 JsonParseResult ParseJson(std::string_view text);
+
+/// Lines shorter than this are never split: ParseJsonWithRows hands them
+/// to ParseJson, whose tree costs less than a round of the pool there.
+inline constexpr size_t kJsonRowsMinBytes = size_t{64} << 10;
+
+/// ParseJsonWithRows decodes a `rows` array in chunks of about this many
+/// bytes. Chunk k > 0 starts at the first '[' at or after byte
+/// k * kJsonRowsChunkBytes of the array (counted from its own '['), so
+/// every chunk starts on a row.
+inline constexpr size_t kJsonRowsChunkBytes = size_t{16} << 10;
+
+/// Picks how the decoded rows store each row's last cell, from the request
+/// parsed without them; false declines the decode.
+using JsonRowsTarget = std::function<bool(const JsonValue& request, CsvTarget* target)>;
+
+/// ParseJson(line), except that a long line's top-level "rows" array of
+/// number rows is decoded straight into `rows` (features, then labels or
+/// targets by `target_of`), split at row boundaries and decoded chunk by
+/// chunk across `pool`, and parsed into the tree as null; *rows_decoded
+/// tells which. The cells go through ParseJson's number grammar and
+/// FeatureFromCell / LabelFromCell, every row must match the first one's
+/// arity, and `rows` must hold at least one row. Any deviation — a syntax
+/// fault anywhere, a non-number, a ragged row, a cell out of range, a
+/// repeated "rows" key, a line under kJsonRowsMinBytes, or `target_of`
+/// declining — returns exactly ParseJson(line) with *rows_decoded false,
+/// so the caller's tree path finds the same errors in the same order.
+/// Safe on a pool worker or beside jobs that hold the pool: the caller
+/// decodes any chunk no worker picks up.
+JsonParseResult ParseJsonWithRows(std::string_view line, ThreadPool& pool,
+                                  const JsonRowsTarget& target_of, Dataset* rows,
+                                  bool* rows_decoded);
 
 /// The largest integer a request field may carry: every integer up to it
 /// is exact in a double.

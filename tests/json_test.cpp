@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "core/exact_knn_shapley.h"
+#include "dataset/io.h"
 #include "util/json.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 namespace {
@@ -637,6 +639,170 @@ TEST(JsonParseTest, NestingDepthIsBounded) {
   const JsonParseResult hostile = ParseJson(std::string(100'000, '['));
   EXPECT_FALSE(hostile.ok());
   EXPECT_NE(hostile.error.find("nesting"), std::string::npos) << hostile.error;
+}
+
+// A load line of `rows` random rows of `arity` cells, the numbers printed
+// in several spellings, padded to at least kJsonRowsMinBytes.
+std::string RowsLine(size_t rows, size_t arity, uint64_t seed) {
+  Rng rng(seed);
+  std::string line = R"({"op":"load","name":"x","rows":[)";
+  for (size_t r = 0; r < rows; ++r) {
+    line += r > 0 ? ", [" : "[";
+    for (size_t c = 0; c < arity; ++c) {
+      char cell[40];
+      const double v = rng.NextGaussian() * 100.0;
+      switch (rng.NextIndex(4)) {
+        case 0: std::snprintf(cell, sizeof cell, "%.17g", v); break;
+        case 1: std::snprintf(cell, sizeof cell, "%d", static_cast<int>(v)); break;
+        case 2: std::snprintf(cell, sizeof cell, "%.3e", v); break;
+        default: std::snprintf(cell, sizeof cell, " %.4f\t", v); break;
+      }
+      if (c > 0) line += ',';
+      line += cell;
+    }
+    line += "]";
+  }
+  return line + R"(],"target":"label"})";
+}
+
+TEST(JsonRowsTest, DecodesWhatTheTreeHoldsForEveryTarget) {
+  ThreadPool pool(3);
+  const std::string line = RowsLine(3000, 5, 71);
+  ASSERT_GE(line.size(), 4 * kJsonRowsChunkBytes);
+  const JsonValue tree = ParseJson(line).value;
+  const auto& items = tree.Get("rows").Items();
+  for (const CsvTarget target : {CsvTarget::kLabel, CsvTarget::kTarget, CsvTarget::kNone}) {
+    Dataset rows;
+    bool decoded = false;
+    const JsonParseResult parsed = ParseJsonWithRows(
+        line, pool,
+        [&](const JsonValue&, CsvTarget* out) {
+          *out = target;
+          return true;
+        },
+        &rows, &decoded);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(decoded) << CsvTargetName(target);
+    // The tree holds every other field and null where the rows were.
+    EXPECT_TRUE(parsed.value.Has("rows"));
+    EXPECT_TRUE(parsed.value.Get("rows").IsNull());
+    EXPECT_EQ(parsed.value.Get("target").AsString(), "label");
+    const size_t cols = target == CsvTarget::kNone ? 5 : 4;
+    ASSERT_EQ(rows.Size(), items.size());
+    ASSERT_EQ(rows.Dim(), cols);
+    EXPECT_EQ(rows.HasLabels(), target == CsvTarget::kLabel);
+    EXPECT_EQ(rows.HasTargets(), target == CsvTarget::kTarget);
+    for (size_t r = 0; r < items.size(); ++r) {
+      const auto& cells = items[r].Items();
+      for (size_t c = 0; c < cols; ++c) {
+        float want = 0.0f;
+        ASSERT_TRUE(FeatureFromCell(cells[c].AsNumber(), &want));
+        ASSERT_EQ(std::memcmp(&want, &rows.features.At(r, c), sizeof want), 0)
+            << "row " << r << " cell " << c;
+      }
+      if (target == CsvTarget::kLabel) {
+        int want = 0;
+        ASSERT_TRUE(LabelFromCell(cells[4].AsNumber(), &want));
+        ASSERT_EQ(rows.labels[r], want) << "row " << r;
+      } else if (target == CsvTarget::kTarget) {
+        ASSERT_EQ(rows.targets[r], cells[4].AsNumber()) << "row " << r;
+      }
+    }
+  }
+}
+
+TEST(JsonRowsTest, DecimalCellsMatchStrtodBitForBit) {
+  // Targets keep the parsed double, so every spelling below, short or
+  // long, must decode to strtod's exact bits.
+  Rng rng(77);
+  std::vector<std::string> tokens = {"0",     "-0",     "-0.000", "7.",   ".5",
+                                     "-.25",  "0005",   "1e3",    "+2",   "1E-2",
+                                     "0.1",   "9007199254740993", "123456789012345",
+                                     "1234567890123456", "0.000000000000001",
+                                     "99999999999999.9", "-4.9406564584124654e-324"};
+  while (tokens.size() < 4000) {
+    std::string token = rng.NextIndex(2) == 0 ? "-" : "";
+    const size_t digits = 1 + rng.NextIndex(18);
+    const size_t dot = rng.NextIndex(digits + 2);
+    for (size_t d = 0; d < digits; ++d) {
+      if (d == dot) token += '.';
+      token += static_cast<char>('0' + rng.NextIndex(10));
+    }
+    if (dot == digits) token += '.';
+    tokens.push_back(token);
+  }
+  std::string line = R"({"rows":[)";
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    line += i > 0 ? ",[0.5," : "[0.5,";
+    line += tokens[i];
+    line += "]";
+  }
+  line += "]}";
+  ASSERT_GE(line.size(), kJsonRowsMinBytes);
+  ThreadPool pool(2);
+  Dataset rows;
+  bool decoded = false;
+  ParseJsonWithRows(
+      line, pool,
+      [](const JsonValue&, CsvTarget* target) {
+        *target = CsvTarget::kTarget;
+        return true;
+      },
+      &rows, &decoded);
+  ASSERT_TRUE(decoded);
+  ASSERT_EQ(rows.targets.size(), tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const double want = std::strtod(tokens[i].c_str(), nullptr);
+    ASSERT_EQ(std::memcmp(&want, &rows.targets[i], sizeof want), 0) << tokens[i];
+  }
+}
+
+TEST(JsonRowsTest, OtherwiseReturnsParseJsonItself) {
+  ThreadPool pool(2);
+  const JsonRowsTarget label = [](const JsonValue&, CsvTarget* target) {
+    *target = CsvTarget::kLabel;
+    return true;
+  };
+  auto decode = [&](const std::string& line, const JsonRowsTarget& target_of,
+                    JsonValue* tree) {
+    Dataset rows;
+    bool decoded = false;
+    JsonParseResult parsed = ParseJsonWithRows(line, pool, target_of, &rows, &decoded);
+    const JsonParseResult whole = ParseJson(line);
+    EXPECT_EQ(parsed.error, whole.error);
+    if (!decoded) {
+      EXPECT_EQ(parsed.value.Dump(), whole.value.Dump());
+    }
+    *tree = std::move(parsed.value);
+    return decoded;
+  };
+  const std::string big = RowsLine(3000, 5, 72);
+  const std::string rows = big.substr(big.find('['), big.rfind(']') - big.find('[') + 1);
+  JsonValue tree;
+  EXPECT_TRUE(decode(big, label, &tree));
+  // Declined by the caller, or under the size floor: the whole tree.
+  EXPECT_FALSE(decode(big, [](const JsonValue&, CsvTarget*) { return false; }, &tree));
+  EXPECT_FALSE(decode(RowsLine(20, 5, 73), label, &tree));
+  EXPECT_TRUE(tree.Get("rows").IsArray());
+  // Only a top-level "rows" key, however it is spelled, is decoded.
+  EXPECT_TRUE(decode(R"({"meta":{"rows":[[1,2]]},"ro\u0077s":)" + rows + "}", label,
+                     &tree));
+  EXPECT_EQ(tree.Get("meta").Dump(), R"({"rows":[[1,2]]})");
+  EXPECT_FALSE(decode(R"({"meta":{"rows":)" + rows + "}}", label, &tree));
+  EXPECT_FALSE(decode("[" + rows + "]", label, &tree));
+  // A repeated key, either way round, or a non-array value.
+  EXPECT_FALSE(decode(R"({"rows":[[1,2]],"rows":)" + rows + "}", label, &tree));
+  EXPECT_FALSE(decode(R"({"rows":)" + rows + R"(,"rows":[[1,2]]})", label, &tree));
+  EXPECT_FALSE(decode(R"({"rows":"x","pad":)" + rows + "}", label, &tree));
+  // Syntax faults before, inside and after the rows.
+  EXPECT_FALSE(decode(R"({"x":tru,"rows":)" + rows + "}", label, &tree));
+  EXPECT_FALSE(decode(R"({"rows":)" + rows.substr(0, rows.size() - 1) + "}", label,
+                      &tree));
+  EXPECT_FALSE(decode(R"({"rows":)" + rows + "]}", label, &tree));
+  EXPECT_FALSE(decode(R"({"rows":)" + rows + "} x", label, &tree));
+  // An empty array of rows, and one whose first row is empty.
+  EXPECT_FALSE(decode(R"({"rows":[],"pad":)" + rows + "}", label, &tree));
+  EXPECT_FALSE(decode(R"({"rows":[[],)" + rows.substr(1) + "}", label, &tree));
 }
 
 }  // namespace

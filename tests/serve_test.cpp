@@ -31,6 +31,7 @@
 #include "knn/distance_kernel.h"
 #include "serve/pipeline.h"
 #include "serve_process.h"
+#include "shard/wire.h"
 #include "test_util.h"
 #include "util/fault.h"
 #include "util/json.h"
@@ -477,6 +478,35 @@ TEST(ServeTest, RegressionWithKAtCorpusSizeIsAFieldErrorNotAnAbort) {
   EXPECT_EQ(valued.Get("values").Items().size(), 3u) << out;
 }
 
+// A Gaussian sigma so small that a query's farthest row weighs 0 used to
+// abort the server in ComputeWeights; weighted and mc (on a weighted task)
+// answer a field error on sigma, and a wider sigma values the same query.
+TEST(ServeTest, GaussianSigmaUnderflowIsAFieldErrorNotAnAbort) {
+  PipelineOptions options;
+  options.emit_timing = false;
+  const std::string far = R"("queries":[[40,40,1]],"kernel":"gaussian","k":2)";
+  const std::string out = RunSession(
+      Join({R"({"op":"load","name":"c","rows":[[0.1,0.2,1],[0.4,0.3,0],[0.9,0.7,1]],"target":"label"})",
+            R"({"op":"value","train":"c","method":"weighted","metric":"squared-l2",)" + far + "}",
+            R"({"op":"value","train":"c","method":"mc","task":"weighted-classification",)" +
+                far + "}",
+            R"({"op":"value","train":"c","method":"weighted","sigma":1000,)" + far + "}"}),
+      options);
+  std::vector<JsonValue> replies;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    replies.push_back(ParseJson(line).value);
+  }
+  ASSERT_EQ(replies.size(), 4u) << out;
+  for (size_t i : {1u, 2u}) {
+    EXPECT_FALSE(replies[i].Get("ok").AsBool(true)) << out;
+    EXPECT_EQ(replies[i].Get("code").AsString(), "invalid_argument") << out;
+    EXPECT_EQ(replies[i].Get("field").AsString(), "sigma") << out;
+  }
+  EXPECT_TRUE(replies[3].Get("ok").AsBool(false)) << out;
+  EXPECT_EQ(replies[3].Get("values").Items().size(), 3u) << out;
+}
+
 TEST(ServeTest, InlineRowsValidationMessagesArePinned) {
   // The exact bytes of every inline-rows error, for each op that reads
   // rows: load and append take `rows`, value takes `queries` and names it.
@@ -526,6 +556,173 @@ TEST(ServeTest, InlineRowsValidationMessagesArePinned) {
   // No failed request left a corpus behind or changed one.
   EXPECT_FALSE(pipeline.Store().Get("b").has_value());
   EXPECT_EQ(pipeline.Store().Get("a")->data->Size(), 12u);
+}
+
+// The rows of the parity table's lines: kParityRows rows of 3 features and
+// a label, each padded with spaces to kParityRowBytes, so a fault row
+// padded to the same width leaves every chunk boundary where it was. The
+// lines are long enough for ParseJsonWithRows to split into chunks.
+constexpr size_t kParityRows = 2000;
+constexpr size_t kParityRowBytes = 40;
+
+std::string ParityRow(const std::string& text) {
+  EXPECT_LE(text.size(), kParityRowBytes) << text;
+  return text + std::string(kParityRowBytes - std::min(text.size(), kParityRowBytes), ' ');
+}
+
+std::string ParityRows(size_t fault_row, const std::string& fault) {
+  Rng rng(29);
+  std::string out = "[";
+  for (size_t r = 0; r < kParityRows; ++r) {
+    if (r > 0) out += ",";
+    char row[64];
+    std::snprintf(row, sizeof row, "[%.4f,%.4f,%.4f,%d]", rng.NextDouble(),
+                  rng.NextDouble(), rng.NextDouble(), static_cast<int>(r % 2));
+    out += ParityRow(r == fault_row && !fault.empty() ? fault : row);
+  }
+  return out + "]";
+}
+
+// The row that starts chunk k > 0 of an array of ParityRows: the first
+// row whose '[' is at or after byte k * kJsonRowsChunkBytes of the array.
+size_t ChunkFirstRow(size_t chunk) {
+  const size_t stride = kParityRowBytes + 1;
+  return (chunk * kJsonRowsChunkBytes - 1 + stride - 1) / stride;
+}
+
+TEST(ServeTest, SplitRowsAnswerByteIdenticallyToTheTree) {
+  // Every line goes through Run, which decodes long load/append `rows` off
+  // the tree in parallel chunks, and must answer exactly what the tree path
+  // (HandleSync over ParseJson) answers. Each fault sits in the first
+  // chunk, inside a middle one, on the first row of a middle one and in the
+  // last one. `decodes`: the fault is valid JSON and valid rows, so a load
+  // line carrying it must take the split path.
+  struct Fault {
+    const char* name;
+    const char* row;
+    bool decodes;
+  };
+  const Fault faults[] = {
+      {"valid", "", true},
+      {"negative zero", "[-0,0.5,-0.0,-0]", true},
+      {"plus sign", "[+1,+0.5,0.5,+1]", true},
+      {"bare fraction", "[.5,0.5,.25,1]", true},
+      {"trailing dot", "[1.,0.5,0.5,1.]", true},
+      {"exponents", "[5e-1,0.5E+0,25e-2,1e0]", true},
+      {"underflow", "[1e-400,0.5,0.5,1]", true},
+      {"label fraction", "[0.5,0.5,0.5,1.9]", true},
+      {"tab and cr", "[0.5,\t0.5 ,\r0.5,1\t]", true},
+      {"ragged short", "[0.5,0.5,1]", false},
+      {"ragged long", "[0.5,0.5,0.5,0.5,1]", false},
+      {"empty row", "[]", false},
+      {"string cell", R"(["x",0.5,0.5,1])", false},
+      {"string label", R"([0.5,0.5,0.5,"1"])", false},
+      {"bracket string", R"(["]]",0.5,0.5,1])", false},
+      {"true cell", "[true,0.5,0.5,1]", false},
+      {"null label", "[0.5,0.5,0.5,null]", false},
+      {"nested cell", "[[0.5],0.5,0.5,1]", false},
+      {"object cell", "[{},0.5,0.5,1]", false},
+      {"NaN", "[NaN,0.5,0.5,1]", false},
+      {"nan", "[nan,0.5,0.5,1]", false},
+      {"Infinity", "[Infinity,0.5,0.5,1]", false},
+      {"-Infinity", "[-Infinity,0.5,0.5,1]", false},
+      {"inf label", "[0.5,0.5,0.5,inf]", false},
+      {"1e39 feature", "[1e39,0.5,0.5,1]", false},
+      {"1e400 feature", "[1e400,0.5,0.5,1]", false},
+      {"-1e400 feature", "[-1e400,0.5,0.5,1]", false},
+      {"1e400 label", "[0.5,0.5,0.5,1e400]", false},
+      {"1e12 label", "[0.5,0.5,0.5,1e12]", false},
+      {"hex", "[0x10,0.5,0.5,1]", false},
+      {"double sign", "[--1,0.5,0.5,1]", false},
+      {"bad exponent", "[1e5e5,0.5,0.5,1]", false},
+      {"bare exponent", "[1e,0.5,0.5,1]", false},
+      {"trailing comma", "[0.5,0.5,0.5,1,]", false},
+      {"missing comma", "[0.5 0.5,0.5,1]", false},
+      {"early close", "[0.5,0.5,0.5,1]]", false},
+  };
+  struct Op {
+    const char* head;
+    const char* tail;
+  };
+  const Op ops[] = {
+      {R"({"op":"load","name":"b","target":"label","rows":)", "}"},
+      {R"({"op":"append","name":"c","rows":)", "}"},
+      // An expired deadline answers after the queries are read, before
+      // any valuation.
+      {R"({"op":"value","train":"a","k":3,"deadline_ms":0,"queries":)", "}"},
+      {R"({"op":"ping","rows":)", "}"},
+  };
+  size_t chunks = 1;
+  while (ChunkFirstRow(chunks) < kParityRows) ++chunks;
+  ASSERT_GE(chunks, 4u) << "the lines must split into several chunks";
+  const size_t middle = ChunkFirstRow(chunks / 2);
+  const size_t positions[] = {0, middle + 3, middle, kParityRows - 1};
+
+  PipelineOptions options;
+  options.emit_timing = false;
+  RequestPipeline split(options);
+  RequestPipeline tree(options);
+  const std::string seed_corpora[] = {
+      R"({"op":"load","name":"a","rows":)" + RowsJson(12, 3, 2, 43) +
+          R"(,"target":"label"})",
+      R"({"op":"load","name":"c","rows":)" + RowsJson(5, 3, 2, 44) +
+          R"(,"target":"label"})",
+  };
+  for (const std::string& line : seed_corpora) {
+    ASSERT_TRUE(tree.HandleSync(ParseJson(line).value).Get("ok").AsBool());
+    ASSERT_TRUE(split.HandleSync(ParseJson(line).value).Get("ok").AsBool());
+  }
+  auto check = [&](const std::string& line, const std::string& label) {
+    ASSERT_GE(line.size(), kJsonRowsMinBytes) << label;
+    std::istringstream in(line + "\n");
+    std::ostringstream out;
+    split.Run(in, out);
+    const JsonParseResult parsed = ParseJson(line);
+    const std::string expected =
+        (parsed.ok() ? tree.HandleSync(parsed.value)
+                     : wire::ErrorResponse("parse error: " + parsed.error))
+            .Dump();
+    EXPECT_EQ(out.str(), expected + "\n") << label;
+  };
+  ThreadPool pool(3);
+  const JsonRowsTarget label_loads = [](const JsonValue&, CsvTarget* target) {
+    *target = CsvTarget::kLabel;
+    return true;
+  };
+  for (const Op& op : ops) {
+    for (const Fault& fault : faults) {
+      for (size_t position : positions) {
+        const std::string line = op.head + ParityRows(position, fault.row) + op.tail;
+        const std::string label = std::string(op.head) + " / " + fault.name +
+                                  " at row " + std::to_string(position);
+        check(line, label);
+        if (&op == &ops[0]) {
+          Dataset rows;
+          bool decoded = false;
+          ParseJsonWithRows(line, pool, label_loads, &rows, &decoded);
+          EXPECT_EQ(decoded, fault.decodes) << label;
+        }
+      }
+    }
+    // A ragged row early and a syntax error at the very end: the syntax
+    // error wins, as it does in the tree.
+    for (const char* tail : {"", "}x", ",}"}) {
+      check(op.head + ParityRows(1, "[0.5,1]") + tail,
+            std::string(op.head) + " / ragged then '" + tail + "'");
+    }
+    // A fault after the rows, in the rest of the line.
+    check(op.head + ParityRows(0, "") + R"(,"target":label})",
+          std::string(op.head) + " / bare word after the rows");
+    // A repeated key: the last value wins, whichever is the long one.
+    const std::string small = "[[0.5,0.5,0.5,1]]";
+    check(op.head + small + R"(,"rows":)" + ParityRows(0, "") + op.tail,
+          std::string(op.head) + " / short rows, then long rows");
+    check(op.head + ParityRows(0, "") + R"(,"rows":)" + small + op.tail,
+          std::string(op.head) + " / long rows, then short rows");
+  }
+  // Both pipelines end holding the same corpora.
+  EXPECT_EQ(split.HandleSync(ParseJson(R"({"op":"stats"})").value).Dump(),
+            tree.HandleSync(ParseJson(R"({"op":"stats"})").value).Dump());
 }
 
 TEST(ServeTest, PipelineHonorsACustomEngineRegistry) {
