@@ -33,6 +33,16 @@ double SmallCoalitionTerm(double a, double total_matches, int n, int k) {
   return sum / nd;
 }
 
+// W_r = sum_{m=K}^{N-1} Pr[< K of the r-1 closer points land in a
+// uniform m-subset of the other N-1] — closed form via the expected
+// position of the K-th closer point; 0 when N-1 < K.
+double RankWeight(int r, int n, int k) {
+  if (n - 1 < k) return 0.0;
+  const double nd = static_cast<double>(n);
+  const double kd = static_cast<double>(k);
+  return r <= k ? nd - kd : kd * (nd - static_cast<double>(r)) / static_cast<double>(r);
+}
+
 }  // namespace
 
 std::vector<double> CorrectedKnnShapleyRecursion(const std::vector<int>& sorted_labels,
@@ -60,18 +70,72 @@ std::vector<double> CorrectedKnnShapleyRecursion(const std::vector<int>& sorted_
   sv[static_cast<size_t>(n - 1)] = SmallCoalitionTerm(match(n), total_matches, n, k);
 
   for (int r = n - 1; r >= 1; --r) {
-    // W_r = sum_{m=K}^{N-1} Pr[< K of the r-1 closer points land in a
-    // uniform m-subset of the other N-1] — closed form via the expected
-    // position of the K-th closer point.
-    double w = 0.0;
-    if (n - 1 >= k) {
-      w = r <= k ? nd - kd : kd * (nd - static_cast<double>(r)) / static_cast<double>(r);
-    }
     sv[static_cast<size_t>(r - 1)] =
         sv[static_cast<size_t>(r)] +
-        (match(r) - match(r + 1)) * (g_gap + w / (nd * kd));
+        (match(r) - match(r + 1)) * (g_gap + RankWeight(r, n, k) / (nd * kd));
   }
   return sv;
+}
+
+std::vector<double> CorrectedKnnShapleySteps(size_t n, int k) {
+  KNNSHAP_CHECK(k >= 1, "k must be >= 1");
+  const int ni = static_cast<int>(n);
+  const double nk = static_cast<double>(ni) * static_cast<double>(k);
+  std::vector<double> steps(n, 0.0);
+  for (int r = 1; r < ni; ++r) {
+    steps[static_cast<size_t>(r)] = RankWeight(r, ni, k) / nk;
+  }
+  return steps;
+}
+
+namespace {
+
+template <typename Label>
+void FoldCorrected(std::span<const int> order, std::span<const Label> labels,
+                   Label test_label, int k, std::span<const double> steps,
+                   std::span<double> accumulator) {
+  const size_t n = order.size();
+  const int ni = static_cast<int>(n);
+  // The match count is an exact small integer, so counting by row gives
+  // the recursion's rank-order sum.
+  const double total_matches = static_cast<double>(
+      std::count(labels.begin(), labels.end(), test_label));
+  const double g_gap = SmallCoalitionTerm(1.0, total_matches, ni, k) -
+                       SmallCoalitionTerm(0.0, total_matches, ni, k);
+  auto match = [&](size_t rank) {  // rank is 0-based here
+    return labels[static_cast<size_t>(order[rank])] == test_label ? 1.0 : 0.0;
+  };
+  double match_next = match(n - 1);
+  double value = SmallCoalitionTerm(match_next, total_matches, ni, k);
+  accumulator[static_cast<size_t>(order[n - 1])] += value;
+  for (size_t r = n - 1; r >= 1; --r) {
+    if (r > kFoldPrefetchRanks) {
+      const size_t ahead = static_cast<size_t>(order[r - 1 - kFoldPrefetchRanks]);
+      __builtin_prefetch(&labels[ahead]);
+      __builtin_prefetch(&accumulator[ahead]);
+    }
+    const double match_r = match(r - 1);
+    value += (match_r - match_next) * (g_gap + steps[r]);
+    accumulator[static_cast<size_t>(order[r - 1])] += value;
+    match_next = match_r;
+  }
+}
+
+}  // namespace
+
+void FoldCorrectedKnnShapley(std::span<const int> order,
+                             const FoldLabels& labels, int test_label, int k,
+                             std::span<const double> steps,
+                             std::span<double> accumulator) {
+  ScopedPhase span(Phase::kRecursion);
+  KNNSHAP_CHECK(!order.empty() && order.size() == steps.size(),
+                "fold needs the full order");
+  if (labels.codes.empty()) {
+    FoldCorrected(order, labels.labels, test_label, k, steps, accumulator);
+  } else {
+    FoldCorrected(order, std::span<const uint8_t>(labels.codes),
+                  labels.Code(test_label), k, steps, accumulator);
+  }
 }
 
 std::vector<double> CorrectedKnnShapleyFromOrder(std::span<const int> order,

@@ -37,6 +37,8 @@
 #include <span>
 #include <vector>
 
+#include "core/exact_knn_shapley.h"
+
 namespace knnshap {
 
 /// Corrected-utility Shapley values in *rank* order: `sorted_labels[i]` is
@@ -57,6 +59,22 @@ double TruncatedCorrectedKnnShapleyBound(size_t r, size_t n, int k);
 std::vector<double> CorrectedKnnShapleyFromOrder(std::span<const int> order,
                                                  std::span<const int> labels,
                                                  int test_label, int k);
+
+/// The corrected recursion's rank weights: steps[r] = W_r / (N K) for
+/// the 1-based rank r in [1, n) (steps[0] is unused), the part of the
+/// step that depends on (n, K) alone.
+std::vector<double> CorrectedKnnShapleySteps(size_t n, int k);
+
+/// Adds one test point's corrected SVs into the row-indexed `accumulator`
+/// in rank space, from the full `order`: one backward pass steps the
+/// recursion by (match_r − match_{r+1})·(g_gap + steps[r]), the
+/// recursion's own expression, and adds each value at its row. Bitwise
+/// equal to adding CorrectedKnnShapleyFromOrder's vector element-wise.
+/// Records the kRecursion span.
+void FoldCorrectedKnnShapley(std::span<const int> order,
+                             const FoldLabels& labels, int test_label, int k,
+                             std::span<const double> steps,
+                             std::span<double> accumulator);
 
 /// Truncated corrected SVs for one test point — the `approx_error` path —
 /// from the query's top-r order prefix. Telescoping the recursion from the

@@ -84,6 +84,79 @@ std::vector<double> ExactKnnShapleyFromOrder(std::span<const int> order,
   return sv;
 }
 
+std::vector<double> ExactKnnShapleySteps(size_t n, int k) {
+  KNNSHAP_CHECK(k >= 1, "k must be >= 1");
+  std::vector<double> steps(n, 0.0);
+  const double kd = static_cast<double>(k);
+  for (size_t i = 1; i < n; ++i) {
+    // KnnShapleyRecursion's operation order with the difference taken out.
+    steps[i] = 1.0 / kd * static_cast<double>(std::min<size_t>(k, i)) /
+               static_cast<double>(i);
+  }
+  return steps;
+}
+
+FoldLabels::FoldLabels(std::span<const int> labels) : labels(labels) {
+  distinct.assign(labels.begin(), labels.end());
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  if (distinct.size() > 255) return;
+  codes.resize(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) codes[i] = Code(labels[i]);
+}
+
+uint8_t FoldLabels::Code(int label) const {
+  const auto it = std::lower_bound(distinct.begin(), distinct.end(), label);
+  return static_cast<uint8_t>(it != distinct.end() && *it == label
+                                  ? it - distinct.begin()
+                                  : static_cast<std::ptrdiff_t>(distinct.size()));
+}
+
+namespace {
+
+template <typename Label>
+void FoldExact(std::span<const int> order, std::span<const Label> labels,
+               Label test_label, int k, std::span<const double> steps,
+               std::span<double> accumulator) {
+  const size_t n = order.size();
+  auto match = [&](size_t rank) {  // rank is 0-based here
+    return labels[static_cast<size_t>(order[rank])] == test_label ? 1.0 : 0.0;
+  };
+  double match_next = match(n - 1);
+  double value = match_next * static_cast<double>(std::min<size_t>(k, n)) /
+                 (static_cast<double>(n) * static_cast<double>(k));
+  accumulator[static_cast<size_t>(order[n - 1])] += value;
+  // The label gather and the accumulator add are random accesses; fetch
+  // them ahead of the pass.
+  for (size_t i = n - 1; i >= 1; --i) {
+    if (i > kFoldPrefetchRanks) {
+      const size_t ahead = static_cast<size_t>(order[i - 1 - kFoldPrefetchRanks]);
+      __builtin_prefetch(&labels[ahead]);
+      __builtin_prefetch(&accumulator[ahead]);
+    }
+    const double match_i = match(i - 1);
+    value += (match_i - match_next) * steps[i];
+    accumulator[static_cast<size_t>(order[i - 1])] += value;
+    match_next = match_i;
+  }
+}
+
+}  // namespace
+
+void FoldExactKnnShapley(std::span<const int> order, const FoldLabels& labels,
+                         int test_label, int k, std::span<const double> steps,
+                         std::span<double> accumulator) {
+  ScopedPhase span(Phase::kRecursion);
+  KNNSHAP_CHECK(!order.empty() && order.size() == steps.size(),
+                "fold needs the full order");
+  if (labels.codes.empty()) {
+    FoldExact(order, labels.labels, test_label, k, steps, accumulator);
+  } else {
+    FoldExact(order, std::span<const uint8_t>(labels.codes), labels.Code(test_label),
+              k, steps, accumulator);
+  }
+}
+
 size_t TruncatedExactEffectiveRank(size_t r, size_t n, int k) {
   // The i < K branch of Eq (46) reads the suffix at rank min(K, N), so the
   // prefix must reach it.
@@ -117,6 +190,32 @@ std::vector<double> TruncatedExactKnnShapleyFromOrder(
     sv[static_cast<size_t>(order_prefix[static_cast<size_t>(i - 1)])] = value;
   }
   return sv;
+}
+
+void FoldTruncatedExactKnnShapley(std::span<const int> order_prefix,
+                                  std::span<const int> labels, int test_label,
+                                  int k, std::span<double> accumulator) {
+  ScopedPhase span(Phase::kRecursion);
+  const size_t r = order_prefix.size();
+  auto match = [&](size_t rank) {  // rank is 1-based, within the prefix
+    const int row = order_prefix[rank - 1];
+    return labels[static_cast<size_t>(row)] == test_label ? 1.0 : 0.0;
+  };
+  // TruncatedExactKnnShapleyFromOrder's sums and values in one backward
+  // pass: `suffix` is T^(i) on arrival at rank i, and the ranks below K
+  // read T^(K), which the pass has reached by then.
+  const size_t ku = static_cast<size_t>(k);
+  double suffix = 0.0;
+  double suffix_at_k = 0.0;
+  for (size_t i = r; i >= 1; --i) {
+    if (i == ku) suffix_at_k = suffix;
+    const double value = i >= ku ? match(i) / static_cast<double>(i) - suffix
+                                 : match(i) / static_cast<double>(k) - suffix_at_k;
+    accumulator[static_cast<size_t>(order_prefix[i - 1])] += value;
+    if (i >= 2) {
+      suffix += match(i) / (static_cast<double>(i) * static_cast<double>(i - 1));
+    }
+  }
 }
 
 double TruncatedExactKnnShapleyBound(size_t r, size_t n) {

@@ -16,6 +16,7 @@
 #ifndef KNNSHAP_CORE_EXACT_KNN_SHAPLEY_H_
 #define KNNSHAP_CORE_EXACT_KNN_SHAPLEY_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,6 +53,46 @@ std::vector<double> ExactKnnShapleyFromOrder(std::span<const int> order,
                                              std::span<const int> labels,
                                              int test_label, int k);
 
+/// Theorem 1's step weights: steps[i] = (1/K)·min(K, i)/i for the
+/// 1-based rank i in [1, n); steps[0] is unused. Eq 7 adds
+/// (match_i − match_{i+1})/K·min(K, i)/i, and that difference is −1, 0
+/// or 1: IEEE division and multiplication are sign-symmetric, so
+/// (match_i − match_{i+1})·steps[i] has the bits of Eq 7's two divisions.
+/// Depends on (n, K) alone, so a fitted valuator builds it once.
+std::vector<double> ExactKnnShapleySteps(size_t n, int k);
+
+/// How many ranks ahead the rank-space folds prefetch their random
+/// accesses.
+inline constexpr size_t kFoldPrefetchRanks = 32;
+
+/// A corpus's row labels as the rank-space folds read them: one gather at
+/// a random row per rank. With at most 255 distinct labels they are held
+/// as one byte per row (codes number the distinct labels in ascending
+/// order), so a quarter of the bytes competes for cache; with more, the
+/// folds read the int labels. Built once per fitted corpus.
+struct FoldLabels {
+  /// `labels` must outlive this.
+  explicit FoldLabels(std::span<const int> labels);
+
+  /// `label`'s code; distinct.size(), which no row carries, when absent.
+  uint8_t Code(int label) const;
+
+  std::span<const int> labels;
+  std::vector<uint8_t> codes;  ///< Per row; empty past 255 distinct labels.
+  std::vector<int> distinct;   ///< The label of each code, ascending.
+};
+
+/// Adds one test point's exact SVs (Theorem 1) into the row-indexed
+/// `accumulator` in rank space: one backward pass over the full `order`
+/// gathers each rank's label, steps Eq 7 by `steps`
+/// (ExactKnnShapleySteps(N, k)) and adds the value at its row. No
+/// per-query N-vector. Each row is added to exactly once, so the result
+/// has the bits of adding ExactKnnShapleyFromOrder's vector element-wise.
+/// Records the kRecursion span.
+void FoldExactKnnShapley(std::span<const int> order, const FoldLabels& labels,
+                         int test_label, int k, std::span<const double> steps,
+                         std::span<double> accumulator);
+
 /// Truncated Theorem-1 SVs for one test point — the `approx_error` path —
 /// from the query's top-r order prefix (ascending (distance, index)) of an
 /// n-row corpus, so only the first r ranks need ranking (streaming top-R
@@ -65,6 +106,15 @@ std::vector<double> ExactKnnShapleyFromOrder(std::span<const int> order,
 std::vector<double> TruncatedExactKnnShapleyFromOrder(
     std::span<const int> order_prefix, std::span<const int> labels,
     int test_label, int k, size_t n);
+
+/// Adds TruncatedExactKnnShapleyFromOrder's values into the row-indexed
+/// `accumulator` in one backward pass over the prefix, touching only the
+/// prefix rows. Skipping the tail's zeros changes no bit: an accumulator
+/// that starts at +0.0 never becomes −0.0 (a sum is −0.0 only when both
+/// terms are), and x + (+0.0) == x for every other x.
+void FoldTruncatedExactKnnShapley(std::span<const int> order_prefix,
+                                  std::span<const int> labels, int test_label,
+                                  int k, std::span<double> accumulator);
 
 /// The prefix length the truncated path actually retrieves for a nominal
 /// r: max(r, min(k, n)) — the i < K branch of Eq (46) reads the suffix at

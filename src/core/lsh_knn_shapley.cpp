@@ -106,8 +106,8 @@ std::vector<double> TruncatedShapleyOverTests(const Dataset& train, const Datase
       if (by_rank[i] != 0.0) out.emplace_back(neighbors[i].index, by_rank[i]);
     }
   };
-  if (parallel && test.Size() > 1) {
-    ThreadPool::Shared().ParallelFor(test.Size(), run_one);
+  if (parallel) {
+    ThreadPool::Shared().ParallelForHelping(test.Size(), run_one);
   } else {
     for (size_t j = 0; j < test.Size(); ++j) run_one(j);
   }

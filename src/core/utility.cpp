@@ -22,8 +22,8 @@ std::vector<double> MeanOverQueries(
   KNNSHAP_CHECK(num_queries > 0, "empty test set");
   std::vector<std::vector<double>> per_query(num_queries);
   auto run_one = [&](size_t j) { per_query[j] = one(j); };
-  if (parallel && num_queries > 1) {
-    ThreadPool::Shared().ParallelFor(num_queries, run_one);
+  if (parallel) {
+    ThreadPool::Shared().ParallelForHelping(num_queries, run_one);
   } else {
     for (size_t j = 0; j < num_queries; ++j) run_one(j);
   }

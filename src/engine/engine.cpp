@@ -503,41 +503,45 @@ std::vector<double> ValuationEngine::Run(const Valuator& valuator,
     CancelActivation cancel_scope(cancel);
     return valuator.ValueBatch(test);
   }
-  // Shard queries across the pool (ParallelFor hands out contiguous
-  // blocks). Per-query results are folded into the accumulator strictly in
-  // query order, so neither thread count nor chunking can change a single
-  // bit of the output — which lets the scheduler bound resident memory to
-  // O(chunk * N) instead of O(num_queries * N) on huge batches.
+  // Queries run through ParallelForHelping: the calling thread works the
+  // loop itself and idle pool workers join it, so this is safe from a
+  // pool worker (the serve pipeline's request jobs) and a busy pool
+  // degrades to a serial loop. Per-query results are folded into the
+  // accumulator strictly in query order, so neither thread count nor
+  // scheduling can change a single bit of the output — which lets the
+  // scheduler bound resident memory to O(chunk * N) instead of
+  // O(num_queries * N) on huge batches. A serial request values and folds
+  // one query at a time through a single slot; slots keep their storage
+  // from chunk to chunk, and slot 0 keeps its order storage on this thread
+  // from request to request, so a one-query or serial request allocates
+  // no order.
   const size_t chunk =
-      std::min<size_t>(std::max<size_t>(options_.max_resident_queries, 1),
-                       test.Size());
+      parallel ? std::min<size_t>(std::max<size_t>(options_.max_resident_queries, 1),
+                                  test.Size())
+               : 1;
   std::vector<double> sv(valuator.Train().Size(), 0.0);
-  std::vector<std::vector<double>> per_query(chunk);
+  std::vector<QueryValues> per_query(chunk);
+  static thread_local std::vector<int> spare_order;
+  per_query[0].order.swap(spare_order);
   for (size_t start = 0; start < test.Size(); start += chunk) {
     const size_t count = std::min(chunk, test.Size() - start);
-    auto run_one = [&](size_t j) {
+    ThreadPool::Shared().ParallelForHelping(count, [&](size_t j) {
       TraceActivation activation(deep);
       CancelActivation cancel_scope(cancel);
       // Queries past an expired deadline are skipped outright; queries in
       // flight bail at the deep loops' own block-granularity polls. Either
       // way the caller observes Expired() and discards the whole result.
+      per_query[j].Clear();
       if (cancel != nullptr && cancel->Expired()) return;
-      per_query[j] = valuator.ValueOne(test, start + j);
-    };
-    if (parallel && count > 1) {
-      ThreadPool::Shared().ParallelFor(count, run_one);
-    } else {
-      for (size_t j = 0; j < count; ++j) run_one(j);
-    }
+      valuator.ValueOne(test, start + j, &per_query[j]);
+    });
     ScopedPhase span(trace, Phase::kMerge);
-    for (size_t j = 0; j < count; ++j) {
-      // Skipped (cancelled) queries left empty vectors; merging them
-      // would be a size mismatch.
-      if (!per_query[j].empty()) valuator.MergeInto(&sv, per_query[j]);
-      per_query[j] = {};  // release before the next chunk computes
-    }
+    // A rank-space fold runs the recursion here, under deep spans.
+    TraceActivation activation(deep);
+    for (size_t j = 0; j < count; ++j) valuator.MergeInto(&sv, per_query[j]);
     if (cancel != nullptr && cancel->Expired()) break;
   }
+  per_query[0].order.swap(spare_order);
   {
     ScopedPhase span(trace, Phase::kFinalize);
     valuator.Finalize(&sv, test.Size());

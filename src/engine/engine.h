@@ -10,9 +10,12 @@
 //     cache hit, bit-identical values, no recomputation);
 //   * reuses fitted valuators — and therefore their ranking / LSH index —
 //     across requests against the same corpus;
-//   * shards the test batch across ThreadPool::Shared() in contiguous
-//     blocks for per-query methods, merging by additivity (Eq 8) in query
-//     order so parallel and serial runs are bitwise equal.
+//   * spreads the test batch of a per-query method over ThreadPool::Shared()
+//     with ParallelForHelping — from any thread, a pool worker included:
+//     the caller works its own queries and idle workers join in — and
+//     merges by additivity (Eq 8) in query order, so parallel and serial
+//     runs are bitwise equal. Theorem 1's methods keep each query in rank
+//     space (its order) and run the recursion as they fold it.
 //
 // The engine is thread-safe: concurrent Value calls are allowed (cache and
 // fitted-valuator bookkeeping are mutex-guarded; fitted valuators are
@@ -55,7 +58,9 @@ struct ValuationRequest {
   std::shared_ptr<const Dataset> train;
   std::shared_ptr<const Dataset> test;
   bool use_cache = true;   ///< Consult/populate the result cache.
-  bool parallel = true;    ///< Shard queries across the shared pool.
+  /// Spread the queries over idle workers of the shared pool (false: one
+  /// after another on the calling thread). Values are the same either way.
+  bool parallel = true;
   /// Record deep per-query phase spans (distance / sort / retrieve /
   /// recursion) in addition to the engine-level phases. Off by default:
   /// deep spans cost a handful of clock reads per query. The report
@@ -93,8 +98,8 @@ struct ValuationRequest {
 struct EngineOptions {
   size_t result_cache_capacity = 64;  ///< Entries; 0 disables caching.
   size_t fitted_capacity = 8;         ///< Fitted valuators kept resident.
-  /// Per-query result vectors resident at once: memory is bounded by
-  /// max_resident_queries * train_size doubles regardless of batch size.
+  /// Per-query results resident at once: memory is bounded by
+  /// max_resident_queries * train_size values regardless of batch size.
   /// Accumulation stays in query order, so this never changes output bits.
   size_t max_resident_queries = 256;
   /// Registry to resolve methods against (default: the global one).
@@ -254,8 +259,7 @@ class ValuationEngine {
                                      const ValuatorParams& params,
                                      bool* reused, bool* cancelled);
 
-  /// Runs the per-query sharded path (or the batch path) on a fitted
-  /// valuator. `trace` (nullable) receives merge/finalize spans; deep
+  /// Runs the per-query path (or the batch path) on a fitted valuator. `trace` (nullable) receives merge/finalize spans; deep
   /// per-query phases are recorded only when trace->deep. `cancel`
   /// (nullable) is activated on every worker; once it expires remaining
   /// queries are skipped and the (partial, garbage) result is discarded by

@@ -21,14 +21,24 @@ const Dataset& Valuator::Train() const {
   return *train_;
 }
 
-std::vector<double> Valuator::ValueOne(const Dataset& /*test*/, size_t /*row*/) const {
+void Valuator::ValueOne(const Dataset& /*test*/, size_t /*row*/,
+                        QueryValues* /*out*/) const {
   KNNSHAP_CHECK(false, std::string(Method()) + " is batch-only");
 }
 
 void Valuator::MergeInto(std::vector<double>* accumulator,
-                         const std::vector<double>& one_query) const {
-  for (size_t i = 0; i < accumulator->size(); ++i) {
-    (*accumulator)[i] += one_query[i];
+                         const QueryValues& one_query) const {
+  std::vector<double>& sv = *accumulator;
+  if (one_query.order.empty()) {
+    for (size_t i = 0; i < one_query.values.size(); ++i) sv[i] += one_query.values[i];
+    return;
+  }
+  // By rank: rows outside the order would add +0.0, which changes no bit
+  // of an accumulator that starts at +0.0 (see FoldTruncatedExactKnnShapley).
+  KNNSHAP_CHECK(one_query.values.size() == one_query.order.size(),
+                std::string(Method()) + " has no rank-space fold");
+  for (size_t i = 0; i < one_query.order.size(); ++i) {
+    sv[static_cast<size_t>(one_query.order[i])] += one_query.values[i];
   }
 }
 
@@ -39,21 +49,17 @@ void Valuator::Finalize(std::vector<double>* accumulator,
   for (auto& s : *accumulator) s /= static_cast<double>(num_queries);
 }
 
-std::vector<double> Valuator::Merge(
-    const std::vector<std::vector<double>>& per_query) const {
-  KNNSHAP_CHECK(!per_query.empty(), "no per-query values to merge");
-  std::vector<double> sv(Train().Size(), 0.0);
-  for (const auto& row : per_query) MergeInto(&sv, row);
-  Finalize(&sv, per_query.size());
-  return sv;
-}
-
 std::vector<double> Valuator::ValueBatch(const Dataset& test) const {
   KNNSHAP_CHECK(SupportsPerQuery(),
                 std::string(Method()) + " does not implement ValueBatch");
-  // Streaming fold: one resident per-query vector, O(N) memory.
+  // Streaming fold: one resident per-query result, O(N) memory.
   std::vector<double> sv(Train().Size(), 0.0);
-  for (size_t j = 0; j < test.Size(); ++j) MergeInto(&sv, ValueOne(test, j));
+  QueryValues one;
+  for (size_t j = 0; j < test.Size(); ++j) {
+    one.Clear();
+    ValueOne(test, j, &one);
+    MergeInto(&sv, one);
+  }
   Finalize(&sv, test.Size());
   return sv;
 }

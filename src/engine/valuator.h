@@ -11,12 +11,13 @@
 // BatchValue instead.
 //
 // Bitwise-compatibility contract: for per-query methods the engine merges
-// per-query vectors in query order from +0.0 and divides by the query
+// per-query values in query order from +0.0 and divides by the query
 // count — the float operation order of core's multi-test wrappers
 // (ExactKnnShapley et al., which average through MeanOverQueries in
-// core/utility.h) — and the ranked methods run the same *FromOrder bodies
-// on the same ranking, so routing through the engine changes no bits of
-// any result, serial or parallel.
+// core/utility.h) — and the ranked methods run the *FromOrder bodies, or
+// their rank-space folds (bitwise the same, pinned by tests), on the same
+// ranking, so routing through the engine changes no bits of any result,
+// serial or parallel.
 
 #ifndef KNNSHAP_ENGINE_VALUATOR_H_
 #define KNNSHAP_ENGINE_VALUATOR_H_
@@ -56,7 +57,26 @@ struct ValuatorParams {
   double approx_error = 0.0;      ///< weighted-fast truncation budget; 0 = exact.
 };
 
-/// A valuation method fitted to a training corpus.
+/// One query's values, as the engine holds them until the query's turn to
+/// fold. Dense methods leave `order` empty and fill `values` by training
+/// row. Rank-space methods keep the query's ranked rows in `order`:
+/// `values`, when set, holds the value of each of those rows by rank, and
+/// when empty the valuator's MergeInto derives the values from the order
+/// itself. A query left empty (skipped past a deadline, or a failed shard
+/// fan-out) folds nothing. The engine reuses one QueryValues per query
+/// slot across queries and hands it to ValueOne cleared, so a method that
+/// ranks writes into `order`'s existing storage.
+struct QueryValues {
+  std::vector<int> order;
+  std::vector<double> values;
+  int label = 0;  ///< The query's label, for rank-space folds.
+
+  void Clear() {
+    order.clear();
+    values.clear();
+  }
+};
+
 class Valuator {
  public:
   explicit Valuator(ValuatorParams params) : params_(std::move(params)) {}
@@ -85,25 +105,24 @@ class Valuator {
   /// queries. False for batch-only methods (ValueBatch is used instead).
   virtual bool SupportsPerQuery() const { return true; }
 
-  /// Dense per-query values, indexed by training row. Must be const and
-  /// thread-safe after Fit (the engine calls it concurrently).
-  virtual std::vector<double> ValueOne(const Dataset& test, size_t row) const;
+  /// Values query `row` of `test` into `out`, which arrives cleared (see
+  /// QueryValues). Must be const and thread-safe after Fit (the engine
+  /// calls it concurrently).
+  virtual void ValueOne(const Dataset& test, size_t row, QueryValues* out) const;
 
-  /// Folds one query's values into the running accumulator. The engine
-  /// calls this strictly in query order — the accumulation order is the
-  /// bitwise contract, so the scheduler may bound how many per-query
-  /// vectors are resident without changing a single output bit.
+  /// Folds one query's values into the row-indexed running accumulator.
+  /// The engine calls this strictly in query order — the accumulation
+  /// order is the bitwise contract, so the scheduler may bound how many
+  /// per-query results are resident without changing a single output bit.
+  /// Default: adds dense values element-wise, or by-rank values at their
+  /// rows.
   virtual void MergeInto(std::vector<double>* accumulator,
-                         const std::vector<double>& one_query) const;
+                         const QueryValues& one_query) const;
 
   /// Final normalization after all queries are folded in. Default: divide
   /// by the query count — the legacy operation order. The LSH adapter
   /// overrides this to match the streaming path's multiply-by-reciprocal.
   virtual void Finalize(std::vector<double>* accumulator, size_t num_queries) const;
-
-  /// Convenience: MergeInto in order + Finalize over fully materialized
-  /// per-query results (tests use this to cross-check the scheduler).
-  std::vector<double> Merge(const std::vector<std::vector<double>>& per_query) const;
 
   /// Whole-batch valuation for methods with SupportsPerQuery() == false.
   virtual std::vector<double> ValueBatch(const Dataset& test) const;

@@ -24,17 +24,6 @@ namespace knnshap {
 
 namespace {
 
-// Scatters rank-ordered values of retrieved neighbors into a dense
-// row-indexed vector (zeros elsewhere).
-std::vector<double> ScatterByRank(size_t n, const std::vector<Neighbor>& neighbors,
-                                  const std::vector<double>& by_rank) {
-  std::vector<double> sv(n, 0.0);
-  for (size_t i = 0; i < neighbors.size(); ++i) {
-    sv[static_cast<size_t>(neighbors[i].index)] = by_rank[i];
-  }
-  return sv;
-}
-
 int TestLabel(const Dataset& test, size_t row) {
   return test.HasLabels() ? test.labels[row] : 0;
 }
@@ -50,19 +39,19 @@ double TestTarget(const Dataset& test, size_t row) {
 // weighted and regression below)
 // ---------------------------------------------------------------------------
 
-std::vector<double> RankedValuator::ValueOne(const Dataset& test,
-                                             size_t row) const {
-  if (depth_ == 0) return FromRanking({}, {}, test, row);
+void RankedValuator::ValueOne(const Dataset& test, size_t row,
+                              QueryValues* out) const {
+  out->label = TestLabel(test, row);
+  if (depth_ == 0) return FromRanking({}, test, row, out);
   // Per-thread scratch: the engine drives many queries per pool thread,
-  // and the N-row buffers would otherwise be reallocated per query.
+  // and the N-row buffer would otherwise be reallocated per query.
   static thread_local std::vector<double> dists;
-  static thread_local std::vector<int> order;
-  const bool ranked = ranking_->Rank(test.features.Row(row), depth_, &dists, &order);
-  // A fired deadline answers right-sized zeros and a failed shard fan-out
-  // (Health() latched) an empty vector; the engine discards both.
-  if (CancelRequested()) return std::vector<double>(Train().Size(), 0.0);
-  if (!ranked) return {};
-  return FromRanking(order, dists, test, row);
+  const bool ranked =
+      ranking_->Rank(test.features.Row(row), depth_, &dists, &out->order);
+  // A fired deadline or a failed shard fan-out (Health() latched) leaves
+  // the query empty; the engine discards the request either way.
+  if (CancelRequested() || !ranked) return out->Clear();
+  FromRanking(dists, test, row, out);
 }
 
 Status RankedValuator::Health() const {
@@ -81,24 +70,35 @@ void RankedValuator::FitRanking(Metric metric, size_t depth) {
 void ExactValuator::OnFit() {
   KNNSHAP_CHECK(Train().HasLabels(), "exact: labeled corpus required");
   const size_t n = Train().Size();
-  FitRanking(params_.metric,
-             params_.approx_error > 0.0
-                 ? TruncatedExactEffectiveRank(
-                       static_cast<size_t>(KStar(params_.k, params_.approx_error)),
-                       n, params_.k)
-                 : n);
+  const size_t depth =
+      params_.approx_error > 0.0
+          ? TruncatedExactEffectiveRank(
+                static_cast<size_t>(KStar(params_.k, params_.approx_error)), n,
+                params_.k)
+          : n;
+  FitRanking(params_.metric, depth);
+  if (depth >= n) {
+    steps_ = ExactKnnShapleySteps(n, params_.k);
+    fold_labels_ = std::make_unique<FoldLabels>(Train().labels);
+  }
 }
 
-std::vector<double> ExactValuator::FromRanking(std::span<const int> order,
-                                               std::span<const double>,
-                                               const Dataset& test,
-                                               size_t row) const {
+void ExactValuator::FromRanking(std::span<const double>, const Dataset&, size_t,
+                                QueryValues*) const {
+  // The order and the label are all MergeInto needs.
+}
+
+void ExactValuator::MergeInto(std::vector<double>* accumulator,
+                              const QueryValues& one_query) const {
   const std::vector<int>& labels = Train().labels;
-  const int test_label = TestLabel(test, row);
-  return order.size() < labels.size()
-             ? TruncatedExactKnnShapleyFromOrder(order, labels, test_label,
-                                                 params_.k, labels.size())
-             : ExactKnnShapleyFromOrder(order, labels, test_label, params_.k);
+  if (one_query.order.empty()) return;
+  if (one_query.order.size() == labels.size()) {
+    FoldExactKnnShapley(one_query.order, *fold_labels_, one_query.label,
+                        params_.k, steps_, *accumulator);
+  } else {
+    FoldTruncatedExactKnnShapley(one_query.order, labels, one_query.label,
+                                 params_.k, *accumulator);
+  }
 }
 
 void CorrectedValuator::OnFit() {
@@ -114,18 +114,28 @@ void CorrectedValuator::OnFit() {
                       n, params_.k);
   }
   FitRanking(params_.metric, depth);
+  if (depth >= n) {
+    steps_ = CorrectedKnnShapleySteps(n, params_.k);
+    fold_labels_ = std::make_unique<FoldLabels>(Train().labels);
+  }
 }
 
-std::vector<double> CorrectedValuator::FromRanking(std::span<const int> order,
-                                                   std::span<const double>,
-                                                   const Dataset& test,
-                                                   size_t row) const {
+void CorrectedValuator::FromRanking(std::span<const double>, const Dataset&,
+                                    size_t, QueryValues* out) const {
+  // The full order folds in rank space (MergeInto); a truncated prefix
+  // values every row, so it goes dense.
   const std::vector<int>& labels = Train().labels;
-  const int test_label = TestLabel(test, row);
-  return order.size() < labels.size()
-             ? TruncatedCorrectedKnnShapleyFromOrder(order, labels, test_label,
-                                                     params_.k)
-             : CorrectedKnnShapleyFromOrder(order, labels, test_label, params_.k);
+  if (out->order.size() == labels.size()) return;
+  out->values = TruncatedCorrectedKnnShapleyFromOrder(out->order, labels,
+                                                      out->label, params_.k);
+  out->order.clear();
+}
+
+void CorrectedValuator::MergeInto(std::vector<double>* accumulator,
+                                  const QueryValues& one_query) const {
+  if (one_query.order.empty()) return Valuator::MergeInto(accumulator, one_query);
+  FoldCorrectedKnnShapley(one_query.order, *fold_labels_, one_query.label,
+                          params_.k, steps_, *accumulator);
 }
 
 void TruncatedValuator::OnFit() {
@@ -133,17 +143,14 @@ void TruncatedValuator::OnFit() {
   FitRanking(Metric::kL2, static_cast<size_t>(KStar(params_.k, params_.epsilon)));
 }
 
-std::vector<double> TruncatedValuator::FromRanking(std::span<const int> order,
-                                                   std::span<const double> dists,
-                                                   const Dataset& test,
-                                                   size_t row) const {
+void TruncatedValuator::FromRanking(std::span<const double> dists, const Dataset&,
+                                    size_t, QueryValues* out) const {
   std::vector<Neighbor> neighbors;
-  neighbors.reserve(order.size());
-  for (int i : order) neighbors.push_back({i, dists[static_cast<size_t>(i)]});
-  std::vector<double> by_rank =
-      TruncatedShapleyFromNeighbors(Train(), neighbors, TestLabel(test, row),
-                                    params_.k, KStar(params_.k, params_.epsilon));
-  return ScatterByRank(Train().Size(), neighbors, by_rank);
+  neighbors.reserve(out->order.size());
+  for (int i : out->order) neighbors.push_back({i, dists[static_cast<size_t>(i)]});
+  out->values = TruncatedShapleyFromNeighbors(Train(), neighbors, out->label,
+                                              params_.k,
+                                              KStar(params_.k, params_.epsilon));
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ void LshValuator::OnFit() {
   index_ = std::make_unique<LshIndex>(&corpus_.features, config);
 }
 
-std::vector<double> LshValuator::ValueOne(const Dataset& test, size_t row) const {
+void LshValuator::ValueOne(const Dataset& test, size_t row, QueryValues* out) const {
   auto query = test.features.Row(row);
   // The corpus copy was rescaled; queries arrive in the original space.
   std::vector<float> scaled(query.begin(), query.end());
@@ -176,9 +183,11 @@ std::vector<double> LshValuator::ValueOne(const Dataset& test, size_t row) const
     ScopedPhase span(Phase::kRetrieve);
     neighbors = index_->Query(scaled, static_cast<size_t>(k_star_));
   }
-  std::vector<double> by_rank = TruncatedShapleyFromNeighbors(
-      corpus_, neighbors, TestLabel(test, row), params_.k, k_star_);
-  return ScatterByRank(corpus_.Size(), neighbors, by_rank);
+  out->values = TruncatedShapleyFromNeighbors(corpus_, neighbors,
+                                              TestLabel(test, row), params_.k,
+                                              k_star_);
+  out->order.resize(neighbors.size());
+  for (size_t i = 0; i < neighbors.size(); ++i) out->order[i] = neighbors[i].index;
 }
 
 void LshValuator::Finalize(std::vector<double>* accumulator,
@@ -230,9 +239,9 @@ void WeightedFastValuator::OnFit() {
       static_cast<int>(Train().Size()), params_.k);
 }
 
-std::vector<double> WeightedFastValuator::FromRanking(
-    std::span<const int> order, std::span<const double> dists,
-    const Dataset& test, size_t row) const {
+void WeightedFastValuator::FromRanking(std::span<const double> dists,
+                                       const Dataset&, size_t,
+                                       QueryValues* out) const {
   WknnShapleyOptions options;
   options.k = params_.k;
   options.weights = params_.weights;
@@ -240,9 +249,9 @@ std::vector<double> WeightedFastValuator::FromRanking(
   options.weight_bits = params_.weight_bits;
   options.approx_error = params_.approx_error;
   const WknnQueryContext context = MakeWknnQueryContextFromRanking(
-      std::vector<int>(order.begin(), order.end()), dists, Train().labels,
-      TestLabel(test, row), options);
-  return WknnShapleyFromContext(context, options, coalition_.get());
+      std::move(out->order), dists, Train().labels, out->label, options);
+  out->order.clear();
+  out->values = WknnShapleyFromContext(context, options, coalition_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -257,10 +266,8 @@ void WeightedValuator::OnFit() {
   FitRanking(params_.metric, Train().Size());
 }
 
-std::vector<double> WeightedValuator::FromRanking(std::span<const int> order,
-                                                  std::span<const double>,
-                                                  const Dataset& test,
-                                                  size_t row) const {
+void WeightedValuator::FromRanking(std::span<const double>, const Dataset& test,
+                                   size_t row, QueryValues* out) const {
   WeightedShapleyOptions options;
   options.k = params_.k;
   options.weights = params_.weights;
@@ -268,9 +275,10 @@ std::vector<double> WeightedValuator::FromRanking(std::span<const int> order,
                      ? KnnTask::kWeightedRegression
                      : KnnTask::kWeightedClassification;
   options.metric = params_.metric;
-  return ExactWeightedKnnShapleyFromOrder(Train(), order, test.features.Row(row),
-                                          TestLabel(test, row), TestTarget(test, row),
-                                          options);
+  out->values = ExactWeightedKnnShapleyFromOrder(
+      Train(), out->order, test.features.Row(row), out->label,
+      TestTarget(test, row), options);
+  out->order.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -282,12 +290,11 @@ void RegressionValuator::OnFit() {
   FitRanking(params_.metric, Train().Size());
 }
 
-std::vector<double> RegressionValuator::FromRanking(std::span<const int> order,
-                                                    std::span<const double>,
-                                                    const Dataset& test,
-                                                    size_t row) const {
-  return ExactKnnRegressionShapleyFromOrder(order, Train().targets,
-                                            TestTarget(test, row), params_.k);
+void RegressionValuator::FromRanking(std::span<const double>, const Dataset& test,
+                                     size_t row, QueryValues* out) const {
+  out->values = ExactKnnRegressionShapleyFromOrder(
+      out->order, Train().targets, TestTarget(test, row), params_.k);
+  out->order.clear();
 }
 
 // ---------------------------------------------------------------------------

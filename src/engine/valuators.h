@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "core/exact_knn_shapley.h"
 #include "core/wknn_shapley.h"
 #include "engine/valuator.h"
 #include "knn/ranking.h"
@@ -43,7 +44,7 @@ namespace knnshap {
 class RankedValuator : public Valuator {
  public:
   using Valuator::Valuator;
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const final;
+  void ValueOne(const Dataset& test, size_t row, QueryValues* out) const final;
   Status Health() const override;
 
  protected:
@@ -51,12 +52,12 @@ class RankedValuator : public Valuator {
   /// min(depth, N) rows (0: none at all).
   void FitRanking(Metric metric, size_t depth);
 
-  /// The method's recursion for query `row` of `test`: `order` holds its
-  /// first min(depth, N) rows ascending by (distance, index), `dists`
-  /// every row's distance.
-  virtual std::vector<double> FromRanking(std::span<const int> order,
-                                          std::span<const double> dists,
-                                          const Dataset& test, size_t row) const = 0;
+  /// The method's recursion for query `row` of `test`: `out->order` holds
+  /// its first min(depth, N) rows ascending by (distance, index), `dists`
+  /// every row's distance, and `out->label` its label. Leaves `out` in
+  /// rank space, or dense with `order` cleared (see QueryValues).
+  virtual void FromRanking(std::span<const double> dists, const Dataset& test,
+                           size_t row, QueryValues* out) const = 0;
 
  private:
   std::unique_ptr<Ranking> ranking_;
@@ -67,32 +68,49 @@ class RankedValuator : public Valuator {
 /// params.approx_error > 0 switches to the truncated-exact path: only the
 /// top TruncatedExactEffectiveRank ranks (streaming top-R selection, no
 /// full argsort), with the analytic tail bound reported as approx_bound.
+/// Queries stay in rank space: MergeInto runs the recursion on each
+/// query's order as it folds it (FoldExactKnnShapley at full depth, with
+/// steps built once at fit; FoldTruncatedExactKnnShapley on a prefix).
 class ExactValuator : public RankedValuator {
  public:
   using RankedValuator::RankedValuator;
   const char* Method() const override { return "exact"; }
+  void MergeInto(std::vector<double>* accumulator,
+                 const QueryValues& one_query) const override;
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
+
+ private:
+  // Full depth only: ExactKnnShapleySteps(N, k) and the corpus labels.
+  std::vector<double> steps_;
+  std::unique_ptr<FoldLabels> fold_labels_;
 };
 
 /// Corrected exact recursion (Wang & Jia, arXiv:2304.04258): the KNN
 /// utility normalized by min(K, |S|) — the vote count a soft-label KNN
 /// classifier actually uses on coalitions smaller than K — instead of the
-/// source paper's constant K. Same ranking depths as ExactValuator.
+/// source paper's constant K. Same ranking depths as ExactValuator. A
+/// full-depth query folds in rank space (FoldCorrectedKnnShapley); a
+/// truncated one values every row, so it stays dense.
 class CorrectedValuator : public RankedValuator {
  public:
   using RankedValuator::RankedValuator;
   const char* Method() const override { return "exact-corrected"; }
+  void MergeInto(std::vector<double>* accumulator,
+                 const QueryValues& one_query) const override;
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
+
+ private:
+  // Full depth only: CorrectedKnnShapleySteps(N, k) and the corpus labels.
+  std::vector<double> steps_;
+  std::unique_ptr<FoldLabels> fold_labels_;
 };
 
 /// (epsilon, 0)-approximation of Theorem 2: only the K* nearest neighbors
@@ -105,9 +123,8 @@ class TruncatedValuator : public RankedValuator {
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
 };
 
 /// (epsilon, delta)-approximation of Theorem 4: LSH retrieval of the K*
@@ -119,7 +136,7 @@ class LshValuator : public Valuator {
  public:
   using Valuator::Valuator;
   const char* Method() const override { return "lsh"; }
-  std::vector<double> ValueOne(const Dataset& test, size_t row) const override;
+  void ValueOne(const Dataset& test, size_t row, QueryValues* out) const override;
   void Finalize(std::vector<double>* accumulator, size_t num_queries) const override;
 
   int KStarDepth() const { return k_star_; }
@@ -163,9 +180,8 @@ class WeightedFastValuator : public RankedValuator {
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
 
  private:
   std::unique_ptr<WknnCoalitionWeights> coalition_;
@@ -180,9 +196,8 @@ class WeightedValuator : public RankedValuator {
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
 };
 
 /// Exact unweighted KNN regression values (Theorem 6) over the full
@@ -194,9 +209,8 @@ class RegressionValuator : public RankedValuator {
 
  protected:
   void OnFit() override;
-  std::vector<double> FromRanking(std::span<const int> order,
-                                  std::span<const double> dists,
-                                  const Dataset& test, size_t row) const override;
+  void FromRanking(std::span<const double> dists, const Dataset& test,
+                   size_t row, QueryValues* out) const override;
 };
 
 }  // namespace knnshap

@@ -33,13 +33,15 @@ struct Neighbor {
   double distance;
 };
 
-/// Tuning knobs for intra-query block parallelism. ParallelFor shards
-/// across *queries*; one huge query against a million-row corpus would
-/// otherwise run serial. At or above `min_rows` rows the single-query entry
-/// points shard the distance pass (and the top-R selection, on the partial
-/// path) into `block_rows`-row blocks drained cooperatively by the shared
-/// pool — ThreadPool::ParallelForHelping, so the path composes with the
-/// serve pipeline's request-per-worker model. Results are bit-identical to
+/// Tuning knobs for intra-query block parallelism. The engine spreads a
+/// request's *queries* over the pool; one huge query against a
+/// million-row corpus would otherwise run serial. At or above `min_rows`
+/// rows the single-query entry points shard the distance pass (and the
+/// top-R selection, on the partial path) into `block_rows`-row blocks
+/// drained cooperatively by the shared pool — the same
+/// ThreadPool::ParallelForHelping loop, nested inside the per-query one,
+/// so a query's blocks take whatever workers the other queries leave
+/// idle. Results are bit-identical to
 /// the serial path at any block size (per-block exact top-R + exact merge).
 struct IntraQueryOptions {
   size_t min_rows = size_t{1} << 18;    ///< Stay serial below this corpus size.

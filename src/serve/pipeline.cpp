@@ -29,6 +29,7 @@
 #include "shard/wire.h"
 #include "util/cancel.h"
 #include "util/fault.h"
+#include "util/line_reader.h"
 #include "util/status.h"
 
 namespace knnshap {
@@ -343,9 +344,6 @@ struct RequestPipeline::PreparedValue {
   std::shared_ptr<const MethodSchema> schema;
   bool include_values = true;
   bool ordered = true;
-  /// The request carried an explicit "parallel":true — run it inline with
-  /// intra-request query sharding instead of dispatching to one worker.
-  bool explicit_parallel = false;
   bool has_id = false;
   JsonValue id;
   /// The client set {"trace":true}: echo the trace in the response.
@@ -511,7 +509,8 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
   InFlightWindow window;
   TwinQueue twins;
   size_t served = 0;
-  std::string line;
+  LineReader reader(in.rdbuf());
+  std::string_view line;
   // Periodic-snapshot cadence, ticked once per accepted value request on
   // the reader thread (shed and malformed requests do not count).
   auto value_snapshot_tick = [&] {
@@ -525,7 +524,7 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
     return options_.shutdown != nullptr &&
            options_.shutdown->load(std::memory_order_relaxed);
   };
-  while (!shutdown_requested() && std::getline(in, line)) {
+  while (!shutdown_requested() && reader.Next(&line)) {
     if (line.empty()) continue;
     ++served;
     // Bound the parse: an over-long line is rejected before JSON-parsing
@@ -592,22 +591,6 @@ size_t RequestPipeline::Run(std::istream& in, std::ostream& out) {
                 std::chrono::steady_clock::now() - parse_start)
                 .count());
       }
-      // A request that *explicitly* asks for intra-request sharding runs
-      // inline on the reader (sharded across the pool, like --serial) —
-      // the escape hatch for lone heavy batches in an otherwise idle
-      // session, where per-request dispatch would leave cores idle.
-      // Values are bitwise independent of this choice, so the transcript
-      // is unchanged; in-flight jobs stay unaffected (snapshots).
-      if (prepared->explicit_parallel) {
-        window.Drain();  // keep response-completion order == request order
-        emitter.EmitOrdered(RunValue(*prepared).Dump());
-        value_snapshot_tick();
-        continue;
-      }
-      // Otherwise cross-request concurrency replaces intra-request
-      // sharding: a pool worker must not re-enter ParallelFor
-      // (non-reentrant, see util/thread_pool.h).
-      prepared->engine_request.parallel = false;
       // Fault site: a simulated dispatch failure degrades to a shed — the
       // request is declined, not lost, and the loop keeps serving.
       if (FaultInjectionEnabled() && Fault("dispatch")) {
@@ -1182,8 +1165,6 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
   // the trace back in the response.
   prepared->echo_trace = request.Get("trace").AsBool(false) || options_.trace_all;
   engine_request.trace = prepared->echo_trace || options_.slow_ms > 0.0;
-  prepared->explicit_parallel =
-      request.Has("parallel") && request.Get("parallel").AsBool();
 
   prepared->include_values = request.Get("include_values").AsBool(true);
   prepared->ordered = request.Get("ordered").AsBool(true);
@@ -1194,7 +1175,7 @@ bool RequestPipeline::PrepareValue(const JsonValue& request, PreparedValue* prep
 
 JsonValue RequestPipeline::RunValue(const PreparedValue& prepared) {
   // Queue wait: dispatch-to-run latency of the pipelined loop. Inline
-  // requests (serial loop, explicit_parallel, HandleSync) have none.
+  // requests (serial loop, HandleSync) have none.
   uint64_t queue_nanos = 0;
   if (prepared.dispatched) {
     queue_nanos = static_cast<uint64_t>(

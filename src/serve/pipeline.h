@@ -14,10 +14,10 @@
 //
 //   * Independent `value` requests are dispatched onto the thread pool and
 //     run concurrently against the (thread-safe) ValuationEngine. Each job
-//     runs the engine with intra-request query sharding disabled — the
-//     pool's ParallelFor is non-reentrant, and cross-request concurrency
-//     is the serving win — computes the response line, and hands it to the
-//     in-order emitter.
+//     runs the engine, whose ParallelForHelping loop spreads the request's
+//     queries over whichever pool workers are idle (the job's own worker
+//     always works them, so a busy pool runs them one after another),
+//     computes the response line, and hands it to the in-order emitter.
 //
 //   * Responses are emitted in request order (the JSONL protocol stays a
 //     deterministic transcript: pipelined ordered-mode output is

@@ -49,33 +49,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  const size_t num_blocks = std::min(count, NumThreads());
-  if (num_blocks <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  size_t remaining = num_blocks;  // guarded by done_mutex
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  const size_t block = (count + num_blocks - 1) / num_blocks;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t begin = b * block;
-    const size_t end = std::min(count, begin + block);
-    Submit([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-      // Count down under the lock: the caller returns, destroying this
-      // frame's mutex, as soon as it sees zero, so the last block must not
-      // touch the mutex after its decrement is visible.
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-}
-
 void ThreadPool::ParallelForHelping(size_t count, std::function<void(size_t)> fn) {
   if (count == 0) return;
   if (count == 1 || NumThreads() == 0) {

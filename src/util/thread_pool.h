@@ -1,6 +1,6 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// Fixed-size worker pool with a blocking parallel-for. The exact Shapley
+// Fixed-size worker pool with a helping parallel-for. The exact Shapley
 // algorithm is embarrassingly parallel over test points (Algorithm 1's
 // outer loop), and the large-dataset benches need that parallelism to stay
 // within a laptop-scale time budget.
@@ -30,28 +30,20 @@ class ThreadPool {
 
   size_t NumThreads() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, count) across the pool and blocks until all
-  /// iterations complete. Iterations are distributed in contiguous blocks.
-  /// Blocking and non-reentrant: must not be called from a pool worker —
-  /// the caller parks on a condition variable, so workers calling back in
-  /// can deadlock the pool. Multiple *external* threads may call it
-  /// concurrently.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Like ParallelFor, but the caller *helps*: indices are claimed one at a
-  /// time from a shared atomic counter, and the calling thread drains them
-  /// alongside up to NumThreads() enqueued helpers instead of parking on a
-  /// condition variable. Safe to call from a pool worker (the helper tasks
-  /// it enqueues are optional — if every worker is busy, the caller simply
-  /// finishes the loop alone), which is what makes intra-query block
-  /// parallelism composable with the serve pipeline's request-per-worker
-  /// model. Returns once every iteration has completed. `fn` must be safe
-  /// to invoke concurrently from multiple threads.
+  /// Runs fn(i) for i in [0, count) and returns once every iteration has
+  /// completed. The caller *helps*: indices are claimed one at a time from
+  /// a shared atomic counter, and the calling thread drains them alongside
+  /// up to NumThreads() enqueued helpers instead of parking on a condition
+  /// variable. Safe to call from a pool worker, and nested to any depth:
+  /// the helper tasks are optional — if every worker is busy, the caller
+  /// simply finishes the loop alone. This is what lets a request running
+  /// on a pool worker spread its queries over idle workers, and a query
+  /// spread its blocks (knn/neighbors.h). `fn` must be safe to invoke
+  /// concurrently from multiple threads.
   void ParallelForHelping(size_t count, std::function<void(size_t)> fn);
 
   /// Enqueues one task and returns immediately. The serve pipeline uses
-  /// this to run whole requests on workers; such tasks must not call
-  /// ParallelFor (see above).
+  /// this to run whole requests on workers.
   void Submit(std::function<void()> task);
 
   /// Process-wide pool, sized to the machine.

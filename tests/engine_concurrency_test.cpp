@@ -12,7 +12,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <memory>
+#include <future>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/fingerprint.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 namespace {
@@ -207,8 +210,9 @@ class RendezvousValuator : public Valuator {
   RendezvousValuator(ValuatorParams params, FitRendezvous* rendezvous)
       : Valuator(std::move(params)), rendezvous_(rendezvous) {}
   const char* Method() const override { return "rendezvous"; }
-  std::vector<double> ValueOne(const Dataset& /*test*/, size_t /*row*/) const override {
-    return std::vector<double>(Train().Size(), 0.0);
+  void ValueOne(const Dataset& /*test*/, size_t /*row*/,
+                QueryValues* out) const override {
+    out->values.assign(Train().Size(), 0.0);
   }
 
  protected:
@@ -317,8 +321,9 @@ class GatedValuator : public Valuator {
   GatedValuator(ValuatorParams params, Gate* gate)
       : Valuator(std::move(params)), gate_(gate) {}
   const char* Method() const override { return "gated"; }
-  std::vector<double> ValueOne(const Dataset& /*test*/, size_t /*row*/) const override {
-    return std::vector<double>(Train().Size(), 0.0);
+  void ValueOne(const Dataset& /*test*/, size_t /*row*/,
+                QueryValues* out) const override {
+    out->values.assign(Train().Size(), 0.0);
   }
 
  protected:
@@ -532,6 +537,68 @@ TEST(EngineConcurrencyTest, PrecomputedFingerprintsMatchEngineHashing) {
   ASSERT_TRUE(third.ok()) << third.status.ToString();
   EXPECT_FALSE(third.cache_hit);
   EXPECT_EQ(third.values, first.values);
+}
+
+// Records the threads that value a request's queries. Each query waits
+// (bounded) until a second one has arrived, so a request whose queries
+// never overlap shows one thread after the wait, not by luck.
+class ThreadRecordingValuator : public Valuator {
+ public:
+  struct Log {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::set<std::thread::id> threads;
+    size_t arrived = 0;
+  };
+
+  ThreadRecordingValuator(ValuatorParams params, Log* log)
+      : Valuator(std::move(params)), log_(log) {}
+  const char* Method() const override { return "threads"; }
+  void ValueOne(const Dataset& /*test*/, size_t /*row*/,
+                QueryValues* out) const override {
+    {
+      std::unique_lock<std::mutex> lock(log_->mutex);
+      log_->threads.insert(std::this_thread::get_id());
+      ++log_->arrived;
+      log_->cv.notify_all();
+      log_->cv.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return log_->arrived >= 2; });
+    }
+    out->values.assign(Train().Size(), 0.0);
+  }
+
+ private:
+  Log* log_;
+};
+
+TEST(EngineConcurrencyTest, RequestOnAPoolWorkerSpreadsItsQueries) {
+  // The serve pipeline runs each request as a job on a pool worker; the
+  // engine's helping loop must still hand its queries to idle workers.
+  ThreadRecordingValuator::Log log;
+  ValuatorRegistry registry;
+  MethodSchema schema;
+  schema.name = "threads";
+  schema.params = ResolveParams({"k"});
+  schema.tasks = {KnnTask::kClassification};
+  registry.Register(schema, [&](const ValuatorParams& params) {
+    return std::make_unique<ThreadRecordingValuator>(params, &log);
+  });
+  EngineOptions options;
+  options.registry = &registry;
+  ValuationEngine engine(options);
+  ValuationRequest request;
+  request.method = "threads";
+  request.train = std::make_shared<const Dataset>(RandomClassDataset(20, 2, 3, 601));
+  request.test = std::make_shared<const Dataset>(RandomClassDataset(4, 2, 3, 602));
+  request.use_cache = false;
+
+  ThreadPool pool(4);
+  std::promise<ValuationReport> done;
+  pool.Submit([&] { done.set_value(engine.Value(request)); });
+  const ValuationReport report = done.get_future().get();
+  ASSERT_TRUE(report.ok()) << report.status.ToString();
+  EXPECT_EQ(log.arrived, 4u);
+  EXPECT_GT(log.threads.size(), 1u);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
+#include "core/corrected_knn_shapley.h"
 #include "core/exact_enumeration.h"
 #include "core/exact_knn_shapley.h"
 #include "core/knn_regression_shapley.h"
@@ -16,6 +19,7 @@
 #include "core/utility.h"
 #include "test_util.h"
 #include "util/binomial.h"
+#include "util/random.h"
 #include "util/stats.h"
 
 namespace knnshap {
@@ -297,6 +301,127 @@ TEST(ExactShapleyTest, SymmetryForIdenticalPoints) {
   auto fast = ExactKnnShapley(train, test, 3, false);
   EXPECT_NEAR(fast[3], oracle[3], 1e-10);
   EXPECT_NEAR(fast[7], oracle[7], 1e-10);
+}
+
+// ---------------------------------------------------------------------------
+// Rank-space folds: bit-identical to the dense oracles merged in query order
+// ---------------------------------------------------------------------------
+
+// One seeded fold case: an N-row corpus with `classes` labels, and Q
+// queries whose orders rank rows by distances drawn from `levels` values,
+// so many rows tie and fall back to index order.
+struct FoldCase {
+  size_t n;
+  int k;
+  int classes;
+  int levels;
+  uint64_t seed;
+};
+
+std::vector<int> TiedOrder(size_t n, int levels, Rng& rng) {
+  std::vector<int> level(n);
+  for (auto& l : level) l = static_cast<int>(rng.NextIndex(static_cast<uint64_t>(levels)));
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return level[a] < level[b]; });
+  return order;
+}
+
+// The accumulator as the engine built it before the folds: dense per-query
+// vectors added element-wise, in query order, from +0.0.
+void AddDense(std::vector<double>* acc, const std::vector<double>& dense) {
+  for (size_t i = 0; i < acc->size(); ++i) (*acc)[i] += dense[i];
+}
+
+std::vector<double> ScatterRanks(std::span<const int> order,
+                                 const std::vector<double>& by_rank, size_t n) {
+  std::vector<double> dense(n, 0.0);
+  for (size_t i = 0; i < order.size(); ++i) dense[static_cast<size_t>(order[i])] = by_rank[i];
+  return dense;
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << what << " row " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+TEST(RankSpaceFoldTest, FoldsMatchTheDenseOraclesBitForBit) {
+  const std::vector<FoldCase> cases = {
+      {1, 1, 2, 1, 1},     {1, 5, 2, 1, 2},     {2, 1, 2, 2, 3},
+      {2, 3, 2, 1, 4},     {7, 3, 1, 3, 5},     // one label: every row matches
+      {9, 12, 3, 2, 6},    {40, 5, 3, 4, 7},    {40, 40, 2, 3, 8},
+      {300, 5, 3, 6, 9},   {300, 1, 2, 300, 10}, {1000, 7, 4, 9, 11},
+      // 255 labels still fit the byte codes (the absent label takes code
+      // 255); 300 fall back to the int labels.
+      {600, 3, 255, 20, 12}, {900, 4, 300, 50, 13},
+  };
+  for (const FoldCase& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " classes=" + std::to_string(c.classes));
+    Rng rng(c.seed);
+    std::vector<int> labels(c.n);
+    for (auto& l : labels) {
+      l = static_cast<int>(rng.NextIndex(static_cast<uint64_t>(c.classes)));
+    }
+    const FoldLabels fold_labels(labels);
+    const std::vector<double> exact_steps = ExactKnnShapleySteps(c.n, c.k);
+    const std::vector<double> corrected_steps = CorrectedKnnShapleySteps(c.n, c.k);
+    std::vector<double> exact_dense(c.n, 0.0), exact_fold(c.n, 0.0);
+    std::vector<double> corrected_dense(c.n, 0.0), corrected_fold(c.n, 0.0);
+    std::vector<double> truncated_dense(c.n, 0.0), truncated_fold(c.n, 0.0);
+    // Query label c.classes matches no row at all.
+    for (int test_label = 0; test_label <= c.classes; ++test_label) {
+      for (int q = 0; q < 3; ++q) {
+        const std::vector<int> order = TiedOrder(c.n, c.levels, rng);
+        std::vector<int> sorted_labels(c.n);
+        for (size_t i = 0; i < c.n; ++i) sorted_labels[i] = labels[order[i]];
+
+        AddDense(&exact_dense,
+                 ScatterRanks(order, KnnShapleyRecursion(sorted_labels, test_label, c.k),
+                              c.n));
+        FoldExactKnnShapley(order, fold_labels, test_label, c.k, exact_steps,
+                            exact_fold);
+        AddDense(&corrected_dense,
+                 ScatterRanks(order,
+                              CorrectedKnnShapleyRecursion(sorted_labels, test_label, c.k),
+                              c.n));
+        FoldCorrectedKnnShapley(order, fold_labels, test_label, c.k, corrected_steps,
+                                corrected_fold);
+        // The truncated path needs a prefix shorter than the corpus.
+        const size_t r = TruncatedExactEffectiveRank(
+            std::max<size_t>(1, c.n / 3), c.n, c.k);
+        if (r < c.n) {
+          const std::span<const int> prefix(order.data(), r);
+          AddDense(&truncated_dense, TruncatedExactKnnShapleyFromOrder(
+                                         prefix, labels, test_label, c.k, c.n));
+          FoldTruncatedExactKnnShapley(prefix, labels, test_label, c.k, truncated_fold);
+        }
+      }
+    }
+    const std::string name = "n=" + std::to_string(c.n) + " k=" + std::to_string(c.k);
+    ExpectSameBits(exact_dense, exact_fold, "exact " + name);
+    ExpectSameBits(corrected_dense, corrected_fold, "corrected " + name);
+    ExpectSameBits(truncated_dense, truncated_fold, "truncated " + name);
+  }
+}
+
+TEST(RankSpaceFoldTest, ExactFoldMatchesTheFromOrderEntryPoint) {
+  // The dense entry point the engine used to call, merged over queries.
+  const Dataset train = RandomClassDataset(120, 3, 3, 41);
+  const Dataset test = RandomClassDataset(5, 3, 3, 42);
+  const std::vector<double> steps = ExactKnnShapleySteps(train.Size(), 4);
+  std::vector<double> dense(train.Size(), 0.0), fold(train.Size(), 0.0);
+  for (size_t j = 0; j < test.Size(); ++j) {
+    const std::vector<int> order = RankOrder(train, test.features.Row(j));
+    AddDense(&dense, ExactKnnShapleyFromOrder(order, train.labels, test.labels[j], 4));
+    FoldExactKnnShapley(order, FoldLabels(train.labels), test.labels[j], 4, steps,
+                        fold);
+  }
+  ExpectSameBits(dense, fold, "exact from order");
 }
 
 }  // namespace

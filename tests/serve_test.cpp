@@ -304,22 +304,39 @@ TEST(ServeTest, MalformedRequestsAnswerErrorsNotAborts) {
   EXPECT_TRUE(good.Get("ok").AsBool()) << good.Dump();
 }
 
-TEST(ServeTest, ExplicitParallelRunsInlineWithIdenticalValues) {
+TEST(ServeTest, ParallelFieldLeavesSessionBytesUnchanged) {
+  // Full-rank exact and exact-corrected fold in rank space, truncated
+  // exact folds its prefix, and truncated corrected stays dense.
   const std::string corpus = RowsJson(40, 3, 2, 31);
   const std::string queries = RowsJson(6, 3, 2, 32);
   auto session = [&](const std::string& extra) {
-    return R"({"op":"load","name":"a","rows":)" + corpus + R"(,"target":"label"})" +
-           "\n" + R"({"op":"value","train":"a","queries":)" + queries +
-           R"(,"method":"exact","k":3)" + extra + "}\n" + R"({"op":"quit"})" + "\n";
+    std::string text =
+        R"({"op":"load","name":"a","rows":)" + corpus + R"(,"target":"label"})" + "\n";
+    for (const char* params : {R"("method":"exact","k":3)",
+                               R"("method":"exact-corrected","k":3)",
+                               R"("method":"exact","k":3,"approx_error":0.2)",
+                               R"("method":"exact-corrected","k":3,"approx_error":0.2)",
+                               R"("method":"truncated","k":3)"}) {
+      text += R"({"op":"value","train":"a","cache":false,"queries":)" + queries + "," +
+              params + extra + "}\n";
+    }
+    return text + R"({"op":"quit"})" + "\n";
   };
   ThreadPool pool(4);
   PipelineOptions options;
   options.pool = &pool;
   options.emit_timing = false;
-  // Dispatched (default) and inline-sharded ("parallel":true) must answer
-  // byte-identically — the engine's bitwise contract seen end to end.
-  EXPECT_EQ(RunSession(session(""), options),
-            RunSession(session(R"(,"parallel":true)"), options));
+  // Queries spread over idle workers by default and under
+  // "parallel":true, and run one after another under "parallel":false;
+  // the engine's bitwise contract makes every session answer the same
+  // bytes, pipelined or inline.
+  const std::string expected = RunSession(session(""), options);
+  EXPECT_EQ(RunSession(session(R"(,"parallel":true)"), options), expected);
+  EXPECT_EQ(RunSession(session(R"(,"parallel":false)"), options), expected);
+  PipelineOptions serial = options;
+  serial.pipelined = false;
+  EXPECT_EQ(RunSession(session(""), serial), expected);
+  EXPECT_EQ(RunSession(session(R"(,"parallel":false)"), serial), expected);
 }
 
 TEST(ServeTest, DescribeListsEveryMethodWithTypedParams) {

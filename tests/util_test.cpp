@@ -3,18 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/binomial.h"
 #include "util/bounded_heap.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/line_reader.h"
 #include "util/matrix.h"
 #include "util/random.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace knnshap {
 namespace {
@@ -392,4 +400,130 @@ TEST(CliTest, ParseIntTakesOnlyInRangeIntegers) {
 }
 
 }  // namespace
+// ---------------------------------------------------------------------------
+// ThreadPool
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPoolTest, EveryWorkerRunningANestedHelpingLoopFinishes) {
+  // Each worker enters a helping loop whose iterations run helping loops
+  // of their own, all at once: the callers work their own loops, so no
+  // worker can end up waiting on a helper that never runs.
+  constexpr size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::atomic<size_t> started{0};
+  std::atomic<size_t> iterations{0};
+  std::atomic<size_t> finished{0};
+  for (size_t t = 0; t < kThreads; ++t) {
+    pool.Submit([&] {
+      // Hold every worker until all of them are in, so the outer loops
+      // overlap and no worker is idle to help.
+      started.fetch_add(1);
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < kThreads && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      pool.ParallelForHelping(6, [&](size_t) {
+        pool.ParallelForHelping(5, [&](size_t) { iterations.fetch_add(1); });
+      });
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kThreads && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(finished.load(), kThreads) << "a nested helping loop never finished";
+  EXPECT_EQ(iterations.load(), kThreads * 6 * 5);
+}
+
+TEST(ThreadPoolTest, HelpingLoopRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (size_t count : {0u, 1u, 2u, 17u}) {
+    std::vector<std::atomic<int>> hits(count);
+    pool.ParallelForHelping(count, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << count;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// LineReader
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> ReadAllLines(const std::string& text) {
+  std::istringstream in(text);
+  LineReader reader(in.rdbuf());
+  std::vector<std::string> lines;
+  std::string_view line;
+  while (reader.Next(&line)) lines.emplace_back(line);
+  return lines;
+}
+
+std::vector<std::string> GetlineLines(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(LineReaderTest, SplitsLikeGetline) {
+  const std::string long_line(3 << 20, 'x');  // past the kept-buffer size
+  for (const std::string& text :
+       {std::string(), std::string("\n"), std::string("a"), std::string("a\n"),
+        std::string("a\nb"), std::string("\n\nab\n\n"), std::string("one\r\ntwo\n"),
+        "head\n" + long_line + "\ntail", long_line, long_line + "\n" + long_line + "\n"}) {
+    EXPECT_EQ(ReadAllLines(text), GetlineLines(text)) << text.size() << " bytes";
+  }
+}
+
+// Hands out its text a few bytes per underflow, like a pipe that delivers
+// a line in pieces.
+class DribbleBuf : public std::streambuf {
+ public:
+  DribbleBuf(std::string text, size_t piece) : text_(std::move(text)), piece_(piece) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= text_.size()) return traits_type::eof();
+    const size_t n = std::min(piece_, text_.size() - pos_);
+    char* at = text_.data() + pos_;
+    setg(at, at, at + n);
+    pos_ += n;
+    return traits_type::to_int_type(*at);
+  }
+
+ private:
+  std::string text_;
+  size_t piece_;
+  size_t pos_ = 0;
+};
+
+TEST(LineReaderTest, LinesArrivingInPiecesComeOutWhole) {
+  std::string text;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 200; ++i) {
+    expected.push_back(std::string(static_cast<size_t>(i * 37 % 1500), 'a' + i % 26));
+    text += expected.back() + "\n";
+  }
+  for (size_t piece : {1u, 7u, 4096u, 70000u}) {
+    DribbleBuf buf(text, piece);
+    LineReader reader(&buf);
+    std::vector<std::string> lines;
+    std::string_view line;
+    while (reader.Next(&line)) lines.emplace_back(line);
+    EXPECT_EQ(lines, expected) << "piece " << piece;
+  }
+  // A long line that ends exactly at a piece boundary leaves nothing
+  // unread, so the reader drops its grown buffer before the next line.
+  const std::string long_line(3 << 20, 'y');
+  DribbleBuf buf(long_line + "\nshort\n", long_line.size() + 1);
+  LineReader reader(&buf);
+  std::string_view line;
+  ASSERT_TRUE(reader.Next(&line));
+  EXPECT_EQ(line, long_line);
+  ASSERT_TRUE(reader.Next(&line));
+  EXPECT_EQ(line, "short");
+  EXPECT_FALSE(reader.Next(&line));
+}
+
 }  // namespace knnshap

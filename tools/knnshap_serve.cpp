@@ -10,12 +10,15 @@
 //
 // Flags:
 //   --serial          process requests inline on the reader thread (the
-//                     pre-pipeline behavior; value requests still shard
-//                     queries across the pool)
+//                     pre-pipeline behavior); a value request still
+//                     spreads its queries over the shared pool, as in
+//                     the pipelined loop
 //   --no-timing       omit "seconds" from value responses, making the
 //                     transcript byte-for-byte reproducible (golden tests)
 //   --threads=N       run value jobs on a private pool of N workers
-//                     instead of the shared machine-sized pool
+//                     instead of the shared machine-sized pool; a job's
+//                     queries still spread over the shared pool, which
+//                     this flag does not size
 //   --in-flight=N     cap on concurrently dispatched value requests
 //   --cache=N         result-cache capacity in entries (default 64)
 //   --kernel=K        force the distance kernel (reference|blocked|avx2|
