@@ -145,7 +145,10 @@ std::vector<double> ExactWeightedKnnShapleyFromOrder(
       ForEachCombination(n - 1, t, [&](const std::vector<int>& idx) {
         subset.clear();
         for (int q : idx) subset.push_back(candidate_ranks[static_cast<size_t>(q)]);
-        double without = nu(subset);
+        // In the composite game the analyst alone is worth 0 (Eq 28), not
+        // the data-only utility of no data (regression's is -y_test^2).
+        double without =
+            options.composite_game && subset.empty() ? 0.0 : nu(subset);
         subset.push_back(n);
         double with_n = nu(subset);
         total += w * (with_n - without);

@@ -224,7 +224,6 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
   // --- Fit (or reuse) and run. ------------------------------------------
   const FittedKey fitted_key{train_fp, request.method, params_fp};
   std::shared_ptr<Valuator> valuator;
-  bool fit_cancelled = false;
   {
     // The fit split is measured unconditionally (two clock reads on an
     // uncached request) so FormatStatusLine can always tell a cold fit
@@ -234,8 +233,7 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
     // structured response here: Value() runs on pool worker threads, and
     // an escaped exception would take the process down with it.
     try {
-      valuator = GetOrFit(fitted_key, request, params, &report.fit_reused,
-                          &fit_cancelled);
+      valuator = GetOrFit(fitted_key, request, params, &report.fit_reused);
     } catch (const std::exception& e) {
       report.status = Status::Error(
           StatusCode::kInternal,
@@ -251,15 +249,9 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
     }
     if (!report.status.ok()) return report;
   }
-  if (fit_cancelled) {
+  if (valuator == nullptr) {  // the deadline expired before a fit
     RecordDeadlineExceeded(cancel);
     report.status = Status::DeadlineExceeded("deadline exceeded");
-    return report;
-  }
-  if (valuator == nullptr) {
-    report.status = Status::Error(
-        StatusCode::kInternal,
-        "method '" + request.method + "' failed to construct or fit");
     return report;
   }
   {
@@ -284,11 +276,8 @@ ValuationReport ValuationEngine::ValueImpl(const ValuationRequest& request,
   if (Status health = valuator->Health(); !health.ok()) {
     {
       std::lock_guard<std::mutex> lock(fitted_mutex_);
-      auto it = fitted_index_.find(fitted_key);
-      if (it != fitted_index_.end()) {
-        fitted_.erase(it->second);
-        fitted_index_.erase(it);
-      }
+      auto it = fitted_.find(fitted_key);
+      if (it != fitted_.end() && it->second->valuator == valuator) fitted_.erase(it);
     }
     report.values.clear();
     report.status = std::move(health);
@@ -340,81 +329,45 @@ void ValuationEngine::RecordMetrics(const ValuationReport& report,
 std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
                                                     const ValuationRequest& request,
                                                     const ValuatorParams& params,
-                                                    bool* reused,
-                                                    bool* cancelled) {
-  // Per-corpus fit locking: the engine mutex covers only the bookkeeping.
-  // The first request for a key installs an in-progress slot and fits
-  // *outside* the lock; duplicates for the same key wait on the slot (the
-  // same shard workers / LSH index must not be built twice), while cold fits of
-  // different corpora — previously serialized here — overlap freely.
+                                                    bool* reused) {
+  // Per-corpus fit locking: the engine mutex covers only the fit table.
+  // The first request for a key installs a fitting slot and fits *outside*
+  // the lock; duplicates for the same key wait on the slot (the same shard
+  // workers / LSH index must not be built twice), while cold fits of
+  // different corpora overlap freely.
   //
-  // Cancellation makes this a retry loop: an owner whose deadline expires
-  // releases the slot as `cancelled` without a valuator, and its waiters
-  // come back around — one becomes the new owner — so one client's
-  // deadline never costs another client its fit.
+  // A fit that ends without a valuator (it threw, its deadline expired or
+  // the factory returned none) is erased, and its waiters come back around
+  // — one becomes the new owner — so one client's deadline or transient
+  // failure never costs another client its fit.
   const CancelToken* cancel = request.cancel.get();
   const uint64_t order = request.order != 0 ? request.order : NextOrder();
   for (;;) {
-    if (cancel != nullptr && cancel->Expired()) {
-      *cancelled = true;
-      return nullptr;
-    }
-    std::shared_ptr<FitSlot> slot;
-    bool owner = false;
-    {
-      std::lock_guard<std::mutex> lock(fitted_mutex_);
-      auto it = fitted_index_.find(key);
-      if (it != fitted_index_.end()) {
-        std::shared_ptr<Valuator> valuator = it->second->valuator;
-        StampFittedLocked(key, valuator, order);
-        ++fit_reuses_;
-        *reused = true;
-        return valuator;
-      }
-      auto fit_it = fitting_.find(key);
-      if (fit_it != fitting_.end()) {
-        slot = fit_it->second;
-      } else {
-        slot = std::make_shared<FitSlot>();
-        fitting_[key] = slot;
-        owner = true;
-      }
-    }
-
+    if (cancel != nullptr && cancel->Expired()) return nullptr;
+    std::unique_lock<std::mutex> lock(fitted_mutex_);
+    auto [it, owner] = fitted_.try_emplace(key);
+    if (owner) it->second = std::make_shared<FitSlot>();
+    const std::shared_ptr<FitSlot> slot = it->second;
     if (!owner) {
-      std::unique_lock<std::mutex> wait_lock(slot->mutex);
-      slot->done_cv.wait(wait_lock, [&] { return slot->done; });
-      if (slot->cancelled) continue;  // owner gave up its deadline; retry
-      if (slot->valuator == nullptr) return nullptr;  // owner's fit failed
-      std::lock_guard<std::mutex> lock(fitted_mutex_);
+      fitted_cv_.wait(lock, [&] { return !slot->fitting; });
+      if (slot->valuator == nullptr) continue;  // the fit ended without one
       // This use counts for recency too: run one after the other, it would
       // have refreshed (or refitted) the key at its own order.
-      if (!slot->invalidated) StampFittedLocked(key, slot->valuator, order);
+      if (!slot->invalidated) {
+        auto [pos, reinstalled] = fitted_.try_emplace(key, slot);
+        pos->second->order = std::max(pos->second->order, order);
+        if (reinstalled) EvictFittedLocked();
+      }
       ++fit_reuses_;
       *reused = true;  // someone else paid for the fit
       return slot->valuator;
     }
-
-    // Retires this owner's slot with the given outcome and wakes waiters.
-    auto retire = [&](std::shared_ptr<Valuator> outcome, bool was_cancelled) {
-      {
-        std::lock_guard<std::mutex> lock(fitted_mutex_);
-        fitting_.erase(key);
-      }
-      {
-        std::lock_guard<std::mutex> done_lock(slot->mutex);
-        slot->valuator = std::move(outcome);
-        slot->cancelled = was_cancelled;
-        slot->done = true;
-      }
-      slot->done_cv.notify_all();
-    };
+    lock.unlock();
 
     // The factory is an arbitrary std::function and Fit may allocate large
     // structures: if either throws (or the injected `fit` fault fires),
-    // the slot must still be retired and the waiters released (with a null
-    // valuator -> internal-error response), or every future request for
-    // this key would block forever.
+    // the slot must still be finished and the waiters released, or every
+    // future request for this key would block forever.
     std::shared_ptr<Valuator> valuator;
     try {
       if (FaultInjectionEnabled() && Fault("fit")) {
@@ -423,70 +376,60 @@ std::shared_ptr<Valuator> ValuationEngine::GetOrFit(const FittedKey& key,
       // The token stays active during the fit so a Fit implementation may
       // poll it; expiry is also checked when the fit returns.
       valuator = registry_->Create(request.method, params);
+      if (valuator == nullptr) throw std::runtime_error("no valuator constructed");
       const ShardTopology* topology = options_.shard_topology.get();
       const ShardContext shard{options_.shard_topology, request.train_digests,
                                request.train_name, options_.metrics};
-      if (valuator != nullptr) {
-        valuator->Fit(request.train,
-                      topology != nullptr && topology->shards > 1 ? &shard
-                                                                 : nullptr);
-      }
+      valuator->Fit(request.train,
+                    topology != nullptr && topology->shards > 1 ? &shard : nullptr);
     } catch (...) {
-      retire(nullptr, /*was_cancelled=*/false);
+      FinishFit(key, *slot, nullptr, order);
       throw;
     }
-
     // Deadline expired while fitting: whether Fit finished or bailed at a
-    // poll, the structure is not trusted — release the slot (waiters
-    // retry, a fresh owner refits) and answer deadline_exceeded. The
-    // registry holds no trace of this attempt.
-    if (cancel != nullptr && cancel->Expired()) {
-      retire(nullptr, /*was_cancelled=*/true);
-      *cancelled = true;
-      return nullptr;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(fitted_mutex_);
-      fitting_.erase(key);
-      // An InvalidateTrain that raced this fit poisoned the slot: the
-      // valuator still answers the requests already waiting on it, but the
-      // dead corpus's structure must not enter the resident set.
-      if (valuator != nullptr && !slot->invalidated) {
-        StampFittedLocked(key, valuator, order);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> done_lock(slot->mutex);
-      slot->valuator = valuator;
-      slot->done = true;
-    }
-    slot->done_cv.notify_all();
+    // poll, the structure is not trusted, so the table keeps no trace of
+    // this attempt and the request answers deadline_exceeded.
+    if (cancel != nullptr && cancel->Expired()) valuator = nullptr;
+    FinishFit(key, *slot, valuator, order);
     *reused = false;
     return valuator;
   }
 }
 
-void ValuationEngine::StampFittedLocked(const FittedKey& key,
-                                        std::shared_ptr<Valuator> valuator,
-                                        uint64_t order) {
-  FittedList::iterator entry;
-  if (auto it = fitted_index_.find(key); it != fitted_index_.end()) {
-    entry = it->second;
-    entry->order = std::max(entry->order, order);
-  } else {
-    fitted_.push_front({key, std::move(valuator), order});
-    entry = fitted_.begin();
-    fitted_index_[key] = entry;
+void ValuationEngine::FinishFit(const FittedKey& key, FitSlot& slot,
+                                std::shared_ptr<Valuator> valuator,
+                                uint64_t order) {
+  {
+    std::lock_guard<std::mutex> lock(fitted_mutex_);
+    slot.fitting = false;
+    slot.valuator = std::move(valuator);
+    slot.order = std::max(slot.order, order);
+    // The slot is still the key's entry: nothing erases a fitting slot.
+    if (slot.valuator == nullptr || slot.invalidated) {
+      fitted_.erase(key);
+    } else {
+      EvictFittedLocked();
+    }
   }
-  // Ordering by stamp, not by touch time, makes the resident set after a
+  fitted_cv_.notify_all();
+}
+
+void ValuationEngine::EvictFittedLocked() {
+  // Ordering by stamp, not by finish time, makes the resident set after a
   // burst of concurrent requests the same as if they had run one by one.
-  auto pos = fitted_.begin();
-  while (pos != fitted_.end() && (pos == entry || pos->order > entry->order)) ++pos;
-  fitted_.splice(pos, fitted_, entry);
-  while (fitted_.size() > std::max<size_t>(options_.fitted_capacity, 1)) {
-    fitted_index_.erase(fitted_.back().key);
-    fitted_.pop_back();
+  const size_t capacity = std::max<size_t>(options_.fitted_capacity, 1);
+  for (;;) {
+    size_t fitted = 0;
+    auto victim = fitted_.end();
+    for (auto it = fitted_.begin(); it != fitted_.end(); ++it) {
+      if (it->second->fitting) continue;
+      ++fitted;
+      if (victim == fitted_.end() || it->second->order < victim->second->order) {
+        victim = it;
+      }
+    }
+    if (fitted <= capacity) return;
+    fitted_.erase(victim);
   }
 }
 
@@ -551,14 +494,16 @@ std::vector<double> ValuationEngine::Run(const Valuator& valuator,
 
 size_t ValuationEngine::FittedCount() const {
   std::lock_guard<std::mutex> lock(fitted_mutex_);
-  return fitted_.size();
+  size_t count = 0;
+  for (const auto& [key, slot] : fitted_) count += slot->fitting ? 0 : 1;
+  return count;
 }
 
 std::unordered_map<uint64_t, size_t> ValuationEngine::FittedByTrain() const {
   std::lock_guard<std::mutex> lock(fitted_mutex_);
   std::unordered_map<uint64_t, size_t> counts;
-  for (const FittedEntry& entry : fitted_) {
-    ++counts[entry.key.train_fingerprint];
+  for (const auto& [key, slot] : fitted_) {
+    if (!slot->fitting) ++counts[key.train_fingerprint];
   }
   return counts;
 }
@@ -568,31 +513,22 @@ uint64_t ValuationEngine::FitReuses() const {
   return fit_reuses_;
 }
 
-void ValuationEngine::InvalidateAll() {
-  cache_.Clear();
-  std::lock_guard<std::mutex> lock(fitted_mutex_);
-  fitted_.clear();
-  fitted_index_.clear();
-  for (auto& [key, slot] : fitting_) slot->invalidated = true;
-}
-
 ValuationEngine::InvalidationStats ValuationEngine::InvalidateTrain(
     uint64_t train_fingerprint) {
   InvalidationStats stats;
   stats.cache_evicted = cache_.EraseFingerprint(train_fingerprint);
   std::lock_guard<std::mutex> lock(fitted_mutex_);
-  // Poison in-flight fits of this corpus so they finish without
-  // installing (their waiters are still served; the structure is dropped).
-  for (auto& [key, slot] : fitting_) {
-    if (key.train_fingerprint == train_fingerprint) slot->invalidated = true;
-  }
+  // In-flight fits of this corpus are poisoned rather than erased: they
+  // finish without becoming resident, and their waiters are still served.
   for (auto it = fitted_.begin(); it != fitted_.end();) {
-    if (it->key.train_fingerprint == train_fingerprint) {
-      fitted_index_.erase(it->key);
+    if (it->first.train_fingerprint != train_fingerprint) {
+      ++it;
+    } else if (it->second->fitting) {
+      it->second->invalidated = true;
+      ++it;
+    } else {
       it = fitted_.erase(it);
       ++stats.fitted_evicted;
-    } else {
-      ++it;
     }
   }
   return stats;

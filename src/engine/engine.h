@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -171,9 +170,6 @@ class ValuationEngine {
   /// Times a fitted valuator was reused instead of refitted.
   uint64_t FitReuses() const;
 
-  /// Drops the result cache and all fitted valuators.
-  void InvalidateAll();
-
   /// Eviction counts returned by InvalidateTrain.
   struct InvalidationStats {
     size_t fitted_evicted = 0;
@@ -216,48 +212,44 @@ class ValuationEngine {
   struct FittedKeyHash {
     size_t operator()(const FittedKey& key) const;
   };
-  struct FittedEntry {
-    FittedKey key;
-    std::shared_ptr<Valuator> valuator;
-    uint64_t order = 0;  ///< Latest ValuationRequest::order that used it.
-  };
-  /// Kept in descending `order`: the back is the LRU victim.
-  using FittedList = std::list<FittedEntry>;
-
-  /// In-progress fit of one key. The map mutex is held only for
-  /// bookkeeping; the fit itself runs outside it, so cold fits of
-  /// *different* corpora proceed concurrently while duplicate requests for
-  /// the same key wait on the slot instead of fitting twice.
+  /// One entry of the fit table. A slot is fitting (its owner runs the fit
+  /// outside fitted_mutex_; duplicates of the key wait on fitted_cv_) or
+  /// fitted (`valuator` set, resident until evicted). Every field is read
+  /// and written under fitted_mutex_. Waiters hold the slot itself, so they
+  /// get the valuator even when FinishFit never leaves it resident.
   struct FitSlot {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::shared_ptr<Valuator> valuator;
-    /// Set (under fitted_mutex_) by InvalidateTrain/InvalidateAll while
-    /// the fit is in flight: the finished valuator still serves the
-    /// requests already waiting on it, but is NOT installed into fitted_ —
-    /// preserving the reclaim-immediately guarantee for corpora dropped
-    /// mid-fit.
+    std::shared_ptr<Valuator> valuator;  ///< Null while fitting.
+    bool fitting = true;
+    /// Latest ValuationRequest::order that used the fitted valuator: the
+    /// lowest stamp is evicted first.
+    uint64_t order = 0;
+    /// Set by InvalidateTrain while the fit is in flight: the finished
+    /// valuator still serves the requests already waiting on it, but never
+    /// becomes resident, so a corpus dropped mid-fit is reclaimed at once.
     bool invalidated = false;
-    /// The owner's deadline expired before a usable valuator existed: the
-    /// slot is released (erased from fitting_) and waiters RETRY — one of
-    /// them becomes the new owner — instead of inheriting a failure. A
-    /// cancelled fit therefore never poisons the registry for later
-    /// requests.
-    bool cancelled = false;
   };
 
   /// Returns a fitted valuator for (train, method, params), creating and
   /// fitting one on first use. Per-key serialization only: concurrent
   /// first requests against different (corpus, method, params) keys fit in
-  /// parallel. Sets *cancelled and returns null when the request's
-  /// deadline expired before a valuator was fitted (the fit slot is
-  /// released so other requests are unaffected). Throws whatever the
-  /// method factory or Fit throws (slot released first).
+  /// parallel. Returns null when the request's deadline expired before a
+  /// valuator was fitted. Throws whatever the method factory or Fit throws
+  /// (the slot released first). A request that waited on a fit which ended
+  /// without a valuator retries the key, as it would one after the other.
   std::shared_ptr<Valuator> GetOrFit(const FittedKey& key,
                                      const ValuationRequest& request,
                                      const ValuatorParams& params,
-                                     bool* reused, bool* cancelled);
+                                     bool* reused);
+
+  /// Ends the owner's fit of `key`: a valuator is installed at recency
+  /// `order` (unless the slot was invalidated), and a null one erases the
+  /// slot so its waiters retry. Wakes every waiter.
+  void FinishFit(const FittedKey& key, FitSlot& slot,
+                 std::shared_ptr<Valuator> valuator, uint64_t order);
+
+  /// Evicts the lowest-stamped fitted slot while more than fitted_capacity
+  /// are fitted. Caller holds fitted_mutex_.
+  void EvictFittedLocked();
 
   /// Runs the per-query path (or the batch path) on a fitted valuator. `trace` (nullable) receives merge/finalize spans; deep
   /// per-query phases are recorded only when trace->deep. `cancel`
@@ -271,11 +263,6 @@ class ValuationEngine {
   /// Bookkeeping for a request that ran out of deadline: counter +
   /// (metrics wired) deadline metric and overshoot histogram.
   void RecordDeadlineExceeded(const CancelToken* cancel);
-
-  /// Installs or refreshes `key` at recency `order`, then evicts down to
-  /// capacity. Caller holds fitted_mutex_.
-  void StampFittedLocked(const FittedKey& key, std::shared_ptr<Valuator> valuator,
-                         uint64_t order);
 
   /// Fingerprint of the canonicalized params that key the result cache
   /// and the fitted set.
@@ -307,10 +294,10 @@ class ValuationEngine {
   mutable std::mutex method_metrics_mutex_;
   std::map<std::string, MethodMetrics> method_metrics_;
 
+  /// The fit table: every fitting and fitted slot, by key.
   mutable std::mutex fitted_mutex_;
-  FittedList fitted_;
-  std::unordered_map<FittedKey, FittedList::iterator, FittedKeyHash> fitted_index_;
-  std::unordered_map<FittedKey, std::shared_ptr<FitSlot>, FittedKeyHash> fitting_;
+  std::condition_variable fitted_cv_;  ///< Signalled when any fit finishes.
+  std::unordered_map<FittedKey, std::shared_ptr<FitSlot>, FittedKeyHash> fitted_;
   uint64_t fit_reuses_ = 0;
   std::atomic<uint64_t> next_order_{1};
 

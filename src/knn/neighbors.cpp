@@ -263,8 +263,4 @@ std::vector<Neighbor> BruteForceIndex::Query(std::span<const float> query,
   return TopKNeighbors(*train_, query, k, metric_, &norms_);
 }
 
-std::vector<int> BruteForceIndex::FullOrder(std::span<const float> query) const {
-  return ArgsortByDistance(*train_, query, metric_, &norms_);
-}
-
 }  // namespace knnshap

@@ -122,10 +122,8 @@ class BruteForceIndex {
   explicit BruteForceIndex(const Matrix* train, Metric metric = Metric::kL2);
 
   std::vector<Neighbor> Query(std::span<const float> query, size_t k) const;
-  std::vector<int> FullOrder(std::span<const float> query) const;
 
   const Matrix& Train() const { return *train_; }
-  Metric GetMetric() const { return metric_; }
   const CorpusNorms& Norms() const { return norms_; }
 
  private:

@@ -31,7 +31,6 @@ class LshHashTable {
   /// Ids stored in the query's bucket (empty vector if none).
   const std::vector<int>& Candidates(std::span<const float> x) const;
 
-  size_t NumBuckets() const { return buckets_.size(); }
   size_t NumProjections() const { return hashes_.size(); }
 
  private:

@@ -97,10 +97,4 @@ double LshIndex::Recall(std::span<const float> query, size_t k) const {
   return static_cast<double>(hit) / static_cast<double>(exact.size());
 }
 
-size_t LshIndex::MemoryBuckets() const {
-  size_t total = 0;
-  for (const auto& t : tables_) total += t.NumBuckets();
-  return total;
-}
-
 }  // namespace knnshap

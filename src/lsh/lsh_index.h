@@ -51,7 +51,6 @@ class LshIndex {
   double Recall(std::span<const float> query, size_t k) const;
 
   const LshConfig& Config() const { return config_; }
-  size_t MemoryBuckets() const;
 
  private:
   const Matrix* train_;

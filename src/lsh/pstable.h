@@ -37,8 +37,6 @@ class PStableHash {
   /// Hash value of a feature vector.
   int64_t Hash(std::span<const float> x) const;
 
-  double Width() const { return width_; }
-
  private:
   std::vector<double> w_;
   double b_;

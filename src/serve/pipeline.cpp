@@ -362,7 +362,7 @@ EngineOptions EngineOptionsWith(const PipelineOptions& options,
                                 MetricsRegistry* metrics,
                                 std::shared_ptr<const ShardTopology> topology) {
   EngineOptions engine = options.engine;
-  if (engine.metrics == nullptr) engine.metrics = metrics;
+  engine.metrics = metrics;
   engine.shard_topology = std::move(topology);
   return engine;
 }
@@ -377,14 +377,9 @@ RequestPipeline::RequestPipeline(const PipelineOptions& options)
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
       max_in_flight_(options.max_in_flight != 0 ? options.max_in_flight
                                                 : 2 * pool_->NumThreads()),
-      owned_metrics_(options.observability && options.metrics == nullptr
-                         ? std::make_unique<MetricsRegistry>()
-                         : nullptr),
-      metrics_(options.observability
-                   ? (options.metrics != nullptr ? options.metrics
-                                                 : owned_metrics_.get())
-                   : nullptr),
-      engine_(EngineOptionsWith(options, metrics_, topology_)) {
+      metrics_(options.observability ? std::make_unique<MetricsRegistry>()
+                                     : nullptr),
+      engine_(EngineOptionsWith(options, metrics_.get(), topology_)) {
   if (metrics_ != nullptr) {
     parse_nanos_ = metrics_->GetCounter(
         std::string("knnshap_phase_nanos_total{phase=\"") +

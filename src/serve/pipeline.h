@@ -79,8 +79,6 @@ struct PipelineOptions : ShardTopology {
   /// `stats`/`metrics` ops. false removes every metrics clock read — the
   /// bench's obs-off baseline arm.
   bool observability = true;
-  /// External registry to use; nullptr = the pipeline owns a private one.
-  MetricsRegistry* metrics = nullptr;
   /// Record deep per-query trace spans on every value request, as if each
   /// carried {"trace":true} (knnshap_serve --trace-all).
   bool trace_all = false;
@@ -143,7 +141,7 @@ class RequestPipeline {
 
   /// The wired registry (null when observability is off). knnshap_serve
   /// uses this for --metrics-file.
-  MetricsRegistry* Metrics() { return metrics_; }
+  MetricsRegistry* Metrics() { return metrics_.get(); }
 
   /// Value requests shed by admission control since construction.
   uint64_t ShedCount() const { return shed_total_.load(std::memory_order_relaxed); }
@@ -210,10 +208,9 @@ class RequestPipeline {
   std::shared_ptr<const ShardTopology> topology_;
   ThreadPool* pool_;
   size_t max_in_flight_;
-  /// Declared before engine_: the engine's options embed the registry
-  /// pointer, so it must exist first.
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
+  /// Null when observability is off. Declared before engine_: the engine's
+  /// options embed the registry pointer, so it must exist first.
+  std::unique_ptr<MetricsRegistry> metrics_;
   CorpusStore store_;
   /// The shard-worker ops (`candidates`, `digests`, `load_delta`), answered
   /// inline on the reader thread: a worker process serves them between

@@ -1,7 +1,7 @@
 // Copyright 2026 the knnshap authors. Apache-2.0 license.
 //
-// Validation of Theorems 9 and 10 (composite data+analyst game for
-// unweighted KNN classification/regression) against the enumeration oracle
+// Validation of Theorems 9-11 (composite data+analyst game for unweighted
+// and weighted KNN classification/regression) against the enumeration oracle
 // on the (N+1)-player composite game, plus the paper's structural claims
 // (Eq 88-89 ratios, analyst share >= 1/2).
 
@@ -84,6 +84,67 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CompositeRegVsOracleTest,
                                            CompositeCase{10, 2, 23},
                                            CompositeCase{12, 4, 24},
                                            CompositeCase{7, 6, 25}));  // N = K+1
+
+// Theorem 11: the weighted composite game, classification and regression,
+// under both non-uniform weight kernels.
+struct CompositeWeightedCase {
+  int n;
+  int k;
+  KnnTask task;
+  WeightKernel kernel;
+  uint64_t seed;
+};
+
+class CompositeWeightedVsOracleTest
+    : public ::testing::TestWithParam<CompositeWeightedCase> {};
+
+TEST_P(CompositeWeightedVsOracleTest, MatchesCompositeOracle) {
+  auto [n, k, task, kernel, seed] = GetParam();
+  const bool regression = task == KnnTask::kWeightedRegression;
+  Dataset train = regression
+                      ? RandomRegDataset(static_cast<size_t>(n), 3, seed)
+                      : RandomClassDataset(static_cast<size_t>(n), 2, 3, seed);
+  Dataset test = regression ? SingleQuery(3, seed + 9, 0, /*target=*/0.8)
+                            : SingleQuery(3, seed + 7, 1);
+  WeightConfig weights;
+  weights.kernel = kernel;
+  KnnSubsetUtility base(&train, &test, k, task, weights);
+  CompositeSubsetUtility composite(&base);
+  auto oracle = ShapleyByEnumeration(composite);
+  auto result = CompositeWeightedKnnShapley(train, test, k, weights, task,
+                                            /*parallel=*/false);
+  ASSERT_EQ(result.seller_values.size(), static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(result.seller_values[static_cast<size_t>(i)],
+                oracle[static_cast<size_t>(i)], 1e-9)
+        << "seller " << i;
+  }
+  EXPECT_NEAR(result.analyst_value, oracle[static_cast<size_t>(n)], 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, CompositeWeightedVsOracleTest,
+    ::testing::Values(
+        CompositeWeightedCase{3, 1, KnnTask::kWeightedClassification,
+                              WeightKernel::kInverseDistance, 80},
+        CompositeWeightedCase{6, 2, KnnTask::kWeightedClassification,
+                              WeightKernel::kInverseDistance, 81},
+        CompositeWeightedCase{8, 3, KnnTask::kWeightedClassification,
+                              WeightKernel::kGaussian, 82},
+        CompositeWeightedCase{10, 2, KnnTask::kWeightedClassification,
+                              WeightKernel::kGaussian, 83},
+        CompositeWeightedCase{4, 5, KnnTask::kWeightedClassification,
+                              WeightKernel::kInverseDistance, 84},  // K > N
+        CompositeWeightedCase{3, 1, KnnTask::kWeightedRegression,
+                              WeightKernel::kGaussian, 85},
+        CompositeWeightedCase{6, 2, KnnTask::kWeightedRegression,
+                              WeightKernel::kInverseDistance, 86},
+        CompositeWeightedCase{8, 3, KnnTask::kWeightedRegression,
+                              WeightKernel::kGaussian, 87},
+        CompositeWeightedCase{10, 2, KnnTask::kWeightedRegression,
+                              WeightKernel::kInverseDistance, 88},
+        CompositeWeightedCase{5, 5, KnnTask::kWeightedRegression,
+                              WeightKernel::kGaussian, 89}));  // K = N
 
 TEST(CompositeGameTest, SellerRatioMatchesEquation89) {
   // Eq (89): adjacent-difference ratio between composite and data-only

@@ -435,6 +435,83 @@ TEST(EngineConcurrencyTest, ThrowingFitReleasesTheSlotAndRetries) {
   EXPECT_EQ(calls.load(), 2);
 }
 
+TEST(EngineConcurrencyTest, WaitersOnAFailedFitRetryLikeASerialLoop) {
+  // Duplicates that waited on a fit which threw retry the key themselves,
+  // as they would one after the other: when every fit throws, each answers
+  // its own fit's error; when only the owner's fit threw, they are served.
+  for (bool every_fit_throws : {true, false}) {
+    SCOPED_TRACE(every_fit_throws ? "every fit throws" : "the first fit throws");
+    GatedValuator::Gate gate;
+    std::atomic<int> calls{0};
+    ValuatorRegistry registry;
+    MethodSchema schema;
+    schema.name = "gated";
+    schema.params = ResolveParams({"k"});
+    schema.tasks = {KnnTask::kClassification};
+    registry.Register(schema, [&](const ValuatorParams& params)
+                                  -> std::unique_ptr<Valuator> {
+      if (calls.fetch_add(1) == 0) {
+        std::unique_lock<std::mutex> lock(gate.mutex);
+        gate.entered.store(true);
+        gate.cv.wait_for(lock, std::chrono::seconds(10), [&] { return gate.open; });
+        throw std::runtime_error("owner failure");
+      }
+      if (every_fit_throws) throw std::runtime_error("retry failure");
+      return std::make_unique<GatedValuator>(params, &gate);  // gate is open
+    });
+
+    EngineOptions options;
+    options.registry = &registry;
+    ValuationEngine engine(options);
+    auto corpus = std::make_shared<const Dataset>(RandomClassDataset(20, 2, 3, 351));
+    auto queries = std::make_shared<const Dataset>(RandomClassDataset(2, 2, 3, 352));
+    auto value = [&] {
+      ValuationRequest request;
+      request.method = "gated";
+      request.train = corpus;
+      request.test = queries;
+      request.use_cache = false;
+      return engine.Value(request);
+    };
+    std::future<ValuationReport> owner = std::async(std::launch::async, value);
+    while (!gate.entered.load()) std::this_thread::yield();
+    std::vector<std::future<ValuationReport>> duplicates;
+    for (int i = 0; i < 3; ++i) {
+      duplicates.push_back(std::async(std::launch::async, value));
+    }
+    // Let the duplicates block on the owner's slot. One that arrives after
+    // the owner failed fits as an owner itself, which answers the same.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    {
+      std::lock_guard<std::mutex> lock(gate.mutex);
+      gate.open = true;
+    }
+    gate.cv.notify_all();
+
+    ValuationReport owner_report = owner.get();
+    EXPECT_NE(owner_report.status.message().find(
+                  "method 'gated' fit failed: owner failure"),
+              std::string::npos)
+        << owner_report.status.ToString();
+    for (auto& duplicate : duplicates) {
+      ValuationReport report = duplicate.get();
+      if (every_fit_throws) {
+        EXPECT_EQ(report.status.code(), StatusCode::kInternal);
+        EXPECT_NE(report.status.message().find(
+                      "method 'gated' fit failed: retry failure"),
+                  std::string::npos)
+            << report.status.ToString();
+      } else {
+        EXPECT_TRUE(report.ok()) << report.status.ToString();
+      }
+    }
+    EXPECT_EQ(engine.FittedCount(), every_fit_throws ? 0u : 1u);
+    // Every duplicate fits once when every fit throws; otherwise one retry
+    // fits and the other duplicates reuse it.
+    EXPECT_EQ(calls.load(), every_fit_throws ? 4 : 2);
+  }
+}
+
 TEST(EngineConcurrencyTest, CancelledFitReleasesTheSlotWithoutPoisoning) {
   // A fit whose deadline fires mid-flight must retire its slot as
   // cancelled — installing nothing in the registry — and the next request
